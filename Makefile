@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_10.json
 # enforces (keep in sync with the CI coverage job).
 COVER_MIN ?= 72
 
-.PHONY: all build examples vet test test-race fmt-check cover bench bench-smoke bench-json bench-gate
+.PHONY: all build examples vet test test-race fmt-check cover docgate bench bench-smoke bench-json bench-gate
 
 all: vet build test
 
@@ -37,6 +37,10 @@ fmt-check:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covgate -profile cover.out -min $(COVER_MIN)
+
+# Markdown links, anchors and ```go fences (the CI docs job).
+docgate:
+	$(GO) run ./cmd/docgate
 
 # Full benchmark sweep, human-readable.
 bench:

@@ -49,8 +49,8 @@ func TestOpenInstallsBaseline(t *testing.T) {
 }
 
 // TestVerifyProgramOptionForms pins the redesigned verification entry
-// point: the zero-option call, the deprecated worker-count wrapper, and
-// the explicit option form must agree verdict for verdict.
+// point: the zero-option call and the explicit option form must agree
+// verdict for verdict.
 func TestVerifyProgramOptionForms(t *testing.T) {
 	plain, err := netdebug.VerifyProgram(p4test.Router)
 	if err != nil {
@@ -63,10 +63,6 @@ func TestVerifyProgramOptionForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deprecated, err := netdebug.VerifyProgramWorkers(p4test.Router, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Detail strings carry run statistics (path counts, model rendering)
 	// that legitimately vary with options; the verdicts must not.
 	verdicts := func(rs []netdebug.VerifyResult) map[string]bool {
@@ -76,8 +72,8 @@ func TestVerifyProgramOptionForms(t *testing.T) {
 		}
 		return out
 	}
-	if !reflect.DeepEqual(verdicts(plain), verdicts(withOpts)) || !reflect.DeepEqual(verdicts(plain), verdicts(deprecated)) {
-		t.Fatalf("entry points disagree:\nplain:      %v\nwith opts:  %v\ndeprecated: %v", plain, withOpts, deprecated)
+	if !reflect.DeepEqual(verdicts(plain), verdicts(withOpts)) {
+		t.Fatalf("entry points disagree:\nplain:      %v\nwith opts:  %v", plain, withOpts)
 	}
 	if _, err := netdebug.VerifyProgram("not p4"); err == nil {
 		t.Fatal("unparsable source accepted")

@@ -1,8 +1,8 @@
 package dataplane
 
 // Churn tests for DeleteEntry: the tuple-space index must stay
-// equivalent to the linear reference scan under arbitrary interleavings
-// of installs and deletes (the lazy sorts and group-dominance repair
+// equivalent to the linear model under arbitrary interleavings of
+// installs and deletes (the lazy group sort and the slot-chain unlink
 // are the code under test), and the engine-level delete path must
 // honor each table kind's match identity. The concurrent variant runs
 // install/delete churn against live ProcessBatch traffic serialized by
@@ -22,9 +22,8 @@ import (
 )
 
 // entryIdentity renders a ternary entry's delete identity — mask
-// tuple, masked value tuple, priority — mirroring the derivation in
-// deleteTernary, so shadow bookkeeping can group identity-equal
-// duplicates.
+// tuple, masked value tuple, priority — so shadow bookkeeping can group
+// identity-equal duplicates.
 func entryIdentity(keys []synthKey, e Entry) string {
 	var buf []byte
 	for i, k := range keys {
@@ -48,8 +47,9 @@ func entryIdentity(keys []synthKey, e Entry) string {
 
 // TestTernaryChurnDifferential interleaves installs, deletes, and
 // differential lookups: after every mutation the tuple-space lookup
-// must agree with the linear reference on random and entry-derived
-// probes, and the entry count must match shadow bookkeeping.
+// must agree with the linear model on random and entry-derived probes,
+// every delete must remove exactly as many entries as the model's, and
+// the entry count must match shadow bookkeeping.
 func TestTernaryChurnDifferential(t *testing.T) {
 	layouts := [][]synthKey{
 		{{32, ir.MatchTernary}},
@@ -60,26 +60,25 @@ func TestTernaryChurnDifferential(t *testing.T) {
 	for li, keys := range layouts {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(seed*977 + int64(li)))
-			ts, act := synthTable(keys, 1<<20)
+			pair := newTernaryPair(keys, 1<<20)
+			ts, m := pair.ts, pair.m
 			var live []Entry
 			vals := make([]bitfield.Value, len(keys))
 			probe := func(tag string, op int) {
 				for p := 0; p < 40; p++ {
-					if p%2 == 0 || len(ts.ternary) == 0 {
+					if p%2 == 0 || len(m.entries) == 0 {
 						for i, k := range keys {
 							vals[i] = randVal(rng, k.w)
 						}
 					} else {
-						base := ts.ternary[rng.Intn(len(ts.ternary))]
+						base := m.entries[rng.Intn(len(m.entries))]
 						for i := range keys {
 							vals[i] = base.Entry.Keys[i].Value
 						}
 						j := rng.Intn(len(keys))
 						vals[j] = vals[j].Xor(bitfield.New128(0, 1<<uint(rng.Intn(8)), keys[j].w))
 					}
-					got := ts.lookup(vals)
-					want := ts.lookupTernaryLinear(vals)
-					if got != want {
+					if got, want := ts.lookup(vals), m.lookup(vals); !sameEntry(got, want) {
 						t.Fatalf("layout %d seed %d %s op %d: tuple-space %+v, linear %+v",
 							li, seed, tag, op, got, want)
 					}
@@ -98,15 +97,20 @@ func TestTernaryChurnDifferential(t *testing.T) {
 						}
 						e.Keys = append(e.Keys, kv)
 					}
-					if err := ts.install(e, act); err != nil {
+					if err := pair.install(e); err != nil {
 						t.Fatalf("install op %d: %v", op, err)
 					}
 					live = append(live, e)
 				} else {
 					i := rng.Intn(len(live))
 					victim := live[i]
-					if err := ts.delete(victim, act); err != nil {
+					before := ts.count
+					modelRemoved, err := pair.delete(victim)
+					if err != nil {
 						t.Fatalf("delete op %d: %v", op, err)
+					}
+					if before-ts.count != modelRemoved {
+						t.Fatalf("delete op %d: removed %d entries, model removed %d", op, before-ts.count, modelRemoved)
 					}
 					// A delete removes every identity-equal duplicate, so the
 					// shadow list drops all of them too.
@@ -139,11 +143,11 @@ func TestTernaryChurnDifferential(t *testing.T) {
 				live = append(live, e)
 			}
 			for _, e := range live {
-				if err := ts.delete(e, act); err != nil {
+				if _, err := pair.delete(e); err != nil {
 					t.Fatalf("drain delete: %v", err)
 				}
 				var miss *NoSuchEntryError
-				if err := ts.delete(e, act); !errors.As(err, &miss) {
+				if _, err := pair.delete(e); !errors.As(err, &miss) {
 					t.Fatalf("double delete: got %v, want NoSuchEntryError", err)
 				}
 			}
@@ -161,8 +165,8 @@ func TestTernaryChurnDifferential(t *testing.T) {
 func TestDeleteRespectsTieBreakOrder(t *testing.T) {
 	for _, lifo := range []bool{false, true} {
 		keys := []synthKey{{16, ir.MatchTernary}}
-		ts, act := synthTable(keys, 1<<10)
-		ts.tieLIFO = lifo
+		p := newTernaryPair(keys, 1<<10)
+		p.setLIFO(lifo)
 		mask := bitfield.Mask(16)
 		mk := func(val uint64, prio int) Entry {
 			return Entry{Table: "synth", Action: "act", Priority: prio,
@@ -172,29 +176,19 @@ func TestDeleteRespectsTieBreakOrder(t *testing.T) {
 		// different masks (full vs wildcard), plus a higher-priority one.
 		wild := Entry{Table: "synth", Action: "act", Priority: 1,
 			Keys: []KeyValue{{Value: bitfield.New(0, 16), Mask: bitfield.New(0, 16)}}}
-		if err := ts.install(mk(7, 1), act); err != nil {
-			t.Fatal(err)
-		}
-		if err := ts.install(wild, act); err != nil {
-			t.Fatal(err)
-		}
-		if err := ts.install(mk(7, 3), act); err != nil {
-			t.Fatal(err)
+		for _, e := range []Entry{mk(7, 1), wild, mk(7, 3)} {
+			if err := p.install(e); err != nil {
+				t.Fatal(err)
+			}
 		}
 		probe := []bitfield.Value{bitfield.New(7, 16)}
-		if got, want := ts.lookup(probe), ts.lookupTernaryLinear(probe); got != want {
-			t.Fatalf("lifo=%v pre-delete: tuple-space %+v, linear %+v", lifo, got, want)
-		}
-		if got := ts.lookup(probe); got.Priority != 3 {
+		if got := p.lookup(t, probe); got.Priority != 3 {
 			t.Fatalf("lifo=%v: want priority-3 winner, got %+v", lifo, got)
 		}
-		if err := ts.delete(mk(7, 3), act); err != nil {
+		if _, err := p.delete(mk(7, 3)); err != nil {
 			t.Fatal(err)
 		}
-		got := ts.lookup(probe)
-		if want := ts.lookupTernaryLinear(probe); got != want {
-			t.Fatalf("lifo=%v post-delete: tuple-space %+v, linear %+v", lifo, got, want)
-		}
+		got := p.lookup(t, probe)
 		if got == nil || got.Priority != 1 {
 			t.Fatalf("lifo=%v: want a priority-1 survivor, got %+v", lifo, got)
 		}

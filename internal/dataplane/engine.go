@@ -205,7 +205,7 @@ func (e *Engine) SetTernaryTieBreak(name string, lifo bool) error {
 	if !ok {
 		return fmt.Errorf("dataplane: no table %q", name)
 	}
-	if ts.kind != kindTernary {
+	if ts.kind != ir.MatchTernary {
 		return fmt.Errorf("dataplane: table %q is not ternary", name)
 	}
 	if ts.count > 0 {
@@ -227,7 +227,7 @@ func (e *Engine) SetTernaryMaskLimit(name string, limit int) error {
 	if !ok {
 		return fmt.Errorf("dataplane: no table %q", name)
 	}
-	if ts.kind != kindTernary {
+	if ts.kind != ir.MatchTernary {
 		return fmt.Errorf("dataplane: table %q is not ternary", name)
 	}
 	if ts.count > 0 {
@@ -258,7 +258,7 @@ func (e *Engine) TernaryGroupCount(name string) int {
 // geometry tests read it.
 func (e *Engine) LPMStats(name string) (entries, nodes, bytes int) {
 	ts, ok := e.tables[name]
-	if !ok || ts.kind != kindLPM {
+	if !ok || ts.kind != ir.MatchLPM {
 		return 0, 0, 0
 	}
 	for _, trie := range ts.tries {
@@ -711,7 +711,7 @@ func (e *Engine) ValidateEntry(entry Entry) error {
 	if err != nil {
 		return err
 	}
-	return ts.validate(entry, action)
+	return ts.bind(entry, action)
 }
 
 // DeleteEntry validates and removes a table entry by its match

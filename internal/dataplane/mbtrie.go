@@ -7,9 +7,9 @@ import (
 )
 
 // This file implements the path-compressed multibit LPM trie that backs
-// lpm tables. The retired one-node-per-bit binary trie (lpmTrie, in
-// tables.go) is kept as the differential oracle; TestDifferentialLPMTrie
-// fuzzes the two against each other.
+// lpm tables. TestDifferentialLPMTrie fuzzes it against the
+// one-node-per-bit binary trie it replaced, which lives on as a model in
+// models_test.go.
 //
 // Layout: nodes consume the key MultibitStride bits at a time, most
 // significant chunk first. Runs of single-child interior nodes are
@@ -270,9 +270,9 @@ func (t *mbTrie) lookup(val bitfield.Value) *boundEntry {
 }
 
 // remove clears the entry at a prefix; it returns false when no entry
-// is installed there. Unlike the binary oracle, emptied nodes are
-// pruned and single-child chains re-collapsed into skip strings, so
-// memory shrinks back under install/delete churn.
+// is installed there. Emptied nodes are pruned and single-child chains
+// re-collapsed into skip strings, so memory shrinks back under
+// install/delete churn.
 func (t *mbTrie) remove(val bitfield.Value, plen int) bool {
 	n := t.root
 	if n == nil {
@@ -375,25 +375,4 @@ func (t *mbTrie) stats() (nodes, bytes int) {
 		walk(t.root)
 	}
 	return count, b
-}
-
-// binTrieNodeBytes is the in-memory size of one binary-trie node: two
-// child pointers and an entry pointer.
-const binTrieNodeBytes = 24
-
-// stats reports the binary oracle's node count and modeled bytes, for
-// the memory-ratio comparison against the multibit trie.
-func (t *lpmTrie) stats() (nodes, bytes int) {
-	var walk func(n *trieNode) int
-	walk = func(n *trieNode) int {
-		c := 1
-		for _, ch := range n.children {
-			if ch != nil {
-				c += walk(ch)
-			}
-		}
-		return c
-	}
-	n := walk(&t.root)
-	return n, n * binTrieNodeBytes
 }

@@ -2,8 +2,8 @@ package dataplane
 
 // Differential fuzzing, shared edge-case coverage, churn/prune
 // regression, and the 10^6-entry memory-ratio assertion for the
-// path-compressed multibit LPM trie against the retired binary-trie
-// oracle, plus the benchgate-pinned install/lookup benchmarks the
+// path-compressed multibit LPM trie against the binary-trie model
+// (models_test.go), plus the benchgate-pinned install/lookup benchmarks the
 // -speedup ratios ride on.
 
 import (
@@ -281,8 +281,8 @@ func TestLPMTrieChurnPrunes(t *testing.T) {
 			mb.remove(val, plen)
 		}
 	}
-	// Contrast pin: the oracle's documented leak really exists (if this
-	// starts failing, the oracle changed and the comment in tables.go
+	// Contrast pin: the model's documented leak really exists (if this
+	// starts failing, the model changed and the comment on its remove
 	// is stale).
 	var bin lpmTrie
 	for i := 0; i < 1000; i++ {

@@ -28,73 +28,64 @@ type Entry struct {
 	Priority int // ternary only; higher wins
 }
 
-// tableKind classifies the lookup structure used for a table.
-type tableKind int
-
-const (
-	kindExact tableKind = iota
-	kindLPM
-	kindTernary
-)
-
-// boundEntry is an entry resolved against the program.
+// boundEntry is an installed entry: the control plane's Entry resolved
+// against the program.
 type boundEntry struct {
 	Entry
 	action *ir.Action
 	// order is the install sequence number, used to break priority ties
 	// deterministically (first installed wins).
 	order int
-	// masks/want are the per-key match masks and pre-masked match values
-	// for ternary tables, precomputed at install time so lookups perform
-	// no mask construction.
-	masks []bitfield.Value
-	want  []bitfield.Value
+	// next links the entries of one ternary slot — same mask tuple, same
+	// masked values, so they match exactly the same packets — in beats
+	// order: the slot's head is the entry lookups return, and the entries
+	// it shadows hang off it so a delete of the head resurfaces the next.
+	next *boundEntry
 }
 
 // ternaryGroup is one tuple of the tuple-space search structure: every
 // entry whose per-key mask tuple is identical lands in the same group,
 // and within a group a masked packet key can be matched by at most one
-// hash probe. Two entries of a group with equal masked values match
-// exactly the same packets, so only the dominant one — by (priority
-// desc, order asc) — is kept.
+// hash probe. The groups are the table's only store of ternary entries.
 type ternaryGroup struct {
+	// masks is the group's mask tuple, computed once when the group is
+	// created so lookups perform no mask construction.
 	masks   []bitfield.Value
-	entries map[string]*boundEntry // masked key bytes -> dominant entry
-	// maxPrio is the highest priority present in the group; lookups
-	// visit groups in descending maxPrio order and stop as soon as the
-	// current best strictly beats every remaining group.
+	entries map[string]*boundEntry // masked key bytes -> head of the slot's chain
+	// maxPrio is an upper bound on the priorities present in the group
+	// (deletes leave it alone); lookups visit groups in descending
+	// maxPrio order and stop as soon as the current best strictly beats
+	// every remaining group.
 	maxPrio int
 }
 
 // tableState is the runtime state of one table.
 type tableState struct {
-	def     *ir.Table
-	kind    tableKind
-	lpmIdx  int // index of the lpm key within def.Keys
-	exact   map[string]*boundEntry
-	tries   map[string]*mbTrie // keyed by the exact portion of the key
-	ternary []*boundEntry      // linear reference list, lazily sorted
-	// ternarySorted records whether ternary is currently in (priority
-	// desc, order asc) order; installs append and defer the sort so
-	// populating a large table is not quadratic.
-	ternarySorted bool
-	// groups is the tuple-space index over the ternary entries, lazily
-	// ordered by descending maxPrio (groupsSorted tracks validity).
+	def *ir.Table
+	// kind and lpmIdx are def.Match(): which of the three structures
+	// below holds the entries, and the lpm key's position.
+	kind   ir.MatchKind
+	lpmIdx int
+	exact  map[string]*boundEntry
+	tries  map[string]*mbTrie // keyed by the exact portion of the key
+	// groups is the tuple-space index of a ternary table, lazily ordered
+	// by descending maxPrio (groupsSorted tracks validity).
 	groups       []*ternaryGroup
 	groupIdx     map[string]*ternaryGroup // mask-tuple bytes -> group
 	groupsSorted bool
-	// maskBuf is the scratch buffer tuple-space lookups serialize masked
-	// key bytes into.
-	maskBuf []byte
-	count   int
+	count        int
 	// capacity is the usable entry count; defaults to def.Size, targets
 	// may lower it to model architectural limits.
 	capacity int
 	nextOrd  int
-	// keyBuf is the scratch buffer lookups serialize key bytes into; the
-	// map index converts it with string(keyBuf), which the compiler
-	// performs without allocating.
-	keyBuf []byte
+	// keyBuf and maskBuf are the scratch buffers hash keys are serialized
+	// into; the map index converts them with string(buf), which the
+	// compiler performs without allocating. Lookups fill them from the
+	// packet's key values, writes fill them in bind (with maskVals, the
+	// entry's mask tuple as values).
+	keyBuf   []byte
+	maskBuf  []byte
+	maskVals []bitfield.Value
 	// tieLIFO inverts the ternary equal-priority tie-break from
 	// first-installed-wins (the P4 reference rule) to
 	// newest-installed-wins — the resolution quirk some hardware table
@@ -111,26 +102,9 @@ type tableState struct {
 }
 
 func newTableState(def *ir.Table) *tableState {
-	ts := &tableState{def: def, lpmIdx: -1, capacity: def.Size}
-	for i, k := range def.Keys {
-		switch k.Kind {
-		case ir.MatchTernary:
-			ts.kind = kindTernary
-		case ir.MatchLPM:
-			if ts.kind != kindTernary {
-				ts.kind = kindLPM
-			}
-			ts.lpmIdx = i
-		}
-	}
-	switch ts.kind {
-	case kindExact:
-		ts.exact = make(map[string]*boundEntry)
-	case kindLPM:
-		ts.tries = make(map[string]*mbTrie)
-	case kindTernary:
-		ts.groupIdx = make(map[string]*ternaryGroup)
-	}
+	ts := &tableState{def: def, capacity: def.Size}
+	ts.kind, ts.lpmIdx = def.Match()
+	ts.clear()
 	return ts
 }
 
@@ -138,8 +112,7 @@ func newTableState(def *ir.Table) *tableState {
 // ternary resolution rule: higher priority first, then install order —
 // earliest wins under the P4 reference rule, newest wins when the
 // tieLIFO quirk is enabled. The mode must be chosen before entries are
-// installed: the tuple-space index resolves same-group dominance at
-// install time.
+// installed: slot chains are ordered at install time.
 func (ts *tableState) beats(a, b *boundEntry) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
@@ -152,7 +125,7 @@ func (ts *tableState) beats(a, b *boundEntry) bool {
 
 // appendKeyBytes appends the byte representation of each non-skipped key
 // value to buf and returns the extended buffer. It is the allocation-free
-// core of exact and LPM-group key construction.
+// core of lookup key construction.
 func appendKeyBytes(buf []byte, vals []bitfield.Value, skip int) []byte {
 	for i := range vals {
 		if i == skip {
@@ -163,26 +136,52 @@ func appendKeyBytes(buf []byte, vals []bitfield.Value, skip int) []byte {
 	return buf
 }
 
-// validate checks an entry's shape — key count, key widths, prefix
-// ranges, action argument count and widths — without touching table
-// state. It is the check a conforming map driver performs before
-// inserting, which is why targets modelling accept-but-discard driver
-// defects still run it.
-func (ts *tableState) validate(e Entry, action *ir.Action) error {
+// bind is the step every table write starts with. It checks the entry's
+// shape — key count, key widths, prefix ranges, action argument count
+// and widths — and resolves its match key into the hash keys the table's
+// structure is indexed by, left in the scratch buffers: keyBuf holds the
+// full key of an exact table, the exact portion (everything but the lpm
+// component) of an lpm table, and the masked values of a ternary table,
+// whose mask tuple goes to maskBuf (bytes) and maskVals (values). It
+// touches no other table state, so on its own it is the check a
+// conforming map driver performs before inserting — which is why targets
+// modelling accept-but-discard driver defects still run it.
+func (ts *tableState) bind(e Entry, action *ir.Action) error {
 	if len(e.Keys) != len(ts.def.Keys) {
 		return fmt.Errorf("table %s: entry has %d keys, table has %d",
 			ts.def.Name, len(e.Keys), len(ts.def.Keys))
 	}
+	ts.keyBuf, ts.maskBuf, ts.maskVals = ts.keyBuf[:0], ts.maskBuf[:0], ts.maskVals[:0]
 	for i, k := range e.Keys {
+		kind := ts.def.Keys[i].Kind
 		w := ts.def.Keys[i].Expr.Width()
 		if k.Value.Width() != w {
 			return fmt.Errorf("table %s key %d: width %d, want %d",
 				ts.def.Name, i, k.Value.Width(), w)
 		}
-		if ts.def.Keys[i].Kind == ir.MatchLPM && (k.PrefixLen < 0 || k.PrefixLen > w) {
+		if kind == ir.MatchLPM && (k.PrefixLen < 0 || k.PrefixLen > w) {
 			return fmt.Errorf("table %s key %d: prefix length %d outside [0,%d]",
 				ts.def.Name, i, k.PrefixLen, w)
 		}
+		if ts.kind != ir.MatchTernary {
+			if i != ts.lpmIdx {
+				ts.keyBuf = k.Value.AppendBytes(ts.keyBuf)
+			}
+			continue
+		}
+		// In a ternary table every key matches under a mask: all bits
+		// for an exact key (or a ternary key given without a mask), the
+		// prefix for an lpm key.
+		mask := bitfield.Mask(w)
+		switch {
+		case kind == ir.MatchLPM:
+			mask = prefixMask(w, k.PrefixLen)
+		case kind == ir.MatchTernary && k.Mask.Width() != 0:
+			mask = k.Mask
+		}
+		ts.maskVals = append(ts.maskVals, mask)
+		ts.maskBuf = mask.AppendBytes(ts.maskBuf)
+		ts.keyBuf = k.Value.And(mask).AppendBytes(ts.keyBuf)
 	}
 	if len(e.Args) != len(action.Params) {
 		return fmt.Errorf("table %s: action %s takes %d args, entry has %d",
@@ -199,7 +198,7 @@ func (ts *tableState) validate(e Entry, action *ir.Action) error {
 
 // install validates and inserts an entry.
 func (ts *tableState) install(e Entry, action *ir.Action) error {
-	if err := ts.validate(e, action); err != nil {
+	if err := ts.bind(e, action); err != nil {
 		return err
 	}
 	if ts.count >= ts.capacity {
@@ -208,60 +207,25 @@ func (ts *tableState) install(e Entry, action *ir.Action) error {
 	be := &boundEntry{Entry: e, action: action, order: ts.nextOrd}
 	ts.nextOrd++
 	switch ts.kind {
-	case kindExact:
-		vals := make([]bitfield.Value, len(e.Keys))
-		for i := range e.Keys {
-			vals[i] = e.Keys[i].Value
-		}
-		k := string(appendKeyBytes(nil, vals, -1))
-		if _, dup := ts.exact[k]; dup {
+	case ir.MatchExact:
+		if _, dup := ts.exact[string(ts.keyBuf)]; dup {
 			return fmt.Errorf("table %s: duplicate entry", ts.def.Name)
 		}
-		ts.exact[k] = be
-	case kindLPM:
-		vals := make([]bitfield.Value, len(e.Keys))
-		for i := range e.Keys {
-			vals[i] = e.Keys[i].Value
-		}
-		group := string(appendKeyBytes(nil, vals, ts.lpmIdx))
-		trie := ts.tries[group]
+		ts.exact[string(ts.keyBuf)] = be
+	case ir.MatchLPM:
+		trie := ts.tries[string(ts.keyBuf)]
 		if trie == nil {
 			trie = &mbTrie{}
-			ts.tries[group] = trie
+			ts.tries[string(ts.keyBuf)] = trie
 		}
 		lk := e.Keys[ts.lpmIdx]
 		if !trie.insert(lk.Value, lk.PrefixLen, be) {
 			return fmt.Errorf("table %s: duplicate prefix %s/%d", ts.def.Name, lk.Value, lk.PrefixLen)
 		}
-	case kindTernary:
-		be.masks = make([]bitfield.Value, len(e.Keys))
-		be.want = make([]bitfield.Value, len(e.Keys))
-		for i, kv := range e.Keys {
-			w := ts.def.Keys[i].Expr.Width()
-			var mask bitfield.Value
-			switch ts.def.Keys[i].Kind {
-			case ir.MatchExact:
-				mask = bitfield.Mask(w)
-			case ir.MatchLPM:
-				mask = prefixMask(w, kv.PrefixLen)
-			case ir.MatchTernary:
-				mask = kv.Mask
-				if mask.Width() == 0 {
-					mask = bitfield.Mask(w)
-				}
-			}
-			be.masks[i] = mask
-			be.want[i] = kv.Value.And(mask)
+	case ir.MatchTernary:
+		if err := ts.linkTernary(be); err != nil {
+			return err
 		}
-		if ts.maskLimit > 0 && len(ts.groups) >= ts.maskLimit {
-			ts.maskBuf = appendKeyBytes(ts.maskBuf[:0], be.masks, -1)
-			if ts.groupIdx[string(ts.maskBuf)] == nil {
-				return &MaskSetError{Table: ts.def.Name, Limit: ts.maskLimit}
-			}
-		}
-		ts.ternary = append(ts.ternary, be)
-		ts.ternarySorted = len(ts.ternary) == 1
-		ts.insertGroup(be)
 	}
 	ts.count++
 	return nil
@@ -276,126 +240,95 @@ func (ts *tableState) install(e Entry, action *ir.Action) error {
 // rejects a malformed delete the same way it rejects a malformed
 // insert — but do not participate in identity.
 func (ts *tableState) delete(e Entry, action *ir.Action) error {
-	if err := ts.validate(e, action); err != nil {
+	if err := ts.bind(e, action); err != nil {
 		return err
 	}
-	switch ts.kind {
-	case kindExact:
-		vals := make([]bitfield.Value, len(e.Keys))
-		for i := range e.Keys {
-			vals[i] = e.Keys[i].Value
-		}
-		k := string(appendKeyBytes(nil, vals, -1))
-		if _, ok := ts.exact[k]; !ok {
-			return &NoSuchEntryError{Table: ts.def.Name}
-		}
-		delete(ts.exact, k)
-		ts.count--
-	case kindLPM:
-		vals := make([]bitfield.Value, len(e.Keys))
-		for i := range e.Keys {
-			vals[i] = e.Keys[i].Value
-		}
-		group := string(appendKeyBytes(nil, vals, ts.lpmIdx))
-		trie := ts.tries[group]
-		if trie == nil {
-			return &NoSuchEntryError{Table: ts.def.Name}
-		}
-		lk := e.Keys[ts.lpmIdx]
-		if !trie.remove(lk.Value, lk.PrefixLen) {
-			return &NoSuchEntryError{Table: ts.def.Name}
-		}
-		ts.count--
-	case kindTernary:
-		return ts.deleteTernary(e)
-	}
-	return nil
-}
-
-// deleteTernary removes every ternary entry matching e's identity and
-// repairs the tuple-space group the entries lived in: the dominant
-// entry per masked key is recomputed from the surviving entries, the
-// group's maxPrio bound is re-derived, and an emptied group is removed
-// from the index (freeing its mask-set slot under a mask limit). The
-// group ordering is conservatively invalidated so the next lookup
-// re-runs the lazy maxPrio sort.
-func (ts *tableState) deleteTernary(e Entry) error {
-	masks := make([]bitfield.Value, len(e.Keys))
-	want := make([]bitfield.Value, len(e.Keys))
-	for i, kv := range e.Keys {
-		w := ts.def.Keys[i].Expr.Width()
-		var mask bitfield.Value
-		switch ts.def.Keys[i].Kind {
-		case ir.MatchExact:
-			mask = bitfield.Mask(w)
-		case ir.MatchLPM:
-			mask = prefixMask(w, kv.PrefixLen)
-		case ir.MatchTernary:
-			mask = kv.Mask
-			if mask.Width() == 0 {
-				mask = bitfield.Mask(w)
-			}
-		}
-		masks[i] = mask
-		want[i] = kv.Value.And(mask)
-	}
-	sameTuple := func(a, b []bitfield.Value) bool {
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	// Order-preserving filter: removal keeps any existing (priority,
-	// order) sort valid, so ternarySorted survives unchanged.
-	kept := ts.ternary[:0]
 	removed := 0
-	for _, be := range ts.ternary {
-		if be.Priority == e.Priority && sameTuple(be.masks, masks) && sameTuple(be.want, want) {
-			removed++
-			continue
+	switch ts.kind {
+	case ir.MatchExact:
+		if _, ok := ts.exact[string(ts.keyBuf)]; ok {
+			delete(ts.exact, string(ts.keyBuf))
+			removed = 1
 		}
-		kept = append(kept, be)
+	case ir.MatchLPM:
+		lk := e.Keys[ts.lpmIdx]
+		if trie := ts.tries[string(ts.keyBuf)]; trie != nil && trie.remove(lk.Value, lk.PrefixLen) {
+			removed = 1
+		}
+	case ir.MatchTernary:
+		removed = ts.unlinkTernary(e.Priority)
 	}
 	if removed == 0 {
 		return &NoSuchEntryError{Table: ts.def.Name}
 	}
-	for i := len(kept); i < len(ts.ternary); i++ {
-		ts.ternary[i] = nil
-	}
-	ts.ternary = kept
 	ts.count -= removed
+	return nil
+}
 
-	gk := string(appendKeyBytes(nil, masks, -1))
-	g := ts.groupIdx[gk]
+// linkTernary inserts be into the slot bind resolved (group key in
+// maskBuf, slot key in keyBuf), creating the group on its first entry.
+func (ts *tableState) linkTernary(be *boundEntry) error {
+	g := ts.groupIdx[string(ts.maskBuf)]
 	if g == nil {
-		// The index and the entry list disagree; rebuilding from the
-		// list below would hide the inconsistency, so fail loudly.
-		panic(fmt.Sprintf("dataplane: table %s: deleted ternary entry had no tuple-space group", ts.def.Name))
+		if ts.maskLimit > 0 && len(ts.groups) >= ts.maskLimit {
+			return &MaskSetError{Table: ts.def.Name, Limit: ts.maskLimit}
+		}
+		g = &ternaryGroup{
+			masks:   append([]bitfield.Value(nil), ts.maskVals...),
+			entries: make(map[string]*boundEntry),
+			maxPrio: be.Priority,
+		}
+		ts.groupIdx[string(ts.maskBuf)] = g
+		ts.groups = append(ts.groups, g)
+		ts.groupsSorted = len(ts.groups) == 1
+	} else if be.Priority > g.maxPrio {
+		g.maxPrio = be.Priority
+		ts.groupsSorted = len(ts.groups) == 1
 	}
-	// Rebuild the group's dominance map from the surviving entries.
-	g.entries = make(map[string]*boundEntry)
-	g.maxPrio = 0
-	live := 0
-	var buf []byte
-	for _, be := range ts.ternary {
-		buf = appendKeyBytes(buf[:0], be.masks, -1)
-		if string(buf) != gk {
-			continue
-		}
-		live++
-		if live == 1 || be.Priority > g.maxPrio {
-			g.maxPrio = be.Priority
-		}
-		buf = appendKeyBytes(buf[:0], be.want, -1)
-		ek := string(buf)
-		if cur, ok := g.entries[ek]; !ok || ts.beats(be, cur) {
-			g.entries[ek] = be
-		}
+	head := g.entries[string(ts.keyBuf)]
+	if head == nil || ts.beats(be, head) {
+		be.next = head
+		g.entries[string(ts.keyBuf)] = be
+		return nil
 	}
-	if live == 0 {
-		delete(ts.groupIdx, gk)
+	at := head
+	for at.next != nil && ts.beats(at.next, be) {
+		at = at.next
+	}
+	be.next, at.next = at.next, be
+	return nil
+}
+
+// unlinkTernary removes every entry of priority prio from the slot bind
+// resolved and returns how many there were. An emptied slot leaves its
+// group, and an emptied group leaves the index (freeing its mask-set
+// slot under a mask limit). Neither changes a surviving group's maxPrio
+// bound, so the group ordering stays valid.
+func (ts *tableState) unlinkTernary(prio int) int {
+	g := ts.groupIdx[string(ts.maskBuf)]
+	if g == nil {
+		return 0
+	}
+	head := g.entries[string(ts.keyBuf)]
+	// The chain is in beats order, so one priority's entries are adjacent.
+	link := &head
+	for *link != nil && (*link).Priority > prio {
+		link = &(*link).next
+	}
+	removed := 0
+	for *link != nil && (*link).Priority == prio {
+		*link = (*link).next
+		removed++
+	}
+	switch {
+	case removed == 0:
+		return 0
+	case head != nil:
+		g.entries[string(ts.keyBuf)] = head
+	case len(g.entries) > 1:
+		delete(g.entries, string(ts.keyBuf))
+	default:
+		delete(ts.groupIdx, string(ts.maskBuf))
 		for i, other := range ts.groups {
 			if other == g {
 				ts.groups = append(ts.groups[:i], ts.groups[i+1:]...)
@@ -403,55 +336,27 @@ func (ts *tableState) deleteTernary(e Entry) error {
 			}
 		}
 	}
-	// maxPrio may have dropped; force the lazy re-sort.
-	ts.groupsSorted = len(ts.groups) <= 1
-	return nil
+	return removed
 }
 
 // lookup matches the evaluated key values against installed entries. It
 // performs no heap allocations.
 func (ts *tableState) lookup(vals []bitfield.Value) *boundEntry {
 	switch ts.kind {
-	case kindExact:
+	case ir.MatchExact:
 		ts.keyBuf = appendKeyBytes(ts.keyBuf[:0], vals, -1)
 		return ts.exact[string(ts.keyBuf)]
-	case kindLPM:
+	case ir.MatchLPM:
 		ts.keyBuf = appendKeyBytes(ts.keyBuf[:0], vals, ts.lpmIdx)
 		trie := ts.tries[string(ts.keyBuf)]
 		if trie == nil {
 			return nil
 		}
 		return trie.lookup(vals[ts.lpmIdx])
-	case kindTernary:
+	case ir.MatchTernary:
 		return ts.lookupTernary(vals)
 	}
 	return nil
-}
-
-// insertGroup adds an installed ternary entry to the tuple-space index.
-func (ts *tableState) insertGroup(be *boundEntry) {
-	ts.maskBuf = appendKeyBytes(ts.maskBuf[:0], be.masks, -1)
-	gk := string(ts.maskBuf)
-	g := ts.groupIdx[gk]
-	if g == nil {
-		g = &ternaryGroup{
-			masks:   be.masks,
-			entries: make(map[string]*boundEntry),
-			maxPrio: be.Priority,
-		}
-		ts.groupIdx[gk] = g
-		ts.groups = append(ts.groups, g)
-		ts.groupsSorted = len(ts.groups) == 1
-	}
-	if be.Priority > g.maxPrio {
-		g.maxPrio = be.Priority
-		ts.groupsSorted = len(ts.groups) == 1
-	}
-	ts.maskBuf = appendKeyBytes(ts.maskBuf[:0], be.want, -1)
-	ek := string(ts.maskBuf)
-	if cur, ok := g.entries[ek]; !ok || ts.beats(be, cur) {
-		g.entries[ek] = be
-	}
 }
 
 // lookupTernary is the tuple-space search: one hash probe per distinct
@@ -481,45 +386,14 @@ func (ts *tableState) lookupTernary(vals []bitfield.Value) *boundEntry {
 	return best
 }
 
-// lookupTernaryLinear is the original O(entries) first-match scan over
-// the (priority desc, order asc)-sorted entry list. It is kept as the
-// reference semantics the tuple-space index is differentially tested
-// (and benchmarked) against.
-func (ts *tableState) lookupTernaryLinear(vals []bitfield.Value) *boundEntry {
-	if !ts.ternarySorted {
-		sort.SliceStable(ts.ternary, func(i, j int) bool {
-			return ts.beats(ts.ternary[i], ts.ternary[j])
-		})
-		ts.ternarySorted = true
-	}
-	for _, be := range ts.ternary {
-		if ternaryMatches(be, vals) {
-			return be
-		}
-	}
-	return nil
-}
-
-// ternaryMatches tests vals against an entry's precomputed masks.
-func ternaryMatches(be *boundEntry, vals []bitfield.Value) bool {
-	for i := range be.masks {
-		if !vals[i].And(be.masks[i]).Equal(be.want[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // clear removes every entry.
 func (ts *tableState) clear() {
 	switch ts.kind {
-	case kindExact:
+	case ir.MatchExact:
 		ts.exact = make(map[string]*boundEntry)
-	case kindLPM:
+	case ir.MatchLPM:
 		ts.tries = make(map[string]*mbTrie)
-	case kindTernary:
-		ts.ternary = nil
-		ts.ternarySorted = false
+	case ir.MatchTernary:
 		ts.groups = nil
 		ts.groupIdx = make(map[string]*ternaryGroup)
 		ts.groupsSorted = false
@@ -567,70 +441,4 @@ func (e *MaskSetError) Error() string {
 // prefixMask returns a w-bit mask with the top n bits set.
 func prefixMask(w, n int) bitfield.Value {
 	return bitfield.Mask(w).Shl(w - n).WithWidth(w)
-}
-
-// lpmTrie is the retired one-node-per-bit binary trie over key bits,
-// most significant bit first. Production lpm tables now run on the
-// path-compressed multibit mbTrie (mbtrie.go); this implementation is
-// kept verbatim as the differential oracle the multibit trie is
-// fuzz-tested against, exactly like lookupTernaryLinear above.
-type lpmTrie struct {
-	root trieNode
-}
-
-type trieNode struct {
-	children [2]*trieNode
-	entry    *boundEntry
-}
-
-// insert adds a prefix; it returns false on duplicates.
-func (t *lpmTrie) insert(val bitfield.Value, plen int, be *boundEntry) bool {
-	n := &t.root
-	w := val.Width()
-	for i := 0; i < plen; i++ {
-		b := val.Bit(w - 1 - i)
-		if n.children[b] == nil {
-			n.children[b] = &trieNode{}
-		}
-		n = n.children[b]
-	}
-	if n.entry != nil {
-		return false
-	}
-	n.entry = be
-	return true
-}
-
-// remove clears the entry at a prefix; it returns false when no entry
-// is installed there. Emptied interior nodes are left in place — churn
-// workloads reinstall into the same region, and lookup correctness
-// only depends on entry pointers.
-func (t *lpmTrie) remove(val bitfield.Value, plen int) bool {
-	n := &t.root
-	w := val.Width()
-	for i := 0; i < plen; i++ {
-		n = n.children[val.Bit(w-1-i)]
-		if n == nil {
-			return false
-		}
-	}
-	if n.entry == nil {
-		return false
-	}
-	n.entry = nil
-	return true
-}
-
-// lookup returns the longest-prefix match for val, or nil.
-func (t *lpmTrie) lookup(val bitfield.Value) *boundEntry {
-	n := &t.root
-	best := n.entry
-	w := val.Width()
-	for i := 0; i < w && n != nil; i++ {
-		n = n.children[val.Bit(w-1-i)]
-		if n != nil && n.entry != nil {
-			best = n.entry
-		}
-	}
-	return best
 }

@@ -4,7 +4,7 @@ package dataplane
 // the tuple-group accessor (Engine.TernaryGroupCount) that hardware
 // targets use: LIFO resolution must invert only the equal-priority
 // order, must hold identically on the tuple-space index and the linear
-// reference scan, and must be rejected once entries exist.
+// model, and must be rejected once entries exist.
 
 import (
 	"math/rand"
@@ -18,7 +18,7 @@ import (
 // twoOverlapping installs two entries with equal priority that both
 // match the all-zero key: a match-any entry first, then an exact-zero
 // entry in a different mask group.
-func twoOverlapping(t *testing.T, ts *tableState, act *ir.Action) (first, second *boundEntry) {
+func twoOverlapping(t *testing.T, p *ternaryPair) (first, second Entry) {
 	t.Helper()
 	entries := []Entry{
 		{Table: "synth", Action: "act", Priority: 2,
@@ -27,42 +27,36 @@ func twoOverlapping(t *testing.T, ts *tableState, act *ir.Action) (first, second
 			Keys: []KeyValue{{Value: bitfield.New(0, 32), Mask: bitfield.Mask(32)}}},
 	}
 	for _, e := range entries {
-		if err := ts.install(e, act); err != nil {
+		if err := p.install(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return ts.ternary[0], ts.ternary[1]
+	return entries[0], entries[1]
 }
 
 func TestTernaryTieBreakLIFO(t *testing.T) {
 	probe := []bitfield.Value{bitfield.New(0, 32)}
 
-	fifo, act := synthTable([]synthKey{{32, ir.MatchTernary}}, 64)
-	first, _ := twoOverlapping(t, fifo, act)
-	if got := fifo.lookup(probe); got != first {
+	fifo := newTernaryPair([]synthKey{{32, ir.MatchTernary}}, 64)
+	first, _ := twoOverlapping(t, fifo)
+	if got := fifo.lookup(t, probe); !isEntry(got, first) {
 		t.Fatalf("FIFO: want the first-installed entry, got order %d", got.order)
 	}
-	if got := fifo.lookupTernaryLinear(probe); got != first {
-		t.Fatalf("FIFO linear: got order %d", got.order)
-	}
 
-	lifo, act := synthTable([]synthKey{{32, ir.MatchTernary}}, 64)
-	lifo.tieLIFO = true
-	_, second := twoOverlapping(t, lifo, act)
-	if got := lifo.lookup(probe); got != second {
+	lifo := newTernaryPair([]synthKey{{32, ir.MatchTernary}}, 64)
+	lifo.setLIFO(true)
+	_, second := twoOverlapping(t, lifo)
+	if got := lifo.lookup(t, probe); !isEntry(got, second) {
 		t.Fatalf("LIFO: want the newest entry, got order %d", got.order)
-	}
-	if got := lifo.lookupTernaryLinear(probe); got != second {
-		t.Fatalf("LIFO linear: got order %d", got.order)
 	}
 
 	// Priorities still dominate the install order in either mode.
 	hi := Entry{Table: "synth", Action: "act", Priority: 7,
 		Keys: []KeyValue{{Value: bitfield.New(0, 32), Mask: bitfield.New(0, 32)}}}
-	if err := lifo.install(hi, act); err != nil {
+	if err := lifo.install(hi); err != nil {
 		t.Fatal(err)
 	}
-	if got := lifo.lookup(probe); got.Priority != 7 {
+	if got := lifo.lookup(t, probe); got.Priority != 7 {
 		t.Fatalf("priority must outrank LIFO order, got priority %d", got.Priority)
 	}
 }
@@ -73,18 +67,18 @@ func TestTernaryTieBreakLIFO(t *testing.T) {
 func TestTernaryTieBreakDifferential(t *testing.T) {
 	keys := []synthKey{{32, ir.MatchTernary}, {16, ir.MatchTernary}}
 	rng := rand.New(rand.NewSource(42))
-	ts, act := synthTable(keys, 4096)
-	ts.tieLIFO = true
-	installRandom(t, ts, act, keys, 600, rng)
+	p := newTernaryPair(keys, 4096)
+	p.setLIFO(true)
+	installRandom(t, p, keys, 600, rng)
 	for i := 0; i < 2000; i++ {
 		probe := []bitfield.Value{randVal(rng, 32), randVal(rng, 16)}
-		if i%2 == 0 && len(ts.ternary) > 0 {
-			src := ts.ternary[rng.Intn(len(ts.ternary))]
+		if i%2 == 0 && len(p.m.entries) > 0 {
+			src := p.m.entries[rng.Intn(len(p.m.entries))]
 			probe = []bitfield.Value{src.Keys[0].Value, src.Keys[1].Value}
 		}
-		fast := ts.lookupTernary(probe)
-		slow := ts.lookupTernaryLinear(probe)
-		if fast != slow {
+		fast := p.ts.lookupTernary(probe)
+		slow := p.m.lookup(probe)
+		if !sameEntry(fast, slow) {
 			t.Fatalf("probe %d: tuple-space and linear disagree under LIFO: %v vs %v", i, fast, slow)
 		}
 	}

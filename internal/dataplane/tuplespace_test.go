@@ -2,9 +2,10 @@ package dataplane
 
 // Differential tests and occupancy benchmarks for the tuple-space
 // ternary index: on any entry set and any packet, lookup (tuple-space)
-// must return exactly the entry the linear reference scan returns —
-// including priority ties resolved by install order and keys wider than
-// 64 bits — and must do so in O(distinct masks) rather than O(entries).
+// must return exactly the entry the linear model (models_test.go)
+// returns — including priority ties resolved by install order and keys
+// wider than 64 bits — and must do so in O(distinct masks) rather than
+// O(entries).
 
 import (
 	"errors"
@@ -58,7 +59,7 @@ func randMask(rng *rand.Rand, w int) bitfield.Value {
 	}
 }
 
-func installRandom(t testing.TB, ts *tableState, act *ir.Action, keys []synthKey, n int, rng *rand.Rand) {
+func installRandom(t testing.TB, p *ternaryPair, keys []synthKey, n int, rng *rand.Rand) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		e := Entry{Table: "synth", Action: "act", Priority: rng.Intn(4)}
@@ -72,7 +73,7 @@ func installRandom(t testing.TB, ts *tableState, act *ir.Action, keys []synthKey
 			}
 			e.Keys = append(e.Keys, kv)
 		}
-		if err := ts.install(e, act); err != nil {
+		if err := p.install(e); err != nil {
 			t.Fatalf("install %d: %v", i, err)
 		}
 	}
@@ -93,27 +94,25 @@ func TestTupleSpaceMatchesLinearDifferential(t *testing.T) {
 	for li, keys := range layouts {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(li)))
-			ts, act := synthTable(keys, 1<<20)
-			installRandom(t, ts, act, keys, 300, rng)
+			p := newTernaryPair(keys, 1<<20)
+			installRandom(t, p, keys, 300, rng)
 			vals := make([]bitfield.Value, len(keys))
 			for probe := 0; probe < 2000; probe++ {
-				if probe%2 == 0 || len(ts.ternary) == 0 {
+				if probe%2 == 0 || len(p.m.entries) == 0 {
 					for i, k := range keys {
 						vals[i] = randVal(rng, k.w)
 					}
 				} else {
 					// Derive the probe from a random installed entry so hits
 					// (and multi-entry overlaps) are common, mutating one key.
-					base := ts.ternary[rng.Intn(len(ts.ternary))]
+					base := p.m.entries[rng.Intn(len(p.m.entries))]
 					for i := range keys {
 						vals[i] = base.Entry.Keys[i].Value
 					}
 					j := rng.Intn(len(keys))
 					vals[j] = vals[j].Xor(bitfield.New128(0, 1<<uint(rng.Intn(8)), keys[j].w))
 				}
-				got := ts.lookup(vals)
-				want := ts.lookupTernaryLinear(vals)
-				if got != want {
+				if got, want := p.ts.lookup(vals), p.m.lookup(vals); !sameEntry(got, want) {
 					t.Fatalf("layout %d seed %d probe %d: tuple-space %+v, linear %+v (vals %v)",
 						li, seed, probe, got, want, vals)
 				}
@@ -126,20 +125,18 @@ func TestTupleSpaceMatchesLinearDifferential(t *testing.T) {
 // clear cycles.
 func TestTupleSpaceClearAndReinstall(t *testing.T) {
 	keys := []synthKey{{32, ir.MatchTernary}}
-	ts, act := synthTable(keys, 1<<20)
+	p := newTernaryPair(keys, 1<<20)
 	rng := rand.New(rand.NewSource(42))
-	installRandom(t, ts, act, keys, 50, rng)
-	ts.clear()
-	if got := ts.lookup([]bitfield.Value{bitfield.New(7, 32)}); got != nil {
+	installRandom(t, p, keys, 50, rng)
+	p.clear()
+	if got := p.ts.lookup([]bitfield.Value{bitfield.New(7, 32)}); got != nil {
 		t.Fatalf("lookup after clear returned %+v", got)
 	}
-	installRandom(t, ts, act, keys, 50, rng)
+	installRandom(t, p, keys, 50, rng)
 	vals := make([]bitfield.Value, 1)
 	for probe := 0; probe < 500; probe++ {
 		vals[0] = randVal(rng, 32)
-		if got, want := ts.lookup(vals), ts.lookupTernaryLinear(vals); got != want {
-			t.Fatalf("post-clear probe %d: tuple-space %+v, linear %+v", probe, got, want)
-		}
+		p.lookup(t, vals)
 	}
 }
 
@@ -151,13 +148,14 @@ func TestTupleSpaceClearAndReinstall(t *testing.T) {
 // changes.
 func TestTernaryMaskLimit(t *testing.T) {
 	keys := []synthKey{{32, ir.MatchTernary}}
-	ts, act := synthTable(keys, 1<<10)
+	p := newTernaryPair(keys, 1<<10)
+	ts := p.ts
 	ts.maskLimit = 3
 	install := func(maskBits, v int) error {
-		return ts.install(Entry{
+		return p.install(Entry{
 			Table: "synth", Action: "act",
 			Keys: []KeyValue{{Value: bitfield.New(uint64(v), 32), Mask: prefixMask(32, maskBits)}},
-		}, act)
+		})
 	}
 	for i, maskBits := range []int{8, 16, 24, 8, 16} {
 		if err := install(maskBits, i<<24); err != nil {
@@ -174,12 +172,9 @@ func TestTernaryMaskLimit(t *testing.T) {
 	if len(ts.groups) != 3 || ts.count != 5 {
 		t.Fatalf("groups=%d count=%d, want 3 groups over 5 entries", len(ts.groups), ts.count)
 	}
-	// The rejected entry left no trace: lookups still resolve against
-	// the linear reference.
-	vals := []bitfield.Value{bitfield.New(99, 32)}
-	if got, want := ts.lookup(vals), ts.lookupTernaryLinear(vals); got != want {
-		t.Fatalf("post-reject lookup: tuple-space %+v, linear %+v", got, want)
-	}
+	// The rejected entry left no trace: lookups still resolve as the
+	// linear model, which never saw it, does.
+	p.lookup(t, []bitfield.Value{bitfield.New(99, 32)})
 }
 
 // TestSetTernaryMaskLimitContract: the hook follows the same
@@ -259,6 +254,16 @@ func aclTable(tb testing.TB, entries int) *tableState {
 	return ts
 }
 
+// aclModel is aclTable's entry set on the linear model.
+func aclModel(entries int) *linearModel {
+	ts, _ := synthTable(aclKeys, 0)
+	m := &linearModel{keys: ts.def.Keys}
+	for i := 0; i < entries; i++ {
+		m.install(aclEntry(i))
+	}
+	return m
+}
+
 // aclProbes mixes hits (drawn from installed entries) and misses.
 func aclProbes(entries, n int) [][]bitfield.Value {
 	rng := rand.New(rand.NewSource(1))
@@ -279,7 +284,10 @@ func aclProbes(entries, n int) [][]bitfield.Value {
 	return out
 }
 
-var benchSink *boundEntry
+var (
+	benchSink      *boundEntry
+	benchModelSink *modelEntry
+)
 
 // occupancies is the benchmark sweep; the linear variant stops at 10^5
 // (10^6 linear scans would take minutes per op batch).
@@ -306,20 +314,20 @@ func BenchmarkTernaryLookupLinear(b *testing.B) {
 			continue
 		}
 		b.Run(fmt.Sprintf("entries%d", n), func(b *testing.B) {
-			ts := aclTable(b, n)
+			m := aclModel(n)
 			probes := aclProbes(n, 1024)
-			ts.lookupTernaryLinear(probes[0]) // settle the lazy sort
+			m.lookup(probes[0]) // settle the lazy sort
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = ts.lookupTernaryLinear(probes[i%len(probes)])
+				benchModelSink = m.lookup(probes[i%len(probes)])
 			}
 		})
 	}
 }
 
-// BenchmarkTernaryInstall measures population cost at scale (the lazy
-// sort keeps it amortized O(1) per install).
+// BenchmarkTernaryInstall measures population cost at scale (a chain
+// insert into one slot: amortized O(1) per install).
 func BenchmarkTernaryInstall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -199,7 +199,7 @@ type ActionParam struct {
 // MatchKind is how a table key matches, mirroring P4 match_kind.
 type MatchKind int
 
-// Match kinds.
+// Match kinds, weakest first: Table.Match relies on the order.
 const (
 	MatchExact MatchKind = iota
 	MatchLPM
@@ -243,6 +243,26 @@ type Table struct {
 
 // QualifiedName returns "control.table".
 func (t *Table) QualifiedName() string { return t.Control + "." + t.Name }
+
+// Match returns the lookup structure the table's keys call for, named
+// by the strongest match kind among them — one ternary key makes the
+// whole table ternary, otherwise an lpm key makes it an lpm table,
+// otherwise it is exact — and the index of the lpm key (-1 without
+// one; the compiler admits at most one). Every layer that picks a
+// structure per table (the engine's index, a backend's memory type)
+// asks here.
+func (t *Table) Match() (kind MatchKind, lpmIdx int) {
+	lpmIdx = -1
+	for i, k := range t.Keys {
+		if k.Kind == MatchLPM {
+			lpmIdx = i
+		}
+		if k.Kind > kind {
+			kind = k.Kind
+		}
+	}
+	return kind, lpmIdx
+}
 
 // KeyWidths returns the width of each key in bits.
 func (t *Table) KeyWidths() []int {

@@ -597,13 +597,8 @@ func newChurnDriver(prog *ir.Program, spec *ChurnSpec) (*churnDriver, error) {
 			break
 		}
 	}
-	d := &churnDriver{spec: *spec, table: table, action: action}
-	for _, k := range table.Keys {
-		if k.Kind == ir.MatchTernary {
-			d.ternary = true
-		}
-	}
-	return d, nil
+	kind, _ := table.Match()
+	return &churnDriver{spec: *spec, table: table, action: action, ternary: kind == ir.MatchTernary}, nil
 }
 
 // nextEntry synthesizes a fresh unique entry from the table definition.

@@ -116,18 +116,20 @@ func (e *EBPFErrata) fill() {
 type ebpfMap struct {
 	table      *ir.Table
 	kind       ebpfMapKind
-	lpmIdx     int // index of the lpm key (kindLPMTrie only)
+	lpmIdx     int // index of the lpm key (mapLPMTrie only)
 	entryBytes int
 	grantBytes int
 	capacity   int
 }
 
-type ebpfMapKind int
+// ebpfMapKind is the BPF map type a table compiles to, one per table
+// match kind (ir.Table.Match).
+type ebpfMapKind ir.MatchKind
 
 const (
-	mapHash ebpfMapKind = iota
-	mapLPMTrie
-	mapMaskScan
+	mapHash     = ebpfMapKind(ir.MatchExact)
+	mapLPMTrie  = ebpfMapKind(ir.MatchLPM)
+	mapMaskScan = ebpfMapKind(ir.MatchTernary)
 )
 
 func (k ebpfMapKind) String() string {
@@ -143,7 +145,10 @@ func (k ebpfMapKind) String() string {
 // ebpf models an eBPF/XDP-style software offload: reference parser
 // semantics, per-map-type capacity charged against a memlock budget, a
 // mask-set scan (no TCAM) for ternary tables, a tail-call depth limit,
-// and latency that follows the generated program's length.
+// and latency that follows the generated program's length. Like the
+// Tofino flow it does not transform the program — its deviations (map
+// capacity, the /0 and map-full driver defects) live in map state and
+// the generated lookup code, invisible at the IR level.
 type ebpf struct {
 	pipeline
 	errata      EBPFErrata
@@ -198,20 +203,6 @@ func (t *ebpf) Load(prog *ir.Program) error {
 	return nil
 }
 
-// Program returns the deployed IR. Like the Tofino flow, the eBPF flow
-// does not transform the program — its deviations (map capacity, the
-// /0 and map-full driver defects) live in map state and the generated
-// lookup code, invisible at the IR level.
-func (t *ebpf) Program() *ir.Program { return t.prog }
-
-func (t *ebpf) Process(frame []byte, ingressPort uint64, trace bool) Result {
-	return t.process(frame, ingressPort, trace)
-}
-
-func (t *ebpf) ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result {
-	return t.processBatch(frames, ingressPort, trace)
-}
-
 // InstallEntry routes the control-plane write through the modelled map
 // drivers: the shipped LPM-trie driver accepts /0 prefixes it will
 // never match, and the shipped hash-map driver reports success on a
@@ -226,7 +217,7 @@ func (t *ebpf) InstallEntry(e dataplane.Entry) error {
 		len(e.Keys) > m.lpmIdx && e.Keys[m.lpmIdx].PrefixLen == 0 {
 		return t.eng.ValidateEntry(e)
 	}
-	err := t.installEntry(e)
+	err := t.pipeline.InstallEntry(e)
 	if err != nil && m != nil && t.errata.MapFullSilentUpdate && m.kind == mapHash {
 		var capErr *dataplane.CapacityError
 		if errors.As(err, &capErr) {
@@ -244,7 +235,7 @@ func (t *ebpf) InstallEntry(e dataplane.Entry) error {
 // scan table's distinct-mask set shrinks the generated program, so the
 // modelled latency is recomputed just as on install.
 func (t *ebpf) DeleteEntry(e dataplane.Entry) error {
-	err := t.deleteEntry(e)
+	err := t.pipeline.DeleteEntry(e)
 	if err == nil {
 		if m := t.maps[e.Table]; m != nil && m.kind == mapMaskScan {
 			t.updateLatency()
@@ -254,16 +245,14 @@ func (t *ebpf) DeleteEntry(e dataplane.Entry) error {
 }
 
 func (t *ebpf) ClearTable(name string) error {
-	err := t.clearTable(name)
+	err := t.pipeline.ClearTable(name)
 	if err == nil {
 		t.updateLatency()
 	}
 	return err
 }
 
-func (t *ebpf) Status() map[string]uint64     { return t.status() }
-func (t *ebpf) Resources() ResourceReport     { return t.resources }
-func (t *ebpf) TernaryGroups(name string) int { return t.ternaryGroups(name) }
+func (t *ebpf) Resources() ResourceReport { return t.resources }
 
 // updateLatency recomputes the per-packet latency from the current
 // program length: the static instruction estimate plus one mask-set
@@ -300,18 +289,8 @@ func allocateMaps(tables []*ir.Table, e EBPFErrata) (map[string]*ebpfMap, error)
 	requests := make([]int, len(tables))
 	ordered := make([]*ebpfMap, len(tables))
 	for i, tab := range tables {
-		m := &ebpfMap{table: tab, kind: mapHash, lpmIdx: -1}
-		for j, k := range tab.Keys {
-			switch k.Kind {
-			case ir.MatchTernary:
-				m.kind = mapMaskScan
-			case ir.MatchLPM:
-				if m.kind != mapMaskScan {
-					m.kind = mapLPMTrie
-				}
-				m.lpmIdx = j
-			}
-		}
+		kind, lpmIdx := tab.Match()
+		m := &ebpfMap{table: tab, kind: ebpfMapKind(kind), lpmIdx: lpmIdx}
 		keyBytes := tableKeyBytes(tab)
 		switch m.kind {
 		case mapHash:

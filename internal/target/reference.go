@@ -11,7 +11,10 @@ import (
 // pipeline is the shared execution core of the software-modelled targets:
 // a dataplane.Engine plus the per-target scratch that keeps the packet
 // hot path allocation-free (contexts come from the engine's pool, the
-// single-output slice is reused across packets).
+// single-output slice is reused across packets). Every backend embeds
+// it, and its exported methods are the backend's Target methods unless
+// the backend declares its own — which it does only where it adds
+// behaviour, calling t.pipeline.X from there.
 type pipeline struct {
 	prog    *ir.Program
 	eng     *dataplane.Engine
@@ -31,7 +34,11 @@ func (p *pipeline) load(prog *ir.Program) {
 	p.batchCtx = nil
 }
 
-func (p *pipeline) process(frame []byte, ingressPort uint64, trace bool) Result {
+// Program returns the IR the engine executes: the loaded program after
+// the backend's errata transforms, if it has any.
+func (p *pipeline) Program() *ir.Program { return p.prog }
+
+func (p *pipeline) Process(frame []byte, ingressPort uint64, trace bool) Result {
 	ctx := p.eng.AcquireContext()
 	ctx.CollectTrace = trace
 	out, egress := p.eng.Process(ctx, frame, ingressPort)
@@ -44,10 +51,10 @@ func (p *pipeline) process(frame []byte, ingressPort uint64, trace bool) Result 
 	return res
 }
 
-// processBatch runs a burst through Engine.ProcessBatch. All returned
+// ProcessBatch runs a burst through Engine.ProcessBatch. All returned
 // results are valid at once; the slice and the output bytes it
-// references are reused by the next processBatch call.
-func (p *pipeline) processBatch(frames [][]byte, ingressPort uint64, trace bool) []Result {
+// references are reused by the next ProcessBatch call.
+func (p *pipeline) ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result {
 	for len(p.batchCtx) < len(frames) {
 		p.batchCtx = append(p.batchCtx, p.eng.NewContext())
 	}
@@ -76,35 +83,35 @@ func (p *pipeline) processBatch(frames [][]byte, ingressPort uint64, trace bool)
 	return res
 }
 
-func (p *pipeline) installEntry(e dataplane.Entry) error {
+func (p *pipeline) InstallEntry(e dataplane.Entry) error {
 	if p.eng == nil {
 		return fmt.Errorf("target: no program loaded")
 	}
 	return p.eng.InstallEntry(e)
 }
 
-func (p *pipeline) deleteEntry(e dataplane.Entry) error {
+func (p *pipeline) DeleteEntry(e dataplane.Entry) error {
 	if p.eng == nil {
 		return fmt.Errorf("target: no program loaded")
 	}
 	return p.eng.DeleteEntry(e)
 }
 
-func (p *pipeline) clearTable(name string) error {
+func (p *pipeline) ClearTable(name string) error {
 	if p.eng == nil {
 		return fmt.Errorf("target: no program loaded")
 	}
 	return p.eng.ClearTable(name)
 }
 
-func (p *pipeline) status() map[string]uint64 {
+func (p *pipeline) Status() map[string]uint64 {
 	if p.eng == nil {
 		return nil
 	}
 	return p.eng.Counters.Values()
 }
 
-func (p *pipeline) ternaryGroups(name string) int {
+func (p *pipeline) TernaryGroups(name string) int {
 	if p.eng == nil {
 		return 0
 	}
@@ -137,22 +144,6 @@ func (r *reference) Load(prog *ir.Program) error {
 	r.load(prog)
 	return nil
 }
-
-func (r *reference) Program() *ir.Program { return r.prog }
-
-func (r *reference) Process(frame []byte, ingressPort uint64, trace bool) Result {
-	return r.process(frame, ingressPort, trace)
-}
-
-func (r *reference) ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result {
-	return r.processBatch(frames, ingressPort, trace)
-}
-
-func (r *reference) InstallEntry(e dataplane.Entry) error { return r.installEntry(e) }
-func (r *reference) DeleteEntry(e dataplane.Entry) error  { return r.deleteEntry(e) }
-func (r *reference) ClearTable(name string) error         { return r.clearTable(name) }
-func (r *reference) Status() map[string]uint64            { return r.status() }
-func (r *reference) TernaryGroups(name string) int        { return r.ternaryGroups(name) }
 
 // Resources reports zero: the reference is a software model with no
 // hardware footprint.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"netdebug/internal/dataplane"
 	"netdebug/internal/p4/ir"
 )
 
@@ -55,7 +54,10 @@ const sdnetLatency = 440 * time.Nanosecond
 
 // sdnet models the Xilinx SDNet compilation flow: the program is
 // transformed per the flow's errata before execution, and resource usage
-// is estimated for the generated RTL.
+// is estimated for the generated RTL. Program returns the transformed IR
+// — on the default errata, reject transitions have been rewritten to
+// accept, so program-level analyses of it see the deployed (buggy)
+// semantics.
 type sdnet struct {
 	pipeline
 	errata    Errata
@@ -102,25 +104,7 @@ func (s *sdnet) Load(prog *ir.Program) error {
 	return nil
 }
 
-// Program returns the transformed IR the flow actually deploys — on the
-// default errata, reject transitions have been rewritten to accept, so
-// program-level analyses of this IR see the deployed (buggy) semantics.
-func (s *sdnet) Program() *ir.Program { return s.prog }
-
-func (s *sdnet) Process(frame []byte, ingressPort uint64, trace bool) Result {
-	return s.process(frame, ingressPort, trace)
-}
-
-func (s *sdnet) ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result {
-	return s.processBatch(frames, ingressPort, trace)
-}
-
-func (s *sdnet) InstallEntry(e dataplane.Entry) error { return s.installEntry(e) }
-func (s *sdnet) DeleteEntry(e dataplane.Entry) error  { return s.deleteEntry(e) }
-func (s *sdnet) ClearTable(name string) error         { return s.clearTable(name) }
-func (s *sdnet) Status() map[string]uint64            { return s.status() }
-func (s *sdnet) Resources() ResourceReport            { return s.resources }
-func (s *sdnet) TernaryGroups(name string) int        { return s.ternaryGroups(name) }
+func (s *sdnet) Resources() ResourceReport { return s.resources }
 
 // rewriteRejectToAccept returns a copy of prog whose parser never
 // transitions to reject: the unimplemented-reject erratum. Only the
@@ -198,15 +182,11 @@ func estimateResources(prog *ir.Program) ResourceReport {
 		// Lookup engine logic, costed by the most expensive match kind
 		// present: ternary emulation is by far the widest.
 		perKeyLUTs := 6 // exact (hash/CAM)
-		for _, k := range t.Keys {
-			switch k.Kind {
-			case ir.MatchLPM:
-				if perKeyLUTs < 14 {
-					perKeyLUTs = 14
-				}
-			case ir.MatchTernary:
-				perKeyLUTs = 40
-			}
+		switch kind, _ := t.Match(); kind {
+		case ir.MatchLPM:
+			perKeyLUTs = 14
+		case ir.MatchTernary:
+			perKeyLUTs = 40
 		}
 		luts += 300 + keyBits*perKeyLUTs
 		ffs += keyBits * 3

@@ -213,36 +213,26 @@ func (s *smartnic) Load(prog *ir.Program) error {
 			miss:  s.eng.Counters.Counter("table." + t.Name + ".miss"),
 			punts: s.eng.Counters.Counter("smartnic.punt.table." + t.Name),
 		}
-		ternary, keyBits := false, 0
-		for i, k := range t.Keys {
-			keyBits += t.KeyWidths()[i]
-			if k.Kind == ir.MatchTernary {
-				ternary = true
-			}
+		keyBits := 0
+		for _, w := range t.KeyWidths() {
+			keyBits += w
 		}
-		switch {
-		case ternary && keyBits > s.errata.NICTCAMKeyBits:
+		switch kind, _ := t.Match(); {
+		case kind == ir.MatchTernary && keyBits > s.errata.NICTCAMKeyBits:
 			st.coreResident = true
-		case ternary:
+		case kind == ir.MatchTernary:
 			tcamIdx = append(tcamIdx, len(s.tabs))
 			tcamReq = append(tcamReq, t.Size)
 		default:
-			entryBytes := smartnicExactEntryBytes
-			if hasLPMKey(t) {
-				entryBytes = smartnicLPMEntryBytes
-			}
 			flowIdx = append(flowIdx, len(s.tabs))
-			flowReq = append(flowReq, t.Size*entryBytes)
+			flowReq = append(flowReq, t.Size*flowEntryBytes(t))
 		}
 		s.tabs = append(s.tabs, st)
 	}
 	accelBytes := 0
 	for i, grant := range waterfill(flowReq, s.errata.AccelTableBytes) {
 		st := s.tabs[flowIdx[i]]
-		entryBytes := smartnicExactEntryBytes
-		if hasLPMKey(st.t) {
-			entryBytes = smartnicLPMEntryBytes
-		}
+		entryBytes := flowEntryBytes(st.t)
 		st.capacity = grant / entryBytes
 		accelBytes += st.capacity * entryBytes
 	}
@@ -279,17 +269,13 @@ func (s *smartnic) Load(prog *ir.Program) error {
 	return nil
 }
 
-// hasLPMKey reports whether any key of t is an LPM match.
-func hasLPMKey(t *ir.Table) bool {
-	for _, k := range t.Keys {
-		if k.Kind == ir.MatchLPM {
-			return true
-		}
+// flowEntryBytes is the flow-cache slot cost of a non-ternary table.
+func flowEntryBytes(t *ir.Table) int {
+	if kind, _ := t.Match(); kind == ir.MatchLPM {
+		return smartnicLPMEntryBytes
 	}
-	return false
+	return smartnicExactEntryBytes
 }
-
-func (s *smartnic) Program() *ir.Program { return s.prog }
 
 func (s *smartnic) Process(frame []byte, ingressPort uint64, trace bool) Result {
 	s.queueFree = s.errata.PuntQueueDepth // the punt ring drained
@@ -310,7 +296,7 @@ func (s *smartnic) singleCoreCtx() *dataplane.Context {
 	return s.coreCtx1
 }
 
-// ProcessBatch mirrors pipeline.processBatch, but classifies every
+// ProcessBatch mirrors pipeline.ProcessBatch, but classifies every
 // frame's punt path individually: the shared batch scratch keeps all
 // results valid at once, and fail-open slots get their own lazily
 // created core-complex contexts.
@@ -411,7 +397,7 @@ func (s *smartnic) run(ctx *dataplane.Context, coreCtx func() *dataplane.Context
 }
 
 func (s *smartnic) InstallEntry(e dataplane.Entry) error {
-	if err := s.installEntry(e); err != nil {
+	if err := s.pipeline.InstallEntry(e); err != nil {
 		return err
 	}
 	if s.core != nil {
@@ -427,7 +413,7 @@ func (s *smartnic) InstallEntry(e dataplane.Entry) error {
 }
 
 func (s *smartnic) DeleteEntry(e dataplane.Entry) error {
-	if err := s.deleteEntry(e); err != nil {
+	if err := s.pipeline.DeleteEntry(e); err != nil {
 		return err
 	}
 	if s.core != nil {
@@ -443,7 +429,7 @@ func (s *smartnic) DeleteEntry(e dataplane.Entry) error {
 }
 
 func (s *smartnic) ClearTable(name string) error {
-	if err := s.clearTable(name); err != nil {
+	if err := s.pipeline.ClearTable(name); err != nil {
 		return err
 	}
 	if s.core != nil {
@@ -465,9 +451,6 @@ func (s *smartnic) table(name string) *snicTable {
 	}
 	return nil
 }
-
-func (s *smartnic) Status() map[string]uint64     { return s.status() }
-func (s *smartnic) TernaryGroups(name string) int { return s.ternaryGroups(name) }
 
 // Resources reports the accelerator footprint plus the punt economics:
 // residency counts reflect offload fallback (a spilled table counts as

@@ -99,7 +99,10 @@ func (e *TofinoErrata) fill() {
 // per-stage placement model — each table is granted SRAM or TCAM
 // blocks from the pipeline's fixed budget, and its usable capacity is
 // whatever the grant holds, not the declared size — and the shipped
-// driver resolves equal-priority ternary entries newest-first.
+// driver resolves equal-priority ternary entries newest-first. The flow
+// does not transform the program: its deviations are table-state
+// properties, invisible at the IR level, which is exactly why
+// program-level verification cannot see them.
 type tofino struct {
 	pipeline
 	errata    TofinoErrata
@@ -149,26 +152,7 @@ func (t *tofino) Load(prog *ir.Program) error {
 	return nil
 }
 
-// Program returns the deployed IR. The Tofino flow does not transform
-// the program — its deviations (placement capacity, tie-break order)
-// are table-state properties, invisible at the IR level; that is
-// exactly why program-level verification cannot see them.
-func (t *tofino) Program() *ir.Program { return t.prog }
-
-func (t *tofino) Process(frame []byte, ingressPort uint64, trace bool) Result {
-	return t.process(frame, ingressPort, trace)
-}
-
-func (t *tofino) ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result {
-	return t.processBatch(frames, ingressPort, trace)
-}
-
-func (t *tofino) InstallEntry(e dataplane.Entry) error { return t.installEntry(e) }
-func (t *tofino) DeleteEntry(e dataplane.Entry) error  { return t.deleteEntry(e) }
-func (t *tofino) ClearTable(name string) error         { return t.clearTable(name) }
-func (t *tofino) Status() map[string]uint64            { return t.status() }
-func (t *tofino) Resources() ResourceReport            { return t.resources }
-func (t *tofino) TernaryGroups(name string) int        { return t.ternaryGroups(name) }
+func (t *tofino) Resources() ResourceReport { return t.resources }
 
 // phvAlloc is the result of packing header fields into PHV containers.
 type phvAlloc struct {
@@ -253,12 +237,10 @@ func placeTables(prog *ir.Program, e TofinoErrata) ([]tablePlacement, error) {
 	var sramIdx, tcamIdx []int
 	var sramReq, tcamReq []int
 	for i, t := range tables {
-		p := tablePlacement{table: t}
+		kind, _ := t.Match()
+		p := tablePlacement{table: t, tcam: kind == ir.MatchTernary}
 		keyBits, actionBits := 0, 0
 		for _, k := range t.Keys {
-			if k.Kind == ir.MatchTernary {
-				p.tcam = true
-			}
 			w := k.Expr.Width()
 			if k.Kind == ir.MatchLPM {
 				// Algorithmic LPM prices from the multibit trie geometry

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -54,13 +55,19 @@ func (r Result) counterexampleString() string {
 	if r.Path == nil {
 		return "no path"
 	}
-	var parts []string
-	parts = append(parts, "parser path "+strings.Join(r.Path.ParserPath, "->"))
-	for name, v := range r.Counterexample {
-		parts = append(parts, fmt.Sprintf("%s=%s", name, v))
+	// The first five variables by name: a map-order walk would render a
+	// different subset of the model on every call.
+	names := make([]string, 0, len(r.Counterexample))
+	for name := range r.Counterexample {
+		names = append(names, name)
 	}
-	if len(parts) > 6 {
-		parts = parts[:6]
+	sort.Strings(names)
+	if len(names) > 5 {
+		names = names[:5]
+	}
+	parts := []string{"parser path " + strings.Join(r.Path.ParserPath, "->")}
+	for _, name := range names {
+		parts = append(parts, fmt.Sprintf("%s=%s", name, r.Counterexample[name]))
 	}
 	return strings.Join(parts, " ")
 }

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"netdebug/internal/bitfield"
@@ -385,8 +387,28 @@ func TestResultStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := res2.String(); len(s) == 0 || s[:8] != "VIOLATED" {
+	s := res2.String()
+	if len(s) == 0 || s[:8] != "VIOLATED" {
 		t.Fatalf("verdict string: %q", s)
+	}
+	// Neither the order of the model's variables nor, when the model
+	// binds more than the line shows, which of them are shown may depend
+	// on map iteration order.
+	wide := res2
+	wide.Counterexample = solver.Model{}
+	for i := 0; i < 12; i++ {
+		wide.Counterexample[fmt.Sprintf("hdr.f%02d", i)] = bvOf(uint64(i), 8)
+	}
+	for _, r := range []Result{res2, wide} {
+		first := r.String()
+		for i := 0; i < 50; i++ {
+			if again := r.String(); again != first {
+				t.Fatalf("render %d of the same result differs:\n%s\n%s", i, first, again)
+			}
+		}
+	}
+	if want := "hdr.f00=0x0/8 hdr.f01=0x1/8 hdr.f02=0x2/8 hdr.f03=0x3/8 hdr.f04=0x4/8"; !strings.HasSuffix(wide.String(), want) || strings.Contains(wide.String(), "f05") {
+		t.Fatalf("truncated model should end with the first five names %q: %s", want, wide.String())
 	}
 }
 

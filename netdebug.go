@@ -380,23 +380,6 @@ func (e *ExternalTester) Run(streams []ExternalStream) (*ExternalReport, error) 
 // first error (by spec order) aborts the suite result; every worker's
 // System is closed before RunSuite returns.
 func RunSuite(p4src string, opts Options, specs []*TestSpec, workers int) ([]*Report, error) {
-	return runSuite(func() (*System, error) { return Open(p4src, opts) }, specs, workers)
-}
-
-// RunSuiteWithFactory is RunSuite for callers whose per-worker system
-// setup cannot be expressed as Options — newSystem is called once per
-// worker and must return an independently opened and configured system.
-//
-// Deprecated: declare the table state in Options.Baseline and call
-// RunSuite(p4src, opts, specs, workers) instead.
-func RunSuiteWithFactory(newSystem func() (*System, error), specs []*TestSpec, workers int) ([]*Report, error) {
-	return runSuite(newSystem, specs, workers)
-}
-
-func runSuite(newSystem func() (*System, error), specs []*TestSpec, workers int) ([]*Report, error) {
-	if newSystem == nil {
-		return nil, fmt.Errorf("netdebug: RunSuite needs a system factory")
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -414,7 +397,7 @@ func runSuite(newSystem func() (*System, error), specs []*TestSpec, workers int)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sys, err := newSystem()
+			sys, err := Open(p4src, opts)
 			if err != nil {
 				for idx := range jobs {
 					errs[idx] = fmt.Errorf("netdebug: opening suite system: %w", err)
@@ -552,14 +535,6 @@ func VerifyProgram(p4src string, opts ...VerifyOption) ([]VerifyResult, error) {
 		out = append(out, VerifyResult{Property: p.Name, Holds: res.Holds, Detail: res.String()})
 	}
 	return out, nil
-}
-
-// VerifyProgramWorkers is VerifyProgram with an explicit verification
-// worker count.
-//
-// Deprecated: call VerifyProgram(p4src, WithWorkers(n)).
-func VerifyProgramWorkers(p4src string, workers int) ([]VerifyResult, error) {
-	return VerifyProgram(p4src, WithWorkers(workers))
 }
 
 // FuzzOption tunes FuzzFleet.

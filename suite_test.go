@@ -2,6 +2,7 @@ package netdebug_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"netdebug"
@@ -44,12 +45,6 @@ func routerSuiteOptions() netdebug.Options {
 	}
 }
 
-// routerSuiteFactory is routerSuiteOptions expressed as a system
-// factory, for the deprecated RunSuiteWithFactory path.
-func routerSuiteFactory() (*netdebug.System, error) {
-	return netdebug.Open(p4test.Router, routerSuiteOptions())
-}
-
 func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	specs := suiteSpecs(12, 20)
 	seq, err := netdebug.RunSuite(p4test.Router, routerSuiteOptions(), specs, 1)
@@ -76,41 +71,22 @@ func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunSuiteFactoryEquivalence pins the deprecation contract: the old
-// factory-shaped entry point and the new declarative one produce
-// identical suite results for the same configuration.
-func TestRunSuiteFactoryEquivalence(t *testing.T) {
-	specs := suiteSpecs(8, 20)
-	byOpts, err := netdebug.RunSuite(p4test.Router, routerSuiteOptions(), specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byFactory, err := netdebug.RunSuiteWithFactory(routerSuiteFactory, specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range specs {
-		a, b := byOpts[i], byFactory[i]
-		if a.Pass != b.Pass || a.Injected != b.Injected || a.Forwarded != b.Forwarded {
-			t.Fatalf("spec %d: option-form and factory-form reports diverge: %v vs %v", i, a, b)
-		}
-	}
-}
-
 func TestRunSuitePropagatesErrors(t *testing.T) {
-	boom := func() (*netdebug.System, error) { return nil, fmt.Errorf("no hardware") }
-	if _, err := netdebug.RunSuiteWithFactory(boom, suiteSpecs(3, 20), 2); err == nil {
-		t.Fatal("factory errors must surface")
-	}
-	if _, err := netdebug.RunSuiteWithFactory(nil, suiteSpecs(1, 20), 1); err == nil {
-		t.Fatal("nil factory must error")
-	}
 	if _, err := netdebug.RunSuite("not p4", netdebug.Options{}, suiteSpecs(1, 20), 1); err == nil {
 		t.Fatal("unparsable source must surface from every worker open")
 	}
+	// A baseline entry that fails to install fails every worker's open:
+	// with more specs than workers, each worker must report it for every
+	// spec it drains, and the suite must return it rather than hang.
 	bad := routerSuiteOptions()
 	bad.Baseline[0].Table = "no_such_table"
-	if _, err := netdebug.RunSuite(p4test.Router, bad, suiteSpecs(1, 20), 1); err == nil {
-		t.Fatal("bad baseline entry must surface")
+	reports, err := netdebug.RunSuite(p4test.Router, bad, suiteSpecs(3, 20), 2)
+	if err == nil || !strings.Contains(err.Error(), "no_such_table") {
+		t.Fatalf("bad baseline entry must surface from the workers' opens, got %v", err)
+	}
+	for i, r := range reports {
+		if r != nil {
+			t.Fatalf("spec %d: got a report from a system that never opened", i)
+		}
 	}
 }
