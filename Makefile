@@ -6,10 +6,11 @@ BENCH_OUT ?= BENCH_10.json
 # compares against; bump it when a PR lands a new BENCH_<PR>.json.
 BENCH_BASELINE ?= BENCH_10.json
 # COVER_MIN pins the global statement coverage the coverage gate
-# enforces (keep in sync with the CI coverage job).
-COVER_MIN ?= 72
+# enforces. This is the only place the floor is written: the CI coverage
+# job runs `make cover`.
+COVER_MIN ?= 73
 
-.PHONY: all build examples vet test test-race fmt-check cover docgate bench bench-smoke bench-json bench-gate
+.PHONY: all build examples vet test test-race fmt-check cover docgate loc bench bench-smoke bench-json bench-gate
 
 all: vet build test
 
@@ -41,6 +42,11 @@ cover:
 # Markdown links, anchors and ```go fences (the CI docs job).
 docgate:
 	$(GO) run ./cmd/docgate
+
+# The ROADMAP item-3 scoreboard: non-test Go lines outside the benchmark
+# module (the figure CHANGES.md records each PR).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # Full benchmark sweep, human-readable.
 bench:

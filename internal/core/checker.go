@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -98,8 +99,9 @@ func (r *Report) String() string {
 
 const maxSamples = 5
 
-// Checker is the output packet checker. Feed it each test packet's result
-// via OnResult and live-traffic outputs via OnLiveOutput, then call Finish.
+// Checker is the output packet checker. Feed it test packets' results in
+// blocks via OnResults and live-traffic outputs via OnLiveOutput, then
+// call Finish.
 type Checker struct {
 	spec   CheckSpec
 	rules  map[string][]*ruleState // stream -> rules ("" = all)
@@ -108,9 +110,9 @@ type Checker struct {
 	report Report
 	p4     *dataplane.Engine
 	p4ctx  *dataplane.Context
-	// Batched-path scratch (OnResults): the combined rule list per
-	// stream, computed once instead of per frame, and the block's
-	// forwarded latencies staged for one histogram batch-observe.
+	// OnResults scratch: the combined rule list per stream, computed once
+	// instead of per frame, and the block's forwarded latencies staged
+	// for one histogram batch-observe.
 	ruleCache  map[string][]*ruleState
 	latScratch []time.Duration
 }
@@ -159,51 +161,10 @@ func (rs *ruleState) fail(format string, args ...any) {
 	}
 }
 
-// rulesFor returns the rules applying to a stream (stream-specific plus
-// match-all rules).
-func (c *Checker) rulesFor(stream string) []*ruleState {
-	if stream == "" {
-		return c.rules[""]
-	}
-	specific := c.rules[stream]
-	global := c.rules[""]
-	if len(global) == 0 {
-		return specific
-	}
-	out := make([]*ruleState, 0, len(specific)+len(global))
-	out = append(out, specific...)
-	return append(out, global...)
-}
-
-// OnResult checks one injected test packet against its data-plane result.
-func (c *Checker) OnResult(tp TestPacket, res target.Result, at time.Duration) {
-	c.report.Injected++
-	if res.Dropped() {
-		c.report.Dropped++
-		stage := res.Trace.DropStage
-		if stage == "" {
-			stage = "unknown"
-		}
-		c.report.DropStages[stage]++
-	} else {
-		c.report.Forwarded++
-		done := at + res.Latency
-		c.lat.Observe(res.Latency)
-		for _, out := range res.Outputs {
-			c.meter.Record(done, len(out.Data))
-		}
-	}
-	for _, rs := range c.rulesFor(tp.Stream) {
-		c.applyRule(rs, &tp, &res)
-	}
-}
-
-// applyRule scores one packet's result against one rule. Both scoring
-// paths — frame-at-a-time OnResult and block OnResults — funnel through
-// this one function, which is what makes the per-frame path a trustable
-// equality oracle for the batched one. Pointer arguments keep the block
-// path from copying the ~128-byte Result (trace headers included) three
-// times per frame; the pointers are never retained.
+// applyRule scores one packet's result against one rule. Pointer
+// arguments keep the block path from copying the ~128-byte Result (trace
+// headers included) three times per frame; the pointers are never
+// retained.
 func (c *Checker) applyRule(rs *ruleState, tp *TestPacket, res *target.Result) {
 	if rs.def.ExpectDrop {
 		if res.Dropped() {
@@ -257,24 +218,27 @@ func (c *Checker) applyRule(rs *ruleState, tp *TestPacket, res *target.Result) {
 	rs.pass()
 }
 
-// cachedRules is rulesFor with the combined specific+global list built
-// once per stream instead of once per frame.
-func (c *Checker) cachedRules(stream string) []*ruleState {
+// rulesFor returns the rules applying to a stream — stream-specific
+// plus match-all — building the combined list once per stream.
+func (c *Checker) rulesFor(stream string) []*ruleState {
 	if rs, ok := c.ruleCache[stream]; ok {
 		return rs
 	}
 	if c.ruleCache == nil {
 		c.ruleCache = make(map[string][]*ruleState)
 	}
-	rs := c.rulesFor(stream)
+	rs := c.rules[stream]
+	if stream != "" {
+		rs = append(slices.Clip(rs), c.rules[""]...) // clipped: never grow into c.rules[stream]
+	}
 	c.ruleCache[stream] = rs
 	return rs
 }
 
 // OnResults scores one block of injected test packets against their
-// data-plane results — the batched form of OnResult, mirroring the
-// injection side's batching on the verify side. Verdicts are identical
-// to calling OnResult per packet (the per-frame path is the equality
+// data-plane results, mirroring the injection side's batching on the
+// verify side. Verdicts are those of scoring each packet on its own (the
+// frame-at-a-time model in checker_batch_test.go is the equality
 // oracle); the block form amortizes the per-frame overheads: rule-list
 // construction is cached per stream, forwarded latencies are staged and
 // batch-observed with one atomic aggregate update, and the rate meter
@@ -316,7 +280,7 @@ func (c *Checker) OnResults(tps []TestPacket, results []target.Result, ats []tim
 			}
 		}
 		if !haveRules || tp.Stream != lastStream {
-			lastRules = c.cachedRules(tp.Stream)
+			lastRules = c.rulesFor(tp.Stream)
 			lastStream = tp.Stream
 			haveRules = true
 		}

@@ -52,10 +52,40 @@ func checkerSpecForWorkload() CheckSpec {
 	}}
 }
 
+// OnResult is the retired frame-at-a-time scorer, the model OnResults is
+// held to: one packet per call, a fresh combined rule list per packet
+// (the allocation the block path's cache removes), one histogram and one
+// meter update per output. It shares only applyRule with the block path.
+func (c *Checker) OnResult(tp TestPacket, res target.Result, at time.Duration) {
+	c.report.Injected++
+	if res.Dropped() {
+		c.report.Dropped++
+		stage := res.Trace.DropStage
+		if stage == "" {
+			stage = "unknown"
+		}
+		c.report.DropStages[stage]++
+	} else {
+		c.report.Forwarded++
+		c.lat.Observe(res.Latency)
+		for _, out := range res.Outputs {
+			c.meter.Record(at+res.Latency, len(out.Data))
+		}
+	}
+	rules := c.rules[tp.Stream]
+	if global := c.rules[""]; tp.Stream != "" && len(global) > 0 {
+		rules = append(make([]*ruleState, 0, len(rules)+len(global)), rules...)
+		rules = append(rules, global...)
+	}
+	for _, rs := range rules {
+		c.applyRule(rs, &tp, &res)
+	}
+}
+
 // TestCheckerBatchMatchesPerFrame is the batched checker's equality
 // oracle: scoring a workload through OnResults in 512-frame blocks (plus
-// a ragged tail) produces a report byte-identical to frame-at-a-time
-// OnResult.
+// a ragged tail) produces a report byte-identical to the frame-at-a-time
+// model.
 func TestCheckerBatchMatchesPerFrame(t *testing.T) {
 	tps, results, ats := checkerWorkload(1800, 7, true)
 
@@ -112,9 +142,9 @@ func TestCheckerBatchAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckerPerFrame scores the workload frame-at-a-time — the
-// retired verify-side path, kept as the oracle and as the slow half of
-// benchgate's batched-checker speedup gate.
+// BenchmarkCheckerPerFrame scores the workload through the
+// frame-at-a-time model — the slow half of benchgate's batched-checker
+// speedup gate.
 func BenchmarkCheckerPerFrame(b *testing.B) {
 	tps, results, ats := checkerWorkload(4096, 3, false)
 	c, err := NewChecker(checkerSpecForWorkload())

@@ -56,13 +56,6 @@ type Config struct {
 	// external send path allocation-free in steady state. Toggle at
 	// runtime with SetCaptureEnabled.
 	DisableCapture bool
-	// CopyCaptures selects the legacy capture store: every transmitted
-	// frame is retained as an owned copy, and Captures hands ownership to
-	// the caller with no release step. The default is the zero-copy
-	// capture ring, where Captures borrows device-backed segments that
-	// the caller returns with ReleaseCaptures. The copying store is kept
-	// as the differential oracle for the ring.
-	CopyCaptures bool
 	// Target is the loaded data plane under test.
 	Target target.Target
 }
@@ -183,9 +176,7 @@ type portState struct {
 	// stuck holds the frames frozen in the output queue under
 	// FaultQueueStuck, in arrival order; its length is the occupancy.
 	stuck []stuckFrame
-	// captures is the legacy copying store (Config.CopyCaptures).
-	captures []CapturedFrame
-	// seg accumulates ring-mode captures; borrowed holds segments drained
+	// seg accumulates captures; borrowed holds segments drained
 	// by Captures and not yet returned via ReleaseCaptures; segFree is
 	// the port's own recycle list (bounded — overflow spills to the
 	// device-level spillway), which keeps a port's capture slabs cycling
@@ -562,8 +553,7 @@ func (d *Device) enqueue(port int, data []byte, ready time.Duration) {
 	// Only the capture store retains frame bytes beyond this call (data
 	// aliases the target's per-packet scratch; taps observe it
 	// synchronously without keeping it), so bytes move into the capture
-	// ring — or, under CopyCaptures, into an owned copy — only when
-	// capture needs them.
+	// ring only when capture needs them.
 	if d.captureOn {
 		d.capture(p, data, txDone)
 	}

@@ -18,8 +18,10 @@ import "time"
 // idle ports' segments serve busy ones. In steady state the burst path
 // therefore runs at zero allocations per frame with capture retained.
 //
-// The legacy copying store (Config.CopyCaptures) owns every frame outright
-// and needs no release; it is kept as the differential oracle for the ring.
+// The store the ring replaced — an owned copy per frame, no release step —
+// lives on only as a test-scope model (copyStore in ring_test.go): a
+// TapMACOut tap that copies each frame while capture is on, which the
+// differential test holds the ring to.
 
 // capMeta locates one captured frame inside its segment's slab.
 type capMeta struct {
@@ -64,17 +66,9 @@ func (d *Device) grabSegment(p *portState) *capSegment {
 	return p.seg
 }
 
-// capture retains one transmitted frame. Ring mode appends into the
-// port's segment; legacy mode (Config.CopyCaptures) makes an owned copy
-// per frame, the pre-ring behaviour kept as the differential oracle.
+// capture retains one transmitted frame by appending it into the port's
+// segment.
 func (d *Device) capture(p *portState, data []byte, txDone time.Duration) {
-	if d.cfg.CopyCaptures {
-		p.captures = append(p.captures, CapturedFrame{
-			Data: append([]byte(nil), data...),
-			At:   txDone,
-		})
-		return
-	}
 	seg := d.grabSegment(p)
 	off := len(seg.slab)
 	seg.slab = append(seg.slab, data...)
@@ -82,22 +76,15 @@ func (d *Device) capture(p *portState, data []byte, txDone time.Duration) {
 }
 
 // Captures drains and returns the frames transmitted on a port since the
-// last call — what an external tester's capture port sees. In ring mode
-// (the default) the returned frames are views into a capture segment
-// borrowed from the device: they stay valid until ReleaseCaptures(port),
-// which recycles the backing memory. Callers that need frames beyond
-// that point must copy them. With Config.CopyCaptures the frames are
-// owned copies and never need releasing.
+// last call — what an external tester's capture port sees. The returned
+// frames are views into a capture segment borrowed from the device: they
+// stay valid until ReleaseCaptures(port), which recycles the backing
+// memory. Callers that need frames beyond that point must copy them.
 func (d *Device) Captures(port int) []CapturedFrame {
 	if port < 0 || port >= len(d.ports) {
 		return nil
 	}
 	p := d.ports[port]
-	if d.cfg.CopyCaptures {
-		out := p.captures
-		p.captures = nil
-		return out
-	}
 	seg := p.seg
 	if seg == nil || len(seg.meta) == 0 {
 		return nil
@@ -120,8 +107,8 @@ func (d *Device) Captures(port int) []CapturedFrame {
 // ReleaseCaptures returns every capture slice previously drained from the
 // port back to the device, recycling the backing segments. All frames
 // obtained from Captures(port) — including their Data bytes — are invalid
-// afterwards. It is a no-op for out-of-range ports and in CopyCaptures
-// mode, so release calls are always safe.
+// afterwards. It is a no-op for out-of-range ports and for ports with
+// nothing borrowed, so release calls are always safe.
 func (d *Device) ReleaseCaptures(port int) {
 	if port < 0 || port >= len(d.ports) {
 		return

@@ -1,7 +1,7 @@
 package device
 
-// The zero-copy capture ring must be indistinguishable from the legacy
-// copying capture store (Config.CopyCaptures) — same frames, same bytes,
+// The zero-copy capture ring must be indistinguishable from the copying
+// capture store it replaced (copyStore, below) — same frames, same bytes,
 // same timestamps, across faults, bursts, and capture toggles — while
 // keeping drained frames valid until ReleaseCaptures and running the
 // burst path at zero allocations per frame.
@@ -14,47 +14,34 @@ import (
 	"testing"
 	"time"
 
-	"netdebug/internal/bitfield"
-	"netdebug/internal/dataplane"
-	"netdebug/internal/p4/compile"
-	"netdebug/internal/p4/p4test"
 	"netdebug/internal/target"
 )
 
-// newCopyRouterDevice boots the same router as newRouterDevice but on the
-// legacy copying capture store — the ring's differential oracle.
-func newCopyRouterDevice(t testing.TB) *Device {
-	t.Helper()
-	prog, err := compile.Compile(p4test.Router)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg := target.NewReference()
-	if err := tg.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	if err := tg.InstallEntry(dataplane.Entry{
-		Table:  "ipv4_lpm",
-		Keys:   []dataplane.KeyValue{{Value: bitfield.New(0x0a000000, 32), PrefixLen: 8}},
-		Action: "ipv4_forward",
-		Args:   []bitfield.Value{bitfield.FromBytes(gw[:]), bitfield.New(1, 9)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(Config{Target: tg, CopyCaptures: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+// copyStore is the retired copying capture store as a model that owns
+// its state: a TapMACOut tap (which fires on the transmitted bytes just
+// before the device captures them) keeps an owned copy of every frame
+// sent while capture is on, per port; Captures hands the copies over
+// with no release step.
+type copyStore struct {
+	byPort map[int][]CapturedFrame
 }
 
-// snapshotCaptures deep-copies a drain result so it can be compared after
-// the originals are released or (for the oracle) garbage-collected.
-func snapshotCaptures(caps []CapturedFrame) []CapturedFrame {
-	out := make([]CapturedFrame, len(caps))
-	for i, c := range caps {
-		out[i] = CapturedFrame{Data: append([]byte(nil), c.Data...), At: c.At}
-	}
+func attachCopyStore(d *Device) *copyStore {
+	s := &copyStore{byPort: make(map[int][]CapturedFrame)}
+	d.Tap(TapMACOut, func(ev TapEvent) {
+		if d.CaptureEnabled() {
+			s.byPort[ev.Port] = append(s.byPort[ev.Port], CapturedFrame{
+				Data: append([]byte(nil), ev.Data...),
+				At:   ev.At,
+			})
+		}
+	})
+	return s
+}
+
+func (s *copyStore) Captures(port int) []CapturedFrame {
+	out := s.byPort[port]
+	delete(s.byPort, port)
 	return out
 }
 
@@ -74,14 +61,15 @@ func sameCaptures(a, b []CapturedFrame) error {
 }
 
 // runCaptureRingDifferential drives one seeded op schedule through a
-// ring-mode device and a CopyCaptures oracle and checks the drains agree
-// packet-for-packet. Ring drains are deliberately held across later
-// traffic before being compared and released, proving borrowed frames
-// stay valid until ReleaseCaptures.
+// device and a second device feeding the copyStore model and checks the
+// drains agree packet-for-packet. Ring drains are deliberately held
+// across later traffic before being compared and released, proving
+// borrowed frames stay valid until ReleaseCaptures.
 func runCaptureRingDifferential(t *testing.T, seed int64, rounds int) {
 	t.Helper()
 	ring := newRouterDevice(t, target.NewReference())
-	oracle := newCopyRouterDevice(t)
+	oracle := newRouterDevice(t, target.NewReference())
+	model := attachCopyStore(oracle)
 	rng := rand.New(rand.NewSource(seed))
 	clock := time.Duration(0)
 
@@ -151,13 +139,14 @@ func runCaptureRingDifferential(t *testing.T, seed int64, rounds int) {
 			oracle.SetCaptureEnabled(true)
 		}
 		if rng.Intn(3) == 0 {
-			rc, oc := ring.Captures(1), oracle.Captures(1)
-			if err := sameCaptures(rc, snapshotCaptures(oc)); err != nil {
+			rc, oc := ring.Captures(1), model.Captures(1)
+			if err := sameCaptures(rc, oc); err != nil {
 				t.Fatalf("seed %d round %d: ring vs oracle: %v", seed, r, err)
 			}
-			// Hold the borrow across later rounds instead of releasing.
+			// Hold the borrow across later rounds instead of releasing;
+			// the model's frames are owned copies and simply stay.
 			heldRing = append(heldRing, rc...)
-			heldOracle = append(heldOracle, snapshotCaptures(oc)...)
+			heldOracle = append(heldOracle, oc...)
 		}
 	}
 	// The held borrows — some drained many rounds ago, with bursts, fault
@@ -167,22 +156,21 @@ func runCaptureRingDifferential(t *testing.T, seed int64, rounds int) {
 	}
 	ring.ReleaseCaptures(1)
 	// After release the final drain must come up clean on both.
-	rc, oc := ring.Captures(1), oracle.Captures(1)
+	rc, oc := ring.Captures(1), model.Captures(1)
 	if err := sameCaptures(rc, oc); err != nil {
 		t.Fatalf("seed %d: post-release drain: %v", seed, err)
 	}
 	ring.ReleaseCaptures(1)
 	for _, port := range []int{0, 2, 3} {
-		if n := len(ring.Captures(port)); n != 0 {
-			t.Fatalf("seed %d: %d stray captures on port %d", seed, n, port)
+		if n, m := len(ring.Captures(port)), len(model.Captures(port)); n != 0 || m != 0 {
+			t.Fatalf("seed %d: %d ring / %d model stray captures on port %d", seed, n, m, port)
 		}
 	}
 }
 
 // TestDifferentialCaptureRing cross-checks the zero-copy capture ring
-// against the retained copying implementation at 1, 2, and 8 workers
-// (each worker owns an independent device pair; the CI differential-fuzz
-// job runs this under -race).
+// against the copying model at 1, 2, and 8 workers (each worker owns an
+// independent device pair).
 func TestDifferentialCaptureRing(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {

@@ -6,17 +6,17 @@
 //
 // # Voting and tie-breaking
 //
-// A probe's outcomes are tallied per backend; a strict-majority outcome
-// names every backend outside it as divergent. With an even fleet size
-// the tally can split evenly (the 2–2 pair-off two architecturally
-// similar defects produce, e.g. SDNet and the SmartNIC exception path
-// both forwarding a malformed frame). Those ties are re-scored against
-// the reference-class backend: if the reference's outcome is
-// corroborated by at least one other backend, the backends disagreeing
-// with it are recorded as reference-anchored divergences
-// (Report.TieBroken, Divergence.Anchored). A tie where the reference
-// stands alone — or a fleet run without a reference-class backend —
-// cannot be anchored and stays in Report.Ties, the unresolved residue.
+// Each probe's per-backend target.Outcome values go through target.Vote,
+// the repository's one vote: a strict-majority outcome names every
+// backend outside it as divergent, and an even split (the 2–2 pair-off
+// two architecturally similar defects produce, e.g. SDNet and the
+// SmartNIC exception path both forwarding a malformed frame) is
+// re-scored against the reference-class backend when at least one other
+// backend corroborates it. This package only keeps the books: dissents
+// the anchor named are counted in Report.TieBroken and marked
+// Divergence.Anchored; a tie the vote cannot resolve (the reference
+// stands alone, or the fleet runs without a reference-class backend)
+// stays in Report.Ties, the unresolved residue.
 //
 // The loop is closed in both directions. Behavioural coverage (parser
 // path, table hits, verdict, drop stage, egress — the signals the
@@ -226,19 +226,11 @@ type covInfo struct {
 	seed, mutation, solver bool
 }
 
-// outcome is the externally visible result of one probe on one backend —
-// the value majority vote compares.
-type outcome struct {
-	dropped bool
-	port    uint64
-	data    string
-}
-
 // probeResult is one probe's verdict across all backends of a shard.
 type probeResult struct {
-	cover string    // concatenated per-backend behaviour signatures
-	ref   string    // reference-backend path signature (solver targeting)
-	outs  []outcome // per backend, Options.Targets order
+	cover string           // concatenated per-backend behaviour signatures
+	ref   string           // reference-backend path signature (solver targeting)
+	outs  []target.Outcome // per backend, Options.Targets order
 }
 
 // maxProbeBatch bounds one InjectInternalBatch run per backend, for the
@@ -265,8 +257,8 @@ type Fleet struct {
 	prog   *ir.Program // reference compile: layout + path exploration
 	layout *core.Layout
 	fields []mutField
-	refIdx int  // index of the reference backend in opts.Targets
-	hasRef bool // whether opts.Targets includes a reference-class backend
+	refIdx int // backend whose path signatures steer solver targeting
+	anchor int // index of the reference-class backend (the vote's anchor), or -1
 	shards []*shard
 	// arena backs every mutation round's generated probe frames: each
 	// round's fresh generator binds an extent off it instead of growing
@@ -328,7 +320,7 @@ func New(p4src string, opts Options) (*Fleet, error) {
 		opts:       opts,
 		prog:       prog,
 		layout:     layout,
-		refIdx:     0,
+		anchor:     -1,
 		covered:    make(map[string]*covInfo),
 		refCovered: make(map[string]bool),
 		divCounts:  make(map[string]int),
@@ -337,8 +329,7 @@ func New(p4src string, opts Options) (*Fleet, error) {
 	}
 	for i, kind := range opts.Targets {
 		if kind == target.KindReference || kind == "" {
-			f.refIdx = i
-			f.hasRef = true
+			f.refIdx, f.anchor = i, i
 		}
 	}
 	for _, name := range stack {
@@ -670,8 +661,8 @@ func (f *Fleet) runBatch(frames [][]byte) []probeResult {
 // signatures are folded into per-slot builders backend by backend —
 // computed from each batch's traces before the next batch on the same
 // device clobbers the target's scratch — so the results are
-// byte-identical to per-frame injection (shard.probe, the sequential
-// reference) at any shard count.
+// byte-identical to per-frame injection (the sequential model in
+// fuzz_test.go) at any shard count.
 func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, results []probeResult) {
 	for start := first; start < len(frames); start += stride * maxProbeBatch {
 		sh.batch = sh.batch[:0]
@@ -691,7 +682,7 @@ func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, resul
 		// the buffer is retained by the results (the vote reads it after
 		// the merge), so it is fresh per chunk, but it is one allocation
 		// instead of one per probe.
-		outsBuf := make([]outcome, len(idx)*len(sh.devs))
+		outsBuf := make([]target.Outcome, len(idx)*len(sh.devs))
 		for j, i := range idx {
 			results[i].outs = outsBuf[j*len(sh.devs) : (j+1)*len(sh.devs) : (j+1)*len(sh.devs)]
 			sh.sigs[j].Reset()
@@ -705,11 +696,7 @@ func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, resul
 			for j := range rs {
 				res := &rs[j]
 				pr := &results[idx[j]]
-				o := outcome{dropped: res.Dropped()}
-				if !o.dropped {
-					o.port = res.Outputs[0].Port
-					o.data = string(res.Outputs[0].Data)
-				}
+				o := target.OutcomeOf(*res)
 				pr.outs[b] = o
 				sb := &sh.sigs[j]
 				sb.WriteString(f.opts.Targets[b])
@@ -727,38 +714,11 @@ func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, resul
 	}
 }
 
-// probe runs one frame through every backend of the shard and snapshots
-// the cross-backend behaviour signature and vote outcomes. It is the
-// retired per-frame injection path, kept as the differential oracle for
-// probeStride's batched injection.
-func (sh *shard) probe(f *Fleet, frame []byte) probeResult {
-	pr := probeResult{outs: make([]outcome, len(sh.devs))}
-	var sb strings.Builder
-	for b, dev := range sh.devs {
-		res := dev.InjectInternal(frame, f.opts.IngressPort, dev.Now(), true)
-		o := outcome{dropped: res.Dropped()}
-		if !o.dropped {
-			o.port = res.Outputs[0].Port
-			o.data = string(res.Outputs[0].Data)
-		}
-		pr.outs[b] = o
-		sb.WriteString(f.opts.Targets[b])
-		sb.WriteByte(':')
-		writeBehaviourSig(&sb, res.Trace, o)
-		sb.WriteByte('|')
-		if b == f.refIdx {
-			pr.ref = traceTargetSig(res.Trace)
-		}
-	}
-	pr.cover = sb.String()
-	return pr
-}
-
 // writeBehaviourSig renders the coverage signature of one backend's
 // probe outcome: parser path, verdict, table hits, drop stage, and
 // egress port — the trace/tap view, deliberately excluding frame bytes
 // and key values so the signature space stays behavioural.
-func writeBehaviourSig(sb *strings.Builder, t dataplane.Trace, o outcome) {
+func writeBehaviourSig(sb *strings.Builder, t dataplane.Trace, o target.Outcome) {
 	sb.WriteString(t.Verdict.String())
 	for _, s := range t.ParserPath {
 		sb.WriteByte(',')
@@ -775,12 +735,12 @@ func writeBehaviourSig(sb *strings.Builder, t dataplane.Trace, o outcome) {
 		sb.WriteByte(',')
 	}
 	sb.WriteByte(';')
-	if o.dropped {
+	if o.Dropped {
 		sb.WriteString("drop@")
 		sb.WriteString(t.DropStage)
 	} else {
 		sb.WriteString("out@")
-		sb.WriteString(strconv.FormatUint(o.port, 10))
+		sb.WriteString(strconv.FormatUint(o.Port, 10))
 	}
 }
 
@@ -821,87 +781,17 @@ func (f *Fleet) mergeBatch(frames [][]byte, origin string, fieldsOf func(int) []
 	}
 }
 
-// tallyScan returns the plurality outcome of a probe and how many
-// backends share it, by pairwise scan: outcome is comparable and the
-// matrix is a handful of backends, so the scan beats building a map per
-// probe (tallyMap, the retired form, is kept as the equality oracle).
-// Among equally common outcomes the winner is the first in backend
-// order; callers only rely on best when its count is a strict majority,
-// which is unique.
-func tallyScan(outs []outcome) (best outcome, bestN int) {
-	for i, o := range outs {
-		dup := false
-		for j := 0; j < i; j++ {
-			if outs[j] == o {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		n := 1
-		for j := i + 1; j < len(outs); j++ {
-			if outs[j] == o {
-				n++
-			}
-		}
-		if n > bestN {
-			best, bestN = o, n
-		}
+// vote records one probe's dissent: every backend whose outcome differs
+// from what target.Vote settled on. A tie the vote cannot resolve is
+// only counted.
+func (f *Fleet) vote(probeIdx int, origin string, frame []byte, outs []target.Outcome) {
+	best, anchored, ok := target.Vote(outs, f.anchor)
+	if !ok {
+		f.ties++
+		return
 	}
-	return best, bestN
-}
-
-// tallyMap is the retired map-based tally — tallyScan's equality
-// oracle. Among equally common outcomes its winner follows map
-// iteration order, so only bestN (and best under a strict majority) is
-// part of the contract.
-func tallyMap(outs []outcome) (best outcome, bestN int) {
-	counts := make(map[outcome]int, 2)
-	for _, o := range outs {
-		counts[o]++
-	}
-	for o, n := range counts {
-		if n > bestN {
-			best, bestN = o, n
-		}
-	}
-	return best, bestN
-}
-
-// countOf returns how many backends produced exactly the outcome o.
-func countOf(outs []outcome, o outcome) int {
-	n := 0
-	for _, x := range outs {
-		if x == o {
-			n++
-		}
-	}
-	return n
-}
-
-// vote tallies one probe's outcomes and records dissent. A strict
-// majority names every backend outside it; a tie (no strict majority)
-// is re-scored against the reference anchor when one is present and
-// corroborated by at least one other backend.
-func (f *Fleet) vote(probeIdx int, origin string, frame []byte, outs []outcome) {
-	best, bestN := tallyScan(outs)
-	anchored := false
-	if bestN*2 <= len(outs) {
-		// No strict majority (e.g. a 2–2 split). Re-score against the
-		// reference-class backend: a corroborated reference outcome
-		// breaks the tie; an uncorroborated one (the reference itself
-		// divergent in the tie) or a fleet without a reference leaves
-		// the probe unresolved.
-		if !f.hasRef || countOf(outs, outs[f.refIdx]) < 2 {
-			f.ties++
-			return
-		}
-		best, anchored = outs[f.refIdx], true
+	if anchored {
 		f.tiesRes++
-	} else if bestN == len(outs) {
-		return // unanimous
 	}
 	for b, o := range outs {
 		if o == best {
@@ -927,16 +817,16 @@ func (f *Fleet) vote(probeIdx int, origin string, frame []byte, outs []outcome) 
 			Frame:    append([]byte(nil), frame...),
 			Anchored: anchored,
 			Detail: fmt.Sprintf("%s %s vs %s %s",
-				kind, outs[b].sketch(), agreed, best.sketch()),
+				kind, sketch(o), agreed, sketch(best)),
 		})
 	}
 }
 
-func (o outcome) sketch() string {
-	if o.dropped {
+func sketch(o target.Outcome) string {
+	if o.Dropped {
 		return "dropped"
 	}
-	return fmt.Sprintf("forwarded to port %d (%dB)", o.port, len(o.data))
+	return fmt.Sprintf("forwarded to port %d (%dB)", o.Port, len(o.Data))
 }
 
 func (f *Fleet) recordCurve() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netdebug/internal/bitfield"
@@ -243,12 +244,32 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// probe is the per-frame injection model probeStride's batching is held
+// to: one frame through every backend of the shard by InjectInternal,
+// with its own signature builder and outcome slice per probe.
+func (sh *shard) probe(f *Fleet, frame []byte) probeResult {
+	pr := probeResult{outs: make([]target.Outcome, len(sh.devs))}
+	var sb strings.Builder
+	for b, dev := range sh.devs {
+		res := dev.InjectInternal(frame, f.opts.IngressPort, dev.Now(), true)
+		pr.outs[b] = target.OutcomeOf(res)
+		sb.WriteString(f.opts.Targets[b])
+		sb.WriteByte(':')
+		writeBehaviourSig(&sb, res.Trace, pr.outs[b])
+		sb.WriteByte('|')
+		if b == f.refIdx {
+			pr.ref = traceTargetSig(res.Trace)
+		}
+	}
+	pr.cover = sb.String()
+	return pr
+}
+
 // TestDifferentialBatchedProbeInjection cross-checks probeStride (the
-// batched probe path) against shard.probe, the retained per-frame
-// reference: identical outcomes, behaviour signatures, and reference
-// path signatures for every probe, across the maxProbeBatch chunk
-// boundary. Fleets are separate so neither path sees the other's device
-// state.
+// batched probe path) against the per-frame model above: identical
+// outcomes, behaviour signatures, and reference path signatures for
+// every probe, across the maxProbeBatch chunk boundary. Fleets are
+// separate so neither path sees the other's device state.
 func TestDifferentialBatchedProbeInjection(t *testing.T) {
 	mk := func() *Fleet {
 		f, err := New(p4test.Router, Options{Baseline: routerBaseline(), Seed: 7})

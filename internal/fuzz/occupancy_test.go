@@ -12,42 +12,62 @@ import (
 	"netdebug/internal/target"
 )
 
-// TestTallyScanMatchesMapOracle fuzzes the scan-based vote tally against
-// the retired map-based form: the plurality count always agrees, the
-// winning outcome agrees whenever it is a strict majority (the only case
-// vote relies on), and countOf agrees with the map's count for every
-// element.
+// voteMapModel is the vote policy written the retired way — a map tally
+// per probe — as the model target.Vote is held to: strict majority, else
+// the reference's outcome if another voter shares it, else unresolved.
+func voteMapModel(outs []target.Outcome, ref int) (agreed target.Outcome, anchored, ok bool) {
+	counts := make(map[target.Outcome]int, 2)
+	for _, o := range outs {
+		counts[o]++
+	}
+	for o, n := range counts {
+		if n*2 > len(outs) {
+			return o, false, true
+		}
+	}
+	if ref >= 0 && counts[outs[ref]] >= 2 {
+		return outs[ref], true, true
+	}
+	return target.Outcome{}, false, false
+}
+
+// TestTallyScanMatchesMapOracle fuzzes the shared scan-based vote
+// against the map model over random fleets of 3–8 voters, with and
+// without a reference: the same verdict (resolved, anchored) on every
+// trial and the same agreed outcome whenever the vote resolves. The
+// trial mix must reach all three verdicts.
 func TestTallyScanMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	var majorities, anchoreds, unresolved int
 	for trial := 0; trial < 2000; trial++ {
 		n := 3 + rng.Intn(6)
-		outs := make([]outcome, n)
+		outs := make([]target.Outcome, n)
 		for i := range outs {
-			outs[i] = outcome{
-				dropped: rng.Intn(2) == 0,
-				port:    uint64(rng.Intn(3)),
-				data:    string(rune('a' + rng.Intn(2))),
+			outs[i] = target.Outcome{
+				Dropped: rng.Intn(2) == 0,
+				Port:    uint64(rng.Intn(2)),
+				Data:    string(rune('a' + rng.Intn(2))),
 			}
 		}
-		best, bestN := tallyScan(outs)
-		mBest, mBestN := tallyMap(outs)
-		if bestN != mBestN {
-			t.Fatalf("trial %d: scan count %d, map count %d for %+v", trial, bestN, mBestN, outs)
+		ref := rng.Intn(n+1) - 1 // -1: no reference in the fleet
+		got, gotAnch, gotOK := target.Vote(outs, ref)
+		want, wantAnch, wantOK := voteMapModel(outs, ref)
+		if gotOK != wantOK || gotAnch != wantAnch || (gotOK && got != want) {
+			t.Fatalf("trial %d (ref %d): vote (%+v, %v, %v), model (%+v, %v, %v) for %+v",
+				trial, ref, got, gotAnch, gotOK, want, wantAnch, wantOK, outs)
 		}
-		if bestN*2 > n && best != mBest {
-			t.Fatalf("trial %d: strict-majority winner diverges: scan %+v, map %+v", trial, best, mBest)
+		switch {
+		case !gotOK:
+			unresolved++
+		case gotAnch:
+			anchoreds++
+		default:
+			majorities++
 		}
-		if got, want := countOf(outs, outs[0]), func() int {
-			n := 0
-			for _, o := range outs {
-				if o == outs[0] {
-					n++
-				}
-			}
-			return n
-		}(); got != want {
-			t.Fatalf("trial %d: countOf %d, want %d", trial, got, want)
-		}
+	}
+	if majorities == 0 || anchoreds == 0 || unresolved == 0 {
+		t.Fatalf("trial mix missed a verdict: %d majority, %d anchored, %d unresolved",
+			majorities, anchoreds, unresolved)
 	}
 }
 

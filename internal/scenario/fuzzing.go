@@ -74,12 +74,12 @@ func fuzzingScenarios() []Scenario {
 					// Blind differential replay: no coverage feedback, but the
 					// router errata have large input surfaces, so fixed probes
 					// plus a capture vote across four devices still split them.
-					devs := fourWayRouterDevices()
-					if odd := OddOneOutExternal(devs, badVersionFrame(), 1); len(odd) != 1 || odd[0] != "sdnet" {
+					devs := fourWayRouters()
+					if odd := OddOneOutExternal(devs, badVersionFrame(), 1, captureCount); len(odd) != 1 || odd[0] != "sdnet" {
 						return missed("capture vote names %v, want [sdnet]", odd)
 					}
-					devs = fourWayRouterDevices()
-					if odd := OddOneOutExternal(devs, offSubnetFrame(), 2); len(odd) != 1 || odd[0] != "ebpf" {
+					devs = fourWayRouters()
+					if odd := OddOneOutExternal(devs, offSubnetFrame(), 2, captureCount); len(odd) != 1 || odd[0] != "ebpf" {
 						return missed("capture vote names %v, want [ebpf]", odd)
 					}
 					return detected("coverage-blind capture votes still split sdnet and ebpf on wide-surface errata")

@@ -14,10 +14,18 @@
 // everywhere; formal verification covers only program-level functional
 // properties; the external tester is partial wherever internal visibility
 // or control-plane access is required and blind to resources and status.
+//
+// The comparison row's vote-localization cells are data: one voteCell
+// row per cell (fixture, probe, observation, expected dissenters, the
+// three tools' detail lines) driven by one function. The vote itself is
+// target.Vote — OddOneOut and OddOneOutExternal only collect each
+// device's observation and name the dissenters; this package holds no
+// majority or tie-break policy of its own.
 package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -800,7 +808,7 @@ func comparisonScenarios() []Scenario {
 			Args:   []bitfield.Value{bitfield.FromBytes(gw[:]), bitfield.New(1, 9)},
 		},
 	}
-	return []Scenario{
+	cells := []Scenario{
 		{
 			Name:    "two specifications compute the same function",
 			UseCase: Comparison,
@@ -812,7 +820,7 @@ func comparisonScenarios() []Scenario {
 					for _, p := range probes() {
 						ra := devA.InjectInternal(p, 0, devA.Now(), false)
 						rb := devB.InjectInternal(p, 0, devB.Now(), false)
-						if !sameResult(ra, rb) {
+						if !target.SameOutputs(ra, rb) {
 							diff++
 						}
 					}
@@ -878,7 +886,7 @@ func comparisonScenarios() []Scenario {
 					for _, p := range probes() {
 						ra := devs[0].InjectInternal(p, 0, devs[0].Now(), false)
 						for _, dev := range devs[1:] {
-							if rb := dev.InjectInternal(p, 0, dev.Now(), false); !sameResult(ra, rb) {
+							if rb := dev.InjectInternal(p, 0, dev.Now(), false); !target.SameOutputs(ra, rb) {
 								return missed("erratum-free backends diverge")
 							}
 						}
@@ -886,7 +894,7 @@ func comparisonScenarios() []Scenario {
 					shipped := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
 					ra := devs[0].InjectInternal(badVersionFrame(), 0, devs[0].Now(), false)
 					rb := shipped.InjectInternal(badVersionFrame(), 0, shipped.Now(), false)
-					if sameResult(ra, rb) {
+					if target.SameOutputs(ra, rb) {
 						return missed("shipped sdnet flow did not diverge on malformed input")
 					}
 					return detected("3 fixed backends agree on %d probes; shipped sdnet diverges on malformed input", len(probes()))
@@ -946,205 +954,12 @@ func comparisonScenarios() []Scenario {
 				},
 			},
 		},
-		{
-			Name:    "three-way split: malformed input isolates the sdnet flow",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					devs := fourWayRouterDevices()
-					bad := badVersionFrame()
-					if odd := OddOneOut(devs, bad); len(odd) == 1 && odd[0] == "sdnet" {
-						return detected("3 backends drop the malformed probe, sdnet forwards: the reject erratum is localized")
-					} else {
-						return missed("diverging backends %v, want exactly [sdnet]", odd)
-					}
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("all four deployments share one verified program; the deviation is the compiler's")
-				},
-				ToolExternal: func() Outcome {
-					devs := fourWayRouterDevices()
-					if odd := OddOneOutExternal(devs, badVersionFrame(), 1); len(odd) == 1 && odd[0] == "sdnet" {
-						return detected("capture vote across 4 devices: only sdnet emits the malformed frame")
-					} else {
-						return missed("external capture vote names %v, want [sdnet]", odd)
-					}
-				},
-			},
-		},
-		{
-			Name:    "three-way split: default-route traffic isolates the ebpf driver",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					devs := fourWayRouterDevices()
-					off := offSubnetFrame()
-					if odd := OddOneOut(devs, off); len(odd) == 1 && odd[0] == "ebpf" {
-						return detected("3 backends forward via the /0 route, ebpf misses: the lpm-trie /0 defect is localized")
-					} else {
-						return missed("diverging backends %v, want exactly [ebpf]", odd)
-					}
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("the /0 miss lives in the map driver; installed routes are invisible to program verification")
-				},
-				ToolExternal: func() Outcome {
-					devs := fourWayRouterDevices()
-					if odd := OddOneOutExternal(devs, offSubnetFrame(), 2); len(odd) == 1 && odd[0] == "ebpf" {
-						return detected("capture vote across 4 devices: only ebpf loses default-route traffic")
-					} else {
-						return missed("external capture vote names %v, want [ebpf]", odd)
-					}
-				},
-			},
-		},
-		{
-			Name:    "three-way split: acl priority tie isolates the tofino driver",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					devs := fourWayACLDevices()
-					if odd := OddOneOut(devs, aclTieProbe()); len(odd) == 1 && odd[0] == "tofino" {
-						return detected("3 backends resolve the tie first-installed-wins, tofino drops: the LIFO quirk is localized")
-					} else {
-						return missed("diverging backends %v, want exactly [tofino]", odd)
-					}
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("tie-break order is table-driver state; all four deployments verify identically")
-				},
-				ToolExternal: func() Outcome {
-					devs := fourWayACLDevices()
-					if odd := OddOneOutExternal(devs, aclTieProbe(), 2); len(odd) == 1 && odd[0] == "tofino" {
-						return detected("capture vote across 4 devices: only tofino drops the tied flow")
-					} else {
-						return missed("external capture vote names %v, want [tofino]", odd)
-					}
-				},
-			},
-		},
-		{
-			Name:    "four-way split: punt truncation isolates the smartnic driver",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					devs := make(map[string]*device.Device, 5)
-					for name, tg := range fiveWayBackends() {
-						devs[name] = aclTieDevice(tg)
-					}
-					// A frame only the allow-any ACL entry matches, long
-					// enough to overflow the punt MTU: the 80-bit ternary
-					// key keeps the ACL core-resident on the SmartNIC, so
-					// the frame punts and the shipped driver re-emits it
-					// truncated.
-					if odd := OddOneOut(devs, largeAllowedFrame()); len(odd) == 1 && odd[0] == "smartnic" {
-						return detected("4 backends forward the %dB frame intact, smartnic truncates it at the punt MTU", len(largeAllowedFrame()))
-					} else {
-						return missed("diverging backends %v, want exactly [smartnic]", odd)
-					}
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("the truncation lives in the punt DMA driver; all five deployments verify identically")
-				},
-				ToolExternal: func() Outcome {
-					devs := make(map[string]*device.Device, 5)
-					for name, tg := range fiveWayBackends() {
-						devs[name] = aclTieDevice(tg)
-					}
-					// Externally the loss is not visible as a missing
-					// capture — the truncated frame still emerges — so vote
-					// on the captured length instead of the count.
-					got := make(map[string]int, len(devs))
-					for name, dev := range devs {
-						dev.SendExternal(0, largeAllowedFrame(), 0)
-						caps := dev.Captures(2)
-						n := 0
-						if len(caps) == 1 {
-							n = len(caps[0].Data)
-						}
-						got[name] = n
-						dev.ReleaseCaptures(2)
-					}
-					if odd := OddOneOutLengths(got); len(odd) == 1 && odd[0] == "smartnic" {
-						return detected("capture-length vote across 5 devices: only smartnic emits a short frame")
-					} else {
-						return missed("capture-length vote names %v, want [smartnic]", odd)
-					}
-				},
-			},
-		},
-		{
-			Name:    "2-2 tie re-scored against the reference anchor",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					// With an even voter subset, the malformed probe splits
-					// 2-2: reference and tofino drop it, while sdnet and the
-					// smartnic exception path both fail open and forward
-					// byte-identical frames. Strict majority cannot
-					// localize; the reference anchor — corroborated by
-					// tofino — names the failing pair.
-					devs := map[string]*device.Device{
-						"reference": routerDevice(p4test.Router, target.NewReference(), routeEntry(1), defaultRouteEntry(2)),
-						"tofino":    routerDevice(p4test.Router, target.NewTofino(target.DefaultTofinoErrata()), routeEntry(1), defaultRouteEntry(2)),
-						"sdnet":     routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()), routeEntry(1), defaultRouteEntry(2)),
-						"smartnic":  routerDevice(p4test.Router, target.NewSmartNIC(target.DefaultSmartNICErrata()), routeEntry(1), defaultRouteEntry(2)),
-					}
-					odd := OddOneOut(devs, badVersionFrame())
-					if len(odd) == 2 && odd[0] == "sdnet" && odd[1] == "smartnic" {
-						return detected("2-2 split resolved: the corroborated reference anchor names the fail-open pair [sdnet smartnic]")
-					}
-					return missed("anchored vote names %v, want [sdnet smartnic]", odd)
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("both fail-open flows execute a reject-stripped program; the split is a deployment artifact")
-				},
-				ToolExternal: func() Outcome {
-					devs := map[string]*device.Device{
-						"reference": routerDevice(p4test.Router, target.NewReference(), routeEntry(1), defaultRouteEntry(2)),
-						"tofino":    routerDevice(p4test.Router, target.NewTofino(target.DefaultTofinoErrata()), routeEntry(1), defaultRouteEntry(2)),
-						"sdnet":     routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()), routeEntry(1), defaultRouteEntry(2)),
-						"smartnic":  routerDevice(p4test.Router, target.NewSmartNIC(target.DefaultSmartNICErrata()), routeEntry(1), defaultRouteEntry(2)),
-					}
-					odd := OddOneOutExternal(devs, badVersionFrame(), 1)
-					if len(odd) == 2 && odd[0] == "sdnet" && odd[1] == "smartnic" {
-						return detected("capture vote 2-2; the reference anchor names both emitting devices")
-					}
-					return missed("anchored capture vote names %v, want [sdnet smartnic]", odd)
-				},
-			},
-		},
-		{
-			Name:    "tie with a divergent reference stays unresolved",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					// A misconfigured reference device (route to port 9)
-					// dissents inside the tie: the anchor is uncorroborated,
-					// so the vote must refuse to localize and return every
-					// name rather than blame the two-backend plurality's
-					// opposition.
-					devs := map[string]*device.Device{
-						"reference": routerDevice(p4test.Router, target.NewReference(), routeEntry(9)),
-						"sdnet":     routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()), routeEntry(1)),
-						"smartnic":  routerDevice(p4test.Router, target.NewSmartNIC(target.DefaultSmartNICErrata()), routeEntry(1)),
-						"tofino":    routerDevice(p4test.Router, target.NewTofino(target.DefaultTofinoErrata()), routeEntry(2)),
-					}
-					odd := OddOneOut(devs, goodFrame())
-					if len(odd) == 4 {
-						return detected("uncorroborated anchor: the vote surfaces all %d backends as unresolved instead of guessing", len(odd))
-					}
-					return missed("vote named %v from an unresolvable tie", odd)
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("the divergence is injected table state; the programs verify identically")
-				},
-				ToolExternal: func() Outcome {
-					return unsupported("the split spans three egress ports; single-port capture voting cannot tally it")
-				},
-			},
-		},
-		{
+	}
+	for _, c := range comparisonVotes() {
+		cells = append(cells, c.scenario())
+	}
+	return append(cells,
+		Scenario{
 			Name:    "specifications differ only in internal drop stage",
 			UseCase: Comparison,
 			Run: map[string]func() Outcome{
@@ -1180,7 +995,7 @@ func comparisonScenarios() []Scenario {
 				},
 			},
 		},
-		{
+		Scenario{
 			// The verify-throughput cell: each tool compares its fast path
 			// against its reference path on the same workload and must get
 			// identical results — parallel path exploration vs sequential
@@ -1206,7 +1021,8 @@ func comparisonScenarios() []Scenario {
 					if err != nil {
 						return missed("batched run: %v", err)
 					}
-					// Reference: the same stream injected one packet at a time.
+					// Reference: the same stream injected one packet at a
+					// time, each scored as a block of one.
 					dev := routerDevice(p4test.Router, target.NewReference())
 					gen, err := core.NewGenerator(spec.Gen)
 					if err != nil {
@@ -1216,8 +1032,10 @@ func comparisonScenarios() []Scenario {
 					if err != nil {
 						return missed("checker: %v", err)
 					}
-					for _, tp := range gen.Packets(dev.Now()) {
-						checker.OnResult(tp, dev.InjectInternal(tp.Data, tp.IngressPort, tp.At, true), tp.At)
+					pkts := gen.Packets(dev.Now())
+					for i, tp := range pkts {
+						res := dev.InjectInternal(tp.Data, tp.IngressPort, tp.At, true)
+						checker.OnResults(pkts[i:i+1], []target.Result{res}, []time.Duration{tp.At})
 					}
 					seq := checker.Finish()
 					if !batched.Pass || !seq.Pass ||
@@ -1256,40 +1074,7 @@ func comparisonScenarios() []Scenario {
 				},
 			},
 		},
-	}
-}
-
-// shippedBackends builds the four-way shipped (default-errata) fixture
-// set the odd-voter-count comparison cells drive — the SmartNIC joins
-// in the five-way cells (fiveWayBackends), whose even voter count
-// exercises the tie-break path instead.
-func shippedBackends() map[string]target.Target {
-	return map[string]target.Target{
-		"reference": target.NewReference(),
-		"sdnet":     target.NewSDNet(target.DefaultErrata()),
-		"tofino":    target.NewTofino(target.DefaultTofinoErrata()),
-		"ebpf":      target.NewEBPF(target.DefaultEBPFErrata()),
-	}
-}
-
-// fiveWayBackends is the full shipped matrix (target.ShippedKinds): the
-// even backend count makes 2-2 ties reachable, so these fixtures also
-// exercise the reference-anchored tie-break.
-func fiveWayBackends() map[string]target.Target {
-	devs := shippedBackends()
-	devs["smartnic"] = target.NewSmartNIC(target.DefaultSmartNICErrata())
-	return devs
-}
-
-// fiveWayRouterDevices builds one router device per shipped backend
-// (all five), each with the 10/8 route (port 1) and a /0 default route
-// (port 2).
-func fiveWayRouterDevices() map[string]*device.Device {
-	devs := make(map[string]*device.Device, 5)
-	for name, tg := range fiveWayBackends() {
-		devs[name] = routerDevice(p4test.Router, tg, routeEntry(1), defaultRouteEntry(2))
-	}
-	return devs
+	)
 }
 
 // defaultRouteEntry is the /0 fallback route every destination misses
@@ -1308,117 +1093,222 @@ func offSubnetFrame() []byte {
 	return packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{172, 16, 5, 9}, 40100, 53, make([]byte, 26))
 }
 
-// fourWayRouterDevices builds one router device per shipped backend,
-// each with the 10/8 route (port 1) and a /0 default route (port 2).
-func fourWayRouterDevices() map[string]*device.Device {
-	devs := make(map[string]*device.Device, 4)
-	for name, tg := range shippedBackends() {
-		devs[name] = routerDevice(p4test.Router, tg, routeEntry(1), defaultRouteEntry(2))
-	}
-	return devs
-}
-
-// fourWayACLDevices builds the overlapping-equal-priority ACL fixture
-// on every shipped backend.
-func fourWayACLDevices() map[string]*device.Device {
-	devs := make(map[string]*device.Device, 4)
-	for name, tg := range shippedBackends() {
-		devs[name] = aclTieDevice(tg)
-	}
-	return devs
-}
-
-// dissenters returns the names whose outcome diverges from the vote
-// outcome, sorted. A strict majority names everyone outside it. Without
-// a strict majority (e.g. the 2-2 splits an even backend count makes
-// possible) the tie is re-scored against the reference anchor: when a
-// member named "reference" is present and its outcome is corroborated
-// by at least one other member, the names disagreeing with the anchor
-// are returned. A tie with no reference member — or one where the
-// reference's outcome stands alone — cannot be resolved, so every name
-// is returned and callers testing len == 1 correctly report no
-// localization. This one implementation carries the vote semantics for
-// both visibility levels below and for examples/comparison.
-func dissenters[O comparable](got map[string]O) []string {
-	tally := map[O]int{}
-	for _, o := range got {
-		tally[o]++
-	}
-	var majority O
-	best := 0
-	for o, n := range tally {
-		if n > best {
-			majority, best = o, n
+// fleetDevices builds one device per backend kind (default errata), each
+// by build on a fresh target — the fixture every vote runs over.
+func fleetDevices(kinds []string, build func(target.Target) *device.Device) map[string]*device.Device {
+	devs := make(map[string]*device.Device, len(kinds))
+	for _, kind := range kinds {
+		tg, err := target.ForKind(kind)
+		if err != nil {
+			panic(fmt.Sprintf("scenario: %v", err))
 		}
+		devs[kind] = build(tg)
 	}
-	if best*2 <= len(got) {
-		ref, ok := got["reference"]
-		if !ok || tally[ref] < 2 {
-			// Unresolved tie: no anchor, or the anchor itself dissents.
-			odd := make([]string, 0, len(got))
-			for name := range got {
-				odd = append(odd, name)
+	return devs
+}
+
+// The voter sets of the comparison cells besides the full shipped
+// matrix (target.ShippedKinds): its first four kinds, where each
+// signature defect is outvoted 3-1, and the even subset whose fail-open
+// pair splits 2-2.
+var (
+	fourWayKinds = target.ShippedKinds[:4]
+	tieKinds     = []string{target.KindReference, target.KindTofino, target.KindSDNet, target.KindSmartNIC}
+)
+
+// defaultRouteRouter loads the router with the 10/8 route (port 1) and a
+// /0 default route (port 2).
+func defaultRouteRouter(tg target.Target) *device.Device {
+	return routerDevice(p4test.Router, tg, routeEntry(1), defaultRouteEntry(2))
+}
+
+// fourWayRouters is the fixture both router errata are localized on.
+func fourWayRouters() map[string]*device.Device {
+	return fleetDevices(fourWayKinds, defaultRouteRouter)
+}
+
+// voteCell is one vote-localization cell of the comparison row: the
+// same probe goes through every device of a fixture; NetDebug votes on
+// the data-plane results, the external tester on what one port captured
+// (observe nil: it cannot attempt the cell), and formal verification
+// never can — every deployment shares one verified program.
+type voteCell struct {
+	name    string
+	devices func() map[string]*device.Device
+	frame   func() []byte
+	rxPort  int
+	observe func([]device.CapturedFrame) int
+	// want is the expected dissenter set, sorted; every name means the
+	// vote must refuse to localize.
+	want                       []string
+	netdebug, formal, external string // the three tools' detail lines
+}
+
+func (c voteCell) scenario() Scenario {
+	return Scenario{Name: c.name, UseCase: Comparison, Run: map[string]func() Outcome{
+		ToolNetDebug: func() Outcome {
+			if odd := OddOneOut(c.devices(), c.frame()); !slices.Equal(odd, c.want) {
+				return missed("diverging backends %v, want exactly %v", odd, c.want)
 			}
-			sort.Strings(odd)
-			return odd
+			return detected("%s", c.netdebug)
+		},
+		ToolFormal: func() Outcome { return unsupported(c.formal) },
+		ToolExternal: func() Outcome {
+			if c.observe == nil {
+				return unsupported(c.external)
+			}
+			if odd := OddOneOutExternal(c.devices(), c.frame(), c.rxPort, c.observe); !slices.Equal(odd, c.want) {
+				return missed("external vote names %v, want %v", odd, c.want)
+			}
+			return detected("%s", c.external)
+		},
+	}}
+}
+
+func comparisonVotes() []voteCell {
+	return []voteCell{
+		{
+			name:    "three-way split: malformed input isolates the sdnet flow",
+			devices: fourWayRouters, frame: badVersionFrame, rxPort: 1, observe: captureCount,
+			want:     []string{"sdnet"},
+			netdebug: "3 backends drop the malformed probe, sdnet forwards: the reject erratum is localized",
+			formal:   "all four deployments share one verified program; the deviation is the compiler's",
+			external: "capture vote across 4 devices: only sdnet emits the malformed frame",
+		},
+		{
+			name:    "three-way split: default-route traffic isolates the ebpf driver",
+			devices: fourWayRouters, frame: offSubnetFrame, rxPort: 2, observe: captureCount,
+			want:     []string{"ebpf"},
+			netdebug: "3 backends forward via the /0 route, ebpf misses: the lpm-trie /0 defect is localized",
+			formal:   "the /0 miss lives in the map driver; installed routes are invisible to program verification",
+			external: "capture vote across 4 devices: only ebpf loses default-route traffic",
+		},
+		{
+			name:    "three-way split: acl priority tie isolates the tofino driver",
+			devices: func() map[string]*device.Device { return fleetDevices(fourWayKinds, aclTieDevice) },
+			frame:   aclTieProbe, rxPort: 2, observe: captureCount,
+			want:     []string{"tofino"},
+			netdebug: "3 backends resolve the tie first-installed-wins, tofino drops: the LIFO quirk is localized",
+			formal:   "tie-break order is table-driver state; all four deployments verify identically",
+			external: "capture vote across 4 devices: only tofino drops the tied flow",
+		},
+		{
+			// A frame only the allow-any ACL entry matches, long enough to
+			// overflow the punt MTU: the 80-bit ternary key keeps the ACL
+			// core-resident on the SmartNIC, so the frame punts and the
+			// shipped driver re-emits it truncated. Externally the loss is
+			// not a missing capture — the truncated frame still emerges —
+			// so the tester votes on the captured length.
+			name:    "four-way split: punt truncation isolates the smartnic driver",
+			devices: func() map[string]*device.Device { return fleetDevices(target.ShippedKinds, aclTieDevice) },
+			frame:   largeAllowedFrame, rxPort: 2, observe: captureLength,
+			want:     []string{"smartnic"},
+			netdebug: fmt.Sprintf("4 backends forward the %dB frame intact, smartnic truncates it at the punt MTU", len(largeAllowedFrame())),
+			formal:   "the truncation lives in the punt DMA driver; all five deployments verify identically",
+			external: "capture-length vote across 5 devices: only smartnic emits a short frame",
+		},
+		{
+			// With an even voter subset, the malformed probe splits 2-2:
+			// reference and tofino drop it, while sdnet and the smartnic
+			// exception path both fail open and forward byte-identical
+			// frames. Strict majority cannot localize; the reference
+			// anchor — corroborated by tofino — names the failing pair.
+			name:    "2-2 tie re-scored against the reference anchor",
+			devices: func() map[string]*device.Device { return fleetDevices(tieKinds, defaultRouteRouter) },
+			frame:   badVersionFrame, rxPort: 1, observe: captureCount,
+			want:     []string{"sdnet", "smartnic"},
+			netdebug: "2-2 split resolved: the corroborated reference anchor names the fail-open pair [sdnet smartnic]",
+			formal:   "both fail-open flows execute a reject-stripped program; the split is a deployment artifact",
+			external: "capture vote 2-2; the reference anchor names both emitting devices",
+		},
+		{
+			// A misconfigured reference device (route to port 9) dissents
+			// inside the tie: the anchor is uncorroborated, so the vote
+			// must refuse to localize and return every name rather than
+			// blame the two-backend plurality's opposition.
+			name: "tie with a divergent reference stays unresolved",
+			devices: func() map[string]*device.Device {
+				egress := map[string]uint64{"reference": 9, "sdnet": 1, "smartnic": 1, "tofino": 2}
+				return fleetDevices(tieKinds, func(tg target.Target) *device.Device {
+					return routerDevice(p4test.Router, tg, routeEntry(egress[tg.Name()]))
+				})
+			},
+			frame:    goodFrame,
+			want:     []string{"reference", "sdnet", "smartnic", "tofino"},
+			netdebug: "uncorroborated anchor: the vote surfaces all 4 backends as unresolved instead of guessing",
+			formal:   "the divergence is injected table state; the programs verify identically",
+			external: "the split spans three egress ports; single-port capture voting cannot tally it",
+		},
+	}
+}
+
+// dissenters returns the names whose observation diverges from what
+// target.Vote settles on, sorted; the member named "reference" is the
+// vote's anchor. An unresolved vote returns every name, so callers
+// expecting a specific dissenter set correctly report no localization.
+func dissenters[O comparable](got map[string]O) []string {
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	outs := make([]O, len(names))
+	ref := -1
+	for i, name := range names {
+		outs[i] = got[name]
+		if name == target.KindReference {
+			ref = i
 		}
-		majority = ref
+	}
+	agreed, _, ok := target.Vote(outs, ref)
+	if !ok {
+		return names
 	}
 	var odd []string
-	for name, o := range got {
-		if o != majority {
-			odd = append(odd, name)
+	for i, o := range outs {
+		if o != agreed {
+			odd = append(odd, names[i])
 		}
 	}
-	sort.Strings(odd)
 	return odd
 }
 
 // OddOneOut injects frame into every device and returns the backends
 // whose result diverges from the vote outcome, sorted — the
 // three-way-split localization a pairwise comparison cannot make.
-// Ties with no strict majority are re-scored against the device named
-// "reference" when present and corroborated (see dissenters); all
-// names come back when the tie cannot be resolved.
 func OddOneOut(devs map[string]*device.Device, frame []byte) []string {
-	type oc struct {
-		dropped bool
-		port    uint64
-		data    string
-	}
-	got := make(map[string]oc, len(devs))
+	got := make(map[string]target.Outcome, len(devs))
 	for name, dev := range devs {
-		r := dev.InjectInternal(frame, 0, dev.Now(), false)
-		o := oc{dropped: r.Dropped()}
-		if !o.dropped {
-			o.port = r.Outputs[0].Port
-			o.data = string(r.Outputs[0].Data)
-		}
-		got[name] = o
+		got[name] = target.OutcomeOf(dev.InjectInternal(frame, 0, dev.Now(), false))
 	}
 	return dissenters(got)
 }
 
 // OddOneOutExternal sends frame through every device's external port 0
-// and votes on the capture count at rxPort — the same localization made
-// with interface-level visibility only.
-func OddOneOutExternal(devs map[string]*device.Device, frame []byte, rxPort int) []string {
+// and votes on one observation of what rxPort captured (captureCount or
+// captureLength) — the same localization made with interface-level
+// visibility only.
+func OddOneOutExternal(devs map[string]*device.Device, frame []byte, rxPort int, observe func([]device.CapturedFrame) int) []string {
 	got := make(map[string]int, len(devs))
 	for name, dev := range devs {
 		dev.SendExternal(0, frame, 0)
-		got[name] = len(dev.Captures(rxPort))
+		got[name] = observe(dev.Captures(rxPort))
 		dev.ReleaseCaptures(rxPort)
 	}
 	return dissenters(got)
 }
 
-// OddOneOutLengths votes on externally captured frame lengths (or any
-// per-backend integer observation), with the same strict-majority +
-// reference-anchor semantics as OddOneOut — the localization that
-// catches divergences visible only as a size change, like the SmartNIC
-// punt-MTU truncation.
-func OddOneOutLengths(got map[string]int) []string {
-	return dissenters(got)
+// captureCount votes on how many frames emerged.
+func captureCount(caps []device.CapturedFrame) int { return len(caps) }
+
+// captureLength votes on the length of a lone captured frame (0 for
+// anything else) — it catches divergences visible only as a size
+// change, like the SmartNIC punt-MTU truncation.
+func captureLength(caps []device.CapturedFrame) int {
+	if len(caps) == 1 {
+		return len(caps[0].Data)
+	}
+	return 0
 }
 
 // largeAllowedFrame is a firewall probe only the allow-any ACL entry
@@ -1534,25 +1424,6 @@ control ADeparser(packet_out pkt, in headers_t hdr) {
 }
 V1Switch(AParser(), AIngress(), ADeparser()) main;
 `
-
-func sameResult(a, b target.Result) bool {
-	if a.Dropped() != b.Dropped() {
-		return false
-	}
-	if a.Dropped() {
-		return true
-	}
-	if len(a.Outputs) != len(b.Outputs) {
-		return false
-	}
-	for i := range a.Outputs {
-		if a.Outputs[i].Port != b.Outputs[i].Port ||
-			string(a.Outputs[i].Data) != string(b.Outputs[i].Data) {
-			return false
-		}
-	}
-	return true
-}
 
 // --- matrix -------------------------------------------------------------
 

@@ -323,3 +323,127 @@ func BenchmarkCounterInc(b *testing.B) {
 		}
 	})
 }
+
+// sameHistogram compares every piece of histogram state: count, sum,
+// min, max, and each bucket.
+func sameHistogram(t *testing.T, name string, got, want *Histogram) {
+	t.Helper()
+	if got.total.Load() != want.total.Load() || got.sum.Load() != want.sum.Load() ||
+		got.min.Load() != want.min.Load() || got.max.Load() != want.max.Load() {
+		t.Errorf("%s: batch (n=%d sum=%d min=%d max=%d), loop (n=%d sum=%d min=%d max=%d)", name,
+			got.total.Load(), got.sum.Load(), got.min.Load(), got.max.Load(),
+			want.total.Load(), want.sum.Load(), want.min.Load(), want.max.Load())
+	}
+	for i := range want.counts {
+		if g, w := got.counts[i].Load(), want.counts[i].Load(); g != w {
+			t.Errorf("%s: bucket %d holds %d, loop holds %d", name, i, g, w)
+		}
+	}
+}
+
+// TestObserveBatchMatchesObserveLoop: ObserveBatch over any split of a
+// value sequence into blocks leaves the histogram exactly as one Observe
+// per value does — the equivalence the block scorers in tester and core
+// rely on.
+func TestObserveBatchMatchesObserveLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	random := func(n int) []time.Duration {
+		ds := make([]time.Duration, n)
+		for i := range ds {
+			// Spread over every magnitude, with a tail of negatives
+			// (clamped to zero on both paths).
+			ds[i] = time.Duration(rng.Int63n(1<<uint(1+rng.Intn(40)))) - time.Duration(rng.Intn(3))
+		}
+		return ds
+	}
+	cases := []struct {
+		name   string
+		blocks [][]time.Duration
+	}{
+		{"empty block only", [][]time.Duration{nil}},
+		{"single value", [][]time.Duration{{750}}},
+		{"all negative", [][]time.Duration{{-5, -1, -900}}},
+		{"negative then positive", [][]time.Duration{{-3}, {12, 0, 7}}},
+		{"max in first block, min in last", [][]time.Duration{{1 << 30, 50}, {}, {3, 40}}},
+		{"zeros", [][]time.Duration{{0, 0}, {0}}},
+		{"random, one block", [][]time.Duration{random(2000)}},
+		{"random, ragged blocks", [][]time.Duration{random(512), random(1), nil, random(37), random(512)}},
+	}
+	for _, c := range cases {
+		batch, loop := NewHistogram(), NewHistogram()
+		for _, block := range c.blocks {
+			batch.ObserveBatch(block)
+			for _, d := range block {
+				loop.Observe(d)
+			}
+		}
+		sameHistogram(t, c.name, batch, loop)
+		if batch.Min() != loop.Min() || batch.Quantile(0.99) != loop.Quantile(0.99) {
+			t.Errorf("%s: derived stats diverge: min %v/%v p99 %v/%v", c.name,
+				batch.Min(), loop.Min(), batch.Quantile(0.99), loop.Quantile(0.99))
+		}
+	}
+}
+
+// TestRecordBlockMatchesRecordLoop: RecordBlock(first, last, events,
+// bytes) per block leaves the meter exactly as one Record per event in
+// the same order does — including a window whose first event is not its
+// earliest, and empty blocks whose timestamps must be ignored.
+func TestRecordBlockMatchesRecordLoop(t *testing.T) {
+	type event struct {
+		ts time.Duration
+		n  int
+	}
+	rng := rand.New(rand.NewSource(43))
+	random := func(n int) []event {
+		evs := make([]event, n)
+		for i := range evs {
+			evs[i] = event{ts: time.Duration(rng.Int63n(1e9)), n: 64 + rng.Intn(1455)}
+		}
+		return evs
+	}
+	cases := []struct {
+		name   string
+		blocks [][]event
+	}{
+		{"empty block only", [][]event{nil}},
+		{"single event", [][]event{{{ts: 900, n: 64}}}},
+		{"first event is not the earliest", [][]event{{{ts: 5000, n: 100}, {ts: 1000, n: 60}, {ts: 3000, n: 80}}}},
+		{"empty block before the first event", [][]event{nil, {{ts: 700, n: 64}, {ts: 1500, n: 64}}}},
+		{"later block entirely earlier", [][]event{{{ts: 9000, n: 64}, {ts: 9500, n: 64}}, {{ts: 100, n: 64}}}},
+		{"zero timestamp first", [][]event{{{ts: 0, n: 64}}, {{ts: 800, n: 1518}}}},
+		{"random, ragged blocks", [][]event{random(512), nil, random(1), random(300)}},
+	}
+	for _, c := range cases {
+		var block, loop Meter
+		for _, evs := range c.blocks {
+			var first, last time.Duration
+			var bytes uint64
+			for i, ev := range evs {
+				loop.Record(ev.ts, ev.n)
+				if i == 0 {
+					first = ev.ts
+				}
+				if ev.ts > last {
+					last = ev.ts
+				}
+				bytes += uint64(ev.n)
+			}
+			if len(evs) == 0 {
+				// events == 0: the block carries no timestamps worth
+				// reading, so hand it misleading ones.
+				first, last = 1, 1<<40
+			}
+			block.RecordBlock(first, last, uint64(len(evs)), bytes)
+		}
+		if block.firstNanos != loop.firstNanos || block.lastNanos != loop.lastNanos ||
+			block.events != loop.events || block.bytes != loop.bytes || block.started != loop.started {
+			t.Errorf("%s: block meter {first %d last %d events %d bytes %d started %v}, loop {first %d last %d events %d bytes %d started %v}",
+				c.name, block.firstNanos, block.lastNanos, block.events, block.bytes, block.started,
+				loop.firstNanos, loop.lastNanos, loop.events, loop.bytes, loop.started)
+		}
+		if b, l := block.Snapshot(), loop.Snapshot(); b != l {
+			t.Errorf("%s: snapshots diverge: %+v vs %+v", c.name, b, l)
+		}
+	}
+}

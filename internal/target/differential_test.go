@@ -24,23 +24,6 @@ import (
 	"netdebug/internal/packet"
 )
 
-// sameOutputs reports packet-level equality of two results.
-func sameOutputs(a, b Result) bool {
-	if a.Dropped() != b.Dropped() {
-		return false
-	}
-	if len(a.Outputs) != len(b.Outputs) {
-		return false
-	}
-	for i := range a.Outputs {
-		if a.Outputs[i].Port != b.Outputs[i].Port ||
-			string(a.Outputs[i].Data) != string(b.Outputs[i].Data) {
-			return false
-		}
-	}
-	return true
-}
-
 // routerProbe is one deterministic router input: dst chooses the route,
 // malformed flips the IPv4 version, trunc cuts the frame mid-header.
 type routerProbe struct {
@@ -92,22 +75,10 @@ func TestCrossTargetRouterAgreement(t *testing.T) {
 		"smartnic-fixed": loadedRouter(t, NewSmartNIC(FixedSmartNICErrata())),
 	}
 	for i, p := range routerProbes(300) {
-		want := ref.Process(p.frame, 0, false)
-		wantDrop := want.Dropped()
-		wantPort := uint64(0)
-		var wantData string
-		if !wantDrop {
-			wantPort = want.Outputs[0].Port
-			wantData = string(want.Outputs[0].Data)
-		}
+		want := OutcomeOf(ref.Process(p.frame, 0, false))
 		for name, tgt := range others {
-			got := tgt.Process(p.frame, 0, false)
-			if got.Dropped() != wantDrop {
-				t.Fatalf("probe %d (%+v): %s dropped=%v, reference dropped=%v",
-					i, p, name, got.Dropped(), wantDrop)
-			}
-			if !wantDrop && (got.Outputs[0].Port != wantPort || string(got.Outputs[0].Data) != wantData) {
-				t.Fatalf("probe %d: %s output differs from reference", i, name)
+			if got := OutcomeOf(tgt.Process(p.frame, 0, false)); got != want {
+				t.Fatalf("probe %d (%+v): %s produced %+v, reference %+v", i, p, name, got, want)
 			}
 		}
 	}
@@ -125,7 +96,7 @@ func TestCrossTargetSDNetRejectDisagreement(t *testing.T) {
 		// Results alias per-target scratch; compare before the next call
 		// on the same target.
 		rb := sd.Process(p.frame, 0, false)
-		disagree := !sameOutputs(ra, rb)
+		disagree := !SameOutputs(ra, rb)
 		wantDisagree := p.malformed && p.routable && !p.trunc
 		if disagree != wantDisagree {
 			t.Fatalf("probe %d (malformed=%v routable=%v trunc=%v): disagree=%v, want %v",
@@ -155,7 +126,7 @@ func TestCrossTargetTofinoLIFODisagreement(t *testing.T) {
 		frame := packet.BuildUDPv4(macA, macB, ipA, dst, uint16(2000+i), 53, make([]byte, 4))
 		ra := ref.Process(frame, 0, false)
 		rb := tf.Process(frame, 0, false)
-		disagree := !sameOutputs(ra, rb)
+		disagree := !SameOutputs(ra, rb)
 		if disagree != hitsDrop {
 			t.Fatalf("probe %d (dst=%v): disagree=%v, want %v (LIFO tie-break)",
 				i, dst, disagree, hitsDrop)
@@ -234,11 +205,11 @@ func TestCrossTargetEBPFZeroPrefixDisagreement(t *testing.T) {
 		// Only frames that parse and miss the 10/8 route reach the /0
 		// entry — that is the predicted probe set.
 		wantDisagree := !p.routable && !p.malformed && !p.trunc
-		if disagree := !sameOutputs(ra, rb); disagree != wantDisagree {
+		if disagree := !SameOutputs(ra, rb); disagree != wantDisagree {
 			t.Fatalf("probe %d (%+v): shipped ebpf disagree=%v, want %v",
 				i, p, disagree, wantDisagree)
 		}
-		if !sameOutputs(ra, rc) {
+		if !SameOutputs(ra, rc) {
 			t.Fatalf("probe %d: fixed ebpf flow diverges from the reference", i)
 		}
 	}
@@ -274,59 +245,38 @@ func TestCrossTargetEBPFMapFullDisagreement(t *testing.T) {
 		frame := []byte{byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}
 		ra := ref.Process(frame, 0, false)
 		rb := eb.Process(frame, 0, false)
-		if disagree, want := !sameOutputs(ra, rb), i >= 100; disagree != want {
+		if disagree, want := !SameOutputs(ra, rb), i >= 100; disagree != want {
 			t.Fatalf("flow %d: disagree=%v, want %v (capacity 100, installs acknowledged to 120)",
 				i, disagree, want)
 		}
 	}
 }
 
-// outcome is a comparable snapshot of a Result (Results alias
-// per-target scratch, so they must be captured before reuse).
-type outcome struct {
-	dropped bool
-	port    uint64
-	data    string
-}
-
-func snapshot(r Result) outcome {
-	if r.Dropped() {
-		return outcome{dropped: true}
-	}
-	return outcome{port: r.Outputs[0].Port, data: string(r.Outputs[0].Data)}
-}
-
 // splitOn runs one probe through every backend and reports which
 // backends diverge from the majority outcome. It fails the test if the
-// outcomes do not split into a strict majority plus dissenters.
-// (scenario.OddOneOut carries the same vote for device-level callers;
-// it cannot be reused here because package scenario imports target.)
+// outcomes do not split into a strict majority plus dissenters (the
+// vote runs without a reference anchor, so a tie stays unresolved).
 func splitOn(t *testing.T, backends map[string]Target, frame []byte) []string {
 	t.Helper()
-	got := make(map[string]outcome, len(backends))
-	tally := map[outcome]int{}
-	for name, tgt := range backends {
-		o := snapshot(tgt.Process(frame, 0, false))
-		got[name] = o
-		tally[o]++
+	names := make([]string, 0, len(backends))
+	for name := range backends {
+		names = append(names, name)
 	}
-	var majority outcome
-	best := 0
-	for o, n := range tally {
-		if n > best {
-			majority, best = o, n
-		}
+	sort.Strings(names)
+	outs := make([]Outcome, len(names))
+	for i, name := range names {
+		outs[i] = OutcomeOf(backends[name].Process(frame, 0, false))
 	}
-	if best*2 <= len(backends) {
-		t.Fatalf("no majority outcome: %v", tally)
+	majority, _, ok := Vote(outs, -1)
+	if !ok {
+		t.Fatalf("no majority outcome: %v = %v", names, outs)
 	}
 	var odd []string
-	for name, o := range got {
+	for i, o := range outs {
 		if o != majority {
-			odd = append(odd, name)
+			odd = append(odd, names[i])
 		}
 	}
-	sort.Strings(odd)
 	return odd
 }
 

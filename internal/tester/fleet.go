@@ -25,16 +25,6 @@ type Fleet struct {
 	New func() (*device.Device, error)
 	// Workers is the shard count; <= 0 means one per CPU.
 	Workers int
-	// PrivateArenas gives every shard its own private frame arena — the
-	// pre-shared-slab behaviour, retained as the differential oracle. By
-	// default the fleet resets one shared arena per run and every shard
-	// reserves its extent off it concurrently, so the whole fleet stamps
-	// frames into a single memory region; the differential tests prove
-	// reports are byte-identical either way.
-	PrivateArenas bool
-	// perFrameScoring routes every shard through the retired
-	// frame-at-a-time capture scorer (the batched scorer's oracle).
-	perFrameScoring bool
 
 	// Warm-run state reused across Run calls — a Fleet must not be run
 	// concurrently with itself: the shared slab, the cached shard plan
@@ -115,9 +105,7 @@ func (f *Fleet) Run(streams []Stream) (*Report, error) {
 	// contiguous extent off it concurrently (atomic bump inside
 	// SharedArena), so all shards stamp frames into one memory region.
 	// The shard sums never exceed totalBytes, so every reservation fits.
-	if !f.PrivateArenas {
-		f.arena.Reset(totalBytes)
-	}
+	f.arena.Reset(totalBytes)
 	for len(f.testers) < workers {
 		f.testers = append(f.testers, New(nil))
 	}
@@ -146,12 +134,7 @@ func (f *Fleet) Run(streams []Stream) (*Report, error) {
 			}
 			t := f.testers[w]
 			t.dev = dev
-			t.perFrameScoring = f.perFrameScoring
-			if f.PrivateArenas {
-				t.UseArena(nil)
-			} else {
-				t.UseArena(&f.arena)
-			}
+			t.UseArena(&f.arena)
 			reports[w], errs[w] = t.Run(shards[w])
 		}(w)
 	}

@@ -4,11 +4,14 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"netdebug/internal/bitfield"
+	"netdebug/internal/core"
 	"netdebug/internal/dataplane"
 	"netdebug/internal/device"
 	"netdebug/internal/packet"
+	"netdebug/internal/stats"
 )
 
 // newFleetDevice is newDevice plus a second route, so the differential
@@ -48,19 +51,113 @@ func mixedStreams(count int) []Stream {
 	}
 }
 
+// runPerFrame is the retired frame-at-a-time tester as a model that owns
+// its state: a private frame arena, a map-keyed outstanding set, and one
+// histogram/meter update per capture — what Run's dense sent-frame table
+// and 512-frame block scoring are held to.
+func runPerFrame(dev *device.Device, streams []Stream) *Report {
+	rep := &Report{PerStream: make(map[string]StreamResult)}
+	lat := stats.NewHistogram()
+	var meter stats.Meter
+	type sentTag struct {
+		stream string
+		at     time.Duration
+	}
+	outstanding := map[uint64]sentTag{}
+	var arena core.FrameArena
+	totalBytes, totalFrames := 0, 0
+	for _, s := range streams {
+		totalBytes += s.Count * len(s.Frame)
+		totalFrames += s.Count
+	}
+	arena.Reset(totalBytes, totalFrames)
+
+	gid := uint64(0)
+	start := dev.Now()
+	var rxPorts []int
+	for _, s := range streams {
+		rate := s.RatePPS
+		if rate <= 0 {
+			rate = 10e9 / (float64(len(s.Frame)+20) * 8)
+		}
+		interval := time.Duration(1e9 / rate)
+		seenPort := false
+		for _, p := range rxPorts {
+			seenPort = seenPort || p == s.RxPort
+		}
+		if !seenPort {
+			rxPorts = append(rxPorts, s.RxPort)
+		}
+		streamStart := arena.Mark()
+		for i := 0; i < s.Count; i++ {
+			frame := arena.Frame(len(s.Frame))
+			copy(frame, s.Frame)
+			if s.SeqLoc.Valid() {
+				if err := s.SeqLoc.Inject(frame, gid); err != nil {
+					panic(err)
+				}
+				outstanding[gid] = sentTag{stream: s.Name, at: start + time.Duration(i)*interval}
+			}
+			gid++
+		}
+		if err := dev.SendExternalBurst(s.TxPort, arena.Since(streamStart), start, interval); err != nil {
+			panic(err)
+		}
+		rep.Sent += uint64(s.Count)
+		sr := rep.PerStream[s.Name]
+		sr.Sent += uint64(s.Count)
+		rep.PerStream[s.Name] = sr
+	}
+
+	for _, port := range rxPorts {
+		for _, cf := range dev.Captures(port) {
+			rep.Received++
+			meter.Record(cf.At, len(cf.Data))
+			matched := false
+			for _, s := range streams {
+				if s.RxPort != port || !s.SeqLoc.Valid() {
+					continue
+				}
+				v, err := s.SeqLoc.Extract(cf.Data)
+				if err != nil {
+					continue
+				}
+				sf, ok := outstanding[v.Uint64()]
+				if !ok || sf.stream != s.Name {
+					continue
+				}
+				delete(outstanding, v.Uint64())
+				lat.Observe(cf.At - sf.at)
+				sr := rep.PerStream[s.Name]
+				sr.Received++
+				rep.PerStream[s.Name] = sr
+				matched = true
+				break
+			}
+			if !matched {
+				rep.Unexpected++
+			}
+		}
+		dev.ReleaseCaptures(port)
+	}
+	for _, sf := range outstanding {
+		rep.Lost++
+		sr := rep.PerStream[sf.stream]
+		sr.Lost++
+		rep.PerStream[sf.stream] = sr
+	}
+	finishReport(rep, streams, lat, &meter)
+	return rep
+}
+
 // TestTesterBatchedScoringMatchesPerFrame: the block scorer (dense
 // sent-frame table, batched histogram/meter updates) produces a report
-// byte-identical to the retired frame-at-a-time scorer on the same
-// workload — counters, per-stream tallies, RTT percentiles, and rates.
+// byte-identical to the frame-at-a-time model on the same workload —
+// counters, per-stream tallies, RTT percentiles, and rates.
 func TestTesterBatchedScoringMatchesPerFrame(t *testing.T) {
 	streams := mixedStreams(600) // > one 512-frame scoring block
 
-	oracle := New(newFleetDevice(t))
-	oracle.perFrameScoring = true
-	want, err := oracle.Run(streams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runPerFrame(newFleetDevice(t), streams)
 
 	batched := New(newFleetDevice(t))
 	got, err := batched.Run(streams)
@@ -76,24 +173,44 @@ func TestTesterBatchedScoringMatchesPerFrame(t *testing.T) {
 	}
 }
 
+// runPrivateFleet is the pre-shared-slab fleet as a model: its own even
+// split of every stream's Count, one Tester per shard on its private
+// arena (a Tester never handed a SharedArena), run one after another and
+// merged by mergeReports.
+func runPrivateFleet(t *testing.T, streams []Stream, shards int) *Report {
+	t.Helper()
+	reports := make([]*Report, shards)
+	for w := range reports {
+		var shard []Stream
+		for _, s := range streams {
+			n := s.Count / shards
+			if w < s.Count%shards {
+				n++
+			}
+			if n > 0 {
+				s.Count = n
+				shard = append(shard, s)
+			}
+		}
+		rep, err := New(newFleetDevice(t)).Run(shard)
+		if err != nil {
+			t.Fatalf("%d shards (private), shard %d: %v", shards, w, err)
+		}
+		reports[w] = rep
+	}
+	return mergeReports(reports)
+}
+
 // TestFleetSharedArenaMatchesPrivate is the shared-arena differential:
 // a fleet whose shards carve extents off one shared slab reports
-// byte-identically to a fleet where every shard keeps a private arena,
-// at 1, 2, and 8 shards (run under -race this also exercises the
-// concurrent extent reservations).
+// byte-identically to the private-arena model at 1, 2, and 8 shards
+// (run under -race this also exercises the concurrent extent
+// reservations).
 func TestFleetSharedArenaMatchesPrivate(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		streams := mixedStreams(240)
 
-		private := &Fleet{
-			New:           func() (*device.Device, error) { return newFleetDevice(t), nil },
-			Workers:       shards,
-			PrivateArenas: true,
-		}
-		want, err := private.Run(streams)
-		if err != nil {
-			t.Fatalf("%d shards (private): %v", shards, err)
-		}
+		want := runPrivateFleet(t, streams, shards)
 
 		shared := &Fleet{
 			New:     func() (*device.Device, error) { return newFleetDevice(t), nil },

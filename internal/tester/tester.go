@@ -86,11 +86,6 @@ type Tester struct {
 	arena  core.FrameArena
 	shared *core.SharedArena
 
-	// perFrameScoring selects the retired frame-at-a-time capture
-	// scorer (map-keyed outstanding set, per-frame histogram and meter
-	// updates) — the equality oracle for the batched block scorer.
-	perFrameScoring bool
-
 	// Batched-scoring scratch reused across runs, so warm runs add no
 	// per-frame bookkeeping allocations: the dense sent-frame table
 	// (indexed by sequence tag), the per-block RTT staging, per-stream
@@ -127,9 +122,6 @@ const scoreBlock = 512
 // virtual time; captures are drained from each stream's RxPort afterwards
 // (ports in first-declared order) and scored in 512-frame blocks.
 func (t *Tester) Run(streams []Stream) (*Report, error) {
-	if t.perFrameScoring {
-		return t.runPerFrame(streams)
-	}
 	// The tester matches RX frames exclusively through the device's
 	// capture ports; with capture disabled every stream would score as
 	// total loss, so fail loudly instead.
@@ -147,13 +139,20 @@ func (t *Tester) Run(streams []Stream) (*Report, error) {
 		}
 		totalBytes += s.Count * len(s.Frame)
 		totalFrames += s.Count
+		// Tags number the run's frames 0..totalFrames-1 across streams, so
+		// a stream's last tag must fit its tag field: a truncated tag would
+		// alias an earlier frame's slot and score as one unexpected capture
+		// plus one loss.
+		if s.SeqLoc.Valid() && s.SeqLoc.Bits < 63 && totalFrames > 1<<uint(s.SeqLoc.Bits) {
+			return nil, fmt.Errorf("tester: stream %q: %d-bit sequence tag cannot number %d frames",
+				s.Name, s.SeqLoc.Bits, totalFrames)
+		}
 	}
 	t.shared.Reserve(&t.arena, totalBytes, totalFrames)
 
-	// The dense sent-frame table replaces the per-frame map the retired
-	// scorer keeps: sequence tags are 0..totalFrames-1 by construction,
-	// so registration and lookup are a bounds-checked index, and the
-	// table is scratch reused across runs.
+	// The dense sent-frame table: sequence tags are 0..totalFrames-1 by
+	// construction, so registration and lookup are a bounds-checked
+	// index, and the table is scratch reused across runs.
 	if cap(t.sent) < totalFrames {
 		t.sent = make([]sentFrame, totalFrames)
 	}
@@ -302,127 +301,12 @@ func (t *Tester) Run(streams []Stream) (*Report, error) {
 		rep.PerStream[streams[si].Name] = sr
 	}
 
-	t.finishReport(rep, streams, lat, &meter)
+	finishReport(rep, streams, lat, &meter)
 	return rep, nil
 }
 
-// runPerFrame is the retired frame-at-a-time scorer, kept verbatim (map
-// outstanding set, per-capture histogram/meter updates) as the equality
-// oracle for Run's batched block scorer: the differential tests assert
-// byte-identical reports from both paths.
-func (t *Tester) runPerFrame(streams []Stream) (*Report, error) {
-	if !t.dev.CaptureEnabled() {
-		return nil, fmt.Errorf("tester: device has frame capture disabled; the external tester needs capture ports")
-	}
-	rep := &Report{PerStream: make(map[string]StreamResult)}
-	lat := stats.NewHistogram()
-	var meter stats.Meter
-
-	outstanding := map[uint64]struct {
-		stream string
-		at     time.Duration
-	}{}
-	gid := uint64(0)
-	start := t.dev.Now()
-	var rxPorts []int
-
-	totalBytes, totalFrames := 0, 0
-	for _, s := range streams {
-		if len(s.Frame) == 0 || s.Count <= 0 {
-			return nil, fmt.Errorf("tester: stream %q is empty", s.Name)
-		}
-		totalBytes += s.Count * len(s.Frame)
-		totalFrames += s.Count
-	}
-	t.shared.Reserve(&t.arena, totalBytes, totalFrames)
-
-	for _, s := range streams {
-		rate := s.RatePPS
-		if rate <= 0 {
-			rate = 10e9 / (float64(len(s.Frame)+20) * 8)
-		}
-		interval := time.Duration(1e9 / rate)
-		seenPort := false
-		for _, p := range rxPorts {
-			if p == s.RxPort {
-				seenPort = true
-				break
-			}
-		}
-		if !seenPort {
-			rxPorts = append(rxPorts, s.RxPort)
-		}
-		streamStart := t.arena.Mark()
-		for i := 0; i < s.Count; i++ {
-			frame := t.arena.Frame(len(s.Frame))
-			copy(frame, s.Frame)
-			if s.SeqLoc.Valid() {
-				if err := bitfield.Inject(frame, s.SeqLoc.BitOff, s.SeqLoc.Bits,
-					bitfield.New(gid, s.SeqLoc.Bits)); err != nil {
-					return nil, fmt.Errorf("tester: stream %q seq tag: %w", s.Name, err)
-				}
-				outstanding[gid] = struct {
-					stream string
-					at     time.Duration
-				}{stream: s.Name, at: start + time.Duration(i)*interval}
-			}
-			gid++
-		}
-		if err := t.dev.SendExternalBurst(s.TxPort, t.arena.Since(streamStart), start, interval); err != nil {
-			return nil, err
-		}
-		rep.Sent += uint64(s.Count)
-		sr := rep.PerStream[s.Name]
-		sr.Sent += uint64(s.Count)
-		rep.PerStream[s.Name] = sr
-	}
-
-	for _, port := range rxPorts {
-		for _, cf := range t.dev.Captures(port) {
-			rep.Received++
-			meter.Record(cf.At, len(cf.Data))
-			matched := false
-			for _, s := range streams {
-				if s.RxPort != port || !s.SeqLoc.Valid() {
-					continue
-				}
-				v, err := bitfield.Extract(cf.Data, s.SeqLoc.BitOff, s.SeqLoc.Bits)
-				if err != nil {
-					continue
-				}
-				sf, ok := outstanding[v.Uint64()]
-				if !ok || sf.stream != s.Name {
-					continue
-				}
-				delete(outstanding, v.Uint64())
-				lat.Observe(cf.At - sf.at)
-				sr := rep.PerStream[s.Name]
-				sr.Received++
-				rep.PerStream[s.Name] = sr
-				matched = true
-				break
-			}
-			if !matched {
-				rep.Unexpected++
-			}
-		}
-		t.dev.ReleaseCaptures(port)
-	}
-
-	for _, sf := range outstanding {
-		rep.Lost++
-		sr := rep.PerStream[sf.stream]
-		sr.Lost++
-		rep.PerStream[sf.stream] = sr
-	}
-
-	t.finishReport(rep, streams, lat, &meter)
-	return rep, nil
-}
-
-// finishReport computes per-stream verdicts and the RTT/rate summary —
-// shared by the batched scorer and the per-frame oracle.
-func (t *Tester) finishReport(rep *Report, streams []Stream, lat *stats.Histogram, meter *stats.Meter) {
+// finishReport computes per-stream verdicts and the RTT/rate summary.
+func finishReport(rep *Report, streams []Stream, lat *stats.Histogram, meter *stats.Meter) {
 	rep.Pass = true
 	for _, s := range streams {
 		sr := rep.PerStream[s.Name]

@@ -1,6 +1,7 @@
 package tester
 
 import (
+	"strings"
 	"testing"
 
 	"netdebug/internal/bitfield"
@@ -189,5 +190,34 @@ func TestStreamValidation(t *testing.T) {
 	tst := New(newDevice(t))
 	if _, err := tst.Run([]Stream{{Name: "x", Count: 0}}); err == nil {
 		t.Fatal("empty stream should fail")
+	}
+}
+
+// TestRunRejectsSequenceTagOverflow: a tag field too narrow to number the
+// run's frames would wrap — the wrapped frame scoring as unexpected and
+// its real slot as lost — so Run refuses the stream set up front, naming
+// the stream, the tag width and the frame count. A set that exactly
+// fills the tag space still runs clean.
+func TestRunRejectsSequenceTagOverflow(t *testing.T) {
+	narrow := core.FieldLoc{BitOff: (14 + 20 + 8) * 8, Bits: 8}
+	stream := func(count int) []Stream {
+		return []Stream{{Name: "narrow", Frame: frame(16), Count: count,
+			TxPort: 0, RxPort: 1, RatePPS: 1e6, SeqLoc: narrow}}
+	}
+	_, err := New(newDevice(t)).Run(stream(300))
+	if err == nil {
+		t.Fatal("300 frames on an 8-bit tag accepted: tags wrap silently")
+	}
+	for _, want := range []string{`"narrow"`, "8-bit", "300"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	rep, err := New(newDevice(t)).Run(stream(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Pass || rep.Received != 256 || rep.Unexpected != 0 || rep.Lost != 0 {
+		t.Fatalf("256 frames fill an 8-bit tag exactly and must score clean: %+v", rep)
 	}
 }
