@@ -10,7 +10,7 @@ BENCH_BASELINE ?= BENCH_10.json
 # job runs `make cover`.
 COVER_MIN ?= 73
 
-.PHONY: all build examples vet test test-race fmt-check cover docgate loc bench bench-smoke bench-json bench-gate
+.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc bench bench-smoke bench-json bench-gate
 
 all: vet build test
 
@@ -30,6 +30,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Twenty seconds of native fuzzing per testing.F target, starting from
+# the seed corpus committed under its package's testdata/fuzz (the CI
+# differential-fuzz job runs this). -fuzz takes one package at a time.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzExtractInject -fuzztime 20s ./internal/bitfield/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -14,6 +14,7 @@
 package bitfield
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -279,29 +280,13 @@ func Extract(buf []byte, off, w int) (Value, error) {
 	if w < 0 || w > MaxWidth {
 		return Value{}, fmt.Errorf("bitfield: extract width %d outside [0,%d]", w, MaxWidth)
 	}
-	if off < 0 || off+w > len(buf)*8 {
+	if off < 0 || off > len(buf)*8-w {
 		return Value{}, fmt.Errorf("bitfield: extract [%d,%d) beyond %d-bit buffer", off, off+w, len(buf)*8)
 	}
-	var v Value
-	v.W = w
-	// Consume whole bytes where possible, then trailing bits.
-	bit := off
-	remaining := w
-	for remaining > 0 {
-		byteIdx := bit / 8
-		bitInByte := bit % 8
-		take := 8 - bitInByte
-		if take > remaining {
-			take = remaining
-		}
-		chunk := uint64(buf[byteIdx]>>(8-bitInByte-take)) & ((1 << uint(take)) - 1)
-		v = v.shiftLeftRaw(take)
-		v.Lo |= chunk
-		bit += take
-		remaining -= take
+	if w <= 64 {
+		return Value{Lo: loadBits(buf, off, w), W: w}, nil
 	}
-	v.W = w
-	return v, nil
+	return Value{Hi: loadBits(buf, off, w-64), Lo: loadBits(buf, off+w-64, 64), W: w}, nil
 }
 
 // Inject writes the w-bit value val into buf starting at bit offset off,
@@ -311,32 +296,81 @@ func Inject(buf []byte, off, w int, val Value) error {
 	if w < 0 || w > MaxWidth {
 		return fmt.Errorf("bitfield: inject width %d outside [0,%d]", w, MaxWidth)
 	}
-	if off < 0 || off+w > len(buf)*8 {
+	if off < 0 || off > len(buf)*8-w {
 		return fmt.Errorf("bitfield: inject [%d,%d) beyond %d-bit buffer", off, off+w, len(buf)*8)
 	}
-	val = val.WithWidth(w)
-	// Write from the least-significant end backwards.
-	bit := off + w
-	remaining := w
-	tmp := val
-	for remaining > 0 {
-		bitInByte := bit % 8
-		if bitInByte == 0 {
-			bitInByte = 8
-		}
-		take := bitInByte
-		if take > remaining {
-			take = remaining
-		}
-		byteIdx := (bit - 1) / 8
-		shift := 8 - bitInByte
-		mask := byte(((1 << uint(take)) - 1) << uint(shift))
-		buf[byteIdx] = buf[byteIdx]&^mask | byte(tmp.Lo<<uint(shift))&mask
-		tmp = tmp.shiftRightRaw(take)
-		bit -= take
-		remaining -= take
+	if w <= 64 {
+		storeBits(buf, off, w, val.Lo)
+		return nil
 	}
+	storeBits(buf, off, w-64, val.Hi)
+	storeBits(buf, off+w-64, 64, val.Lo)
 	return nil
+}
+
+// A lane is a field of at most 64 bits that lies inside one 8-byte
+// big-endian word of the buffer, so it moves with a single word load
+// (and, on a write, one store). Every field of at most 57 bits is a
+// lane wherever it starts; a longer one is a lane unless it straddles
+// nine bytes, and then it is two: loadBits and storeBits split it.
+
+// window picks the word a lane is accessed through — the eight bytes
+// from the lane's first byte, or the buffer's last eight when those
+// would run past its end — and returns its byte position and the lane's
+// distance in bits from the word's low end. A buffer shorter than a
+// word has no window (pos < 0): the callers stage it in one.
+func window(n, off, w int) (pos int, shift uint) {
+	pos = off >> 3
+	if pos+8 > n {
+		pos = n - 8
+	}
+	return pos, uint((pos+8)*8 - off - w)
+}
+
+// loadBits returns the w bits (w ≤ 64) at bit offset off; the caller has
+// checked the range.
+func loadBits(buf []byte, off, w int) uint64 {
+	if off&7+w > 64 {
+		return loadBits(buf, off, w-32)<<32 | loadBits(buf, off+w-32, 32)
+	}
+	if w == 0 {
+		return 0
+	}
+	pos, shift := window(len(buf), off, w)
+	var word uint64
+	if pos >= 0 {
+		word = binary.BigEndian.Uint64(buf[pos:])
+	} else {
+		var stage [8]byte
+		copy(stage[-pos:], buf)
+		word = binary.BigEndian.Uint64(stage[:])
+	}
+	return word >> shift & (^uint64(0) >> uint(64-w))
+}
+
+// storeBits overwrites the w bits (w ≤ 64) at bit offset off with the
+// low w bits of v; the caller has checked the range.
+func storeBits(buf []byte, off, w int, v uint64) {
+	if off&7+w > 64 {
+		storeBits(buf, off, w-32, v>>32)
+		storeBits(buf, off+w-32, 32, v)
+		return
+	}
+	if w == 0 {
+		return
+	}
+	pos, shift := window(len(buf), off, w)
+	mask := ^uint64(0) >> uint(64-w) << shift
+	if pos >= 0 {
+		word := binary.BigEndian.Uint64(buf[pos:])
+		binary.BigEndian.PutUint64(buf[pos:], word&^mask|v<<shift&mask)
+		return
+	}
+	var stage [8]byte
+	copy(stage[-pos:], buf)
+	word := binary.BigEndian.Uint64(stage[:])
+	binary.BigEndian.PutUint64(stage[:], word&^mask|v<<shift&mask)
+	copy(buf, stage[-pos:])
 }
 
 // MustExtract is Extract that panics on error, for use with

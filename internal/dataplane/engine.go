@@ -8,6 +8,18 @@
 // for concurrent use; the device model serializes packets through it, and
 // parallel harnesses shard work across one Engine per worker.
 //
+// Everything that depends only on the program's shape is lowered once, in
+// New, into a layout plan (plan.go) that the packet path executes: a
+// context's fields live in one flat array and Reset is a copy from a
+// precomputed zero image; extract moves each field with one big-endian
+// word load at a precomputed position; emit copies a header the parser
+// extracted straight from the input frame and re-injects only the fields
+// assigned since (a per-instance dirty mask), injecting every field only
+// for a header made valid without an extract; and a table apply reaches
+// its state through ir.Table.Index. Statements and expressions are still
+// interpreted from the IR. The plan trusts the program: Check (check.go)
+// is the load-time validation that makes that safe, and targets run it.
+//
 // The packet hot path (Process with CollectTrace off) performs no heap
 // allocations in steady state: per-packet scratch lives in the Context
 // (reusable, poolable via AcquireContext/ReleaseContext), table lookups
@@ -77,12 +89,16 @@ type Trace struct {
 // Engine.NewContext (or the pooled AcquireContext) and reuse it across
 // packets.
 type Context struct {
-	fields  [][]bitfield.Value
-	valid   []bool
+	lay *layout
+	// fields holds every instance's fields back to back (lay.base says
+	// where each instance starts); insts is the per-instance validity,
+	// extract position and dirty mask.
+	fields  []bitfield.Value
+	insts   []instState
 	locals  []bitfield.Value
 	args    [][]bitfield.Value // action argument stack
 	dropped bool
-	cursor  int // parse cursor in bits
+	cursor  int // parse cursor in bytes
 	packet  []byte
 	payload []byte
 	out     []byte
@@ -132,8 +148,13 @@ func (ctx *Context) callArgs(depth, n int) []bitfield.Value {
 
 // Engine executes one compiled program.
 type Engine struct {
-	prog     *ir.Program
+	prog *ir.Program
+	lay  layout
+	// tables serves the control plane by name; the packet path reaches a
+	// table's state through tableAt, which is in prog.Tables() order and
+	// so indexed by ir.Table.Index.
 	tables   map[string]*tableState
+	tableAt  []*tableState
 	Counters *stats.Set
 
 	// Hot-path counters, resolved once at construction so Process never
@@ -149,6 +170,7 @@ type Engine struct {
 func New(prog *ir.Program) *Engine {
 	e := &Engine{
 		prog:     prog,
+		lay:      newLayout(prog),
 		tables:   make(map[string]*tableState),
 		Counters: stats.NewSet(),
 	}
@@ -157,6 +179,7 @@ func New(prog *ir.Program) *Engine {
 		ts.hit = e.Counters.Counter("table." + t.Name + ".hit")
 		ts.miss = e.Counters.Counter("table." + t.Name + ".miss")
 		e.tables[t.Name] = ts
+		e.tableAt = append(e.tableAt, ts)
 	}
 	e.cAccept = e.Counters.Counter("parser.accept")
 	e.cReject = e.Counters.Counter("parser.reject")
@@ -271,20 +294,13 @@ func (e *Engine) LPMStats(name string) (entries, nodes, bytes int) {
 
 // NewContext allocates a context sized for the program.
 func (e *Engine) NewContext() *Context {
-	ctx := &Context{}
-	ctx.fields = make([][]bitfield.Value, len(e.prog.Instances))
-	ctx.valid = make([]bool, len(e.prog.Instances))
-	for i, inst := range e.prog.Instances {
-		ctx.fields[i] = make([]bitfield.Value, len(inst.Type.Fields))
+	l := &e.lay
+	return &Context{
+		lay:    l,
+		fields: make([]bitfield.Value, len(l.zeroFields)),
+		insts:  make([]instState, len(l.zeroInsts)),
+		locals: make([]bitfield.Value, l.numLocals),
 	}
-	maxLocals := 0
-	for _, c := range e.prog.Controls {
-		if c.NumLocals > maxLocals {
-			maxLocals = c.NumLocals
-		}
-	}
-	ctx.locals = make([]bitfield.Value, maxLocals)
-	return ctx
 }
 
 // AcquireContext returns a pooled context (allocating one only when the
@@ -303,16 +319,9 @@ func (e *Engine) ReleaseContext(ctx *Context) { e.ctxPool.Put(ctx) }
 
 // Reset prepares the context for a new packet.
 func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
-	for i, inst := range e.prog.Instances {
-		ctx.valid[i] = inst.Metadata
-		f := ctx.fields[i]
-		for j := range f {
-			f[j] = bitfield.New(0, inst.Type.Fields[j].Width)
-		}
-	}
-	for i := range ctx.locals {
-		ctx.locals[i] = bitfield.Value{}
-	}
+	copy(ctx.fields, e.lay.zeroFields)
+	copy(ctx.insts, e.lay.zeroInsts)
+	clear(ctx.locals)
 	ctx.args = ctx.args[:0]
 	ctx.dropped = false
 	ctx.cursor = 0
@@ -323,20 +332,23 @@ func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
 	// and this costs nothing; with it on, any previously returned Trace
 	// keeps sole ownership of its slices.
 	ctx.Trace = Trace{}
-	if e.prog.StdMeta >= 0 {
-		ctx.fields[e.prog.StdMeta][ir.StdMetaIngressPort] = bitfield.New(ingressPort, 9)
-		ctx.fields[e.prog.StdMeta][ir.StdMetaPacketLength] = bitfield.New(uint64(len(pkt)), 32)
+	if sm := e.lay.stdMeta; sm >= 0 {
+		ctx.fields[sm+ir.StdMetaIngressPort] = bitfield.New(ingressPort, 9)
+		ctx.fields[sm+ir.StdMetaPacketLength] = bitfield.New(uint64(len(pkt)), 32)
 	}
 }
 
 // Field returns the current value of an instance field.
-func (ctx *Context) Field(inst, field int) bitfield.Value { return ctx.fields[inst][field] }
+func (ctx *Context) Field(inst, field int) bitfield.Value {
+	return ctx.fields[ctx.lay.base[inst]+field]
+}
 
-// SetField overrides an instance field (used by targets to model errata).
-func (ctx *Context) SetField(inst, field int, v bitfield.Value) { ctx.fields[inst][field] = v }
-
-// Valid reports header validity.
-func (ctx *Context) Valid(inst int) bool { return ctx.valid[inst] }
+// assign stores v into an instance field and marks the field dirty, so
+// emit rewrites it over the bytes the header was extracted from.
+func (ctx *Context) assign(inst, field int, v bitfield.Value) {
+	ctx.fields[ctx.lay.base[inst]+field] = v
+	ctx.insts[inst].dirty |= dirtyBit(field)
+}
 
 // Dropped reports whether the packet was dropped.
 func (ctx *Context) Dropped() bool { return ctx.dropped }
@@ -352,17 +364,17 @@ func (ctx *Context) MarkDropped(stage string) {
 
 // EgressSpec returns standard_metadata.egress_spec.
 func (e *Engine) EgressSpec(ctx *Context) uint64 {
-	if e.prog.StdMeta < 0 {
+	if e.lay.stdMeta < 0 {
 		return 0
 	}
-	return ctx.fields[e.prog.StdMeta][ir.StdMetaEgressSpec].Uint64()
+	return ctx.fields[e.lay.stdMeta+ir.StdMetaEgressSpec].Uint64()
 }
 
 // setParserError records the error code in standard_metadata.
 func (e *Engine) setParserError(ctx *Context, code uint64) {
 	ctx.Trace.ParserError = code
-	if e.prog.StdMeta >= 0 {
-		ctx.fields[e.prog.StdMeta][ir.StdMetaParserError] = bitfield.New(code, 8)
+	if sm := e.lay.stdMeta; sm >= 0 {
+		ctx.fields[sm+ir.StdMetaParserError] = bitfield.New(code, 8)
 	}
 }
 
@@ -394,7 +406,7 @@ func (e *Engine) Parse(ctx *Context) Verdict {
 		}
 		state = e.nextState(ctx, st.Trans)
 	}
-	ctx.payload = ctx.packet[ctx.cursor/8:]
+	ctx.payload = ctx.packet[ctx.cursor:]
 	if state == ir.StateReject {
 		e.setParserError(ctx, ParseErrReject)
 		e.cReject.Inc()
@@ -409,19 +421,17 @@ func (e *Engine) Parse(ctx *Context) Verdict {
 func (e *Engine) execParserOp(ctx *Context, op ir.Stmt) bool {
 	switch op := op.(type) {
 	case *ir.Extract:
-		inst := e.prog.Instances[op.Inst]
-		need := inst.Type.Bits
-		if ctx.cursor+need > len(ctx.packet)*8 {
+		h := &e.lay.headers[op.Inst]
+		end := ctx.cursor + h.bytes
+		if end > len(ctx.packet) {
 			return false
 		}
-		for j, f := range inst.Type.Fields {
-			ctx.fields[op.Inst][j] = bitfield.MustExtract(ctx.packet, ctx.cursor+f.Offset, f.Width)
-		}
-		ctx.valid[op.Inst] = true
-		ctx.cursor += need
+		h.extract(ctx.fields[e.lay.base[op.Inst]:], ctx.packet[ctx.cursor:end])
+		ctx.insts[op.Inst] = instState{valid: true, src: int32(ctx.cursor)}
+		ctx.cursor = end
 		return true
 	case *ir.AssignField:
-		ctx.fields[op.Inst][op.Field] = e.eval(ctx, op.RHS)
+		ctx.assign(op.Inst, op.Field, e.eval(ctx, op.RHS))
 		return true
 	default:
 		panic(fmt.Sprintf("dataplane: illegal parser op %T", op))
@@ -454,13 +464,8 @@ func (e *Engine) nextState(ctx *Context, tr ir.Transition) int {
 // RunPipeline executes every control in pipeline order.
 func (e *Engine) RunPipeline(ctx *Context) {
 	for _, c := range e.prog.Controls {
-		e.RunControl(ctx, c)
+		e.execStmts(ctx, c.Apply, c.Name)
 	}
-}
-
-// RunControl executes one control's apply body.
-func (e *Engine) RunControl(ctx *Context, c *ir.Control) {
-	e.execStmts(ctx, c.Apply, c.Name)
 }
 
 // execStmts runs a statement list; it returns false when a Return was
@@ -469,11 +474,11 @@ func (e *Engine) execStmts(ctx *Context, stmts []ir.Stmt, stage string) bool {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ir.AssignField:
-			ctx.fields[s.Inst][s.Field] = e.eval(ctx, s.RHS)
+			ctx.assign(s.Inst, s.Field, e.eval(ctx, s.RHS))
 		case *ir.AssignLocal:
 			ctx.locals[s.Idx] = e.eval(ctx, s.RHS)
 		case *ir.SetValid:
-			ctx.valid[s.Inst] = s.Valid
+			ctx.insts[s.Inst].valid = s.Valid
 		case *ir.MarkToDrop:
 			ctx.MarkDropped(stage)
 		case *ir.If:
@@ -502,7 +507,7 @@ func (e *Engine) execStmts(ctx *Context, stmts []ir.Stmt, stage string) bool {
 }
 
 func (e *Engine) applyTable(ctx *Context, t *ir.Table, stage string) {
-	ts := e.tables[t.Name]
+	ts := e.tableAt[t.Index]
 	vals := ctx.scratchVals(len(t.Keys))
 	for i, k := range t.Keys {
 		vals[i] = e.eval(ctx, k.Expr)
@@ -533,19 +538,6 @@ func (e *Engine) runAction(ctx *Context, a *ir.Action, args []bitfield.Value, st
 	ctx.args = ctx.args[:len(ctx.args)-1]
 }
 
-// zeroBytes is the source for zero-filling emitted headers without
-// allocating a temporary per emit.
-var zeroBytes [64]byte
-
-// appendZeros extends b with n zero bytes.
-func appendZeros(b []byte, n int) []byte {
-	for n > len(zeroBytes) {
-		b = append(b, zeroBytes[:]...)
-		n -= len(zeroBytes)
-	}
-	return append(b, zeroBytes[:n]...)
-}
-
 // Deparse reassembles the output packet: valid headers in emit order, then
 // the unparsed payload.
 func (e *Engine) Deparse(ctx *Context) []byte {
@@ -559,16 +551,23 @@ func (e *Engine) execDeparse(ctx *Context, stmts []ir.Stmt) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ir.Emit:
-			if !ctx.valid[s.Inst] {
+			st := &ctx.insts[s.Inst]
+			if !st.valid {
 				continue
 			}
-			inst := e.prog.Instances[s.Inst]
-			start := len(ctx.out)
-			ctx.out = appendZeros(ctx.out, (inst.Type.Bits+7)/8)
-			buf := ctx.out[start:]
-			for j, f := range inst.Type.Fields {
-				bitfield.MustInject(buf, f.Offset, f.Width, ctx.fields[s.Inst][j])
+			// A header the parser extracted goes out as the frame's own
+			// bytes with only the fields written since injected over
+			// them; one made valid without an extract has no bytes to
+			// start from, so every field is injected over zeros.
+			h := &e.lay.headers[s.Inst]
+			start, rewrite := len(ctx.out), h.all
+			if st.src >= 0 {
+				ctx.out = append(ctx.out, ctx.packet[st.src:int(st.src)+h.bytes]...)
+				rewrite = st.dirty
+			} else {
+				ctx.out = append(ctx.out, make([]byte, h.bytes)...) // extends in place: no temporary
 			}
+			h.inject(ctx.out[start:], ctx.fields[e.lay.base[s.Inst]:], rewrite)
 			e.emitCtr[s.Inst].Inc()
 		case *ir.If:
 			branch := s.Else
@@ -588,13 +587,13 @@ func (e *Engine) eval(ctx *Context, x ir.Expr) bitfield.Value {
 	case ir.Const:
 		return x.Val
 	case ir.FieldRef:
-		return ctx.fields[x.Inst][x.Field]
+		return ctx.fields[e.lay.base[x.Inst]+x.Field]
 	case ir.LocalRef:
 		return ctx.locals[x.Idx]
 	case ir.ParamRef:
 		return ctx.args[len(ctx.args)-1][x.Idx]
 	case ir.IsValid:
-		if ctx.valid[x.Inst] {
+		if ctx.insts[x.Inst].valid {
 			return bitfield.New(1, 1)
 		}
 		return bitfield.New(0, 1)

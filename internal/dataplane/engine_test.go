@@ -31,8 +31,11 @@ func mustEngine(t testing.TB, src string) *Engine {
 
 // routerEngine returns an engine loaded with Router and a 10.0.1.0/24 ->
 // port 2 route plus a default 10.0.0.0/8 -> port 1 route.
-func routerEngine(t testing.TB) *Engine {
-	e := mustEngine(t, p4test.Router)
+func routerEngine(t testing.TB) *Engine { return routedEngine(t, p4test.Router) }
+
+// routedEngine is routerEngine for any program with Router's table.
+func routedEngine(t testing.TB, src string) *Engine {
+	e := mustEngine(t, src)
 	for _, r := range []struct {
 		prefix uint32
 		plen   int

@@ -178,6 +178,9 @@ func (c *compiler) run() *ir.Program {
 		}
 		c.out.Controls = append(c.out.Controls, c.lowerControl(cd))
 	}
+	for i, t := range c.out.Tables() {
+		t.Index = i
+	}
 	if dd := c.controlDecls[deparserName]; dd != nil {
 		c.out.Deparser = c.lowerDeparser(dd)
 	} else {

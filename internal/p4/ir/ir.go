@@ -235,6 +235,9 @@ type ActionCall struct {
 type Table struct {
 	Name    string
 	Control string // owning control, for qualified names
+	// Index is the table's position in Program.Tables(), so per-table
+	// state kept in that order is reached without a lookup by name.
+	Index   int
 	Keys    []TableKey
 	Actions []*Action
 	Default ActionCall

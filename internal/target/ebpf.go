@@ -183,7 +183,9 @@ func (t *ebpf) Load(prog *ir.Program) error {
 	if err != nil {
 		return err
 	}
-	t.load(prog)
+	if err := t.load(prog); err != nil {
+		return fmt.Errorf("target: ebpf: %w", err)
+	}
 	t.maps = maps
 	for _, m := range maps {
 		if m.capacity < m.table.Size {

@@ -28,10 +28,17 @@ type pipeline struct {
 	batchRes []Result
 }
 
-func (p *pipeline) load(prog *ir.Program) {
+// load builds the engine for prog, unless prog is not IR the engine can
+// run (dataplane.Check): then it reports why and leaves whatever was
+// loaded before in place.
+func (p *pipeline) load(prog *ir.Program) error {
+	if err := dataplane.Check(prog); err != nil {
+		return err
+	}
 	p.prog = prog
 	p.eng = dataplane.New(prog)
 	p.batchCtx = nil
+	return nil
 }
 
 // Program returns the IR the engine executes: the loaded program after
@@ -141,7 +148,9 @@ func (r *reference) Load(prog *ir.Program) error {
 	if prog == nil {
 		return fmt.Errorf("target: reference: nil program")
 	}
-	r.load(prog)
+	if err := r.load(prog); err != nil {
+		return fmt.Errorf("target: reference: %w", err)
+	}
 	return nil
 }
 

@@ -90,7 +90,9 @@ func (s *sdnet) Load(prog *ir.Program) error {
 	if !s.errata.ImplementsReject {
 		compiled = rewriteRejectToAccept(prog)
 	}
-	s.load(compiled)
+	if err := s.load(compiled); err != nil {
+		return fmt.Errorf("target: sdnet: %w", err)
+	}
 	if s.errata.UsableCapacityNum > 0 && s.errata.UsableCapacityDen > 0 {
 		for _, t := range compiled.Tables() {
 			usable := t.Size * s.errata.UsableCapacityNum / s.errata.UsableCapacityDen

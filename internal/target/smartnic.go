@@ -192,7 +192,9 @@ func (s *smartnic) Load(prog *ir.Program) error {
 	if prog == nil {
 		return fmt.Errorf("target: smartnic: nil program")
 	}
-	s.load(prog)
+	if err := s.load(prog); err != nil {
+		return fmt.Errorf("target: smartnic: %w", err)
+	}
 	s.core, s.coreCtxs, s.coreCtx1 = nil, nil, nil
 	if s.errata.ExceptionFailOpen {
 		s.core = dataplane.New(rewriteRejectToAccept(prog))

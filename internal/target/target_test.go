@@ -1,6 +1,7 @@
 package target
 
 import (
+	"strings"
 	"testing"
 
 	"netdebug/internal/bitfield"
@@ -247,6 +248,41 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 		})
 		if allocs > 2 {
 			t.Errorf("%s: %v allocs/packet, want <= 2", tc.name, allocs)
+		}
+	}
+}
+
+// TestLoadRejectsMalformedIR: every backend runs dataplane.Check when it
+// loads, so IR the engine cannot run fails at Load with the defect named
+// and whatever was loaded before still in place and still forwarding.
+func TestLoadRejectsMalformedIR(t *testing.T) {
+	for _, kind := range ShippedKinds {
+		tgt, err := ForKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadRouter(t, tgt)
+		for want, mutate := range map[string]func(p *ir.Program){
+			"illegal parser op *ir.Emit": func(p *ir.Program) {
+				p.Parser.States[0].Ops = append(p.Parser.States[0].Ops, &ir.Emit{})
+			},
+			"illegal deparser statement *ir.Return": func(p *ir.Program) {
+				p.Deparser.Stmts = append(p.Deparser.Stmts, &ir.Return{})
+			},
+			"instance 99 outside": func(p *ir.Program) {
+				p.Deparser.Stmts = append(p.Deparser.Stmts, &ir.Emit{Inst: 99})
+			},
+			"no deparser": func(p *ir.Program) { p.Deparser = nil },
+		} {
+			bad := mustProg(t, p4test.Router)
+			mutate(bad)
+			err := tgt.Load(bad)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "target: "+tgt.Name()) {
+				t.Errorf("%s: Load = %v, want a %s error containing %q", kind, err, tgt.Name(), want)
+			}
+			if res := tgt.Process(goodFrame(), 0, false); res.Dropped() {
+				t.Errorf("%s: the program loaded before the failed Load stopped forwarding", kind)
+			}
 		}
 	}
 }

@@ -130,7 +130,9 @@ func (t *tofino) Load(prog *ir.Program) error {
 	if err != nil {
 		return err
 	}
-	t.load(prog)
+	if err := t.load(prog); err != nil {
+		return fmt.Errorf("target: tofino: %w", err)
+	}
 	for _, p := range placement {
 		if p.capacity < p.table.Size {
 			if err := t.eng.SetTableCapacity(p.table.Name, p.capacity); err != nil {
