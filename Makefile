@@ -34,8 +34,12 @@ test-race:
 # Twenty seconds of native fuzzing per testing.F target, starting from
 # the seed corpus committed under its package's testdata/fuzz (the CI
 # differential-fuzz job runs this). -fuzz takes one package at a time.
+# FuzzTernaryStore runs hundreds of checked table operations per input,
+# so shrinking each new interesting input for the default minute would
+# leave no time to mutate: its minimizer gets a second.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExtractInject -fuzztime 20s ./internal/bitfield/
+	$(GO) test -run '^$$' -fuzz FuzzTernaryStore -fuzztime 20s -fuzzminimizetime 1s ./internal/dataplane/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -2,11 +2,12 @@ package dataplane
 
 // Churn tests for DeleteEntry: the tuple-space index must stay
 // equivalent to the linear model under arbitrary interleavings of
-// installs and deletes (the lazy group sort and the slot-chain unlink
-// are the code under test), and the engine-level delete path must
-// honor each table kind's match identity. The concurrent variant runs
-// install/delete churn against live ProcessBatch traffic serialized by
-// a lock — the resident session layer's access pattern — under -race.
+// installs and deletes (the install-time group order, the slot-chain
+// unlink and the index's backward shift are the code under test), and
+// the engine-level delete path must honor each table kind's match
+// identity. The concurrent variant runs install/delete churn against
+// live ProcessBatch traffic serialized by a lock — the resident session
+// layer's access pattern — under -race.
 
 import (
 	"errors"
@@ -151,8 +152,8 @@ func TestTernaryChurnDifferential(t *testing.T) {
 					t.Fatalf("double delete: got %v, want NoSuchEntryError", err)
 				}
 			}
-			if ts.count != 0 || len(ts.groups) != 0 || len(ts.groupIdx) != 0 {
-				t.Fatalf("after drain: count=%d groups=%d idx=%d", ts.count, len(ts.groups), len(ts.groupIdx))
+			if ts.count != 0 || len(ts.groups) != 0 || len(ts.groupIdx) != 0 || ts.used != 0 {
+				t.Fatalf("after drain: count=%d groups=%d idx=%d slots=%d", ts.count, len(ts.groups), len(ts.groupIdx), ts.used)
 			}
 		}
 	}
@@ -270,7 +271,7 @@ func TestEngineDeleteEntryLPMAndExact(t *testing.T) {
 // ProcessBatch traffic from separate goroutines serialized by a mutex —
 // the resident session layer's locking discipline — and asserts every
 // batch's outcome is one of the two legal table states for the probed
-// key. Run under -race this doubles as the proof that the lazy sorts
+// key. Run under -race this doubles as the proof that table writes
 // leave no unsynchronized state behind the lock.
 func TestChurnUnderTrafficSerialized(t *testing.T) {
 	eng := mustEngine(t, p4test.Router)

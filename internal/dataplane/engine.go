@@ -22,10 +22,12 @@
 //
 // The packet hot path (Process with CollectTrace off) performs no heap
 // allocations in steady state: per-packet scratch lives in the Context
-// (reusable, poolable via AcquireContext/ReleaseContext), table lookups
-// serialize keys into per-table scratch buffers, ternary masks are
-// precomputed at install time, and all counters are resolved to pointers
-// when the engine is built.
+// (reusable, poolable via AcquireContext/ReleaseContext), exact and lpm
+// lookups serialize keys into per-table scratch buffers, a ternary lookup
+// packs its key once into 64-bit words and probes one open-addressed
+// index per table with them (a hash per mask tuple, no serialization;
+// tables.go), and all counters are resolved to pointers when the engine
+// is built.
 package dataplane
 
 import (
@@ -98,14 +100,19 @@ type Context struct {
 	locals  []bitfield.Value
 	args    [][]bitfield.Value // action argument stack
 	dropped bool
-	cursor  int // parse cursor in bytes
-	packet  []byte
-	payload []byte
-	out     []byte
-	Trace   Trace
 	// CollectTrace enables per-packet trace recording. When off, trace
-	// recording costs nothing beyond zeroing the Trace scalars.
+	// recording costs nothing beyond zeroing the Trace scalars. (It sits
+	// beside dropped so the two share a word: a batch is thousands of
+	// contexts, and TestContextSizeClass holds the struct to its class.)
 	CollectTrace bool
+	cursor       int // parse cursor in bytes
+	packet       []byte
+	payload      []byte
+	out          []byte
+	Trace        Trace
+	// traceKeys is the array this packet's Trace.Tables[i].Keys are cut
+	// from.
+	traceKeys []bitfield.Value
 	// keyScratch is reused for table-key and parser-select evaluation.
 	keyScratch []bitfield.Value
 	// argScratch holds one reusable argument buffer per action-call
@@ -330,8 +337,10 @@ func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
 	ctx.out = ctx.out[:0]
 	// A fresh Trace struct: with CollectTrace off the old slices are nil
 	// and this costs nothing; with it on, any previously returned Trace
-	// keeps sole ownership of its slices.
+	// keeps sole ownership of its slices, allocated by the first event
+	// that needs them.
 	ctx.Trace = Trace{}
+	ctx.traceKeys = nil
 	if sm := e.lay.stdMeta; sm >= 0 {
 		ctx.fields[sm+ir.StdMetaIngressPort] = bitfield.New(ingressPort, 9)
 		ctx.fields[sm+ir.StdMetaPacketLength] = bitfield.New(uint64(len(pkt)), 32)
@@ -393,6 +402,9 @@ func (e *Engine) Parse(ctx *Context) Verdict {
 		}
 		st := e.prog.Parser.States[state]
 		if ctx.CollectTrace {
+			if ctx.Trace.ParserPath == nil {
+				ctx.Trace.ParserPath = make([]string, 0, len(e.prog.Parser.States))
+			}
 			ctx.Trace.ParserPath = append(ctx.Trace.ParserPath, st.Name)
 		}
 		e.stateCtr[state].Inc()
@@ -514,7 +526,17 @@ func (e *Engine) applyTable(ctx *Context, t *ir.Table, stage string) {
 	}
 	be := ts.lookup(vals)
 	if ctx.CollectTrace {
-		ev := TableEvent{Table: t.Name, Keys: append([]bitfield.Value(nil), vals...)}
+		// A trace sizes its slices on the first event, for every table
+		// applied once: the events' key values share one array (a table
+		// applied again spills them to a new one; earlier events keep
+		// theirs).
+		if ctx.Trace.Tables == nil {
+			ctx.Trace.Tables = make([]TableEvent, 0, len(e.tableAt))
+			ctx.traceKeys = make([]bitfield.Value, 0, e.lay.numKeys)
+		}
+		from := len(ctx.traceKeys)
+		ctx.traceKeys = append(ctx.traceKeys, vals...)
+		ev := TableEvent{Table: t.Name, Keys: ctx.traceKeys[from:len(ctx.traceKeys):len(ctx.traceKeys)]}
 		if be != nil {
 			ev.Hit = true
 			ev.Action = be.action.Name
@@ -691,7 +713,10 @@ func (e *Engine) resolveEntry(entry Entry) (*tableState, *ir.Action, error) {
 	return nil, nil, fmt.Errorf("dataplane: table %q does not allow action %q", entry.Table, entry.Action)
 }
 
-// InstallEntry validates and installs a table entry.
+// InstallEntry validates and installs a table entry. The engine keeps
+// entry.Keys and entry.Args, not copies: a ternary lookup confirms a
+// candidate against its own keys, an action runs on its own arguments,
+// so the caller must leave both alone while the entry is installed.
 func (e *Engine) InstallEntry(entry Entry) error {
 	ts, action, err := e.resolveEntry(entry)
 	if err != nil {

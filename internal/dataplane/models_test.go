@@ -9,6 +9,7 @@ package dataplane
 // cannot make the model lose it too.
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -195,6 +196,49 @@ func (p *ternaryPair) delete(e Entry) (modelRemoved int, err error) {
 func (p *ternaryPair) clear() {
 	p.ts.clear()
 	p.m.clear()
+}
+
+// mustInstall installs e on both sides and fails the test unless the
+// table's verdict is the one the model's state calls for: a MaskSetError
+// (reported as rejected) exactly when e's mask tuple is new and the table
+// already holds its mask limit of tuples, success otherwise.
+func (p *ternaryPair) mustInstall(tb testing.TB, e Entry) (newTuple, rejected bool) {
+	tb.Helper()
+	have := p.m.maskTuples()
+	newTuple = !have[p.m.resolve(e).tupleKey()]
+	err := p.install(e)
+	var maskErr *MaskSetError
+	switch full := p.ts.maskLimit > 0 && len(have) == p.ts.maskLimit; {
+	case newTuple && full:
+		if !errors.As(err, &maskErr) {
+			tb.Fatalf("install of a new mask tuple at the limit: err = %v, want MaskSetError", err)
+		}
+		return true, true
+	case err != nil:
+		tb.Fatalf("install: %v", err)
+	}
+	return newTuple, false
+}
+
+// mustDelete deletes e on both sides and fails the test unless the table
+// removed exactly the entries the model did — a NoSuchEntryError that
+// leaves count and groups alone when that is none. It returns how many.
+func (p *ternaryPair) mustDelete(tb testing.TB, e Entry) int {
+	tb.Helper()
+	count, groups := p.ts.count, len(p.ts.groups)
+	removed, err := p.delete(e)
+	var miss *NoSuchEntryError
+	switch {
+	case removed == 0 && !errors.As(err, &miss):
+		tb.Fatalf("absent delete: err = %v, want NoSuchEntryError", err)
+	case removed == 0 && (p.ts.count != count || len(p.ts.groups) != groups):
+		tb.Fatalf("absent delete changed the table")
+	case removed != 0 && err != nil:
+		tb.Fatalf("delete: %v", err)
+	case count-p.ts.count != removed:
+		tb.Fatalf("delete removed %d entries, model removed %d", count-p.ts.count, removed)
+	}
+	return removed
 }
 
 // lookup probes both sides and fails the test when they disagree.

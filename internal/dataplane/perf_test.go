@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"testing"
+	"unsafe"
 
 	"netdebug/internal/bitfield"
 	"netdebug/internal/p4/p4test"
@@ -116,6 +117,58 @@ func TestTraceStillRecordedWhenEnabled(t *testing.T) {
 	e.Process(ctx, packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{10, 7, 7, 7}, 1, 2, nil), 0)
 	if !first.Tables[0].Keys[0].Equal(firstKey) {
 		t.Fatal("retained trace mutated by a later packet")
+	}
+}
+
+// TestContextSizeClass: a device batch holds thousands of contexts, so a
+// field that tips Context into the allocator's next size class (416 to
+// 448 bytes) shows as live heap on every workload.
+func TestContextSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Context{}); got > 416 {
+		t.Fatalf("Context is %d bytes, over the 416-byte size class", got)
+	}
+}
+
+// TestTraceAllocsSizedOnce pins what a collected trace allocates: the
+// parser path, the table events and the events' key values, each once at
+// the program's bound however many states and tables the frame visits —
+// and only what the frame reaches, so a parser-rejected frame pays for
+// the path alone.
+func TestTraceAllocsSizedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	udp := packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 200, []byte("data"))
+	rejected := append([]byte(nil), udp...)
+	rejected[14] = 0x65
+	for _, c := range []struct {
+		name   string
+		e      *Engine
+		frame  []byte
+		tables int
+		want   float64
+	}{
+		{"router", routerEngine(t), udp, 1, 3},
+		{"router/rejected", routerEngine(t), rejected, 0, 1},
+		{"firewall", firewallEngine(t), packet.BuildTCPv4(macA, macB, ipA, ipB, 1234, 443, packet.TCPSyn, nil), 2, 3},
+	} {
+		ctx := c.e.NewContext()
+		ctx.CollectTrace = true
+		c.e.Process(ctx, c.frame, 0)
+		tr := ctx.Trace
+		if len(tr.Tables) != c.tables {
+			t.Fatalf("%s: %d table events, fixture expects %d", c.name, len(tr.Tables), c.tables)
+		}
+		for _, ev := range tr.Tables {
+			// The events share an array: an append to one's keys must
+			// not reach the next one's.
+			if len(ev.Keys) == 0 || cap(ev.Keys) != len(ev.Keys) {
+				t.Errorf("%s: table %s recorded %d keys with capacity %d", c.name, ev.Table, len(ev.Keys), cap(ev.Keys))
+			}
+		}
+		if got := testing.AllocsPerRun(200, func() { c.e.Process(ctx, c.frame, 0) }); got != c.want {
+			t.Errorf("%s: %v allocs per traced frame, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -25,6 +25,9 @@ type layout struct {
 	// stdMeta is base[prog.StdMeta], or -1 without standard metadata.
 	stdMeta   int
 	numLocals int
+	// numKeys is the key count of all tables together: the key values a
+	// trace records when every table is applied once.
+	numKeys int
 }
 
 // instState is the per-packet state of one header instance.
@@ -94,7 +97,31 @@ func newLayout(prog *ir.Program) layout {
 	for _, c := range prog.Controls {
 		l.numLocals = max(l.numLocals, c.NumLocals)
 	}
+	for _, t := range prog.Tables() {
+		l.numKeys += len(t.Keys)
+	}
 	return l
+}
+
+// keyPlan packs a ternary table's key into the 64-bit words its index
+// hashes and compares: keyPlan[i] says key i is wider than 64 bits and
+// takes two words, hi then lo; any other key takes one.
+type keyPlan []bool
+
+func newKeyPlan(keys []ir.TableKey) keyPlan {
+	p := make(keyPlan, len(keys))
+	for i, k := range keys {
+		p[i] = k.Expr.Width() > 64
+	}
+	return p
+}
+
+// appendWords appends key i's words of v to dst.
+func (p keyPlan) appendWords(dst []uint64, i int, v bitfield.Value) []uint64 {
+	if p[i] {
+		dst = append(dst, v.Hi)
+	}
+	return append(dst, v.Lo)
 }
 
 // extract fills fields, the instance's own, from its header bytes.

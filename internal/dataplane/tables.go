@@ -1,8 +1,10 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"netdebug/internal/bitfield"
 	"netdebug/internal/p4/ir"
@@ -44,19 +46,41 @@ type boundEntry struct {
 }
 
 // ternaryGroup is one tuple of the tuple-space search structure: every
-// entry whose per-key mask tuple is identical lands in the same group,
-// and within a group a masked packet key can be matched by at most one
-// hash probe. The groups are the table's only store of ternary entries.
+// entry whose per-key mask tuple is identical belongs to the same group,
+// and within a group a packet key is matched by at most one probe run of
+// the table's index. A group exists while it has a slot there.
 type ternaryGroup struct {
-	// masks is the group's mask tuple, computed once when the group is
-	// created so lookups perform no mask construction.
-	masks   []bitfield.Value
-	entries map[string]*boundEntry // masked key bytes -> head of the slot's chain
+	masks []uint64 // the mask tuple as packed key words
+	seed  uint64   // starts the hash: one key lands apart under each tuple
+	slots int      // slots of the index that are this group's
 	// maxPrio is an upper bound on the priorities present in the group
 	// (deletes leave it alone); lookups visit groups in descending
 	// maxPrio order and stop as soon as the current best strictly beats
 	// every remaining group.
 	maxPrio int
+}
+
+// hashMul is 2^64/phi, odd: the index's multiplicative hash.
+const hashMul = 0x9e3779b97f4a7c15
+
+// hash folds key's words, masked by the group's tuple, into the group's
+// seed; the top bits of the result choose the home cell.
+func (g *ternaryGroup) hash(key []uint64) uint64 {
+	h := g.seed
+	key = key[:len(g.masks)]
+	for w, m := range g.masks {
+		h = (h ^ key[w]&m) * hashMul
+	}
+	return h
+}
+
+// ternarySlot is one cell of a ternary table's index: the entries of one
+// group that agree under its masks, as a chain headed by the one lookups
+// return, nil in an empty cell. Nothing of the key is stored but its
+// hash, which is what growth and deletes move a slot by.
+type ternarySlot struct {
+	hash uint64
+	head *boundEntry
 }
 
 // tableState is the runtime state of one table.
@@ -68,24 +92,32 @@ type tableState struct {
 	lpmIdx int
 	exact  map[string]*boundEntry
 	tries  map[string]*mbTrie // keyed by the exact portion of the key
-	// groups is the tuple-space index of a ternary table, lazily ordered
-	// by descending maxPrio (groupsSorted tracks validity).
-	groups       []*ternaryGroup
-	groupIdx     map[string]*ternaryGroup // mask-tuple bytes -> group
-	groupsSorted bool
-	count        int
+	// A ternary table's store: groups in descending maxPrio order, kept
+	// so by every install; groupIdx to find a group by its mask tuple (the
+	// words as bytes) on a write; and slots, one index over all groups,
+	// open-addressed with linear probing and at most half full — used
+	// cells occupied, a slot's home cell hash >> shift.
+	groups   []*ternaryGroup
+	groupIdx map[string]*ternaryGroup
+	slots    []ternarySlot
+	used     int
+	shift    uint
+	count    int
 	// capacity is the usable entry count; defaults to def.Size, targets
 	// may lower it to model architectural limits.
 	capacity int
 	nextOrd  int
-	// keyBuf and maskBuf are the scratch buffers hash keys are serialized
-	// into; the map index converts them with string(buf), which the
-	// compiler performs without allocating. Lookups fill them from the
-	// packet's key values, writes fill them in bind (with maskVals, the
-	// entry's mask tuple as values).
-	keyBuf   []byte
-	maskBuf  []byte
-	maskVals []bitfield.Value
+	// keyBuf is the scratch buffer the hash keys of exact and lpm tables
+	// are serialized into; the map index converts it with string(buf),
+	// which the compiler performs without allocating. Lookups fill it from
+	// the packet's key values, writes fill it in bind. A ternary table
+	// packs words instead (plan): the packet's key or the entry's values
+	// in keyWords, and on a write the entry's mask tuple in maskWords.
+	keyBuf    []byte
+	plan      keyPlan
+	keyWords  []uint64
+	maskWords []uint64
+	tupleBuf  []byte // maskWords as groupIdx's key
 	// tieLIFO inverts the ternary equal-priority tie-break from
 	// first-installed-wins (the P4 reference rule) to
 	// newest-installed-wins — the resolution quirk some hardware table
@@ -104,6 +136,10 @@ type tableState struct {
 func newTableState(def *ir.Table) *tableState {
 	ts := &tableState{def: def, capacity: def.Size}
 	ts.kind, ts.lpmIdx = def.Match()
+	if ts.kind == ir.MatchTernary {
+		ts.plan = newKeyPlan(def.Keys)
+		ts.keyWords = make([]uint64, 0, 2*len(def.Keys))
+	}
 	ts.clear()
 	return ts
 }
@@ -136,23 +172,37 @@ func appendKeyBytes(buf []byte, vals []bitfield.Value, skip int) []byte {
 	return buf
 }
 
+// keyMask is what key i of a ternary table's entry matches under: all
+// bits for an exact key (or a ternary key given without a mask), the
+// prefix for an lpm key. bind has checked k's width and prefix length.
+func (ts *tableState) keyMask(i int, k *KeyValue) bitfield.Value {
+	switch kind := ts.def.Keys[i].Kind; {
+	case kind == ir.MatchLPM:
+		return prefixMask(k.Value.Width(), k.PrefixLen)
+	case kind == ir.MatchTernary && k.Mask.Width() != 0:
+		return k.Mask
+	}
+	return bitfield.Mask(k.Value.Width())
+}
+
 // bind is the step every table write starts with. It checks the entry's
 // shape — key count, key widths, prefix ranges, action argument count
-// and widths — and resolves its match key into the hash keys the table's
-// structure is indexed by, left in the scratch buffers: keyBuf holds the
-// full key of an exact table, the exact portion (everything but the lpm
-// component) of an lpm table, and the masked values of a ternary table,
-// whose mask tuple goes to maskBuf (bytes) and maskVals (values). It
-// touches no other table state, so on its own it is the check a
-// conforming map driver performs before inserting — which is why targets
-// modelling accept-but-discard driver defects still run it.
+// and widths — and resolves its match key into what the table's
+// structure is indexed by, left in scratch: keyBuf holds the full key of
+// an exact table and the exact portion (everything but the lpm
+// component) of an lpm table; a ternary table gets the entry's values in
+// keyWords and its mask tuple in maskWords. It touches no other table
+// state, so on its own it is the check a conforming map driver performs
+// before inserting — which is why targets modelling accept-but-discard
+// driver defects still run it.
 func (ts *tableState) bind(e Entry, action *ir.Action) error {
 	if len(e.Keys) != len(ts.def.Keys) {
 		return fmt.Errorf("table %s: entry has %d keys, table has %d",
 			ts.def.Name, len(e.Keys), len(ts.def.Keys))
 	}
-	ts.keyBuf, ts.maskBuf, ts.maskVals = ts.keyBuf[:0], ts.maskBuf[:0], ts.maskVals[:0]
-	for i, k := range e.Keys {
+	ts.keyBuf, ts.keyWords, ts.maskWords = ts.keyBuf[:0], ts.keyWords[:0], ts.maskWords[:0]
+	for i := range e.Keys {
+		k := &e.Keys[i]
 		kind := ts.def.Keys[i].Kind
 		w := ts.def.Keys[i].Expr.Width()
 		if k.Value.Width() != w {
@@ -163,25 +213,13 @@ func (ts *tableState) bind(e Entry, action *ir.Action) error {
 			return fmt.Errorf("table %s key %d: prefix length %d outside [0,%d]",
 				ts.def.Name, i, k.PrefixLen, w)
 		}
-		if ts.kind != ir.MatchTernary {
-			if i != ts.lpmIdx {
-				ts.keyBuf = k.Value.AppendBytes(ts.keyBuf)
-			}
-			continue
-		}
-		// In a ternary table every key matches under a mask: all bits
-		// for an exact key (or a ternary key given without a mask), the
-		// prefix for an lpm key.
-		mask := bitfield.Mask(w)
 		switch {
-		case kind == ir.MatchLPM:
-			mask = prefixMask(w, k.PrefixLen)
-		case kind == ir.MatchTernary && k.Mask.Width() != 0:
-			mask = k.Mask
+		case ts.kind == ir.MatchTernary:
+			ts.keyWords = ts.plan.appendWords(ts.keyWords, i, k.Value)
+			ts.maskWords = ts.plan.appendWords(ts.maskWords, i, ts.keyMask(i, k))
+		case i != ts.lpmIdx:
+			ts.keyBuf = k.Value.AppendBytes(ts.keyBuf)
 		}
-		ts.maskVals = append(ts.maskVals, mask)
-		ts.maskBuf = mask.AppendBytes(ts.maskBuf)
-		ts.keyBuf = k.Value.And(mask).AppendBytes(ts.keyBuf)
 	}
 	if len(e.Args) != len(action.Params) {
 		return fmt.Errorf("table %s: action %s takes %d args, entry has %d",
@@ -265,53 +303,148 @@ func (ts *tableState) delete(e Entry, action *ir.Action) error {
 	return nil
 }
 
-// linkTernary inserts be into the slot bind resolved (group key in
-// maskBuf, slot key in keyBuf), creating the group on its first entry.
+// group returns the group of the mask tuple in maskWords, if installed.
+func (ts *tableState) group() *ternaryGroup {
+	ts.tupleBuf = ts.tupleBuf[:0]
+	for _, m := range ts.maskWords {
+		ts.tupleBuf = binary.BigEndian.AppendUint64(ts.tupleBuf, m)
+	}
+	return ts.groupIdx[string(ts.tupleBuf)]
+}
+
+// settle moves groups[at], whose maxPrio was just set, up to its place in
+// the descending order (equal bounds may stand in any order: beats is
+// total and lookups stop only at a strictly lower bound).
+func (ts *tableState) settle(at int) {
+	g := ts.groups[at]
+	for ; at > 0 && ts.groups[at-1].maxPrio < g.maxPrio; at-- {
+		ts.groups[at] = ts.groups[at-1]
+	}
+	ts.groups[at] = g
+}
+
+// holds reports whether the slot headed by be is group g's slot for key:
+// be's own mask tuple is g's and be's values agree with key under it.
+func (ts *tableState) holds(be *boundEntry, g *ternaryGroup, key []uint64) bool {
+	w := 0
+	for i := range be.Keys {
+		k := &be.Keys[i]
+		mask := ts.keyMask(i, k)
+		if ts.plan[i] {
+			if mask.Hi != g.masks[w] || (k.Value.Hi^key[w])&mask.Hi != 0 {
+				return false
+			}
+			w++
+		}
+		if mask.Lo != g.masks[w] || (k.Value.Lo^key[w])&mask.Lo != 0 {
+			return false
+		}
+		w++
+	}
+	return true
+}
+
+// find walks the probe run of hash h to g's slot for key, or to the empty
+// cell that ends the run (the index is never full).
+func (ts *tableState) find(g *ternaryGroup, h uint64, key []uint64) (at int, found bool) {
+	for at = int(h >> ts.shift); ; at = (at + 1) & (len(ts.slots) - 1) {
+		s := &ts.slots[at]
+		if s.head == nil {
+			return at, false
+		}
+		if s.hash == h && ts.holds(s.head, g, key) {
+			return at, true
+		}
+	}
+}
+
+// grow doubles the index, re-placing every slot from its stored hash.
+func (ts *tableState) grow() {
+	old := ts.slots
+	ts.slots = make([]ternarySlot, max(2*len(old), 8))
+	ts.shift = uint(64 - bits.TrailingZeros(uint(len(ts.slots))))
+	for _, s := range old {
+		if s.head == nil {
+			continue
+		}
+		at := int(s.hash >> ts.shift)
+		for ts.slots[at].head != nil {
+			at = (at + 1) & (len(ts.slots) - 1)
+		}
+		ts.slots[at] = s
+	}
+}
+
+// vacate empties the cell at hole by backward shift: each later slot of
+// the run whose home is not past the hole moves into it, so runs stay
+// unbroken without tombstones.
+func (ts *tableState) vacate(hole int) {
+	mask := len(ts.slots) - 1
+	for at := (hole + 1) & mask; ts.slots[at].head != nil; at = (at + 1) & mask {
+		home := int(ts.slots[at].hash >> ts.shift)
+		if (at-home)&mask >= (at-hole)&mask {
+			ts.slots[hole] = ts.slots[at]
+			hole = at
+		}
+	}
+	ts.slots[hole] = ternarySlot{}
+	ts.used--
+}
+
+// linkTernary inserts be into the slot bind resolved (mask tuple in
+// maskWords, values in keyWords), creating the group on its first entry.
 func (ts *tableState) linkTernary(be *boundEntry) error {
-	g := ts.groupIdx[string(ts.maskBuf)]
+	g := ts.group()
 	if g == nil {
 		if ts.maskLimit > 0 && len(ts.groups) >= ts.maskLimit {
 			return &MaskSetError{Table: ts.def.Name, Limit: ts.maskLimit}
 		}
 		g = &ternaryGroup{
-			masks:   append([]bitfield.Value(nil), ts.maskVals...),
-			entries: make(map[string]*boundEntry),
+			masks:   slices.Clone(ts.maskWords),
+			seed:    uint64(be.order+1) * hashMul,
 			maxPrio: be.Priority,
 		}
-		ts.groupIdx[string(ts.maskBuf)] = g
+		ts.groupIdx[string(ts.tupleBuf)] = g
 		ts.groups = append(ts.groups, g)
-		ts.groupsSorted = len(ts.groups) == 1
+		ts.settle(len(ts.groups) - 1)
 	} else if be.Priority > g.maxPrio {
 		g.maxPrio = be.Priority
-		ts.groupsSorted = len(ts.groups) == 1
+		ts.settle(slices.Index(ts.groups, g))
 	}
-	head := g.entries[string(ts.keyBuf)]
-	if head == nil || ts.beats(be, head) {
-		be.next = head
-		g.entries[string(ts.keyBuf)] = be
-		return nil
+	if 2*(ts.used+1) > len(ts.slots) {
+		ts.grow()
 	}
-	at := head
-	for at.next != nil && ts.beats(at.next, be) {
-		at = at.next
+	h := g.hash(ts.keyWords)
+	at, found := ts.find(g, h, ts.keyWords)
+	if !found {
+		ts.slots[at].hash = h
+		ts.used++
+		g.slots++
 	}
-	be.next, at.next = at.next, be
+	link := &ts.slots[at].head
+	for *link != nil && ts.beats(*link, be) {
+		link = &(*link).next
+	}
+	be.next, *link = *link, be
 	return nil
 }
 
 // unlinkTernary removes every entry of priority prio from the slot bind
-// resolved and returns how many there were. An emptied slot leaves its
-// group, and an emptied group leaves the index (freeing its mask-set
-// slot under a mask limit). Neither changes a surviving group's maxPrio
-// bound, so the group ordering stays valid.
+// resolved and returns how many there were. An emptied slot leaves the
+// index, and a group that loses its last slot leaves the table (freeing
+// its mask-set slot under a mask limit). Neither changes a surviving
+// group's maxPrio bound, so the group order stays valid.
 func (ts *tableState) unlinkTernary(prio int) int {
-	g := ts.groupIdx[string(ts.maskBuf)]
+	g := ts.group()
 	if g == nil {
 		return 0
 	}
-	head := g.entries[string(ts.keyBuf)]
+	at, found := ts.find(g, g.hash(ts.keyWords), ts.keyWords)
+	if !found {
+		return 0
+	}
 	// The chain is in beats order, so one priority's entries are adjacent.
-	link := &head
+	link := &ts.slots[at].head
 	for *link != nil && (*link).Priority > prio {
 		link = &(*link).next
 	}
@@ -320,21 +453,14 @@ func (ts *tableState) unlinkTernary(prio int) int {
 		*link = (*link).next
 		removed++
 	}
-	switch {
-	case removed == 0:
-		return 0
-	case head != nil:
-		g.entries[string(ts.keyBuf)] = head
-	case len(g.entries) > 1:
-		delete(g.entries, string(ts.keyBuf))
-	default:
-		delete(ts.groupIdx, string(ts.maskBuf))
-		for i, other := range ts.groups {
-			if other == g {
-				ts.groups = append(ts.groups[:i], ts.groups[i+1:]...)
-				break
-			}
-		}
+	if ts.slots[at].head != nil {
+		return removed
+	}
+	ts.vacate(at)
+	if g.slots--; g.slots == 0 {
+		delete(ts.groupIdx, string(ts.tupleBuf))
+		i := slices.Index(ts.groups, g)
+		ts.groups = slices.Delete(ts.groups, i, i+1)
 	}
 	return removed
 }
@@ -359,28 +485,24 @@ func (ts *tableState) lookup(vals []bitfield.Value) *boundEntry {
 	return nil
 }
 
-// lookupTernary is the tuple-space search: one hash probe per distinct
-// mask tuple, cut short once the current best strictly outranks every
-// remaining group. Complexity is O(distinct masks), not O(entries).
+// lookupTernary is the tuple-space search: the key is packed once, then
+// each distinct mask tuple costs one hash and one probe run, cut short
+// once the current best strictly outranks every remaining group.
+// Complexity is O(distinct masks), not O(entries).
 func (ts *tableState) lookupTernary(vals []bitfield.Value) *boundEntry {
-	if !ts.groupsSorted {
-		sort.SliceStable(ts.groups, func(i, j int) bool {
-			return ts.groups[i].maxPrio > ts.groups[j].maxPrio
-		})
-		ts.groupsSorted = true
+	key := ts.keyWords[:0]
+	for i := range vals {
+		key = ts.plan.appendWords(key, i, vals[i])
 	}
+	ts.keyWords = key
 	var best *boundEntry
 	for _, g := range ts.groups {
 		if best != nil && best.Priority > g.maxPrio {
 			break
 		}
-		buf := ts.maskBuf[:0]
-		for i := range vals {
-			buf = vals[i].And(g.masks[i]).AppendBytes(buf)
-		}
-		ts.maskBuf = buf
-		if be := g.entries[string(buf)]; be != nil && (best == nil || ts.beats(be, best)) {
-			best = be
+		at, found := ts.find(g, g.hash(key), key)
+		if found && (best == nil || ts.beats(ts.slots[at].head, best)) {
+			best = ts.slots[at].head
 		}
 	}
 	return best
@@ -396,7 +518,7 @@ func (ts *tableState) clear() {
 	case ir.MatchTernary:
 		ts.groups = nil
 		ts.groupIdx = make(map[string]*ternaryGroup)
-		ts.groupsSorted = false
+		ts.slots, ts.used, ts.shift = nil, 0, 0
 	}
 	ts.count = 0
 }

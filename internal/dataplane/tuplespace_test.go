@@ -121,8 +121,8 @@ func TestTupleSpaceMatchesLinearDifferential(t *testing.T) {
 	}
 }
 
-// TestTupleSpaceClearAndReinstall guards the lazy-sort/dirty flags across
-// clear cycles.
+// TestTupleSpaceClearAndReinstall: a clear leaves no group, slot or
+// index size behind for the next installs to trip over.
 func TestTupleSpaceClearAndReinstall(t *testing.T) {
 	keys := []synthKey{{32, ir.MatchTernary}}
 	p := newTernaryPair(keys, 1<<20)
@@ -243,11 +243,32 @@ func aclEntry(i int) Entry {
 	}
 }
 
-func aclTable(tb testing.TB, entries int) *tableState {
+// acl64Entry builds the i-th entry of the end-to-end benchmark's regime
+// (acl1e5): 64 mask tuples that differ only in which of three address
+// bits per key they care about, every entry at one priority, so a lookup
+// probes all 64 groups and none lets it stop early.
+func acl64Entry(i int) Entry {
+	care := func(variant int) bitfield.Value {
+		return bitfield.New(0xff00ffff|uint64(7&^variant)<<17, 32)
+	}
+	tuple := i % 64
+	return Entry{
+		Table: "synth", Action: "act",
+		Priority: 10,
+		Keys: []KeyValue{
+			{Value: bitfield.New(uint64(0x0a000000|i&0xffff), 32), Mask: care(tuple >> 3)},
+			{Value: bitfield.New(uint64(0x0b000000|i>>16), 32), Mask: care(tuple & 7)},
+			{Value: bitfield.New(53, 16), Mask: bitfield.Mask(16)},
+		},
+	}
+}
+
+// aclTable installs entryOf(0..entries-1) on a fresh table over aclKeys.
+func aclTable(tb testing.TB, entryOf func(int) Entry, entries int) *tableState {
 	tb.Helper()
 	ts, act := synthTable(aclKeys, 1<<21)
 	for i := 0; i < entries; i++ {
-		if err := ts.install(aclEntry(i), act); err != nil {
+		if err := ts.install(entryOf(i), act); err != nil {
 			tb.Fatalf("install %d: %v", i, err)
 		}
 	}
@@ -265,13 +286,13 @@ func aclModel(entries int) *linearModel {
 }
 
 // aclProbes mixes hits (drawn from installed entries) and misses.
-func aclProbes(entries, n int) [][]bitfield.Value {
+func aclProbes(entryOf func(int) Entry, entries, n int) [][]bitfield.Value {
 	rng := rand.New(rand.NewSource(1))
 	out := make([][]bitfield.Value, n)
 	for p := range out {
 		if p%2 == 0 {
 			i := rng.Intn(entries)
-			e := aclEntry(i)
+			e := entryOf(i)
 			out[p] = []bitfield.Value{e.Keys[0].Value, e.Keys[1].Value, e.Keys[2].Value}
 		} else {
 			out[p] = []bitfield.Value{
@@ -293,12 +314,14 @@ var (
 // (10^6 linear scans would take minutes per op batch).
 var occupancies = []int{100, 1000, 10000, 100000, 1000000}
 
+// BenchmarkTernaryLookupTupleSpace sweeps occupancy at 8 mask tuples
+// (what a lookup costs must not depend on it), then measures 64 tuples
+// at 10^5 entries, the regime of the end-to-end benchmark.
 func BenchmarkTernaryLookupTupleSpace(b *testing.B) {
-	for _, n := range occupancies {
-		b.Run(fmt.Sprintf("entries%d", n), func(b *testing.B) {
-			ts := aclTable(b, n)
-			probes := aclProbes(n, 1024)
-			ts.lookup(probes[0]) // settle the lazy group sort
+	run := func(name string, entryOf func(int) Entry, n int) {
+		b.Run(name, func(b *testing.B) {
+			ts := aclTable(b, entryOf, n)
+			probes := aclProbes(entryOf, n, 1024)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -306,6 +329,10 @@ func BenchmarkTernaryLookupTupleSpace(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range occupancies {
+		run(fmt.Sprintf("entries%d", n), aclEntry, n)
+	}
+	run("masks64_entries100000", acl64Entry, 100000)
 }
 
 func BenchmarkTernaryLookupLinear(b *testing.B) {
@@ -315,7 +342,7 @@ func BenchmarkTernaryLookupLinear(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("entries%d", n), func(b *testing.B) {
 			m := aclModel(n)
-			probes := aclProbes(n, 1024)
+			probes := aclProbes(aclEntry, n, 1024)
 			m.lookup(probes[0]) // settle the lazy sort
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -331,6 +358,6 @@ func BenchmarkTernaryLookupLinear(b *testing.B) {
 func BenchmarkTernaryInstall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		aclTable(b, 100000)
+		aclTable(b, aclEntry, 100000)
 	}
 }
