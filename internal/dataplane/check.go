@@ -9,12 +9,13 @@ import (
 )
 
 // Check reports where prog departs from what the engine assumes of
-// compiled IR — the first parser state, control or layout defect — or nil. New and the packet path trust the program —
-// they index by its instance, field, local, parameter, state and table
-// numbers unchecked, copy extracted headers byte for byte, and panic on a
-// statement or expression kind they do not know — so a target runs Check
-// when it loads a program and a malformed one fails there, not on the
-// first packet.
+// compiled IR — the first parser state, control or layout defect — or nil.
+// New and the packet path trust the program — they index by its instance,
+// field, local, parameter, state and table numbers unchecked, copy
+// extracted headers byte for byte, compile only the statement and
+// expression kinds they know, and give every value the slots its width
+// calls for — so a target runs Check when it loads a program and a
+// malformed one fails there, not on the first packet.
 func Check(prog *ir.Program) error {
 	c := &checker{prog: prog, tables: prog.Tables(), done: make(map[*ir.Action]bool)}
 	if err := c.program(); err != nil {
@@ -37,9 +38,12 @@ type checker struct {
 	prog   *ir.Program
 	tables []*ir.Table
 	done   map[*ir.Action]bool // actions whose bodies are checked
-	// locals and params are the slot counts in scope: the enclosing
-	// control's locals, the enclosing action's parameters.
-	locals, params int
+	// locals and params are what is in scope: the enclosing control's local
+	// count, with the width each local was first used at, and the
+	// enclosing action's parameters.
+	locals int
+	localW map[int]int
+	params []ir.ActionParam
 }
 
 func (c *checker) program() error {
@@ -83,12 +87,16 @@ func (c *checker) program() error {
 	for _, st := range p.Parser.States {
 		err := c.stmts(st.Ops, inParser)
 		for _, k := range st.Trans.Keys {
-			err = errors.Join(err, c.expr(k))
+			err = errors.Join(err, c.expr(k, anyWidth))
 		}
 		for _, tc := range st.Trans.Cases {
 			if len(tc.Values) != len(st.Trans.Keys) || len(tc.Masks) != len(st.Trans.Keys) {
 				err = errors.Join(err, fmt.Errorf("select case has %d values and %d masks for %d keys",
 					len(tc.Values), len(tc.Masks), len(st.Trans.Keys)))
+			} else if err == nil {
+				for i, k := range st.Trans.Keys {
+					err = errors.Join(err, width("select value", tc.Values[i].W, k.Width()), width("select mask", tc.Masks[i].W, k.Width()))
+				}
 			}
 			err = errors.Join(err, c.state(tc.Next))
 		}
@@ -97,11 +105,11 @@ func (c *checker) program() error {
 		}
 	}
 	for _, ctl := range p.Controls {
-		c.locals = ctl.NumLocals
+		c.locals, c.localW = ctl.NumLocals, make(map[int]int)
 		var err error
 		for _, t := range ctl.Tables {
 			for _, k := range t.Keys {
-				err = errors.Join(err, c.expr(k.Expr))
+				err = errors.Join(err, c.expr(k.Expr, anyWidth))
 			}
 			for _, a := range t.Actions {
 				err = errors.Join(err, c.action(a))
@@ -112,6 +120,9 @@ func (c *checker) program() error {
 			} else if len(def.Args) != len(def.Action.Params) {
 				err = errors.Join(err, fmt.Errorf("table %s: default action %s takes %d args, has %d",
 					t.Name, def.Action.Name, len(def.Action.Params), len(def.Args)))
+			}
+			for i := 0; err == nil && i < len(def.Args); i++ {
+				err = width("default argument", def.Args[i].W, def.Action.Params[i].Width)
 			}
 		}
 		for _, a := range ctl.Actions {
@@ -138,7 +149,7 @@ func (c *checker) action(a *ir.Action) error {
 	}
 	c.done[a] = true
 	outer := c.params
-	c.params = len(a.Params)
+	c.params = a.Params
 	err := c.stmts(a.Body, inControl)
 	c.params = outer
 	if err != nil {
@@ -156,15 +167,21 @@ func (c *checker) stmts(list []ir.Stmt, pos int) error {
 		case *ir.Emit:
 			legal, err = inDeparser, c.header(s.Inst)
 		case *ir.AssignField:
-			legal, err = inParser|inControl, errors.Join(c.field(s.Inst, s.Field), c.expr(s.RHS))
+			legal, err = inParser|inControl, c.field(s.Inst, s.Field)
+			if err == nil {
+				err = c.expr(s.RHS, c.prog.Instances[s.Inst].Type.Fields[s.Field].Width)
+			}
 		case *ir.AssignLocal:
-			legal, err = inControl, errors.Join(c.index("local", s.Idx, c.locals), c.expr(s.RHS))
+			legal, err = inControl, c.expr(s.RHS, anyWidth)
+			if err == nil {
+				err = c.expr(ir.LocalRef{Idx: s.Idx, W: s.RHS.Width()}, anyWidth)
+			}
 		case *ir.SetValid:
 			legal, err = inControl, c.index("instance", s.Inst, len(c.prog.Instances))
 		case *ir.MarkToDrop, *ir.Return:
 			legal = inControl
 		case *ir.If:
-			legal, err = inControl|inDeparser, errors.Join(c.expr(s.Cond), c.stmts(s.Then, pos), c.stmts(s.Else, pos))
+			legal, err = inControl|inDeparser, errors.Join(c.expr(s.Cond, anyWidth), c.stmts(s.Then, pos), c.stmts(s.Else, pos))
 		case *ir.ApplyTable:
 			legal = inControl
 			if t := s.Table; t == nil || t.Index < 0 || t.Index >= len(c.tables) || c.tables[t.Index] != t {
@@ -175,8 +192,8 @@ func (c *checker) stmts(list []ir.Stmt, pos int) error {
 			if err == nil && len(s.Args) != len(s.Action.Params) {
 				err = fmt.Errorf("%s: %d args for %d parameters", s, len(s.Args), len(s.Action.Params))
 			}
-			for _, a := range s.Args {
-				err = errors.Join(err, c.expr(a))
+			for i := 0; err == nil && i < len(s.Args); i++ {
+				err = c.expr(s.Args[i], s.Action.Params[i].Width)
 			}
 		}
 		if err != nil {
@@ -189,32 +206,73 @@ func (c *checker) stmts(list []ir.Stmt, pos int) error {
 	return nil
 }
 
-func (c *checker) expr(x ir.Expr) error {
+// anyWidth is the width wanted of an expression that may have any.
+const anyWidth = -1
+
+// expr checks x's references and operators, and that the widths agree:
+// x's with want, a reference's with what it refers to, an operator's
+// operands' with each other and its result.
+func (c *checker) expr(x ir.Expr, want int) error {
+	if x != nil {
+		if err := width(x, x.Width(), want); err != nil {
+			return err
+		}
+	}
 	switch x := x.(type) {
 	case ir.Const:
 		return nil
 	case ir.FieldRef:
-		return c.field(x.Inst, x.Field)
-	case ir.LocalRef:
-		return c.index("local", x.Idx, c.locals)
+		if err := c.field(x.Inst, x.Field); err != nil {
+			return err
+		}
+		return width(x, x.W, c.prog.Instances[x.Inst].Type.Fields[x.Field].Width)
+	case ir.LocalRef: // in range, and at the one width its control uses it at
+		if err := c.index("local", x.Idx, c.locals); err != nil {
+			return err
+		}
+		if _, ok := c.localW[x.Idx]; !ok {
+			c.localW[x.Idx] = x.W
+		}
+		return width(x, x.W, c.localW[x.Idx])
 	case ir.ParamRef:
-		return c.index("param", x.Idx, c.params)
+		if err := c.index("param", x.Idx, len(c.params)); err != nil {
+			return err
+		}
+		return width(x, x.W, c.params[x.Idx].Width)
 	case ir.IsValid:
 		return c.index("instance", x.Inst, len(c.prog.Instances))
 	case ir.Unary:
-		if x.Op < ir.OpNot || x.Op > ir.OpNeg {
-			return fmt.Errorf("illegal unary op %d", x.Op)
+		switch x.Op {
+		case ir.OpNot:
+			return c.expr(x.X, anyWidth)
+		case ir.OpBitNot, ir.OpNeg:
+			return c.expr(x.X, x.W)
 		}
-		return c.expr(x.X)
+		return fmt.Errorf("illegal unary op %d", x.Op)
 	case ir.Binary:
-		if x.Op < ir.OpAdd || x.Op > ir.OpLOr {
+		wx, wy := x.W, x.W
+		switch {
+		case x.Op < ir.OpAdd || x.Op > ir.OpLOr:
 			return fmt.Errorf("illegal binary op %d", x.Op)
+		case x.Op >= ir.OpLAnd:
+			wx, wy = anyWidth, anyWidth
+		case x.Op >= ir.OpEq && x.X != nil:
+			wx, wy = anyWidth, x.X.Width()
+		case x.Op == ir.OpShl || x.Op == ir.OpShr: // the count may have any width
+			wy = anyWidth
 		}
-		return errors.Join(c.expr(x.X), c.expr(x.Y))
+		return errors.Join(c.expr(x.X, wx), c.expr(x.Y, wy))
 	case ir.Ternary:
-		return errors.Join(c.expr(x.Cond), c.expr(x.A), c.expr(x.B))
+		return errors.Join(c.expr(x.Cond, anyWidth), c.expr(x.A, x.W), c.expr(x.B, x.W))
 	}
 	return fmt.Errorf("illegal expression %T", x)
+}
+
+func width(what any, got, want int) error {
+	if want != anyWidth && got != want {
+		return fmt.Errorf("%v is %d bits, want %d", what, got, want)
+	}
+	return nil
 }
 
 func (c *checker) index(kind string, i, n int) error {

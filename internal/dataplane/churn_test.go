@@ -79,7 +79,7 @@ func TestTernaryChurnDifferential(t *testing.T) {
 						j := rng.Intn(len(keys))
 						vals[j] = vals[j].Xor(bitfield.New128(0, 1<<uint(rng.Intn(8)), keys[j].w))
 					}
-					if got, want := ts.lookup(vals), m.lookup(vals); !sameEntry(got, want) {
+					if got, want := ts.lookupVals(vals), m.lookup(vals); !sameEntry(got, want) {
 						t.Fatalf("layout %d seed %d %s op %d: tuple-space %+v, linear %+v",
 							li, seed, tag, op, got, want)
 					}

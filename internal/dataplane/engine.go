@@ -8,30 +8,36 @@
 // for concurrent use; the device model serializes packets through it, and
 // parallel harnesses shard work across one Engine per worker.
 //
-// Everything that depends only on the program's shape is lowered once, in
-// New, into a layout plan (plan.go) that the packet path executes: a
-// context's fields live in one flat array and Reset is a copy from a
-// precomputed zero image; extract moves each field with one big-endian
-// word load at a precomputed position; emit copies a header the parser
-// extracted straight from the input frame and re-injects only the fields
-// assigned since (a per-instance dirty mask), injecting every field only
-// for a header made valid without an extract; and a table apply reaches
-// its state through ir.Table.Index. Statements and expressions are still
-// interpreted from the IR. The plan trusts the program: Check (check.go)
-// is the load-time validation that makes that safe, and targets run it.
+// The program is compiled once, in New, into a plan (plan.go, lower.go)
+// that the packet path executes; no IR is read per packet. Every value a
+// packet's processing touches — fields, validity, locals, action
+// parameters, constants, temporaries — lives in one array of uint64 slots
+// per context (a value wider than 64 bits takes two, and is all that
+// 128-bit arithmetic still runs on), so Reset is one copy from a
+// precomputed image. Statements and expressions are flat three-address
+// code over slot numbers; the parser is a state table whose select is a
+// list of masked word compares; extract moves only the fields the program
+// can read or write, each with one big-endian word load at a precomputed
+// position; emit copies a header the parser extracted straight from the
+// input frame and re-injects only the fields the program can write,
+// injecting every field only for a header made valid without an extract;
+// and a table apply gathers its key as 64-bit words from the slots and
+// looks it up with them, whatever the match kind (tables.go). The plan
+// trusts the program: Check (check.go) is the load-time validation that
+// makes that safe, and targets run it.
 //
 // The packet hot path (Process with CollectTrace off) performs no heap
-// allocations in steady state: per-packet scratch lives in the Context
-// (reusable, poolable via AcquireContext/ReleaseContext), exact and lpm
-// lookups serialize keys into per-table scratch buffers, a ternary lookup
-// packs its key once into 64-bit words and probes one open-addressed
-// index per table with them (a hash per mask tuple, no serialization;
-// tables.go), and all counters are resolved to pointers when the engine
-// is built.
+// allocations in steady state: per-packet state lives in the Context
+// (reusable, poolable via AcquireContext/ReleaseContext), a lookup packs
+// its key into per-table scratch words — walked by the trie of an lpm
+// table, hashed per mask tuple against one open-addressed index for a
+// ternary table, an exact table being one of a single all-ones tuple — and
+// all counters are resolved to pointers when the engine is built.
 package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"netdebug/internal/bitfield"
@@ -91,14 +97,9 @@ type Trace struct {
 // Engine.NewContext (or the pooled AcquireContext) and reuse it across
 // packets.
 type Context struct {
-	lay *layout
-	// fields holds every instance's fields back to back (lay.base says
-	// where each instance starts); insts is the per-instance validity,
-	// extract position and dirty mask.
-	fields  []bitfield.Value
-	insts   []instState
-	locals  []bitfield.Value
-	args    [][]bitfield.Value // action argument stack
+	// slots holds every value of the packet's: fields, validity, locals,
+	// action parameters, the plan's constants and temporaries (plan.go).
+	slots   []uint64
 	dropped bool
 	// CollectTrace enables per-packet trace recording. When off, trace
 	// recording costs nothing beyond zeroing the Trace scalars. (It sits
@@ -113,12 +114,6 @@ type Context struct {
 	// traceKeys is the array this packet's Trace.Tables[i].Keys are cut
 	// from.
 	traceKeys []bitfield.Value
-	// keyScratch is reused for table-key and parser-select evaluation.
-	keyScratch []bitfield.Value
-	// argScratch holds one reusable argument buffer per action-call
-	// depth, so direct action calls evaluate arguments without
-	// allocating.
-	argScratch [][]bitfield.Value
 
 	// Batch I/O, consumed and produced by Engine.ProcessBatch: In/InPort
 	// are the input frame and ingress port, Out/Egress the result. Out is
@@ -131,32 +126,10 @@ type Context struct {
 	Egress uint64
 }
 
-// scratchVals returns a reusable value slice of length n. The slice is
-// only valid until the next scratchVals call on the same context; callers
-// must finish consuming it (or copy it) before triggering nested use.
-func (ctx *Context) scratchVals(n int) []bitfield.Value {
-	if cap(ctx.keyScratch) < n {
-		ctx.keyScratch = make([]bitfield.Value, n)
-	}
-	return ctx.keyScratch[:n]
-}
-
-// callArgs returns the reusable argument buffer for an action call at the
-// given stack depth.
-func (ctx *Context) callArgs(depth, n int) []bitfield.Value {
-	for len(ctx.argScratch) <= depth {
-		ctx.argScratch = append(ctx.argScratch, nil)
-	}
-	if cap(ctx.argScratch[depth]) < n {
-		ctx.argScratch[depth] = make([]bitfield.Value, n)
-	}
-	return ctx.argScratch[depth][:n]
-}
-
 // Engine executes one compiled program.
 type Engine struct {
 	prog *ir.Program
-	lay  layout
+	plan *plan
 	// tables serves the control plane by name; the packet path reaches a
 	// table's state through tableAt, which is in prog.Tables() order and
 	// so indexed by ir.Table.Index.
@@ -165,19 +138,18 @@ type Engine struct {
 	Counters *stats.Set
 
 	// Hot-path counters, resolved once at construction so Process never
-	// concatenates counter names.
+	// concatenates counter names (per-state, per-header and per-table ones
+	// sit in their plans).
 	cAccept, cReject, cTooShort, cLoop *stats.Counter
-	stateCtr                           []*stats.Counter // per parser state
-	emitCtr                            []*stats.Counter // per header instance
 
 	ctxPool sync.Pool
 }
 
-// New builds an engine for prog.
+// New builds an engine for prog: the table states, the counters and the
+// plan the packet path executes (lower.go).
 func New(prog *ir.Program) *Engine {
 	e := &Engine{
 		prog:     prog,
-		lay:      newLayout(prog),
 		tables:   make(map[string]*tableState),
 		Counters: stats.NewSet(),
 	}
@@ -192,16 +164,7 @@ func New(prog *ir.Program) *Engine {
 	e.cReject = e.Counters.Counter("parser.reject")
 	e.cTooShort = e.Counters.Counter("parser.too_short")
 	e.cLoop = e.Counters.Counter("parser.loop")
-	if prog.Parser != nil {
-		e.stateCtr = make([]*stats.Counter, len(prog.Parser.States))
-		for i, st := range prog.Parser.States {
-			e.stateCtr[i] = e.Counters.Counter("parser.state." + st.Name)
-		}
-	}
-	e.emitCtr = make([]*stats.Counter, len(prog.Instances))
-	for i, inst := range prog.Instances {
-		e.emitCtr[i] = e.Counters.Counter("deparser.emit." + inst.Name)
-	}
+	e.plan = lower(prog, e.tableAt, e.Counters)
 	return e
 }
 
@@ -275,39 +238,28 @@ func (e *Engine) SetTernaryMaskLimit(name string, limit int) error {
 // the quantity the occupancy sweep's mask-diversity axis measures. It
 // returns 0 for non-ternary or unknown tables.
 func (e *Engine) TernaryGroupCount(name string) int {
-	if ts, ok := e.tables[name]; ok {
+	if ts, ok := e.tables[name]; ok && ts.kind == ir.MatchTernary {
 		return len(ts.groups)
 	}
 	return 0
 }
 
 // LPMStats reports the installed-prefix count, trie node count, and
-// modeled resident bytes of an lpm table's multibit tries (summed over
-// the exact-key groups). It returns zeros for non-lpm or unknown
-// tables. The occupancy sweep's bytes/entry column and the trie
-// geometry tests read it.
+// modeled resident bytes of an lpm table's multibit trie. It returns
+// zeros for non-lpm or unknown tables. The occupancy sweep's bytes/entry
+// column and the trie geometry tests read it.
 func (e *Engine) LPMStats(name string) (entries, nodes, bytes int) {
 	ts, ok := e.tables[name]
 	if !ok || ts.kind != ir.MatchLPM {
 		return 0, 0, 0
 	}
-	for _, trie := range ts.tries {
-		n, b := trie.stats()
-		nodes += n
-		bytes += b
-	}
+	nodes, bytes = ts.trie.stats()
 	return ts.count, nodes, bytes
 }
 
 // NewContext allocates a context sized for the program.
 func (e *Engine) NewContext() *Context {
-	l := &e.lay
-	return &Context{
-		lay:    l,
-		fields: make([]bitfield.Value, len(l.zeroFields)),
-		insts:  make([]instState, len(l.zeroInsts)),
-		locals: make([]bitfield.Value, l.numLocals),
-	}
+	return &Context{slots: slices.Clone(e.plan.init)}
 }
 
 // AcquireContext returns a pooled context (allocating one only when the
@@ -326,10 +278,7 @@ func (e *Engine) ReleaseContext(ctx *Context) { e.ctxPool.Put(ctx) }
 
 // Reset prepares the context for a new packet.
 func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
-	copy(ctx.fields, e.lay.zeroFields)
-	copy(ctx.insts, e.lay.zeroInsts)
-	clear(ctx.locals)
-	ctx.args = ctx.args[:0]
+	copy(ctx.slots[:e.plan.state], e.plan.init)
 	ctx.dropped = false
 	ctx.cursor = 0
 	ctx.packet = pkt
@@ -341,22 +290,10 @@ func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
 	// that needs them.
 	ctx.Trace = Trace{}
 	ctx.traceKeys = nil
-	if sm := e.lay.stdMeta; sm >= 0 {
-		ctx.fields[sm+ir.StdMetaIngressPort] = bitfield.New(ingressPort, 9)
-		ctx.fields[sm+ir.StdMetaPacketLength] = bitfield.New(uint64(len(pkt)), 32)
+	if std := e.plan.std; std != nil {
+		ctx.slots[std[ir.StdMetaIngressPort]] = ingressPort & 0x1ff
+		ctx.slots[std[ir.StdMetaPacketLength]] = uint64(len(pkt)) & 0xffffffff
 	}
-}
-
-// Field returns the current value of an instance field.
-func (ctx *Context) Field(inst, field int) bitfield.Value {
-	return ctx.fields[ctx.lay.base[inst]+field]
-}
-
-// assign stores v into an instance field and marks the field dirty, so
-// emit rewrites it over the bytes the header was extracted from.
-func (ctx *Context) assign(inst, field int, v bitfield.Value) {
-	ctx.fields[ctx.lay.base[inst]+field] = v
-	ctx.insts[inst].dirty |= dirtyBit(field)
 }
 
 // Dropped reports whether the packet was dropped.
@@ -373,158 +310,199 @@ func (ctx *Context) MarkDropped(stage string) {
 
 // EgressSpec returns standard_metadata.egress_spec.
 func (e *Engine) EgressSpec(ctx *Context) uint64 {
-	if e.lay.stdMeta < 0 {
+	if e.plan.std == nil {
 		return 0
 	}
-	return ctx.fields[e.lay.stdMeta+ir.StdMetaEgressSpec].Uint64()
+	return ctx.slots[e.plan.std[ir.StdMetaEgressSpec]]
 }
 
-// setParserError records the error code in standard_metadata.
-func (e *Engine) setParserError(ctx *Context, code uint64) {
+// reject ends a parse with the error code in standard_metadata.
+func (e *Engine) reject(ctx *Context, code uint64, n *stats.Counter) Verdict {
 	ctx.Trace.ParserError = code
-	if sm := e.lay.stdMeta; sm >= 0 {
-		ctx.fields[sm+ir.StdMetaParserError] = bitfield.New(code, 8)
+	if std := e.plan.std; std != nil {
+		ctx.slots[std[ir.StdMetaParserError]] = code
 	}
+	n.Inc()
+	ctx.Trace.Verdict = VerdictReject
+	return VerdictReject
 }
 
 // Parse runs the parse graph over the packet in ctx. It returns the
 // verdict; reject semantics (drop) are applied by the caller so targets can
 // model errata.
 func (e *Engine) Parse(ctx *Context) Verdict {
-	state := e.prog.Parser.Start
-	steps := 0
-	for state >= 0 {
-		if steps++; steps > maxParserStates {
-			e.setParserError(ctx, ParseErrLoop)
-			e.cLoop.Inc()
-			ctx.Trace.Verdict = VerdictReject
-			return VerdictReject
+	state := e.plan.start
+	for steps := 1; state >= 0; steps++ {
+		if steps > maxParserStates {
+			return e.reject(ctx, ParseErrLoop, e.cLoop)
 		}
-		st := e.prog.Parser.States[state]
+		st := &e.plan.states[state]
 		if ctx.CollectTrace {
 			if ctx.Trace.ParserPath == nil {
-				ctx.Trace.ParserPath = make([]string, 0, len(e.prog.Parser.States))
+				ctx.Trace.ParserPath = make([]string, 0, len(e.plan.states))
 			}
-			ctx.Trace.ParserPath = append(ctx.Trace.ParserPath, st.Name)
+			ctx.Trace.ParserPath = append(ctx.Trace.ParserPath, st.name)
 		}
-		e.stateCtr[state].Inc()
-		for _, op := range st.Ops {
-			if !e.execParserOp(ctx, op) {
-				e.setParserError(ctx, ParseErrPacketTooShort)
-				e.cTooShort.Inc()
-				ctx.Trace.Verdict = VerdictReject
-				return VerdictReject
-			}
+		st.visits.Inc()
+		if !e.exec(ctx, st.code) {
+			return e.reject(ctx, ParseErrPacketTooShort, e.cTooShort)
 		}
-		state = e.nextState(ctx, st.Trans)
+		state = st.next(ctx.slots)
 	}
 	ctx.payload = ctx.packet[ctx.cursor:]
 	if state == ir.StateReject {
-		e.setParserError(ctx, ParseErrReject)
-		e.cReject.Inc()
-		ctx.Trace.Verdict = VerdictReject
-		return VerdictReject
+		return e.reject(ctx, ParseErrReject, e.cReject)
 	}
 	e.cAccept.Inc()
 	ctx.Trace.Verdict = VerdictAccept
 	return VerdictAccept
 }
 
-func (e *Engine) execParserOp(ctx *Context, op ir.Stmt) bool {
-	switch op := op.(type) {
-	case *ir.Extract:
-		h := &e.lay.headers[op.Inst]
-		end := ctx.cursor + h.bytes
-		if end > len(ctx.packet) {
-			return false
-		}
-		h.extract(ctx.fields[e.lay.base[op.Inst]:], ctx.packet[ctx.cursor:end])
-		ctx.insts[op.Inst] = instState{valid: true, src: int32(ctx.cursor)}
-		ctx.cursor = end
-		return true
-	case *ir.AssignField:
-		ctx.assign(op.Inst, op.Field, e.eval(ctx, op.RHS))
-		return true
-	default:
-		panic(fmt.Sprintf("dataplane: illegal parser op %T", op))
-	}
-}
-
-func (e *Engine) nextState(ctx *Context, tr ir.Transition) int {
-	if len(tr.Keys) == 0 {
-		return tr.Default
-	}
-	vals := ctx.scratchVals(len(tr.Keys))
-	for i, k := range tr.Keys {
-		vals[i] = e.eval(ctx, k)
-	}
-	for _, c := range tr.Cases {
-		match := true
-		for i := range vals {
-			if !vals[i].MatchesMasked(c.Values[i], c.Masks[i]) {
-				match = false
-				break
+// next is the state's select: the first case all of whose compares hold.
+func (st *statePlan) next(s []uint64) int {
+cases:
+	for i := range st.cases {
+		c := &st.cases[i]
+		for _, m := range c.cmps {
+			if s[m.slot]&m.mask != m.want {
+				continue cases
 			}
 		}
-		if match {
-			return c.Next
-		}
+		return c.next
 	}
-	return tr.Default
+	return st.deflt
 }
 
 // RunPipeline executes every control in pipeline order.
 func (e *Engine) RunPipeline(ctx *Context) {
-	for _, c := range e.prog.Controls {
-		e.execStmts(ctx, c.Apply, c.Name)
+	for _, code := range e.plan.controls {
+		e.exec(ctx, code)
 	}
 }
 
-// execStmts runs a statement list; it returns false when a Return was
-// executed (propagated to abort the enclosing body).
-func (e *Engine) execStmts(ctx *Context, stmts []ir.Stmt, stage string) bool {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ir.AssignField:
-			ctx.assign(s.Inst, s.Field, e.eval(ctx, s.RHS))
-		case *ir.AssignLocal:
-			ctx.locals[s.Idx] = e.eval(ctx, s.RHS)
-		case *ir.SetValid:
-			ctx.insts[s.Inst].valid = s.Valid
-		case *ir.MarkToDrop:
-			ctx.MarkDropped(stage)
-		case *ir.If:
-			branch := s.Else
-			if e.eval(ctx, s.Cond).Uint64() != 0 {
-				branch = s.Then
+// Deparse reassembles the output packet: valid headers in emit order, then
+// the unparsed payload.
+func (e *Engine) Deparse(ctx *Context) []byte {
+	ctx.out = ctx.out[:0]
+	e.exec(ctx, e.plan.deparser)
+	ctx.out = append(ctx.out, ctx.payload...)
+	return ctx.out
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// exec runs compiled code on the context. It returns false when the code
+// stopped short: at a return statement, which ends the control or action
+// body it is in, or at an extract the packet is too short for.
+func (e *Engine) exec(ctx *Context, code []op) bool {
+	s := ctx.slots
+	for pc := 0; pc < len(code); pc++ {
+		switch o := &code[pc]; o.code {
+		case opMov:
+			s[o.dst] = s[o.a]
+		case opBinary + opcode(ir.OpAdd):
+			s[o.dst] = (s[o.a] + s[o.b]) & o.imm
+		case opBinary + opcode(ir.OpSub):
+			s[o.dst] = (s[o.a] - s[o.b]) & o.imm
+		case opBinary + opcode(ir.OpMul):
+			s[o.dst] = s[o.a] * s[o.b] & o.imm
+		case opBinary + opcode(ir.OpAnd):
+			s[o.dst] = s[o.a] & s[o.b]
+		case opBinary + opcode(ir.OpOr):
+			s[o.dst] = s[o.a] | s[o.b]
+		case opBinary + opcode(ir.OpXor):
+			s[o.dst] = s[o.a] ^ s[o.b]
+		case opBinary + opcode(ir.OpShl): // Go's shifts saturate the way P4's do: a count of 64 or more gives 0
+			s[o.dst] = s[o.a] << s[o.b] & o.imm
+		case opBinary + opcode(ir.OpShr):
+			s[o.dst] = s[o.a] >> s[o.b]
+		case opBinary + opcode(ir.OpEq):
+			s[o.dst] = b2u(s[o.a] == s[o.b])
+		case opBinary + opcode(ir.OpNeq):
+			s[o.dst] = b2u(s[o.a] != s[o.b])
+		case opBinary + opcode(ir.OpLt):
+			s[o.dst] = b2u(s[o.a] < s[o.b])
+		case opBinary + opcode(ir.OpLe):
+			s[o.dst] = b2u(s[o.a] <= s[o.b])
+		case opBinary + opcode(ir.OpGt):
+			s[o.dst] = b2u(s[o.a] > s[o.b])
+		case opBinary + opcode(ir.OpGe):
+			s[o.dst] = b2u(s[o.a] >= s[o.b])
+		case opWide:
+			a := operand{o.a, int32(o.imm >> 8 & 0xff)}.load(s)
+			b := operand{o.b, int32(o.imm >> 16 & 0xff)}.load(s)
+			operand{o.dst, int32(o.imm >> 24)}.store(s, wideValue(ir.BinOp(o.imm&0xff), a, b))
+		case opJmp:
+			pc = int(o.dst) - 1
+		case opJz:
+			if s[o.a] == 0 {
+				pc = int(o.dst) - 1
 			}
-			if !e.execStmts(ctx, branch, stage) {
+		case opJnz:
+			if s[o.a] != 0 {
+				pc = int(o.dst) - 1
+			}
+		case opRet:
+			return false
+		case opDrop:
+			ctx.MarkDropped(e.prog.Controls[o.a].Name)
+		case opApply:
+			e.apply(ctx, e.tableAt[o.a])
+		case opCall:
+			e.exec(ctx, e.plan.actions[o.a].code)
+		case opExtract:
+			h := &e.plan.headers[o.a]
+			end := ctx.cursor + h.bytes
+			if end > len(ctx.packet) {
 				return false
 			}
-		case *ir.ApplyTable:
-			e.applyTable(ctx, s.Table, stage)
-		case *ir.CallAction:
-			args := ctx.callArgs(len(ctx.args), len(s.Args))
-			for i, a := range s.Args {
-				args[i] = e.eval(ctx, a)
+			extract(h.extract, s, ctx.packet[ctx.cursor:end])
+			s[h.valid], s[h.src] = 1, uint64(ctx.cursor)+1
+			ctx.cursor = end
+		case opEmit:
+			h := &e.plan.headers[o.a]
+			if s[h.valid] == 0 {
+				continue
 			}
-			e.runAction(ctx, s.Action, args, stage)
-		case *ir.Return:
-			return false
-		default:
-			panic(fmt.Sprintf("dataplane: illegal control statement %T", s))
+			// A header the parser extracted goes out as the frame's own
+			// bytes with the fields the program can write injected over
+			// them; one made valid without an extract has no bytes to
+			// start from, so every field is injected over zeros.
+			start := len(ctx.out)
+			if src := int(s[h.src]); src > 0 {
+				ctx.out = append(ctx.out, ctx.packet[src-1:src-1+h.bytes]...)
+				inject(h.patch, s, ctx.out[start:])
+			} else {
+				ctx.out = append(ctx.out, make([]byte, h.bytes)...) // extends in place: no temporary
+				inject(h.fields, s, ctx.out[start:])
+			}
+			h.emits.Inc()
 		}
 	}
 	return true
 }
 
-func (e *Engine) applyTable(ctx *Context, t *ir.Table, stage string) {
-	ts := e.tableAt[t.Index]
-	vals := ctx.scratchVals(len(t.Keys))
-	for i, k := range t.Keys {
-		vals[i] = e.eval(ctx, k.Expr)
+// apply looks the table up with the packet's key and runs the action of
+// the entry it hit, or the default action, on that entry's own arguments.
+func (e *Engine) apply(ctx *Context, ts *tableState) {
+	e.exec(ctx, ts.keyCode)
+	s := ctx.slots
+	key := ts.keyWords[:len(ts.words)]
+	for i, slot := range ts.words {
+		key[i] = s[slot]
 	}
-	be := ts.lookup(vals)
+	act, args, hit := ts.deflt, ts.def.Default.Args, false
+	if be := ts.lookup(key); be != nil {
+		act, args, hit = be.action, be.Args, true
+		ts.hit.Inc()
+	} else {
+		ts.miss.Inc()
+	}
 	if ctx.CollectTrace {
 		// A trace sizes its slices on the first event, for every table
 		// applied once: the events' key values share one array (a table
@@ -532,191 +510,40 @@ func (e *Engine) applyTable(ctx *Context, t *ir.Table, stage string) {
 		// theirs).
 		if ctx.Trace.Tables == nil {
 			ctx.Trace.Tables = make([]TableEvent, 0, len(e.tableAt))
-			ctx.traceKeys = make([]bitfield.Value, 0, e.lay.numKeys)
+			ctx.traceKeys = make([]bitfield.Value, 0, e.plan.numKeys)
 		}
 		from := len(ctx.traceKeys)
-		ctx.traceKeys = append(ctx.traceKeys, vals...)
-		ev := TableEvent{Table: t.Name, Keys: ctx.traceKeys[from:len(ctx.traceKeys):len(ctx.traceKeys)]}
-		if be != nil {
-			ev.Hit = true
-			ev.Action = be.action.Name
-		} else {
-			ev.Action = t.Default.Action.Name
+		for _, k := range ts.keys {
+			ctx.traceKeys = append(ctx.traceKeys, k.load(s))
 		}
-		ctx.Trace.Tables = append(ctx.Trace.Tables, ev)
+		ctx.Trace.Tables = append(ctx.Trace.Tables, TableEvent{Table: ts.def.Name, Hit: hit, Action: act.def.Name,
+			Keys: ctx.traceKeys[from:len(ctx.traceKeys):len(ctx.traceKeys)]})
 	}
-	if be != nil {
-		ts.hit.Inc()
-		e.runAction(ctx, be.action, be.Args, stage)
-	} else {
-		ts.miss.Inc()
-		e.runAction(ctx, t.Default.Action, t.Default.Args, stage)
+	for i, p := range act.params {
+		p.store(s, args[i])
 	}
-}
-
-func (e *Engine) runAction(ctx *Context, a *ir.Action, args []bitfield.Value, stage string) {
-	ctx.args = append(ctx.args, args)
-	e.execStmts(ctx, a.Body, stage)
-	ctx.args = ctx.args[:len(ctx.args)-1]
-}
-
-// Deparse reassembles the output packet: valid headers in emit order, then
-// the unparsed payload.
-func (e *Engine) Deparse(ctx *Context) []byte {
-	ctx.out = ctx.out[:0]
-	e.execDeparse(ctx, e.prog.Deparser.Stmts)
-	ctx.out = append(ctx.out, ctx.payload...)
-	return ctx.out
-}
-
-func (e *Engine) execDeparse(ctx *Context, stmts []ir.Stmt) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ir.Emit:
-			st := &ctx.insts[s.Inst]
-			if !st.valid {
-				continue
-			}
-			// A header the parser extracted goes out as the frame's own
-			// bytes with only the fields written since injected over
-			// them; one made valid without an extract has no bytes to
-			// start from, so every field is injected over zeros.
-			h := &e.lay.headers[s.Inst]
-			start, rewrite := len(ctx.out), h.all
-			if st.src >= 0 {
-				ctx.out = append(ctx.out, ctx.packet[st.src:int(st.src)+h.bytes]...)
-				rewrite = st.dirty
-			} else {
-				ctx.out = append(ctx.out, make([]byte, h.bytes)...) // extends in place: no temporary
-			}
-			h.inject(ctx.out[start:], ctx.fields[e.lay.base[s.Inst]:], rewrite)
-			e.emitCtr[s.Inst].Inc()
-		case *ir.If:
-			branch := s.Else
-			if e.eval(ctx, s.Cond).Uint64() != 0 {
-				branch = s.Then
-			}
-			e.execDeparse(ctx, branch)
-		default:
-			panic(fmt.Sprintf("dataplane: illegal deparser statement %T", s))
-		}
-	}
-}
-
-// eval evaluates an IR expression against the context.
-func (e *Engine) eval(ctx *Context, x ir.Expr) bitfield.Value {
-	switch x := x.(type) {
-	case ir.Const:
-		return x.Val
-	case ir.FieldRef:
-		return ctx.fields[e.lay.base[x.Inst]+x.Field]
-	case ir.LocalRef:
-		return ctx.locals[x.Idx]
-	case ir.ParamRef:
-		return ctx.args[len(ctx.args)-1][x.Idx]
-	case ir.IsValid:
-		if ctx.insts[x.Inst].valid {
-			return bitfield.New(1, 1)
-		}
-		return bitfield.New(0, 1)
-	case ir.Unary:
-		v := e.eval(ctx, x.X)
-		switch x.Op {
-		case ir.OpNot:
-			if v.IsZero() {
-				return bitfield.New(1, 1)
-			}
-			return bitfield.New(0, 1)
-		case ir.OpBitNot:
-			return v.Not()
-		case ir.OpNeg:
-			return bitfield.New(0, v.Width()).Sub(v)
-		}
-	case ir.Binary:
-		return e.evalBinary(ctx, x)
-	case ir.Ternary:
-		if e.eval(ctx, x.Cond).Uint64() != 0 {
-			return e.eval(ctx, x.A)
-		}
-		return e.eval(ctx, x.B)
-	}
-	panic(fmt.Sprintf("dataplane: illegal expression %T", x))
-}
-
-func boolVal(b bool) bitfield.Value {
-	if b {
-		return bitfield.New(1, 1)
-	}
-	return bitfield.New(0, 1)
-}
-
-func (e *Engine) evalBinary(ctx *Context, x ir.Binary) bitfield.Value {
-	// Short-circuit logical operators.
-	switch x.Op {
-	case ir.OpLAnd:
-		if e.eval(ctx, x.X).IsZero() {
-			return bitfield.New(0, 1)
-		}
-		return boolVal(!e.eval(ctx, x.Y).IsZero())
-	case ir.OpLOr:
-		if !e.eval(ctx, x.X).IsZero() {
-			return bitfield.New(1, 1)
-		}
-		return boolVal(!e.eval(ctx, x.Y).IsZero())
-	}
-	a := e.eval(ctx, x.X)
-	b := e.eval(ctx, x.Y)
-	switch x.Op {
-	case ir.OpAdd:
-		return a.Add(b)
-	case ir.OpSub:
-		return a.Sub(b)
-	case ir.OpMul:
-		return a.Mul(b)
-	case ir.OpAnd:
-		return a.And(b)
-	case ir.OpOr:
-		return a.Or(b)
-	case ir.OpXor:
-		return a.Xor(b)
-	case ir.OpShl:
-		return a.Shl(int(b.Uint64()))
-	case ir.OpShr:
-		return a.Shr(int(b.Uint64()))
-	case ir.OpEq:
-		return boolVal(a.Equal(b))
-	case ir.OpNeq:
-		return boolVal(!a.Equal(b))
-	case ir.OpLt:
-		return boolVal(a.Cmp(b) < 0)
-	case ir.OpLe:
-		return boolVal(a.Cmp(b) <= 0)
-	case ir.OpGt:
-		return boolVal(a.Cmp(b) > 0)
-	case ir.OpGe:
-		return boolVal(a.Cmp(b) >= 0)
-	}
-	panic(fmt.Sprintf("dataplane: illegal binary op %v", x.Op))
+	e.exec(ctx, act.code)
 }
 
 // resolveEntry resolves an entry's table state and action.
-func (e *Engine) resolveEntry(entry Entry) (*tableState, *ir.Action, error) {
+func (e *Engine) resolveEntry(entry Entry) (*tableState, *actionPlan, error) {
 	ts, ok := e.tables[entry.Table]
 	if !ok {
 		return nil, nil, fmt.Errorf("dataplane: no table %q", entry.Table)
 	}
-	for _, a := range ts.def.Actions {
+	for i, a := range ts.def.Actions {
 		if a.Name == entry.Action {
-			return ts, a, nil
+			return ts, ts.actions[i], nil
 		}
 	}
 	return nil, nil, fmt.Errorf("dataplane: table %q does not allow action %q", entry.Table, entry.Action)
 }
 
 // InstallEntry validates and installs a table entry. The engine keeps
-// entry.Keys and entry.Args, not copies: a ternary lookup confirms a
-// candidate against its own keys, an action runs on its own arguments,
-// so the caller must leave both alone while the entry is installed.
+// entry.Keys and entry.Args, not copies: an exact or ternary lookup
+// confirms a candidate against its own keys, an action runs on its own
+// arguments, so the caller must leave both alone while the entry is
+// installed.
 func (e *Engine) InstallEntry(entry Entry) error {
 	ts, action, err := e.resolveEntry(entry)
 	if err != nil {

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,21 @@ func routerEngine(t testing.TB) *Engine { return routedEngine(t, p4test.Router) 
 
 // routedEngine is routerEngine for any program with Router's table.
 func routedEngine(t testing.TB, src string) *Engine {
-	e := mustEngine(t, src)
+	return installed(t, mustEngine(t, src), routerEntries()...)
+}
+
+func installed(t testing.TB, e *Engine, entries ...Entry) *Engine {
+	t.Helper()
+	for _, en := range entries {
+		if err := e.InstallEntry(en); err != nil {
+			t.Fatalf("install: %v", err)
+		}
+	}
+	return e
+}
+
+func routerEntries() []Entry {
+	var entries []Entry
 	for _, r := range []struct {
 		prefix uint32
 		plen   int
@@ -44,7 +59,7 @@ func routedEngine(t testing.TB, src string) *Engine {
 		{0x0a000100, 24, 2},
 		{0x0a000000, 8, 1},
 	} {
-		err := e.InstallEntry(Entry{
+		entries = append(entries, Entry{
 			Table: "ipv4_lpm",
 			Keys: []KeyValue{{
 				Value:     bitfield.New(uint64(r.prefix), 32),
@@ -56,11 +71,8 @@ func routedEngine(t testing.TB, src string) *Engine {
 				bitfield.New(r.port, 9),
 			},
 		})
-		if err != nil {
-			t.Fatalf("install: %v", err)
-		}
 	}
-	return e
+	return entries
 }
 
 func TestRouterForwards(t *testing.T) {
@@ -228,6 +240,49 @@ func TestL2SwitchExactMatch(t *testing.T) {
 	}
 }
 
+// TestExactStoreIdentity: an exact table lives on the ternary index as its
+// one all-ones group, and keeps an exact table's identity rules — the key
+// alone names an entry (a duplicate is refused whatever its priority, a
+// delete finds it whatever priority either side gave), entries past the
+// index's growth boundaries all stay reachable, and it is no ternary table
+// to TernaryGroupCount.
+func TestExactStoreIdentity(t *testing.T) {
+	e := mustEngine(t, p4test.L2Switch)
+	entry := func(i, prio int) Entry {
+		return Entry{Table: "mac_table", Keys: []KeyValue{{Value: bitfield.New(uint64(i)*0x10001, 48)}},
+			Action: "forward", Args: []bitfield.Value{bitfield.New(uint64(i%8), 9)}, Priority: prio}
+	}
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := e.InstallEntry(entry(i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.InstallEntry(entry(7, 99)); err == nil {
+		t.Fatal("a second entry with an installed key was accepted")
+	}
+	if got := e.TernaryGroupCount("mac_table"); got != 0 {
+		t.Fatalf("TernaryGroupCount of an exact table = %d, want 0", got)
+	}
+	ctx := e.NewContext()
+	for i := 0; i < n; i++ {
+		var dst packet.MAC
+		copy(dst[:], entry(i, 0).Keys[0].Value.Bytes())
+		if out, egress := e.Process(ctx, packet.BuildUDPv4(macA, dst, ipA, ipB, 1, 2, nil), 0); out == nil || egress != uint64(i%8) {
+			t.Fatalf("entry %d: out=%v egress=%d", i, out != nil, egress)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := e.DeleteEntry(entry(i, 0)); err != nil {
+			t.Fatalf("delete %d: %v", i, err)
+		}
+	}
+	var missing *NoSuchEntryError
+	if err := e.DeleteEntry(entry(7, 7)); !errors.As(err, &missing) || e.TableCount("mac_table") != 0 {
+		t.Fatalf("delete from the emptied table: %v, count %d", err, e.TableCount("mac_table"))
+	}
+}
+
 func TestReflector(t *testing.T) {
 	e := mustEngine(t, p4test.Reflector)
 	ctx := e.NewContext()
@@ -246,7 +301,10 @@ func TestReflector(t *testing.T) {
 }
 
 func firewallEngine(t testing.TB) *Engine {
-	e := mustEngine(t, p4test.Firewall)
+	return installed(t, mustEngine(t, p4test.Firewall), firewallEntries()...)
+}
+
+func firewallEntries() []Entry {
 	// ACL: allow TCP/UDP to 10.0.1.0/24 port 443 at high priority; block
 	// 10.0.0.0/8 wide at low priority.
 	allow := Entry{
@@ -269,20 +327,13 @@ func firewallEngine(t testing.TB) *Engine {
 		Action:   "drop",
 		Priority: 10,
 	}
-	for _, en := range []Entry{allow, deny} {
-		if err := e.InstallEntry(en); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.InstallEntry(Entry{
+	route := Entry{
 		Table:  "routing",
 		Keys:   []KeyValue{{Value: bitfield.New(0x0a000000, 32), PrefixLen: 8}},
 		Action: "route",
 		Args:   []bitfield.Value{bitfield.New(2, 9)},
-	}); err != nil {
-		t.Fatal(err)
 	}
-	return e
+	return []Entry{allow, deny, route}
 }
 
 func TestFirewallTernaryPriority(t *testing.T) {
@@ -635,11 +686,11 @@ func TestStdMetaFields(t *testing.T) {
 	ctx := e.NewContext()
 	in := packet.BuildUDPv4(macA, macB, ipA, ipB, 1, 2, nil)
 	e.Reset(ctx, in, 3)
-	sm := e.Program().StdMeta
-	if got := ctx.Field(sm, ir.StdMetaIngressPort).Uint64(); got != 3 {
+	std := e.plan.std
+	if got := ctx.slots[std[ir.StdMetaIngressPort]]; got != 3 {
 		t.Errorf("ingress_port = %d", got)
 	}
-	if got := ctx.Field(sm, ir.StdMetaPacketLength).Uint64(); got != uint64(len(in)) {
+	if got := ctx.slots[std[ir.StdMetaPacketLength]]; got != uint64(len(in)) {
 		t.Errorf("packet_length = %d want %d", got, len(in))
 	}
 }

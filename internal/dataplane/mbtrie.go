@@ -1,18 +1,16 @@
 package dataplane
 
-import (
-	"math/bits"
-
-	"netdebug/internal/bitfield"
-)
+import "math/bits"
 
 // This file implements the path-compressed multibit LPM trie that backs
 // lpm tables. TestDifferentialLPMTrie fuzzes it against the
 // one-node-per-bit binary trie it replaced, which lives on as a model in
 // models_test.go.
 //
-// Layout: nodes consume the key MultibitStride bits at a time, most
-// significant chunk first. Runs of single-child interior nodes are
+// Layout: the key is 64-bit words read as one bit string, most
+// significant bit of the first word first (a table aligns its lpm key so
+// the string has no gaps), and nodes consume it MultibitStride bits at a
+// time. Runs of single-child interior nodes are
 // collapsed into a per-node skip string of whole chunks (path
 // compression), so a lone /32 costs one node, not 32. Within a node,
 // prefixes that end inside the node's stride live in a 511-bit internal
@@ -83,20 +81,11 @@ func bmRank(bm []uint64, i int) int {
 	return r
 }
 
-// strideChunk returns the n bits of val that start d bits below the most
-// significant bit, as an integer. n is at most MultibitStride, so the
-// result always fits one word; the two-word extraction is open-coded
-// because this runs several times per table lookup on the packet path.
-func strideChunk(val bitfield.Value, d, n int) int {
-	sh := uint(val.W - d - n)
-	if sh >= 64 {
-		return int(val.Hi>>(sh-64)) & (1<<uint(n) - 1)
-	}
-	x := val.Lo >> sh
-	if sh > 0 {
-		x |= val.Hi << (64 - sh)
-	}
-	return int(x) & (1<<uint(n) - 1)
+// strideChunk returns the n bits of key that start d bits in, as an
+// integer. d is a multiple of MultibitStride and n at most
+// MultibitStride, so the chunk lies inside one word.
+func strideChunk(key []uint64, d, n int) int {
+	return int(key[d>>6]>>uint(64-d&63-n)) & (1<<uint(n) - 1)
 }
 
 func (n *mbNode) internal(idx int) *boundEntry {
@@ -153,25 +142,16 @@ func (n *mbNode) removeChild(c int) {
 // payload. The caller then inserts into n, giving it a second edge or
 // an internal entry, so the no-empty-single-child-node invariant holds.
 func (t *mbTrie) splitNode(n *mbNode, si int) {
-	c := &mbNode{
-		intBM:    n.intBM,
-		extBM:    n.extBM,
-		entries:  n.entries,
-		children: n.children,
-		skip:     append([]byte(nil), n.skip[si+1:]...),
-	}
+	c := *n
+	c.skip = append([]byte(nil), n.skip[si+1:]...)
 	edge := n.skip[si]
-	n.skip = n.skip[:si]
-	n.intBM = [8]uint64{}
-	n.extBM = [4]uint64{}
-	n.entries = nil
-	n.children = nil
-	n.addChild(int(edge), c)
+	*n = mbNode{skip: n.skip[:si]}
+	n.addChild(int(edge), &c)
 	t.nodes++
 }
 
 // insert adds a prefix; it returns false on duplicates.
-func (t *mbTrie) insert(val bitfield.Value, plen int, be *boundEntry) bool {
+func (t *mbTrie) insert(val []uint64, plen int, be *boundEntry) bool {
 	if t.root == nil {
 		t.root = &mbNode{}
 		t.nodes = 1
@@ -222,14 +202,13 @@ func (t *mbTrie) insert(val bitfield.Value, plen int, be *boundEntry) bool {
 	}
 }
 
-// lookup returns the longest-prefix match for val, or nil. It performs
-// no heap allocations.
-func (t *mbTrie) lookup(val bitfield.Value) *boundEntry {
+// lookup returns the longest-prefix match for the w-bit key val, or nil.
+// It performs no heap allocations.
+func (t *mbTrie) lookup(val []uint64, w int) *boundEntry {
 	n := t.root
 	if n == nil {
 		return nil
 	}
-	w := val.Width()
 	var best *boundEntry
 	d := 0
 	for {
@@ -273,17 +252,15 @@ func (t *mbTrie) lookup(val bitfield.Value) *boundEntry {
 // is installed there. Emptied nodes are pruned and single-child chains
 // re-collapsed into skip strings, so memory shrinks back under
 // install/delete churn.
-func (t *mbTrie) remove(val bitfield.Value, plen int) bool {
+func (t *mbTrie) remove(val []uint64, plen int) bool {
 	n := t.root
 	if n == nil {
 		return false
 	}
-	type edgeFrame struct {
-		n    *mbNode
-		edge int
-	}
-	var stack [16]edgeFrame
-	sp := 0
+	// The node n was reached from, by which edge: all pruning needs, since
+	// no node but the root is left without entries and with one child.
+	var parent *mbNode
+	edge := 0
 	d := 0
 	for {
 		for _, sb := range n.skip {
@@ -313,34 +290,24 @@ func (t *mbTrie) remove(val bitfield.Value, plen int) bool {
 		if next == nil {
 			return false
 		}
-		stack[sp] = edgeFrame{n, c}
-		sp++
+		parent, edge = n, c
 		n, d = next, d+MultibitStride
 	}
-	// Prune now-empty nodes bottom-up.
-	for sp > 0 && len(n.entries) == 0 && len(n.children) == 0 {
-		sp--
-		stack[sp].n.removeChild(stack[sp].edge)
+	// Prune a now-empty node.
+	if parent != nil && len(n.entries) == 0 && len(n.children) == 0 {
+		parent.removeChild(edge)
 		t.nodes--
-		n = stack[sp].n
+		n = parent
 	}
 	// Re-collapse: a payload-free node with a single child folds the
 	// edge and the child into its skip string, restoring the
 	// path-compression invariant insert maintains.
 	if len(n.entries) == 0 && len(n.children) == 1 {
-		var edge int
-		for c := 0; c < 256; c++ {
-			if bmHas(n.extBM[:], c) {
-				edge = c
-				break
-			}
+		for edge = 0; !bmHas(n.extBM[:], edge); edge++ {
 		}
-		c := n.children[0]
-		n.skip = append(append(n.skip, byte(edge)), c.skip...)
-		n.intBM = c.intBM
-		n.extBM = c.extBM
-		n.entries = c.entries
-		n.children = c.children
+		skip := append(append(n.skip, byte(edge)), n.children[0].skip...)
+		*n = *n.children[0]
+		n.skip = skip
 		t.nodes--
 	}
 	// A fully emptied trie collapses to nothing — in particular the

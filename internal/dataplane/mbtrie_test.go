@@ -27,7 +27,7 @@ type triePair struct {
 func (p *triePair) insert(val bitfield.Value, plen int) bool {
 	p.t.Helper()
 	be := &boundEntry{}
-	got := p.mb.insert(val, plen, be)
+	got := p.mb.insert(lpmWords(val), plen, be)
 	want := p.bin.insert(val, plen, be)
 	if got != want {
 		p.t.Fatalf("insert %s/%d: multibit=%v binary=%v", val, plen, got, want)
@@ -37,7 +37,7 @@ func (p *triePair) insert(val bitfield.Value, plen int) bool {
 
 func (p *triePair) remove(val bitfield.Value, plen int) bool {
 	p.t.Helper()
-	got := p.mb.remove(val, plen)
+	got := p.mb.remove(lpmWords(val), plen)
 	want := p.bin.remove(val, plen)
 	if got != want {
 		p.t.Fatalf("remove %s/%d: multibit=%v binary=%v", val, plen, got, want)
@@ -47,7 +47,7 @@ func (p *triePair) remove(val bitfield.Value, plen int) bool {
 
 func (p *triePair) probe(val bitfield.Value) *boundEntry {
 	p.t.Helper()
-	got := p.mb.lookup(val)
+	got := p.mb.lookup(lpmWords(val), val.W)
 	want := p.bin.lookup(val)
 	if got != want {
 		p.t.Fatalf("lookup %s: multibit=%p binary=%p", val, got, want)
@@ -209,7 +209,7 @@ func TestLPMTrieEdgeCases(t *testing.T) {
 		for _, plen := range []int{0, 8, 13, 16, 24, 32} {
 			be := &boundEntry{}
 			byLen[plen] = be
-			if !p.mb.insert(val.And(prefixMask(32, plen)), plen, be) ||
+			if !p.mb.insert(lpmWords(val.And(prefixMask(32, plen))), plen, be) ||
 				!p.bin.insert(val.And(prefixMask(32, plen)), plen, be) {
 				t.Fatalf("/%d insert failed", plen)
 			}
@@ -241,6 +241,45 @@ func trieChurnEntry(i int) (bitfield.Value, int) {
 	return bitfield.New(uint64(0x0a000000+i)&0xffffffff, 32), 32
 }
 
+// TestLPMTrieDeepRemove: an lpm table's trie is over its whole key, exact
+// keys first, so a walk can be 32 nodes deep — a 256-bit string that
+// branches at every byte. Removes at every depth prune and re-collapse, the
+// node count the trie keeps agrees with a walk of it, and the last remove
+// leaves nothing.
+func TestLPMTrieDeepRemove(t *testing.T) {
+	key := func(fill byte, from int) []uint64 {
+		k := make([]uint64, 4)
+		for b := 0; b < 32; b++ {
+			v := byte(0x11)
+			if b >= from {
+				v = fill
+			}
+			k[b/8] |= uint64(v) << uint(56-8*(b%8))
+		}
+		return k
+	}
+	var mb mbTrie
+	for from := 32; from >= 1; from-- { // from 32 is the all-0x11 spine
+		if !mb.insert(key(0x22, from), 256, &boundEntry{}) {
+			t.Fatalf("insert branch at byte %d failed", from)
+		}
+	}
+	for from := 32; from >= 1; from-- {
+		if mb.lookup(key(0x22, from), 256) == nil {
+			t.Fatalf("branch at byte %d not found before its remove", from)
+		}
+		if !mb.remove(key(0x22, from), 256) || mb.lookup(key(0x22, from), 256) != nil {
+			t.Fatalf("remove of branch at byte %d failed", from)
+		}
+		if nodes, _ := mb.stats(); nodes != mb.nodes {
+			t.Fatalf("after removing branch %d the trie counts %d nodes, a walk finds %d", from, mb.nodes, nodes)
+		}
+	}
+	if mb.root != nil {
+		t.Fatal("the emptied trie kept its root")
+	}
+}
+
 // TestLPMTrieChurnPrunes is the regression test for the delete-leak
 // satellite: the binary trie documents that it leaves dead interior
 // nodes behind, the multibit trie must not — after full removal the
@@ -251,14 +290,14 @@ func TestLPMTrieChurnPrunes(t *testing.T) {
 	var mb mbTrie
 	for i := 0; i < n; i++ {
 		val, plen := trieChurnEntry(i)
-		if !mb.insert(val, plen, &boundEntry{}) {
+		if !mb.insert(lpmWords(val), plen, &boundEntry{}) {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
 	full, fullBytes := mb.stats()
 	for i := 0; i < n; i++ {
 		val, plen := trieChurnEntry(i)
-		if !mb.remove(val, plen) {
+		if !mb.remove(lpmWords(val), plen) {
 			t.Fatalf("remove %d failed", i)
 		}
 	}
@@ -271,14 +310,14 @@ func TestLPMTrieChurnPrunes(t *testing.T) {
 	for cycle := 0; cycle < 3; cycle++ {
 		for i := 0; i < n; i++ {
 			val, plen := trieChurnEntry(i)
-			mb.insert(val, plen, &boundEntry{})
+			mb.insert(lpmWords(val), plen, &boundEntry{})
 		}
 		if nodes, _ := mb.stats(); nodes != full {
 			t.Fatalf("cycle %d: %d nodes, want %d (churn grew the trie)", cycle, nodes, full)
 		}
 		for i := 0; i < n; i++ {
 			val, plen := trieChurnEntry(i)
-			mb.remove(val, plen)
+			mb.remove(lpmWords(val), plen)
 		}
 	}
 	// Contrast pin: the model's documented leak really exists (if this
@@ -338,7 +377,7 @@ func TestLPMTrieMemoryRatio(t *testing.T) {
 		mb = &mbTrie{}
 		for i := 0; i < n; i++ {
 			val, plen := trieChurnEntry(i)
-			mb.insert(val, plen, entries[i%256])
+			mb.insert(lpmWords(val), plen, entries[i%256])
 		}
 	})
 	mbNodes, mbBytes := mb.stats()
@@ -368,12 +407,14 @@ const benchTrieLookupBase = 1_000_000
 func BenchmarkLPMTrieInstallMultibit(b *testing.B) {
 	b.Run("entries10000", func(b *testing.B) {
 		be := &boundEntry{}
+		key := make([]uint64, 1) // a 32-bit key aligned the way lpmWords does, without its allocation
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			mb := &mbTrie{}
 			for j := 0; j < 10000; j++ {
 				val, plen := trieChurnEntry(j)
-				mb.insert(val, plen, be)
+				key[0] = val.Lo << 32
+				mb.insert(key, plen, be)
 			}
 		}
 	})
@@ -404,13 +445,15 @@ func BenchmarkLPMTrieLookupMultibit(b *testing.B) {
 	be := &boundEntry{}
 	for i := 0; i < benchTrieLookupBase; i++ {
 		val, plen := trieChurnEntry(i)
-		mb.insert(val, plen, be)
+		mb.insert(lpmWords(val), plen, be)
 	}
+	key := make([]uint64, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		val, _ := trieChurnEntry(benchProbeIndex(i))
-		if mb.lookup(val) == nil {
+		key[0] = val.Lo << 32
+		if mb.lookup(key, 32) == nil {
 			b.Fatal("lookup missed a resident prefix")
 		}
 	}

@@ -163,7 +163,7 @@ func sameEntry(got *boundEntry, want *modelEntry) bool {
 // lockstep.
 type ternaryPair struct {
 	ts  *tableState
-	act *ir.Action
+	act *actionPlan
 	m   *linearModel
 }
 
@@ -244,11 +244,36 @@ func (p *ternaryPair) mustDelete(tb testing.TB, e Entry) int {
 // lookup probes both sides and fails the test when they disagree.
 func (p *ternaryPair) lookup(tb testing.TB, vals []bitfield.Value) *boundEntry {
 	tb.Helper()
-	got, want := p.ts.lookup(vals), p.m.lookup(vals)
+	got, want := p.ts.lookupVals(vals), p.m.lookup(vals)
 	if !sameEntry(got, want) {
 		tb.Fatalf("tuple-space %+v, linear model %+v (vals %v)", got, want, vals)
 	}
 	return got
+}
+
+// lookupVals looks key values up the way the packet path does: packed into
+// the table's scratch words, an lpm table's lpm key last.
+func (ts *tableState) lookupVals(vals []bitfield.Value) *boundEntry {
+	key := ts.keyWords[:0]
+	for i, v := range vals {
+		if i != ts.lpmIdx {
+			key = ts.plan.appendWords(key, i, v)
+		}
+	}
+	if ts.lpmIdx >= 0 {
+		key = ts.plan.appendWords(key, ts.lpmIdx, vals[ts.lpmIdx])
+	}
+	return ts.lookup(key)
+}
+
+// lpmWords is an lpm key value as the multibit trie takes it: its words,
+// shifted up so the value's top bit is the first word's.
+func lpmWords(val bitfield.Value) []uint64 {
+	if val.W > 64 {
+		v := val.WithWidth(128).Shl(128 - val.W)
+		return []uint64{v.Hi, v.Lo}
+	}
+	return []uint64{val.Lo << uint(64-val.W)}
 }
 
 // lpmTrie is the one-node-per-bit binary trie over key bits, most

@@ -17,16 +17,16 @@ const maxProcessAllocs = 2
 // l2Engine returns an engine loaded with the exact-match L2 switch and
 // one MAC entry.
 func l2Engine(t testing.TB) *Engine {
-	e := mustEngine(t, p4test.L2Switch)
-	if err := e.InstallEntry(Entry{
+	return installed(t, mustEngine(t, p4test.L2Switch), l2Entry())
+}
+
+func l2Entry() Entry {
+	return Entry{
 		Table:  "mac_table",
 		Keys:   []KeyValue{{Value: bitfield.FromBytes(macB[:])}},
 		Action: "forward",
 		Args:   []bitfield.Value{bitfield.New(2, 9)},
-	}); err != nil {
-		t.Fatal(err)
 	}
-	return e
 }
 
 func assertProcessAllocs(t *testing.T, name string, e *Engine, frame []byte, wantForward bool) {
@@ -121,11 +121,11 @@ func TestTraceStillRecordedWhenEnabled(t *testing.T) {
 }
 
 // TestContextSizeClass: a device batch holds thousands of contexts, so a
-// field that tips Context into the allocator's next size class (416 to
-// 448 bytes) shows as live heap on every workload.
+// field that tips Context into the allocator's next size class (288 to
+// 320 bytes) shows as live heap on every workload.
 func TestContextSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Context{}); got > 416 {
-		t.Fatalf("Context is %d bytes, over the 416-byte size class", got)
+	if got := unsafe.Sizeof(Context{}); got > 288 {
+		t.Fatalf("Context is %d bytes, over the 288-byte size class", got)
 	}
 }
 

@@ -1,18 +1,18 @@
 package dataplane
 
-// The layout plan against the engine it replaced. injectAllModel is the
-// packet path as it was before the plan for the two steps the plan
-// changed: it extracts field by field through bitfield at its own bit
-// cursor, remembers nothing about where a header came from, and emits by
-// injecting every field of every valid header over zeros. Expression
-// evaluation, select and the controls are the engine's own (the plan left
-// them alone), run on a context of the model's.
+// The execution plan against the engine it replaced (interp_test.go): every
+// shipped test program and the plan's corner cases as hand-built IR, over
+// well-formed, mutated, truncated and random frames, must give the same
+// output bytes, egress port, drop, trace and counters on both — in a
+// seeded sweep (TestEmitPlanDifferential) and under the native fuzzer
+// (FuzzPlanVsInterpreter).
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -22,92 +22,6 @@ import (
 	"netdebug/internal/p4/p4test"
 	"netdebug/internal/packet"
 )
-
-type injectAllModel struct {
-	e   *Engine
-	ctx *Context
-}
-
-func (m injectAllModel) process(pkt []byte, port uint64) (out []byte, egress uint64) {
-	e, ctx := m.e, m.ctx
-	e.Reset(ctx, pkt, port)
-	payload, verdict := m.parse(pkt)
-	if verdict == VerdictReject {
-		ctx.MarkDropped("parser")
-		return nil, 0
-	}
-	e.RunPipeline(ctx)
-	if ctx.Dropped() {
-		return nil, 0
-	}
-	m.emit(e.prog.Deparser.Stmts, &out)
-	return append(out, payload...), e.EgressSpec(ctx)
-}
-
-func (m injectAllModel) parse(pkt []byte) (payload []byte, v Verdict) {
-	e, ctx := m.e, m.ctx
-	reject := func(code uint64) ([]byte, Verdict) {
-		e.setParserError(ctx, code)
-		ctx.Trace.Verdict = VerdictReject
-		return nil, VerdictReject
-	}
-	cursor := 0 // in bits
-	state := e.prog.Parser.Start
-	for steps := 1; state >= 0; steps++ {
-		if steps > maxParserStates {
-			return reject(ParseErrLoop)
-		}
-		st := e.prog.Parser.States[state]
-		if ctx.CollectTrace {
-			ctx.Trace.ParserPath = append(ctx.Trace.ParserPath, st.Name)
-		}
-		for _, op := range st.Ops {
-			switch op := op.(type) {
-			case *ir.Extract:
-				ht := e.prog.Instances[op.Inst].Type
-				if cursor+ht.Bits > len(pkt)*8 {
-					return reject(ParseErrPacketTooShort)
-				}
-				for j, f := range ht.Fields {
-					ctx.fields[e.lay.base[op.Inst]+j] = bitfield.MustExtract(pkt, cursor+f.Offset, f.Width)
-				}
-				ctx.insts[op.Inst].valid = true
-				cursor += ht.Bits
-			case *ir.AssignField:
-				ctx.fields[e.lay.base[op.Inst]+op.Field] = e.eval(ctx, op.RHS)
-			}
-		}
-		state = e.nextState(ctx, st.Trans)
-	}
-	if state == ir.StateReject {
-		return reject(ParseErrReject)
-	}
-	return pkt[cursor/8:], VerdictAccept
-}
-
-func (m injectAllModel) emit(stmts []ir.Stmt, out *[]byte) {
-	e, ctx := m.e, m.ctx
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ir.Emit:
-			if !ctx.insts[s.Inst].valid {
-				continue
-			}
-			ht := e.prog.Instances[s.Inst].Type
-			hdr := make([]byte, ht.Bits/8)
-			for j, f := range ht.Fields {
-				bitfield.MustInject(hdr, f.Offset, f.Width, ctx.Field(s.Inst, j))
-			}
-			*out = append(*out, hdr...)
-		case *ir.If:
-			if e.eval(ctx, s.Cond).Uint64() != 0 {
-				m.emit(s.Then, out)
-			} else {
-				m.emit(s.Else, out)
-			}
-		}
-	}
-}
 
 // Hand-built IR: header types by field widths, one header instance per
 // type in order, standard metadata last.
@@ -154,16 +68,16 @@ func accept(ops ...ir.Stmt) *ir.ParserState {
 
 // cornerPrograms are the emit rule's corner cases as hand-built IR.
 func cornerPrograms() map[string]*ir.Program {
-	a, b := headerType("a", 16, 4, 12, 32), headerType("b", 8, 3, 5, 48)
+	a, b := headerType("a", 16, 4, 12, 32), headerType("b", 8, 3, 5, 32, 16)
 	progs := make(map[string]*ir.Program)
 
 	// b never meets the parser: the controls make it valid and write two
-	// of its four fields, so emit has no frame bytes to start from.
+	// of its five fields, so emit has no frame bytes to start from.
 	p := handProgram([]*ir.HeaderType{a, b}, []*ir.ParserState{accept(&ir.Extract{Inst: 0})}, nil, 0, 1)
 	p.Controls[0].Apply = []ir.Stmt{
 		&ir.SetValid{Inst: 1, Valid: true},
 		&ir.AssignField{Inst: 1, Field: 1, RHS: constant(5, 3)},
-		&ir.AssignField{Inst: 1, Field: 3, RHS: ir.Binary{Op: ir.OpAdd, X: field(p, 0, 3), Y: constant(1, 48), W: 48}},
+		&ir.AssignField{Inst: 1, Field: 3, RHS: ir.Binary{Op: ir.OpAdd, X: field(p, 0, 3), Y: constant(1, 32), W: 32}},
 	}
 	progs["valid without extract"] = p
 
@@ -199,7 +113,7 @@ func cornerPrograms() map[string]*ir.Program {
 	}}
 	progs["extracted twice, parser assign"] = p
 
-	// Seventy fields: the 64th and later share the dirty mask's top bit.
+	// Seventy fields, written on both sides of the 64th.
 	widths := make([]int, 70)
 	for i := range widths {
 		widths[i] = []int{1, 7, 3, 13, 8}[i%5]
@@ -224,6 +138,93 @@ func cornerPrograms() map[string]*ir.Program {
 	}
 	progs["wide fields"] = p
 
+	// Shifts by a field: a count of the value's width or more, whatever the
+	// count's own width — its bit 63 set, or only bits past 64 — shifts
+	// everything out.
+	sh := headerType("sh", 8, 8, 64, 128, 128, 8, 8, 8, 8, 128)
+	p = handProgram([]*ir.HeaderType{sh}, []*ir.ParserState{accept(&ir.Extract{Inst: 0})}, nil, 0)
+	shift := func(dst int, op ir.BinOp, x, y ir.Expr) ir.Stmt {
+		return &ir.AssignField{Inst: 0, Field: dst, RHS: ir.Binary{Op: op, X: x, Y: y, W: x.Width()}}
+	}
+	p.Controls[0].Apply = []ir.Stmt{
+		shift(5, ir.OpShl, field(p, 0, 0), field(p, 0, 1)),
+		shift(6, ir.OpShr, field(p, 0, 0), field(p, 0, 2)),
+		shift(7, ir.OpShl, field(p, 0, 0), field(p, 0, 3)),
+		shift(8, ir.OpShl, field(p, 0, 0), constant(8, 8)),
+		shift(9, ir.OpShl, field(p, 0, 4), field(p, 0, 1)),
+		shift(4, ir.OpShr, field(p, 0, 4), field(p, 0, 3)),
+	}
+	progs["shifts"] = p
+
+	// Every operator, on 16-bit and on 128-bit values, through locals of
+	// both widths.
+	bin := func(op ir.BinOp, x, y ir.Expr) ir.Expr {
+		w := x.Width()
+		if op >= ir.OpEq {
+			w = 1
+		}
+		return ir.Binary{Op: op, X: x, Y: y, W: w}
+	}
+	un := func(op ir.UnOp, x ir.Expr) ir.Expr {
+		if op == ir.OpNot {
+			return ir.Unary{Op: op, X: x, W: 1}
+		}
+		return ir.Unary{Op: op, X: x, W: x.Width()}
+	}
+	pick := func(c, x, y ir.Expr) ir.Expr { return ir.Ternary{Cond: c, A: x, B: y, W: x.Width()} }
+	one, two := constant(1, 16), constant(2, 16)
+	narrowOps := make([]int, 24)
+	for i := range narrowOps {
+		narrowOps[i] = 16
+	}
+	p = handProgram([]*ir.HeaderType{headerType("narrow", narrowOps...)}, []*ir.ParserState{accept(&ir.Extract{Inst: 0})}, nil, 0)
+	a16, b16, l16 := field(p, 0, 0), field(p, 0, 1), ir.LocalRef{Idx: 0, W: 16}
+	half := func(x ir.Expr) ir.Expr { return bin(ir.OpShr, x, one) } // brings a bit the op left above its width into view
+	p.Controls[0].NumLocals = 1
+	p.Controls[0].Apply = []ir.Stmt{&ir.AssignLocal{Idx: 0, RHS: bin(ir.OpMul, a16, b16)}}
+	for i, x := range []ir.Expr{
+		bin(ir.OpAdd, a16, b16), half(bin(ir.OpAdd, a16, b16)), half(bin(ir.OpSub, a16, l16)), half(l16),
+		bin(ir.OpAnd, a16, b16), bin(ir.OpOr, a16, b16), bin(ir.OpXor, a16, b16), half(un(ir.OpNeg, a16)), half(un(ir.OpBitNot, a16)),
+		half(bin(ir.OpShl, l16, bin(ir.OpAnd, b16, constant(15, 16)))),
+		pick(bin(ir.OpLt, a16, b16), one, two), pick(bin(ir.OpLe, a16, b16), one, two), pick(bin(ir.OpGt, a16, b16), one, two),
+		pick(bin(ir.OpGe, a16, b16), one, two), pick(bin(ir.OpEq, a16, b16), one, two), pick(bin(ir.OpNeq, a16, b16), one, two),
+		pick(bin(ir.OpLOr, bin(ir.OpLt, a16, b16), bin(ir.OpEq, a16, constant(0x1234, 16))), a16, b16),
+		pick(bin(ir.OpLAnd, bin(ir.OpGe, a16, b16), un(ir.OpNot, bin(ir.OpGt, b16, constant(7, 16)))), one, un(ir.OpNeg, b16)),
+	} {
+		p.Controls[0].Apply = append(p.Controls[0].Apply, &ir.AssignField{Inst: 0, Field: 2 + i, RHS: x})
+	}
+	progs["narrow operators"] = p
+
+	wideOps := headerType("wideops", 128, 128, 128, 128, 16, 16, 16, 16, 16, 16)
+	p = handProgram([]*ir.HeaderType{wideOps}, []*ir.ParserState{accept(&ir.Extract{Inst: 0})}, nil, 0)
+	a128, b128, l128 := field(p, 0, 0), field(p, 0, 1), ir.LocalRef{Idx: 1, W: 128}
+	p.Controls[0].NumLocals = 2
+	p.Controls[0].Apply = []ir.Stmt{
+		&ir.AssignLocal{Idx: 1, RHS: bin(ir.OpMul, a128, b128)},
+		&ir.AssignLocal{Idx: 0, RHS: pick(bin(ir.OpLAnd, bin(ir.OpGe, a128, b128), bin(ir.OpNeq, a128, b128)),
+			pick(un(ir.OpNot, bin(ir.OpGt, a128, l128)), one, two), constant(3, 16))},
+		&ir.AssignField{Inst: 0, Field: 2, RHS: bin(ir.OpSub, bin(ir.OpAdd, a128, l128), un(ir.OpNeg, b128))},
+		&ir.AssignField{Inst: 0, Field: 3, RHS: pick(bin(ir.OpLOr, bin(ir.OpLt, a128, b128), bin(ir.OpEq, a128, l128)),
+			bin(ir.OpAnd, a128, un(ir.OpBitNot, b128)), bin(ir.OpXor, bin(ir.OpOr, a128, b128), l128))},
+		&ir.AssignField{Inst: 0, Field: 4, RHS: ir.LocalRef{Idx: 0, W: 16}},
+	}
+	for i, op := range []ir.BinOp{ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe, ir.OpEq} {
+		p.Controls[0].Apply = append(p.Controls[0].Apply, &ir.AssignField{Inst: 0, Field: 5 + i, RHS: pick(bin(op, a128, b128), one, two)})
+	}
+	progs["wide operators"] = p
+
+	// A select on a 128-bit key whose case tests a bit of each word.
+	sel := headerType("sel", 128, 16)
+	p = handProgram([]*ir.HeaderType{sel}, nil, nil, 0)
+	p.Parser.States = []*ir.ParserState{{Name: "start", Ops: []ir.Stmt{&ir.Extract{Inst: 0}}, Trans: ir.Transition{
+		Keys: []ir.Expr{field(p, 0, 0), field(p, 0, 1)},
+		Cases: []ir.TransCase{{Next: ir.StateAccept,
+			Values: []bitfield.Value{bitfield.New128(1<<63, 1, 128), bitfield.New(0, 16)},
+			Masks:  []bitfield.Value{bitfield.New128(1<<63, 1, 128), bitfield.New(0, 16)}}},
+		Default: ir.StateReject,
+	}}}
+	progs["wide select"] = p
+
 	for _, p := range progs {
 		sm := p.StdMeta
 		p.Controls[0].Apply = append(p.Controls[0].Apply,
@@ -232,58 +233,123 @@ func cornerPrograms() map[string]*ir.Program {
 	return progs
 }
 
-func splitEngine(t *testing.T) *Engine {
-	e := mustEngine(t, p4test.RouterSplit)
-	for _, en := range []Entry{
+// planPair drives an engine and the interpreter model in lockstep.
+type planPair struct {
+	name string
+	e    *Engine
+	ctx  *Context
+	m    *interp
+}
+
+func newPlanPair(tb testing.TB, name string, prog *ir.Program, entries ...Entry) *planPair {
+	tb.Helper()
+	if err := Check(prog); err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	p := &planPair{name: name, e: New(prog), m: newInterp(prog)}
+	p.ctx = p.e.NewContext()
+	p.ctx.CollectTrace = true
+	for _, en := range entries {
+		p.install(tb, en)
+	}
+	return p
+}
+
+func compiledPair(tb testing.TB, name, src string, entries ...Entry) *planPair {
+	tb.Helper()
+	prog, err := compile.Compile(src)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	return newPlanPair(tb, name, prog, entries...)
+}
+
+func (p *planPair) install(tb testing.TB, en Entry) {
+	tb.Helper()
+	if err := p.e.InstallEntry(en); err != nil {
+		tb.Fatalf("%s: %v", p.name, err)
+	}
+	p.m.install(en)
+}
+
+// process runs the frame through both and fails the test unless they agree
+// on everything a caller can observe; it returns the output.
+func (p *planPair) process(tb testing.TB, frame []byte, port uint64) []byte {
+	tb.Helper()
+	got, egress := p.e.Process(p.ctx, frame, port)
+	want, wantEgress := p.m.process(frame, port)
+	if !bytes.Equal(got, want) || (got == nil) != (want == nil) || egress != wantEgress {
+		tb.Fatalf("%s: frame %x port %d\n engine: port %d %x\n model:  port %d %x", p.name, frame, port, egress, got, wantEgress, want)
+	}
+	if p.ctx.Dropped() != p.m.trace.Dropped || !reflect.DeepEqual(p.ctx.Trace, p.m.trace) {
+		tb.Fatalf("%s: frame %x port %d\n engine trace: %+v\n model trace:  %+v", p.name, frame, port, p.ctx.Trace, p.m.trace)
+	}
+	counters := p.e.Counters.Values()
+	for name, n := range counters {
+		if p.m.counters[name] != n {
+			tb.Fatalf("%s: frame %x port %d: counter %s is %d, model has %d", p.name, frame, port, name, n, p.m.counters[name])
+		}
+	}
+	for name := range p.m.counters {
+		if _, ok := counters[name]; !ok {
+			tb.Fatalf("%s: the model counts %s, the engine has no such counter", p.name, name)
+		}
+	}
+	return got
+}
+
+func splitEntries() []Entry {
+	return []Entry{
 		{Table: "lpm_nexthop", Keys: []KeyValue{{Value: bitfield.New(0x0a000000, 32), PrefixLen: 8}}, Action: "set_nexthop",
 			Args: []bitfield.Value{bitfield.New(7, 16)}},
 		{Table: "nexthop_egress", Keys: []KeyValue{{Value: bitfield.New(7, 16)}}, Action: "set_egress",
 			Args: []bitfield.Value{bitfield.FromBytes(gwA[:]), bitfield.New(3, 9)}},
-	} {
-		if err := e.InstallEntry(en); err != nil {
-			t.Fatal(err)
-		}
 	}
-	return e
+}
+
+// planPairs is every shipped test program with its fixture's entries, then
+// the corner programs by name: the order the fuzz corpus counts in.
+func planPairs(tb testing.TB) []*planPair {
+	pairs := []*planPair{
+		compiledPair(tb, "Router", p4test.Router, routerEntries()...),
+		compiledPair(tb, "RouterNoTTLCheck", p4test.RouterNoTTLCheck, routerEntries()...),
+		compiledPair(tb, "RouterMagicDrop", p4test.RouterMagicDrop, routerEntries()...),
+		compiledPair(tb, "RouterSplit", p4test.RouterSplit, splitEntries()...),
+		compiledPair(tb, "L2Switch", p4test.L2Switch, l2Entry()),
+		compiledPair(tb, "Firewall", p4test.Firewall, firewallEntries()...),
+		compiledPair(tb, "Reflector", p4test.Reflector),
+		compiledPair(tb, "BigExactTable", p4test.BigExactTable),
+		compiledPair(tb, "ipv6ish", ipv6ish, Entry{Table: "lpm6", Keys: []KeyValue{{Value: bitfield.New(0, 128)}},
+			Action: "fwd", Args: []bitfield.Value{bitfield.New(1, 9)}}),
+		compiledPair(tb, "vrf", vrfRouter, vrfEntries()...),
+	}
+	corners := cornerPrograms()
+	names := make([]string, 0, len(corners))
+	for name := range corners {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		pairs = append(pairs, newPlanPair(tb, name, corners[name]))
+	}
+	return pairs
+}
+
+var wellFormedFrames = [][]byte{
+	packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 443, []byte("payload")),
+	packet.BuildTCPv4(macA, macB, ipA, packet.IPv4Addr{10, 9, 9, 9}, 1, 443, 0x12, nil),
+	packet.BuildICMPEcho(macB, macA, ipB, packet.IPv4Addr{192, 168, 0, 1}, 1, 2, []byte{1, 2, 3}),
+	packet.BuildARPRequest(macA, ipA, ipB),
+	packet.PadToMinimum(packet.BuildUDPv4(macA, macB, ipA, ipB, 5, 6, nil)),
 }
 
 // TestEmitPlanDifferential runs every shipped test program and the corner
 // programs over well-formed, mutated, truncated and random frames through
-// the engine and the inject-all model, with tracing on, and requires the
-// same bytes, egress port, drop and trace from both.
+// the engine and the interpreter model, with tracing on, and requires the
+// same bytes, egress port, drop, trace and counters from both.
 func TestEmitPlanDifferential(t *testing.T) {
-	engines := map[string]*Engine{
-		"Router":           routedEngine(t, p4test.Router),
-		"RouterNoTTLCheck": routedEngine(t, p4test.RouterNoTTLCheck),
-		"RouterMagicDrop":  routedEngine(t, p4test.RouterMagicDrop),
-		"RouterSplit":      splitEngine(t),
-		"L2Switch":         l2Engine(t),
-		"Firewall":         firewallEngine(t),
-		"Reflector":        mustEngine(t, p4test.Reflector),
-		"BigExactTable":    mustEngine(t, p4test.BigExactTable),
-		"ipv6ish":          mustEngine(t, ipv6ish),
-	}
-	if err := engines["ipv6ish"].InstallEntry(Entry{Table: "lpm6", Keys: []KeyValue{{Value: bitfield.New(0, 128)}},
-		Action: "fwd", Args: []bitfield.Value{bitfield.New(1, 9)}}); err != nil {
-		t.Fatal(err)
-	}
-	for name, prog := range cornerPrograms() {
-		if err := Check(prog); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		engines[name] = New(prog)
-	}
-	wellFormed := [][]byte{
-		packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 443, []byte("payload")),
-		packet.BuildTCPv4(macA, macB, ipA, packet.IPv4Addr{10, 9, 9, 9}, 1, 443, 0x12, nil),
-		packet.BuildICMPEcho(macB, macA, ipB, packet.IPv4Addr{192, 168, 0, 1}, 1, 2, []byte{1, 2, 3}),
-		packet.BuildARPRequest(macA, ipA, ipB),
-		packet.PadToMinimum(packet.BuildUDPv4(macA, macB, ipA, ipB, 5, 6, nil)),
-	}
 	rng := rand.New(rand.NewSource(14))
-	for name, e := range engines {
-		ctx, model := e.NewContext(), injectAllModel{e, e.NewContext()}
-		ctx.CollectTrace, model.ctx.CollectTrace = true, true
+	for _, p := range planPairs(t) {
 		forwarded := 0
 		for i := 0; i < 3000; i++ {
 			var frame []byte
@@ -291,32 +357,53 @@ func TestEmitPlanDifferential(t *testing.T) {
 			case 0: // random bytes: the corner programs' whole input space
 				frame = make([]byte, rng.Intn(80))
 				rng.Read(frame)
+				if k := []int{2, 16, 0, 0}[i/4%4]; k > 0 { // with equal fields for the comparisons
+					for j := k; j < len(frame); j++ {
+						frame[j] = frame[j-k]
+					}
+				}
 			case 1, 2: // a well-formed frame with a few bytes changed
-				frame = append(frame, wellFormed[rng.Intn(len(wellFormed))]...)
+				frame = append(frame, wellFormedFrames[rng.Intn(len(wellFormedFrames))]...)
 				for n := rng.Intn(4); n > 0; n-- {
 					frame[rng.Intn(len(frame))] = byte(rng.Intn(256))
 				}
 			case 3: // and cut short
-				frame = append(frame, wellFormed[rng.Intn(len(wellFormed))]...)
+				frame = append(frame, wellFormedFrames[rng.Intn(len(wellFormedFrames))]...)
 				frame = frame[:rng.Intn(len(frame)+1)]
 			}
-			port := uint64(rng.Intn(4))
-			got, egress := e.Process(ctx, frame, port)
-			want, wantEgress := model.process(frame, port)
-			if !bytes.Equal(got, want) || egress != wantEgress {
-				t.Fatalf("%s: frame %x\n engine: port %d %x\n model:  port %d %x", name, frame, egress, got, wantEgress, want)
-			}
-			if ctx.Dropped() != model.ctx.Dropped() || !reflect.DeepEqual(ctx.Trace, model.ctx.Trace) {
-				t.Fatalf("%s: frame %x\n engine trace: %+v\n model trace:  %+v", name, frame, ctx.Trace, model.ctx.Trace)
-			}
-			if got != nil {
+			if p.process(t, frame, uint64(rng.Intn(4))) != nil {
 				forwarded++
 			}
 		}
 		if forwarded == 0 {
-			t.Errorf("%s: no frame was forwarded, emit never ran", name)
+			t.Errorf("%s: no frame was forwarded, emit never ran", p.name)
 		}
 	}
+}
+
+// FuzzPlanVsInterpreter: byte 0 picks the program (planPairs order), byte 1
+// the ingress port and how the rest becomes a frame — the bytes themselves,
+// or one of the well-formed frames with (position, value) pairs written
+// over it, cut short at a chosen length, or both.
+func FuzzPlanVsInterpreter(f *testing.F) {
+	pairs := planPairs(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		p, port, kind, rest := pairs[int(data[0])%len(pairs)], uint64(data[1]>>5), data[1]&3, data[2:]
+		frame := rest
+		if kind != 0 {
+			frame = bytes.Clone(wellFormedFrames[int(data[1]>>2&7)%len(wellFormedFrames)])
+			if kind&2 != 0 && len(rest) > 0 {
+				frame, rest = frame[:int(rest[0])%(len(frame)+1)], rest[1:]
+			}
+			for ; kind&1 != 0 && len(rest) >= 2 && len(frame) > 0; rest = rest[2:] {
+				frame[int(rest[0])%len(frame)] = rest[1]
+			}
+		}
+		p.process(t, frame, port)
+	})
 }
 
 // TestCheckRejectsMalformedPrograms breaks a well-formed hand-built
@@ -390,6 +477,24 @@ func TestCheckRejectsMalformedPrograms(t *testing.T) {
 		{"fields leave a gap", func(p *ir.Program) { p.Instances[0].Type.Fields[2].Offset = 24 }, "at bit 24, want 1 to 128 bits at bit 20"},
 		{"field wider than a value", func(p *ir.Program) { p.Instances[0].Type.Fields[3].Width = 129 }, "129 bits at bit 32"},
 		{"standard metadata too small", func(p *ir.Program) { p.StdMeta = 0 }, "standard metadata"},
+		{"assign of another width", func(p *ir.Program) {
+			ingress(p).Actions[0].Params[0].Width = 5
+			ingress(p).Tables[0].Default.Args[0].W = 5
+		}, "4 bits, want 5"},
+		{"field read at another width", func(p *ir.Program) { ingress(p).Apply[0].(*ir.AssignLocal).RHS = ir.FieldRef{Inst: 0, Field: 3, W: 16} }, "16 bits, want 32"},
+		{"operands of two widths", func(p *ir.Program) {
+			ingress(p).Apply[0].(*ir.AssignLocal).RHS = ir.Binary{Op: ir.OpAdd, X: field(p, 0, 3), Y: constant(1, 48), W: 32}
+		}, "48 bits, want 32"},
+		{"local at two widths", func(p *ir.Program) {
+			ingress(p).Apply = append(ingress(p).Apply, &ir.AssignLocal{Idx: 0, RHS: constant(1, 128)})
+		}, "128 bits, want 32"},
+		{"call argument of another width", func(p *ir.Program) { ingress(p).Apply[2].(*ir.CallAction).Args[0] = constant(2, 8) }, "8 bits, want 4"},
+		{"default argument of another width", func(p *ir.Program) { ingress(p).Tables[0].Default.Args[0] = bitfield.New(1, 9) }, "9 bits, want 4"},
+		{"select value of another width", func(p *ir.Program) {
+			tr := &p.Parser.States[0].Trans
+			tr.Keys = []ir.Expr{field(p, 0, 0)}
+			tr.Cases = []ir.TransCase{{Values: []bitfield.Value{bitfield.New(1, 8)}, Masks: []bitfield.Value{bitfield.Mask(16)}, Next: ir.StateAccept}}
+		}, "8 bits, want 16"},
 		{"no parser", func(p *ir.Program) { p.Parser = nil }, "no parser"},
 		{"no deparser", func(p *ir.Program) { p.Deparser = nil }, "no deparser"},
 	} {

@@ -185,7 +185,7 @@ func TestTernaryDeleteReinstallAllocsFlat(t *testing.T) {
 	}
 	measure := func(resident int) float64 {
 		ts := aclTable(t, aclEntry, resident)
-		act := ts.def.Actions[0]
+		act := &actionPlan{def: ts.def.Actions[0]}
 		e := aclEntry(resident / 2)
 		return testing.AllocsPerRun(100, func() {
 			if err := ts.delete(e, act); err != nil {
@@ -222,7 +222,7 @@ func TestTernaryGrowthBoundaries(t *testing.T) {
 		checkTernaryIndex(t, p.ts)
 		for i := 0; i < 200; i++ {
 			v := bitfield.New(uint64(rng.Intn(n+1))*0x01010101, 32)
-			if got, want := p.ts.lookup([]bitfield.Value{v}), p.m.lookup([]bitfield.Value{v}); !sameEntry(got, want) {
+			if got, want := p.ts.lookupVals([]bitfield.Value{v}), p.m.lookup([]bitfield.Value{v}); !sameEntry(got, want) {
 				t.Fatalf("%s at %d entries: tuple-space %+v, linear %+v", tag, n, got, want)
 			}
 		}
@@ -370,7 +370,7 @@ func TestTernaryLookupAllocFree64Groups(t *testing.T) {
 	probes := aclProbes(acl64Entry, 4096, 64)
 	hits, i := 0, 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if ts.lookup(probes[i%len(probes)]) != nil {
+		if ts.lookupVals(probes[i%len(probes)]) != nil {
 			hits++
 		}
 		i++

@@ -34,7 +34,7 @@ type Entry struct {
 // against the program.
 type boundEntry struct {
 	Entry
-	action *ir.Action
+	action *actionPlan
 	// order is the install sequence number, used to break priority ties
 	// deterministically (first installed wins).
 	order int
@@ -86,17 +86,24 @@ type ternarySlot struct {
 // tableState is the runtime state of one table.
 type tableState struct {
 	def *ir.Table
-	// kind and lpmIdx are def.Match(): which of the three structures
-	// below holds the entries, and the lpm key's position.
-	kind   ir.MatchKind
-	lpmIdx int
-	exact  map[string]*boundEntry
-	tries  map[string]*mbTrie // keyed by the exact portion of the key
-	// A ternary table's store: groups in descending maxPrio order, kept
-	// so by every install; groupIdx to find a group by its mask tuple (the
-	// words as bytes) on a write; and slots, one index over all groups,
-	// open-addressed with linear probing and at most half full — used
-	// cells occupied, a slot's home cell hash >> shift.
+	// kind is def.Match(): which of the two structures below holds the
+	// entries. Each is keyed by the key packed into 64-bit words (plan).
+	kind ir.MatchKind
+	// An lpm table's store: one trie over the whole key as a bit string —
+	// the exact keys' words, then the lpm key (at lpmIdx, -1 in any other
+	// table) shifted up lpmShift bits against them. A prefix is prefixBits
+	// of exact keys longer than its entry says, a key keyBits long.
+	trie                mbTrie
+	lpmIdx              int
+	lpmShift            uint
+	prefixBits, keyBits int
+	// A ternary table's store, and an exact table's — to it a ternary table
+	// whose entries all have the all-ones mask tuple, priority 0 and a key
+	// each: groups in descending maxPrio order, kept so by every install;
+	// groupIdx to find a group by its mask tuple (the words as bytes) on a
+	// write; and slots, one index over all groups, open-addressed with
+	// linear probing and at most half full — used cells occupied, a slot's
+	// home cell hash >> shift.
 	groups   []*ternaryGroup
 	groupIdx map[string]*ternaryGroup
 	slots    []ternarySlot
@@ -107,17 +114,22 @@ type tableState struct {
 	// may lower it to model architectural limits.
 	capacity int
 	nextOrd  int
-	// keyBuf is the scratch buffer the hash keys of exact and lpm tables
-	// are serialized into; the map index converts it with string(buf),
-	// which the compiler performs without allocating. Lookups fill it from
-	// the packet's key values, writes fill it in bind. A ternary table
-	// packs words instead (plan): the packet's key or the entry's values
-	// in keyWords, and on a write the entry's mask tuple in maskWords.
-	keyBuf    []byte
+	// keyWords is the scratch the key is packed into (plan): the packet's
+	// on a lookup, the entry's values on a write, when a ternary table also
+	// gets the entry's mask tuple in maskWords.
 	plan      keyPlan
 	keyWords  []uint64
 	maskWords []uint64
 	tupleBuf  []byte // maskWords as groupIdx's key
+	// What New compiles for the packet path: the code that evaluates the
+	// keys that are not plain fields, the slots the key words are gathered
+	// from in packing order, the keys in declared order for a trace, and
+	// the actions, actions[i] being def.Actions[i].
+	keyCode []op
+	words   []int32
+	keys    []operand
+	actions []*actionPlan
+	deflt   *actionPlan
 	// tieLIFO inverts the ternary equal-priority tie-break from
 	// first-installed-wins (the P4 reference rule) to
 	// newest-installed-wins — the resolution quirk some hardware table
@@ -134,11 +146,19 @@ type tableState struct {
 }
 
 func newTableState(def *ir.Table) *tableState {
-	ts := &tableState{def: def, capacity: def.Size}
+	ts := &tableState{def: def, capacity: def.Size, plan: newKeyPlan(def.Keys)}
 	ts.kind, ts.lpmIdx = def.Match()
-	if ts.kind == ir.MatchTernary {
-		ts.plan = newKeyPlan(def.Keys)
-		ts.keyWords = make([]uint64, 0, 2*len(def.Keys))
+	ts.keyWords = make([]uint64, 0, 2*len(def.Keys))
+	if ts.kind == ir.MatchLPM {
+		for _, k := range def.Keys {
+			ts.keyBits += (k.Expr.Width() + 63) &^ 63 // every key fills whole words,
+		}
+		w := def.Keys[ts.lpmIdx].Expr.Width()
+		ts.lpmShift = uint(-w) & 63 // but the lpm key's padding is shifted out
+		ts.keyBits -= int(ts.lpmShift)
+		ts.prefixBits = ts.keyBits - w
+	} else {
+		ts.lpmIdx = -1
 	}
 	ts.clear()
 	return ts
@@ -159,20 +179,18 @@ func (ts *tableState) beats(a, b *boundEntry) bool {
 	return a.order < b.order
 }
 
-// appendKeyBytes appends the byte representation of each non-skipped key
-// value to buf and returns the extended buffer. It is the allocation-free
-// core of lookup key construction.
-func appendKeyBytes(buf []byte, vals []bitfield.Value, skip int) []byte {
-	for i := range vals {
-		if i == skip {
-			continue
-		}
-		buf = vals[i].AppendBytes(buf)
+// alignLPM shifts the lpm key, the last of an lpm table's key words, up
+// against the words before it: the key then reads as one bit string, most
+// significant bit first, which is what the trie walks.
+func (ts *tableState) alignLPM(key []uint64) {
+	n := len(key)
+	if ts.plan[ts.lpmIdx] {
+		key[n-2] = key[n-2]<<ts.lpmShift | key[n-1]>>(64-ts.lpmShift)
 	}
-	return buf
+	key[n-1] <<= ts.lpmShift
 }
 
-// keyMask is what key i of a ternary table's entry matches under: all
+// keyMask is what key i of a ternary or exact table's entry matches under: all
 // bits for an exact key (or a ternary key given without a mask), the
 // prefix for an lpm key. bind has checked k's width and prefix length.
 func (ts *tableState) keyMask(i int, k *KeyValue) bitfield.Value {
@@ -188,19 +206,19 @@ func (ts *tableState) keyMask(i int, k *KeyValue) bitfield.Value {
 // bind is the step every table write starts with. It checks the entry's
 // shape — key count, key widths, prefix ranges, action argument count
 // and widths — and resolves its match key into what the table's
-// structure is indexed by, left in scratch: keyBuf holds the full key of
-// an exact table and the exact portion (everything but the lpm
-// component) of an lpm table; a ternary table gets the entry's values in
-// keyWords and its mask tuple in maskWords. It touches no other table
-// state, so on its own it is the check a conforming map driver performs
-// before inserting — which is why targets modelling accept-but-discard
-// driver defects still run it.
-func (ts *tableState) bind(e Entry, action *ir.Action) error {
+// structure is indexed by, left in scratch: the entry's values packed
+// into keyWords the way a lookup packs the packet's (an lpm table's lpm
+// key last and aligned), and any other table's mask tuple in maskWords.
+// It touches no other table state, so on its own it is the check a
+// conforming map driver performs before inserting — which is why targets
+// modelling accept-but-discard driver defects still run it.
+func (ts *tableState) bind(e Entry, act *actionPlan) error {
+	action := act.def
 	if len(e.Keys) != len(ts.def.Keys) {
 		return fmt.Errorf("table %s: entry has %d keys, table has %d",
 			ts.def.Name, len(e.Keys), len(ts.def.Keys))
 	}
-	ts.keyBuf, ts.keyWords, ts.maskWords = ts.keyBuf[:0], ts.keyWords[:0], ts.maskWords[:0]
+	ts.keyWords, ts.maskWords = ts.keyWords[:0], ts.maskWords[:0]
 	for i := range e.Keys {
 		k := &e.Keys[i]
 		kind := ts.def.Keys[i].Kind
@@ -213,13 +231,16 @@ func (ts *tableState) bind(e Entry, action *ir.Action) error {
 			return fmt.Errorf("table %s key %d: prefix length %d outside [0,%d]",
 				ts.def.Name, i, k.PrefixLen, w)
 		}
-		switch {
-		case ts.kind == ir.MatchTernary:
+		if i != ts.lpmIdx {
 			ts.keyWords = ts.plan.appendWords(ts.keyWords, i, k.Value)
-			ts.maskWords = ts.plan.appendWords(ts.maskWords, i, ts.keyMask(i, k))
-		case i != ts.lpmIdx:
-			ts.keyBuf = k.Value.AppendBytes(ts.keyBuf)
 		}
+		if ts.kind != ir.MatchLPM {
+			ts.maskWords = ts.plan.appendWords(ts.maskWords, i, ts.keyMask(i, k))
+		}
+	}
+	if ts.lpmIdx >= 0 {
+		ts.keyWords = ts.plan.appendWords(ts.keyWords, ts.lpmIdx, e.Keys[ts.lpmIdx].Value)
+		ts.alignLPM(ts.keyWords)
 	}
 	if len(e.Args) != len(action.Params) {
 		return fmt.Errorf("table %s: action %s takes %d args, entry has %d",
@@ -235,32 +256,27 @@ func (ts *tableState) bind(e Entry, action *ir.Action) error {
 }
 
 // install validates and inserts an entry.
-func (ts *tableState) install(e Entry, action *ir.Action) error {
+func (ts *tableState) install(e Entry, action *actionPlan) error {
 	if err := ts.bind(e, action); err != nil {
 		return err
 	}
 	if ts.count >= ts.capacity {
 		return &CapacityError{Table: ts.def.Name, Size: ts.capacity}
 	}
+	if ts.kind != ir.MatchTernary {
+		e.Priority = 0 // it is a ternary table's to give
+	}
 	be := &boundEntry{Entry: e, action: action, order: ts.nextOrd}
 	ts.nextOrd++
-	switch ts.kind {
-	case ir.MatchExact:
-		if _, dup := ts.exact[string(ts.keyBuf)]; dup {
-			return fmt.Errorf("table %s: duplicate entry", ts.def.Name)
-		}
-		ts.exact[string(ts.keyBuf)] = be
-	case ir.MatchLPM:
-		trie := ts.tries[string(ts.keyBuf)]
-		if trie == nil {
-			trie = &mbTrie{}
-			ts.tries[string(ts.keyBuf)] = trie
-		}
+	switch {
+	case ts.kind == ir.MatchLPM:
 		lk := e.Keys[ts.lpmIdx]
-		if !trie.insert(lk.Value, lk.PrefixLen, be) {
+		if !ts.trie.insert(ts.keyWords, ts.prefixBits+lk.PrefixLen, be) {
 			return fmt.Errorf("table %s: duplicate prefix %s/%d", ts.def.Name, lk.Value, lk.PrefixLen)
 		}
-	case ir.MatchTernary:
+	case ts.kind == ir.MatchExact && ts.lookup(ts.keyWords) != nil:
+		return fmt.Errorf("table %s: duplicate entry", ts.def.Name)
+	default:
 		if err := ts.linkTernary(be); err != nil {
 			return err
 		}
@@ -277,24 +293,20 @@ func (ts *tableState) install(e Entry, action *ir.Action) error {
 // arguments are validated exactly as on install — a conforming driver
 // rejects a malformed delete the same way it rejects a malformed
 // insert — but do not participate in identity.
-func (ts *tableState) delete(e Entry, action *ir.Action) error {
+func (ts *tableState) delete(e Entry, action *actionPlan) error {
 	if err := ts.bind(e, action); err != nil {
 		return err
 	}
 	removed := 0
 	switch ts.kind {
-	case ir.MatchExact:
-		if _, ok := ts.exact[string(ts.keyBuf)]; ok {
-			delete(ts.exact, string(ts.keyBuf))
-			removed = 1
-		}
 	case ir.MatchLPM:
-		lk := e.Keys[ts.lpmIdx]
-		if trie := ts.tries[string(ts.keyBuf)]; trie != nil && trie.remove(lk.Value, lk.PrefixLen) {
+		if ts.trie.remove(ts.keyWords, ts.prefixBits+e.Keys[ts.lpmIdx].PrefixLen) {
 			removed = 1
 		}
 	case ir.MatchTernary:
 		removed = ts.unlinkTernary(e.Priority)
+	case ir.MatchExact:
+		removed = ts.unlinkTernary(0)
 	}
 	if removed == 0 {
 		return &NoSuchEntryError{Table: ts.def.Name}
@@ -465,36 +477,18 @@ func (ts *tableState) unlinkTernary(prio int) int {
 	return removed
 }
 
-// lookup matches the evaluated key values against installed entries. It
+// lookup matches the packet's key, packed into words, against the
+// installed entries (an lpm table's last key is aligned in place). It
 // performs no heap allocations.
-func (ts *tableState) lookup(vals []bitfield.Value) *boundEntry {
-	switch ts.kind {
-	case ir.MatchExact:
-		ts.keyBuf = appendKeyBytes(ts.keyBuf[:0], vals, -1)
-		return ts.exact[string(ts.keyBuf)]
-	case ir.MatchLPM:
-		ts.keyBuf = appendKeyBytes(ts.keyBuf[:0], vals, ts.lpmIdx)
-		trie := ts.tries[string(ts.keyBuf)]
-		if trie == nil {
-			return nil
-		}
-		return trie.lookup(vals[ts.lpmIdx])
-	case ir.MatchTernary:
-		return ts.lookupTernary(vals)
+func (ts *tableState) lookup(key []uint64) *boundEntry {
+	if ts.kind == ir.MatchLPM {
+		ts.alignLPM(key)
+		return ts.trie.lookup(key, ts.keyBits)
 	}
-	return nil
-}
-
-// lookupTernary is the tuple-space search: the key is packed once, then
-// each distinct mask tuple costs one hash and one probe run, cut short
-// once the current best strictly outranks every remaining group.
-// Complexity is O(distinct masks), not O(entries).
-func (ts *tableState) lookupTernary(vals []bitfield.Value) *boundEntry {
-	key := ts.keyWords[:0]
-	for i := range vals {
-		key = ts.plan.appendWords(key, i, vals[i])
-	}
-	ts.keyWords = key
+	// The tuple-space search: each distinct mask tuple costs one hash and
+	// one probe run, cut short once the current best strictly outranks
+	// every remaining group. Complexity is O(distinct masks), not
+	// O(entries).
 	var best *boundEntry
 	for _, g := range ts.groups {
 		if best != nil && best.Priority > g.maxPrio {
@@ -510,17 +504,11 @@ func (ts *tableState) lookupTernary(vals []bitfield.Value) *boundEntry {
 
 // clear removes every entry.
 func (ts *tableState) clear() {
-	switch ts.kind {
-	case ir.MatchExact:
-		ts.exact = make(map[string]*boundEntry)
-	case ir.MatchLPM:
-		ts.tries = make(map[string]*mbTrie)
-	case ir.MatchTernary:
-		ts.groups = nil
+	ts.trie = mbTrie{}
+	ts.groups, ts.slots, ts.used, ts.shift, ts.count = nil, nil, 0, 0, 0
+	if ts.kind != ir.MatchLPM {
 		ts.groupIdx = make(map[string]*ternaryGroup)
-		ts.slots, ts.used, ts.shift = nil, 0, 0
 	}
-	ts.count = 0
 }
 
 // NoSuchEntryError reports a delete whose match key identifies no

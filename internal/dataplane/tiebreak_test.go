@@ -76,7 +76,7 @@ func TestTernaryTieBreakDifferential(t *testing.T) {
 			src := p.m.entries[rng.Intn(len(p.m.entries))]
 			probe = []bitfield.Value{src.Keys[0].Value, src.Keys[1].Value}
 		}
-		fast := p.ts.lookupTernary(probe)
+		fast := p.ts.lookupVals(probe)
 		slow := p.m.lookup(probe)
 		if !sameEntry(fast, slow) {
 			t.Fatalf("probe %d: tuple-space and linear disagree under LIFO: %v vs %v", i, fast, slow)

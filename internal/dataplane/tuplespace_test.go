@@ -25,14 +25,14 @@ type synthKey struct {
 
 // synthTable builds a ternary-kind tableState directly, bypassing the
 // compiler, so tests control key widths and match kinds precisely.
-func synthTable(keys []synthKey, size int) (*tableState, *ir.Action) {
+func synthTable(keys []synthKey, size int) (*tableState, *actionPlan) {
 	act := &ir.Action{Name: "act"}
 	tks := make([]ir.TableKey, len(keys))
 	for i, k := range keys {
 		tks[i] = ir.TableKey{Kind: k.kind, Expr: ir.Const{Val: bitfield.New(0, k.w)}}
 	}
 	tbl := &ir.Table{Name: "synth", Keys: tks, Actions: []*ir.Action{act}, Size: size}
-	return newTableState(tbl), act
+	return newTableState(tbl), &actionPlan{def: act}
 }
 
 // randVal returns a random value of width w, exercising the Hi word for
@@ -112,7 +112,7 @@ func TestTupleSpaceMatchesLinearDifferential(t *testing.T) {
 					j := rng.Intn(len(keys))
 					vals[j] = vals[j].Xor(bitfield.New128(0, 1<<uint(rng.Intn(8)), keys[j].w))
 				}
-				if got, want := p.ts.lookup(vals), p.m.lookup(vals); !sameEntry(got, want) {
+				if got, want := p.ts.lookupVals(vals), p.m.lookup(vals); !sameEntry(got, want) {
 					t.Fatalf("layout %d seed %d probe %d: tuple-space %+v, linear %+v (vals %v)",
 						li, seed, probe, got, want, vals)
 				}
@@ -129,7 +129,7 @@ func TestTupleSpaceClearAndReinstall(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	installRandom(t, p, keys, 50, rng)
 	p.clear()
-	if got := p.ts.lookup([]bitfield.Value{bitfield.New(7, 32)}); got != nil {
+	if got := p.ts.lookupVals([]bitfield.Value{bitfield.New(7, 32)}); got != nil {
 		t.Fatalf("lookup after clear returned %+v", got)
 	}
 	installRandom(t, p, keys, 50, rng)
@@ -325,7 +325,7 @@ func BenchmarkTernaryLookupTupleSpace(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = ts.lookup(probes[i%len(probes)])
+				benchSink = ts.lookupVals(probes[i%len(probes)])
 			}
 		})
 	}

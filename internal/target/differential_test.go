@@ -13,6 +13,8 @@ package target
 // cannot provide.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -421,4 +423,61 @@ func TestCrossTargetFiveWaySplits(t *testing.T) {
 			t.Fatalf("large punted probe: %v diverge, want exactly [smartnic]", odd)
 		}
 	})
+}
+
+// shifter shifts by fields: the count's width is whatever the field's is.
+const shifter = `
+header h_t { bit<8> x; bit<64> by64; bit<128> by128; bit<8> left; bit<8> right; bit<8> whole; bit<128> wide; }
+struct hs { h_t h; }
+parser P(packet_in p, out hs hdr) { state start { p.extract(hdr.h); transition accept; } }
+control I(inout hs hdr, inout standard_metadata_t sm) {
+  apply {
+    hdr.h.left = hdr.h.x << hdr.h.by64;
+    hdr.h.right = hdr.h.x >> hdr.h.by128;
+    hdr.h.whole = hdr.h.x << 8w8;
+    hdr.h.wide = hdr.h.wide << hdr.h.by64;
+    sm.egress_spec = 9w3;
+  }
+}
+control D(packet_out p, in hs hdr) { apply { p.emit(hdr.h); } }
+S(P(), I(), D()) main;`
+
+// TestCrossTargetShiftCountsSaturate: P4 shifts by the value's width or
+// more to 0. A count with bit 63 set used to turn into a negative int and
+// leave the operand unchanged, a count of 2^64 lost its high word and
+// shifted by 0; every backend must now give 0 for both, and for a shift by
+// exactly the width, while an in-range count still shifts.
+func TestCrossTargetShiftCountsSaturate(t *testing.T) {
+	frame := func(x byte, by64, hi128, lo128 uint64) []byte {
+		f := binary.BigEndian.AppendUint64([]byte{x}, by64)
+		f = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(f, hi128), lo128)
+		f = append(f, 0xaa, 0xbb, 0xcc) // left, right, whole: all to be overwritten
+		return append(f, bytes.Repeat([]byte{0xff}, 16)...)
+	}
+	results := func(out []byte) (left, right, whole byte, wide []byte) { return out[25], out[26], out[27], out[28:44] }
+	for name, tgt := range map[string]Target{
+		"reference": NewReference(),
+		"sdnet":     NewSDNet(DefaultErrata()),
+		"tofino":    NewTofino(DefaultTofinoErrata()),
+		"ebpf":      NewEBPF(DefaultEBPFErrata()),
+		"smartnic":  NewSmartNIC(DefaultSmartNICErrata()),
+	} {
+		if err := tgt.Load(mustProg(t, shifter)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res := tgt.Process(frame(0xff, 1<<63, 1, 0), 0, false)
+		if res.Dropped() || res.Outputs[0].Port != 3 {
+			t.Fatalf("%s: %+v, want the frame forwarded on port 3", name, res)
+		}
+		left, right, whole, wide := results(res.Outputs[0].Data)
+		if left != 0 || right != 0 || whole != 0 || !bytes.Equal(wide, make([]byte, 16)) {
+			t.Errorf("%s: x << 2^63 = %#x, x >> 2^64 = %#x, x << 8 = %#x, wide << 2^63 = %x; want all 0",
+				name, left, right, whole, wide)
+		}
+		res = tgt.Process(frame(0xff, 3, 0, 2), 0, false)
+		left, right, _, wide = results(res.Outputs[0].Data)
+		if left != 0xf8 || right != 0x3f || wide[0] != 0xff || wide[15] != 0xf8 {
+			t.Errorf("%s: x << 3 = %#x, x >> 2 = %#x, wide << 3 = %x; want 0xf8, 0x3f, ff…f8", name, left, right, wide)
+		}
+	}
 }
