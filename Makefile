@@ -1,16 +1,12 @@
 # NetDebug build/test/bench entry points.
 
 GO ?= go
-BENCH_OUT ?= BENCH_10.json
-# BENCH_BASELINE is the committed perf-trajectory file bench-gate
-# compares against; bump it when a PR lands a new BENCH_<PR>.json.
-BENCH_BASELINE ?= BENCH_10.json
 # COVER_MIN pins the global statement coverage the coverage gate
 # enforces. This is the only place the floor is written: the CI coverage
 # job runs `make cover`.
-COVER_MIN ?= 73
+COVER_MIN ?= 77
 
-.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc bench bench-smoke bench-json bench-gate
+.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc bench bench-smoke bench-compare
 
 all: vet build test
 
@@ -54,7 +50,7 @@ cover:
 docgate:
 	$(GO) run ./cmd/docgate
 
-# The ROADMAP item-3 scoreboard: non-test Go lines outside the benchmark
+# The ROADMAP item-7 scoreboard: non-test Go lines outside the benchmark
 # module (the figure CHANGES.md records each PR).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
@@ -67,43 +63,29 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 2x ./...
 
-# Machine-readable results for the perf trajectory (BENCH_<PR>.json).
-# Best-of-5 per benchmark: external interference only slows a run, so
-# the minimum is the stable statistic (allocs/op keeps the max). The
-# pinned hot-path set is then re-measured at the gate's own windows and
-# merged over the 200x records, so both sides of bench-gate compare
-# minima taken under the same noise regime.
-bench-json:
-	$(GO) run ./cmd/benchjson -benchtime 200x -count 5 -out $(BENCH_OUT)
-	$(GO) run ./cmd/benchjson -bench '$(BENCH_PIN)' -benchtime 2000x -count 5 -merge -out $(BENCH_OUT)
-	$(GO) run ./cmd/benchjson -bench '$(BENCH_PIN_SLOW)' -benchtime 30x -count 5 -merge -out $(BENCH_OUT)
-
-# BENCH_PIN selects the gated hot-path benchmarks for the fresh gate
-# measurement: a superset of cmd/benchgate's defaultPin, plus the
-# linear-scan reference the -speedup assertion divides by and the
-# retired DPLL solver the >=5x CDCL assertion divides by. Keep in sync
-# with defaultPin when pinning a new backend or subsystem.
-BENCH_PIN = Benchmark(ProcessRouter|ProcessFirewallTernary|RouterProcess|FirewallProcess|(Tofino|EBPF|SmartNIC)Process(Router|FirewallTernary)|DeviceForward(Burst|NoCapture)?|SendExternalBurst|TernaryLookup(TupleSpace|Linear)|LPMTrie(Install|Lookup)(Multibit|Binary)|Solve(Reference)?RouterLikePath|SessionThroughput|FuzzFleetThroughput|Checker(Batch|PerFrame))
-
-# BENCH_PIN_SLOW holds pinned benchmarks whose per-op cost (tens of ms
-# of whole-program path exploration or multi-device fleet runs) makes
-# the 2000x window absurd; they get their own 30x window, on both sides
-# of the gate. Includes every ExploreParallel worker count so the
-# -speedup 8-worker scaling assertion (enforced on >=8-CPU machines)
-# has its operands, and every FleetAggregateMpps device count so the
-# 1:8 fleet-scaling assertion has its operands.
-BENCH_PIN_SLOW = Benchmark(ExploreParallel|FleetAggregateMpps)
-
-# Regression gate: re-measure the pinned hot paths and compare against
-# the committed baseline. Fails on >15% ns/op regression or any
-# allocs/op increase on the pinned benchmarks, and asserts the
-# tuple-space >= 10x and CDCL >= 5x speedups (plus 8-worker Explore
-# scaling on machines with >= 8 CPUs). Only the pinned set is
-# re-measured, at a 10x longer window than the trajectory sweep: these
-# are sub-µs hot-path loops whose 200x minima wobble with GC state from
-# table population, while the suite-scale benchmarks (100ms/op) that
-# make a full 2000x sweep prohibitively slow are not gated.
-bench-gate:
-	$(GO) run ./cmd/benchjson -bench '$(BENCH_PIN)' -benchtime 2000x -count 5 -out bench_current.json
-	$(GO) run ./cmd/benchjson -bench '$(BENCH_PIN_SLOW)' -benchtime 30x -count 5 -merge -out bench_current.json
-	$(GO) run ./cmd/benchgate -baseline $(BENCH_BASELINE) -current bench_current.json
+# The regression gate (docs/scaling.md "The regression gate"): the one
+# benchmark (BENCHMARK.json, benchmark/README.md) run four times on
+# $(BASE) and four times on this tree at its own defaults, the side that
+# goes first alternating, then judged by its own -compare against the
+# bounds in BENCHMARK.json. Four runs a side is the fewest for which
+# -compare computes a spread, so "unresolved" can be told from "worse".
+# BASE is a git ref, checked out as a detached worktree in a temporary
+# directory that is removed on exit, failure included: HEAD judges the
+# working tree against its last commit; CI passes HEAD^, the merge
+# commit's first parent. About 12 minutes.
+BASE ?= HEAD
+bench-compare:
+	@set -e; \
+	out="$(CURDIR)/benchmark/out"; \
+	tmp="$$(mktemp -d)"; \
+	trap 'rm -rf "$$tmp"; git worktree prune' EXIT; \
+	trap 'exit 130' INT TERM; \
+	git worktree add --quiet --detach "$$tmp/base" $(BASE); \
+	rm -f "$$out/base.json" "$$out/new.json"; \
+	for pair in "base new" "new base" "base new" "new base"; do \
+		for side in $$pair; do \
+			if [ $$side = base ]; then src="$$tmp/base"; else src="$(CURDIR)"; fi; \
+			$(GO) run -C "$$src/benchmark" netdebug/benchmark -out "$$out/$$side.json"; \
+		done; \
+	done; \
+	$(GO) run -C benchmark netdebug/benchmark -compare out/base.json out/new.json

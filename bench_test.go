@@ -69,8 +69,8 @@ func BenchmarkFigure2CapabilityMatrix(b *testing.B) {
 
 // BenchmarkFigure2CapabilityMatrixParallel regenerates the Figure 2
 // suite on the sharded worker pool (one device set per worker). On an
-// N-core machine this scales close to Nx over the sequential benchmark
-// above; compare the two entries in BENCH_1.json.
+// N-core machine this should scale close to Nx over the sequential
+// benchmark above; ROADMAP item 1 is where that gets measured.
 func BenchmarkFigure2CapabilityMatrixParallel(b *testing.B) {
 	scenarios := scenario.All()
 	for _, workers := range []int{2, 8} {

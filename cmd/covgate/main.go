@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -23,31 +24,38 @@ import (
 	"strings"
 )
 
-var (
-	profile    = flag.String("profile", "", "merged cover profile (required)")
-	minPct     = flag.Float64("min", 0, "fail when total statement coverage is below this percent")
-	perPackage = flag.Bool("per-package", true, "print per-package coverage, worst first")
-)
-
 // block is one profile line's statement count and execution count.
 type block struct {
 	stmts, count int
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("covgate: ")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters, so the tests
+// can drive it: it returns the exit status. Everything covgate prints is
+// a diagnostic, so stdout stays empty.
+func run(args []string, _, stderr io.Writer) int {
+	logger := log.New(stderr, "covgate: ", 0)
+	fs := flag.NewFlagSet("covgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	profile := fs.String("profile", "", "merged cover profile (required)")
+	minPct := fs.Float64("min", 0, "fail when total statement coverage is below this percent")
+	perPackage := fs.Bool("per-package", true, "print per-package coverage, worst first")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *profile == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	blocks, err := parseProfile(*profile)
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 	if len(blocks) == 0 {
-		log.Fatal("profile has no coverage blocks")
+		logger.Print("profile has no coverage blocks")
+		return 1
 	}
 
 	perPkg := map[string]*struct{ total, covered int }{}
@@ -87,15 +95,17 @@ func main() {
 		})
 		for _, pkg := range names {
 			p := perPkg[pkg]
-			log.Printf("%6.1f%%  %s (%d/%d stmts)",
+			logger.Printf("%6.1f%%  %s (%d/%d stmts)",
 				float64(p.covered)/float64(p.total)*100, pkg, p.covered, p.total)
 		}
 	}
 	pct := float64(covered) / float64(total) * 100
-	log.Printf("total: %.1f%% of statements (%d/%d), threshold %.1f%%", pct, covered, total, *minPct)
+	logger.Printf("total: %.1f%% of statements (%d/%d), threshold %.1f%%", pct, covered, total, *minPct)
 	if pct < *minPct {
-		log.Fatalf("coverage %.1f%% is below the %.1f%% gate", pct, *minPct)
+		logger.Printf("coverage %.1f%% is below the %.1f%% gate", pct, *minPct)
+		return 1
 	}
+	return 0
 }
 
 // parseProfile reads a cover profile: a "mode:" header followed by
@@ -121,19 +131,19 @@ func parseProfile(path string) (map[string][]block, error) {
 		}
 		colon := strings.LastIndex(line, ":")
 		if colon < 0 {
-			return nil, fmt.Errorf("covgate: %s:%d: no file separator", path, lineNo)
+			return nil, fmt.Errorf("%s:%d: no file separator", path, lineNo)
 		}
 		fields := strings.Fields(line[colon+1:])
 		if len(fields) != 3 {
-			return nil, fmt.Errorf("covgate: %s:%d: want 'range stmts count', got %q", path, lineNo, line)
+			return nil, fmt.Errorf("%s:%d: want 'range stmts count', got %q", path, lineNo, line)
 		}
 		stmts, err := strconv.Atoi(fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("covgate: %s:%d: bad statement count: %v", path, lineNo, err)
+			return nil, fmt.Errorf("%s:%d: bad statement count: %v", path, lineNo, err)
 		}
 		count, err := strconv.Atoi(fields[2])
 		if err != nil {
-			return nil, fmt.Errorf("covgate: %s:%d: bad execution count: %v", path, lineNo, err)
+			return nil, fmt.Errorf("%s:%d: bad execution count: %v", path, lineNo, err)
 		}
 		file := line[:colon]
 		ranges := byRange[file]

@@ -1,6 +1,5 @@
-// Docgate keeps the architecture notes honest the same way benchgate
-// keeps the perf trajectory honest: it fails CI when documentation
-// rots. Two checks, over every tracked markdown file:
+// Docgate keeps the architecture notes honest: it fails CI when
+// documentation rots. Two checks, over every maintained markdown file:
 //
 //   - Intra-repo links resolve. Every non-external markdown link
 //     ([text](target), including images) must point at a file or
@@ -9,12 +8,6 @@
 //     target file under GitHub's anchor rules. External schemes
 //     (http, https, mailto) are out of scope — CI should not depend
 //     on the internet.
-//
-//   - Benchmark baselines named in prose exist. Every BENCH_<n>.json
-//     mentioned anywhere in a doc (including code fences — make
-//     invocations name them too) must exist at the repository root, so
-//     a PR that bumps the perf-trajectory baseline cannot leave docs
-//     pointing at a file that was never committed or has been renamed.
 //
 //   - Embedded Go examples are real Go. Every ```go fenced block must
 //     survive go/format.Source — the same parser gofmt and go vet
@@ -27,22 +20,23 @@
 //     docgate [-root dir] [file.md ...]
 //
 // With no file arguments it checks the maintained documentation set:
-// ROADMAP.md and every *.md under docs/. (PAPERS.md and SNIPPETS.md
-// are retrieved reference material and are not gated.) Exit status 1
-// on any finding, with one line per finding.
+// ROADMAP.md, every *.md under docs/, and benchmark/README.md (the
+// metric definitions every performance claim cites). PAPERS.md and
+// SNIPPETS.md are retrieved reference material and are not gated. Exit
+// status 1 on any finding, with one line per finding; 2 when a file
+// cannot be read.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"go/format"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 )
-
-var root = flag.String("root", ".", "repository root for resolving links and finding default files")
 
 // linkRe matches inline markdown links and images: [text](target) /
 // ![alt](target). Targets with spaces or titles ("...") are not used in
@@ -54,10 +48,6 @@ var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)\)`)
 var headingRe = regexp.MustCompile(`^#{1,6}\s+(.*?)\s*#*\s*$`)
 
 var fenceRe = regexp.MustCompile("^(```+|~~~+)\\s*([A-Za-z0-9_+-]*)")
-
-// benchRe matches perf-trajectory baseline filenames (BENCH_<n>.json)
-// wherever they appear; each must exist at the repository root.
-var benchRe = regexp.MustCompile(`BENCH_\d+\.json`)
 
 // slug reduces a heading to its GitHub anchor: lowercase, spaces to
 // hyphens, everything but letters, digits, hyphens and underscores
@@ -80,11 +70,10 @@ func slug(heading string) string {
 
 // doc is one parsed markdown file: its anchors, links, and go fences.
 type doc struct {
-	path      string          // repo-relative, slash-separated
-	anchors   map[string]bool // GitHub anchor slugs of its headings
-	links     []link
-	fences    []fence
-	benchRefs []link // BENCH_<n>.json mentions, fenced or not
+	path    string          // repo-relative, slash-separated
+	anchors map[string]bool // GitHub anchor slugs of its headings
+	links   []link
+	fences  []fence
 }
 
 type link struct {
@@ -104,11 +93,8 @@ func parseDoc(path string, data []byte) *doc {
 	var goStart int
 	var goLines []string
 	for i, ln := range lines {
-		for _, m := range benchRe.FindAllString(ln, -1) {
-			d.benchRefs = append(d.benchRefs, link{line: i + 1, target: m})
-		}
 		if inFence != "" {
-			if strings.HasPrefix(strings.TrimSpace(ln), inFence) {
+			if closesFence(ln, inFence) {
 				if goFence {
 					d.fences = append(d.fences, fence{line: goStart, src: strings.Join(goLines, "\n")})
 				}
@@ -119,7 +105,7 @@ func parseDoc(path string, data []byte) *doc {
 			continue
 		}
 		if m := fenceRe.FindStringSubmatch(ln); m != nil {
-			inFence = m[1][:3]
+			inFence = m[1]
 			goFence = m[2] == "go"
 			goStart = i + 1
 			continue
@@ -134,6 +120,15 @@ func parseDoc(path string, data []byte) *doc {
 	return d
 }
 
+// closesFence applies CommonMark's rule: a closing fence is a run of the
+// opener's character at least as long as the opener, with nothing after
+// it but spaces. A shorter run, or one with an info string, is content —
+// which is how a four-backtick fence shows a three-backtick block.
+func closesFence(ln, opener string) bool {
+	ln = strings.TrimSpace(ln)
+	return len(ln) >= len(opener) && strings.Trim(ln, opener[:1]) == ""
+}
+
 func external(target string) bool {
 	for _, scheme := range []string{"http://", "https://", "mailto:"} {
 		if strings.HasPrefix(target, scheme) {
@@ -143,45 +138,49 @@ func external(target string) bool {
 	return false
 }
 
-func main() {
-	flag.Parse()
-	files := flag.Args()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters, so the tests
+// can drive it: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("docgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	root := fs.String("root", ".", "repository root for resolving links and finding default files")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	files := fs.Args()
 	if len(files) == 0 {
 		// The default set is the *maintained* documentation: the
-		// architecture notes and the roadmap. PAPERS.md and SNIPPETS.md
-		// are retrieved reference material whose links point into
-		// repositories this one does not contain.
-		files = append(files, "ROADMAP.md")
-		for _, pat := range []string{"docs/*.md"} {
-			m, err := filepath.Glob(filepath.Join(*root, pat))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "docgate:", err)
-				os.Exit(2)
-			}
-			for _, f := range m {
-				rel, err := filepath.Rel(*root, f)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "docgate:", err)
-					os.Exit(2)
-				}
-				files = append(files, filepath.ToSlash(rel))
-			}
+		// roadmap, the architecture notes, and the benchmark's metric
+		// definitions. PAPERS.md and SNIPPETS.md are retrieved reference
+		// material whose links point into repositories this one does not
+		// contain.
+		m, err := filepath.Glob(filepath.Join(*root, "docs", "*.md"))
+		if err != nil {
+			fmt.Fprintln(stderr, "docgate:", err)
+			return 2
 		}
+		files = append(files, "ROADMAP.md")
+		for _, f := range m {
+			files = append(files, "docs/"+filepath.Base(f))
+		}
+		files = append(files, "benchmark/README.md")
 	}
 
 	docs := map[string]*doc{}
 	for _, f := range files {
 		data, err := os.ReadFile(filepath.Join(*root, filepath.FromSlash(f)))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "docgate:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "docgate:", err)
+			return 2
 		}
 		docs[f] = parseDoc(f, data)
 	}
 
 	findings := 0
 	fail := func(format string, args ...any) {
-		fmt.Printf("docgate: "+format+"\n", args...)
+		fmt.Fprintf(stdout, "docgate: "+format+"\n", args...)
 		findings++
 	}
 	// anchorsOf returns the anchor set of a repo-relative markdown
@@ -231,11 +230,6 @@ func main() {
 				fail("%s:%d: dead anchor %q (no heading in %s slugs to %q)", f, l.line, l.target, dest, frag)
 			}
 		}
-		for _, br := range d.benchRefs {
-			if _, err := os.Stat(filepath.Join(*root, br.target)); err != nil {
-				fail("%s:%d: stale bench reference %q (not at repository root)", f, br.line, br.target)
-			}
-		}
 		for _, fc := range d.fences {
 			formatted, err := format.Source([]byte(fc.src))
 			if err != nil {
@@ -249,8 +243,9 @@ func main() {
 		}
 	}
 	if findings > 0 {
-		fmt.Printf("docgate: %d finding(s)\n", findings)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "docgate: %d finding(s)\n", findings)
+		return 1
 	}
-	fmt.Printf("docgate: %d file(s) clean\n", len(files))
+	fmt.Fprintf(stdout, "docgate: %d file(s) clean\n", len(files))
+	return 0
 }

@@ -446,16 +446,15 @@ func t4() {
 	fmt.Printf("router vs router-split: %d probes, %d divergences\n", probes, diverged)
 }
 
-// v1 measures the verify side: parallel path exploration throughput
-// (paths/s at 1..N workers with per-path feasibility solving) and the
-// CDCL solver rebuild against the retired DPLL reference on a
-// router-like path formula. Results are identical at every worker
-// count — only the wall clock moves.
+// v1 measures the verify side: the CDCL solver on a router-like path
+// formula, and parallel path exploration throughput (paths/s at 1..N
+// workers with per-path feasibility solving). Results are identical at
+// every worker count — only the wall clock moves.
 func v1() {
 	header("V1 — verify-side throughput (CDCL solver + parallel exploration)")
 
-	// Solver micro: the router-like path condition that anchors the
-	// pinned benchmark set.
+	// Solver micro: the router-like path condition
+	// BenchmarkSolveRouterLikePath and TestRatioCDCLVsReference use.
 	constraints := []solver.BV{
 		solver.Eq(solver.Var("ethernet.etherType", 16), solver.ConstUint(0x0800, 16)),
 		solver.Neq(solver.Var("ipv4.version", 4), solver.ConstUint(4, 4)),
@@ -469,16 +468,7 @@ func v1() {
 			log.Fatal("router-like formula must be sat")
 		}
 	}
-	cdclNs := time.Since(t0).Nanoseconds() / reps
-	t0 = time.Now()
-	for i := 0; i < reps; i++ {
-		if _, st := solver.SolveReference(constraints); st != solver.Sat {
-			log.Fatal("router-like formula must be sat")
-		}
-	}
-	refNs := time.Since(t0).Nanoseconds() / reps
-	fmt.Printf("router-like solve: cdcl %6dns/op  reference-dpll %8dns/op  speedup %.1fx\n\n",
-		cdclNs, refNs, float64(refNs)/float64(cdclNs))
+	fmt.Printf("router-like solve: cdcl %6dns/op\n\n", time.Since(t0).Nanoseconds()/reps)
 
 	fmt.Printf("%-12s %8s %7s %7s %7s %10s %10s %9s %8s %8s\n",
 		"program", "workers", "paths", "pruned", "ms", "paths/s", "props", "conflicts", "learned", "peakcls")

@@ -143,8 +143,7 @@ func TestCheckerBatchAllocFree(t *testing.T) {
 }
 
 // BenchmarkCheckerPerFrame scores the workload through the
-// frame-at-a-time model — the slow half of benchgate's batched-checker
-// speedup gate.
+// frame-at-a-time model, the slow side of BenchmarkCheckerBatch.
 func BenchmarkCheckerPerFrame(b *testing.B) {
 	tps, results, ats := checkerWorkload(4096, 3, false)
 	c, err := NewChecker(checkerSpecForWorkload())
@@ -161,8 +160,7 @@ func BenchmarkCheckerPerFrame(b *testing.B) {
 }
 
 // BenchmarkCheckerBatch scores the same workload through OnResults in
-// 512-frame blocks; benchgate pins it and enforces the >= 2x speedup
-// over BenchmarkCheckerPerFrame.
+// 512-frame blocks (recorded ~2.9x BenchmarkCheckerPerFrame).
 func BenchmarkCheckerBatch(b *testing.B) {
 	tps, results, ats := checkerWorkload(4096, 3, false)
 	c, err := NewChecker(checkerSpecForWorkload())

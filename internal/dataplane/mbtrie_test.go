@@ -3,8 +3,7 @@ package dataplane
 // Differential fuzzing, shared edge-case coverage, churn/prune
 // regression, and the 10^6-entry memory-ratio assertion for the
 // path-compressed multibit LPM trie against the binary-trie model
-// (models_test.go), plus the benchgate-pinned install/lookup benchmarks the
-// -speedup ratios ride on.
+// (models_test.go), plus the install/lookup benchmarks of both.
 
 import (
 	"fmt"
@@ -403,7 +402,6 @@ const benchTrieLookupBase = 1_000_000
 
 // The install benchmarks measure cold fill of a 10^4-entry table per
 // op — the cost the million-flow sweep pays at every occupancy point.
-// benchgate pins both and asserts the binary:multibit -speedup ratio.
 func BenchmarkLPMTrieInstallMultibit(b *testing.B) {
 	b.Run("entries10000", func(b *testing.B) {
 		be := &boundEntry{}

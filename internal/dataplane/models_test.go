@@ -1,12 +1,12 @@
 package dataplane
 
 // The two retired lookup structures, kept as models the production ones
-// are differentially tested (and, for benchgate's -speedup ratios,
-// benchmarked) against: the O(entries) first-match ternary scan the
-// tuple-space index replaced, and the one-node-per-bit lpm trie the
-// multibit trie replaced. Each owns its entries — nothing here reads a
-// tableState, so a production write path that loses or misfiles an entry
-// cannot make the model lose it too.
+// are differentially tested (and, in ratio_test.go, timed) against: the
+// O(entries) first-match ternary scan the tuple-space index replaced,
+// and the one-node-per-bit lpm trie the multibit trie replaced. Each
+// owns its entries — nothing here reads a tableState, so a production
+// write path that loses or misfiles an entry cannot make the model lose
+// it too.
 
 import (
 	"errors"

@@ -263,9 +263,9 @@ func TestSendExternalBurstAllocFree(t *testing.T) {
 	})
 }
 
-// BenchmarkSendExternalBurst is the pinned zero-copy burst benchmark:
-// full capture retention, drain and release every burst, expected to run
-// at 0 allocs/op (benchgate enforces the pin).
+// BenchmarkSendExternalBurst is the zero-copy burst benchmark: full
+// capture retention, drain and release every burst, expected to run at
+// 0 allocs/op (TestSendExternalBurstAllocFree asserts it).
 func BenchmarkSendExternalBurst(b *testing.B) {
 	d := newRouterDevice(b, target.NewReference())
 	const n = 64

@@ -298,7 +298,7 @@ func TestDifferentialBatchedProbeInjection(t *testing.T) {
 
 // BenchmarkFuzzFleetThroughput measures the lockstep probe path: one
 // 256-probe batch through all five backends on a single shard (1280
-// backend executions per op) — the benchgate-pinned probes/s figure.
+// backend executions per op). The gated figure is the benchmark's fuzz5.
 func BenchmarkFuzzFleetThroughput(b *testing.B) {
 	f, err := New(p4test.Router, Options{Baseline: routerBaseline(), Seed: 7})
 	if err != nil {

@@ -229,43 +229,6 @@ func TestPathBudgetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDifferentialSolversOnPathFormulas harvests real path conditions
-// from the shipped flows and cross-checks the CDCL solver against the
-// reference DPLL on each — the path-derived half of the solver's
-// differential-fuzz contract (the random half lives in package solver).
-func TestDifferentialSolversOnPathFormulas(t *testing.T) {
-	sources := []string{p4test.Router, p4test.L2Switch, p4test.Firewall, p4test.Reflector}
-	for _, src := range sources {
-		prog := mustCompile(t, src)
-		paths, _, err := Explore(prog, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range paths {
-			_, stC := solver.Solve(p.Constraints)
-			_, stR := solver.SolveReference(p.Constraints)
-			if stC != stR {
-				t.Fatalf("path %v: CDCL=%v reference=%v", p.ParserPath, stC, stR)
-			}
-			// And with a violating postcondition appended, as Check does.
-			for _, inst := range p.Fields {
-				if len(inst) == 0 {
-					continue
-				}
-				f := inst[len(inst)-1]
-				cons := append(append([]solver.BV(nil), p.Constraints...),
-					solver.Eq(f, solver.ConstUint(0, f.Width())))
-				_, stC = solver.Solve(cons)
-				_, stR = solver.SolveReference(cons)
-				if stC != stR {
-					t.Fatalf("path %v + postcond: CDCL=%v reference=%v", p.ParserPath, stC, stR)
-				}
-				break
-			}
-		}
-	}
-}
-
 // TestSolvePathsPrunesInfeasible: feasibility filtering must drop
 // exactly the paths a per-path solve refutes.
 func TestSolvePathsPrunesInfeasible(t *testing.T) {
@@ -307,9 +270,8 @@ func TestSolvePathsPrunesInfeasible(t *testing.T) {
 }
 
 // BenchmarkExploreParallel measures feasibility-solved exploration of a
-// many-path synthetic program across worker counts. cmd/benchgate
-// asserts the 8-worker run is >= 3x the 1-worker run when the machine
-// has >= 8 CPUs (the assertion self-disables below that).
+// many-path synthetic program across worker counts. Whether 8 workers
+// beat 1 has never run on a machine with 8 CPUs (ROADMAP item 1).
 func BenchmarkExploreParallel(b *testing.B) {
 	prog := mustCompile(b, synthProgram(42, 5))
 	for _, workers := range []int{1, 2, 8} {

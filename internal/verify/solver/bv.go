@@ -3,7 +3,7 @@
 // structurally-hashed Tseitin encoder and decided by a two-watched-
 // literal CDCL SAT core (conflict-driven backjumping, activity-ordered
 // branching, arena-backed clause storage). The retired naive pipeline is
-// kept as SolveReference and serves as the differential-testing oracle.
+// the tests' differential oracle (SolveReference in reference_test.go).
 //
 // It is the engine behind NetDebug's software formal-verification baseline
 // (package verify), standing in for the SMT solvers used by tools like

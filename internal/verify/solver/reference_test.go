@@ -9,11 +9,12 @@ import (
 // SolveReference decides the conjunction of width-1 constraints with the
 // original naive pipeline: per-call Tseitin bit-blasting without
 // structural hashing, decided by a recursive DPLL over the full clause
-// list. It is kept verbatim as the differential-testing oracle for the
-// CDCL rebuild (see Solve): the two implementations share nothing beyond
-// the BV term types, so a bug in the watched-literal propagation, the
-// conflict analysis, or the gate hashing shows up as a verdict
-// disagreement in the fuzz suites.
+// list. It is kept verbatim, in test scope, as the differential-testing
+// oracle for the CDCL rebuild (see Solve): the two implementations share
+// nothing beyond the BV term types, so a bug in the watched-literal
+// propagation, the conflict analysis, or the gate hashing shows up as a
+// verdict disagreement in the fuzz suites. Exported so the external
+// tests of this package (path_test.go) reach it too.
 func SolveReference(constraints []BV) (Model, Status) {
 	enc := newRefEncoder()
 	for _, c := range constraints {

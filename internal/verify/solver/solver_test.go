@@ -1,8 +1,10 @@
 package solver
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"netdebug/internal/bitfield"
 )
@@ -234,8 +236,8 @@ func TestStringRendering(t *testing.T) {
 }
 
 // routerLikeConstraints is the constraint shape typical of a parser path
-// condition; shared by the CDCL and reference solver benchmarks so the
-// bench gate can assert the rebuild's speedup within one run.
+// condition; shared by the CDCL and reference solver benchmarks and by
+// TestRatioCDCLVsReference, which asserts the rebuild's speedup.
 func routerLikeConstraints() []BV {
 	etherType := Var("ethernet.etherType", 16)
 	version := Var("ipv4.version", 4)
@@ -260,8 +262,7 @@ func BenchmarkSolveRouterLikePath(b *testing.B) {
 }
 
 // BenchmarkSolveReferenceRouterLikePath measures the retired DPLL
-// pipeline on the identical formula; cmd/benchgate asserts Solve stays
-// >= 5x faster than this within the same run.
+// pipeline on the identical formula.
 func BenchmarkSolveReferenceRouterLikePath(b *testing.B) {
 	constraints := routerLikeConstraints()
 	b.ReportAllocs()
@@ -269,5 +270,50 @@ func BenchmarkSolveReferenceRouterLikePath(b *testing.B) {
 		if _, st := SolveReference(constraints); st != Sat {
 			b.Fatal(st)
 		}
+	}
+}
+
+var statusSink Status
+
+// speedup runs slow and fast alternately, five times each, and returns
+// how many times longer slow's quickest run took than fast's; both must
+// do the same number of operations. Interference only ever adds time,
+// so the minimum is the stable statistic, and alternating lets a noisy
+// stretch of the machine land on both sides.
+func speedup(t *testing.T, slow, fast func()) float64 {
+	t.Helper()
+	if testing.Short() || raceEnabled {
+		t.Skip("timing ratio: skipped under -short and under -race, whose instrumentation is what would be timed")
+	}
+	minSlow, minFast := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for rep := 0; rep < 5; rep++ {
+		t0 := time.Now()
+		slow()
+		minSlow = min(minSlow, time.Since(t0))
+		t0 = time.Now()
+		fast()
+		minFast = min(minFast, time.Since(t0))
+	}
+	return float64(minSlow) / float64(minFast)
+}
+
+// TestRatioCDCLVsReference holds what the solver rebuild bought on the
+// router-like path formula (recorded 21x): structural hashing and
+// watched-literal CDCL against per-call bit-blasting and recursive DPLL.
+func TestRatioCDCLVsReference(t *testing.T) {
+	constraints := routerLikeConstraints()
+	const solves = 100
+	got := speedup(t, func() {
+		for i := 0; i < solves; i++ {
+			_, statusSink = SolveReference(constraints)
+		}
+	}, func() {
+		for i := 0; i < solves; i++ {
+			_, statusSink = Solve(constraints)
+		}
+	})
+	t.Logf("Solve %.1fx SolveReference on the router-like formula", got)
+	if got < 5 {
+		t.Fatalf("Solve is %.1fx SolveReference on the router-like formula, want >= 5x", got)
 	}
 }
