@@ -65,7 +65,7 @@ func goodFrame(payload int) []byte {
 func badVersionFrame() []byte {
 	f := goodFrame(26)
 	f[14] = 0x65 // IPv4 version 6 -> parser must reject
-	fixIPv4Checksum(f)
+	packet.FixIPv4Checksum(f)
 	return f
 }
 

@@ -123,16 +123,16 @@ func NewGenerator(spec GenSpec) (*Generator, error) {
 		}
 		limit := len(s.Template) * 8
 		for _, sw := range s.Sweeps {
-			if sw.Loc.BitOff+sw.Loc.Bits > limit {
+			if !sw.Loc.within(limit) {
 				return nil, fmt.Errorf("core: stream %q sweep outside template", s.Name)
 			}
 		}
 		for _, fz := range s.Fuzz {
-			if fz.Loc.BitOff+fz.Loc.Bits > limit {
+			if !fz.Loc.within(limit) {
 				return nil, fmt.Errorf("core: stream %q fuzz outside template", s.Name)
 			}
 		}
-		if s.SeqLoc.Valid() && s.SeqLoc.BitOff+s.SeqLoc.Bits > limit {
+		if s.SeqLoc.Valid() && !s.SeqLoc.within(limit) {
 			return nil, fmt.Errorf("core: stream %q sequence tag outside template", s.Name)
 		}
 	}
@@ -233,7 +233,7 @@ func (g *Generator) Packets(start time.Duration) []TestPacket {
 				tp.ExpectSeq = true
 			}
 			if s.FixIPv4 {
-				fixIPv4Checksum(data)
+				packet.FixIPv4Checksum(data)
 			}
 			tp.Data = data
 			gen = append(gen, tp)
@@ -278,25 +278,4 @@ func (g *Generator) mergeByTime(gen []TestPacket, total int) []TestPacket {
 	}
 	g.out = out
 	return out
-}
-
-// fixIPv4Checksum recomputes the IPv4 header checksum of an Ethernet/IPv4
-// frame in place. Frames without an IPv4 header are left untouched.
-func fixIPv4Checksum(frame []byte) {
-	if len(frame) < 14+20 {
-		return
-	}
-	var eth packet.Ethernet
-	if eth.DecodeFromBytes(frame) != nil || eth.EtherType != packet.EtherTypeIPv4 {
-		return
-	}
-	ihl := int(frame[14] & 0x0f)
-	hlen := ihl * 4
-	if ihl < 5 || len(frame) < 14+hlen {
-		return
-	}
-	frame[14+10], frame[14+11] = 0, 0
-	ck := bitfield.Checksum(frame[14 : 14+hlen])
-	frame[14+10] = byte(ck >> 8)
-	frame[14+11] = byte(ck)
 }

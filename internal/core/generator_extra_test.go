@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"netdebug/internal/bitfield"
@@ -31,18 +33,25 @@ func TestGeneratorFixIPv4(t *testing.T) {
 	}
 }
 
-// TestGeneratorFixIPv4SkipsNonIP ensures the checksum fixer leaves
-// non-IPv4 templates untouched.
+// TestGeneratorFixIPv4SkipsNonIP ensures a stream with FixIPv4 set leaves
+// non-IPv4 and runt templates untouched (packet.FixIPv4Checksum's own
+// table covers the fixer's cases one by one).
 func TestGeneratorFixIPv4SkipsNonIP(t *testing.T) {
 	arp := make([]byte, 60)
 	arp[12], arp[13] = 0x08, 0x06 // EtherType ARP
-	orig := append([]byte(nil), arp...)
-	fixIPv4Checksum(arp)
-	if string(arp) != string(orig) {
-		t.Fatal("non-IPv4 frame was modified")
+	for _, tmpl := range [][]byte{arp, make([]byte, 10)} {
+		gen, err := NewGenerator(GenSpec{Streams: []StreamSpec{{
+			Name: "raw", Template: tmpl, Count: 2, FixIPv4: true,
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range gen.Packets(0) {
+			if !bytes.Equal(tp.Data, tmpl) {
+				t.Fatalf("%d-byte non-IPv4 frame was modified: %x", len(tmpl), tp.Data)
+			}
+		}
 	}
-	short := make([]byte, 10)
-	fixIPv4Checksum(short) // must not panic
 }
 
 // TestCheckerP4CheckEntries exercises a table-driven P4 classifier: the
@@ -109,5 +118,66 @@ func TestCheckerBadP4Program(t *testing.T) {
 	_, err := NewChecker(CheckSpec{P4Check: "definitely not p4 {"})
 	if err == nil {
 		t.Fatal("bad classifier source should fail")
+	}
+}
+
+// TestConfigureRejectsHostileFieldLocs: a TestSpec arrives off the control
+// wire, so its field locations are input. One that is negative, wider than
+// bitfield.MaxWidth, past the template, or so large that offset + width
+// wraps must be refused by Agent.Configure — none may reach Packets, where
+// bitfield.MustInject would panic the agent. A field ending exactly on the
+// template's last bit is still accepted, and runs.
+func TestConfigureRejectsHostileFieldLocs(t *testing.T) {
+	tmpl := goodFrame(22) // 64 bytes, 512 bits
+	kinds := map[string]func(FieldLoc) StreamSpec{
+		"sweep":        func(l FieldLoc) StreamSpec { return StreamSpec{Sweeps: []FieldSweep{{Loc: l, Step: 1}}} },
+		"fuzz":         func(l FieldLoc) StreamSpec { return StreamSpec{Fuzz: []FieldFuzz{{Loc: l, Seed: 1}}} },
+		"sequence tag": func(l FieldLoc) StreamSpec { return StreamSpec{SeqLoc: l} },
+	}
+	for _, tc := range []struct {
+		loc     FieldLoc
+		wantErr bool
+	}{
+		{FieldLoc{BitOff: -8, Bits: 8}, true},
+		{FieldLoc{BitOff: 8, Bits: -4}, true},
+		{FieldLoc{BitOff: 8, Bits: 0}, true},
+		{FieldLoc{BitOff: 1 << 62, Bits: 1 << 62}, true}, // the sum wraps negative
+		{FieldLoc{BitOff: 0, Bits: bitfield.MaxWidth + 1}, true},
+		{FieldLoc{BitOff: 505, Bits: 8}, true}, // one bit past the end
+		{FieldLoc{BitOff: 512, Bits: 1}, true},
+		{FieldLoc{BitOff: 504, Bits: 8}, false},
+		{FieldLoc{BitOff: 511, Bits: 1}, false},
+		{FieldLoc{BitOff: 512 - bitfield.MaxWidth, Bits: bitfield.MaxWidth}, false},
+	} {
+		for kind, stream := range kinds {
+			wantErr := tc.wantErr
+			if kind == "sequence tag" && !tc.loc.Valid() {
+				wantErr = false // an invalid SeqLoc means "no tag" and is never injected
+			}
+			s := stream(tc.loc)
+			s.Name, s.Template, s.Count = "hostile", tmpl, 2
+			wire, err := EncodeTestSpec(&TestSpec{Name: kind, Gen: GenSpec{Streams: []StreamSpec{s}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := DecodeTestSpec(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := newAgent(t, target.NewReference())
+			err = a.Configure(spec)
+			switch {
+			case wantErr && err == nil:
+				t.Errorf("%s %+v: accepted", kind, tc.loc)
+			case wantErr && !strings.Contains(err.Error(), `"hostile" `+kind):
+				t.Errorf("%s %+v: error %q does not name the stream and the field kind", kind, tc.loc, err)
+			case !wantErr && err != nil:
+				t.Errorf("%s %+v: refused: %v", kind, tc.loc, err)
+			case !wantErr:
+				if _, err := a.Run(); err != nil {
+					t.Errorf("%s %+v: run: %v", kind, tc.loc, err)
+				}
+			}
+		}
 	}
 }

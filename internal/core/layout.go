@@ -28,6 +28,13 @@ type FieldLoc struct {
 // Valid reports whether the location is usable.
 func (l FieldLoc) Valid() bool { return l.Bits > 0 }
 
+// within reports whether the field lies wholly inside a limit-bit packet
+// and is no wider than bitfield supports. Written without a sum, so a
+// hostile offset or width cannot wrap past the check.
+func (l FieldLoc) within(limit int) bool {
+	return l.BitOff >= 0 && l.Valid() && l.Bits <= bitfield.MaxWidth && l.BitOff <= limit-l.Bits
+}
+
 // Extract reads the field from a packet.
 func (l FieldLoc) Extract(pkt []byte) (bitfield.Value, error) {
 	return bitfield.Extract(pkt, l.BitOff, l.Bits)

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
@@ -20,6 +21,22 @@ var (
 	ipA  = packet.IPv4Addr{10, 0, 0, 1}
 	ipB  = packet.IPv4Addr{10, 0, 1, 2}
 )
+
+// unhex decodes a frame written as a hex literal.
+func unhex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// arpRequest is macA's broadcast who-has ipB: Ethernet with EtherType
+// 0x0806 and the 28-byte ARP body, 42 bytes in all.
+func arpRequest() []byte {
+	return unhex("ffffffffffff02000000000a0806" +
+		"000108000604000102000000000a0a0000010000000000000a000102")
+}
 
 func mustEngine(t testing.TB, src string) *Engine {
 	t.Helper()
@@ -86,27 +103,18 @@ func TestRouterForwards(t *testing.T) {
 	if egress != 2 {
 		t.Fatalf("egress = %d, want 2 (longest prefix)", egress)
 	}
-	var eth packet.Ethernet
-	var ip packet.IPv4
-	if err := eth.DecodeFromBytes(out); err != nil {
-		t.Fatal(err)
+	if len(out) != len(in) {
+		t.Fatalf("forwarded %d bytes, want %d", len(out), len(in))
 	}
-	if err := ip.DecodeFromBytes(eth.LayerPayload()); err != nil {
-		t.Fatal(err)
+	if dst := out[0:6]; !bytes.Equal(dst, gwA[:]) {
+		t.Errorf("dst MAC = %x, want gateway", dst)
 	}
-	if eth.Dst != gwA {
-		t.Errorf("dst MAC = %v, want gateway", eth.Dst)
-	}
-	if ip.TTL != 63 {
-		t.Errorf("ttl = %d, want 63", ip.TTL)
+	if ttl := out[14+8]; ttl != 63 {
+		t.Errorf("ttl = %d, want 63", ttl)
 	}
 	// Payload must survive the trip.
-	var udp packet.UDP
-	if err := udp.DecodeFromBytes(ip.LayerPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if string(udp.LayerPayload()) != "data" {
-		t.Errorf("payload = %q", udp.LayerPayload())
+	if pay := out[14+20+8:]; string(pay) != "data" {
+		t.Errorf("payload = %q", pay)
 	}
 }
 
@@ -176,7 +184,7 @@ func TestRouterNonIPv4Accepted(t *testing.T) {
 	e := routerEngine(t)
 	ctx := e.NewContext()
 	ctx.CollectTrace = true
-	in := packet.BuildARPRequest(macA, ipA, ipB)
+	in := arpRequest()
 	out, _ := e.Process(ctx, in, 0)
 	if out != nil {
 		t.Fatal("ARP forwarded, want ingress drop")
@@ -291,12 +299,8 @@ func TestReflector(t *testing.T) {
 	if out == nil || egress != 3 {
 		t.Fatalf("reflector: out=%v egress=%d, want egress=ingress=3", out != nil, egress)
 	}
-	var eth packet.Ethernet
-	if err := eth.DecodeFromBytes(out); err != nil {
-		t.Fatal(err)
-	}
-	if eth.Src != macB || eth.Dst != macA {
-		t.Fatalf("MACs not swapped: %v -> %v", eth.Src, eth.Dst)
+	if dst, src := out[0:6], out[6:12]; !bytes.Equal(src, macB[:]) || !bytes.Equal(dst, macA[:]) {
+		t.Fatalf("MACs not swapped: %x -> %x", src, dst)
 	}
 }
 
@@ -605,7 +609,7 @@ func TestEmitSkipsInvalidHeaders(t *testing.T) {
 	ctx := e.NewContext()
 	// Non-IPv4 packet: deparser must emit only ethernet. The router drops
 	// ARP in ingress, so run the phases manually.
-	in := packet.BuildARPRequest(macA, ipA, ipB)
+	in := arpRequest()
 	e.Reset(ctx, in, 0)
 	if v := e.Parse(ctx); v != VerdictAccept {
 		t.Fatal("ARP rejected")

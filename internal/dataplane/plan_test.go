@@ -338,9 +338,12 @@ func planPairs(tb testing.TB) []*planPair {
 var wellFormedFrames = [][]byte{
 	packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 443, []byte("payload")),
 	packet.BuildTCPv4(macA, macB, ipA, packet.IPv4Addr{10, 9, 9, 9}, 1, 443, 0x12, nil),
-	packet.BuildICMPEcho(macB, macA, ipB, packet.IPv4Addr{192, 168, 0, 1}, 1, 2, []byte{1, 2, 3}),
-	packet.BuildARPRequest(macA, ipA, ipB),
-	packet.PadToMinimum(packet.BuildUDPv4(macA, macB, ipA, ipB, 5, 6, nil)),
+	// ICMP echo request id 1 seq 2 from ipB to 192.168.0.1, payload 01 02 03.
+	unhex("02000000000a02000000000b0800" + "4500001f000000004001af330a000102c0a80001" + "0800f3fa00010002010203"),
+	arpRequest(),
+	// UDP 5 -> 6 with no payload, zero-padded to the 60-byte Ethernet minimum.
+	unhex("02000000000b02000000000a0800" + "4500001c00000000401165cf0a0000010a000102" + "000500060008ead0" +
+		"000000000000000000000000000000000000"),
 }
 
 // TestEmitPlanDifferential runs every shipped test program and the corner

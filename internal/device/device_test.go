@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -63,12 +64,8 @@ func TestForwardExternalToExternal(t *testing.T) {
 	if caps[0].At <= 0 {
 		t.Fatal("capture has no timestamp")
 	}
-	var eth packet.Ethernet
-	if err := eth.DecodeFromBytes(caps[0].Data); err != nil {
-		t.Fatal(err)
-	}
-	if eth.Dst != gw {
-		t.Fatalf("rewritten dst = %v", eth.Dst)
+	if dst := caps[0].Data[0:6]; !bytes.Equal(dst, gw[:]) {
+		t.Fatalf("rewritten dst = %x", dst)
 	}
 	if len(d.Captures(1)) != 0 {
 		t.Fatal("captures not drained")

@@ -173,16 +173,6 @@ type Control struct {
 	Apply     []Stmt
 }
 
-// ActionIndex returns the index of the named action in the control, or -1.
-func (c *Control) ActionIndex(name string) int {
-	for i, a := range c.Actions {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Action is a named action with runtime parameters (action data).
 type Action struct {
 	Name   string
@@ -243,9 +233,6 @@ type Table struct {
 	Default ActionCall
 	Size    int
 }
-
-// QualifiedName returns "control.table".
-func (t *Table) QualifiedName() string { return t.Control + "." + t.Name }
 
 // Match returns the lookup structure the table's keys call for, named
 // by the strongest match kind among them — one ternary key makes the

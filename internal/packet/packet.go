@@ -1,327 +1,128 @@
-// Package packet implements wire-format encoding and decoding for the
-// protocol layers used throughout NetDebug: Ethernet, 802.1Q VLAN, ARP,
-// IPv4, IPv6, ICMPv4, TCP, UDP, and opaque payloads.
-//
-// The design follows the conventions of the gopacket library:
-//
-//   - Each protocol is a Layer with a DecodeFromBytes method that decodes
-//     into the receiver, so a preallocated set of layers can parse an
-//     arbitrary number of packets with zero allocations (see Parser).
-//   - Serialization PREPENDS each layer onto a SerializeBuffer, so a packet
-//     is built by serializing layers in reverse order; Serialize is a helper
-//     that does exactly that and fixes lengths and checksums on request.
-//   - Flows and Endpoints give protocol-independent, hashable src/dst keys.
+// Package packet writes the Ethernet/IPv4 test frames that stream
+// templates, examples and tests start from. It is not a protocol stack:
+// what a frame means belongs to the loaded P4 program — its parser, and
+// core.LayoutFor, which derives every field location from the program's
+// own header types. The only byte reader here is FixIPv4Checksum.
 package packet
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+
+	"netdebug/internal/bitfield"
 )
 
-// LayerType identifies a protocol layer.
-type LayerType uint8
+// MAC is a 48-bit Ethernet hardware address.
+type MAC [6]byte
 
-// Known layer types.
+// String renders the address in colon-separated hex.
+func (m MAC) String() string {
+	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+}
+
+// IPv4Addr is a 32-bit IPv4 address in network order.
+type IPv4Addr [4]byte
+
+// String renders dotted-quad notation.
+func (a IPv4Addr) String() string {
+	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+}
+
+// IPv4AddrFrom converts a host-order integer to an address.
+func IPv4AddrFrom(v uint32) IPv4Addr {
+	var a IPv4Addr
+	binary.BigEndian.PutUint32(a[:], v)
+	return a
+}
+
+// TCPSyn is the SYN bit of BuildTCPv4's flags byte.
+const TCPSyn uint8 = 0x02
+
 const (
-	LayerTypeZero LayerType = iota
-	LayerTypeEthernet
-	LayerTypeVLAN
-	LayerTypeARP
-	LayerTypeIPv4
-	LayerTypeIPv6
-	LayerTypeICMPv4
-	LayerTypeTCP
-	LayerTypeUDP
-	LayerTypePayload
-	numLayerTypes
+	ethLen        = 14 // Ethernet II header
+	ipLen         = 20 // option-less IPv4 header
+	etherTypeIPv4 = 0x0800
+	protoTCP      = 6
+	protoUDP      = 17
 )
 
-var layerTypeNames = [...]string{
-	LayerTypeZero:     "None",
-	LayerTypeEthernet: "Ethernet",
-	LayerTypeVLAN:     "VLAN",
-	LayerTypeARP:      "ARP",
-	LayerTypeIPv4:     "IPv4",
-	LayerTypeIPv6:     "IPv6",
-	LayerTypeICMPv4:   "ICMPv4",
-	LayerTypeTCP:      "TCP",
-	LayerTypeUDP:      "UDP",
-	LayerTypePayload:  "Payload",
+// newFrame lays down Ethernet and an option-less IPv4 header (TTL 64,
+// total length and header checksum filled in) in front of a zeroed
+// transport segment of segLen bytes, and returns the frame and the segment
+// inside it.
+func newFrame(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, proto uint8, segLen int) (frame, seg []byte) {
+	frame = make([]byte, ethLen+ipLen+segLen)
+	copy(frame[0:6], dstMAC[:])
+	copy(frame[6:12], srcMAC[:])
+	binary.BigEndian.PutUint16(frame[12:14], etherTypeIPv4)
+	ip := frame[ethLen : ethLen+ipLen]
+	ip[0] = 0x45
+	binary.BigEndian.PutUint16(ip[2:4], uint16(ipLen+segLen))
+	ip[8] = 64
+	ip[9] = proto
+	copy(ip[12:16], srcIP[:])
+	copy(ip[16:20], dstIP[:])
+	binary.BigEndian.PutUint16(ip[10:12], bitfield.Checksum(ip))
+	return frame, frame[ethLen+ipLen:]
 }
 
-// String returns the layer name.
-func (t LayerType) String() string {
-	if int(t) < len(layerTypeNames) {
-		return layerTypeNames[t]
+// transportChecksum computes the TCP/UDP checksum of a newFrame frame: the
+// segment under the IPv4 pseudo-header (addresses, protocol, segment
+// length). The segment's checksum field must still be zero.
+func transportChecksum(frame []byte) uint16 {
+	seg := frame[ethLen+ipLen:]
+	sum := uint32(frame[ethLen+9]) + uint32(len(seg)) +
+		uint32(bitfield.OnesComplementSum(frame[ethLen+12:ethLen+ipLen])) +
+		uint32(bitfield.OnesComplementSum(seg))
+	for sum > 0xffff {
+		sum = sum&0xffff + sum>>16
 	}
-	return fmt.Sprintf("LayerType(%d)", uint8(t))
+	return ^uint16(sum)
 }
 
-// EtherType values understood by the decoders.
-const (
-	EtherTypeIPv4 uint16 = 0x0800
-	EtherTypeARP  uint16 = 0x0806
-	EtherTypeVLAN uint16 = 0x8100
-	EtherTypeIPv6 uint16 = 0x86dd
-)
-
-// IP protocol numbers understood by the decoders.
-const (
-	IPProtoICMP uint8 = 1
-	IPProtoTCP  uint8 = 6
-	IPProtoUDP  uint8 = 17
-)
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	// LayerType identifies the protocol.
-	LayerType() LayerType
-	// DecodeFromBytes parses data into the receiver. The receiver may
-	// retain sub-slices of data; callers that reuse buffers must consume
-	// the layer before overwriting them.
-	DecodeFromBytes(data []byte) error
-	// NextLayerType reports which protocol the payload holds, or
-	// LayerTypePayload when unknown/opaque, or LayerTypeZero when this
-	// layer cannot carry a payload.
-	NextLayerType() LayerType
-	// LayerPayload returns the bytes after this layer's header.
-	LayerPayload() []byte
-	// SerializeTo prepends this layer's wire form onto b. When
-	// opts.FixLengths is set, length fields are derived from the bytes
-	// already in b; when opts.ComputeChecksums is set, checksums are
-	// computed (using b's current contents as the payload).
-	SerializeTo(b *SerializeBuffer, opts SerializeOptions) error
-}
-
-// DecodeError reports a malformed layer.
-type DecodeError struct {
-	Layer  LayerType
-	Reason string
-}
-
-func (e *DecodeError) Error() string {
-	return fmt.Sprintf("packet: decoding %s: %s", e.Layer, e.Reason)
-}
-
-func errTooShort(t LayerType, need, got int) error {
-	return &DecodeError{Layer: t, Reason: fmt.Sprintf("need %d bytes, have %d", need, got)}
-}
-
-// SerializeOptions controls SerializeTo behaviour.
-type SerializeOptions struct {
-	// FixLengths derives length/header-length fields from payload sizes.
-	FixLengths bool
-	// ComputeChecksums fills in IPv4/ICMP/TCP/UDP checksums.
-	ComputeChecksums bool
-}
-
-// SerializeBuffer accumulates a packet back-to-front: each PrependBytes
-// call returns space immediately before the current contents, matching the
-// layer-at-a-time prepend model.
-type SerializeBuffer struct {
-	data  []byte
-	start int
-}
-
-// NewSerializeBuffer returns an empty buffer with a default-size backing
-// array suitable for common MTU-sized packets.
-func NewSerializeBuffer() *SerializeBuffer {
-	const def = 2048
-	return &SerializeBuffer{data: make([]byte, def), start: def}
-}
-
-// Bytes returns the assembled packet.
-func (b *SerializeBuffer) Bytes() []byte { return b.data[b.start:] }
-
-// Len returns the number of assembled bytes.
-func (b *SerializeBuffer) Len() int { return len(b.data) - b.start }
-
-// Clear empties the buffer for reuse.
-func (b *SerializeBuffer) Clear() { b.start = len(b.data) }
-
-// PrependBytes returns a zeroed slice of n bytes located immediately before
-// the current contents.
-func (b *SerializeBuffer) PrependBytes(n int) []byte {
-	if n < 0 {
-		panic("packet: negative prepend")
+// BuildUDPv4 assembles Ethernet/IPv4/UDP with the given payload.
+func BuildUDPv4(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort uint16, payload []byte) []byte {
+	frame, udp := newFrame(srcMAC, dstMAC, srcIP, dstIP, protoUDP, 8+len(payload))
+	binary.BigEndian.PutUint16(udp[0:2], srcPort)
+	binary.BigEndian.PutUint16(udp[2:4], dstPort)
+	binary.BigEndian.PutUint16(udp[4:6], uint16(len(udp)))
+	copy(udp[8:], payload)
+	ck := transportChecksum(frame)
+	if ck == 0 {
+		ck = 0xffff // RFC 768: zero means "no checksum"
 	}
-	if b.start < n {
-		grow := len(b.data)*2 + n
-		nd := make([]byte, grow)
-		off := grow - b.Len()
-		copy(nd[off:], b.Bytes())
-		b.data, b.start = nd, off
+	binary.BigEndian.PutUint16(udp[6:8], ck)
+	return frame
+}
+
+// BuildTCPv4 assembles Ethernet/IPv4/TCP (no options, sequence numbers
+// zero, window 65535) with the given flags and payload.
+func BuildTCPv4(srcMAC, dstMAC MAC, srcIP, dstIP IPv4Addr, srcPort, dstPort uint16, flags uint8, payload []byte) []byte {
+	frame, tcp := newFrame(srcMAC, dstMAC, srcIP, dstIP, protoTCP, 20+len(payload))
+	binary.BigEndian.PutUint16(tcp[0:2], srcPort)
+	binary.BigEndian.PutUint16(tcp[2:4], dstPort)
+	tcp[12] = 5 << 4
+	tcp[13] = flags
+	binary.BigEndian.PutUint16(tcp[14:16], 65535)
+	copy(tcp[20:], payload)
+	binary.BigEndian.PutUint16(tcp[16:18], transportChecksum(frame))
+	return frame
+}
+
+// FixIPv4Checksum recomputes the IPv4 header checksum of an Ethernet/IPv4
+// frame in place, options included, and reports whether it did. A frame
+// that is too short, not IPv4 by its EtherType, or whose IHL is under 5 or
+// runs past the frame is left untouched.
+func FixIPv4Checksum(frame []byte) bool {
+	if len(frame) < ethLen+ipLen || binary.BigEndian.Uint16(frame[12:14]) != etherTypeIPv4 {
+		return false
 	}
-	b.start -= n
-	s := b.data[b.start : b.start+n]
-	for i := range s {
-		s[i] = 0
+	hlen := int(frame[ethLen]&0x0f) * 4
+	if hlen < ipLen || len(frame) < ethLen+hlen {
+		return false
 	}
-	return s
-}
-
-// AppendBytes returns a zeroed slice of n bytes after the current contents.
-// It is used for trailers/padding.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	cur := b.Bytes()
-	nd := make([]byte, len(cur)+n)
-	copy(nd, cur)
-	b.data = nd
-	b.start = 0
-	return b.data[len(cur):]
-}
-
-// Serialize builds a packet from layers in outermost-to-innermost order,
-// serializing them in reverse so each layer sees its payload already in the
-// buffer.
-func Serialize(b *SerializeBuffer, opts SerializeOptions, layers ...Layer) error {
-	b.Clear()
-	for i := len(layers) - 1; i >= 0; i-- {
-		if err := layers[i].SerializeTo(b, opts); err != nil {
-			return fmt.Errorf("packet: serializing %s: %w", layers[i].LayerType(), err)
-		}
-	}
-	return nil
-}
-
-// Parser decodes a known stack of layers from raw bytes with no
-// allocation, in the style of gopacket's DecodingLayerParser. Construct it
-// with the first layer type and pointers to reusable layer values; each
-// DecodeLayers call overwrites those values.
-type Parser struct {
-	first    LayerType
-	decoders [numLayerTypes]Layer
-	// Truncated is set when the last decode stopped early because a layer
-	// reported a payload type with no registered decoder.
-	Truncated bool
-}
-
-// NewParser returns a parser starting at first that can decode the given
-// layers.
-func NewParser(first LayerType, layers ...Layer) *Parser {
-	p := &Parser{first: first}
-	for _, l := range layers {
-		p.decoders[l.LayerType()] = l
-	}
-	return p
-}
-
-// ErrNoDecoder is returned (wrapped) when the packet contains a layer the
-// parser was not configured with.
-type ErrNoDecoder struct{ Type LayerType }
-
-func (e *ErrNoDecoder) Error() string {
-	return fmt.Sprintf("packet: no decoder registered for %s", e.Type)
-}
-
-// DecodeLayers parses data, appending the types decoded into *decoded,
-// which is truncated first. If a payload type has no registered decoder,
-// DecodeLayers stops and returns an *ErrNoDecoder, with all successfully
-// decoded layers already in *decoded.
-func (p *Parser) DecodeLayers(data []byte, decoded *[]LayerType) error {
-	*decoded = (*decoded)[:0]
-	p.Truncated = false
-	typ := p.first
-	for typ != LayerTypeZero && len(data) > 0 {
-		dec := p.decoders[typ]
-		if dec == nil {
-			p.Truncated = true
-			return &ErrNoDecoder{Type: typ}
-		}
-		if err := dec.DecodeFromBytes(data); err != nil {
-			return err
-		}
-		*decoded = append(*decoded, typ)
-		data = dec.LayerPayload()
-		typ = dec.NextLayerType()
-	}
-	return nil
-}
-
-// EndpointType classifies an Endpoint.
-type EndpointType uint8
-
-// Endpoint kinds.
-const (
-	EndpointMAC EndpointType = iota + 1
-	EndpointIPv4
-	EndpointIPv6
-	EndpointTCPPort
-	EndpointUDPPort
-)
-
-// Endpoint is a hashable src or dst address at some layer. It is a value
-// type usable as a map key.
-type Endpoint struct {
-	typ EndpointType
-	len uint8
-	raw [16]byte
-}
-
-// NewEndpoint builds an endpoint from raw address bytes.
-func NewEndpoint(t EndpointType, b []byte) Endpoint {
-	var e Endpoint
-	e.typ = t
-	if len(b) > len(e.raw) {
-		b = b[:len(e.raw)]
-	}
-	e.len = uint8(len(b))
-	copy(e.raw[:], b)
-	return e
-}
-
-// Type returns the endpoint kind.
-func (e Endpoint) Type() EndpointType { return e.typ }
-
-// Raw returns the address bytes.
-func (e Endpoint) Raw() []byte { return e.raw[:e.len] }
-
-// String renders the endpoint according to its type.
-func (e Endpoint) String() string {
-	switch e.typ {
-	case EndpointMAC:
-		return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x",
-			e.raw[0], e.raw[1], e.raw[2], e.raw[3], e.raw[4], e.raw[5])
-	case EndpointIPv4:
-		return fmt.Sprintf("%d.%d.%d.%d", e.raw[0], e.raw[1], e.raw[2], e.raw[3])
-	case EndpointIPv6:
-		return fmt.Sprintf("%x:%x:%x:%x:%x:%x:%x:%x",
-			binary.BigEndian.Uint16(e.raw[0:]), binary.BigEndian.Uint16(e.raw[2:]),
-			binary.BigEndian.Uint16(e.raw[4:]), binary.BigEndian.Uint16(e.raw[6:]),
-			binary.BigEndian.Uint16(e.raw[8:]), binary.BigEndian.Uint16(e.raw[10:]),
-			binary.BigEndian.Uint16(e.raw[12:]), binary.BigEndian.Uint16(e.raw[14:]))
-	case EndpointTCPPort, EndpointUDPPort:
-		return fmt.Sprintf("%d", binary.BigEndian.Uint16(e.raw[:2]))
-	}
-	return fmt.Sprintf("endpoint(%x)", e.raw[:e.len])
-}
-
-// Flow is an ordered (src, dst) endpoint pair.
-type Flow struct {
-	Src, Dst Endpoint
-}
-
-// NewFlow pairs two endpoints.
-func NewFlow(src, dst Endpoint) Flow { return Flow{Src: src, Dst: dst} }
-
-// Reverse returns the opposite direction flow.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
-
-// String renders "src->dst".
-func (f Flow) String() string { return f.Src.String() + "->" + f.Dst.String() }
-
-// FastHash returns a non-cryptographic hash that is symmetric: a->b and
-// b->a hash identically, so bidirectional flows land in the same bucket.
-func (f Flow) FastHash() uint64 {
-	ha := hashEndpoint(f.Src)
-	hb := hashEndpoint(f.Dst)
-	return ha ^ hb // xor is commutative, giving the symmetry guarantee
-}
-
-func hashEndpoint(e Endpoint) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte{byte(e.typ)})
-	h.Write(e.Raw())
-	return h.Sum64()
+	ip := frame[ethLen : ethLen+hlen]
+	ip[10], ip[11] = 0, 0
+	binary.BigEndian.PutUint16(ip[10:12], bitfield.Checksum(ip))
+	return true
 }

@@ -2,9 +2,10 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"netdebug/internal/bitfield"
 )
@@ -16,462 +17,225 @@ var (
 	ipB  = IPv4Addr{10, 0, 0, 2}
 )
 
-func TestEthernetRoundTrip(t *testing.T) {
-	in := &Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeIPv4}
-	b := NewSerializeBuffer()
-	if err := Serialize(b, SerializeOptions{}, in, &Payload{Data: []byte("hi")}); err != nil {
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out Ethernet
-	if err := out.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
+	return b
+}
+
+// pattern is the golden table's n-byte payload.
+func pattern(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7 + 3)
 	}
-	if out.Src != in.Src || out.Dst != in.Dst || out.EtherType != in.EtherType {
-		t.Fatalf("round trip mismatch: %+v", out)
+	return p
+}
+
+// TestBuildersGolden pins the builders' output byte for byte. Every header
+// below — all bytes in front of the payload, both checksums included — was
+// printed by the layer-at-a-time serializer these builders replaced
+// (commit e421cf3) for the same arguments; the expected frame is that
+// header followed by the payload.
+func TestBuildersGolden(t *testing.T) {
+	const (
+		eth    = "02000000000b02000000000a0800"
+		udpEnd = "0a0000010a00000204d2162e"                      // addresses, ports 1234 -> 5678
+		tcpEnd = "0a0000010a000002005001bb" + "0000000000000000" // addresses, ports 80 -> 443, seq, ack
+	)
+	udp := func(payload []byte) []byte { return BuildUDPv4(macA, macB, ipA, ipB, 1234, 5678, payload) }
+	tcp := func(flags uint8) func([]byte) []byte {
+		return func(payload []byte) []byte { return BuildTCPv4(macA, macB, ipA, ipB, 80, 443, flags, payload) }
 	}
-	if string(out.LayerPayload()) != "hi" {
-		t.Fatalf("payload = %q", out.LayerPayload())
-	}
-	if out.NextLayerType() != LayerTypeIPv4 {
-		t.Fatalf("next = %v", out.NextLayerType())
+	for _, tc := range []struct {
+		name    string
+		build   func([]byte) []byte
+		payload []byte
+		header  string
+	}{
+		{"udp/0", udp, pattern(0), eth + "4500001c00000000401166cf" + udpEnd + "0008d0db"},
+		{"udp/1", udp, pattern(1), eth + "4500001d00000000401166ce" + udpEnd + "0009cdd9"},
+		{"udp/2", udp, pattern(2), eth + "4500001e00000000401166cd" + udpEnd + "000acdcd"},
+		{"udp/7", udp, pattern(7), eth + "4500002300000000401166c8" + udpEnd + "000f7085"},
+		{"udp/26", udp, pattern(26), eth + "4500003600000000401166b5" + udpEnd + "002260dd"},
+		{"udp/300", udp, pattern(300), eth + "4500014800000000401165a3" + udpEnd + "0134a13b"},
+		{"udp/1476", udp, pattern(1476), eth + "450005e0000000004011610b" + udpEnd + "05cc43a1"},
+		{"udp/nil", udp, nil, eth + "4500001c00000000401166cf" + udpEnd + "0008d0db"},
+		// Source port 59600 is the one 16-bit port for which this datagram's
+		// checksum computes to 0, which RFC 768 sends as 0xffff.
+		{"udp/zero-checksum", func(p []byte) []byte { return BuildUDPv4(macA, macB, ipA, ipB, 59600, 5678, p) },
+			[]byte("zero"), eth + "4500002000000000401166cb" + "0a0000010a000002e8d0162e" + "000cffff"},
+		{"tcp-syn/0", tcp(TCPSyn), pattern(0), eth + "4500002800000000400666ce" + tcpEnd + "5002ffff99d50000"},
+		{"tcp-syn/1", tcp(TCPSyn), pattern(1), eth + "4500002900000000400666cd" + tcpEnd + "5002ffff96d40000"},
+		{"tcp-syn/2", tcp(TCPSyn), pattern(2), eth + "4500002a00000000400666cc" + tcpEnd + "5002ffff96c90000"},
+		{"tcp-syn/7", tcp(TCPSyn), pattern(7), eth + "4500002f00000000400666c7" + tcpEnd + "5002ffff39860000"},
+		{"tcp-syn/26", tcp(TCPSyn), pattern(26), eth + "4500004200000000400666b4" + tcpEnd + "5002ffff29f10000"},
+		{"tcp-syn/300", tcp(TCPSyn), pattern(300), eth + "4500015400000000400665a2" + tcpEnd + "5002ffff6b610000"},
+		{"tcp-syn/1476", tcp(TCPSyn), pattern(1476), eth + "450005ec000000004006610a" + tcpEnd + "5002ffff125f0000"},
+		{"tcp-noflags/nil", tcp(0), nil, eth + "4500002800000000400666ce" + tcpEnd + "5000ffff99d70000"},
+		{"tcp-noflags/7", tcp(0), pattern(7), eth + "4500002f00000000400666c7" + tcpEnd + "5000ffff39880000"},
+	} {
+		want := append(unhex(t, tc.header), tc.payload...)
+		if got := tc.build(tc.payload); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %x\nwant %x", tc.name, got, want)
+		}
 	}
 }
 
-func TestEthernetTooShort(t *testing.T) {
-	var e Ethernet
-	if err := e.DecodeFromBytes(make([]byte, 13)); err == nil {
-		t.Fatal("want error for 13-byte frame")
+// checkFrame is the oracle that does not depend on the goldens: addresses
+// and lengths sit where the protocols put them, the IPv4 header and the
+// pseudo-header + segment each sum to 0xffff, and the payload is the tail.
+// It returns the transport segment.
+func checkFrame(t *testing.T, frame []byte, src, dst MAC, srcIP, dstIP IPv4Addr, proto uint8, l4hdr int, payload []byte) []byte {
+	t.Helper()
+	if want := 14 + 20 + l4hdr + len(payload); len(frame) != want {
+		t.Fatalf("frame is %d bytes, want %d", len(frame), want)
 	}
+	if !bytes.Equal(frame[0:6], dst[:]) || !bytes.Equal(frame[6:12], src[:]) || frame[12] != 0x08 || frame[13] != 0x00 {
+		t.Fatalf("ethernet header %x", frame[:14])
+	}
+	ip, seg := frame[14:34], frame[34:]
+	if ip[0] != 0x45 || ip[8] != 64 || ip[9] != proto || !bytes.Equal(ip[12:16], srcIP[:]) || !bytes.Equal(ip[16:20], dstIP[:]) {
+		t.Fatalf("ipv4 header %x", ip)
+	}
+	if got := int(binary.BigEndian.Uint16(ip[2:4])); got != len(frame)-14 {
+		t.Fatalf("ipv4 total length %d on a %d-byte frame", got, len(frame))
+	}
+	if sum := bitfield.OnesComplementSum(ip); sum != 0xffff {
+		t.Fatalf("ipv4 header sums to %#x", sum)
+	}
+	pseudo := append(append(append([]byte(nil), ip[12:20]...), 0, proto, byte(len(seg)>>8), byte(len(seg))), seg...)
+	if sum := bitfield.OnesComplementSum(pseudo); sum != 0xffff {
+		t.Fatalf("pseudo-header + segment sums to %#x", sum)
+	}
+	if !bytes.Equal(seg[l4hdr:], payload) {
+		t.Fatalf("payload %x, want %x", seg[l4hdr:], payload)
+	}
+	return seg
 }
 
-func TestVLANRoundTrip(t *testing.T) {
-	in := &VLAN{Priority: 5, DropElig: true, ID: 0x123, EtherType: EtherTypeIPv6}
-	b := NewSerializeBuffer()
-	if err := in.SerializeTo(b, SerializeOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	var out VLAN
-	if err := out.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if out.Priority != 5 || !out.DropElig || out.ID != 0x123 || out.EtherType != EtherTypeIPv6 {
-		t.Fatalf("round trip: %+v", out)
-	}
-	if out.NextLayerType() != LayerTypeIPv6 {
-		t.Fatalf("next = %v", out.NextLayerType())
-	}
-}
-
-func TestARPRoundTrip(t *testing.T) {
-	raw := BuildARPRequest(macA, ipA, ipB)
-	var eth Ethernet
-	if err := eth.DecodeFromBytes(raw); err != nil {
-		t.Fatal(err)
-	}
-	if eth.Dst != (MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) {
-		t.Fatal("ARP request must be broadcast")
-	}
-	var arp ARP
-	if err := arp.DecodeFromBytes(eth.LayerPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if arp.Operation != ARPRequest || arp.SenderIP != ipA || arp.TgtIP != ipB {
-		t.Fatalf("arp = %+v", arp)
-	}
-}
-
-func TestIPv4RoundTrip(t *testing.T) {
-	in := &IPv4{
-		Version: 4, IHL: 5, TOS: 0x10, ID: 0xbeef,
-		Flags: IPv4DontFragment, FragOffset: 0, TTL: 63,
-		Protocol: IPProtoUDP, Src: ipA, Dst: ipB,
-	}
-	b := NewSerializeBuffer()
-	opts := SerializeOptions{FixLengths: true, ComputeChecksums: true}
-	if err := Serialize(b, opts, in, &Payload{Data: make([]byte, 26)}); err != nil {
-		t.Fatal(err)
-	}
-	var out IPv4
-	if err := out.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if out.Length != 46 {
-		t.Errorf("length = %d, want 46", out.Length)
-	}
-	if out.TTL != 63 || out.Src != ipA || out.Dst != ipB || out.Flags != IPv4DontFragment {
-		t.Fatalf("round trip: %+v", out)
-	}
-	// Header must checksum to valid.
-	if got := bitfield.OnesComplementSum(b.Bytes()[:20]); got != 0xffff {
-		t.Errorf("header checksum invalid: sum=%#x", got)
-	}
-}
-
-func TestIPv4Malformed(t *testing.T) {
-	var ip IPv4
-	raw := make([]byte, 20)
-	raw[0] = 0x65 // version 6 in an IPv4 decoder
-	if err := ip.DecodeFromBytes(raw); err == nil {
-		t.Error("version 6 should fail IPv4 decode")
-	}
-	raw[0] = 0x42 // IHL 2 < 5
-	if err := ip.DecodeFromBytes(raw); err == nil {
-		t.Error("IHL<5 should fail")
-	}
-	raw[0] = 0x46 // IHL 6 but only 20 bytes present
-	if err := ip.DecodeFromBytes(raw); err == nil {
-		t.Error("short options should fail")
-	}
-}
-
-func TestIPv4Options(t *testing.T) {
-	in := &IPv4{Version: 4, TTL: 1, Protocol: IPProtoICMP, Src: ipA, Dst: ipB,
-		Options: []byte{0x94, 0x04, 0x00, 0x00}} // router alert
-	b := NewSerializeBuffer()
-	if err := Serialize(b, SerializeOptions{FixLengths: true, ComputeChecksums: true}, in); err != nil {
-		t.Fatal(err)
-	}
-	var out IPv4
-	if err := out.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if out.IHL != 6 || !bytes.Equal(out.Options, in.Options) {
-		t.Fatalf("options round trip: ihl=%d options=%x", out.IHL, out.Options)
-	}
-}
-
-func TestIPv6RoundTrip(t *testing.T) {
-	src := IPv6Addr{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}
-	dst := IPv6Addr{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2}
-	in := &IPv6{Version: 6, TrafficClass: 0xa5, FlowLabel: 0xbeef5,
-		NextHeader: IPProtoUDP, HopLimit: 64, Src: src, Dst: dst}
-	b := NewSerializeBuffer()
-	if err := Serialize(b, SerializeOptions{FixLengths: true}, in, &Payload{Data: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	var out IPv6
-	if err := out.DecodeFromBytes(b.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if out.TrafficClass != 0xa5 || out.FlowLabel != 0xbeef5 || out.Length != 1 ||
-		out.Src != src || out.Dst != dst {
-		t.Fatalf("round trip: %+v", out)
-	}
+// randomArgs draws builder arguments from rng.
+func randomArgs(rng *rand.Rand) (src, dst MAC, srcIP, dstIP IPv4Addr, sport, dport uint16, payload []byte) {
+	rng.Read(src[:])
+	rng.Read(dst[:])
+	rng.Read(srcIP[:])
+	rng.Read(dstIP[:])
+	payload = make([]byte, rng.Intn(1477))
+	rng.Read(payload)
+	return src, dst, srcIP, dstIP, uint16(rng.Intn(65536)), uint16(rng.Intn(65536)), payload
 }
 
 func TestUDPChecksumValid(t *testing.T) {
-	raw := BuildUDPv4(macA, macB, ipA, ipB, 1234, 5678, []byte("payload"))
-	var eth Ethernet
-	var ip IPv4
-	var udp UDP
-	if err := eth.DecodeFromBytes(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := ip.DecodeFromBytes(eth.LayerPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if err := udp.DecodeFromBytes(ip.LayerPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if udp.SrcPort != 1234 || udp.DstPort != 5678 || string(udp.LayerPayload()) != "payload" {
-		t.Fatalf("udp = %+v payload=%q", udp, udp.LayerPayload())
-	}
-	// Validate checksum: pseudo-header + segment must sum to 0xffff.
-	seg := ip.LayerPayload()
-	sum := ip.pseudoHeaderSum(IPProtoUDP, len(seg))
-	sum += uint32(bitfield.OnesComplementSum(seg))
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	if sum != 0xffff {
-		t.Fatalf("udp checksum does not validate: %#x", sum)
+	rng := rand.New(rand.NewSource(768))
+	for i := 0; i < 300; i++ {
+		src, dst, srcIP, dstIP, sport, dport, payload := randomArgs(rng)
+		udp := checkFrame(t, BuildUDPv4(src, dst, srcIP, dstIP, sport, dport, payload), src, dst, srcIP, dstIP, 17, 8, payload)
+		if binary.BigEndian.Uint16(udp[0:2]) != sport || binary.BigEndian.Uint16(udp[2:4]) != dport {
+			t.Fatalf("udp ports %x, want %d -> %d", udp[0:4], sport, dport)
+		}
+		if got := int(binary.BigEndian.Uint16(udp[4:6])); got != len(udp) {
+			t.Fatalf("udp length %d on a %d-byte datagram", got, len(udp))
+		}
+		if udp[6] == 0 && udp[7] == 0 {
+			t.Fatal("udp checksum sent as 0, which means none")
+		}
 	}
 }
 
 func TestTCPChecksumValidAndFlags(t *testing.T) {
-	raw := BuildTCPv4(macA, macB, ipA, ipB, 80, 443, TCPSyn|TCPAck, []byte("abc"))
-	var eth Ethernet
-	var ip IPv4
-	var tcp TCP
-	for _, step := range []func() error{
-		func() error { return eth.DecodeFromBytes(raw) },
-		func() error { return ip.DecodeFromBytes(eth.LayerPayload()) },
-		func() error { return tcp.DecodeFromBytes(ip.LayerPayload()) },
-	} {
-		if err := step(); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(9293))
+	for i := 0; i < 300; i++ {
+		src, dst, srcIP, dstIP, sport, dport, payload := randomArgs(rng)
+		flags := uint8(rng.Intn(256))
+		tcp := checkFrame(t, BuildTCPv4(src, dst, srcIP, dstIP, sport, dport, flags, payload), src, dst, srcIP, dstIP, 6, 20, payload)
+		if binary.BigEndian.Uint16(tcp[0:2]) != sport || binary.BigEndian.Uint16(tcp[2:4]) != dport {
+			t.Fatalf("tcp ports %x, want %d -> %d", tcp[0:4], sport, dport)
+		}
+		if tcp[12] != 0x50 || tcp[13] != flags || tcp[14] != 0xff || tcp[15] != 0xff {
+			t.Fatalf("tcp offset/flags/window %x, want 50 %02x ffff", tcp[12:16], flags)
 		}
 	}
-	if tcp.Flags != TCPSyn|TCPAck {
-		t.Fatalf("flags = %#x", tcp.Flags)
-	}
-	seg := ip.LayerPayload()
-	sum := ip.pseudoHeaderSum(IPProtoTCP, len(seg))
-	sum += uint32(bitfield.OnesComplementSum(seg))
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	if sum != 0xffff {
-		t.Fatalf("tcp checksum does not validate: %#x", sum)
-	}
 }
 
-func TestICMPRoundTrip(t *testing.T) {
-	raw := BuildICMPEcho(macA, macB, ipA, ipB, 7, 3, []byte("ping"))
-	var eth Ethernet
-	var ip IPv4
-	var icmp ICMPv4
-	if err := eth.DecodeFromBytes(raw); err != nil {
-		t.Fatal(err)
+func TestAddresses(t *testing.T) {
+	if got := macA.String(); got != "02:00:00:00:00:0a" {
+		t.Errorf("MAC.String = %q", got)
 	}
-	if err := ip.DecodeFromBytes(eth.LayerPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if err := icmp.DecodeFromBytes(ip.LayerPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if icmp.Type != ICMPv4EchoRequest || icmp.ID != 7 || icmp.Seq != 3 {
-		t.Fatalf("icmp = %+v", icmp)
-	}
-	if got := bitfield.OnesComplementSum(ip.LayerPayload()); got != 0xffff {
-		t.Fatalf("icmp checksum does not validate: %#x", got)
-	}
-}
-
-func TestParserFullStack(t *testing.T) {
-	raw := BuildUDPv4(macA, macB, ipA, ipB, 53, 53, []byte("q"))
-	var eth Ethernet
-	var ip IPv4
-	var udp UDP
-	var pay Payload
-	p := NewParser(LayerTypeEthernet, &eth, &ip, &udp, &pay)
-	var decoded []LayerType
-	if err := p.DecodeLayers(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	want := []LayerType{LayerTypeEthernet, LayerTypeIPv4, LayerTypeUDP, LayerTypePayload}
-	if len(decoded) != len(want) {
-		t.Fatalf("decoded %v", decoded)
-	}
-	for i := range want {
-		if decoded[i] != want[i] {
-			t.Fatalf("decoded %v, want %v", decoded, want)
-		}
-	}
-	if string(pay.Data) != "q" {
-		t.Fatalf("payload = %q", pay.Data)
-	}
-}
-
-func TestParserZeroAlloc(t *testing.T) {
-	raw := BuildUDPv4(macA, macB, ipA, ipB, 1, 2, []byte("zzz"))
-	var eth Ethernet
-	var ip IPv4
-	var udp UDP
-	p := NewParser(LayerTypeEthernet, &eth, &ip, &udp)
-	decoded := make([]LayerType, 0, 8)
-	allocs := testing.AllocsPerRun(100, func() {
-		_ = p.DecodeLayers(raw, &decoded)
-	})
-	// DecodeLayers stops at the payload with ErrNoDecoder; the error value
-	// itself is the only permitted allocation.
-	if allocs > 1 {
-		t.Fatalf("DecodeLayers allocates %.1f times per packet", allocs)
-	}
-}
-
-func TestParserUnknownLayer(t *testing.T) {
-	raw := BuildUDPv4(macA, macB, ipA, ipB, 1, 2, []byte("zzz"))
-	var eth Ethernet
-	var ip IPv4
-	p := NewParser(LayerTypeEthernet, &eth, &ip)
-	var decoded []LayerType
-	err := p.DecodeLayers(raw, &decoded)
-	if _, ok := err.(*ErrNoDecoder); !ok {
-		t.Fatalf("err = %v, want ErrNoDecoder", err)
-	}
-	if !p.Truncated || len(decoded) != 2 {
-		t.Fatalf("truncated=%v decoded=%v", p.Truncated, decoded)
-	}
-}
-
-func TestVLANStack(t *testing.T) {
-	eth := &Ethernet{Src: macA, Dst: macB, EtherType: EtherTypeVLAN}
-	vlan := &VLAN{ID: 100, EtherType: EtherTypeIPv4}
-	ip := &IPv4{Version: 4, TTL: 9, Protocol: IPProtoUDP, Src: ipA, Dst: ipB}
-	udp := &UDP{SrcPort: 9, DstPort: 9}
-	udp.SetNetworkForChecksum(ip)
-	b := NewSerializeBuffer()
-	if err := Serialize(b, SerializeOptions{FixLengths: true, ComputeChecksums: true},
-		eth, vlan, ip, udp); err != nil {
-		t.Fatal(err)
-	}
-	var oe Ethernet
-	var ov VLAN
-	var oi IPv4
-	var ou UDP
-	p := NewParser(LayerTypeEthernet, &oe, &ov, &oi, &ou)
-	var decoded []LayerType
-	if err := p.DecodeLayers(b.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 4 || decoded[1] != LayerTypeVLAN || ov.ID != 100 {
-		t.Fatalf("decoded=%v vlan=%+v", decoded, ov)
-	}
-}
-
-func TestSerializeBufferGrowth(t *testing.T) {
-	b := &SerializeBuffer{data: make([]byte, 4), start: 4}
-	copy(b.PrependBytes(3), []byte{7, 8, 9})
-	copy(b.PrependBytes(6), []byte{1, 2, 3, 4, 5, 6})
-	want := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if !bytes.Equal(b.Bytes(), want) {
-		t.Fatalf("grown buffer = %v", b.Bytes())
-	}
-	if b.Len() != 9 {
-		t.Fatalf("len = %d", b.Len())
-	}
-	b.Clear()
-	if b.Len() != 0 {
-		t.Fatal("clear failed")
-	}
-}
-
-func TestSerializeBufferAppend(t *testing.T) {
-	b := NewSerializeBuffer()
-	copy(b.PrependBytes(2), []byte{1, 2})
-	copy(b.AppendBytes(2), []byte{3, 4})
-	if !bytes.Equal(b.Bytes(), []byte{1, 2, 3, 4}) {
-		t.Fatalf("append = %v", b.Bytes())
-	}
-}
-
-func TestEndpointsAndFlows(t *testing.T) {
-	e1 := NewEndpoint(EndpointIPv4, ipA[:])
-	e2 := NewEndpoint(EndpointIPv4, ipB[:])
-	if e1.String() != "10.0.0.1" {
-		t.Errorf("endpoint string = %q", e1.String())
-	}
-	f := NewFlow(e1, e2)
-	if f.String() != "10.0.0.1->10.0.0.2" {
-		t.Errorf("flow string = %q", f)
-	}
-	if f.FastHash() != f.Reverse().FastHash() {
-		t.Error("FastHash must be symmetric")
-	}
-	if f == f.Reverse() {
-		t.Error("flow and reverse must differ as map keys")
-	}
-	m := map[Flow]int{f: 1}
-	if m[NewFlow(e1, e2)] != 1 {
-		t.Error("flows must be usable as map keys")
-	}
-}
-
-func TestEndpointTypes(t *testing.T) {
-	mac := NewEndpoint(EndpointMAC, macA[:])
-	if mac.String() != "02:00:00:00:00:0a" {
-		t.Errorf("mac endpoint = %q", mac.String())
-	}
-	port := NewEndpoint(EndpointTCPPort, []byte{0x01, 0xbb})
-	if port.String() != "443" {
-		t.Errorf("port endpoint = %q", port.String())
-	}
-}
-
-func TestAddressParsers(t *testing.T) {
-	m, err := ParseMAC("aa:bb:cc:dd:ee:ff")
-	if err != nil || m != (MAC{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}) {
-		t.Fatalf("ParseMAC: %v %v", m, err)
-	}
-	if _, err := ParseMAC("nonsense"); err == nil {
-		t.Error("bad MAC should fail")
-	}
-	a, err := ParseIPv4("192.168.1.200")
-	if err != nil || a != (IPv4Addr{192, 168, 1, 200}) {
-		t.Fatalf("ParseIPv4: %v %v", a, err)
-	}
-	if _, err := ParseIPv4("300.1.1.1"); err == nil {
-		t.Error("out-of-range octet should fail")
+	if got := ipA.String(); got != "10.0.0.1" {
+		t.Errorf("IPv4Addr.String = %q", got)
 	}
 	if IPv4AddrFrom(0x0a000001) != ipA {
 		t.Error("IPv4AddrFrom mismatch")
 	}
-	if ipA.Uint32() != 0x0a000001 {
-		t.Error("Uint32 mismatch")
-	}
 }
 
-func TestPadToMinimum(t *testing.T) {
-	p := PadToMinimum(make([]byte, 10))
-	if len(p) != 60 {
-		t.Fatalf("padded len = %d", len(p))
+func TestFixIPv4Checksum(t *testing.T) {
+	good := BuildUDPv4(macA, macB, ipA, ipB, 1, 2, pattern(26))
+	edit := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
 	}
-	p = PadToMinimum(make([]byte, 100))
-	if len(p) != 100 {
-		t.Fatal("should not pad large frames")
-	}
-}
-
-// Property: serialize→decode is the identity on IPv4 headers for arbitrary
-// field values.
-func TestIPv4RoundTripQuick(t *testing.T) {
-	f := func(tos uint8, id uint16, ttl uint8, proto uint8, src, dst uint32, payLen uint8) bool {
-		in := &IPv4{
-			Version: 4, TOS: tos, ID: id, TTL: ttl, Protocol: proto,
-			Src: IPv4AddrFrom(src), Dst: IPv4AddrFrom(dst),
+	// Four bytes of options (router alert) between header and datagram.
+	withOptions := append(append(append([]byte(nil), good[:34]...), 0x94, 0x04, 0x00, 0x00), good[34:]...)
+	withOptions[14] = 0x46
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		hlen  int // header bytes the new checksum covers; 0: frame must stay untouched
+	}{
+		{"corrupted checksum", edit(func(b []byte) { b[24], b[25] = 0xde, 0xad }), 20},
+		{"edited ttl", edit(func(b []byte) { b[22] = 0 }), 20},
+		{"33-byte frame", edit(func([]byte) {})[:33], 0},
+		{"ARP EtherType", edit(func(b []byte) { b[13] = 0x06 }), 0},
+		{"IHL 4", edit(func(b []byte) { b[14] = 0x44 }), 0},
+		{"IHL 15 on a 40-byte frame", edit(func(b []byte) { b[14] = 0x4f })[:40], 0},
+		{"IHL 6 with options", withOptions, 24},
+	} {
+		before := append([]byte(nil), tc.frame...)
+		fixed := FixIPv4Checksum(tc.frame)
+		if fixed != (tc.hlen > 0) {
+			t.Errorf("%s: returned %v", tc.name, fixed)
 		}
-		b := NewSerializeBuffer()
-		if err := Serialize(b, SerializeOptions{FixLengths: true, ComputeChecksums: true},
-			in, &Payload{Data: make([]byte, int(payLen))}); err != nil {
-			return false
+		if !fixed {
+			if !bytes.Equal(tc.frame, before) {
+				t.Errorf("%s: frame modified: %x", tc.name, tc.frame)
+			}
+			continue
 		}
-		var out IPv4
-		if err := out.DecodeFromBytes(b.Bytes()); err != nil {
-			return false
+		if sum := bitfield.OnesComplementSum(tc.frame[14 : 14+tc.hlen]); sum != 0xffff {
+			t.Errorf("%s: %d-byte header sums to %#x", tc.name, tc.hlen, sum)
 		}
-		return out.TOS == tos && out.ID == id && out.TTL == ttl &&
-			out.Protocol == proto && out.Src == in.Src && out.Dst == in.Dst &&
-			int(out.Length) == 20+int(payLen) &&
-			bitfield.OnesComplementSum(b.Bytes()[:20]) == 0xffff
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: decoding arbitrary bytes never panics.
-func TestDecodeNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	layers := []Layer{&Ethernet{}, &VLAN{}, &ARP{}, &IPv4{}, &IPv6{}, &ICMPv4{}, &TCP{}, &UDP{}}
-	for i := 0; i < 5000; i++ {
-		buf := make([]byte, rng.Intn(80))
-		rng.Read(buf)
-		for _, l := range layers {
-			_ = l.DecodeFromBytes(buf) // must not panic
+		before[24], before[25] = tc.frame[24], tc.frame[25]
+		if !bytes.Equal(tc.frame, before) {
+			t.Errorf("%s: bytes outside the checksum changed", tc.name)
 		}
 	}
 }
 
-func BenchmarkParserDecode(b *testing.B) {
-	raw := BuildUDPv4(macA, macB, ipA, ipB, 53, 53, make([]byte, 64))
-	var eth Ethernet
-	var ip IPv4
-	var udp UDP
-	var pay Payload
-	p := NewParser(LayerTypeEthernet, &eth, &ip, &udp, &pay)
-	decoded := make([]LayerType, 0, 8)
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.DecodeLayers(raw, &decoded); err != nil {
-			b.Fatal(err)
+// FuzzFixIPv4Checksum drives the package's one byte reader with arbitrary
+// frames: it never panics, a refused frame is unchanged, and a fixed one
+// differs at most in the checksum bytes and carries a header that sums to
+// 0xffff. The seed corpus is testdata/fuzz/FuzzFixIPv4Checksum.
+func FuzzFixIPv4Checksum(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		before := append([]byte(nil), frame...)
+		if !FixIPv4Checksum(frame) {
+			if !bytes.Equal(frame, before) {
+				t.Fatalf("refused frame modified:\n got %x\nwant %x", frame, before)
+			}
+			return
 		}
-	}
-}
-
-func BenchmarkSerializeUDP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		BuildUDPv4(macA, macB, ipA, ipB, 1, 2, nil)
-	}
+		hlen := int(frame[14]&0x0f) * 4
+		if sum := bitfield.OnesComplementSum(frame[14 : 14+hlen]); sum != 0xffff {
+			t.Fatalf("%d-byte header sums to %#x: %x", hlen, sum, frame)
+		}
+		before[24], before[25] = frame[24], frame[25]
+		if !bytes.Equal(frame, before) {
+			t.Fatalf("bytes outside the checksum changed:\n got %x\nwant %x", frame, before)
+		}
+	})
 }

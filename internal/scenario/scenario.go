@@ -173,21 +173,15 @@ func goodFrame() []byte {
 func ttlZeroFrame() []byte {
 	f := goodFrame()
 	f[14+8] = 0
-	fixIPv4(f)
+	packet.FixIPv4Checksum(f)
 	return f
 }
 
 func badVersionFrame() []byte {
 	f := goodFrame()
 	f[14] = 0x65
-	fixIPv4(f)
+	packet.FixIPv4Checksum(f)
 	return f
-}
-
-func fixIPv4(f []byte) {
-	f[14+10], f[14+11] = 0, 0
-	ck := bitfield.Checksum(f[14 : 14+20])
-	f[14+10], f[14+11] = byte(ck>>8), byte(ck)
 }
 
 // runNetDebugDropTest runs a NetDebug test asserting stream "bad" drops

@@ -352,12 +352,6 @@ func (h *Histogram) Reset() {
 	h.min.Store(math.MaxInt64)
 }
 
-// Summary is a compact human-readable digest of a histogram.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d min=%v p50=%v p99=%v max=%v mean=%v",
-		h.Count(), h.Min(), h.Quantile(0.50), h.Quantile(0.99), h.Max(), h.Mean())
-}
-
 // Set is a named collection of counters, for device status registers and
 // per-stage packet counts. Lookup allocates the counter on first use.
 type Set struct {
