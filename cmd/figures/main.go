@@ -489,7 +489,7 @@ func v1() {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%d/%d/%d|", len(exp.Paths), exp.Pruned, exp.Truncated)
 		for _, p := range exp.Paths {
-			fmt.Fprintf(&b, "#%d %s %v %v %v |", p.ID, p.Verdict, p.ParserPath, p.Actions, p.Dropped)
+			fmt.Fprintf(&b, "#%d %s |", p.ID, p.Format())
 			for _, c := range p.Constraints {
 				fmt.Fprintf(&b, "%s;", c)
 			}

@@ -36,8 +36,6 @@ const (
 	ReqConfigureGen
 	ReqRunTest
 	ReqFetchReport
-	ReqInjectFault
-	ReqClearFaults
 	ReqReadResources
 	ReqDeleteEntry
 )
@@ -48,8 +46,7 @@ func (k ReqKind) String() string {
 		ReqHello: "hello", ReqInstallEntry: "install-entry",
 		ReqClearTable: "clear-table", ReqReadStatus: "read-status",
 		ReqConfigureGen: "configure-gen", ReqRunTest: "run-test",
-		ReqFetchReport: "fetch-report", ReqInjectFault: "inject-fault",
-		ReqClearFaults: "clear-faults", ReqReadResources: "read-resources",
+		ReqFetchReport: "fetch-report", ReqReadResources: "read-resources",
 		ReqDeleteEntry: "delete-entry",
 	}
 	if n, ok := names[k]; ok {
@@ -58,20 +55,12 @@ func (k ReqKind) String() string {
 	return fmt.Sprintf("req(%d)", uint8(k))
 }
 
-// FaultMsg mirrors device.Fault without importing the device package.
-type FaultMsg struct {
-	Kind int
-	Port int
-	Seed int64
-}
-
 // Request is one host-to-device message.
 type Request struct {
 	ID    uint64
 	Kind  ReqKind
 	Entry *dataplane.Entry
 	Table string
-	Fault *FaultMsg
 	// Spec carries a gob-encoded generator+checker test specification
 	// (core.TestSpec) for ReqConfigureGen.
 	Spec []byte
@@ -405,24 +394,6 @@ func (c *Client) FetchReport() ([]byte, error) {
 		return nil, err
 	}
 	return resp.Report, nil
-}
-
-// InjectFault injects a hardware fault (test harness capability).
-func (c *Client) InjectFault(kind, port int, seed int64) error {
-	resp, err := c.Call(&Request{Kind: ReqInjectFault, Fault: &FaultMsg{Kind: kind, Port: port, Seed: seed}})
-	if err != nil {
-		return err
-	}
-	return resp.Error()
-}
-
-// ClearFaults restores healthy hardware.
-func (c *Client) ClearFaults() error {
-	resp, err := c.Call(&Request{Kind: ReqClearFaults})
-	if err != nil {
-		return err
-	}
-	return resp.Error()
 }
 
 // Serve answers requests on conn with h until the connection closes. It

@@ -9,7 +9,6 @@ import (
 
 	"netdebug/internal/control"
 	"netdebug/internal/device"
-	"netdebug/internal/target"
 )
 
 // TestSpec bundles the generator and checker programs for one test run —
@@ -276,25 +275,6 @@ func (a *Agent) Handle(req *control.Request) *control.Response {
 			return fail(err)
 		}
 		return &control.Response{Report: b}
-	case control.ReqInjectFault:
-		if req.Fault == nil {
-			return fail(fmt.Errorf("inject-fault without fault"))
-		}
-		err := a.dev.InjectFault(device.Fault{
-			Kind: device.FaultKind(req.Fault.Kind),
-			Port: req.Fault.Port,
-			Seed: req.Fault.Seed,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return &control.Response{}
-	case control.ReqClearFaults:
-		a.dev.ClearFaults()
-		return &control.Response{}
 	}
 	return nil
 }
-
-// Result re-exports target.Result for package users.
-type Result = target.Result

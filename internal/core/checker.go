@@ -177,7 +177,7 @@ func (c *Checker) applyRule(rs *ruleState, tp *TestPacket, res *target.Result) {
 	}
 	if res.Dropped() {
 		rs.fail("stream %s seq %d: dropped at %s, want forward",
-			tp.Stream, tp.Seq, res.Trace.DropStage)
+			tp.Stream, tp.Seq, res.Trace.DropStage())
 		return
 	}
 	out := &res.Outputs[0]
@@ -259,11 +259,7 @@ func (c *Checker) OnResults(tps []TestPacket, results []target.Result, ats []tim
 		tp := &tps[i]
 		if res.Dropped() {
 			dropped++
-			stage := res.Trace.DropStage
-			if stage == "" {
-				stage = "unknown"
-			}
-			c.report.DropStages[stage]++
+			c.report.DropStages[res.Trace.DropStage()]++
 		} else {
 			forwarded++
 			lats = append(lats, res.Latency)

@@ -29,7 +29,7 @@ func checkerWorkload(n int, seed int64, drops bool) ([]TestPacket, []target.Resu
 		tps[i] = TestPacket{Stream: stream, Seq: uint64(i), Data: []byte{0xaa, 0xbb}}
 		ats[i] = time.Duration(i) * 800 * time.Nanosecond
 		if drops && rng.Intn(5) == 0 {
-			results[i] = target.Result{Trace: dataplane.Trace{DropStage: "parser"}}
+			results[i] = target.Result{Trace: dataplane.Trace{Dropped: true, Drop: dataplane.DropParser}}
 			continue
 		}
 		results[i] = target.Result{
@@ -60,11 +60,7 @@ func (c *Checker) OnResult(tp TestPacket, res target.Result, at time.Duration) {
 	c.report.Injected++
 	if res.Dropped() {
 		c.report.Dropped++
-		stage := res.Trace.DropStage
-		if stage == "" {
-			stage = "unknown"
-		}
-		c.report.DropStages[stage]++
+		c.report.DropStages[res.Trace.DropStage()]++
 	} else {
 		c.report.Forwarded++
 		c.lat.Observe(res.Latency)

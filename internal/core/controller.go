@@ -66,15 +66,6 @@ func (c *Controller) Status() (map[string]uint64, error) { return c.cli.ReadStat
 // quantification use case.
 func (c *Controller) Resources() (*control.ResourcesMsg, error) { return c.cli.ReadResources() }
 
-// InjectFault injects a hardware fault into the device (harness support
-// for fault-injection experiments).
-func (c *Controller) InjectFault(kind, port int, seed int64) error {
-	return c.cli.InjectFault(kind, port, seed)
-}
-
-// ClearFaults restores healthy hardware.
-func (c *Controller) ClearFaults() error { return c.cli.ClearFaults() }
-
 // RunTest ships the spec to the device, runs it, and collects the report.
 func (c *Controller) RunTest(spec *TestSpec) (*Report, error) {
 	b, err := EncodeTestSpec(spec)

@@ -9,8 +9,9 @@ import (
 
 // Diagnosis is the localizer's conclusion about where a fault lives.
 type Diagnosis struct {
-	// Stage is the faulty element: "none", "parser", a control name,
-	// "mac-in port N", or "egress port N" (output queue or MAC-out).
+	// Stage is the faulty element: "none", the data plane's own
+	// Trace.DropStage (the parser, a control), "mac-in port N", or
+	// "egress port N" (output queue or MAC-out).
 	Stage string
 	// Evidence lists the observations that support the conclusion.
 	Evidence []string
@@ -35,16 +36,13 @@ func LocalizeFault(dev *device.Device, probe []byte, ingress int, expectPort int
 	// Step 1: inject directly into the data plane, bypassing the MACs.
 	res := dev.InjectInternal(probe, uint64(ingress), dev.Now(), true)
 	if res.Dropped() {
-		stage := res.Trace.DropStage
-		if stage == "" {
-			stage = "parser"
-		}
+		diag.Stage = res.Trace.DropStage()
 		note("internal injection dropped at stage %q (parser path %v)",
-			stage, res.Trace.ParserPath)
+			diag.Stage, res.Trace.ParserPath())
 		for _, te := range res.Trace.Tables {
-			note("table %s: hit=%v action=%s", te.Table, te.Hit, te.Action)
+			table, action := res.Trace.Names(te)
+			note("table %s: hit=%v action=%s", table, te.Hit, action)
 		}
-		diag.Stage = stage
 		return diag
 	}
 	note("internal injection forwarded to port %d: data plane is healthy",

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"netdebug/internal/bitfield"
 	"netdebug/internal/p4/ir"
@@ -110,6 +111,12 @@ func (c *checker) program() error {
 		for _, t := range ctl.Tables {
 			for _, k := range t.Keys {
 				err = errors.Join(err, c.expr(k.Expr, anyWidth))
+			}
+			// A trace names a table's action by its place in the control's.
+			for _, a := range append(t.Actions[:len(t.Actions):len(t.Actions)], t.Default.Action) {
+				if a != nil && !slices.Contains(ctl.Actions, a) {
+					err = errors.Join(err, fmt.Errorf("table %s: action %s is not one of the control's", t.Name, a.Name))
+				}
 			}
 			for _, a := range t.Actions {
 				err = errors.Join(err, c.action(a))

@@ -40,7 +40,6 @@ import (
 	"slices"
 	"sync"
 
-	"netdebug/internal/bitfield"
 	"netdebug/internal/p4/ir"
 	"netdebug/internal/stats"
 )
@@ -73,26 +72,6 @@ func (v Verdict) String() string {
 // maxParserStates bounds parse-graph traversal so cyclic graphs terminate.
 const maxParserStates = 256
 
-// TableEvent records one table application, for traces and taps.
-type TableEvent struct {
-	Table  string
-	Hit    bool
-	Action string
-	// Keys holds the evaluated key values at apply time.
-	Keys []bitfield.Value
-}
-
-// Trace is the per-packet execution record — the "internal view" NetDebug's
-// checker and localizer consume.
-type Trace struct {
-	ParserPath  []string
-	ParserError uint64
-	Verdict     Verdict
-	Tables      []TableEvent
-	Dropped     bool
-	DropStage   string // pipeline element that dropped the packet
-}
-
 // Context is the per-packet execution state. Obtain one from
 // Engine.NewContext (or the pooled AcquireContext) and reuse it across
 // packets.
@@ -111,9 +90,6 @@ type Context struct {
 	payload      []byte
 	out          []byte
 	Trace        Trace
-	// traceKeys is the array this packet's Trace.Tables[i].Keys are cut
-	// from.
-	traceKeys []bitfield.Value
 
 	// Batch I/O, consumed and produced by Engine.ProcessBatch: In/InPort
 	// are the input frame and ingress port, Out/Egress the result. Out is
@@ -288,8 +264,7 @@ func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
 	// and this costs nothing; with it on, any previously returned Trace
 	// keeps sole ownership of its slices, allocated by the first event
 	// that needs them.
-	ctx.Trace = Trace{}
-	ctx.traceKeys = nil
+	ctx.Trace = Trace{Prog: e.prog}
 	if std := e.plan.std; std != nil {
 		ctx.slots[std[ir.StdMetaIngressPort]] = ingressPort & 0x1ff
 		ctx.slots[std[ir.StdMetaPacketLength]] = uint64(len(pkt)) & 0xffffffff
@@ -299,13 +274,19 @@ func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
 // Dropped reports whether the packet was dropped.
 func (ctx *Context) Dropped() bool { return ctx.dropped }
 
-// MarkDropped forces the drop flag (used by targets).
+// MarkDropped forces the drop flag (used by targets). stage is a name
+// Trace.DropStage renders; any other leaves the reason DropNone.
 func (ctx *Context) MarkDropped(stage string) {
+	ctx.drop(ctx.Trace.dropReason(stage))
+}
+
+// drop sets the drop flag; the first drop of a packet is the reason kept.
+func (ctx *Context) drop(reason DropReason, control uint16) {
 	ctx.dropped = true
-	if ctx.CollectTrace && ctx.Trace.DropStage == "" {
-		ctx.Trace.DropStage = stage
-	}
 	ctx.Trace.Dropped = true
+	if ctx.Trace.Drop == DropNone {
+		ctx.Trace.Drop, ctx.Trace.DropControl = reason, control
+	}
 }
 
 // EgressSpec returns standard_metadata.egress_spec.
@@ -338,10 +319,10 @@ func (e *Engine) Parse(ctx *Context) Verdict {
 		}
 		st := &e.plan.states[state]
 		if ctx.CollectTrace {
-			if ctx.Trace.ParserPath == nil {
-				ctx.Trace.ParserPath = make([]string, 0, len(e.plan.states))
+			if ctx.Trace.States == nil {
+				ctx.Trace.States = make([]uint16, 0, len(e.plan.states))
 			}
-			ctx.Trace.ParserPath = append(ctx.Trace.ParserPath, st.name)
+			ctx.Trace.States = append(ctx.Trace.States, uint16(state))
 		}
 		st.visits.Inc()
 		if !e.exec(ctx, st.code) {
@@ -450,7 +431,7 @@ func (e *Engine) exec(ctx *Context, code []op) bool {
 		case opRet:
 			return false
 		case opDrop:
-			ctx.MarkDropped(e.prog.Controls[o.a].Name)
+			ctx.drop(DropControl, uint16(o.a))
 		case opApply:
 			e.apply(ctx, e.tableAt[o.a])
 		case opCall:
@@ -505,19 +486,11 @@ func (e *Engine) apply(ctx *Context, ts *tableState) {
 	}
 	if ctx.CollectTrace {
 		// A trace sizes its slices on the first event, for every table
-		// applied once: the events' key values share one array (a table
-		// applied again spills them to a new one; earlier events keep
-		// theirs).
+		// applied once.
 		if ctx.Trace.Tables == nil {
 			ctx.Trace.Tables = make([]TableEvent, 0, len(e.tableAt))
-			ctx.traceKeys = make([]bitfield.Value, 0, e.plan.numKeys)
 		}
-		from := len(ctx.traceKeys)
-		for _, k := range ts.keys {
-			ctx.traceKeys = append(ctx.traceKeys, k.load(s))
-		}
-		ctx.Trace.Tables = append(ctx.Trace.Tables, TableEvent{Table: ts.def.Name, Hit: hit, Action: act.def.Name,
-			Keys: ctx.traceKeys[from:len(ctx.traceKeys):len(ctx.traceKeys)]})
+		ctx.Trace.Tables = append(ctx.Trace.Tables, TableEvent{Table: uint16(ts.def.Index), Action: act.index, Hit: hit})
 	}
 	for i, p := range act.params {
 		p.store(s, args[i])
@@ -601,7 +574,7 @@ func (e *Engine) TableCount(name string) int {
 func (e *Engine) Process(ctx *Context, pkt []byte, ingressPort uint64) (out []byte, egress uint64) {
 	e.Reset(ctx, pkt, ingressPort)
 	if e.Parse(ctx) == VerdictReject {
-		ctx.MarkDropped("parser")
+		ctx.drop(DropParser, 0)
 		return nil, 0
 	}
 	e.RunPipeline(ctx)

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netdebug/internal/bitfield"
@@ -170,8 +171,8 @@ func TestRouterRejectsBadVersion(t *testing.T) {
 	if ctx.Trace.ParserError != ParseErrReject {
 		t.Fatalf("parser_error = %d, want %d", ctx.Trace.ParserError, ParseErrReject)
 	}
-	if ctx.Trace.DropStage != "parser" {
-		t.Fatalf("drop stage = %q", ctx.Trace.DropStage)
+	if ctx.Trace.Drop != DropParser || ctx.Trace.DropStage() != "parser" {
+		t.Fatalf("drop stage = %q", ctx.Trace.DropStage())
 	}
 	if e.Counters.Counter("parser.reject").Value() != 1 {
 		t.Error("reject counter not incremented")
@@ -192,8 +193,8 @@ func TestRouterNonIPv4Accepted(t *testing.T) {
 	if ctx.Trace.Verdict != VerdictAccept {
 		t.Fatal("ARP should be accepted by parser")
 	}
-	if ctx.Trace.DropStage != "RouterIngress" {
-		t.Fatalf("drop stage = %q, want RouterIngress", ctx.Trace.DropStage)
+	if ctx.Trace.DropStage() != "RouterIngress" {
+		t.Fatalf("drop stage = %q, want RouterIngress", ctx.Trace.DropStage())
 	}
 }
 
@@ -217,12 +218,14 @@ func TestParserPathTrace(t *testing.T) {
 	ctx.CollectTrace = true
 	in := packet.BuildUDPv4(macA, macB, ipA, ipB, 1, 2, nil)
 	e.Process(ctx, in, 0)
-	want := []string{"start", "parse_ipv4"}
-	if len(ctx.Trace.ParserPath) != 2 || ctx.Trace.ParserPath[0] != want[0] || ctx.Trace.ParserPath[1] != want[1] {
-		t.Fatalf("parser path = %v", ctx.Trace.ParserPath)
+	if got := ctx.Trace.ParserPath(); !slices.Equal(got, []string{"start", "parse_ipv4"}) {
+		t.Fatalf("parser path = %v", got)
 	}
-	if len(ctx.Trace.Tables) != 1 || !ctx.Trace.Tables[0].Hit || ctx.Trace.Tables[0].Action != "ipv4_forward" {
+	if len(ctx.Trace.Tables) != 1 || !ctx.Trace.Tables[0].Hit {
 		t.Fatalf("table events = %+v", ctx.Trace.Tables)
+	}
+	if table, action := ctx.Trace.Names(ctx.Trace.Tables[0]); table != "ipv4_lpm" || action != "ipv4_forward" {
+		t.Fatalf("table event names = %s, %s", table, action)
 	}
 }
 

@@ -13,6 +13,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 
 	"netdebug/internal/bitfield"
 	"netdebug/internal/p4/ir"
@@ -46,7 +47,7 @@ func (m *interp) process(pkt []byte, port uint64) (out []byte, egress uint64) {
 		}
 		m.fields, m.valid = append(m.fields, vals), append(m.valid, inst.Metadata)
 	}
-	m.locals, m.args, m.trace = m.locals[:0], nil, Trace{}
+	m.locals, m.args, m.trace = m.locals[:0], nil, Trace{Prog: m.prog}
 	for _, c := range m.prog.Controls {
 		for len(m.locals) < c.NumLocals {
 			m.locals = append(m.locals, bitfield.Value{})
@@ -59,11 +60,11 @@ func (m *interp) process(pkt []byte, port uint64) (out []byte, egress uint64) {
 	}
 	payload, ok := m.parse(pkt)
 	if !ok {
-		m.drop("parser")
+		m.drop(DropParser, 0)
 		return nil, 0
 	}
-	for _, c := range m.prog.Controls {
-		m.execStmts(c.Apply, c.Name)
+	for i, c := range m.prog.Controls {
+		m.execStmts(c.Apply, i)
 	}
 	if m.trace.Dropped {
 		return nil, 0
@@ -76,9 +77,9 @@ func (m *interp) process(pkt []byte, port uint64) (out []byte, egress uint64) {
 	return append(out, payload...), egress
 }
 
-func (m *interp) drop(stage string) {
-	if m.trace.DropStage == "" {
-		m.trace.DropStage = stage
+func (m *interp) drop(reason DropReason, ctl int) {
+	if m.trace.Drop == DropNone {
+		m.trace.Drop, m.trace.DropControl = reason, uint16(ctl)
 	}
 	m.trace.Dropped = true
 }
@@ -99,7 +100,7 @@ func (m *interp) parse(pkt []byte) (payload []byte, ok bool) {
 			return reject(ParseErrLoop, "parser.loop")
 		}
 		st := m.prog.Parser.States[state]
-		m.trace.ParserPath = append(m.trace.ParserPath, st.Name)
+		m.trace.States = append(m.trace.States, uint16(state))
 		m.counters["parser.state."+st.Name]++
 		for _, op := range st.Ops {
 			if !m.execParserOp(op, pkt, &cursor) {
@@ -155,7 +156,7 @@ cases:
 
 // execStmts runs a statement list; it returns false when a Return was
 // executed (propagated to abort the enclosing body).
-func (m *interp) execStmts(stmts []ir.Stmt, stage string) bool {
+func (m *interp) execStmts(stmts []ir.Stmt, ctl int) bool {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ir.AssignField:
@@ -165,23 +166,23 @@ func (m *interp) execStmts(stmts []ir.Stmt, stage string) bool {
 		case *ir.SetValid:
 			m.valid[s.Inst] = s.Valid
 		case *ir.MarkToDrop:
-			m.drop(stage)
+			m.drop(DropControl, ctl)
 		case *ir.If:
 			branch := s.Else
 			if m.eval(s.Cond).Uint64() != 0 {
 				branch = s.Then
 			}
-			if !m.execStmts(branch, stage) {
+			if !m.execStmts(branch, ctl) {
 				return false
 			}
 		case *ir.ApplyTable:
-			m.applyTable(s.Table, stage)
+			m.applyTable(s.Table, ctl)
 		case *ir.CallAction:
 			args := make([]bitfield.Value, len(s.Args))
 			for i, a := range s.Args {
 				args[i] = m.eval(a)
 			}
-			m.runAction(s.Action, args, stage)
+			m.runAction(s.Action, args, ctl)
 		case *ir.Return:
 			return false
 		default:
@@ -191,15 +192,15 @@ func (m *interp) execStmts(stmts []ir.Stmt, stage string) bool {
 	return true
 }
 
-func (m *interp) applyTable(t *ir.Table, stage string) {
+func (m *interp) applyTable(t *ir.Table, ctl int) {
 	vals := make([]bitfield.Value, len(t.Keys))
 	for i, k := range t.Keys {
 		vals[i] = m.eval(k.Expr)
 	}
-	ev := TableEvent{Table: t.Name, Action: t.Default.Action.Name, Keys: vals}
+	ev := TableEvent{Table: uint16(t.Index)}
 	action, args := t.Default.Action, t.Default.Args
 	if e := m.lookup(t, vals); e != nil {
-		ev.Hit, ev.Action = true, e.Action
+		ev.Hit = true
 		for _, a := range t.Actions {
 			if a.Name == e.Action {
 				action, args = a, e.Args
@@ -209,8 +210,9 @@ func (m *interp) applyTable(t *ir.Table, stage string) {
 	} else {
 		m.counters["table."+t.Name+".miss"]++
 	}
+	ev.Action = uint16(slices.Index(m.prog.Controls[ctl].Actions, action))
 	m.trace.Tables = append(m.trace.Tables, ev)
-	m.runAction(action, args, stage)
+	m.runAction(action, args, ctl)
 }
 
 // lookup scans the table's entries: every key must match under its kind's
@@ -244,9 +246,9 @@ next:
 	return best
 }
 
-func (m *interp) runAction(a *ir.Action, args []bitfield.Value, stage string) {
+func (m *interp) runAction(a *ir.Action, args []bitfield.Value, ctl int) {
 	m.args = append(m.args, args)
-	m.execStmts(a.Body, stage)
+	m.execStmts(a.Body, ctl)
 	m.args = m.args[:len(m.args)-1]
 }
 

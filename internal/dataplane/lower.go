@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"slices"
+
 	"netdebug/internal/bitfield"
 	"netdebug/internal/p4/ir"
 	"netdebug/internal/stats"
@@ -50,7 +52,6 @@ type op struct {
 // computes its select keys, then the select as a list of cases, each a
 // list of masked word compares.
 type statePlan struct {
-	name   string
 	visits *stats.Counter
 	code   []op
 	cases  []selectCase
@@ -70,11 +71,13 @@ type wordCmp struct {
 
 // actionPlan is an action, the slots its caller leaves its arguments in (a
 // table apply the entry's own, a direct call what it computed; actions do
-// not recurse) and its compiled body.
+// not recurse), its compiled body and, for a table's action, its position
+// in the control's Actions: what a trace records.
 type actionPlan struct {
 	def    *ir.Action
 	params []operand
 	code   []op
+	index  uint16
 }
 
 type lowering struct {
@@ -110,7 +113,7 @@ func lower(prog *ir.Program, tables []*tableState, counters *stats.Set) *plan {
 
 	p.start = prog.Parser.Start
 	for _, st := range prog.Parser.States {
-		sp := statePlan{name: st.Name, visits: counters.Counter("parser.state." + st.Name), deflt: st.Trans.Default}
+		sp := statePlan{visits: counters.Counter("parser.state." + st.Name), deflt: st.Trans.Default}
 		var keys []operand
 		sp.code = c.body(func() {
 			c.stmts(st.Ops)
@@ -136,26 +139,34 @@ func lower(prog *ir.Program, tables []*tableState, counters *stats.Set) *plan {
 	}
 	for i, ctl := range prog.Controls {
 		c.control = int32(i)
+		// A table's actions get the place in the control's Actions a trace
+		// records them by.
+		action := func(a *ir.Action) *actionPlan {
+			ap := c.action(a)
+			ap.index = uint16(slices.Index(ctl.Actions, a))
+			return ap
+		}
 		for _, t := range ctl.Tables {
 			ts := tables[t.Index]
+			var keys []operand
 			ts.keyCode = c.body(func() {
 				for _, k := range t.Keys {
-					ts.keys = append(ts.keys, c.operand(k.Expr))
+					keys = append(keys, c.operand(k.Expr))
 				}
 			})
 			// Key words in packing order: an lpm table's lpm key goes last.
-			for i, k := range ts.keys {
+			for i, k := range keys {
 				if i != ts.lpmIdx {
 					ts.words = k.appendSlots(ts.words)
 				}
 			}
 			if ts.lpmIdx >= 0 {
-				ts.words = ts.keys[ts.lpmIdx].appendSlots(ts.words)
+				ts.words = keys[ts.lpmIdx].appendSlots(ts.words)
 			}
 			for _, a := range t.Actions {
-				ts.actions = append(ts.actions, c.action(a))
+				ts.actions = append(ts.actions, action(a))
 			}
-			ts.deflt = c.action(t.Default.Action)
+			ts.deflt = action(t.Default.Action)
 		}
 		p.controls = append(p.controls, c.body(func() { c.stmts(ctl.Apply) }))
 	}

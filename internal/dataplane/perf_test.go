@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -105,17 +106,17 @@ func TestTraceStillRecordedWhenEnabled(t *testing.T) {
 	ctx.CollectTrace = true
 	frame := packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 200, nil)
 	e.Process(ctx, frame, 0)
-	if len(ctx.Trace.ParserPath) == 0 || len(ctx.Trace.Tables) == 0 {
+	if len(ctx.Trace.States) == 0 || len(ctx.Trace.Tables) == 0 {
 		t.Fatalf("trace empty with CollectTrace on: %+v", ctx.Trace)
-	}
-	if len(ctx.Trace.Tables[0].Keys) == 0 {
-		t.Fatal("table event lost its key values")
 	}
 	// Retained traces must survive subsequent packets.
 	first := ctx.Trace
-	firstKey := first.Tables[0].Keys[0]
-	e.Process(ctx, packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{10, 7, 7, 7}, 1, 2, nil), 0)
-	if !first.Tables[0].Keys[0].Equal(firstKey) {
+	states, tables := slices.Clone(first.States), slices.Clone(first.Tables)
+	e.Process(ctx, arpRequest(), 0)
+	if slices.Equal(ctx.Trace.States, states) || slices.Equal(ctx.Trace.Tables, tables) {
+		t.Fatal("fixture: the second packet takes the first one's path")
+	}
+	if !slices.Equal(first.States, states) || !slices.Equal(first.Tables, tables) {
 		t.Fatal("retained trace mutated by a later packet")
 	}
 }
@@ -130,10 +131,9 @@ func TestContextSizeClass(t *testing.T) {
 }
 
 // TestTraceAllocsSizedOnce pins what a collected trace allocates: the
-// parser path, the table events and the events' key values, each once at
-// the program's bound however many states and tables the frame visits —
-// and only what the frame reaches, so a parser-rejected frame pays for
-// the path alone.
+// parser states and the table events, each once at the program's bound
+// however many states and tables the frame visits — and only what the
+// frame reaches, so a parser-rejected frame pays for the states alone.
 func TestTraceAllocsSizedOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -148,9 +148,9 @@ func TestTraceAllocsSizedOnce(t *testing.T) {
 		tables int
 		want   float64
 	}{
-		{"router", routerEngine(t), udp, 1, 3},
+		{"router", routerEngine(t), udp, 1, 2},
 		{"router/rejected", routerEngine(t), rejected, 0, 1},
-		{"firewall", firewallEngine(t), packet.BuildTCPv4(macA, macB, ipA, ipB, 1234, 443, packet.TCPSyn, nil), 2, 3},
+		{"firewall", firewallEngine(t), packet.BuildTCPv4(macA, macB, ipA, ipB, 1234, 443, packet.TCPSyn, nil), 2, 2},
 	} {
 		ctx := c.e.NewContext()
 		ctx.CollectTrace = true
@@ -158,13 +158,6 @@ func TestTraceAllocsSizedOnce(t *testing.T) {
 		tr := ctx.Trace
 		if len(tr.Tables) != c.tables {
 			t.Fatalf("%s: %d table events, fixture expects %d", c.name, len(tr.Tables), c.tables)
-		}
-		for _, ev := range tr.Tables {
-			// The events share an array: an append to one's keys must
-			// not reach the next one's.
-			if len(ev.Keys) == 0 || cap(ev.Keys) != len(ev.Keys) {
-				t.Errorf("%s: table %s recorded %d keys with capacity %d", c.name, ev.Table, len(ev.Keys), cap(ev.Keys))
-			}
 		}
 		if got := testing.AllocsPerRun(200, func() { c.e.Process(ctx, c.frame, 0) }); got != c.want {
 			t.Errorf("%s: %v allocs per traced frame, want %v", c.name, got, c.want)

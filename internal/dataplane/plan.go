@@ -36,9 +36,6 @@ type plan struct {
 	controls [][]op
 	deparser []op
 	actions  []*actionPlan
-	// numKeys is the key count of all tables together: the key values a
-	// trace records when every table is applied once.
-	numKeys int
 }
 
 // headerPlan is the byte layout of one instance's header type, and which
@@ -126,9 +123,6 @@ func newPlan(prog *ir.Program) *plan {
 	}
 	if prog.StdMeta >= 0 {
 		p.std = p.slotOf[prog.StdMeta]
-	}
-	for _, t := range prog.Tables() {
-		p.numKeys += len(t.Keys)
 	}
 	return p
 }

@@ -469,6 +469,7 @@ func TestCheckRejectsMalformedPrograms(t *testing.T) {
 		{"param out of range", func(p *ir.Program) { ingress(p).Actions[0].Params = nil; ingress(p).Tables[0].Default.Args = nil }, "param 0 outside"},
 		{"call with too few args", func(p *ir.Program) { ingress(p).Apply[2].(*ir.CallAction).Args = nil }, "0 args for 1 parameters"},
 		{"default action short of args", func(p *ir.Program) { ingress(p).Tables[0].Default.Args = nil }, "takes 1 args, has 0"},
+		{"table action outside the control", func(p *ir.Program) { ingress(p).Actions = nil }, "action set is not one of the control's"},
 		{"table index not its position", func(p *ir.Program) { ingress(p).Tables[0].Index = 1 }, "not the program's table"},
 		{"select next state out of range", func(p *ir.Program) { p.Parser.States[0].Trans.Default = 3 }, "parser state 3 outside"},
 		{"select case short of masks", func(p *ir.Program) {

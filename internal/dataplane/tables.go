@@ -123,11 +123,10 @@ type tableState struct {
 	tupleBuf  []byte // maskWords as groupIdx's key
 	// What New compiles for the packet path: the code that evaluates the
 	// keys that are not plain fields, the slots the key words are gathered
-	// from in packing order, the keys in declared order for a trace, and
-	// the actions, actions[i] being def.Actions[i].
+	// from in packing order, and the actions, actions[i] being
+	// def.Actions[i].
 	keyCode []op
 	words   []int32
-	keys    []operand
 	actions []*actionPlan
 	deflt   *actionPlan
 	// tieLIFO inverts the ternary equal-priority tie-break from

@@ -383,7 +383,7 @@ func TestInternalInjectionBypassesMAC(t *testing.T) {
 	if res.Outputs[0].Port != 1 {
 		t.Fatalf("egress = %d", res.Outputs[0].Port)
 	}
-	if len(res.Trace.ParserPath) == 0 {
+	if len(res.Trace.States) == 0 {
 		t.Fatal("internal injection returned no trace")
 	}
 }

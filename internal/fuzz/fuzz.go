@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -219,17 +218,10 @@ type mutField struct {
 	loc  core.FieldLoc
 }
 
-// covInfo tracks who reached a behaviour signature: the origin of the
-// probe that discovered it, and which origins reached it at all.
-type covInfo struct {
-	first                  string
-	seed, mutation, solver bool
-}
-
 // probeResult is one probe's verdict across all backends of a shard.
 type probeResult struct {
-	cover string           // concatenated per-backend behaviour signatures
-	ref   string           // reference-backend path signature (solver targeting)
+	cover uint64           // behaviour signature: every backend's trace key and egress, chained
+	ref   uint64           // reference-backend trace key (solver targeting)
 	outs  []target.Outcome // per backend, Options.Targets order
 }
 
@@ -242,12 +234,10 @@ const maxProbeBatch = 512
 type shard struct {
 	devs []*device.Device
 	// scratch reused across probe batches: the frames, global indices,
-	// and timestamps of the chunk in flight, and one signature builder
-	// per chunk slot.
+	// and timestamps of the chunk in flight.
 	batch [][]byte
 	idx   []int
 	ats   []time.Duration
-	sigs  []strings.Builder
 }
 
 // Fleet is a configured differential fuzzing run over sharded lockstep
@@ -271,8 +261,8 @@ type Fleet struct {
 	corpus     [][]byte
 	cursor     int
 	weights    []int
-	covered    map[string]*covInfo
-	refCovered map[string]bool
+	covered    map[uint64]string // behaviour signature → origin of the probe that found it
+	refCovered map[uint64]bool
 	curve      []CoveragePoint
 	divCounts  map[string]int
 	tieBroken  map[string]int
@@ -321,8 +311,8 @@ func New(p4src string, opts Options) (*Fleet, error) {
 		prog:       prog,
 		layout:     layout,
 		anchor:     -1,
-		covered:    make(map[string]*covInfo),
-		refCovered: make(map[string]bool),
+		covered:    make(map[uint64]string),
+		refCovered: make(map[uint64]bool),
 		divCounts:  make(map[string]int),
 		tieBroken:  make(map[string]int),
 		exCount:    make(map[string]int),
@@ -515,8 +505,8 @@ func (f *Fleet) Run() (*Report, error) {
 		PathsExplored:  f.pathsN,
 		Elapsed:        time.Since(start),
 	}
-	for _, ci := range f.covered {
-		if ci.first == OriginSolver {
+	for _, first := range f.covered {
+		if first == OriginSolver {
 			rep.SolverDiscovered++
 		}
 	}
@@ -657,12 +647,17 @@ func (f *Fleet) runBatch(frames [][]byte) []probeResult {
 
 // probeStride runs the shard-owned probes (indices first, first+stride,
 // ...) through every backend as InjectInternalBatch chunks and writes
-// each probe's result at its global index. Per-probe behaviour
-// signatures are folded into per-slot builders backend by backend —
-// computed from each batch's traces before the next batch on the same
-// device clobbers the target's scratch — so the results are
-// byte-identical to per-frame injection (the sequential model in
-// fuzz_test.go) at any shard count.
+// each probe's result at its global index. A probe's behaviour
+// signature is folded backend by backend — from each batch's traces
+// before the next batch on the same device clobbers the target's scratch
+// — so the results are identical to per-frame injection (the sequential
+// model in fuzz_test.go) at any shard count.
+//
+// The signature is the trace/tap view — parser path, verdict, table
+// hits, drop reason and egress port — deliberately excluding frame bytes
+// and key values so the signature space stays behavioural: each backend's
+// Trace.Key is seeded with the key so far and that backend's egress (0 for
+// a drop, else the port plus one).
 func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, results []probeResult) {
 	for start := first; start < len(frames); start += stride * maxProbeBatch {
 		sh.batch = sh.batch[:0]
@@ -675,9 +670,6 @@ func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, resul
 		for len(sh.ats) < len(idx) {
 			sh.ats = append(sh.ats, 0)
 		}
-		for len(sh.sigs) < len(idx) {
-			sh.sigs = append(sh.sigs, strings.Builder{})
-		}
 		// One outcome buffer for the whole chunk, subsliced per probe:
 		// the buffer is retained by the results (the vote reads it after
 		// the merge), so it is fresh per chunk, but it is one allocation
@@ -685,7 +677,6 @@ func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, resul
 		outsBuf := make([]target.Outcome, len(idx)*len(sh.devs))
 		for j, i := range idx {
 			results[i].outs = outsBuf[j*len(sh.devs) : (j+1)*len(sh.devs) : (j+1)*len(sh.devs)]
-			sh.sigs[j].Reset()
 		}
 		for b, dev := range sh.devs {
 			ats := sh.ats[:len(idx)]
@@ -698,49 +689,16 @@ func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, resul
 				pr := &results[idx[j]]
 				o := target.OutcomeOf(*res)
 				pr.outs[b] = o
-				sb := &sh.sigs[j]
-				sb.WriteString(f.opts.Targets[b])
-				sb.WriteByte(':')
-				writeBehaviourSig(sb, res.Trace, o)
-				sb.WriteByte('|')
+				egress := uint64(0)
+				if !o.Dropped {
+					egress = o.Port + 1
+				}
+				pr.cover = res.Trace.Key(pr.cover ^ egress)
 				if b == f.refIdx {
-					pr.ref = traceTargetSig(res.Trace)
+					pr.ref = res.Trace.Key(0)
 				}
 			}
 		}
-		for j, i := range idx {
-			results[i].cover = sh.sigs[j].String()
-		}
-	}
-}
-
-// writeBehaviourSig renders the coverage signature of one backend's
-// probe outcome: parser path, verdict, table hits, drop stage, and
-// egress port — the trace/tap view, deliberately excluding frame bytes
-// and key values so the signature space stays behavioural.
-func writeBehaviourSig(sb *strings.Builder, t dataplane.Trace, o target.Outcome) {
-	sb.WriteString(t.Verdict.String())
-	for _, s := range t.ParserPath {
-		sb.WriteByte(',')
-		sb.WriteString(s)
-	}
-	sb.WriteByte(';')
-	for _, ev := range t.Tables {
-		sb.WriteString(ev.Table)
-		sb.WriteByte('=')
-		if !ev.Hit {
-			sb.WriteString("miss:")
-		}
-		sb.WriteString(ev.Action)
-		sb.WriteByte(',')
-	}
-	sb.WriteByte(';')
-	if o.Dropped {
-		sb.WriteString("drop@")
-		sb.WriteString(t.DropStage)
-	} else {
-		sb.WriteString("out@")
-		sb.WriteString(strconv.FormatUint(o.Port, 10))
 	}
 }
 
@@ -753,10 +711,8 @@ func (f *Fleet) mergeBatch(frames [][]byte, origin string, fieldsOf func(int) []
 		pr := &results[i]
 		probeIdx := f.probes
 		f.probes++
-		ci := f.covered[pr.cover]
-		if ci == nil {
-			ci = &covInfo{first: origin}
-			f.covered[pr.cover] = ci
+		if _, ok := f.covered[pr.cover]; !ok {
+			f.covered[pr.cover] = origin
 			f.corpus = append(f.corpus, append([]byte(nil), frames[i]...))
 			if origin == OriginMutation && fieldsOf != nil {
 				for _, fi := range fieldsOf(i) {
@@ -765,14 +721,6 @@ func (f *Fleet) mergeBatch(frames [][]byte, origin string, fieldsOf func(int) []
 					}
 				}
 			}
-		}
-		switch origin {
-		case OriginSeed:
-			ci.seed = true
-		case OriginMutation:
-			ci.mutation = true
-		case OriginSolver:
-			ci.solver = true
 		}
 		if origin != OriginSolver {
 			f.refCovered[pr.ref] = true

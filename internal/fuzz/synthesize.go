@@ -2,10 +2,8 @@ package fuzz
 
 import (
 	"fmt"
-	"strings"
 
 	"netdebug/internal/bitfield"
-	"netdebug/internal/dataplane"
 	"netdebug/internal/verify"
 	"netdebug/internal/verify/solver"
 )
@@ -32,9 +30,9 @@ func (f *Fleet) solverRound() error {
 		if p.Model == nil {
 			continue // solver returned Unknown for this path
 		}
-		// Uncovered-path targeting: skip paths whose reference-side
-		// signature a seed or mutation probe has already produced.
-		if f.refCovered[pathTargetSig(p)] {
+		// Uncovered-path targeting: skip paths a seed or mutation probe has
+		// already driven the reference backend down.
+		if f.refCovered[p.Trace.Key(0)] {
 			continue
 		}
 		frame, ok := f.synthesize(p)
@@ -76,57 +74,4 @@ func (f *Fleet) synthesize(p *verify.Path) ([]byte, bool) {
 		bitfield.MustInject(frame, mf.loc.BitOff, mf.loc.Bits, val.WithWidth(mf.loc.Bits))
 	}
 	return frame, true
-}
-
-// pathTargetSig renders the reference-side signature of a symbolic path
-// in the same vocabulary traceTargetSig uses for a concrete reference
-// trace, so "has mutation already been here" is one set lookup.
-func pathTargetSig(p *verify.Path) string {
-	var sb strings.Builder
-	sb.WriteString(p.Verdict)
-	for _, s := range p.ParserPath {
-		sb.WriteByte(',')
-		sb.WriteString(s)
-	}
-	sb.WriteByte(';')
-	for _, a := range p.Actions {
-		sb.WriteString(a)
-		sb.WriteByte(',')
-	}
-	sb.WriteByte(';')
-	if p.Dropped {
-		sb.WriteString("drop@")
-		sb.WriteString(p.DropStage)
-	}
-	return sb.String()
-}
-
-// traceTargetSig is pathTargetSig's concrete-execution counterpart,
-// computed from the reference backend's trace.
-func traceTargetSig(t dataplane.Trace) string {
-	var sb strings.Builder
-	sb.WriteString(t.Verdict.String())
-	for _, s := range t.ParserPath {
-		sb.WriteByte(',')
-		sb.WriteString(s)
-	}
-	sb.WriteByte(';')
-	for _, ev := range t.Tables {
-		sb.WriteString(ev.Table)
-		sb.WriteByte(':')
-		sb.WriteString(ev.Action)
-		if !ev.Hit {
-			// The symbolic explorer labels the miss branch with the
-			// default action marked "(default)"; mirror it so the two
-			// vocabularies compare.
-			sb.WriteString("(default)")
-		}
-		sb.WriteByte(',')
-	}
-	sb.WriteByte(';')
-	if t.Dropped {
-		sb.WriteString("drop@")
-		sb.WriteString(t.DropStage)
-	}
-	return sb.String()
 }

@@ -80,16 +80,6 @@ func (p *Program) Instance(name string) *HeaderInst {
 	return nil
 }
 
-// Control returns the named control, or nil.
-func (p *Program) Control(name string) *Control {
-	for _, c := range p.Controls {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // Table returns the named table searching all controls, or nil.
 func (p *Program) Table(name string) *Table {
 	for _, c := range p.Controls {

@@ -40,13 +40,6 @@ func Parse(src string) (*ast.Program, error) {
 }
 
 func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
-
 func (p *Parser) next() token.Token {
 	t := p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {

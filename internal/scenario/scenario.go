@@ -965,11 +965,11 @@ func comparisonScenarios() []Scenario {
 					devB := plainDevice(acceptThenDropProgram, target.NewReference())
 					ra := devA.InjectInternal(badVersionFrame(), 0, 0, true)
 					rb := devB.InjectInternal(badVersionFrame(), 0, 0, true)
-					if ra.Dropped() && rb.Dropped() && ra.Trace.DropStage != rb.Trace.DropStage {
+					if ra.Dropped() && rb.Dropped() && ra.Trace.DropStage() != rb.Trace.DropStage() {
 						return detected("both drop, but at %q vs %q — distinguishable only internally",
-							ra.Trace.DropStage, rb.Trace.DropStage)
+							ra.Trace.DropStage(), rb.Trace.DropStage())
 					}
-					return missed("drop stages identical: %q vs %q", ra.Trace.DropStage, rb.Trace.DropStage)
+					return missed("drop stages identical: %q vs %q", ra.Trace.DropStage(), rb.Trace.DropStage())
 				},
 				ToolFormal: func() Outcome {
 					return unsupported("both programs satisfy identical I/O properties; stage is not expressible")
@@ -1045,7 +1045,7 @@ func comparisonScenarios() []Scenario {
 						var b strings.Builder
 						fmt.Fprintf(&b, "%d/%d|", len(exp.Paths), exp.Pruned)
 						for _, p := range exp.Paths {
-							fmt.Fprintf(&b, "%s:%v:%d;", p.Verdict, p.Actions, len(p.Model))
+							fmt.Fprintf(&b, "%s:%d;", p.Format(), len(p.Model))
 						}
 						return b.String()
 					}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,37 @@ func TestFigure2Matrix(t *testing.T) {
 	for uc, want := range externalWant {
 		if got := m.Cells[uc][ToolExternal]; got != want {
 			t.Errorf("external tester on %q = %v, want %v", uc, got, want)
+		}
+	}
+
+	// Byte identity: the rendered matrix and every detail line, as
+	// cmd/figures prints them, against the checked-in capture (its header
+	// names the command that regenerates it).
+	golden, err := os.ReadFile("testdata/figure2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(golden), "\n")
+	header := 0
+	for header < len(want) && strings.HasPrefix(want[header], "# ") {
+		header++
+	}
+	want = want[header:]
+	got := strings.Split(m.Render(), "\n")
+	for _, d := range m.SortedDetails() {
+		got = append(got, "  "+d)
+	}
+	got = append(got, "")
+	for i := 0; i < max(len(got), len(want)); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Errorf("figure2.golden line %d:\n  got  %q\n  want %q", header+i+1, g, w)
 		}
 	}
 }

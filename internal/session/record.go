@@ -123,16 +123,6 @@ func NewRecorder(w io.Writer) *Recorder {
 	return &Recorder{w: w, pending: make(map[int][]Record)}
 }
 
-// reserve hands out the next submission index (the block's position in
-// the output stream).
-func (r *Recorder) reserve() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx := r.nextIdx
-	r.nextIdx++
-	return idx
-}
-
 // reserveN hands out n consecutive submission indices, returning the
 // first.
 func (r *Recorder) reserveN(n int) int {

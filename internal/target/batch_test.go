@@ -76,13 +76,13 @@ func TestProcessBatchTrace(t *testing.T) {
 	frames := batchFrames()
 	results := tgt.ProcessBatch(frames, 0, true)
 	for i, r := range results {
-		if len(r.Trace.ParserPath) == 0 {
+		if len(r.Trace.States) == 0 {
 			t.Errorf("frame %d: no parser path with trace on", i)
 		}
 	}
 	// The malformed tail frame must be rejected by the reference parser.
 	last := results[len(results)-1]
-	if !last.Dropped() || last.Trace.DropStage != "parser" {
-		t.Errorf("malformed frame: dropped=%v stage=%q, want parser drop", last.Dropped(), last.Trace.DropStage)
+	if !last.Dropped() || last.Trace.DropStage() != "parser" {
+		t.Errorf("malformed frame: dropped=%v stage=%q, want parser drop", last.Dropped(), last.Trace.DropStage())
 	}
 }

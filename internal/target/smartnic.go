@@ -56,9 +56,9 @@ type SmartNICErrata struct {
 	NICTCAMKeyBits int
 	// PuntQueueDepth bounds the punt ring: within one burst
 	// (ProcessBatch call) at most this many frames can take the
-	// exception path; the rest are dropped at the NIC with drop stage
-	// "punt-queue". The ring drains between bursts. Zero selects the
-	// modelled default.
+	// exception path; the rest are dropped at the NIC with reason
+	// dataplane.DropPuntQueue. The ring drains between bursts. Zero
+	// selects the modelled default.
 	PuntQueueDepth int
 	// PuntMTU is the number of frame bytes the punt ring carries per
 	// slot (see TruncatePunts). Zero selects the modelled default.
@@ -370,7 +370,7 @@ func (s *smartnic) run(ctx *dataplane.Context, coreCtx func() *dataplane.Context
 		s.cQueueDrop.Inc()
 		res.Outputs = nil
 		res.Trace.Dropped = true
-		res.Trace.DropStage = "punt-queue"
+		res.Trace.Drop, res.Trace.DropControl = dataplane.DropPuntQueue, 0
 		return res
 	}
 	s.queueFree--

@@ -199,7 +199,7 @@ func TestSmartNICPuntQueueOverflow(t *testing.T) {
 		}
 	}
 	for i, r := range res[4:] {
-		if !r.Dropped() || r.Trace.DropStage != "punt-queue" {
+		if !r.Dropped() || r.Trace.DropStage() != "punt-queue" {
 			t.Fatalf("frame %d should overflow the punt ring: %+v", i+4, r)
 		}
 	}

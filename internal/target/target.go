@@ -61,9 +61,9 @@ type Result struct {
 	// Latency is the pipeline delay from the target's latency model,
 	// excluding any wire/serialization time (the device adds that).
 	Latency time.Duration
-	// Trace is the internal execution record. Parser path and table
+	// Trace is the internal execution record. Parser states and table
 	// events are populated only when Process was called with trace=true;
-	// the verdict, drop flag, and drop stage are always set.
+	// the verdict, drop flag, and drop reason are always set.
 	Trace dataplane.Trace
 }
 

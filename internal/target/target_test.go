@@ -55,6 +55,47 @@ func badVersionFrame() []byte {
 	return f
 }
 
+// TestDropReasonSetWithTraceOff holds every shipped backend to the Result
+// contract: a dropped frame says what dropped it whether or not tracing is
+// on, and with tracing off no states or table events are recorded.
+func TestDropReasonSetWithTraceOff(t *testing.T) {
+	for _, kind := range ShippedKinds {
+		tgt, err := ForKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tgt.Load(mustProg(t, p4test.Router)); err != nil {
+			t.Fatal(err)
+		}
+		// sdnet and the smartnic exception path forward a frame the parser
+		// rejects (their errata); ipv4_lpm is empty, so the ingress drops it.
+		malformed, stage := dataplane.DropParser, "parser"
+		if kind == KindSDNet || kind == KindSmartNIC {
+			malformed, stage = dataplane.DropControl, "RouterIngress"
+		}
+		for _, c := range []struct {
+			name  string
+			frame []byte
+			drop  dataplane.DropReason
+			stage string
+		}{
+			{"malformed version", badVersionFrame(), malformed, stage},
+			{"route miss", goodFrame(), dataplane.DropControl, "RouterIngress"},
+		} {
+			for _, res := range []Result{tgt.Process(c.frame, 0, false), tgt.ProcessBatch([][]byte{c.frame}, 0, false)[0]} {
+				if !res.Dropped() || res.Trace.Drop != c.drop || res.Trace.DropStage() != c.stage {
+					t.Errorf("%s %s: dropped=%v reason %d at %q, want %d at %q",
+						kind, c.name, res.Dropped(), res.Trace.Drop, res.Trace.DropStage(), c.drop, c.stage)
+				}
+				if res.Trace.States != nil || res.Trace.Tables != nil {
+					t.Errorf("%s %s: states %v and table events %v recorded with tracing off",
+						kind, c.name, res.Trace.States, res.Trace.Tables)
+				}
+			}
+		}
+	}
+}
+
 func TestReferenceRejectsMalformed(t *testing.T) {
 	tgt := NewReference()
 	loadRouter(t, tgt)

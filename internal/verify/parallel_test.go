@@ -61,8 +61,7 @@ func dumpExploration(exp *Exploration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "paths=%d truncated=%d pruned=%d\n", len(exp.Paths), exp.Truncated, exp.Pruned)
 	for _, p := range exp.Paths {
-		fmt.Fprintf(&b, "#%d verdict=%s dropped=%v stage=%q egress=%v parser=%v actions=%v valid=%v\n",
-			p.ID, p.Verdict, p.Dropped, p.DropStage, p.EgressAssigned, p.ParserPath, p.Actions, p.Valid)
+		fmt.Fprintf(&b, "#%d %s egress=%v valid=%v\n", p.ID, p.Format(), p.EgressAssigned, p.Valid)
 		for _, c := range p.Constraints {
 			fmt.Fprintf(&b, "  cons %s\n", c)
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"netdebug/internal/dataplane"
 	"netdebug/internal/p4/ir"
 	"netdebug/internal/verify/solver"
 )
@@ -65,7 +66,7 @@ func (r Result) counterexampleString() string {
 	if len(names) > 5 {
 		names = names[:5]
 	}
-	parts := []string{"parser path " + strings.Join(r.Path.ParserPath, "->")}
+	parts := []string{"parser path " + strings.Join(r.Path.ParserPath(), "->")}
 	for _, name := range names {
 		parts = append(parts, fmt.Sprintf("%s=%s", name, r.Counterexample[name]))
 	}
@@ -149,7 +150,7 @@ var PropRejectedDropped = Property{
 	Name:        "rejected-implies-dropped",
 	Description: "packets rejected by the parser never reach the output",
 	Violation: func(prog *ir.Program, p *Path) (bool, []solver.BV) {
-		return p.Verdict == "reject" && !p.Dropped, nil
+		return p.Verdict == dataplane.VerdictReject && !p.Dropped, nil
 	},
 }
 
@@ -223,7 +224,7 @@ func RejectReachable(prog *ir.Program, opts Options) (bool, error) {
 		return false, err
 	}
 	for _, p := range exp.Paths {
-		if p.Verdict == "reject" && p.Model != nil {
+		if p.Verdict == dataplane.VerdictReject && p.Model != nil {
 			return true, nil
 		}
 	}

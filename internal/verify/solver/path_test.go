@@ -29,7 +29,7 @@ func TestDifferentialSolversOnPathFormulas(t *testing.T) {
 			_, stC := solver.Solve(p.Constraints)
 			_, stR := solver.SolveReference(p.Constraints)
 			if stC != stR {
-				t.Fatalf("path %v: CDCL=%v reference=%v", p.ParserPath, stC, stR)
+				t.Fatalf("path %v: CDCL=%v reference=%v", p.ParserPath(), stC, stR)
 			}
 			// And with a violating postcondition appended, as Check does.
 			for _, inst := range p.Fields {
@@ -42,7 +42,7 @@ func TestDifferentialSolversOnPathFormulas(t *testing.T) {
 				_, stC = solver.Solve(cons)
 				_, stR = solver.SolveReference(cons)
 				if stC != stR {
-					t.Fatalf("path %v + postcond: CDCL=%v reference=%v", p.ParserPath, stC, stR)
+					t.Fatalf("path %v + postcond: CDCL=%v reference=%v", p.ParserPath(), stC, stR)
 				}
 				break
 			}

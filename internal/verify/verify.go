@@ -26,11 +26,13 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"netdebug/internal/bitfield"
+	"netdebug/internal/dataplane"
 	"netdebug/internal/p4/ir"
 	"netdebug/internal/verify/solver"
 )
@@ -76,19 +78,14 @@ type Path struct {
 	ID int
 	// Constraints is the path condition: width-1 terms all true.
 	Constraints []solver.BV
-	// Verdict is the parser outcome on this path.
-	Verdict string // "accept" or "reject"
-	// Dropped reports whether the pipeline dropped the packet (under
-	// specification semantics a rejected packet is always dropped).
-	Dropped bool
-	// DropStage names the element that dropped, "" if forwarded.
-	DropStage string
+	// Trace is the path in the engine's own record: the parser states
+	// visited and the verdict, one event per table with the action chosen
+	// (Hit false for the miss branch), and what dropped the packet (under
+	// specification semantics a rejected packet is always dropped). A
+	// frame that drives this path through dataplane.Engine reports it.
+	dataplane.Trace
 	// EgressAssigned reports whether any statement wrote egress_spec.
 	EgressAssigned bool
-	// ParserPath lists visited parser state names.
-	ParserPath []string
-	// Actions lists "table:action" choices made on this path.
-	Actions []string
 	// Fields exposes the symbolic final state: fields[inst][field].
 	Fields [][]solver.BV
 	// Valid exposes final header validity.
@@ -114,17 +111,15 @@ type Exploration struct {
 
 // state is the mutable symbolic machine state during exploration.
 type state struct {
-	fields     [][]solver.BV
-	valid      []bool
-	locals     []solver.BV
-	args       [][]solver.BV
-	cons       []solver.BV
-	dropped    bool
-	dropStage  string
-	egressSet  bool
-	parserPath []string
-	actions    []string
-	visits     map[int]int
+	fields    [][]solver.BV
+	valid     []bool
+	locals    []solver.BV
+	args      [][]solver.BV
+	cons      []solver.BV
+	trace     dataplane.Trace
+	control   int // the control running, for a drop and a table's actions
+	egressSet bool
+	visits    map[int]int
 	// fresh numbers this path's symbolic variables. It is path-local so
 	// variable names depend only on the path's own history, never on
 	// exploration order across paths.
@@ -137,10 +132,9 @@ type state struct {
 }
 
 func (s *state) clone() *state {
-	ns := &state{
-		dropped: s.dropped, dropStage: s.dropStage, egressSet: s.egressSet,
-		fresh: s.fresh,
-	}
+	ns := &state{trace: s.trace, control: s.control, egressSet: s.egressSet, fresh: s.fresh}
+	ns.trace.States = slices.Clone(s.trace.States)
+	ns.trace.Tables = slices.Clone(s.trace.Tables)
 	ns.fields = make([][]solver.BV, len(s.fields))
 	for i := range s.fields {
 		ns.fields[i] = append([]solver.BV(nil), s.fields[i]...)
@@ -152,8 +146,6 @@ func (s *state) clone() *state {
 		ns.args[i] = append([]solver.BV(nil), s.args[i]...)
 	}
 	ns.cons = append([]solver.BV(nil), s.cons...)
-	ns.parserPath = append([]string(nil), s.parserPath...)
-	ns.actions = append([]string(nil), s.actions...)
 	ns.visits = make(map[int]int, len(s.visits))
 	for k, v := range s.visits {
 		ns.visits[k] = v
@@ -224,7 +216,7 @@ func ExploreWithStats(prog *ir.Program, opts Options) (*Exploration, error) {
 	}
 	w := ex.newWorker()
 
-	st := &state{visits: map[int]int{}}
+	st := &state{visits: map[int]int{}, trace: dataplane.Trace{Prog: prog}}
 	st.fields = make([][]solver.BV, len(prog.Instances))
 	st.valid = make([]bool, len(prog.Instances))
 	for i, inst := range prog.Instances {
@@ -347,9 +339,9 @@ func (ex *explorer) runParser(w *worker, st *state, stateIdx int) error {
 		return ex.runPipeline(w, st)
 	case ir.StateReject:
 		// Specification semantics: reject drops the packet.
-		st.dropped = true
-		st.dropStage = "parser"
-		ex.finish(w, st, "reject")
+		st.trace.Verdict, st.trace.ParserError = dataplane.VerdictReject, dataplane.ParseErrReject
+		st.trace.Dropped, st.trace.Drop = true, dataplane.DropParser
+		ex.finish(w, st)
 		return nil
 	}
 	ps := ex.prog.Parser.States[stateIdx]
@@ -358,7 +350,7 @@ func (ex *explorer) runParser(w *worker, st *state, stateIdx int) error {
 		return nil
 	}
 	st.visits[stateIdx]++
-	st.parserPath = append(st.parserPath, ps.Name)
+	st.trace.States = append(st.trace.States, uint16(stateIdx))
 	for _, op := range ps.Ops {
 		switch op := op.(type) {
 		case *ir.Extract:
@@ -457,18 +449,18 @@ func (ex *explorer) runPipeline(w *worker, st *state) error {
 // continuation-style walker.
 func (ex *explorer) runControls(w *worker, st *state, idx int) error {
 	if idx >= len(ex.prog.Controls) {
-		ex.finish(w, st, "accept")
+		ex.finish(w, st)
 		return nil
 	}
-	c := ex.prog.Controls[idx]
-	return ex.runStmts(w, st, c.Apply, c.Name, func(w *worker, st *state) error {
+	st.control = idx
+	return ex.runStmts(w, st, ex.prog.Controls[idx].Apply, func(w *worker, st *state) error {
 		return ex.runControls(w, st, idx+1)
 	})
 }
 
 // runStmts symbolically executes stmts then calls k with each resulting
 // path state.
-func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, stage string, k func(*worker, *state) error) error {
+func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, k func(*worker, *state) error) error {
 	if ex.aborted.Load() {
 		return errAbort
 	}
@@ -476,7 +468,7 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, stage string
 		return k(w, st)
 	}
 	s, rest := stmts[0], stmts[1:]
-	next := func(w *worker, st *state) error { return ex.runStmts(w, st, rest, stage, k) }
+	next := func(w *worker, st *state) error { return ex.runStmts(w, st, rest, k) }
 	switch s := s.(type) {
 	case *ir.AssignField:
 		v, err := ex.eval(st, s.RHS)
@@ -502,9 +494,8 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, stage string
 		st.valid[s.Inst] = s.Valid
 		return next(w, st)
 	case *ir.MarkToDrop:
-		if !st.dropped {
-			st.dropped = true
-			st.dropStage = stage
+		if !st.trace.Dropped {
+			st.trace.Dropped, st.trace.Drop, st.trace.DropControl = true, dataplane.DropControl, uint16(st.control)
 		}
 		return next(w, st)
 	case *ir.If:
@@ -517,7 +508,7 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, stage string
 		thenSt.cons = append(thenSt.cons, cond)
 		thenBody := s.Then
 		err = ex.fork(w, thenSt, 1, func(w *worker, st *state) error {
-			return ex.runStmts(w, st, thenBody, stage, next)
+			return ex.runStmts(w, st, thenBody, next)
 		})
 		if err != nil {
 			return err
@@ -527,10 +518,10 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, stage string
 		elseSt.cons = append(elseSt.cons, solver.Not(cond))
 		elseBody := s.Else
 		return ex.fork(w, elseSt, 1, func(w *worker, st *state) error {
-			return ex.runStmts(w, st, elseBody, stage, next)
+			return ex.runStmts(w, st, elseBody, next)
 		})
 	case *ir.ApplyTable:
-		return ex.applyTable(w, st, s.Table, stage, next)
+		return ex.applyTable(w, st, s.Table, next)
 	case *ir.CallAction:
 		args := make([]solver.BV, len(s.Args))
 		for i, a := range s.Args {
@@ -541,7 +532,7 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, stage string
 			args[i] = v
 		}
 		st.args = append(st.args, args)
-		return ex.runStmts(w, st, s.Action.Body, stage, func(w *worker, st *state) error {
+		return ex.runStmts(w, st, s.Action.Body, func(w *worker, st *state) error {
 			st.args = st.args[:len(st.args)-1]
 			return next(w, st)
 		})
@@ -555,11 +546,13 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, stage string
 // applyTable forks one path per allowed action (table contents are
 // unknown, so any row may match — the standard havoc model) plus the
 // default action for a miss.
-func (ex *explorer) applyTable(w *worker, st *state, t *ir.Table, stage string, k func(*worker, *state) error) error {
-	run := func(w *worker, base *state, a *ir.Action, args []solver.BV, label string) error {
-		base.actions = append(base.actions, t.Name+":"+label)
+func (ex *explorer) applyTable(w *worker, st *state, t *ir.Table, k func(*worker, *state) error) error {
+	actions := ex.prog.Controls[st.control].Actions
+	run := func(w *worker, base *state, a *ir.Action, args []solver.BV, hit bool) error {
+		base.trace.Tables = append(base.trace.Tables, dataplane.TableEvent{
+			Table: uint16(t.Index), Action: uint16(slices.Index(actions, a)), Hit: hit})
 		base.args = append(base.args, args)
-		return ex.runStmts(w, base, a.Body, stage, func(w *worker, st *state) error {
+		return ex.runStmts(w, base, a.Body, func(w *worker, st *state) error {
 			st.args = st.args[:len(st.args)-1]
 			return k(w, st)
 		})
@@ -571,9 +564,9 @@ func (ex *explorer) applyTable(w *worker, st *state, t *ir.Table, stage string, 
 		for i, p := range a.Params {
 			args[i] = ex.freshVar(branch, t.Name+"."+a.Name+"."+p.Name, p.Width)
 		}
-		action, label := a, a.Name
+		action := a
 		err := ex.fork(w, branch, 0, func(w *worker, st *state) error {
-			return run(w, st, action, args, label)
+			return run(w, st, action, args, true)
 		})
 		if err != nil {
 			return err
@@ -587,7 +580,7 @@ func (ex *explorer) applyTable(w *worker, st *state, t *ir.Table, stage string, 
 		args[i] = solver.Const(v)
 	}
 	return ex.fork(w, miss, 0, func(w *worker, st *state) error {
-		return run(w, st, t.Default.Action, args, t.Default.Action.Name+"(default)")
+		return run(w, st, t.Default.Action, args, false)
 	})
 }
 
@@ -601,7 +594,7 @@ func (ex *explorer) applyTable(w *worker, st *state, t *ir.Table, stage string, 
 // pruned — and overflow is a deterministic property of the program:
 // whether the (MaxPaths+1)-th completion happens does not depend on
 // scheduling, so Explore errors at every worker count or at none.
-func (ex *explorer) finish(w *worker, st *state, verdict string) {
+func (ex *explorer) finish(w *worker, st *state) {
 	if ex.npaths.Add(1) > int64(ex.opts.MaxPaths) {
 		ex.truncated.Add(1)
 		ex.fail(errTooManyPaths)
@@ -621,12 +614,8 @@ func (ex *explorer) finish(w *worker, st *state, verdict string) {
 	}
 	p := &Path{
 		Constraints:    st.cons,
-		Verdict:        verdict,
-		Dropped:        st.dropped,
-		DropStage:      st.dropStage,
+		Trace:          st.trace,
 		EgressAssigned: st.egressSet,
-		ParserPath:     st.parserPath,
-		Actions:        st.actions,
 		Fields:         st.fields,
 		Valid:          st.valid,
 		Model:          model,
@@ -634,6 +623,17 @@ func (ex *explorer) finish(w *worker, st *state, verdict string) {
 	ex.mu.Lock()
 	ex.finished = append(ex.finished, finishedPath{key: string(st.decisions), p: p})
 	ex.mu.Unlock()
+}
+
+// binOps is the solver's operator for each IR binary operator but the two
+// logical ones, which eval lowers itself.
+var binOps = map[ir.BinOp]solver.Op{
+	ir.OpAdd: solver.OpAdd, ir.OpSub: solver.OpSub, ir.OpMul: solver.OpMul,
+	ir.OpAnd: solver.OpAnd, ir.OpOr: solver.OpOr, ir.OpXor: solver.OpXor,
+	ir.OpShl: solver.OpShl, ir.OpShr: solver.OpShr,
+	ir.OpEq: solver.OpEq, ir.OpNeq: solver.OpNeq,
+	ir.OpLt: solver.OpUlt, ir.OpLe: solver.OpUle,
+	ir.OpGt: solver.OpUgt, ir.OpGe: solver.OpUge,
 }
 
 // eval translates an IR expression to a solver term under the current
@@ -679,21 +679,13 @@ func (ex *explorer) eval(st *state, e ir.Expr) (solver.BV, error) {
 		if err != nil {
 			return nil, err
 		}
-		opMap := map[ir.BinOp]solver.Op{
-			ir.OpAdd: solver.OpAdd, ir.OpSub: solver.OpSub, ir.OpMul: solver.OpMul,
-			ir.OpAnd: solver.OpAnd, ir.OpOr: solver.OpOr, ir.OpXor: solver.OpXor,
-			ir.OpShl: solver.OpShl, ir.OpShr: solver.OpShr,
-			ir.OpEq: solver.OpEq, ir.OpNeq: solver.OpNeq,
-			ir.OpLt: solver.OpUlt, ir.OpLe: solver.OpUle,
-			ir.OpGt: solver.OpUgt, ir.OpGe: solver.OpUge,
-		}
 		if e.Op == ir.OpLAnd {
 			return solver.And(a, b), nil
 		}
 		if e.Op == ir.OpLOr {
 			return solver.Bin(solver.OpOr, a, b), nil
 		}
-		op, ok := opMap[e.Op]
+		op, ok := binOps[e.Op]
 		if !ok {
 			return nil, fmt.Errorf("verify: bad binary op %v", e.Op)
 		}

@@ -41,9 +41,9 @@ func TestExploreRouterPaths(t *testing.T) {
 	var rejects, accepts int
 	for _, p := range paths {
 		switch p.Verdict {
-		case "reject":
+		case dataplane.VerdictReject:
 			rejects++
-		case "accept":
+		case dataplane.VerdictAccept:
 			accepts++
 		}
 	}
@@ -272,7 +272,7 @@ func TestSymbolicAgreesWithConcrete(t *testing.T) {
 			if pathAccepts(t, p, model) {
 				if p.Dropped != dropped {
 					t.Fatalf("pkt %d: concrete dropped=%v, symbolic path %v dropped=%v",
-						i, dropped, p.ParserPath, p.Dropped)
+						i, dropped, p.ParserPath(), p.Dropped)
 				}
 				matched = true
 				break
@@ -321,8 +321,8 @@ func modelFromFrame(frame []byte) map[string]uint64 {
 // tableDefaultOnly reports whether every table action on the path was the
 // default action.
 func tableDefaultOnly(p *Path) bool {
-	for _, a := range p.Actions {
-		if len(a) < 9 || a[len(a)-9:] != "(default)" {
+	for _, ev := range p.Tables {
+		if ev.Hit {
 			return false
 		}
 	}
