@@ -4,7 +4,7 @@ GO ?= go
 # COVER_MIN pins the global statement coverage the coverage gate
 # enforces. This is the only place the floor is written: the CI coverage
 # job runs `make cover`.
-COVER_MIN ?= 77
+COVER_MIN ?= 78
 
 .PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc bench bench-smoke bench-compare
 

@@ -310,6 +310,23 @@ func t5() {
 	fmt.Print(scenario.RenderSweep(maskPoints))
 }
 
+// t2Cell is how T2 shows a report: the backend class its column's header
+// names, the column's width, and the numbers of its form the cell picks.
+func t2Cell(r target.ResourceReport) (class string, width int, cell string) {
+	switch r.Form {
+	case target.FormFPGA:
+		return " (FPGA)", 32, fmt.Sprintf("LUT %4.1f%%  FF %4.1f%%  BRAM %4.1f%%", r.LUTPct, r.FFPct, r.BRAMPct)
+	case target.FormASIC:
+		return " (ASIC)", 42, fmt.Sprintf("stages %2d  SRAM %3d  TCAM %3d  PHV %4.1f%%",
+			r.Stages, r.SRAMBlocks, r.TCAMBlocks, r.PHVPct)
+	case target.FormOffload:
+		return " (software offload)", 38, fmt.Sprintf("insns %4d  maps %d  memlock %4.1f%%", r.Insns, r.Maps, r.MemlockPct)
+	case target.FormSmartNIC:
+		return " (DPU)", 0, fmt.Sprintf("accel %d  core %d  SRAM %4.1f%%", r.AccelTables, r.CoreTables, r.AccelPct)
+	}
+	return "", 12, "0 (software)"
+}
+
 func t2() {
 	header("T2 — resources quantification across programs and backends")
 	programs := []struct{ name, src string }{
@@ -319,40 +336,28 @@ func t2() {
 		{"router-split", p4test.RouterSplit},
 		{"firewall", p4test.Firewall},
 	}
-	fmt.Printf("%-14s | %-12s | %-32s | %-42s | %-38s | %s\n",
-		"program", "reference", "sdnet (FPGA)", "tofino (ASIC)", "ebpf (software offload)", "smartnic (DPU)")
-	for _, p := range programs {
+	for i, p := range programs {
 		prog, err := compile.Compile(p.src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sd := target.NewSDNet(target.DefaultErrata())
-		if err := sd.Load(prog); err != nil {
-			log.Fatal(err)
+		head, row := fmt.Sprintf("%-14s", "program"), fmt.Sprintf("%-14s", p.name)
+		for _, kind := range target.ShippedKinds {
+			tgt, err := target.ForKind(kind)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := tgt.Load(prog); err != nil {
+				log.Fatal(err)
+			}
+			class, width, cell := t2Cell(tgt.Resources())
+			head += fmt.Sprintf(" | %-*s", width, kind+class)
+			row += fmt.Sprintf(" | %-*s", width, cell)
 		}
-		tf := target.NewTofino(target.DefaultTofinoErrata())
-		if err := tf.Load(prog); err != nil {
-			log.Fatal(err)
+		if i == 0 {
+			fmt.Println(head)
 		}
-		eb := target.NewEBPF(target.DefaultEBPFErrata())
-		if err := eb.Load(prog); err != nil {
-			log.Fatal(err)
-		}
-		sn := target.NewSmartNIC(target.DefaultSmartNICErrata())
-		if err := sn.Load(prog); err != nil {
-			log.Fatal(err)
-		}
-		rs, rt, re, rn := sd.Resources(), tf.Resources(), eb.Resources(), sn.Resources()
-		fmt.Printf("%-14s | %-12s | %-32s | %-42s | %-38s | %s\n",
-			p.name,
-			"0 (software)",
-			fmt.Sprintf("LUT %4.1f%%  FF %4.1f%%  BRAM %4.1f%%", rs.LUTPct, rs.FFPct, rs.BRAMPct),
-			fmt.Sprintf("stages %2d  SRAM %3d  TCAM %3d  PHV %4.1f%%",
-				rt.Stages, rt.SRAMBlocks, rt.TCAMBlocks, rt.PHVPct),
-			fmt.Sprintf("insns %4d  maps %d  memlock %4.1f%%",
-				re.Insns, re.Maps, re.MemlockPct),
-			fmt.Sprintf("accel %d  core %d  SRAM %4.1f%%",
-				rn.AccelTables, rn.CoreTables, rn.AccelPct))
+		fmt.Println(row)
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -38,12 +39,13 @@ import (
 	"netdebug/internal/control"
 	"netdebug/internal/core"
 	"netdebug/internal/packet"
+	"netdebug/internal/target"
 )
 
 var (
 	programPath = flag.String("program", "", "P4 program to load")
 	targetKind  = flag.String("target", "reference",
-		"target backend (reference, sdnet[-fixed], tofino[-fixed], ebpf[-fixed], smartnic[-fixed])")
+		"target backend ("+strings.Join(target.Kinds, ", ")+")")
 	suite   = flag.String("suite", "", "validation suite: reject, perf, status")
 	serve   = flag.String("serve", "", "serve the device agent on a TCP address instead of running a suite")
 	connect = flag.String("connect", "", "connect to a remote agent instead of booting a device")

@@ -2,7 +2,7 @@
 // dumps the compiled IR, and prints the selected backend's resource
 // estimate and architectural verdict.
 //
-//	p4c [-target sdnet|tofino|ebpf|smartnic|reference (or any -fixed variant)] [-resources] [-verify] program.p4
+//	p4c [-target kind] [-resources] [-verify] program.p4
 package main
 
 import (
@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"netdebug"
 	"netdebug/internal/p4/compile"
@@ -18,7 +19,7 @@ import (
 
 var (
 	targetName = flag.String("target", "sdnet",
-		"backend to load onto (reference, sdnet[-fixed], tofino[-fixed], ebpf[-fixed], smartnic[-fixed])")
+		"backend to load onto ("+strings.Join(target.Kinds, ", ")+")")
 	resources = flag.Bool("resources", false, "print the resource estimate")
 	runVerify = flag.Bool("verify", false, "run the formal-verification property suite")
 )
@@ -43,7 +44,7 @@ func main() {
 
 	tgt, err := target.ForKind(*targetName)
 	if err != nil {
-		log.Fatalf("unknown target %q", *targetName)
+		log.Fatal(err)
 	}
 	if err := tgt.Load(prog); err != nil {
 		log.Fatalf("%s rejects the program: %v", tgt.Name(), err)

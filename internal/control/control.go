@@ -9,8 +9,9 @@
 // net.Pipe in-process; cmd/netdebug uses TCP), encoded with encoding/gob.
 //
 // Payloads that belong to higher layers (generator and checker
-// specifications, test reports) travel as opaque byte slices so this
-// package stays free of dependencies on the core engine.
+// specifications, test reports, resource reports) travel as opaque byte
+// slices so this package stays free of dependencies on the core engine
+// and the target models.
 package control
 
 import (
@@ -66,23 +67,6 @@ type Request struct {
 	Spec []byte
 }
 
-// ResourcesMsg mirrors target.ResourceReport.
-type ResourcesMsg struct {
-	LUTs, FFs, BRAMs       int
-	LUTPct, FFPct, BRAMPct float64
-	// ASIC-style fields, populated by fixed-pipeline targets (Tofino).
-	Stages, SRAMBlocks, TCAMBlocks, PHVBits int
-	StagePct, SRAMPct, TCAMPct, PHVPct      float64
-	// Software-offload fields, populated by the eBPF target.
-	Insns, Maps, MapBytes int
-	InsnPct, MemlockPct   float64
-	// SmartNIC/DPU fields: accelerator residency and punt economics.
-	AccelTables, CoreTables, AccelEntries, AccelBytes int
-	NICTCAMRows, PuntQueueDepth                       int
-	AccelPct                                          float64
-	TablePunts                                        map[string]uint64
-}
-
 // HelloInfo describes the device.
 type HelloInfo struct {
 	TargetName  string
@@ -102,7 +86,7 @@ type Response struct {
 	Hello     *HelloInfo
 	Status    map[string]uint64
 	Report    []byte // gob-encoded core.Report for ReqFetchReport
-	Resources *ResourcesMsg
+	Resources []byte // gob-encoded target.ResourceReport for ReqReadResources
 }
 
 // OK reports whether the response carries no error.
@@ -354,8 +338,8 @@ func (c *Client) ReadStatus() (map[string]uint64, error) {
 	return resp.Status, nil
 }
 
-// ReadResources fetches the target's resource report.
-func (c *Client) ReadResources() (*ResourcesMsg, error) {
+// ReadResources fetches the target's resource report, still encoded.
+func (c *Client) ReadResources() ([]byte, error) {
 	resp, err := c.Call(&Request{Kind: ReqReadResources})
 	if err != nil {
 		return nil, err

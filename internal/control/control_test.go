@@ -36,7 +36,7 @@ func (f *fakeHandler) Handle(req *Request) *Response {
 	case ReqReadStatus:
 		return &Response{Status: map[string]uint64{"parser.accept": 42}}
 	case ReqReadResources:
-		return &Response{Resources: &ResourcesMsg{LUTs: 100, LUTPct: 1.5}}
+		return &Response{Resources: []byte("resources-blob")}
 	case ReqConfigureGen:
 		f.spec = append([]byte(nil), req.Spec...)
 		return &Response{}
@@ -91,8 +91,8 @@ func TestPipeRoundTrip(t *testing.T) {
 	}
 
 	res, err := cli.ReadResources()
-	if err != nil || res.LUTs != 100 || res.LUTPct != 1.5 {
-		t.Fatalf("resources = %+v, %v", res, err)
+	if err != nil || string(res) != "resources-blob" {
+		t.Fatalf("resources = %q, %v", res, err)
 	}
 
 	if err := cli.ConfigureGen([]byte{9, 9, 9}); err != nil {

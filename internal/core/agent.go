@@ -19,41 +19,36 @@ type TestSpec struct {
 	Check CheckSpec
 }
 
-// EncodeTestSpec serializes a spec for the control channel.
-func EncodeTestSpec(spec *TestSpec) ([]byte, error) {
+// encodeWire gob-encodes v, one of the payloads the control channel
+// carries as opaque bytes; what names it in the error.
+func encodeWire(what string, v any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(spec); err != nil {
-		return nil, fmt.Errorf("core: encoding test spec: %w", err)
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("core: encoding %s: %w", what, err)
 	}
 	return buf.Bytes(), nil
 }
+
+// decodeWire reverses encodeWire.
+func decodeWire[T any](what string, b []byte) (*T, error) {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
+		return nil, fmt.Errorf("core: decoding %s: %w", what, err)
+	}
+	return &v, nil
+}
+
+// EncodeTestSpec serializes a spec for the control channel.
+func EncodeTestSpec(spec *TestSpec) ([]byte, error) { return encodeWire("test spec", spec) }
 
 // DecodeTestSpec reverses EncodeTestSpec.
-func DecodeTestSpec(b []byte) (*TestSpec, error) {
-	var spec TestSpec
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&spec); err != nil {
-		return nil, fmt.Errorf("core: decoding test spec: %w", err)
-	}
-	return &spec, nil
-}
+func DecodeTestSpec(b []byte) (*TestSpec, error) { return decodeWire[TestSpec]("test spec", b) }
 
 // EncodeReport serializes a report for the control channel.
-func EncodeReport(r *Report) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("core: encoding report: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+func EncodeReport(r *Report) ([]byte, error) { return encodeWire("report", r) }
 
 // DecodeReport reverses EncodeReport.
-func DecodeReport(b []byte) (*Report, error) {
-	var r Report
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return nil, fmt.Errorf("core: decoding report: %w", err)
-	}
-	return &r, nil
-}
+func DecodeReport(b []byte) (*Report, error) { return decodeWire[Report]("report", b) }
 
 // Agent is the device-resident half of NetDebug: it owns the test packet
 // generator and output checker hardware modules and serves the host tool's
@@ -236,21 +231,11 @@ func (a *Agent) Handle(req *control.Request) *control.Response {
 	case control.ReqReadStatus:
 		return &control.Response{Status: a.dev.Status()}
 	case control.ReqReadResources:
-		r := a.dev.Target().Resources()
-		return &control.Response{Resources: &control.ResourcesMsg{
-			LUTs: r.LUTs, FFs: r.FFs, BRAMs: r.BRAMs,
-			LUTPct: r.LUTPct, FFPct: r.FFPct, BRAMPct: r.BRAMPct,
-			Stages: r.Stages, SRAMBlocks: r.SRAMBlocks,
-			TCAMBlocks: r.TCAMBlocks, PHVBits: r.PHVBits,
-			StagePct: r.StagePct, SRAMPct: r.SRAMPct,
-			TCAMPct: r.TCAMPct, PHVPct: r.PHVPct,
-			Insns: r.Insns, Maps: r.Maps, MapBytes: r.MapBytes,
-			InsnPct: r.InsnPct, MemlockPct: r.MemlockPct,
-			AccelTables: r.AccelTables, CoreTables: r.CoreTables,
-			AccelEntries: r.AccelEntries, AccelBytes: r.AccelBytes,
-			NICTCAMRows: r.NICTCAMRows, PuntQueueDepth: r.PuntQueueDepth,
-			AccelPct: r.AccelPct, TablePunts: r.TablePunts,
-		}}
+		b, err := encodeWire("resource report", a.dev.Target().Resources())
+		if err != nil {
+			return fail(err)
+		}
+		return &control.Response{Resources: b}
 	case control.ReqConfigureGen:
 		spec, err := DecodeTestSpec(req.Spec)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"netdebug/internal/control"
 	"netdebug/internal/dataplane"
+	"netdebug/internal/target"
 )
 
 // Controller is the host-side software tool. It speaks to the in-device
@@ -64,7 +65,13 @@ func (c *Controller) Status() (map[string]uint64, error) { return c.cli.ReadStat
 
 // Resources reads the target's hardware resource report — the resources
 // quantification use case.
-func (c *Controller) Resources() (*control.ResourcesMsg, error) { return c.cli.ReadResources() }
+func (c *Controller) Resources() (*target.ResourceReport, error) {
+	b, err := c.cli.ReadResources()
+	if err != nil {
+		return nil, err
+	}
+	return decodeWire[target.ResourceReport]("resource report", b)
+}
 
 // RunTest ships the spec to the device, runs it, and collects the report.
 func (c *Controller) RunTest(spec *TestSpec) (*Report, error) {

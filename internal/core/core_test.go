@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -524,15 +525,42 @@ func TestAgentErrors(t *testing.T) {
 	}
 }
 
+// TestControllerResources: the report the controller reads over the
+// control wire is the one the target gave — every number and the form it
+// renders in — on every shipped backend, for a program with tables and
+// for one without (where nothing but the form says what kind of
+// footprint the zeros are).
 func TestControllerResources(t *testing.T) {
-	ctl := Connect(newAgent(t, target.NewSDNet(target.DefaultErrata())))
-	defer ctl.Close()
-	res, err := ctl.Resources()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LUTs <= 0 || res.LUTPct <= 0 {
-		t.Fatalf("resources: %+v", res)
+	for _, kind := range target.ShippedKinds {
+		for _, src := range []string{p4test.Router, p4test.Reflector} {
+			tgt, err := target.ForKind(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := compile.Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tgt.Load(prog); err != nil {
+				t.Fatal(err)
+			}
+			dev, err := device.New(device.Config{Target: tgt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl := Connect(NewAgent(dev))
+			res, err := ctl.Resources()
+			ctl.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if local := tgt.Resources(); !reflect.DeepEqual(*res, local) || res.String() != local.String() {
+				t.Errorf("%s: over the wire %+v (%s), locally %+v (%s)", kind, *res, res, local, local)
+			}
+			if kind == target.KindSDNet && (res.LUTs <= 0 || res.LUTPct <= 0) {
+				t.Errorf("sdnet resources: %+v", res)
+			}
+		}
 	}
 }
 

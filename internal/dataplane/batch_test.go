@@ -53,9 +53,10 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 func TestProcessBatchAllocFree(t *testing.T) {
 	e := routerEngine(t)
 	frame := packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 200, []byte("data"))
-	pkts := e.AcquireBatch(nil, 8)
-	for _, ctx := range pkts {
-		ctx.In = frame
+	pkts := make([]*Context, 8)
+	for i := range pkts {
+		pkts[i] = e.NewContext()
+		pkts[i].In = frame
 	}
 	e.ProcessBatch(pkts) // warm up per-context buffers
 	allocs := testing.AllocsPerRun(200, func() {
@@ -64,26 +65,5 @@ func TestProcessBatchAllocFree(t *testing.T) {
 	perPacket := allocs / float64(len(pkts))
 	if perPacket > maxProcessAllocs {
 		t.Errorf("batch: %v allocs/packet, want <= %d", perPacket, maxProcessAllocs)
-	}
-	e.ReleaseBatch(pkts)
-}
-
-func TestAcquireBatchReuse(t *testing.T) {
-	e := routerEngine(t)
-	pkts := e.AcquireBatch(nil, 4)
-	if len(pkts) != 4 {
-		t.Fatalf("batch size %d, want 4", len(pkts))
-	}
-	e.ReleaseBatch(pkts)
-	if raceEnabled {
-		t.Skip("sync.Pool allocates under race instrumentation")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		pkts = e.AcquireBatch(pkts, 4)
-		e.ReleaseBatch(pkts)
-	})
-	// Pool round-trips may cost a few words but must not rebuild contexts.
-	if allocs > 4 {
-		t.Errorf("acquire/release cycle: %v allocs, want <= 4", allocs)
 	}
 }

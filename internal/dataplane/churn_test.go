@@ -327,8 +327,10 @@ func TestChurnUnderTrafficSerialized(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		pkts := eng.AcquireBatch(nil, 8)
-		defer eng.ReleaseBatch(pkts)
+		pkts := make([]*Context, 8)
+		for i := range pkts {
+			pkts[i] = eng.NewContext()
+		}
 		for i := 0; i < rounds; i++ {
 			for _, ctx := range pkts {
 				ctx.In = frame

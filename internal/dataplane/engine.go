@@ -27,8 +27,8 @@
 // makes that safe, and targets run it.
 //
 // The packet hot path (Process with CollectTrace off) performs no heap
-// allocations in steady state: per-packet state lives in the Context
-// (reusable, poolable via AcquireContext/ReleaseContext), a lookup packs
+// allocations in steady state: per-packet state lives in a Context its
+// caller owns and reuses (a target keeps one per burst slot), a lookup packs
 // its key into per-table scratch words — walked by the trie of an lpm
 // table, hashed per mask tuple against one open-addressed index for a
 // ternary table, an exact table being one of a single all-ones tuple — and
@@ -38,7 +38,6 @@ package dataplane
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"netdebug/internal/p4/ir"
 	"netdebug/internal/stats"
@@ -73,8 +72,7 @@ func (v Verdict) String() string {
 const maxParserStates = 256
 
 // Context is the per-packet execution state. Obtain one from
-// Engine.NewContext (or the pooled AcquireContext) and reuse it across
-// packets.
+// Engine.NewContext and reuse it across packets.
 type Context struct {
 	// slots holds every value of the packet's: fields, validity, locals,
 	// action parameters, the plan's constants and temporaries (plan.go).
@@ -117,8 +115,6 @@ type Engine struct {
 	// concatenates counter names (per-state, per-header and per-table ones
 	// sit in their plans).
 	cAccept, cReject, cTooShort, cLoop *stats.Counter
-
-	ctxPool sync.Pool
 }
 
 // New builds an engine for prog: the table states, the counters and the
@@ -237,20 +233,6 @@ func (e *Engine) LPMStats(name string) (entries, nodes, bytes int) {
 func (e *Engine) NewContext() *Context {
 	return &Context{slots: slices.Clone(e.plan.init)}
 }
-
-// AcquireContext returns a pooled context (allocating one only when the
-// pool is empty). Pair with ReleaseContext for allocation-free
-// steady-state processing.
-func (e *Engine) AcquireContext() *Context {
-	if c, ok := e.ctxPool.Get().(*Context); ok {
-		return c
-	}
-	return e.NewContext()
-}
-
-// ReleaseContext returns a context to the pool. The context (and any
-// Trace or output bytes borrowed from it) must not be used afterwards.
-func (e *Engine) ReleaseContext(ctx *Context) { e.ctxPool.Put(ctx) }
 
 // Reset prepares the context for a new packet.
 func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
@@ -589,32 +571,14 @@ func (e *Engine) Process(ctx *Context, pkt []byte, ingressPort uint64) (out []by
 // ctx.Out (nil if dropped) and ctx.Egress. Each context keeps its own
 // output buffer, so all results of the batch are alive at once — the
 // contract per-packet Process cannot offer, since its return value is
-// invalidated by the next call on the same context. Per-packet overhead
-// (context pool traffic, result staging) is paid once per batch by the
-// caller, and the hot path stays allocation-free in steady state.
+// invalidated by the next call on the same context. The caller owns the
+// contexts and reuses them burst after burst, so the hot path stays
+// allocation-free in steady state.
 //
 // Contexts must be distinct; a context may carry trace collection
 // (CollectTrace) exactly as with Process.
 func (e *Engine) ProcessBatch(pkts []*Context) {
 	for _, ctx := range pkts {
 		ctx.Out, ctx.Egress = e.Process(ctx, ctx.In, ctx.InPort)
-	}
-}
-
-// AcquireBatch returns n pooled contexts, growing dst as needed — the
-// batch-mode companion of AcquireContext. Release the whole batch with
-// ReleaseBatch when its outputs are no longer referenced.
-func (e *Engine) AcquireBatch(dst []*Context, n int) []*Context {
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, e.AcquireContext())
-	}
-	return dst
-}
-
-// ReleaseBatch returns every context of a batch to the pool.
-func (e *Engine) ReleaseBatch(pkts []*Context) {
-	for _, ctx := range pkts {
-		e.ReleaseContext(ctx)
 	}
 }

@@ -251,9 +251,6 @@ func TestPlanActionCorners(t *testing.T) {
 // TestProcessAllocFree: the plan's packet path allocates nothing, on the
 // lpm router and on the ternary firewall.
 func TestProcessAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	frame := packet.BuildTCPv4(macA, macB, ipA, ipB, 1, 443, 0x12, nil)
 	for name, e := range map[string]*Engine{"router": routerEngine(t), "firewall": firewallEngine(t)} {
 		ctx := e.NewContext()

@@ -77,27 +77,6 @@ func TestProcessAllocsRejectPath(t *testing.T) {
 	assertProcessAllocs(t, "reject", routerEngine(t), bad, false)
 }
 
-// TestContextPoolReuse verifies Acquire/Release recycle contexts without
-// allocating in steady state.
-func TestContextPoolReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool allocates under race instrumentation")
-	}
-	e := routerEngine(t)
-	frame := packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 200, nil)
-	ctx := e.AcquireContext()
-	e.Process(ctx, frame, 0)
-	e.ReleaseContext(ctx)
-	allocs := testing.AllocsPerRun(500, func() {
-		c := e.AcquireContext()
-		e.Process(c, frame, 0)
-		e.ReleaseContext(c)
-	})
-	if allocs > maxProcessAllocs {
-		t.Errorf("pooled process: %v allocs, want <= %d", allocs, maxProcessAllocs)
-	}
-}
-
 // TestTraceStillRecordedWhenEnabled guards against the zero-cost-trace
 // optimization silencing tracing entirely.
 func TestTraceStillRecordedWhenEnabled(t *testing.T) {
@@ -135,9 +114,6 @@ func TestContextSizeClass(t *testing.T) {
 // however many states and tables the frame visits — and only what the
 // frame reaches, so a parser-rejected frame pays for the states alone.
 func TestTraceAllocsSizedOnce(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	udp := packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 200, []byte("data"))
 	rejected := append([]byte(nil), udp...)
 	rejected[14] = 0x65

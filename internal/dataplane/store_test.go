@@ -180,9 +180,6 @@ func TestTernaryStoreModel(t *testing.T) {
 // and a reinstall links into it, so what the pair allocates must not
 // depend on how many entries the group (or the table) holds.
 func TestTernaryDeleteReinstallAllocsFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	measure := func(resident int) float64 {
 		ts := aclTable(t, aclEntry, resident)
 		act := &actionPlan{def: ts.def.Actions[0]}
@@ -360,9 +357,6 @@ func TestTernaryWideKeyHiWordGroups(t *testing.T) {
 // TestTernaryLookupAllocFree64Groups: a lookup over 64 mask tuples packs
 // the key into table-owned scratch and allocates nothing.
 func TestTernaryLookupAllocFree64Groups(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
 	ts := aclTable(t, acl64Entry, 4096)
 	if len(ts.groups) != 64 {
 		t.Fatalf("fixture has %d groups, want 64", len(ts.groups))

@@ -116,18 +116,14 @@ func TestCaptureDisabledSkipsRetention(t *testing.T) {
 		t.Fatalf("tx.frames = %d, want 1", got)
 	}
 
-	// Steady state: no allocations on the external path without capture
-	// (race instrumentation allocates, so the floor is only asserted on
-	// the plain job).
-	if !raceEnabled {
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := d.SendExternal(0, frame, d.Now()); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Errorf("SendExternal with capture off: %v allocs/frame, want 0", allocs)
+	// Steady state: no allocations on the external path without capture.
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := d.SendExternal(0, frame, d.Now()); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs > 0 {
+		t.Errorf("SendExternal with capture off: %v allocs/frame, want 0", allocs)
 	}
 
 	// Re-enabling restores retention.

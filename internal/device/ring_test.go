@@ -225,9 +225,6 @@ func TestCaptureRingRecyclesSegments(t *testing.T) {
 // retained (ring mode) and with capture off, mirroring the Engine.Process
 // alloc tests.
 func TestSendExternalBurstAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation floor not meaningful under the race detector")
-	}
 	const n = 64
 	frames := make([][]byte, n)
 	for i := range frames {

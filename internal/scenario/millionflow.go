@@ -169,16 +169,6 @@ type SweepPoint struct {
 	PuntRate float64
 }
 
-// newSweepTarget builds the named backend — the same kind vocabulary as
-// everywhere else (target.ForKind).
-func newSweepTarget(name string) (target.Target, error) {
-	tgt, err := target.ForKind(name)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: unknown sweep backend %q", name)
-	}
-	return tgt, nil
-}
-
 // aclMaskTemplates is the default pool of ternary mask tuples — the
 // "few templates, many flows" shape of real ACLs.
 var aclMaskTemplates = func() [][3]bitfield.Value {
@@ -309,9 +299,9 @@ func MillionFlowSweep(opts SweepOptions) ([]SweepPoint, error) {
 	var points []SweepPoint
 	for _, backend := range opts.Backends {
 		for _, occ := range opts.Occupancies {
-			tgt, err := newSweepTarget(backend)
+			tgt, err := target.ForKind(backend)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("scenario: sweep backend: %w", err)
 			}
 			if err := tgt.Load(prog); err != nil {
 				return nil, fmt.Errorf("scenario: %s load: %w", backend, err)

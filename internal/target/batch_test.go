@@ -5,9 +5,12 @@ package target
 // survive interleaved single-packet Process calls.
 
 import (
-	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
+	"netdebug/internal/dataplane"
 	"netdebug/internal/packet"
 )
 
@@ -29,43 +32,118 @@ func batchFrames() [][]byte {
 	return out
 }
 
+// equivalenceFrames is the burst every kind is held to: frames that hit,
+// miss, get rejected by the parser (forwarded by the sdnet erratum and the
+// smartnic fail-open exception path), are too short to parse, and are
+// longer than the smartnic punt MTU — well formed (punted on the firewall,
+// whose acl is core-resident) and malformed (the fail-open re-run), so a
+// punted forward is truncated. Far fewer than a punt ring's worth: past
+// the ring a burst and the same frames one by one differ by design.
+func equivalenceFrames() [][]byte {
+	frames := batchFrames()
+	long := packet.BuildUDPv4(macA, macB, ipA, ipB, 40000, 53, make([]byte, 300))
+	longBad := append([]byte(nil), long...)
+	longBad[14] = 0x65
+	return append(frames,
+		packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{172, 16, 5, 9}, 40000, 53, make([]byte, 26)),
+		goodFrame()[:16],
+		long, longBad,
+		packet.BuildUDPv4(macA, macB, ipA, ipB, 40000, 53, make([]byte, 6)))
+}
+
+// observed is everything of a Result the equivalence compares, with the
+// output bytes copied out of the target's scratch.
+type observed struct {
+	out     Outcome
+	latency time.Duration
+	key     uint64
+	dropped bool
+	drop    dataplane.DropReason
+	control uint16
+}
+
+func observe(r Result) observed {
+	return observed{OutcomeOf(r), r.Latency, r.Trace.Key(0), r.Trace.Dropped, r.Trace.Drop, r.Trace.DropControl}
+}
+
+// statusDelta is what a run added to each of the target's counters.
+func statusDelta(before, after map[string]uint64) map[string]uint64 {
+	d := make(map[string]uint64, len(after))
+	for k, v := range after {
+		if v != before[k] {
+			d[k] = v - before[k]
+		}
+	}
+	return d
+}
+
+// TestProcessBatchMatchesProcess: on every kind of the kind table, a burst
+// through ProcessBatch and the same frames one by one through Process are
+// the same observation frame for frame — output bytes, egress port,
+// latency, trace key, drop reason — and move the same counters by the
+// same amounts. All results of the burst are valid at once, and stay so
+// across a single-packet Process on the same target.
 func TestProcessBatchMatchesProcess(t *testing.T) {
-	for _, mk := range []func() Target{
-		NewReference,
-		func() Target { return NewSDNet(DefaultErrata()) },
-	} {
-		tgt := batchRouter(t, mk())
-		frames := batchFrames()
-		var wantDropped []bool
-		var wantData [][]byte
-		for _, f := range frames {
-			r := tgt.Process(f, 0, false)
-			wantDropped = append(wantDropped, r.Dropped())
-			if r.Dropped() {
-				wantData = append(wantData, nil)
-			} else {
-				wantData = append(wantData, append([]byte(nil), r.Outputs[0].Data...))
+	fixtures := []struct {
+		name string
+		load func(testing.TB, Target)
+	}{
+		{"router", loadRouter},
+		{"firewall", firewallFixture},
+	}
+	frames := equivalenceFrames()
+	for _, kind := range Kinds {
+		for _, fx := range fixtures {
+			tgt, err := ForKind(kind)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		results := tgt.ProcessBatch(frames, 0, false)
-		if len(results) != len(frames) {
-			t.Fatalf("%s: %d results, want %d", tgt.Name(), len(results), len(frames))
-		}
-		for i, r := range results {
-			if r.Dropped() != wantDropped[i] {
-				t.Errorf("%s frame %d: dropped %v, want %v", tgt.Name(), i, r.Dropped(), wantDropped[i])
-				continue
-			}
-			if !r.Dropped() && !bytes.Equal(r.Outputs[0].Data, wantData[i]) {
-				t.Errorf("%s frame %d: output differs from single-packet path", tgt.Name(), i)
-			}
-		}
-		// All batch outputs must be valid simultaneously, even after an
-		// interleaved single-packet Process on the same target.
-		tgt.Process(frames[0], 0, false)
-		for i, r := range results {
-			if !r.Dropped() && !bytes.Equal(r.Outputs[0].Data, wantData[i]) {
-				t.Errorf("%s frame %d: batch output clobbered by later Process", tgt.Name(), i)
+			fx.load(t, tgt)
+			for _, trace := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/trace=%v", kind, fx.name, trace)
+				s0 := tgt.Status()
+				var want []observed
+				for _, f := range frames {
+					want = append(want, observe(tgt.Process(f, 0, trace)))
+				}
+				s1 := tgt.Status()
+				results := tgt.ProcessBatch(frames, 0, trace)
+				s2 := tgt.Status()
+				if len(results) != len(frames) {
+					t.Fatalf("%s: %d results, want %d", name, len(results), len(frames))
+				}
+				tgt.Process(frames[0], 0, trace)
+				forwarded := 0
+				for i, r := range results {
+					if got := observe(r); got != want[i] {
+						t.Errorf("%s frame %d: batch %+v, single %+v", name, i, got, want[i])
+					}
+					if trace && len(r.Trace.States) == 0 {
+						t.Errorf("%s frame %d: no parser path with trace on", name, i)
+					}
+					if !r.Dropped() {
+						forwarded++
+					}
+				}
+				// The shipped smartnic must have taken every branch of its
+				// exception path: a table punt, a fail-open re-run (a
+				// parser punt that forwards) and a truncated forward.
+				if kind == KindSmartNIC {
+					d := statusDelta(s1, s2)
+					clipped := false
+					for _, r := range results {
+						clipped = clipped || !r.Dropped() && len(r.Outputs[0].Data) == smartnicPuntMTU
+					}
+					if d["smartnic.punt.parser"] == 0 || d["smartnic.punt.total"] <= d["smartnic.punt.parser"] || !clipped {
+						t.Errorf("%s: exception path not covered: %v, clipped %v", name, d, clipped)
+					}
+				}
+				if forwarded == 0 || forwarded == len(frames) {
+					t.Errorf("%s: %d of %d frames forwarded, the burst should mix verdicts", name, forwarded, len(frames))
+				}
+				if single, batch := statusDelta(s0, s1), statusDelta(s1, s2); !reflect.DeepEqual(single, batch) {
+					t.Errorf("%s: status moved by %v frame by frame, by %v as a burst", name, single, batch)
+				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"netdebug/internal/bitfield"
 	"netdebug/internal/dataplane"
+	"netdebug/internal/p4/ir"
 	"netdebug/internal/p4/p4test"
 	"netdebug/internal/packet"
 )
@@ -312,29 +313,27 @@ S(MFParser(), MFIngress(), MFDeparser()) main;`
 // and docs quote.
 func TestEBPFSweepGrantCapacities(t *testing.T) {
 	prog := mustProg(t, millionFlowStyleProgram)
-	e := DefaultEBPFErrata()
-	e.fill()
-	maps, err := allocateMaps(prog.Tables(), e)
+	placed, err := NewEBPF(DefaultEBPFErrata()).(*backend).m.place(prog.Tables())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]struct {
-		kind       ebpfMapKind
+		kind       ir.MatchKind
 		entryBytes int
 		capacity   int
 	}{
-		"t_exact": {mapHash, 72, 621378},
-		"t_lpm":   {mapLPMTrie, 112, 399457},
-		"t_acl":   {mapMaskScan, 48, 932067},
+		"t_exact": {ir.MatchExact, 72, 621378},
+		"t_lpm":   {ir.MatchLPM, 112, 399457},
+		"t_acl":   {ir.MatchTernary, 48, 932067},
 	}
-	for name, w := range want {
-		m := maps[name]
-		if m == nil {
-			t.Fatalf("no map for %s", name)
-		}
-		if m.kind != w.kind || m.entryBytes != w.entryBytes || m.capacity != w.capacity {
+	if len(placed) != len(want) {
+		t.Fatalf("%d tables placed, want %d", len(placed), len(want))
+	}
+	for _, p := range placed {
+		w := want[p.table.Name]
+		if p.kind != w.kind || p.granule != w.entryBytes || p.capacity != w.capacity {
 			t.Errorf("%s: kind=%v entryBytes=%d capacity=%d, want %v/%d/%d",
-				name, m.kind, m.entryBytes, m.capacity, w.kind, w.entryBytes, w.capacity)
+				p.table.Name, p.kind, p.granule, p.capacity, w.kind, w.entryBytes, w.capacity)
 		}
 	}
 }

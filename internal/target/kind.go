@@ -9,11 +9,15 @@ package target
 // package localize splits with it — there is no second implementation
 // of the majority/anchor policy anywhere in the repository.
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"strings"
+)
 
-// Kind names for ForKind, mirroring the netdebug facade's TargetKind
-// vocabulary so lower-level harnesses (the resident session layer, the
-// CLI) can construct backends from the same strings.
+// Kind names: the one vocabulary the netdebug facade's TargetKind
+// constants, the resident session layer and the CLIs' -target flags are
+// spelled in.
 const (
 	KindReference   = "reference"
 	KindSDNet       = "sdnet"
@@ -27,12 +31,40 @@ const (
 	KindSmartNICFixed = "smartnic-fixed"
 )
 
-// ShippedKinds lists the default-errata backend set in canonical order —
-// the five-way comparison matrix the differential harnesses (the
-// scenario suite, the internal/fuzz lockstep fleet) drive with the same
-// probes. An even voter count means strict majority alone cannot always
-// localize: see the reference-anchored tie-break in Vote.
-var ShippedKinds = []string{KindReference, KindSDNet, KindTofino, KindEBPF, KindSmartNIC}
+// kinds is the kind table, in canonical order: every backend ForKind
+// builds, with its default errata or — the -fixed rows — with every
+// defect repaired. ForKind, Kinds and ShippedKinds are all read from it.
+var kinds = []struct {
+	kind    string
+	shipped bool // default errata: a column of the comparison matrix
+	build   func() Target
+}{
+	{KindReference, true, NewReference},
+	{KindSDNet, true, func() Target { return NewSDNet(DefaultErrata()) }},
+	{KindSDNetFixed, false, func() Target { return NewSDNet(FixedErrata()) }},
+	{KindTofino, true, func() Target { return NewTofino(DefaultTofinoErrata()) }},
+	{KindTofinoFixed, false, func() Target { return NewTofino(FixedTofinoErrata()) }},
+	{KindEBPF, true, func() Target { return NewEBPF(DefaultEBPFErrata()) }},
+	{KindEBPFFixed, false, func() Target { return NewEBPF(FixedEBPFErrata()) }},
+	{KindSmartNIC, true, func() Target { return NewSmartNIC(DefaultSmartNICErrata()) }},
+	{KindSmartNICFixed, false, func() Target { return NewSmartNIC(FixedSmartNICErrata()) }},
+}
+
+// Kinds lists every kind ForKind accepts, in the kind table's order, and
+// ShippedKinds the default-errata backend set — the five-way comparison
+// matrix the differential harnesses (the scenario suite, the
+// internal/fuzz lockstep fleet) drive with the same probes. An even voter
+// count means strict majority alone cannot always localize: see the
+// reference-anchored tie-break in Vote.
+var Kinds, ShippedKinds = func() (all, shipped []string) {
+	for _, k := range kinds {
+		all = append(all, k.kind)
+		if k.shipped {
+			shipped = append(shipped, k.kind)
+		}
+	}
+	return all, shipped
+}()
 
 // Outcome is what a backend observably did with one frame — dropped it,
 // or forwarded these bytes to this port — as a comparable value: the
@@ -92,25 +124,10 @@ func Vote[T comparable](outs []T, ref int) (agreed T, anchored, ok bool) {
 // for the -fixed variants, fully repaired) errata. The empty string
 // selects the reference target.
 func ForKind(kind string) (Target, error) {
-	switch kind {
-	case "", KindReference:
-		return NewReference(), nil
-	case KindSDNet:
-		return NewSDNet(DefaultErrata()), nil
-	case KindSDNetFixed:
-		return NewSDNet(FixedErrata()), nil
-	case KindTofino:
-		return NewTofino(DefaultTofinoErrata()), nil
-	case KindTofinoFixed:
-		return NewTofino(FixedTofinoErrata()), nil
-	case KindEBPF:
-		return NewEBPF(DefaultEBPFErrata()), nil
-	case KindEBPFFixed:
-		return NewEBPF(FixedEBPFErrata()), nil
-	case KindSmartNIC:
-		return NewSmartNIC(DefaultSmartNICErrata()), nil
-	case KindSmartNICFixed:
-		return NewSmartNIC(FixedSmartNICErrata()), nil
+	for _, k := range kinds {
+		if k.kind == cmp.Or(kind, KindReference) {
+			return k.build(), nil
+		}
 	}
-	return nil, fmt.Errorf("target: unknown kind %q", kind)
+	return nil, fmt.Errorf("target: unknown kind %q (have %s)", kind, strings.Join(Kinds, ", "))
 }

@@ -2,6 +2,7 @@ package target
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"netdebug/internal/p4/ir"
@@ -52,61 +53,42 @@ func FixedErrata() Errata {
 // still well under the serialization time of a full-size frame.
 const sdnetLatency = 440 * time.Nanosecond
 
-// sdnet models the Xilinx SDNet compilation flow: the program is
-// transformed per the flow's errata before execution, and resource usage
-// is estimated for the generated RTL. Program returns the transformed IR
-// — on the default errata, reject transitions have been rewritten to
-// accept, so program-level analyses of it see the deployed (buggy)
-// semantics.
-type sdnet struct {
-	pipeline
-	errata    Errata
-	resources ResourceReport
-}
-
-// NewSDNet returns a target modelling the SDNet flow with the given
-// errata.
+// NewSDNet returns a target modelling the Xilinx SDNet compilation flow
+// with the given errata: the program is transformed per the flow's errata
+// before execution, and resource usage is estimated for the generated
+// RTL. Program returns the transformed IR — on the default errata, reject
+// transitions have been rewritten to accept, so program-level analyses of
+// it see the deployed (buggy) semantics.
 func NewSDNet(e Errata) Target {
-	return &sdnet{pipeline: pipeline{latency: sdnetLatency}, errata: e}
-}
-
-func (s *sdnet) Name() string { return "sdnet" }
-
-func (s *sdnet) Load(prog *ir.Program) error {
-	if prog == nil {
-		return fmt.Errorf("target: sdnet: nil program")
-	}
-	if s.errata.MaxTernaryKeyBits > 0 {
+	m := model{name: KindSDNet, form: FormFPGA, latency: sdnetLatency, resources: estimateResources}
+	limit := e.MaxTernaryKeyBits
+	m.admit = func(prog *ir.Program) error {
 		for _, t := range prog.Tables() {
 			for i, k := range t.Keys {
-				if k.Kind == ir.MatchTernary && k.Expr.Width() > s.errata.MaxTernaryKeyBits {
+				if w := k.Expr.Width(); limit > 0 && k.Kind == ir.MatchTernary && w > limit {
 					return fmt.Errorf("target: sdnet: table %s key %d: ternary key of %d bits exceeds the %d-bit TCAM limit",
-						t.Name, i, k.Expr.Width(), s.errata.MaxTernaryKeyBits)
+						t.Name, i, w, limit)
 				}
 			}
 		}
+		return nil
 	}
-	compiled := prog
-	if !s.errata.ImplementsReject {
-		compiled = rewriteRejectToAccept(prog)
+	if !e.ImplementsReject {
+		m.rewrite = rewriteRejectToAccept
 	}
-	if err := s.load(compiled); err != nil {
-		return fmt.Errorf("target: sdnet: %w", err)
-	}
-	if s.errata.UsableCapacityNum > 0 && s.errata.UsableCapacityDen > 0 {
-		for _, t := range compiled.Tables() {
-			usable := t.Size * s.errata.UsableCapacityNum / s.errata.UsableCapacityDen
-			if usable < 1 {
-				usable = 1
-			}
-			s.eng.SetTableCapacity(t.Name, usable)
+	if e.UsableCapacityNum > 0 && e.UsableCapacityDen > 0 {
+		// Every table has BRAM of its own — the flow never refuses one
+		// for memory, the report just reads 100 % — so the pool has no
+		// bound and a table asks it only for the entries packing leaves
+		// usable, at least one.
+		m.pools = []pool{{"BRAM", math.MaxInt}}
+		m.claim = func(t *ir.Table) (claim, error) {
+			usable := max(1, t.Size*e.UsableCapacityNum/e.UsableCapacityDen)
+			return claim{pool: "BRAM", granule: 1, per: 1, entries: usable}, nil
 		}
 	}
-	s.resources = estimateResources(compiled)
-	return nil
+	return &backend{m: m}
 }
-
-func (s *sdnet) Resources() ResourceReport { return s.resources }
 
 // rewriteRejectToAccept returns a copy of prog whose parser never
 // transitions to reject: the unimplemented-reject erratum. Only the
@@ -142,8 +124,10 @@ func rewriteRejectToAccept(prog *ir.Program) *ir.Program {
 
 // estimateResources derives an RTL footprint estimate from the compiled
 // IR, in the style of the SDNet resource reports the paper tabulates:
-// a fixed shell (MACs, AXI plumbing, DMA) plus per-construct costs.
-func estimateResources(prog *ir.Program) ResourceReport {
+// a fixed shell (MACs, AXI plumbing, DMA) plus per-construct costs. The
+// placement does not enter into it — BRAM is priced by declared size —
+// and the program is one the engine took: it has a parser and a deparser.
+func estimateResources(prog *ir.Program, _ []placement) ResourceReport {
 	// Shell overhead of the SUME reference design.
 	luts, ffs, brams := 18500, 31400, 116
 
@@ -155,11 +139,9 @@ func estimateResources(prog *ir.Program) ResourceReport {
 	ffs += headerBits * 4
 	luts += headerBits * 2
 
-	if prog.Parser != nil {
-		for _, st := range prog.Parser.States {
-			luts += 220 + 90*len(st.Ops) + 60*len(st.Trans.Cases)
-			ffs += 140
-		}
+	for _, st := range prog.Parser.States {
+		luts += 220 + 90*len(st.Ops) + 60*len(st.Trans.Cases)
+		ffs += 140
 	}
 	for _, c := range prog.Controls {
 		luts += 180 + 45*countStmts(c.Apply)
@@ -171,10 +153,7 @@ func estimateResources(prog *ir.Program) ResourceReport {
 		}
 	}
 	for _, t := range prog.Tables() {
-		keyBits := 0
-		for _, w := range t.KeyWidths() {
-			keyBits += w
-		}
+		key := keyBits(t)
 		actionBits := 0
 		for _, a := range t.Actions {
 			for _, p := range a.Params {
@@ -190,15 +169,13 @@ func estimateResources(prog *ir.Program) ResourceReport {
 		case ir.MatchTernary:
 			perKeyLUTs = 40
 		}
-		luts += 300 + keyBits*perKeyLUTs
-		ffs += keyBits * 3
+		luts += 300 + key*perKeyLUTs
+		ffs += key * 3
 		// Entry storage in 36Kb BRAMs.
-		bits := t.Size * (keyBits + actionBits + 16)
+		bits := t.Size * (key + actionBits + 16)
 		brams += (bits + 36*1024 - 1) / (36 * 1024)
 	}
-	if prog.Deparser != nil {
-		luts += 120 * countStmts(prog.Deparser.Stmts)
-	}
+	luts += 120 * countStmts(prog.Deparser.Stmts)
 	return ResourceReport{
 		LUTs: luts, FFs: ffs, BRAMs: brams,
 		LUTPct:  pct(luts, sumeLUTs),

@@ -1,6 +1,7 @@
 package target
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -100,379 +101,219 @@ const (
 	smartnicPuntLatency = 2500 * time.Nanosecond
 )
 
-func (e *SmartNICErrata) fill() {
-	if e.AccelTableBytes == 0 {
-		e.AccelTableBytes = smartnicAccelBytes
-	}
-	if e.NICTCAMRows == 0 {
-		e.NICTCAMRows = smartnicTCAMRows
-	}
-	if e.NICTCAMKeyBits == 0 {
-		e.NICTCAMKeyBits = smartnicTCAMKeyBits
-	}
-	if e.PuntQueueDepth == 0 {
-		e.PuntQueueDepth = smartnicPuntDepth
-	}
-	if e.PuntMTU == 0 {
-		e.PuntMTU = smartnicPuntMTU
-	}
-}
-
-// snicTable is one table's residency state: where its entries live and
-// the punt bookkeeping for lookups that leave the accelerator.
-type snicTable struct {
-	t *ir.Table
-	// coreResident marks tables the accelerator never holds (ternary
-	// keys wider than the NIC TCAM): every lookup punts.
-	coreResident bool
-	// capacity is the accelerator grant in entries (flow-cache slots or
-	// TCAM rows); 0 for core-resident tables.
-	capacity int
-	// entries and spilled track offload fallback: once installs exceed
-	// the grant, the driver stops offloading the table and every lookup
-	// punts until the count falls back under the grant.
-	entries int
-	spilled bool
-	// hit/miss are the engine's own lookup counters (snapshotted per
-	// frame to classify punts); punts counts this table's punted
-	// lookups.
-	hit, miss *stats.Counter
-	punts     *stats.Counter
-}
-
-func (st *snicTable) puntAlways() bool { return st.coreResident || st.spilled }
-
-// smartnic models a SmartNIC/DPU: embedded cores plus accelerator
-// tables. Exact and LPM lookups that hit the accelerator resolve on the
-// fast path at fixed low latency; misses on populated tables, lookups
-// on core-resident or spilled tables, and parser-rejected frames punt
-// to the core complex (bimodal latency, bounded punt queue). The cores
-// run the same program semantics, so punting changes latency — and,
+// NewSmartNIC returns a target modelling the SmartNIC/DPU flow with the
+// given errata. Lookups that hit the accelerator resolve on the fast path;
+// misses on populated tables, lookups on core-resident or spilled tables,
+// and parser-rejected frames punt to the core complex (see punter). The
+// cores run the same program semantics, so punting changes latency — and,
 // through the two shipped driver defects, sometimes behaviour.
-type smartnic struct {
-	pipeline
-	errata    SmartNICErrata
-	resources ResourceReport
+func NewSmartNIC(e SmartNICErrata) Target {
+	e.AccelTableBytes = cmp.Or(e.AccelTableBytes, smartnicAccelBytes)
+	e.NICTCAMRows = cmp.Or(e.NICTCAMRows, smartnicTCAMRows)
+	e.NICTCAMKeyBits = cmp.Or(e.NICTCAMKeyBits, smartnicTCAMKeyBits)
+	e.PuntQueueDepth = cmp.Or(e.PuntQueueDepth, smartnicPuntDepth)
+	e.PuntMTU = cmp.Or(e.PuntMTU, smartnicPuntMTU)
+	return &backend{m: model{
+		name: KindSmartNIC, form: FormSmartNIC, latency: smartnicFastLatency,
+		// Flow tables (exact/LPM) water-fill the SRAM budget by flow-cache
+		// slot, narrow ternary tables the TCAM by row; a ternary table
+		// wider than the NIC TCAM is left unplaced: core-resident.
+		pools: []pool{{"NIC SRAM", e.AccelTableBytes}, {"NIC TCAM", e.NICTCAMRows}},
+		claim: func(t *ir.Table) (claim, error) {
+			switch kind, _ := t.Match(); {
+			case kind == ir.MatchExact:
+				return claim{pool: "NIC SRAM", granule: smartnicExactEntryBytes, per: 1}, nil
+			case kind == ir.MatchLPM:
+				return claim{pool: "NIC SRAM", granule: smartnicLPMEntryBytes, per: 1}, nil
+			case keyBits(t) > e.NICTCAMKeyBits:
+				return claim{}, nil
+			}
+			return claim{pool: "NIC TCAM", granule: 1, per: 1}, nil
+		},
+		spill: true,
+		punt:  &e,
+	}}
+}
 
+// punter is the exception path of a loaded SmartNIC backend: which
+// tables' lookups leave the accelerator, the punt ring, the core-complex
+// engine, and the counters that say what happened.
+type punter struct {
+	errata SmartNICErrata
 	// core is the core-complex engine for the fail-open exception path:
 	// the same program with reject transitions compiled out, mirrored
 	// table state. Nil unless the defect is enabled.
 	core *dataplane.Engine
-	// Per-frame punt classification scratch.
-	tabs     []*snicTable
-	hitPrev  []uint64
-	missPrev []uint64
-	// queueFree is the punt ring headroom of the burst in flight; reset
-	// at every Process/ProcessBatch call (the ring drains between
-	// bursts).
+	// coreCtx gives each accelerator context a frame failed open in a
+	// core-complex context, so the results of a burst stay valid together.
+	coreCtx map[*dataplane.Context]*dataplane.Context
+	tabs    []puntTable
+	// queueFree is the punt ring headroom of the burst in flight; the
+	// ring drains between bursts.
 	queueFree int
 
-	cFast      *stats.Counter
-	cPunt      *stats.Counter
-	cPuntParse *stats.Counter
-	cQueueDrop *stats.Counter
-
-	// Batch-mode scratch for the fail-open path: one core-complex
-	// context per burst slot, created lazily for slots that need one so
-	// all results of a batch stay valid at once.
-	coreCtxs []*dataplane.Context
-	coreCtx1 *dataplane.Context // single-packet Process scratch
+	cFast, cPunt, cPuntParse, cQueueDrop *stats.Counter
 }
 
-// NewSmartNIC returns a target modelling the SmartNIC/DPU flow with the
-// given errata.
-func NewSmartNIC(e SmartNICErrata) Target {
-	e.fill()
-	return &smartnic{errata: e}
+// puntTable is one table's residency state: its placement — an unplaced
+// table is core-resident, the accelerator never holds it; a placed one
+// has capacity flow-cache slots or TCAM rows — and the punt bookkeeping
+// for lookups that leave the accelerator.
+type puntTable struct {
+	*placement
+	// installed counts the table's entries: one holding more than its
+	// grant has spilled (SmartNICErrata.AccelTableBytes) until the count
+	// falls back under it.
+	installed int
+	// hit/miss are the engine's own lookup counters, hitPrev/missPrev
+	// what they read after the previous frame; punts counts this table's
+	// punted lookups.
+	hit, miss, punts  *stats.Counter
+	hitPrev, missPrev uint64
 }
 
-func (s *smartnic) Name() string { return "smartnic" }
-
-func (s *smartnic) Load(prog *ir.Program) error {
-	if prog == nil {
-		return fmt.Errorf("target: smartnic: nil program")
-	}
-	if err := s.load(prog); err != nil {
-		return fmt.Errorf("target: smartnic: %w", err)
-	}
-	s.core, s.coreCtxs, s.coreCtx1 = nil, nil, nil
-	if s.errata.ExceptionFailOpen {
-		s.core = dataplane.New(rewriteRejectToAccept(prog))
-	}
-
-	// Classify tables and divide the accelerator between them: flow
-	// tables (exact/LPM) water-fill the SRAM budget, narrow ternary
-	// tables water-fill the TCAM rows, wide ternary tables are
-	// core-resident.
-	tables := prog.Tables()
-	s.tabs = s.tabs[:0]
-	var flowIdx, tcamIdx []int
-	var flowReq, tcamReq []int
-	for _, t := range tables {
-		st := &snicTable{
-			t:     t,
-			hit:   s.eng.Counters.Counter("table." + t.Name + ".hit"),
-			miss:  s.eng.Counters.Counter("table." + t.Name + ".miss"),
-			punts: s.eng.Counters.Counter("smartnic.punt.table." + t.Name),
-		}
-		keyBits := 0
-		for _, w := range t.KeyWidths() {
-			keyBits += w
-		}
-		switch kind, _ := t.Match(); {
-		case kind == ir.MatchTernary && keyBits > s.errata.NICTCAMKeyBits:
-			st.coreResident = true
-		case kind == ir.MatchTernary:
-			tcamIdx = append(tcamIdx, len(s.tabs))
-			tcamReq = append(tcamReq, t.Size)
-		default:
-			flowIdx = append(flowIdx, len(s.tabs))
-			flowReq = append(flowReq, t.Size*flowEntryBytes(t))
-		}
-		s.tabs = append(s.tabs, st)
-	}
-	accelBytes := 0
-	for i, grant := range waterfill(flowReq, s.errata.AccelTableBytes) {
-		st := s.tabs[flowIdx[i]]
-		entryBytes := flowEntryBytes(st.t)
-		st.capacity = grant / entryBytes
-		accelBytes += st.capacity * entryBytes
-	}
-	tcamRows := 0
-	for i, grant := range waterfill(tcamReq, s.errata.NICTCAMRows) {
-		s.tabs[tcamIdx[i]].capacity = grant
-		tcamRows += grant
-	}
-	s.hitPrev = make([]uint64, len(s.tabs))
-	s.missPrev = make([]uint64, len(s.tabs))
-
-	s.cFast = s.eng.Counters.Counter("smartnic.fastpath")
-	s.cPunt = s.eng.Counters.Counter("smartnic.punt.total")
-	s.cPuntParse = s.eng.Counters.Counter("smartnic.punt.parser")
-	s.cQueueDrop = s.eng.Counters.Counter("smartnic.punt.queue_drop")
-
-	accel := 0
-	for _, st := range s.tabs {
-		if !st.coreResident {
-			accel++
-		}
-	}
-	s.resources = ResourceReport{
-		AccelTables:    accel,
-		CoreTables:     len(s.tabs) - accel,
-		AccelBytes:     accelBytes + tcamRows*smartnicTCAMRowBytes,
-		NICTCAMRows:    tcamRows,
-		PuntQueueDepth: s.errata.PuntQueueDepth,
-		AccelPct:       pct(accelBytes, s.errata.AccelTableBytes),
-	}
-	for _, st := range s.tabs {
-		s.resources.AccelEntries += st.capacity
-	}
-	return nil
+// puntAlways: the table is core-resident or has spilled.
+func (st *puntTable) puntAlways() bool {
+	return st.pool == "" || st.capacity > 0 && st.installed > st.capacity
 }
 
-// flowEntryBytes is the flow-cache slot cost of a non-ternary table.
-func flowEntryBytes(t *ir.Table) int {
-	if kind, _ := t.Match(); kind == ir.MatchLPM {
-		return smartnicLPMEntryBytes
+func newPunter(e SmartNICErrata, b *backend) *punter {
+	c := b.eng.Counters
+	p := &punter{errata: e, coreCtx: map[*dataplane.Context]*dataplane.Context{}}
+	if e.ExceptionFailOpen {
+		p.core = dataplane.New(rewriteRejectToAccept(b.prog))
 	}
-	return smartnicExactEntryBytes
+	for i := range b.placed {
+		name := b.placed[i].table.Name
+		p.tabs = append(p.tabs, puntTable{
+			placement: &b.placed[i],
+			hit:       c.Counter("table." + name + ".hit"),
+			miss:      c.Counter("table." + name + ".miss"),
+			punts:     c.Counter("smartnic.punt.table." + name),
+		})
+	}
+	p.cFast = c.Counter("smartnic.fastpath")
+	p.cPunt = c.Counter("smartnic.punt.total")
+	p.cPuntParse = c.Counter("smartnic.punt.parser")
+	p.cQueueDrop = c.Counter("smartnic.punt.queue_drop")
+	return p
 }
 
-func (s *smartnic) Process(frame []byte, ingressPort uint64, trace bool) Result {
-	s.queueFree = s.errata.PuntQueueDepth // the punt ring drained
-	ctx := s.eng.AcquireContext()
-	ctx.CollectTrace = trace
-	res := s.run(ctx, s.singleCoreCtx, frame, ingressPort, trace, s.outBuf[:1])
-	s.eng.ReleaseContext(ctx)
-	return res
-}
-
-// singleCoreCtx returns the owned core-complex context for per-packet
-// Process calls (valid until the next call, like the rest of the
-// result).
-func (s *smartnic) singleCoreCtx() *dataplane.Context {
-	if s.coreCtx1 == nil {
-		s.coreCtx1 = s.core.NewContext()
-	}
-	return s.coreCtx1
-}
-
-// ProcessBatch mirrors pipeline.ProcessBatch, but classifies every
-// frame's punt path individually: the shared batch scratch keeps all
-// results valid at once, and fail-open slots get their own lazily
-// created core-complex contexts.
-func (s *smartnic) ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result {
-	s.queueFree = s.errata.PuntQueueDepth
-	for len(s.batchCtx) < len(frames) {
-		s.batchCtx = append(s.batchCtx, s.eng.NewContext())
-	}
-	for len(s.coreCtxs) < len(frames) {
-		s.coreCtxs = append(s.coreCtxs, nil)
-	}
-	if cap(s.batchRes) < len(frames) {
-		s.batchRes = make([]Result, len(frames))
-		s.batchOut = make([]Output, len(frames))
-	}
-	res := s.batchRes[:len(frames)]
-	for i, frame := range frames {
-		ctx := s.batchCtx[i]
-		ctx.CollectTrace = trace
-		slot := i
-		coreCtx := func() *dataplane.Context {
-			if s.coreCtxs[slot] == nil {
-				s.coreCtxs[slot] = s.core.NewContext()
-			}
-			return s.coreCtxs[slot]
-		}
-		res[i] = s.run(ctx, coreCtx, frame, ingressPort, trace, s.batchOut[i:i+1])
-	}
-	return res
-}
-
-// run processes one frame: accelerator first, punt classification from
-// the engine's own lookup counters, then the exception path. out is the
-// caller-owned slot the (at most one) output frame is staged in.
-func (s *smartnic) run(ctx *dataplane.Context, coreCtx func() *dataplane.Context,
-	frame []byte, ingressPort uint64, trace bool, out []Output) Result {
-	for i, st := range s.tabs {
-		s.hitPrev[i] = st.hit.Value()
-		s.missPrev[i] = st.miss.Value()
-	}
-	data, egress := s.eng.Process(ctx, frame, ingressPort)
-	res := Result{Latency: smartnicFastLatency, Trace: ctx.Trace}
-	if data != nil {
-		out[0] = Output{Port: egress, Data: data}
-		res.Outputs = out[:1]
-	}
-
-	// Classify: what, if anything, forced this frame off the fast path?
-	parserPunt := ctx.Trace.Verdict == dataplane.VerdictReject
+// classify decides, from what the engine's own lookup counters gained
+// since the previous frame, what if anything forced the frame the
+// accelerator just ran in ctx off the fast path, and then takes the
+// exception path. out is the one-frame slot res.Outputs is staged in.
+func (p *punter) classify(ctx *dataplane.Context, res *Result, out []Output,
+	frame []byte, ingressPort uint64, trace bool) {
+	parserPunt := res.Trace.Verdict == dataplane.VerdictReject
 	punt := parserPunt
-	for i, st := range s.tabs {
-		if st.entries == 0 {
+	for i := range p.tabs {
+		st := &p.tabs[i]
+		hit, miss := st.hit.Value(), st.miss.Value()
+		missed := miss != st.missPrev
+		applied := missed || hit != st.hitPrev
+		st.hitPrev, st.missPrev = hit, miss
+		if st.installed == 0 {
 			continue // the driver short-circuits empty tables locally
 		}
-		missed := st.miss.Value() != s.missPrev[i]
-		applied := missed || st.hit.Value() != s.hitPrev[i]
 		if (st.puntAlways() && applied) || missed {
 			st.punts.Inc()
 			punt = true
 		}
 	}
 	if !punt {
-		s.cFast.Inc()
-		return res
+		p.cFast.Inc()
+		return
 	}
 
 	// Punt: claim a ring slot or drop at the NIC.
-	if s.queueFree == 0 {
-		s.cQueueDrop.Inc()
+	if p.queueFree == 0 {
+		p.cQueueDrop.Inc()
 		res.Outputs = nil
 		res.Trace.Dropped = true
 		res.Trace.Drop, res.Trace.DropControl = dataplane.DropPuntQueue, 0
-		return res
+		return
 	}
-	s.queueFree--
-	s.cPunt.Inc()
+	p.queueFree--
+	p.cPunt.Inc()
 	res.Latency = smartnicPuntLatency
 	if parserPunt {
-		s.cPuntParse.Inc()
-		if s.core != nil {
+		p.cPuntParse.Inc()
+		if p.core != nil {
 			// Fail-open: the slow path re-runs the frame with the
 			// reject transition compiled out and forwards the result.
-			cc := coreCtx()
+			cc := p.coreCtx[ctx]
+			if cc == nil {
+				cc = p.core.NewContext()
+				p.coreCtx[ctx] = cc
+			}
 			cc.CollectTrace = trace
-			data, egress = s.core.Process(cc, frame, ingressPort)
+			data, egress := p.core.Process(cc, frame, ingressPort)
 			res.Trace = cc.Trace
 			res.Outputs = nil
 			if data != nil {
 				out[0] = Output{Port: egress, Data: data}
-				res.Outputs = out[:1]
+				res.Outputs = out
 			}
 		}
 	}
-	if s.errata.TruncatePunts && len(res.Outputs) == 1 && len(out[0].Data) > s.errata.PuntMTU {
-		out[0].Data = out[0].Data[:s.errata.PuntMTU]
+	if p.errata.TruncatePunts && len(res.Outputs) == 1 && len(out[0].Data) > p.errata.PuntMTU {
+		out[0].Data = out[0].Data[:p.errata.PuntMTU]
 	}
-	return res
 }
 
-func (s *smartnic) InstallEntry(e dataplane.Entry) error {
-	if err := s.pipeline.InstallEntry(e); err != nil {
-		return err
-	}
-	if s.core != nil {
-		if err := s.core.InstallEntry(e); err != nil {
-			return fmt.Errorf("target: smartnic: core-complex mirror install: %w", err)
+// wrote follows a table write the accelerator accepted: the core-complex
+// engine mirrors it, and the table's residency follows its entry count.
+func (p *punter) wrote(op tableOp, e dataplane.Entry) error {
+	if p.core != nil {
+		if err := op.apply(p.core, e); err != nil {
+			return fmt.Errorf("target: smartnic: core-complex mirror %s: %w", opNames[op], err)
 		}
 	}
-	if st := s.table(e.Table); st != nil {
-		st.entries++
-		st.spilled = st.capacity > 0 && st.entries > st.capacity
-	}
-	return nil
-}
-
-func (s *smartnic) DeleteEntry(e dataplane.Entry) error {
-	if err := s.pipeline.DeleteEntry(e); err != nil {
-		return err
-	}
-	if s.core != nil {
-		if err := s.core.DeleteEntry(e); err != nil {
-			return fmt.Errorf("target: smartnic: core-complex mirror delete: %w", err)
+	for i := range p.tabs {
+		st := &p.tabs[i]
+		if st.table.Name != e.Table {
+			continue
 		}
-	}
-	if st := s.table(e.Table); st != nil && st.entries > 0 {
-		st.entries--
-		st.spilled = st.capacity > 0 && st.entries > st.capacity
-	}
-	return nil
-}
-
-func (s *smartnic) ClearTable(name string) error {
-	if err := s.pipeline.ClearTable(name); err != nil {
-		return err
-	}
-	if s.core != nil {
-		if err := s.core.ClearTable(name); err != nil {
-			return fmt.Errorf("target: smartnic: core-complex mirror clear: %w", err)
-		}
-	}
-	if st := s.table(name); st != nil {
-		st.entries, st.spilled = 0, false
-	}
-	return nil
-}
-
-func (s *smartnic) table(name string) *snicTable {
-	for _, st := range s.tabs {
-		if st.t.Name == name {
-			return st
+		switch op {
+		case opInstall:
+			st.installed++
+		case opDelete:
+			st.installed = max(0, st.installed-1)
+		case opClear:
+			st.installed = 0
 		}
 	}
 	return nil
 }
 
-// Resources reports the accelerator footprint plus the punt economics:
-// residency counts reflect offload fallback (a spilled table counts as
-// core-resident), and TablePunts snapshots the cumulative per-table
-// punt counters.
-func (s *smartnic) Resources() ResourceReport {
-	r := s.resources
-	if len(s.tabs) == 0 {
+// report fills in r, which carries the form: the accelerator footprint
+// the placement granted, plus the punt economics — residency counts
+// reflect offload fallback (a spilled table counts as core-resident),
+// and TablePunts snapshots the cumulative per-table punt counters.
+func (p *punter) report(r ResourceReport) ResourceReport {
+	r.PuntQueueDepth = p.errata.PuntQueueDepth
+	if len(p.tabs) == 0 {
 		return r
 	}
-	r.AccelTables, r.CoreTables = 0, 0
-	r.TablePunts = make(map[string]uint64, len(s.tabs)+1)
-	for _, st := range s.tabs {
+	sramBytes := 0
+	r.TablePunts = map[string]uint64{"parser": p.cPuntParse.Value()}
+	for i := range p.tabs {
+		st := &p.tabs[i]
+		if st.pool == "NIC TCAM" {
+			r.NICTCAMRows += st.grant
+		} else {
+			sramBytes += st.capacity * st.granule // nothing, for an unplaced table
+		}
+		r.AccelEntries += st.capacity
 		if st.puntAlways() {
 			r.CoreTables++
 		} else {
 			r.AccelTables++
 		}
-		r.TablePunts[st.t.Name] = st.punts.Value()
+		r.TablePunts[st.table.Name] = st.punts.Value()
 	}
-	r.TablePunts["parser"] = s.cPuntParse.Value()
+	r.AccelBytes = sramBytes + r.NICTCAMRows*smartnicTCAMRowBytes
+	r.AccelPct = pct(sramBytes, p.errata.AccelTableBytes)
 	return r
 }

@@ -3,27 +3,32 @@
 // platform around it (package device) and the P4 reference semantics
 // (package dataplane).
 //
+// There is one implementation of Target, backend (backend.go), run from a
+// model: the backend's row, which each New… constructor builds from its
+// errata struct. The kind table (kind.go) names the nine shipped rows.
+//
 // # Interface contract
 //
-// A Target is a loadable data-plane backend. The lifecycle is:
-//
-//	tgt := target.NewReference()          // or NewSDNet(errata), NewTofino(errata)
+//	tgt := target.NewReference()          // or NewSDNet(errata), ForKind(kind)
 //	err := tgt.Load(prog)                 // compile/transform + allocate state
 //	tgt.InstallEntry(e)                   // control-plane writes, any time after Load
 //	res := tgt.Process(frame, port, trace)
 //
 // Load may be called again to load a different program; it resets all
-// table state. Targets that transform the program (SDNet) expose the
-// transformed IR through Program — callers such as package verify analyze
-// that IR to see the deployed (rather than the specified) semantics.
+// table state, and a program it refuses leaves the loaded one running.
+// Targets that transform the program (SDNet) expose the transformed IR
+// through Program — callers such as package verify analyze that IR to
+// see the deployed (rather than the specified) semantics.
 //
-// Process runs one packet through the loaded pipeline and returns a
-// Result. Results and the buffers they reference (output frame bytes,
-// trace slices) are only valid until the next Process call on the same
-// target: the hot path reuses per-target scratch state so that a
-// steady-state Process performs no heap allocations. Callers that need to
-// retain output bytes must copy them (the device model does this when it
-// captures frames).
+// ProcessBatch runs a burst of frames from one ingress port through the
+// loaded pipeline and returns one Result per frame, all valid at once.
+// Results and the buffers they reference (output frame bytes, trace
+// slices) live in per-target scratch, so that a steady-state frame costs
+// no heap allocation: they are valid until the next ProcessBatch call,
+// and callers that need to retain output bytes must copy them (the
+// device model does this when it captures frames). Process is a burst of
+// one on a scratch set of its own — the same contract, between Process
+// calls — so single-packet calls leave a live burst's results alone.
 //
 // A Target is NOT safe for concurrent use. Parallel harnesses (package
 // scenario's worker pool, package tester's Fleet, netdebug.RunSuite)
@@ -32,8 +37,9 @@
 //
 // Status exposes the target's internal counters (per parser state, per
 // table hit/miss, per deparser emit) — the registers NetDebug reads over
-// its dedicated control interface. Resources reports the estimated FPGA
-// footprint of the loaded program; the software reference reports zero.
+// its dedicated control interface. Resources reports the estimated
+// footprint of the loaded program in the form of its backend class; the
+// software reference reports zero.
 package target
 
 import (
@@ -48,8 +54,7 @@ import (
 type Output struct {
 	// Port is the egress port (standard_metadata.egress_spec).
 	Port uint64
-	// Data is the deparsed frame. Valid until the next Process call on
-	// the originating target.
+	// Data is the deparsed frame, in the originating target's scratch.
 	Data []byte
 }
 
@@ -81,16 +86,11 @@ type Target interface {
 	// Program returns the IR the target actually executes (after any
 	// errata transforms), or nil before Load.
 	Program() *ir.Program
-	// Process runs one frame through the pipeline. The Result is valid
-	// until the next Process call.
+	// Process runs one frame through the pipeline: a burst of one.
 	Process(frame []byte, ingressPort uint64, trace bool) Result
 	// ProcessBatch runs a burst of frames, all from the same ingress
-	// port, and returns one Result per frame. Unlike Process, every
-	// result of the batch is valid simultaneously; the whole slice is
-	// invalidated by the next ProcessBatch call on this target (results
-	// survive interleaved single-packet Process calls, which use
-	// separate scratch). This is the amortized path burst harnesses
-	// (device.SendExternalBurst, the external tester) drive.
+	// port, and returns one Result per frame — the amortized path burst
+	// harnesses (device.SendExternalBurst, the external tester) drive.
 	ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result
 	// InstallEntry installs a match-action table entry.
 	InstallEntry(e dataplane.Entry) error
@@ -111,23 +111,38 @@ type Target interface {
 	TernaryGroups(table string) int
 }
 
+// Form names the group of ResourceReport fields a backend fills and how
+// the report renders. It is a column of the backend's row, not something
+// to guess from the numbers: a program with no tables has no maps and no
+// accelerator tables, and is still an offload or a SmartNIC program.
+type Form uint8
+
+// Resource forms. The zero value is the software reference's.
+const (
+	FormSoftware Form = iota // no hardware cost
+	FormFPGA                 // LUT/FF/BRAM, of the NetFPGA-SUME-class part (Virtex-7 690T) the paper targets
+	FormASIC                 // stages, SRAM/TCAM blocks, PHV bits (Tofino)
+	FormOffload              // generated instructions, BPF maps, memlock (eBPF)
+	FormSmartNIC             // accelerator residency and punt economics
+)
+
 // ResourceReport estimates hardware resource consumption of a loaded
-// program. FPGA targets (SDNet) fill the LUT/FF/BRAM fields, as
-// percentages of the NetFPGA-SUME-class part (Virtex-7 690T) the paper
-// targets; fixed-pipeline ASIC targets (Tofino) fill the stage, memory
-// block, and PHV fields instead. The software reference reports zero
-// everywhere.
+// program: the group of fields its Form names, zero everywhere else. It
+// is the one definition of the report: the netdebug facade aliases it,
+// and it crosses the control wire gob-encoded as it is.
 type ResourceReport struct {
+	Form Form
+
 	LUTs, FFs, BRAMs       int
 	LUTPct, FFPct, BRAMPct float64
 	// ASIC-style footprint: pipeline stages occupied, SRAM/TCAM memory
 	// blocks allocated by table placement, and PHV container bits
-	// assigned to header fields. Zero on FPGA targets.
+	// assigned to header fields.
 	Stages, SRAMBlocks, TCAMBlocks, PHVBits int
 	StagePct, SRAMPct, TCAMPct, PHVPct      float64
 	// Software-offload footprint (eBPF): generated program length
 	// against the verifier budget, and BPF map count/bytes against the
-	// memlock budget. Zero on hardware targets.
+	// memlock budget.
 	Insns, Maps, MapBytes int
 	InsnPct, MemlockPct   float64
 	// SmartNIC/DPU footprint: table residency (accelerator vs core
@@ -135,25 +150,26 @@ type ResourceReport struct {
 	// accelerator grant in flow entries and bytes (including NIC TCAM
 	// rows), and the punt economics — queue depth plus cumulative
 	// per-table punt counters (keyed by table name, with "parser" for
-	// exception-path punts of rejected frames). Zero/nil on the other
-	// target classes.
+	// exception-path punts of rejected frames).
 	AccelTables, CoreTables, AccelEntries, AccelBytes int
 	NICTCAMRows, PuntQueueDepth                       int
 	AccelPct                                          float64
 	TablePunts                                        map[string]uint64
 }
 
-// String renders the estimate.
+// String renders the estimate in its form.
 func (r ResourceReport) String() string {
-	if r.Stages > 0 {
+	switch r.Form {
+	case FormFPGA:
+		return fmt.Sprintf("LUTs %d (%.1f%%), FFs %d (%.1f%%), BRAMs %d (%.1f%%)",
+			r.LUTs, r.LUTPct, r.FFs, r.FFPct, r.BRAMs, r.BRAMPct)
+	case FormASIC:
 		return fmt.Sprintf("stages %d (%.1f%%), SRAM %d (%.1f%%), TCAM %d (%.1f%%), PHV %db (%.1f%%)",
 			r.Stages, r.StagePct, r.SRAMBlocks, r.SRAMPct, r.TCAMBlocks, r.TCAMPct, r.PHVBits, r.PHVPct)
-	}
-	if r.Maps > 0 {
+	case FormOffload:
 		return fmt.Sprintf("insns %d (%.2f%%), maps %d, map bytes %d (%.1f%% of memlock)",
 			r.Insns, r.InsnPct, r.Maps, r.MapBytes, r.MemlockPct)
-	}
-	if r.AccelTables > 0 || r.CoreTables > 0 {
+	case FormSmartNIC:
 		var punts uint64
 		for _, n := range r.TablePunts {
 			punts += n
@@ -161,11 +177,7 @@ func (r ResourceReport) String() string {
 		return fmt.Sprintf("accel tables %d (%d flows, %d B, %.1f%% of NIC SRAM), core-resident %d, NIC TCAM %d rows, punt queue %d, punts %d",
 			r.AccelTables, r.AccelEntries, r.AccelBytes, r.AccelPct, r.CoreTables, r.NICTCAMRows, r.PuntQueueDepth, punts)
 	}
-	if r.LUTs == 0 && r.FFs == 0 && r.BRAMs == 0 {
-		return "no hardware cost (software target)"
-	}
-	return fmt.Sprintf("LUTs %d (%.1f%%), FFs %d (%.1f%%), BRAMs %d (%.1f%%)",
-		r.LUTs, r.LUTPct, r.FFs, r.FFPct, r.BRAMs, r.BRAMPct)
+	return "no hardware cost (software target)"
 }
 
 // ModelBytes converts the report's form-specific footprint into bytes
@@ -176,16 +188,16 @@ func (r ResourceReport) String() string {
 // its BRAM blocks. The reference target has no resource model and
 // returns 0 — callers fall back to measured heap there.
 func (r ResourceReport) ModelBytes() uint64 {
-	switch {
-	case r.Maps > 0:
-		return uint64(r.MapBytes)
-	case r.Stages > 0:
+	switch r.Form {
+	case FormFPGA:
+		return uint64(r.BRAMs) * sumeBRAMBytes
+	case FormASIC:
 		sram := uint64(r.SRAMBlocks) * tofinoSRAMWidth * tofinoSRAMRows / 8
 		tcam := uint64(r.TCAMBlocks) * tofinoTCAMWidth * tofinoTCAMRows / 8
 		return sram + tcam
-	case r.BRAMs > 0:
-		return uint64(r.BRAMs) * sumeBRAMBytes
-	case r.AccelBytes > 0:
+	case FormOffload:
+		return uint64(r.MapBytes)
+	case FormSmartNIC:
 		return uint64(r.AccelBytes)
 	}
 	return 0
@@ -201,10 +213,4 @@ const (
 )
 
 // pct caps a utilization percentage at 100.
-func pct(n, capacity int) float64 {
-	p := float64(n) / float64(capacity) * 100
-	if p > 100 {
-		p = 100
-	}
-	return p
-}
+func pct(n, capacity int) float64 { return min(100, float64(n)/float64(capacity)*100) }

@@ -268,27 +268,27 @@ func TestProcessStatusCounters(t *testing.T) {
 }
 
 func TestProcessSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the plain job checks the allocation floor")
-	}
-	for _, tc := range []struct {
-		name string
-		tgt  Target
-	}{
-		{"reference", NewReference()},
-		{"sdnet", NewSDNet(DefaultErrata())},
-		{"tofino", NewTofino(DefaultTofinoErrata())},
-		{"ebpf", NewEBPF(DefaultEBPFErrata())},
-		{"smartnic", NewSmartNIC(DefaultSmartNICErrata())},
-	} {
-		loadRouter(t, tc.tgt)
+	for _, kind := range ShippedKinds {
+		tgt, err := ForKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadRouter(t, tgt)
 		frame := goodFrame()
-		tc.tgt.Process(frame, 0, false) // warm the context pool
+		burst := [][]byte{frame, frame, frame, frame}
+		tgt.Process(frame, 0, false) // the first call of each entry point builds its scratch
+		tgt.ProcessBatch(burst, 0, false)
 		allocs := testing.AllocsPerRun(200, func() {
-			tc.tgt.Process(frame, 0, false)
+			tgt.Process(frame, 0, false)
 		})
 		if allocs > 2 {
-			t.Errorf("%s: %v allocs/packet, want <= 2", tc.name, allocs)
+			t.Errorf("%s: %v allocs/packet, want <= 2", kind, allocs)
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			tgt.ProcessBatch(burst, 0, false)
+		}) / float64(len(burst))
+		if allocs > 2 {
+			t.Errorf("%s: %v allocs/packet in a burst, want <= 2", kind, allocs)
 		}
 	}
 }
@@ -323,6 +323,38 @@ func TestLoadRejectsMalformedIR(t *testing.T) {
 			}
 			if res := tgt.Process(goodFrame(), 0, false); res.Dropped() {
 				t.Errorf("%s: the program loaded before the failed Load stopped forwarding", kind)
+			}
+		}
+	}
+}
+
+// TestResourceFormRendering: a report renders in the form its backend's
+// row names, not one guessed from which numbers happen to be non-zero —
+// the reflector has no tables, so no maps and no accelerator tables, and
+// is still an offload program on ebpf and a SmartNIC program on smartnic.
+func TestResourceFormRendering(t *testing.T) {
+	want := map[string]struct {
+		form   Form
+		prefix string
+	}{
+		KindReference: {FormSoftware, "no hardware cost"},
+		KindSDNet:     {FormFPGA, "LUTs "},
+		KindTofino:    {FormASIC, "stages "},
+		KindEBPF:      {FormOffload, "insns "},
+		KindSmartNIC:  {FormSmartNIC, "accel tables "},
+	}
+	for _, kind := range ShippedKinds {
+		for name, src := range map[string]string{"reflector": p4test.Reflector, "router": p4test.Router} {
+			tgt, err := ForKind(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tgt.Load(mustProg(t, src)); err != nil {
+				t.Fatal(err)
+			}
+			r, w := tgt.Resources(), want[kind]
+			if r.Form != w.form || !strings.HasPrefix(r.String(), w.prefix) {
+				t.Errorf("%s on %s: form %d renders %q, want form %d rendering %q...", name, kind, r.Form, r, w.form, w.prefix)
 			}
 		}
 	}

@@ -203,21 +203,19 @@ func TestTofinoLPMPricing(t *testing.T) {
 	if got := dataplane.LPMEntryBits(128); got != 144 {
 		t.Fatalf("LPMEntryBits(128) = %d, want 144", got)
 	}
-	e := DefaultTofinoErrata()
-	e.fill()
-	placement, err := placeTables(mustProg(t, p4test.Router), e)
+	placed, err := NewTofino(DefaultTofinoErrata()).(*backend).m.place(mustProg(t, p4test.Router).Tables())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range placement {
+	for _, p := range placed {
 		if p.table.Name != "ipv4_lpm" {
 			continue
 		}
-		if p.tcam {
-			t.Fatal("lpm table placed in TCAM")
+		if p.pool != "SRAM" {
+			t.Fatalf("lpm table placed in %s", p.pool)
 		}
-		if p.words != 1 {
-			t.Fatalf("ipv4_lpm words/entry = %d, want 1", p.words)
+		if p.granule != 1 {
+			t.Fatalf("ipv4_lpm words/entry = %d, want 1", p.granule)
 		}
 		return
 	}

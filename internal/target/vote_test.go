@@ -39,9 +39,6 @@ func TestVote(t *testing.T) {
 // TestVoteAllocFree: the vote runs once per fuzz probe, so it must not
 // allocate — five full Outcomes, the shipped matrix's 3-2 split.
 func TestVoteAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation floor not meaningful under the race detector")
-	}
 	fwd := Outcome{Port: 1, Data: string(make([]byte, 64))}
 	outs := []Outcome{{Dropped: true}, fwd, {Dropped: true}, {Dropped: true}, fwd}
 	if avg := testing.AllocsPerRun(100, func() {

@@ -80,17 +80,13 @@ func TestRunMatchesSequences(t *testing.T) {
 // backend: the tester's view is backend-agnostic, so every stream must
 // come back, with RTTs reflecting each backend's pipeline latency.
 func TestRunAcrossBackends(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		tg   target.Target
-	}{
-		{"reference", target.NewReference()},
-		{"sdnet", target.NewSDNet(target.DefaultErrata())},
-		{"tofino", target.NewTofino(target.DefaultTofinoErrata())},
-		{"ebpf", target.NewEBPF(target.DefaultEBPFErrata())},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tst := New(newDeviceOn(t, tc.tg))
+	for _, kind := range target.ShippedKinds {
+		t.Run(kind, func(t *testing.T) {
+			tg, err := target.ForKind(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tst := New(newDeviceOn(t, tg))
 			rep, err := tst.Run([]Stream{{
 				Name: "s", Frame: frame(16), Count: 20,
 				TxPort: 0, RxPort: 1, RatePPS: 1e6, SeqLoc: seqLoc(),

@@ -110,6 +110,12 @@ type (
 	FuzzDivergence = fuzz.Divergence
 	// FuzzCoveragePoint is one point of a fuzz run's coverage curve.
 	FuzzCoveragePoint = fuzz.CoveragePoint
+	// ResourceReport estimates hardware resource consumption, in the
+	// form of the backend class: LUT/FF/BRAM on FPGA targets,
+	// stages/SRAM/TCAM/PHV on fixed-pipeline ASIC targets, program/map
+	// footprint on software-offload targets, and accelerator residency
+	// plus punt economics on SmartNIC/DPU targets.
+	ResourceReport = target.ResourceReport
 )
 
 // ErrDraining is returned by SessionManager.Run/RunAll after Drain.
@@ -140,45 +146,46 @@ func NewValue(v uint64, width int) Value { return bitfield.New(v, width) }
 // ValueFromBytes builds a Value from big-endian bytes.
 func ValueFromBytes(b []byte) Value { return bitfield.FromBytes(b) }
 
-// TargetKind selects the hardware backend.
+// TargetKind selects the hardware backend: one of the kinds of the
+// target package's kind table.
 type TargetKind string
 
 // Available targets.
 const (
 	// TargetReference runs the program with exact P4₁₆ semantics.
-	TargetReference TargetKind = "reference"
+	TargetReference = TargetKind(target.KindReference)
 	// TargetSDNet models the Xilinx SDNet flow with its documented
 	// errata, including the unimplemented reject parser state.
-	TargetSDNet TargetKind = "sdnet"
+	TargetSDNet = TargetKind(target.KindSDNet)
 	// TargetSDNetFixed is SDNet with every known erratum repaired.
-	TargetSDNetFixed TargetKind = "sdnet-fixed"
+	TargetSDNetFixed = TargetKind(target.KindSDNetFixed)
 	// TargetTofino models a Tofino-style fixed-pipeline ASIC: per-stage
 	// SRAM/TCAM table placement, a PHV container budget, and the shipped
 	// driver's newest-first ternary priority tie-break.
-	TargetTofino TargetKind = "tofino"
+	TargetTofino = TargetKind(target.KindTofino)
 	// TargetTofinoFixed is the Tofino-style flow with the driver quirk
 	// repaired; the placement and PHV limits remain.
-	TargetTofinoFixed TargetKind = "tofino-fixed"
+	TargetTofinoFixed = TargetKind(target.KindTofinoFixed)
 	// TargetEBPF models an eBPF/XDP-style software offload: per-map-type
 	// capacity charged against a memlock budget, a mask-set scan (no
 	// TCAM) for ternary tables, a tail-call chain depth limit, latency
 	// that follows program length, and the shipped drivers' LPM /0 miss
 	// and map-full silent-update defects.
-	TargetEBPF TargetKind = "ebpf"
+	TargetEBPF = TargetKind(target.KindEBPF)
 	// TargetEBPFFixed is the offload flow with both driver defects
 	// repaired; the memlock, mask-set, and tail-call limits remain.
-	TargetEBPFFixed TargetKind = "ebpf-fixed"
+	TargetEBPFFixed = TargetKind(target.KindEBPFFixed)
 	// TargetSmartNIC models a SmartNIC/DPU: embedded cores plus
 	// accelerator tables with bimodal latency — exact/LPM hits resolve
 	// on the fast path, while misses, wide or spilled ternary tables,
 	// and malformed frames punt to the core complex through a bounded
 	// punt queue — and the shipped driver's fail-open exception path
 	// and punt-MTU truncation defects.
-	TargetSmartNIC TargetKind = "smartnic"
+	TargetSmartNIC = TargetKind(target.KindSmartNIC)
 	// TargetSmartNICFixed is the SmartNIC flow with both driver defects
 	// repaired; the accelerator capacity, NIC TCAM geometry, punt-queue
 	// depth, and punt MTU remain.
-	TargetSmartNICFixed TargetKind = "smartnic-fixed"
+	TargetSmartNICFixed = TargetKind(target.KindSmartNICFixed)
 )
 
 // Options configures Open.
@@ -284,38 +291,7 @@ func (s *System) Resources() (ResourceReport, error) {
 	if err != nil {
 		return ResourceReport{}, err
 	}
-	return ResourceReport{
-		LUTs: r.LUTs, FFs: r.FFs, BRAMs: r.BRAMs,
-		LUTPct: r.LUTPct, FFPct: r.FFPct, BRAMPct: r.BRAMPct,
-		Stages: r.Stages, SRAMBlocks: r.SRAMBlocks,
-		TCAMBlocks: r.TCAMBlocks, PHVBits: r.PHVBits,
-		StagePct: r.StagePct, SRAMPct: r.SRAMPct,
-		TCAMPct: r.TCAMPct, PHVPct: r.PHVPct,
-		Insns: r.Insns, Maps: r.Maps, MapBytes: r.MapBytes,
-		InsnPct: r.InsnPct, MemlockPct: r.MemlockPct,
-		AccelTables: r.AccelTables, CoreTables: r.CoreTables,
-		AccelEntries: r.AccelEntries, AccelBytes: r.AccelBytes,
-		NICTCAMRows: r.NICTCAMRows, PuntQueueDepth: r.PuntQueueDepth,
-		AccelPct: r.AccelPct, TablePunts: r.TablePunts,
-	}, nil
-}
-
-// ResourceReport estimates hardware resource consumption: LUT/FF/BRAM
-// on FPGA targets, stages/SRAM/TCAM/PHV on fixed-pipeline ASIC
-// targets, program/map footprint on software-offload targets, and
-// accelerator residency plus punt economics on SmartNIC/DPU targets.
-type ResourceReport struct {
-	LUTs, FFs, BRAMs                        int
-	LUTPct, FFPct, BRAMPct                  float64
-	Stages, SRAMBlocks, TCAMBlocks, PHVBits int
-	StagePct, SRAMPct, TCAMPct, PHVPct      float64
-	Insns, Maps, MapBytes                   int
-	InsnPct, MemlockPct                     float64
-	AccelTables, CoreTables                 int
-	AccelEntries, AccelBytes                int
-	NICTCAMRows, PuntQueueDepth             int
-	AccelPct                                float64
-	TablePunts                              map[string]uint64
+	return *r, nil
 }
 
 // InjectFault injects a hardware fault into the device.
