@@ -9,9 +9,11 @@
 // net.Pipe in-process; cmd/netdebug uses TCP), encoded with encoding/gob.
 //
 // Payloads that belong to higher layers (generator and checker
-// specifications, test reports, resource reports) travel as opaque byte
-// slices so this package stays free of dependencies on the core engine
-// and the target models.
+// specifications, test reports, resource reports) travel in one Payload
+// field each way, as whichever concrete type its owner gob.Registered:
+// they ride the connection's one encoder and decoder, so a type's
+// description crosses once per connection, and this package stays free of
+// dependencies on the core engine and the target models.
 package control
 
 import (
@@ -41,17 +43,19 @@ const (
 	ReqDeleteEntry
 )
 
+// reqNames is the one table of request-kind names.
+var reqNames = [...]string{
+	ReqHello: "hello", ReqInstallEntry: "install-entry",
+	ReqClearTable: "clear-table", ReqReadStatus: "read-status",
+	ReqConfigureGen: "configure-gen", ReqRunTest: "run-test",
+	ReqFetchReport: "fetch-report", ReqReadResources: "read-resources",
+	ReqDeleteEntry: "delete-entry",
+}
+
 // String names the request kind.
 func (k ReqKind) String() string {
-	names := map[ReqKind]string{
-		ReqHello: "hello", ReqInstallEntry: "install-entry",
-		ReqClearTable: "clear-table", ReqReadStatus: "read-status",
-		ReqConfigureGen: "configure-gen", ReqRunTest: "run-test",
-		ReqFetchReport: "fetch-report", ReqReadResources: "read-resources",
-		ReqDeleteEntry: "delete-entry",
-	}
-	if n, ok := names[k]; ok {
-		return n
+	if int(k) < len(reqNames) && reqNames[k] != "" {
+		return reqNames[k]
 	}
 	return fmt.Sprintf("req(%d)", uint8(k))
 }
@@ -62,9 +66,9 @@ type Request struct {
 	Kind  ReqKind
 	Entry *dataplane.Entry
 	Table string
-	// Spec carries a gob-encoded generator+checker test specification
-	// (core.TestSpec) for ReqConfigureGen.
-	Spec []byte
+	// Payload carries the generator+checker test specification
+	// (*core.TestSpec) for ReqConfigureGen.
+	Payload any
 }
 
 // HelloInfo describes the device.
@@ -85,8 +89,9 @@ type Response struct {
 	Retryable bool
 	Hello     *HelloInfo
 	Status    map[string]uint64
-	Report    []byte // gob-encoded core.Report for ReqFetchReport
-	Resources []byte // gob-encoded target.ResourceReport for ReqReadResources
+	// Payload carries the *core.Report for ReqFetchReport and the
+	// target.ResourceReport for ReqReadResources.
+	Payload any
 }
 
 // OK reports whether the response carries no error.
@@ -287,13 +292,22 @@ func (c *Client) breakWith(kind ReqKind, stage string, err error) error {
 	return werr
 }
 
-// Hello fetches device identity.
-func (c *Client) Hello() (*HelloInfo, error) {
-	resp, err := c.Call(&Request{Kind: ReqHello})
+// do makes one call and returns its answer, an error answer as the error.
+func (c *Client) do(req *Request) (*Response, error) {
+	resp, err := c.Call(req)
 	if err != nil {
 		return nil, err
 	}
 	if err := resp.Error(); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// Hello fetches device identity.
+func (c *Client) Hello() (*HelloInfo, error) {
+	resp, err := c.do(&Request{Kind: ReqHello})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Hello, nil
@@ -301,83 +315,56 @@ func (c *Client) Hello() (*HelloInfo, error) {
 
 // InstallEntry installs a table entry on the device.
 func (c *Client) InstallEntry(e dataplane.Entry) error {
-	resp, err := c.Call(&Request{Kind: ReqInstallEntry, Entry: &e})
-	if err != nil {
-		return err
-	}
-	return resp.Error()
+	_, err := c.do(&Request{Kind: ReqInstallEntry, Entry: &e})
+	return err
 }
 
 // DeleteEntry removes a table entry from the device by match identity.
 func (c *Client) DeleteEntry(e dataplane.Entry) error {
-	resp, err := c.Call(&Request{Kind: ReqDeleteEntry, Entry: &e})
-	if err != nil {
-		return err
-	}
-	return resp.Error()
+	_, err := c.do(&Request{Kind: ReqDeleteEntry, Entry: &e})
+	return err
 }
 
 // ClearTable empties a table.
 func (c *Client) ClearTable(name string) error {
-	resp, err := c.Call(&Request{Kind: ReqClearTable, Table: name})
-	if err != nil {
-		return err
-	}
-	return resp.Error()
+	_, err := c.do(&Request{Kind: ReqClearTable, Table: name})
+	return err
 }
 
 // ReadStatus fetches the device's internal status registers.
 func (c *Client) ReadStatus() (map[string]uint64, error) {
-	resp, err := c.Call(&Request{Kind: ReqReadStatus})
+	resp, err := c.do(&Request{Kind: ReqReadStatus})
 	if err != nil {
-		return nil, err
-	}
-	if err := resp.Error(); err != nil {
 		return nil, err
 	}
 	return resp.Status, nil
 }
 
-// ReadResources fetches the target's resource report, still encoded.
-func (c *Client) ReadResources() ([]byte, error) {
-	resp, err := c.Call(&Request{Kind: ReqReadResources})
-	if err != nil {
-		return nil, err
-	}
-	if err := resp.Error(); err != nil {
-		return nil, err
-	}
-	return resp.Resources, nil
-}
+// ReadResources fetches the target's resource report.
+func (c *Client) ReadResources() (any, error) { return c.fetch(ReqReadResources) }
 
 // ConfigureGen ships a test specification to the device.
-func (c *Client) ConfigureGen(spec []byte) error {
-	resp, err := c.Call(&Request{Kind: ReqConfigureGen, Spec: spec})
-	if err != nil {
-		return err
-	}
-	return resp.Error()
+func (c *Client) ConfigureGen(spec any) error {
+	_, err := c.do(&Request{Kind: ReqConfigureGen, Payload: spec})
+	return err
 }
 
 // RunTest starts the configured test and waits for completion.
 func (c *Client) RunTest() error {
-	resp, err := c.Call(&Request{Kind: ReqRunTest})
-	if err != nil {
-		return err
-	}
-	return resp.Error()
+	_, err := c.do(&Request{Kind: ReqRunTest})
+	return err
 }
 
 // FetchReport collects the checker's results.
-func (c *Client) FetchReport() ([]byte, error) {
-	resp, err := c.Call(&Request{Kind: ReqFetchReport})
+func (c *Client) FetchReport() (any, error) { return c.fetch(ReqFetchReport) }
+
+// fetch makes a request that is answered with a payload.
+func (c *Client) fetch(kind ReqKind) (any, error) {
+	resp, err := c.do(&Request{Kind: kind})
 	if err != nil {
 		return nil, err
 	}
-	if err := resp.Error(); err != nil {
-		return nil, err
-	}
-	return resp.Report, nil
+	return resp.Payload, nil
 }
 
 // Serve answers requests on conn with h until the connection closes. It

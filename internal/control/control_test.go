@@ -36,15 +36,15 @@ func (f *fakeHandler) Handle(req *Request) *Response {
 	case ReqReadStatus:
 		return &Response{Status: map[string]uint64{"parser.accept": 42}}
 	case ReqReadResources:
-		return &Response{Resources: []byte("resources-blob")}
+		return &Response{Payload: []byte("resources-blob")}
 	case ReqConfigureGen:
-		f.spec = append([]byte(nil), req.Spec...)
+		f.spec, _ = req.Payload.([]byte)
 		return &Response{}
 	case ReqRunTest:
 		f.ran++
 		return &Response{}
 	case ReqFetchReport:
-		return &Response{Report: []byte("report-blob")}
+		return &Response{Payload: []byte("report-blob")}
 	}
 	return nil
 }
@@ -90,9 +90,11 @@ func TestPipeRoundTrip(t *testing.T) {
 		t.Fatalf("status = %v, %v", st, err)
 	}
 
+	// Payloads cross as the concrete type they were sent as ([]byte is
+	// one gob registers itself).
 	res, err := cli.ReadResources()
-	if err != nil || string(res) != "resources-blob" {
-		t.Fatalf("resources = %q, %v", res, err)
+	if b, _ := res.([]byte); err != nil || string(b) != "resources-blob" {
+		t.Fatalf("resources = %v, %v", res, err)
 	}
 
 	if err := cli.ConfigureGen([]byte{9, 9, 9}); err != nil {
@@ -102,13 +104,28 @@ func TestPipeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := cli.FetchReport()
-	if err != nil || string(rep) != "report-blob" {
-		t.Fatalf("report = %q, %v", rep, err)
+	if b, _ := rep.([]byte); err != nil || string(b) != "report-blob" {
+		t.Fatalf("report = %v, %v", rep, err)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.ran != 1 {
-		t.Fatalf("handler state: ran=%d", h.ran)
+	if h.ran != 1 || string(h.spec) != "\t\t\t" {
+		t.Fatalf("handler state: ran=%d spec=%v", h.ran, h.spec)
+	}
+}
+
+// TestReqKindString: every kind has its name, and a kind off either end
+// of the table renders as its number.
+func TestReqKindString(t *testing.T) {
+	for kind, want := range map[ReqKind]string{
+		ReqHello: "hello", ReqInstallEntry: "install-entry", ReqClearTable: "clear-table",
+		ReqReadStatus: "read-status", ReqConfigureGen: "configure-gen", ReqRunTest: "run-test",
+		ReqFetchReport: "fetch-report", ReqReadResources: "read-resources", ReqDeleteEntry: "delete-entry",
+		0: "req(0)", ReqDeleteEntry + 1: "req(10)", 255: "req(255)",
+	} {
+		if got := kind.String(); got != want {
+			t.Errorf("ReqKind(%d).String() = %q, want %q", uint8(kind), got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"sync"
@@ -9,6 +8,8 @@ import (
 
 	"netdebug/internal/control"
 	"netdebug/internal/device"
+	"netdebug/internal/stats"
+	"netdebug/internal/target"
 )
 
 // TestSpec bundles the generator and checker programs for one test run —
@@ -19,36 +20,23 @@ type TestSpec struct {
 	Check CheckSpec
 }
 
-// encodeWire gob-encodes v, one of the payloads the control channel
-// carries as opaque bytes; what names it in the error.
-func encodeWire(what string, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("core: encoding %s: %w", what, err)
-	}
-	return buf.Bytes(), nil
+// The payloads of the control channel: each crosses inside a
+// control.Request or Response as its registered concrete type, on the
+// connection's own gob stream.
+func init() {
+	gob.Register(&TestSpec{})
+	gob.Register(&Report{})
+	gob.Register(target.ResourceReport{})
 }
 
-// decodeWire reverses encodeWire.
-func decodeWire[T any](what string, b []byte) (*T, error) {
-	var v T
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("core: decoding %s: %w", what, err)
+// payload asserts the type of what a kind request or its answer carried.
+func payload[T any](kind control.ReqKind, p any) (T, error) {
+	v, ok := p.(T)
+	if !ok {
+		return v, fmt.Errorf("core: %s carries %T, want %T", kind, p, v)
 	}
-	return &v, nil
+	return v, nil
 }
-
-// EncodeTestSpec serializes a spec for the control channel.
-func EncodeTestSpec(spec *TestSpec) ([]byte, error) { return encodeWire("test spec", spec) }
-
-// DecodeTestSpec reverses EncodeTestSpec.
-func DecodeTestSpec(b []byte) (*TestSpec, error) { return decodeWire[TestSpec]("test spec", b) }
-
-// EncodeReport serializes a report for the control channel.
-func EncodeReport(r *Report) ([]byte, error) { return encodeWire("report", r) }
-
-// DecodeReport reverses EncodeReport.
-func DecodeReport(b []byte) (*Report, error) { return decodeWire[Report]("report", b) }
 
 // Agent is the device-resident half of NetDebug: it owns the test packet
 // generator and output checker hardware modules and serves the host tool's
@@ -56,19 +44,20 @@ func DecodeReport(b []byte) (*Report, error) { return decodeWire[Report]("report
 type Agent struct {
 	dev *device.Device
 
+	// mu serialises Configure, UseArena and Run: the device beneath takes
+	// one run at a time, and a run reads the spec and works in the
+	// storage the other two change.
 	mu     sync.Mutex
 	spec   *TestSpec
 	report *Report
 
-	// gen is the spec's generator, built on first Run and reused until
-	// the next Configure: repeated runs of one spec keep the generator's
-	// arena (and merge scratch) warm instead of reallocating per run.
-	// Generation is deterministic, so a cached generator produces the
-	// same packets as a fresh one.
-	gen *Generator
-	// ext is the shared-arena extent bound to the cached generator's
-	// frames; see UseArena.
-	ext []byte
+	// The plan is the spec's, the storage the agent's: gen — frame arena
+	// (see UseArena), packet slices, fuzz sources — takes each spec
+	// Configure has validated, each checker is built in the histogram and
+	// scratch of the one before, and Run resets it instead of building
+	// another, so a validation allocates per run and not per frame.
+	gen     Generator
+	checker *Checker
 
 	// batch staging reused across runs: frames/ats carve each
 	// same-ingress-port run of the generated stream into one
@@ -79,7 +68,7 @@ type Agent struct {
 
 // NewAgent attaches NetDebug to a device.
 func NewAgent(dev *device.Device) *Agent {
-	return &Agent{dev: dev}
+	return &Agent{dev: dev, checker: &Checker{lat: stats.NewHistogram()}}
 }
 
 // Device returns the underlying device (for in-process harnesses).
@@ -87,17 +76,16 @@ func (a *Agent) Device() *device.Device { return a.dev }
 
 // Configure installs a test specification.
 func (a *Agent) Configure(spec *TestSpec) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if _, err := NewGenerator(spec.Gen); err != nil {
 		return err
 	}
-	if _, err := NewChecker(spec.Check); err != nil {
+	checker, err := newChecker(spec.Check, a.checker)
+	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.spec = spec
-	a.report = nil
-	a.gen = nil
+	a.spec, a.gen.spec, a.checker, a.report = spec, spec.Gen, checker, nil
 	return nil
 }
 
@@ -110,12 +98,7 @@ func (a *Agent) Configure(spec *TestSpec) error {
 func (a *Agent) UseArena(sa *SharedArena, maxBytes int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if sa == nil {
-		a.ext = nil
-	} else {
-		a.ext = sa.ReserveBytes(maxBytes)
-	}
-	a.gen = nil
+	a.gen.UseArena(sa, maxBytes)
 }
 
 // maxInjectBatch bounds one InjectInternalBatch run so the target's
@@ -129,29 +112,12 @@ const maxInjectBatch = 512
 // result in real time. The report is retained for collection.
 func (a *Agent) Run() (*Report, error) {
 	a.mu.Lock()
-	spec := a.spec
-	gen := a.gen
-	ext := a.ext
-	a.mu.Unlock()
-	if spec == nil {
+	defer a.mu.Unlock()
+	if a.spec == nil {
 		return nil, fmt.Errorf("core: no test configured")
 	}
-	if gen == nil {
-		var err error
-		gen, err = NewGenerator(spec.Gen)
-		if err != nil {
-			return nil, err
-		}
-		gen.arena.bindExtent(ext)
-		a.mu.Lock()
-		a.gen = gen
-		a.mu.Unlock()
-	}
-	checker, err := NewChecker(spec.Check)
-	if err != nil {
-		return nil, err
-	}
-	pkts := gen.Packets(a.dev.Now())
+	a.checker.reset()
+	pkts := a.gen.Packets(a.dev.Now())
 	for start := 0; start < len(pkts); {
 		port := pkts[start].IngressPort
 		end := start + 1
@@ -166,19 +132,11 @@ func (a *Agent) Run() (*Report, error) {
 		}
 		a.batchFrames, a.batchAts = frames, ats
 		results := a.dev.InjectInternalBatch(frames, port, ats, true)
-		checker.OnResults(pkts[start:end], results, ats)
+		a.checker.OnResults(pkts[start:end], results, ats)
 		start = end
 	}
-	// Drop the frame pointers — over the full capacity, not just the
-	// final batch's length — so the agent does not pin this run's
-	// generator slab until the next Run.
-	clear(a.batchFrames[:cap(a.batchFrames)])
-	a.batchFrames = a.batchFrames[:0]
-	report := checker.Finish()
-	a.mu.Lock()
-	a.report = report
-	a.mu.Unlock()
-	return report, nil
+	a.report = a.checker.Finish()
+	return a.report, nil
 }
 
 // LastReport returns the most recent report, or nil.
@@ -231,13 +189,9 @@ func (a *Agent) Handle(req *control.Request) *control.Response {
 	case control.ReqReadStatus:
 		return &control.Response{Status: a.dev.Status()}
 	case control.ReqReadResources:
-		b, err := encodeWire("resource report", a.dev.Target().Resources())
-		if err != nil {
-			return fail(err)
-		}
-		return &control.Response{Resources: b}
+		return &control.Response{Payload: a.dev.Target().Resources()}
 	case control.ReqConfigureGen:
-		spec, err := DecodeTestSpec(req.Spec)
+		spec, err := payload[*TestSpec](req.Kind, req.Payload)
 		if err != nil {
 			return fail(err)
 		}
@@ -255,11 +209,7 @@ func (a *Agent) Handle(req *control.Request) *control.Response {
 		if rep == nil {
 			return fail(fmt.Errorf("no report available; run a test first"))
 		}
-		b, err := EncodeReport(rep)
-		if err != nil {
-			return fail(err)
-		}
-		return &control.Response{Report: b}
+		return &control.Response{Payload: rep}
 	}
 	return nil
 }

@@ -107,7 +107,8 @@ type Checker struct {
 	rules  map[string][]*ruleState // stream -> rules ("" = all)
 	lat    *stats.Histogram
 	meter  stats.Meter
-	report Report
+	report Report // the counts; Finish fills in the rest of its copy
+	drops  []dropSite
 	p4     *dataplane.Engine
 	p4ctx  *dataplane.Context
 	// OnResults scratch: the combined rule list per stream, computed once
@@ -122,14 +123,34 @@ type ruleState struct {
 	result RuleResult
 }
 
+// dropSite is one row of the drop tally: the drop fields of a trace, and
+// the frames dropped there.
+type dropSite struct {
+	at dataplane.Trace
+	n  uint64
+}
+
+// countDrop tallies a dropped frame under its (Drop, DropControl): a
+// scan of the few rows a run has, rendered by name once, in Finish.
+func (c *Checker) countDrop(t *dataplane.Trace) {
+	for i := range c.drops {
+		if at := &c.drops[i].at; at.Drop == t.Drop && at.DropControl == t.DropControl && at.Prog == t.Prog {
+			c.drops[i].n++
+			return
+		}
+	}
+	c.drops = append(c.drops, dropSite{dataplane.Trace{Prog: t.Prog, Drop: t.Drop, DropControl: t.DropControl}, 1})
+}
+
 // NewChecker compiles the spec (including the optional P4 classifier).
 func NewChecker(spec CheckSpec) (*Checker, error) {
-	c := &Checker{
-		spec:  spec,
-		rules: make(map[string][]*ruleState),
-		lat:   stats.NewHistogram(),
-	}
-	c.report.DropStages = make(map[string]uint64)
+	return newChecker(spec, &Checker{lat: stats.NewHistogram()})
+}
+
+// newChecker is NewChecker in the storage of old — its histogram and its
+// block scratch, reset before use — for a caller that retires old with it.
+func newChecker(spec CheckSpec, old *Checker) (*Checker, error) {
+	c := &Checker{spec: spec, rules: make(map[string][]*ruleState), lat: old.lat, latScratch: old.latScratch}
 	for _, r := range spec.Rules {
 		if r.Name == "" {
 			return nil, fmt.Errorf("core: checker rule with empty name")
@@ -152,13 +173,32 @@ func NewChecker(spec CheckSpec) (*Checker, error) {
 	return c, nil
 }
 
+// reset returns the checker to what NewChecker built, in the storage it
+// has: the histogram, the meter, the drop tally. A rule's samples are
+// left to the report Finish gave them to.
+func (c *Checker) reset() {
+	for _, rules := range c.rules {
+		for _, rs := range rules {
+			rs.result = RuleResult{Rule: rs.def.Name}
+		}
+	}
+	c.lat.Reset()
+	c.meter.Reset()
+	c.report = Report{}
+	c.drops = c.drops[:0]
+}
+
 func (rs *ruleState) pass() { rs.result.Pass++ }
 
-func (rs *ruleState) fail(format string, args ...any) {
+// fail counts a failure and reports whether a sample of it is still
+// wanted: only then is it worth formatting one.
+func (rs *ruleState) fail() bool {
 	rs.result.Fail++
-	if len(rs.result.Samples) < maxSamples {
-		rs.result.Samples = append(rs.result.Samples, fmt.Sprintf(format, args...))
-	}
+	return len(rs.result.Samples) < maxSamples
+}
+
+func (rs *ruleState) sample(format string, args ...any) {
+	rs.result.Samples = append(rs.result.Samples, fmt.Sprintf(format, args...))
 }
 
 // applyRule scores one packet's result against one rule. Pointer
@@ -169,28 +209,34 @@ func (c *Checker) applyRule(rs *ruleState, tp *TestPacket, res *target.Result) {
 	if rs.def.ExpectDrop {
 		if res.Dropped() {
 			rs.pass()
-		} else {
-			rs.fail("stream %s seq %d: forwarded to port %d, want drop",
+		} else if rs.fail() {
+			rs.sample("stream %s seq %d: forwarded to port %d, want drop",
 				tp.Stream, tp.Seq, res.Outputs[0].Port)
 		}
 		return
 	}
 	if res.Dropped() {
-		rs.fail("stream %s seq %d: dropped at %s, want forward",
-			tp.Stream, tp.Seq, res.Trace.DropStage())
+		if rs.fail() {
+			rs.sample("stream %s seq %d: dropped at %s, want forward",
+				tp.Stream, tp.Seq, res.Trace.DropStage())
+		}
 		return
 	}
 	out := &res.Outputs[0]
 	if rs.def.ExpectPort >= 0 && out.Port != uint64(rs.def.ExpectPort) {
-		rs.fail("stream %s seq %d: egress port %d, want %d",
-			tp.Stream, tp.Seq, out.Port, rs.def.ExpectPort)
+		if rs.fail() {
+			rs.sample("stream %s seq %d: egress port %d, want %d",
+				tp.Stream, tp.Seq, out.Port, rs.def.ExpectPort)
+		}
 		return
 	}
 	for _, fe := range rs.def.Expect {
 		got, err := fe.Loc.Extract(out.Data)
 		if err != nil {
-			rs.fail("stream %s seq %d: field %s outside output packet",
-				tp.Stream, tp.Seq, fe.Name)
+			if rs.fail() {
+				rs.sample("stream %s seq %d: field %s outside output packet",
+					tp.Stream, tp.Seq, fe.Name)
+			}
 			return
 		}
 		mask := fe.Mask
@@ -198,20 +244,26 @@ func (c *Checker) applyRule(rs *ruleState, tp *TestPacket, res *target.Result) {
 			mask = ^uint64(0)
 		}
 		if got.Uint64()&mask != fe.Value&mask {
-			rs.fail("stream %s seq %d: %s = %#x, want %#x",
-				tp.Stream, tp.Seq, fe.Name, got.Uint64()&mask, fe.Value&mask)
+			if rs.fail() {
+				rs.sample("stream %s seq %d: %s = %#x, want %#x",
+					tp.Stream, tp.Seq, fe.Name, got.Uint64()&mask, fe.Value&mask)
+			}
 			return
 		}
 	}
 	if c.spec.LatencyBound > 0 && res.Latency > c.spec.LatencyBound {
-		rs.fail("stream %s seq %d: latency %v exceeds bound %v",
-			tp.Stream, tp.Seq, res.Latency, c.spec.LatencyBound)
+		if rs.fail() {
+			rs.sample("stream %s seq %d: latency %v exceeds bound %v",
+				tp.Stream, tp.Seq, res.Latency, c.spec.LatencyBound)
+		}
 		return
 	}
 	if c.p4 != nil {
 		out2, _ := c.p4.Process(c.p4ctx, out.Data, out.Port)
 		if out2 == nil {
-			rs.fail("stream %s seq %d: P4 check classifier rejected output", tp.Stream, tp.Seq)
+			if rs.fail() {
+				rs.sample("stream %s seq %d: P4 check classifier rejected output", tp.Stream, tp.Seq)
+			}
 			return
 		}
 	}
@@ -259,7 +311,7 @@ func (c *Checker) OnResults(tps []TestPacket, results []target.Result, ats []tim
 		tp := &tps[i]
 		if res.Dropped() {
 			dropped++
-			c.report.DropStages[res.Trace.DropStage()]++
+			c.countDrop(&res.Trace)
 		} else {
 			forwarded++
 			lats = append(lats, res.Latency)
@@ -296,9 +348,14 @@ func (c *Checker) OnResults(tps []TestPacket, results []target.Result, ats []tim
 // (live traffic running in parallel).
 func (c *Checker) OnLiveOutput() { c.report.LiveSeen++ }
 
-// Finish computes the final report.
+// Finish computes the final report. Nothing the next reset touches is
+// shared with it: the drop stages are rendered here, into its own map.
 func (c *Checker) Finish() *Report {
 	r := c.report
+	r.DropStages = make(map[string]uint64, len(c.drops))
+	for _, d := range c.drops {
+		r.DropStages[d.at.DropStage()] += d.n
+	}
 	r.LatMeanNs = c.lat.Mean().Nanoseconds()
 	r.LatP50Ns = c.lat.Quantile(0.5).Nanoseconds()
 	r.LatP99Ns = c.lat.Quantile(0.99).Nanoseconds()

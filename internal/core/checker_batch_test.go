@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netdebug/internal/dataplane"
+	"netdebug/internal/p4/ir"
 	"netdebug/internal/target"
 )
 
@@ -29,7 +30,9 @@ func checkerWorkload(n int, seed int64, drops bool) ([]TestPacket, []target.Resu
 		tps[i] = TestPacket{Stream: stream, Seq: uint64(i), Data: []byte{0xaa, 0xbb}}
 		ats[i] = time.Duration(i) * 800 * time.Nanosecond
 		if drops && rng.Intn(5) == 0 {
-			results[i] = target.Result{Trace: dataplane.Trace{Dropped: true, Drop: dataplane.DropParser}}
+			at := dropSites[rng.Intn(len(dropSites))]
+			at.Dropped = true
+			results[i] = target.Result{Trace: at}
 			continue
 		}
 		results[i] = target.Result{
@@ -39,6 +42,19 @@ func checkerWorkload(n int, seed int64, drops bool) ([]TestPacket, []target.Resu
 	}
 	return tps, results, ats
 }
+
+// dropSites are the stages checkerWorkload drops at: every reason, and
+// both controls of a two-control program.
+var dropSites = func() []dataplane.Trace {
+	prog := &ir.Program{Controls: []*ir.Control{{Name: "Ingress"}, {Name: "Egress"}}}
+	return []dataplane.Trace{
+		{Prog: prog, Drop: dataplane.DropNone},
+		{Prog: prog, Drop: dataplane.DropParser},
+		{Prog: prog, Drop: dataplane.DropControl, DropControl: 0},
+		{Prog: prog, Drop: dataplane.DropControl, DropControl: 1},
+		{Prog: prog, Drop: dataplane.DropPuntQueue},
+	}
+}()
 
 // checkerSpecForWorkload pairs stream-specific rules with a match-all
 // rule: the combination forces the per-frame path to build a fresh
@@ -55,12 +71,16 @@ func checkerSpecForWorkload() CheckSpec {
 // OnResult is the retired frame-at-a-time scorer, the model OnResults is
 // held to: one packet per call, a fresh combined rule list per packet
 // (the allocation the block path's cache removes), one histogram and one
-// meter update per output. It shares only applyRule with the block path.
-func (c *Checker) OnResult(tp TestPacket, res target.Result, at time.Duration) {
+// meter update per output. It shares only applyRule with the block path:
+// drops are tallied by stage name into stages (nil: not at all), the
+// oracle for the indexed tally Finish renders.
+func (c *Checker) OnResult(tp TestPacket, res target.Result, at time.Duration, stages map[string]uint64) {
 	c.report.Injected++
 	if res.Dropped() {
 		c.report.Dropped++
-		c.report.DropStages[res.Trace.DropStage()]++
+		if stages != nil {
+			stages[res.Trace.DropStage()]++
+		}
 	} else {
 		c.report.Forwarded++
 		c.lat.Observe(res.Latency)
@@ -89,10 +109,12 @@ func TestCheckerBatchMatchesPerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stages := map[string]uint64{}
 	for i := range tps {
-		perFrame.OnResult(tps[i], results[i], ats[i])
+		perFrame.OnResult(tps[i], results[i], ats[i], stages)
 	}
 	want := perFrame.Finish()
+	want.DropStages = stages
 
 	batched, err := NewChecker(checkerSpecForWorkload())
 	if err != nil {
@@ -110,7 +132,7 @@ func TestCheckerBatchMatchesPerFrame(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("batched report diverges from per-frame oracle:\n got %+v\nwant %+v", got, want)
 	}
-	if want.Injected != 1800 || want.Forwarded == 0 || want.Dropped == 0 {
+	if want.Injected != 1800 || want.Forwarded == 0 || want.Dropped == 0 || len(stages) != len(dropSites) {
 		t.Fatalf("workload did not exercise both verdicts: %+v", want)
 	}
 }
@@ -131,9 +153,7 @@ func TestCheckerBatchAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() {
 		c.OnResults(tps, results, ats)
 	})
-	// The drop-stage map rehashes occasionally as counts grow; anything
-	// scaling with the 512-frame block would show up as >= 512.
-	if avg > 4 {
+	if avg != 0 {
 		t.Fatalf("warm OnResults allocates %.1f allocs per 512-frame block, want ~0", avg)
 	}
 }
@@ -150,7 +170,7 @@ func BenchmarkCheckerPerFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range tps {
-			c.OnResult(tps[j], results[j], ats[j])
+			c.OnResult(tps[j], results[j], ats[j], nil)
 		}
 	}
 }

@@ -66,28 +66,31 @@ func (c *Controller) Status() (map[string]uint64, error) { return c.cli.ReadStat
 // Resources reads the target's hardware resource report — the resources
 // quantification use case.
 func (c *Controller) Resources() (*target.ResourceReport, error) {
-	b, err := c.cli.ReadResources()
+	p, err := c.cli.ReadResources()
 	if err != nil {
 		return nil, err
 	}
-	return decodeWire[target.ResourceReport]("resource report", b)
+	r, err := payload[target.ResourceReport](control.ReqReadResources, p)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
 // RunTest ships the spec to the device, runs it, and collects the report.
 func (c *Controller) RunTest(spec *TestSpec) (*Report, error) {
-	b, err := EncodeTestSpec(spec)
-	if err != nil {
-		return nil, err
+	if spec == nil {
+		return nil, fmt.Errorf("core: nil test spec")
 	}
-	if err := c.cli.ConfigureGen(b); err != nil {
+	if err := c.cli.ConfigureGen(spec); err != nil {
 		return nil, fmt.Errorf("configuring test %q: %w", spec.Name, err)
 	}
 	if err := c.cli.RunTest(); err != nil {
 		return nil, fmt.Errorf("running test %q: %w", spec.Name, err)
 	}
-	rb, err := c.cli.FetchReport()
+	p, err := c.cli.FetchReport()
 	if err != nil {
 		return nil, fmt.Errorf("fetching report for %q: %w", spec.Name, err)
 	}
-	return DecodeReport(rb)
+	return payload[*Report](control.ReqFetchReport, p)
 }

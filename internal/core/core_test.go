@@ -609,6 +609,9 @@ func TestLocalizeHealthy(t *testing.T) {
 	}
 }
 
+// TestSpecRoundTrip: the spec the agent is configured with over the
+// channel is the one the host sent, field for field, and a payload that
+// is not a spec is refused.
 func TestSpecRoundTrip(t *testing.T) {
 	spec := &TestSpec{
 		Name: "rt",
@@ -618,19 +621,17 @@ func TestSpecRoundTrip(t *testing.T) {
 		}}},
 		Check: CheckSpec{Rules: []Rule{{Name: "r", Stream: "s", ExpectDrop: true}}},
 	}
-	b, err := EncodeTestSpec(spec)
-	if err != nil {
+	agent := newAgent(t, target.NewReference())
+	ctl := Connect(agent)
+	defer ctl.Close()
+	if err := ctl.cli.ConfigureGen(spec); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTestSpec(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "rt" || len(got.Gen.Streams) != 1 || got.Gen.Streams[0].Sweeps[0].Step != 2 {
+	if got := agent.spec; got == spec || !reflect.DeepEqual(got, spec) {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if _, err := DecodeTestSpec([]byte("garbage")); err == nil {
-		t.Error("garbage spec should fail decode")
+	if err := ctl.cli.ConfigureGen([]byte("garbage")); err == nil {
+		t.Error("garbage spec should be refused")
 	}
 }
 
@@ -684,21 +685,67 @@ func BenchmarkGeneratorPackets(b *testing.B) {
 	}
 }
 
-func BenchmarkEndToEndTest(b *testing.B) {
-	ctl := Connect(newAgent(b, target.NewSDNet(target.DefaultErrata())))
-	defer ctl.Close()
-	spec := &TestSpec{
-		Name: "bench",
-		Gen: GenSpec{Streams: []StreamSpec{{
-			Name: "probe", Template: goodFrame(64), Count: 100, RatePPS: 1e6,
-		}}},
-		Check: CheckSpec{Rules: []Rule{{Name: "fwd", Stream: "probe", ExpectPort: 1}}},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := ctl.RunTest(spec)
-		if err != nil || !rep.Pass {
-			b.Fatalf("%v %v", rep, err)
+// threeStreamSpec is the benchmark's validate5 shape: frames 64-byte
+// frames split good / malformed (version nibble 6) / ttl0, each stream
+// sweeping the low 16 source-address bits and carrying a sequence tag in
+// its first four payload bytes. Only the malformed rule can fail, and
+// only on a backend whose reject path fails open.
+func threeStreamSpec(frames int) *TestSpec {
+	good := goodFrame(22)
+	malformed := append([]byte(nil), good...)
+	malformed[14] = 0x65
+	ttl0 := append([]byte(nil), good...)
+	ttl0[22] = 0
+	stream := func(name string, tmpl []byte, count int, start uint64) StreamSpec {
+		return StreamSpec{
+			Name: name, Template: tmpl, Count: count, SeqLoc: FieldLoc{BitOff: 42 * 8, Bits: 32},
+			Sweeps: []FieldSweep{{Loc: FieldLoc{BitOff: 26*8 + 16, Bits: 16}, Start: start, Step: 7}},
 		}
+	}
+	return &TestSpec{
+		Name: "three-stream",
+		Gen: GenSpec{Streams: []StreamSpec{
+			stream("good", good, frames/2, 1), stream("malformed", malformed, frames/4, 2),
+			stream("ttl0", ttl0, frames-frames/2-frames/4, 3),
+		}},
+		Check: CheckSpec{Rules: []Rule{
+			{Name: "good-forwarded", Stream: "good", ExpectPort: 1},
+			{Name: "malformed-dropped", Stream: "malformed", ExpectDrop: true},
+			{Name: "ttl0-dropped", Stream: "ttl0", ExpectDrop: true},
+		}},
+	}
+}
+
+// kindAgent is newAgent on a backend named by kind.
+func kindAgent(t testing.TB, kind string) *Agent {
+	t.Helper()
+	tgt, err := target.ForKind(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newAgent(t, tgt)
+}
+
+// BenchmarkEndToEndTest is one validation — Configure, Run and the report
+// back over the control channel — of the 2 048-frame three-stream spec on
+// every shipped backend: the shape a profile of the paper's own path is
+// taken on (go test -bench EndToEndTest -cpuprofile … ./internal/core/).
+func BenchmarkEndToEndTest(b *testing.B) {
+	const frames = 2048
+	spec := threeStreamSpec(frames)
+	for _, kind := range target.ShippedKinds {
+		b.Run(kind, func(b *testing.B) {
+			ctl := Connect(kindAgent(b, kind))
+			defer ctl.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := ctl.RunTest(spec)
+				if err != nil || rep.Injected != frames {
+					b.Fatalf("%v %v", rep, err)
+				}
+			}
+			b.ReportMetric(float64(frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		})
 	}
 }

@@ -122,7 +122,7 @@ func TestAgentRunBatchedEquivalent(t *testing.T) {
 	}
 	for _, tp := range gen.Packets(twin.Device().Now()) {
 		res := twin.Device().InjectInternal(tp.Data, tp.IngressPort, tp.At, true)
-		checker.OnResult(tp, res, tp.At)
+		checker.OnResult(tp, res, tp.At, nil)
 	}
 	want := checker.Finish()
 

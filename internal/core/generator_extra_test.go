@@ -156,16 +156,10 @@ func TestConfigureRejectsHostileFieldLocs(t *testing.T) {
 			}
 			s := stream(tc.loc)
 			s.Name, s.Template, s.Count = "hostile", tmpl, 2
-			wire, err := EncodeTestSpec(&TestSpec{Name: kind, Gen: GenSpec{Streams: []StreamSpec{s}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, err := DecodeTestSpec(wire)
-			if err != nil {
-				t.Fatal(err)
-			}
 			a := newAgent(t, target.NewReference())
-			err = a.Configure(spec)
+			ctl := Connect(a)
+			err := ctl.cli.ConfigureGen(&TestSpec{Name: kind, Gen: GenSpec{Streams: []StreamSpec{s}}})
+			ctl.Close()
 			switch {
 			case wantErr && err == nil:
 				t.Errorf("%s %+v: accepted", kind, tc.loc)

@@ -242,11 +242,11 @@ func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
 	ctx.packet = pkt
 	ctx.payload = nil
 	ctx.out = ctx.out[:0]
-	// A fresh Trace struct: with CollectTrace off the old slices are nil
-	// and this costs nothing; with it on, any previously returned Trace
-	// keeps sole ownership of its slices, allocated by the first event
-	// that needs them.
-	ctx.Trace = Trace{Prog: e.prog}
+	// The context owns its trace's slices and truncates them here, so a
+	// Trace read from it lives as long as the packet's output bytes do:
+	// until the next packet on this context. With CollectTrace off both
+	// are nil and stay nil.
+	ctx.Trace = Trace{Prog: e.prog, States: ctx.Trace.States[:0], Tables: ctx.Trace.Tables[:0]}
 	if std := e.plan.std; std != nil {
 		ctx.slots[std[ir.StdMetaIngressPort]] = ingressPort & 0x1ff
 		ctx.slots[std[ir.StdMetaPacketLength]] = uint64(len(pkt)) & 0xffffffff
@@ -467,7 +467,7 @@ func (e *Engine) apply(ctx *Context, ts *tableState) {
 		ts.miss.Inc()
 	}
 	if ctx.CollectTrace {
-		// A trace sizes its slices on the first event, for every table
+		// A context sizes its trace on first use, for every table
 		// applied once.
 		if ctx.Trace.Tables == nil {
 			ctx.Trace.Tables = make([]TableEvent, 0, len(e.tableAt))

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -272,6 +273,15 @@ func (p *planPair) install(tb testing.TB, en Entry) {
 	p.m.install(en)
 }
 
+// sameTrace reports whether two traces record the same path. A context
+// truncates the slices it owns where the model starts from nil, so no
+// events is no events, whichever way it is spelled.
+func sameTrace(a, b Trace) bool {
+	events := slices.Equal(a.States, b.States) && slices.Equal(a.Tables, b.Tables)
+	a.States, a.Tables, b.States, b.Tables = nil, nil, nil, nil
+	return events && reflect.DeepEqual(a, b)
+}
+
 // process runs the frame through both and fails the test unless they agree
 // on everything a caller can observe; it returns the output.
 func (p *planPair) process(tb testing.TB, frame []byte, port uint64) []byte {
@@ -281,7 +291,7 @@ func (p *planPair) process(tb testing.TB, frame []byte, port uint64) []byte {
 	if !bytes.Equal(got, want) || (got == nil) != (want == nil) || egress != wantEgress {
 		tb.Fatalf("%s: frame %x port %d\n engine: port %d %x\n model:  port %d %x", p.name, frame, port, egress, got, wantEgress, want)
 	}
-	if p.ctx.Dropped() != p.m.trace.Dropped || !reflect.DeepEqual(p.ctx.Trace, p.m.trace) {
+	if p.ctx.Dropped() != p.m.trace.Dropped || !sameTrace(p.ctx.Trace, p.m.trace) {
 		tb.Fatalf("%s: frame %x port %d\n engine trace: %+v\n model trace:  %+v", p.name, frame, port, p.ctx.Trace, p.m.trace)
 	}
 	counters := p.e.Counters.Values()

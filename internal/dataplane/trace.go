@@ -36,7 +36,8 @@ var dropNames = [...]string{DropNone: "unknown", DropParser: "parser", DropContr
 // reports. It is small integers that index Prog, the program that ran;
 // only DropStage, ParserPath, Names and Format turn them into text. The
 // verdict and the drop fields are always set; States and Tables are
-// recorded only under Context.CollectTrace, and are then the trace's own.
+// recorded only under Context.CollectTrace, in storage the context owns
+// and reuses for its next packet: clone them to keep them longer.
 type Trace struct {
 	Prog        *ir.Program
 	States      []uint16     // parser states visited, by index

@@ -56,6 +56,7 @@ func equivalenceFrames() [][]byte {
 type observed struct {
 	out     Outcome
 	latency time.Duration
+	path    string
 	key     uint64
 	dropped bool
 	drop    dataplane.DropReason
@@ -63,7 +64,7 @@ type observed struct {
 }
 
 func observe(r Result) observed {
-	return observed{OutcomeOf(r), r.Latency, r.Trace.Key(0), r.Trace.Dropped, r.Trace.Drop, r.Trace.DropControl}
+	return observed{OutcomeOf(r), r.Latency, r.Trace.Format(), r.Trace.Key(0), r.Trace.Dropped, r.Trace.Drop, r.Trace.DropControl}
 }
 
 // statusDelta is what a run added to each of the target's counters.
@@ -80,9 +81,11 @@ func statusDelta(before, after map[string]uint64) map[string]uint64 {
 // TestProcessBatchMatchesProcess: on every kind of the kind table, a burst
 // through ProcessBatch and the same frames one by one through Process are
 // the same observation frame for frame — output bytes, egress port,
-// latency, trace key, drop reason — and move the same counters by the
-// same amounts. All results of the burst are valid at once, and stay so
-// across a single-packet Process on the same target.
+// latency, the rendered path and its key, drop reason — and move the same
+// counters by the same amounts. The burst's results are read only after
+// the whole burst and a single-packet Process on the same target: each
+// trace lives in its own slot's context, so all are valid at once, none
+// aliases another, and Process's own scratch leaves them alone.
 func TestProcessBatchMatchesProcess(t *testing.T) {
 	fixtures := []struct {
 		name string
