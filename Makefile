@@ -6,7 +6,7 @@ GO ?= go
 # job runs `make cover`.
 COVER_MIN ?= 78
 
-.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc bench bench-smoke bench-compare
+.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc figure2-golden bench bench-smoke bench-compare
 
 all: vet build test
 
@@ -55,6 +55,14 @@ docgate:
 # module (the figure CHANGES.md records each PR).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
+# Regenerate the Figure 2 golden after a deliberate change: the file's
+# three header lines, then what the CLI prints below its own heading.
+# TestFigure2Matrix holds the in-package run to these bytes; the CI vet
+# job reruns this target and diffs, which holds cmd/figures to them too.
+FIGURE2_GOLDEN := internal/scenario/testdata/figure2.golden
+figure2-golden:
+	(head -n 3 $(FIGURE2_GOLDEN); $(GO) run ./cmd/figures -figure 2 -details | tail -n +4) > f && mv f $(FIGURE2_GOLDEN)
 
 # Full benchmark sweep, human-readable.
 bench:

@@ -60,7 +60,7 @@ func frameOf(size int) []byte {
 func BenchmarkFigure2CapabilityMatrix(b *testing.B) {
 	scenarios := scenario.All()
 	for i := 0; i < b.N; i++ {
-		m := scenario.BuildMatrix(scenarios)
+		m := scenario.BuildMatrix(scenarios, 1)
 		if m.Cells[scenario.Compiler][scenario.ToolNetDebug] != scenario.Full {
 			b.Fatal("matrix shape changed")
 		}
@@ -76,7 +76,7 @@ func BenchmarkFigure2CapabilityMatrixParallel(b *testing.B) {
 	for _, workers := range []int{2, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := scenario.BuildMatrixParallel(scenarios, workers)
+				m := scenario.BuildMatrix(scenarios, workers)
 				if m.Cells[scenario.Compiler][scenario.ToolNetDebug] != scenario.Full {
 					b.Fatal("matrix shape changed")
 				}

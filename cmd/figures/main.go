@@ -11,7 +11,7 @@
 //	figures -all           everything, in order
 //
 // The -parallel flag runs the suite-shaped experiments across a worker
-// pool: Figure 2 through scenario.BuildMatrixParallel and the T1 sweep
+// pool: Figure 2 through scenario.BuildMatrix's workers and the T1 sweep
 // through netdebug.RunSuite (one System per worker). -parallel 0 (the
 // default) keeps the sequential paths; a negative value selects one
 // worker per CPU.
@@ -20,6 +20,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
@@ -89,12 +90,7 @@ func header(s string) {
 
 func figure2() {
 	header("Figure 2 — use-case capability matrix")
-	var m *scenario.Matrix
-	if *parallel != 0 {
-		m = scenario.BuildMatrixParallel(scenario.All(), *parallel)
-	} else {
-		m = scenario.BuildMatrix(scenario.All())
-	}
+	m := scenario.BuildMatrix(scenario.All(), cmp.Or(*parallel, 1)) // -parallel 0: one worker
 	fmt.Println(m.Render())
 	if *details {
 		for _, d := range m.SortedDetails() {

@@ -28,9 +28,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -143,7 +145,7 @@ func main() {
 			return
 		}
 		installDefaultRoute(sys)
-		runSuiteOnSystem(sys)
+		runSuite(sys.Status, sys.Validate)
 		return
 	default:
 		fmt.Fprintln(os.Stderr, "usage: netdebug -program FILE [-target T] -suite NAME")
@@ -151,17 +153,11 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	runSuiteOnController(ctl)
+	runSuite(ctl.Status, ctl.RunTest)
 }
 
 func installDefaultRoute(sys *netdebug.System) {
-	err := sys.InstallEntry(netdebug.Entry{
-		Table:  "ipv4_lpm",
-		Keys:   []netdebug.KeyValue{{Value: netdebug.NewValue(0x0a000000, 32), PrefixLen: 8}},
-		Action: "ipv4_forward",
-		Args:   []netdebug.Value{netdebug.ValueFromBytes(gwMAC[:]), netdebug.NewValue(1, 9)},
-	})
-	if err != nil {
+	if err := sys.InstallEntry(defaultRouteEntry()); err != nil {
 		log.Printf("note: default route not installed (%v); suites needing ipv4_lpm will fail", err)
 	}
 }
@@ -214,14 +210,16 @@ func printReport(rep *netdebug.Report) {
 	}
 }
 
-func runSuiteOnSystem(sys *netdebug.System) {
+// runSuite runs the -suite selection through a booted System's or a
+// remote Controller's status and validation calls.
+func runSuite(status func() (map[string]uint64, error), validate func(*netdebug.TestSpec) (*netdebug.Report, error)) {
 	if *suite == "status" {
-		st, err := sys.Status()
+		st, err := status()
 		if err != nil {
 			log.Fatal(err)
 		}
-		for k, v := range st {
-			fmt.Printf("%s=%d\n", k, v)
+		for _, k := range slices.Sorted(maps.Keys(st)) {
+			fmt.Printf("%s=%d\n", k, st[k])
 		}
 		return
 	}
@@ -229,7 +227,7 @@ func runSuiteOnSystem(sys *netdebug.System) {
 	if spec == nil {
 		log.Fatalf("unknown suite %q (want reject, perf, status)", *suite)
 	}
-	rep, err := sys.Validate(spec)
+	rep, err := validate(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -351,7 +349,7 @@ func runFuzz(src string) {
 	if len(rep.Divergences) == 0 {
 		fmt.Println("no divergences: all backends agree on every probe")
 	}
-	for _, kind := range []string{"reference", "sdnet", "tofino", "ebpf", "smartnic"} {
+	for _, kind := range target.ShippedKinds {
 		if n := rep.Divergences[kind]; n > 0 {
 			line := fmt.Sprintf("divergent backend %s: outvoted on %d probes", kind, n)
 			if t := rep.TieBroken[kind]; t > 0 {
@@ -442,30 +440,5 @@ func residentBatch() []netdebug.SessionSpec {
 			Probe:    &netdebug.ProbeSpec{Port: 0, Frame: goodFrame(), Count: 8},
 			SLOBound: time.Millisecond,
 		},
-	}
-}
-
-func runSuiteOnController(ctl *core.Controller) {
-	if *suite == "status" {
-		st, err := ctl.Status()
-		if err != nil {
-			log.Fatal(err)
-		}
-		for k, v := range st {
-			fmt.Printf("%s=%d\n", k, v)
-		}
-		return
-	}
-	spec := buildSpec()
-	if spec == nil {
-		log.Fatalf("unknown suite %q (want reject, perf, status)", *suite)
-	}
-	rep, err := ctl.RunTest(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	printReport(rep)
-	if !rep.Pass {
-		os.Exit(1)
 	}
 }

@@ -6,6 +6,8 @@ import (
 
 	"netdebug/internal/p4/ir"
 	"netdebug/internal/p4/p4test"
+	"netdebug/internal/target"
+	"netdebug/internal/verify"
 )
 
 func compileOK(t *testing.T, src string) *ir.Program {
@@ -364,6 +366,58 @@ func TestLocalsAndDirectActionCall(t *testing.T) {
 	call, ok := ifStmt.Then[0].(*ir.CallAction)
 	if !ok || call.Action.Name != "bump" || len(call.Args) != 1 {
 		t.Fatalf("then = %+v", ifStmt.Then)
+	}
+}
+
+// TestUnaryOperatorsFromSource takes !, ~ and unary - from P4 text all
+// the way down: no shipped program uses them, so without this the
+// parser's and compiler's unary paths run only on hand-built ir.Unary.
+func TestUnaryOperatorsFromSource(t *testing.T) {
+	src := `
+	header h_t { bit<8> a; bit<8> b; bit<8> c; } struct hs { h_t h; }
+	parser P(packet_in p, out hs hdr) { state start { p.extract(hdr.h); transition accept; } }
+	control I(inout hs hdr, inout standard_metadata_t sm) {
+	  apply {
+	    hdr.h.b = ~hdr.h.a;
+	    hdr.h.c = -hdr.h.a;
+	    if (!(hdr.h.a == 8w1)) {
+	      sm.egress_spec = 9w2;
+	    } else {
+	      sm.egress_spec = 9w1;
+	    }
+	  }
+	}
+	control D(packet_out p, in hs hdr) { apply { p.emit(hdr.h); } }
+	S(P(), I(), D()) main;`
+	prog := compileOK(t, src)
+	ref := target.NewReference()
+	if err := ref.Load(prog); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		a, b, c byte
+		port    uint64
+	}{
+		{a: 5, b: 250, c: 251, port: 2},
+		{a: 1, b: 254, c: 255, port: 1}, // the else branch
+		{a: 0, b: 255, c: 0, port: 2},
+	} {
+		res := ref.Process([]byte{tc.a, 0, 0}, 0, false)
+		if res.Dropped() {
+			t.Fatalf("a=%d: dropped", tc.a)
+		}
+		out := res.Outputs[0]
+		if out.Data[1] != tc.b || out.Data[2] != tc.c || out.Port != tc.port {
+			t.Errorf("a=%d: b=%d c=%d port=%d, want b=%d c=%d port=%d",
+				tc.a, out.Data[1], out.Data[2], out.Port, tc.b, tc.c, tc.port)
+		}
+	}
+	exp, err := verify.ExploreWithStats(prog, verify.Options{SolvePaths: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exp.Paths) != 2 {
+		t.Errorf("explored %d feasible paths, want the two branches of the !-guard", len(exp.Paths))
 	}
 }
 

@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 
-	"netdebug/internal/dataplane"
 	"netdebug/internal/fuzz"
 	"netdebug/internal/p4/p4test"
 	"netdebug/internal/verify"
@@ -22,119 +21,98 @@ import (
 func fuzzingScenarios() []Scenario {
 	return []Scenario{
 		{
-			Name:    "coverage-guided fleet rediscovers the backend errata",
-			UseCase: Fuzzing,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					router, err := fuzzReport(p4test.Router, fuzz.Options{
-						Baseline: routerFuzzBaseline(),
-						Budget:   768,
-						Shards:   2,
-						Seed:     1,
-					})
+			Name: "coverage-guided fleet rediscovers the backend errata", UseCase: Fuzzing,
+			NetDebug: func() Outcome {
+				rtr, err := fuzzReport(defaultRouteRouter, fuzz.Options{Budget: 768, Shards: 2, Seed: 1})
+				if err != nil {
+					return missed("router fleet: %v", err)
+				}
+				acl, err := fuzzReport(aclTie, fuzz.Options{Budget: 256, Seed: 1})
+				if err != nil {
+					return missed("acl fleet: %v", err)
+				}
+				if rtr.Divergences["sdnet"] == 0 || rtr.Divergences["ebpf"] == 0 {
+					return missed("router errata not localized: %v", rtr.Divergences)
+				}
+				if acl.Divergences["tofino"] == 0 {
+					return missed("tofino tie-break not localized: %v", acl.Divergences)
+				}
+				if rtr.Divergences["reference"] != 0 || acl.Divergences["reference"] != 0 {
+					return missed("reference backend voted divergent")
+				}
+				return detected("fuzz-found probes localize sdnet (%d), ebpf (%d) and tofino (%d) by majority vote",
+					rtr.Divergences["sdnet"], rtr.Divergences["ebpf"], acl.Divergences["tofino"])
+			},
+			Formal: func() Outcome {
+				// The program the backends share verifies clean — the two
+				// properties the sdnet erratum breaks on hardware hold on
+				// the source; the divergences live below the program model.
+				prog := mustProg(defaultRouteRouter.src)
+				for _, prop := range []verify.Property{verify.PropRejectedDropped, verify.PropMalformedIPv4Dropped("ipv4")} {
+					res, err := verify.Check(prog, prop, verify.Options{})
 					if err != nil {
-						return missed("router fleet: %v", err)
+						return missed("verify error: %v", err)
 					}
-					acl, err := fuzzReport(p4test.Firewall, fuzz.Options{
-						Baseline: aclTieEntries(),
-						Budget:   256,
-						Seed:     1,
-					})
-					if err != nil {
-						return missed("acl fleet: %v", err)
+					if !res.Holds {
+						return missed("shared program fails %s", prop.Name)
 					}
-					if router.Divergences["sdnet"] == 0 || router.Divergences["ebpf"] == 0 {
-						return missed("router errata not localized: %v", router.Divergences)
-					}
-					if acl.Divergences["tofino"] == 0 {
-						return missed("tofino tie-break not localized: %v", acl.Divergences)
-					}
-					if router.Divergences["reference"] != 0 || acl.Divergences["reference"] != 0 {
-						return missed("reference backend voted divergent")
-					}
-					return detected("fuzz-found probes localize sdnet (%d), ebpf (%d) and tofino (%d) by majority vote",
-						router.Divergences["sdnet"], router.Divergences["ebpf"], acl.Divergences["tofino"])
-				},
-				ToolFormal: func() Outcome {
-					// The program the backends share verifies clean; the
-					// divergences live below the program model.
-					prog := mustProg(p4test.Router)
-					for _, prop := range []verify.Property{verify.PropRejectedDropped, verify.PropForwardedHasEgress} {
-						res, err := verify.Check(prog, prop, verify.Options{})
-						if err != nil {
-							return missed("verify error: %v", err)
-						}
-						if !res.Holds {
-							return missed("shared program unexpectedly fails %s", prop.Name)
-						}
-					}
-					return missed("shared program verifies clean; backend errata are invisible to program analysis")
-				},
-				ToolExternal: func() Outcome {
-					// Blind differential replay: no coverage feedback, but the
-					// router errata have large input surfaces, so fixed probes
-					// plus a capture vote across four devices still split them.
-					devs := fourWayRouters()
-					if odd := OddOneOutExternal(devs, badVersionFrame(), 1, captureCount); len(odd) != 1 || odd[0] != "sdnet" {
-						return missed("capture vote names %v, want [sdnet]", odd)
-					}
-					devs = fourWayRouters()
-					if odd := OddOneOutExternal(devs, offSubnetFrame(), 2, captureCount); len(odd) != 1 || odd[0] != "ebpf" {
-						return missed("capture vote names %v, want [ebpf]", odd)
-					}
-					return detected("coverage-blind capture votes still split sdnet and ebpf on wide-surface errata")
-				},
+				}
+				return missed("shared program verifies clean; backend errata are invisible to program analysis")
+			},
+			External: func() Outcome {
+				// Blind differential replay: no coverage feedback, but the
+				// router errata have large input surfaces, so fixed probes
+				// plus a capture vote across four devices still split them.
+				if odd := OddOneOutExternal(fourWayRouters(), badVersionFrame(), 1, captureCount); len(odd) != 1 || odd[0] != "sdnet" {
+					return missed("capture vote names %v, want [sdnet]", odd)
+				}
+				if odd := OddOneOutExternal(fourWayRouters(), offSubnetFrame(), 2, captureCount); len(odd) != 1 || odd[0] != "ebpf" {
+					return missed("capture vote names %v, want [ebpf]", odd)
+				}
+				return detected("coverage-blind capture votes still split sdnet and ebpf on wide-surface errata")
 			},
 		},
 		{
-			Name:    "solver-synthesized probes reach branches mutation misses",
-			UseCase: Fuzzing,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					opts := fuzz.Options{
-						Baseline:  routerFuzzBaseline()[:1],
-						Budget:    512,
-						RoundSize: 128,
-						Seed:      3,
-					}
-					rep, err := fuzzReport(p4test.RouterMagicDrop, opts)
-					if err != nil {
-						return missed("fleet: %v", err)
-					}
-					if rep.SolverProbes == 0 || rep.SolverDiscovered == 0 {
-						return missed("solver probes discovered nothing: %+v", rep)
-					}
-					ctlOpts := opts
-					ctlOpts.DisableSolver = true
-					ctl, err := fuzzReport(p4test.RouterMagicDrop, ctlOpts)
-					if err != nil {
-						return missed("control fleet: %v", err)
-					}
-					magic := []byte{0xde, 0xad, 0xbe, 0xef}
-					if !corpusCarries(rep.Corpus, magic) || corpusCarries(ctl.Corpus, magic) {
-						return missed("magic srcAddr reached by mutation alone, or not reached at all")
-					}
-					return detected("path model for the 32-bit guard became a probe (%d solver-first signatures); a solver-less control at the same budget never got there",
-						rep.SolverDiscovered)
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("the solver finds the path, but without concrete backends there is nothing to differ")
-				},
-				ToolExternal: func() Outcome {
-					return missed("blind generation has a 2^-32 chance per frame of crossing the guard; no budget reaches it")
-				},
+			Name: "solver-synthesized probes reach branches mutation misses", UseCase: Fuzzing,
+			NetDebug: func() Outcome {
+				magicDrop := fixture{p4test.RouterMagicDrop, router.entries}
+				opts := fuzz.Options{Budget: 512, RoundSize: 128, Seed: 3}
+				rep, err := fuzzReport(magicDrop, opts)
+				if err != nil {
+					return missed("fleet: %v", err)
+				}
+				if rep.SolverProbes == 0 || rep.SolverDiscovered == 0 {
+					return missed("solver probes discovered nothing: %+v", rep)
+				}
+				opts.DisableSolver = true
+				ctl, err := fuzzReport(magicDrop, opts)
+				if err != nil {
+					return missed("control fleet: %v", err)
+				}
+				magic := []byte{0xde, 0xad, 0xbe, 0xef}
+				if !corpusCarries(rep.Corpus, magic) || corpusCarries(ctl.Corpus, magic) {
+					return missed("magic srcAddr reached by mutation alone, or not reached at all")
+				}
+				return detected("path model for the 32-bit guard became a probe (%d solver-first signatures); a solver-less control at the same budget never got there",
+					rep.SolverDiscovered)
+			},
+			Formal: cannot("the solver finds the path, but without concrete backends there is nothing to differ"),
+			External: func() Outcome {
+				return missed("blind generation has a 2^-32 chance per frame of crossing the guard; no budget reaches it")
 			},
 		},
 	}
 }
 
-// fuzzReport runs one fuzzing fleet to completion.
-func fuzzReport(src string, opts fuzz.Options) (*fuzz.Report, error) {
-	f, err := fuzz.New(src, opts)
+// fuzzReport runs one fuzzing fleet over the fixture — its entries are
+// the baseline every backend starts from — to completion.
+func fuzzReport(f fixture, opts fuzz.Options) (*fuzz.Report, error) {
+	opts.Baseline = f.entries
+	fz, err := fuzz.New(f.src, opts)
 	if err != nil {
 		return nil, err
 	}
-	return f.Run()
+	return fz.Run()
 }
 
 // corpusCarries reports whether any retained corpus frame carries the
@@ -146,11 +124,4 @@ func corpusCarries(corpus [][]byte, pattern []byte) bool {
 		}
 	}
 	return false
-}
-
-// routerFuzzBaseline is the router fixture the fuzz fleet starts from:
-// the 10/8 route plus the /0 default route, so both shipped router
-// errata have a probe surface.
-func routerFuzzBaseline() []dataplane.Entry {
-	return []dataplane.Entry{routeEntry(1), defaultRouteEntry(2)}
 }

@@ -10,10 +10,7 @@ type CellOutcome struct {
 	Scenario string
 	UseCase  UseCase
 	Tool     string
-	// Implemented reports whether the scenario defines a run for the
-	// tool at all.
-	Implemented bool
-	Outcome     Outcome
+	Outcome  Outcome
 }
 
 // DefaultWorkers is the worker count used when a parallel runner is
@@ -24,7 +21,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // workers and returns the outcomes in deterministic scenario-major,
 // tool-minor order, independent of scheduling.
 //
-// Each cell closure builds its own devices and targets (the Engine and
+// Each attempt builds its own devices and targets (the Engine and
 // Device models are not concurrency-safe, so the suite shards by
 // device, not by lock); cells share nothing and may run on any worker.
 // workers <= 1 runs the suite sequentially on the calling goroutine.
@@ -32,14 +29,8 @@ func RunCells(scenarios []Scenario, workers int) []CellOutcome {
 	n := len(scenarios) * len(Tools)
 	out := make([]CellOutcome, n)
 	run := func(idx int) {
-		sc := scenarios[idx/len(Tools)]
-		tool := Tools[idx%len(Tools)]
-		cell := CellOutcome{Scenario: sc.Name, UseCase: sc.UseCase, Tool: tool}
-		if fn, ok := sc.Run[tool]; ok {
-			cell.Implemented = true
-			cell.Outcome = fn()
-		}
-		out[idx] = cell
+		sc, tool := scenarios[idx/len(Tools)], idx%len(Tools)
+		out[idx] = CellOutcome{sc.Name, sc.UseCase, Tools[tool], sc.attempts()[tool]()}
 	}
 	if workers <= 0 {
 		workers = DefaultWorkers()

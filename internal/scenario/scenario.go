@@ -15,7 +15,26 @@
 // properties; the external tester is partial wherever internal visibility
 // or control-plane access is required and blind to resources and status.
 //
-// The comparison row's vote-localization cells are data: one voteCell
+// A Figure-2 cell is a row. A Scenario names the bug or measurement and
+// holds three attempts — NetDebug, Formal, External, in Tools order —
+// each returning its Outcome; cannot(why) is the attempt of a tool with
+// no way to try, why being its detail line. What a row's attempts share
+// is said once:
+//
+//   - a fixture (program + table entries) that on(target) boots into a
+//     fresh device, so both traffic tools meet the same device;
+//   - a stream (frame, count, rate, forward-or-drop) that validated()
+//     runs as the in-device agent's TestSpec and transmitted() as the
+//     external tester's tagged port-0→port-1 stream, so the two tools
+//     are put the same experiment by construction;
+//   - sentBoth and filled: the external pair comparison and the
+//     fill-until-refused loop.
+//
+// What stays a closure is what a row cannot share: the judgement on a
+// report and the one-off cells (fault localization, queue flood, session
+// runs, fuzz fleets, path exploration).
+//
+// The comparison row's vote-localization cells are data too: one voteCell
 // row per cell (fixture, probe, observation, expected dissenters, the
 // three tools' detail lines) driven by one function. The vote itself is
 // target.Vote — OddOneOut and OddOneOutExternal only collect each
@@ -25,8 +44,8 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -89,7 +108,11 @@ type Outcome struct {
 	Detail string
 }
 
-func unsupported(why string) Outcome { return Outcome{Detail: why} }
+// cannot is the attempt of a tool that has no way to try the scenario;
+// why becomes the cell's detail line.
+func cannot(why string) func() Outcome {
+	return func() Outcome { return Outcome{Detail: why} }
+}
 
 func detected(format string, args ...any) Outcome {
 	return Outcome{Supported: true, Detected: true, Detail: fmt.Sprintf(format, args...)}
@@ -99,12 +122,18 @@ func missed(format string, args ...any) Outcome {
 	return Outcome{Supported: true, Detail: fmt.Sprintf(format, args...)}
 }
 
-// Scenario is one concrete experiment; each tool closure builds a fresh
-// environment so scenarios are independent.
+// Scenario is one concrete experiment: a row of three attempts, one per
+// tool in Tools order. Each attempt builds a fresh environment, so cells
+// are independent and may run on any worker.
 type Scenario struct {
-	Name    string
-	UseCase UseCase
-	Run     map[string]func() Outcome
+	Name                       string
+	UseCase                    UseCase
+	NetDebug, Formal, External func() Outcome
+}
+
+// attempts lists the row's attempts in Tools order.
+func (s Scenario) attempts() [3]func() Outcome {
+	return [3]func() Outcome{s.NetDebug, s.Formal, s.External}
 }
 
 // --- shared fixtures ---------------------------------------------------
@@ -125,24 +154,60 @@ func mustProg(src string) *ir.Program {
 	return prog
 }
 
-func routeEntry(port uint64) dataplane.Entry {
+// lpmRoute routes prefix/plen to port via the gateway.
+func lpmRoute(prefix uint64, plen int, port uint64) dataplane.Entry {
 	return dataplane.Entry{
 		Table:  "ipv4_lpm",
-		Keys:   []dataplane.KeyValue{{Value: bitfield.New(0x0a000000, 32), PrefixLen: 8}},
+		Keys:   []dataplane.KeyValue{{Value: bitfield.New(prefix, 32), PrefixLen: plen}},
 		Action: "ipv4_forward",
 		Args:   []bitfield.Value{bitfield.FromBytes(gw[:]), bitfield.New(port, 9)},
 	}
 }
 
-// routerDevice builds a device running src on tg with one 10/8 route.
-func routerDevice(src string, tg target.Target, entries ...dataplane.Entry) *device.Device {
-	if err := tg.Load(mustProg(src)); err != nil {
+// routeEntry is the suite's baseline 10/8 route.
+func routeEntry(port uint64) dataplane.Entry { return lpmRoute(0x0a000000, 8, port) }
+
+// backend builds a fresh target of one of target.Kinds.
+func backend(kind string) target.Target {
+	tg, err := target.ForKind(kind)
+	if err != nil {
+		panic(fmt.Sprintf("scenario: %v", err))
+	}
+	return tg
+}
+
+// fixture is what a cell's device runs: a program and the table entries
+// installed before the first frame. A row names its fixture once and
+// every tool that needs a device boots it.
+type fixture struct {
+	src     string
+	entries []dataplane.Entry
+}
+
+// The fixtures more than one cell boots.
+var (
+	// router forwards 10/8 to port 1.
+	router = fixture{p4test.Router, []dataplane.Entry{routeEntry(1)}}
+	// defaultRouteRouter adds the /0 fallback route every other
+	// destination misses down to (port 2), so both shipped router errata
+	// have a probe surface: the fixture they are localized and fuzzed on.
+	defaultRouteRouter = fixture{p4test.Router, []dataplane.Entry{routeEntry(1), lpmRoute(0, 0, 2)}}
+	// aclTie is the firewall with two overlapping equal-priority ACL
+	// entries — a match-any allow installed first, an exact-dst drop
+	// installed second — plus a route for the drop entry's destination. A
+	// conforming target resolves the tie first-installed-wins and forwards
+	// aclTieProbe; the shipped Tofino driver resolves newest-first and
+	// drops it.
+	aclTie = fixture{p4test.Firewall, aclTieEntries()}
+)
+
+// on boots the fixture on tg. A fixture that cannot boot is a broken
+// suite, not an outcome: it panics.
+func (f fixture) on(tg target.Target) *device.Device {
+	if err := tg.Load(mustProg(f.src)); err != nil {
 		panic(fmt.Sprintf("scenario: load: %v", err))
 	}
-	if entries == nil {
-		entries = []dataplane.Entry{routeEntry(1)}
-	}
-	for _, e := range entries {
+	for _, e := range f.entries {
 		if err := tg.InstallEntry(e); err != nil {
 			panic(fmt.Sprintf("scenario: install: %v", err))
 		}
@@ -154,198 +219,203 @@ func routerDevice(src string, tg target.Target, entries ...dataplane.Entry) *dev
 	return dev
 }
 
-// plainDevice builds a device running src with no table entries.
-func plainDevice(src string, tg target.Target) *device.Device {
-	if err := tg.Load(mustProg(src)); err != nil {
-		panic(fmt.Sprintf("scenario: load: %v", err))
+// fleet boots the fixture on a fresh backend of every kind — the devices
+// a vote runs over.
+func (f fixture) fleet(kinds []string) map[string]*device.Device {
+	devs := make(map[string]*device.Device, len(kinds))
+	for _, kind := range kinds {
+		devs[kind] = f.on(backend(kind))
 	}
-	dev, err := device.New(device.Config{Target: tg})
-	if err != nil {
-		panic(err)
-	}
-	return dev
+	return devs
 }
 
 func goodFrame() []byte {
 	return packet.BuildUDPv4(macA, macB, ipA, ipB, 40000, 53, make([]byte, 26))
 }
 
-func ttlZeroFrame() []byte {
+// corrupted is goodFrame with one IPv4 header byte overwritten and the
+// header checksum made good again.
+func corrupted(off int, b byte) []byte {
 	f := goodFrame()
-	f[14+8] = 0
+	f[14+off] = b
 	packet.FixIPv4Checksum(f)
 	return f
 }
 
-func badVersionFrame() []byte {
-	f := goodFrame()
-	f[14] = 0x65
-	packet.FixIPv4Checksum(f)
-	return f
+func ttlZeroFrame() []byte    { return corrupted(8, 0) }
+func badVersionFrame() []byte { return corrupted(0, 0x65) }
+
+// stream is one traffic experiment, stated once for both traffic tools:
+// count copies of frame at ratePPS (zero: line rate) that the device
+// must either drop (wantDrop) or forward to port 1.
+type stream struct {
+	frame    []byte
+	count    int
+	ratePPS  float64
+	wantDrop bool
 }
 
-// runNetDebugDropTest runs a NetDebug test asserting stream "bad" drops
-// and returns whether the violation was detected.
-func runNetDebugDropTest(dev *device.Device, frame []byte) (*core.Report, error) {
+// spec renders the stream as the in-device agent's test: generate it
+// below the MACs, check every packet is dropped or egresses port 1.
+func (s stream) spec() *core.TestSpec {
+	rule := core.Rule{Name: "to-port-1", Stream: "probe", ExpectPort: 1}
+	if s.wantDrop {
+		rule = core.Rule{Name: "dropped", Stream: "probe", ExpectDrop: true}
+	}
+	return &core.TestSpec{
+		Name: "stream",
+		Gen: core.GenSpec{Streams: []core.StreamSpec{{
+			Name: "probe", Template: s.frame, Count: s.count, RatePPS: s.ratePPS,
+		}}},
+		Check: core.CheckSpec{Rules: []core.Rule{rule}},
+	}
+}
+
+// validated runs the stream through NetDebug — over the control channel
+// to the agent on dev — and hands the checker's report to judge.
+func (s stream) validated(dev *device.Device, judge func(*core.Report) Outcome) Outcome {
 	ctl := core.Connect(core.NewAgent(dev))
 	defer ctl.Close()
-	return ctl.RunTest(&core.TestSpec{
-		Name: "drop-test",
-		Gen: core.GenSpec{Streams: []core.StreamSpec{{
-			Name: "bad", Template: frame, Count: 20, RatePPS: 1e6,
-		}}},
-		Check: core.CheckSpec{Rules: []core.Rule{{
-			Name: "bad-dropped", Stream: "bad", ExpectDrop: true,
-		}}},
-	})
+	rep, err := ctl.RunTest(s.spec())
+	if err != nil {
+		return missed("test error: %v", err)
+	}
+	return judge(rep)
 }
 
-// seqLocForUDPPayload returns a 32-bit sequence-tag location in the UDP
-// payload of goodFrame()-shaped packets.
-func seqLocForUDPPayload() core.FieldLoc {
-	return core.FieldLoc{BitOff: (14 + 20 + 8) * 8, Bits: 32}
+// transmitted runs the same stream through the external tester — into
+// port 0, expected (or, wantDrop, expected not) out of port 1, matched by
+// a 32-bit sequence tag in the UDP payload — and hands its report to
+// judge.
+func (s stream) transmitted(dev *device.Device, judge func(*tester.Report) Outcome) Outcome {
+	rep, err := tester.New(dev).Run([]tester.Stream{{
+		Name: "probe", Frame: s.frame, Count: s.count, RatePPS: s.ratePPS,
+		TxPort: 0, RxPort: 1, ExpectLoss: s.wantDrop,
+		SeqLoc: core.FieldLoc{BitOff: (14 + 20 + 8) * 8, Bits: 32},
+	}})
+	if err != nil {
+		return missed("tester error: %v", err)
+	}
+	return judge(rep)
+}
+
+// sentBoth sends the same frames, 10µs apart, into port 0 of two devices
+// and returns how many each emitted on rxPort — all an external tester
+// can compare two devices by.
+func sentBoth(a, b *device.Device, rxPort int, frames ...[]byte) (gotA, gotB int) {
+	for i, f := range frames {
+		at := time.Duration(i) * 10 * time.Microsecond
+		a.SendExternal(0, f, at)
+		b.SendExternal(0, f, at)
+	}
+	gotA, gotB = len(a.Captures(rxPort)), len(b.Captures(rxPort))
+	a.ReleaseCaptures(rxPort)
+	b.ReleaseCaptures(rxPort)
+	return gotA, gotB
+}
+
+// filled installs entry(0), entry(1), … over dev's control channel until
+// one is refused or n are in, and returns how many were accepted.
+func filled(dev *device.Device, n int, entry func(i int) dataplane.Entry) int {
+	ctl := core.Connect(core.NewAgent(dev))
+	defer ctl.Close()
+	for i := 0; i < n; i++ {
+		if err := ctl.InstallEntry(entry(i)); err != nil {
+			return i
+		}
+	}
+	return n
 }
 
 // --- scenario suite -----------------------------------------------------
 
 // All builds the complete Figure 2 scenario suite.
 func All() []Scenario {
-	var out []Scenario
-	out = append(out, functionalScenarios()...)
-	out = append(out, performanceScenarios()...)
-	out = append(out, compilerScenarios()...)
-	out = append(out, architectureScenarios()...)
-	out = append(out, resourceScenarios()...)
-	out = append(out, statusScenarios()...)
-	out = append(out, comparisonScenarios()...)
-	out = append(out, residentScenarios()...)
-	out = append(out, fuzzingScenarios()...)
-	return out
+	return slices.Concat(functionalScenarios(), performanceScenarios(), compilerScenarios(),
+		architectureScenarios(), resourceScenarios(), statusScenarios(),
+		comparisonScenarios(), residentScenarios(), fuzzingScenarios())
 }
 
 func functionalScenarios() []Scenario {
+	noTTLGuard := fixture{p4test.RouterNoTTLCheck, router.entries}
+	ttlZero := stream{frame: ttlZeroFrame(), count: 20, ratePPS: 1e6, wantDrop: true}
+	wrongPort := fixture{p4test.Router, []dataplane.Entry{routeEntry(3)}} // should be 1
+	probe := stream{frame: goodFrame(), count: 10, ratePPS: 1e6}
+	stuckQueue := func() *device.Device {
+		dev := router.on(target.NewReference())
+		dev.InjectFault(device.Fault{Kind: device.FaultQueueStuck, Port: 1})
+		return dev
+	}
 	return []Scenario{
 		{
-			Name:    "program bug: missing TTL=0 guard",
-			UseCase: Functional,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					dev := routerDevice(p4test.RouterNoTTLCheck, target.NewReference())
-					rep, err := runNetDebugDropTest(dev, ttlZeroFrame())
-					if err != nil {
-						return missed("test error: %v", err)
-					}
+			Name: "program bug: missing TTL=0 guard", UseCase: Functional,
+			NetDebug: func() Outcome {
+				return ttlZero.validated(noTTLGuard.on(target.NewReference()), func(rep *core.Report) Outcome {
 					if !rep.Pass {
 						return detected("checker: %d TTL=0 packets forwarded, want drop", rep.Failures())
 					}
 					return missed("ttl=0 packets were dropped")
-				},
-				ToolFormal: func() Outcome {
-					prog := mustProg(p4test.RouterNoTTLCheck)
-					prop := ttlZeroForwardProp()
-					res, err := verify.Check(prog, prop, verify.Options{})
-					if err != nil {
-						return missed("verification error: %v", err)
-					}
-					if !res.Holds {
-						return detected("property %s violated: program forwards TTL=0", prop.Name)
-					}
-					return missed("property verified; bug not found")
-				},
-				ToolExternal: func() Outcome {
-					dev := routerDevice(p4test.RouterNoTTLCheck, target.NewReference())
-					tst := tester.New(dev)
-					rep, err := tst.Run([]tester.Stream{{
-						Name: "ttl0", Frame: ttlZeroFrame(), Count: 20,
-						TxPort: 0, RxPort: 1, SeqLoc: seqLocForUDPPayload(),
-						ExpectLoss: true, // a correct router drops these
-					}})
-					if err != nil {
-						return missed("tester error: %v", err)
-					}
+				})
+			},
+			Formal: func() Outcome {
+				prop := ttlZeroForwardProp()
+				res, err := verify.Check(mustProg(noTTLGuard.src), prop, verify.Options{})
+				if err != nil {
+					return missed("verification error: %v", err)
+				}
+				if !res.Holds {
+					return detected("property %s violated: program forwards TTL=0", prop.Name)
+				}
+				return missed("property verified; bug not found")
+			},
+			External: func() Outcome {
+				return ttlZero.transmitted(noTTLGuard.on(target.NewReference()), func(rep *tester.Report) Outcome {
 					if !rep.Pass {
 						return detected("captured %d TTL=0 frames on egress, want none", rep.Received)
 					}
 					return missed("no TTL=0 frames escaped")
-				},
+				})
 			},
 		},
 		{
-			Name:    "control-plane bug: route installed to wrong port",
-			UseCase: Functional,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewReference(), routeEntry(3)) // should be 1
-					ctl := core.Connect(core.NewAgent(dev))
-					defer ctl.Close()
-					rep, err := ctl.RunTest(&core.TestSpec{
-						Name: "egress-check",
-						Gen: core.GenSpec{Streams: []core.StreamSpec{{
-							Name: "probe", Template: goodFrame(), Count: 10, RatePPS: 1e6,
-						}}},
-						Check: core.CheckSpec{Rules: []core.Rule{{
-							Name: "to-port1", Stream: "probe", ExpectPort: 1,
-						}}},
-					})
-					if err != nil {
-						return missed("test error: %v", err)
-					}
+			Name: "control-plane bug: route installed to wrong port", UseCase: Functional,
+			NetDebug: func() Outcome {
+				return probe.validated(wrongPort.on(target.NewReference()), func(rep *core.Report) Outcome {
 					if !rep.Pass {
 						return detected("checker: packets egress port 3, want 1")
 					}
 					return missed("egress port as expected")
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("table contents are runtime state; program-level verification cannot see installed entries")
-				},
-				ToolExternal: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewReference(), routeEntry(3))
-					tst := tester.New(dev)
-					rep, err := tst.Run([]tester.Stream{{
-						Name: "probe", Frame: goodFrame(), Count: 10,
-						TxPort: 0, RxPort: 1, SeqLoc: seqLocForUDPPayload(),
-					}})
-					if err != nil {
-						return missed("tester error: %v", err)
-					}
+				})
+			},
+			Formal: cannot("table contents are runtime state; program-level verification cannot see installed entries"),
+			External: func() Outcome {
+				return probe.transmitted(wrongPort.on(target.NewReference()), func(rep *tester.Report) Outcome {
 					if !rep.Pass {
 						return detected("expected frames on port 1 never arrived (loss=%d)", rep.Lost)
 					}
 					return missed("frames arrived on expected port")
-				},
+				})
 			},
 		},
 		{
-			Name:    "silent internal drop: localize the faulty stage",
-			UseCase: Functional,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewReference())
-					dev.InjectFault(device.Fault{Kind: device.FaultQueueStuck, Port: 1})
-					diag := core.LocalizeFault(dev, goodFrame(), 0, 1)
-					if diag.Stage == "egress port 1" {
-						return detected("localized fault to %s", diag.Stage)
-					}
-					return missed("localized to %q, want egress port 1", diag.Stage)
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("hardware faults are invisible to program verification")
-				},
-				ToolExternal: func() Outcome {
-					// The tester sees 100% loss but cannot name the stage:
-					// a MAC fault, parser drop, and stuck queue look identical.
-					dev := routerDevice(p4test.Router, target.NewReference())
-					dev.InjectFault(device.Fault{Kind: device.FaultQueueStuck, Port: 1})
-					tst := tester.New(dev)
-					rep, _ := tst.Run([]tester.Stream{{
-						Name: "probe", Frame: goodFrame(), Count: 10,
-						TxPort: 0, RxPort: 1, SeqLoc: seqLocForUDPPayload(),
-					}})
-					if rep != nil && rep.Lost > 0 {
+			Name: "silent internal drop: localize the faulty stage", UseCase: Functional,
+			NetDebug: func() Outcome {
+				diag := core.LocalizeFault(stuckQueue(), goodFrame(), 0, 1)
+				if diag.Stage == "egress port 1" {
+					return detected("localized fault to %s", diag.Stage)
+				}
+				return missed("localized to %q, want egress port 1", diag.Stage)
+			},
+			Formal: cannot("hardware faults are invisible to program verification"),
+			External: func() Outcome {
+				// The tester sees 100% loss but cannot name the stage:
+				// a MAC fault, parser drop, and stuck queue look identical.
+				return probe.transmitted(stuckQueue(), func(rep *tester.Report) Outcome {
+					if rep.Lost > 0 {
 						return missed("observed %d lost frames but cannot localize the stage", rep.Lost)
 					}
 					return missed("no loss observed")
-				},
+				})
 			},
 		},
 	}
@@ -363,10 +433,10 @@ func ttlZeroForwardProp() verify.Property {
 			if inst == nil || p.Dropped || !p.Valid[inst.Index] {
 				return false, nil
 			}
-			// The extract-time TTL is the fresh variable named
-			// "ipv4.ttl#N"; find it in the path's terms and pin it to 0.
-			v := findVar(p, "ipv4.ttl#")
-			if v == nil {
+			// The extract-time TTL is the earliest fresh variable named
+			// "ipv4.ttl#N" in the path's terms; pin it to 0.
+			v, ok := p.ExtractVars()["ipv4.ttl"]
+			if !ok {
 				return false, nil
 			}
 			return true, []solver.BV{solver.Eq(v, solver.ConstUint(0, v.Width()))}
@@ -374,107 +444,42 @@ func ttlZeroForwardProp() verify.Property {
 	}
 }
 
-// findVar locates a free variable whose name starts with prefix anywhere
-// in the path's constraints or final field expressions.
-func findVar(p *verify.Path, prefix string) solver.BV {
-	var found solver.BV
-	visit := func(v solver.VarBV) {
-		if found == nil && strings.HasPrefix(v.Name, prefix) {
-			found = v
-		}
-	}
-	var walk func(t solver.BV)
-	walk = func(t solver.BV) {
-		switch t := t.(type) {
-		case solver.VarBV:
-			visit(t)
-		case solver.BinBV:
-			walk(t.A)
-			walk(t.B)
-		case solver.UnBV:
-			walk(t.X)
-		case solver.IteBV:
-			walk(t.Cond)
-			walk(t.A)
-			walk(t.B)
-		}
-	}
-	for _, c := range p.Constraints {
-		walk(c)
-	}
-	for _, inst := range p.Fields {
-		for _, f := range inst {
-			if f != nil {
-				walk(f)
-			}
-		}
-	}
-	return found
-}
-
 func performanceScenarios() []Scenario {
-	const frameBytes = 1024 - 42 // payload so the frame is 1024B
-	mkFrame := func() []byte {
-		return packet.BuildUDPv4(macA, macB, ipA, ipB, 40000, 53, make([]byte, frameBytes))
-	}
+	// A 1024B frame on the shipped SDNet flow, flooded at line rate and
+	// paced at 100 kpps.
+	frame := packet.BuildUDPv4(macA, macB, ipA, ipB, 40000, 53, make([]byte, 1024-42))
+	flood := stream{frame: frame, count: 2000}
+	paced := stream{frame: frame, count: 200, ratePPS: 1e5}
 	lineRatePPS := 10e9 / float64((1024+20)*8)
 	return []Scenario{
 		{
-			Name:    "throughput and packet rate at line rate",
-			UseCase: Performance,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-					ctl := core.Connect(core.NewAgent(dev))
-					defer ctl.Close()
-					rep, err := ctl.RunTest(&core.TestSpec{
-						Name: "rate",
-						Gen: core.GenSpec{Streams: []core.StreamSpec{{
-							Name: "flood", Template: mkFrame(), Count: 2000,
-						}}},
-						Check: core.CheckSpec{Rules: []core.Rule{{Name: "fwd", Stream: "flood", ExpectPort: 1}}},
-					})
-					if err != nil || !rep.Pass {
-						return missed("rate test failed: %v %v", rep, err)
+			Name: "throughput and packet rate at line rate", UseCase: Performance,
+			NetDebug: func() Outcome {
+				return flood.validated(router.on(backend(target.KindSDNet)), func(rep *core.Report) Outcome {
+					if !rep.Pass {
+						return missed("rate test failed: %v", rep)
 					}
 					if rep.OutPPS > 0.95*lineRatePPS && rep.OutPPS < 1.05*lineRatePPS {
 						return detected("measured %.0f pps / %.2f Gbps at line rate", rep.OutPPS, rep.OutBPS/1e9)
 					}
 					return missed("pps %.0f outside line-rate window", rep.OutPPS)
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("verification is static; it measures no rates")
-				},
-				ToolExternal: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-					tst := tester.New(dev)
-					pps, bps, err := tst.MeasureThroughput(mkFrame(), 2000, 0, 1)
-					if err != nil {
-						return missed("tester error: %v", err)
+				})
+			},
+			Formal: cannot("verification is static; it measures no rates"),
+			External: func() Outcome {
+				return flood.transmitted(router.on(backend(target.KindSDNet)), func(rep *tester.Report) Outcome {
+					if rep.RxPPS > 0.9*lineRatePPS {
+						return detected("measured %.0f pps / %.2f Gbps externally", rep.RxPPS, rep.RxBPS/1e9)
 					}
-					if pps > 0.9*lineRatePPS {
-						return detected("measured %.0f pps / %.2f Gbps externally", pps, bps/1e9)
-					}
-					return missed("external pps %.0f below line rate", pps)
-				},
+					return missed("external pps %.0f below line rate", rep.RxPPS)
+				})
 			},
 		},
 		{
-			Name:    "pipeline latency isolated from wire time",
-			UseCase: Performance,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-					ctl := core.Connect(core.NewAgent(dev))
-					defer ctl.Close()
-					rep, err := ctl.RunTest(&core.TestSpec{
-						Name: "latency",
-						Gen: core.GenSpec{Streams: []core.StreamSpec{{
-							Name: "probe", Template: mkFrame(), Count: 200, RatePPS: 1e5,
-						}}},
-						Check: core.CheckSpec{Rules: []core.Rule{{Name: "fwd", Stream: "probe", ExpectPort: 1}}},
-					})
-					if err != nil || !rep.Pass {
+			Name: "pipeline latency isolated from wire time", UseCase: Performance,
+			NetDebug: func() Outcome {
+				return paced.validated(router.on(backend(target.KindSDNet)), func(rep *core.Report) Outcome {
+					if !rep.Pass {
 						return missed("latency test failed")
 					}
 					// Pipeline latency for a 1024B frame on the sdnet model
@@ -483,18 +488,12 @@ func performanceScenarios() []Scenario {
 						return detected("pipeline p50 latency %dns, isolated from wire time", rep.LatP50Ns)
 					}
 					return missed("p50 latency %dns not isolated", rep.LatP50Ns)
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("verification is static; it measures no latency")
-				},
-				ToolExternal: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-					tst := tester.New(dev)
-					rep, err := tst.Run([]tester.Stream{{
-						Name: "probe", Frame: mkFrame(), Count: 200,
-						TxPort: 0, RxPort: 1, RatePPS: 1e5, SeqLoc: seqLocForUDPPayload(),
-					}})
-					if err != nil || !rep.Pass {
+				})
+			},
+			Formal: cannot("verification is static; it measures no latency"),
+			External: func() Outcome {
+				return paced.transmitted(router.on(backend(target.KindSDNet)), func(rep *tester.Report) Outcome {
+					if !rep.Pass {
 						return missed("tester run failed")
 					}
 					// RTT includes two serialization times; the tester cannot
@@ -503,79 +502,56 @@ func performanceScenarios() []Scenario {
 						return missed("RTT p50 %dns includes wire time; pipeline latency not isolable", rep.RTTP50Ns)
 					}
 					return detected("RTT %dns", rep.RTTP50Ns)
-				},
+				})
 			},
 		},
 	}
 }
 
 func compilerScenarios() []Scenario {
+	malformed := stream{frame: badVersionFrame(), count: 20, ratePPS: 1e6, wantDrop: true}
 	return []Scenario{
 		{
-			Name:    "SDNet reject parser state not implemented",
-			UseCase: Compiler,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-					rep, err := runNetDebugDropTest(dev, badVersionFrame())
-					if err != nil {
-						return missed("test error: %v", err)
-					}
+			Name: "SDNet reject parser state not implemented", UseCase: Compiler,
+			NetDebug: func() Outcome {
+				return malformed.validated(router.on(backend(target.KindSDNet)), func(rep *core.Report) Outcome {
 					if !rep.Pass {
 						return detected("malformed packets forwarded: reject state not implemented")
 					}
 					return missed("malformed packets dropped correctly")
-				},
-				ToolFormal: func() Outcome {
-					// The paper's headline: the program verifies, so the
-					// compiler bug is invisible.
-					prog := mustProg(p4test.Router)
-					res, err := verify.Check(prog, verify.PropRejectedDropped, verify.Options{})
-					if err != nil {
-						return missed("verification error: %v", err)
-					}
-					if res.Holds {
-						return missed("program verified correct; compiler defect invisible to software verification")
-					}
-					return detected("property violated (unexpected)")
-				},
-				ToolExternal: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-					tst := tester.New(dev)
-					rep, err := tst.Run([]tester.Stream{{
-						Name: "bad", Frame: badVersionFrame(), Count: 20,
-						TxPort: 0, RxPort: 1, SeqLoc: seqLocForUDPPayload(),
-						ExpectLoss: true,
-					}})
-					if err != nil {
-						return missed("tester error: %v", err)
-					}
+				})
+			},
+			Formal: func() Outcome {
+				// The paper's headline: the program verifies, so the
+				// compiler bug is invisible.
+				res, err := verify.Check(mustProg(router.src), verify.PropRejectedDropped, verify.Options{})
+				if err != nil {
+					return missed("verification error: %v", err)
+				}
+				if res.Holds {
+					return missed("program verified correct; compiler defect invisible to software verification")
+				}
+				return detected("property violated (unexpected)")
+			},
+			External: func() Outcome {
+				return malformed.transmitted(router.on(backend(target.KindSDNet)), func(rep *tester.Report) Outcome {
 					if !rep.Pass {
 						return detected("malformed frames captured on egress: drop not enforced")
 					}
 					return missed("malformed frames were dropped")
-				},
+				})
 			},
 		},
 		{
-			Name:    "compiler rejects wide ternary keys",
-			UseCase: Compiler,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					prog := mustProg(wideTernaryProgram)
-					sd := target.NewSDNet(target.DefaultErrata())
-					if err := sd.Load(prog); err != nil {
-						return detected("compilation failed as a limitation: %v", err)
-					}
-					return missed("wide ternary program loaded")
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("verification sees the language, not the backend's limits")
-				},
-				ToolExternal: func() Outcome {
-					return unsupported("an external tester never interacts with the compiler")
-				},
+			Name: "compiler rejects wide ternary keys", UseCase: Compiler,
+			NetDebug: func() Outcome {
+				if err := backend(target.KindSDNet).Load(mustProg(wideTernaryProgram)); err != nil {
+					return detected("compilation failed as a limitation: %v", err)
+				}
+				return missed("wide ternary program loaded")
 			},
+			Formal:   cannot("verification sees the language, not the backend's limits"),
+			External: cannot("an external tester never interacts with the compiler"),
 		},
 	}
 }
@@ -594,108 +570,60 @@ S(P(), I(), D()) main;`
 func architectureScenarios() []Scenario {
 	return []Scenario{
 		{
-			Name:    "usable table capacity below declared size",
-			UseCase: Architecture,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-					ctl := core.Connect(core.NewAgent(dev))
-					defer ctl.Close()
-					installed := 0
-					for i := 0; i < 1024; i++ {
-						e := dataplane.Entry{
-							Table: "ipv4_lpm",
-							Keys: []dataplane.KeyValue{{
-								Value: bitfield.New(uint64(0x0b000000+i*256), 32), PrefixLen: 24,
-							}},
-							Action: "ipv4_forward",
-							Args:   []bitfield.Value{bitfield.FromBytes(gw[:]), bitfield.New(1, 9)},
-						}
-						if err := ctl.InstallEntry(e); err != nil {
-							break
-						}
-						installed++
-					}
-					if installed < 1024 {
-						return detected("table full after %d entries; declared size 1024", installed+1)
-					}
-					return missed("all 1024 entries installed")
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("resource layout is a target property; not in the program semantics")
-				},
-				ToolExternal: func() Outcome {
-					return unsupported("the tester has no control-plane access to install entries")
-				},
+			Name: "usable table capacity below declared size", UseCase: Architecture,
+			NetDebug: func() Outcome {
+				installed := filled(router.on(backend(target.KindSDNet)), 1024, func(i int) dataplane.Entry {
+					return lpmRoute(uint64(0x0b000000+i*256), 24, 1)
+				})
+				if installed < 1024 {
+					return detected("table full after %d entries; declared size 1024", installed+1)
+				}
+				return missed("all 1024 entries installed")
 			},
+			Formal:   cannot("resource layout is a target property; not in the program semantics"),
+			External: cannot("the tester has no control-plane access to install entries"),
 		},
 		{
-			Name:    "tofino placement grants less capacity than declared",
-			UseCase: Architecture,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					// A 1-stage, 2-block pipeline grants the 4096-entry
-					// table 2048 rows; the control channel sees the
-					// placement limit trip mid-fill.
-					tf := target.NewTofino(target.TofinoErrata{Stages: 1, SRAMBlocks: 2})
-					if err := tf.Load(mustProg(p4test.BigExactTable)); err != nil {
-						return missed("load: %v", err)
+			Name: "tofino placement grants less capacity than declared", UseCase: Architecture,
+			NetDebug: func() Outcome {
+				// A 1-stage, 2-block pipeline grants the 4096-entry
+				// table 2048 rows; the control channel sees the
+				// placement limit trip mid-fill.
+				tf := target.NewTofino(target.TofinoErrata{Stages: 1, SRAMBlocks: 2})
+				installed := filled(fixture{src: p4test.BigExactTable}.on(tf), 4096, func(i int) dataplane.Entry {
+					return dataplane.Entry{
+						Table:  "big",
+						Keys:   []dataplane.KeyValue{{Value: bitfield.New(uint64(i), 32)}},
+						Action: "fwd",
+						Args:   []bitfield.Value{bitfield.New(1, 9)},
 					}
-					dev, err := device.New(device.Config{Target: tf})
-					if err != nil {
-						return missed("device: %v", err)
-					}
-					ctl := core.Connect(core.NewAgent(dev))
-					defer ctl.Close()
-					installed := 0
-					for i := 0; i < 4096; i++ {
-						if err := ctl.InstallEntry(dataplane.Entry{
-							Table:  "big",
-							Keys:   []dataplane.KeyValue{{Value: bitfield.New(uint64(i), 32)}},
-							Action: "fwd",
-							Args:   []bitfield.Value{bitfield.New(1, 9)},
-						}); err != nil {
-							break
-						}
-						installed++
-					}
-					if installed < 4096 {
-						return detected("placement grant full after %d entries; declared size 4096", installed)
-					}
-					return missed("all 4096 entries installed")
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("table placement is a target property; not in the program semantics")
-				},
-				ToolExternal: func() Outcome {
-					return unsupported("the tester has no control-plane access to install entries")
-				},
+				})
+				if installed < 4096 {
+					return detected("placement grant full after %d entries; declared size 4096", installed)
+				}
+				return missed("all 4096 entries installed")
 			},
+			Formal:   cannot("table placement is a target property; not in the program semantics"),
+			External: cannot("the tester has no control-plane access to install entries"),
 		},
 		{
-			Name:    "output queue depth limit under 2:1 oversubscription",
-			UseCase: Architecture,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewReference())
-					floodTwoToOne(dev)
-					drops := dev.Status()["port1.tx.queue_drops"]
-					if drops > 0 {
-						return detected("status registers report %d queue tail-drops", drops)
-					}
-					return missed("no queue drops recorded")
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("queueing is not part of the program semantics")
-				},
-				ToolExternal: func() Outcome {
-					dev := routerDevice(p4test.Router, target.NewReference())
-					sent, got := floodTwoToOne(dev)
-					if got < sent {
-						return detected("received %d of %d frames: loss implies a queue limit", got, sent)
-					}
-					return missed("no loss under oversubscription")
-				},
+			Name: "output queue depth limit under 2:1 oversubscription", UseCase: Architecture,
+			NetDebug: func() Outcome {
+				dev := router.on(target.NewReference())
+				floodTwoToOne(dev)
+				drops := dev.Status()["port1.tx.queue_drops"]
+				if drops > 0 {
+					return detected("status registers report %d queue tail-drops", drops)
+				}
+				return missed("no queue drops recorded")
+			},
+			Formal: cannot("queueing is not part of the program semantics"),
+			External: func() Outcome {
+				sent, got := floodTwoToOne(router.on(target.NewReference()))
+				if got < sent {
+					return detected("received %d of %d frames: loss implies a queue limit", got, sent)
+				}
+				return missed("no loss under oversubscription")
 			},
 		},
 	}
@@ -719,76 +647,58 @@ func floodTwoToOne(dev *device.Device) (sent, received int) {
 
 func resourceScenarios() []Scenario {
 	return []Scenario{{
-		Name:    "hardware resource usage per program",
-		UseCase: Resources,
-		Run: map[string]func() Outcome{
-			ToolNetDebug: func() Outcome {
-				dev := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-				ctl := core.Connect(core.NewAgent(dev))
-				defer ctl.Close()
-				small, err := ctl.Resources()
-				if err != nil || small.LUTs <= 0 {
-					return missed("no resource report: %v", err)
-				}
-				big := target.NewSDNet(target.DefaultErrata())
-				if err := big.Load(mustProg(p4test.Firewall)); err != nil {
-					return missed("firewall load: %v", err)
-				}
-				if big.Resources().LUTs > small.LUTs {
-					return detected("router %.1f%% LUT vs firewall %.1f%% LUT: consumption quantified",
-						small.LUTPct, big.Resources().LUTPct)
-				}
-				return missed("resource model not discriminating")
-			},
-			ToolFormal: func() Outcome {
-				return unsupported("verification has no view of hardware resources")
-			},
-			ToolExternal: func() Outcome {
-				return unsupported("resource usage is invisible at the network interfaces")
-			},
+		Name: "hardware resource usage per program", UseCase: Resources,
+		NetDebug: func() Outcome {
+			ctl := core.Connect(core.NewAgent(router.on(backend(target.KindSDNet))))
+			defer ctl.Close()
+			small, err := ctl.Resources()
+			if err != nil || small.LUTs <= 0 {
+				return missed("no resource report: %v", err)
+			}
+			big := backend(target.KindSDNet)
+			if err := big.Load(mustProg(p4test.Firewall)); err != nil {
+				return missed("firewall load: %v", err)
+			}
+			if big.Resources().LUTs > small.LUTs {
+				return detected("router %.1f%% LUT vs firewall %.1f%% LUT: consumption quantified",
+					small.LUTPct, big.Resources().LUTPct)
+			}
+			return missed("resource model not discriminating")
 		},
+		Formal:   cannot("verification has no view of hardware resources"),
+		External: cannot("resource usage is invisible at the network interfaces"),
 	}}
 }
 
 func statusScenarios() []Scenario {
 	return []Scenario{{
-		Name:    "periodic internal status registers",
-		UseCase: Status,
-		Run: map[string]func() Outcome{
-			ToolNetDebug: func() Outcome {
-				dev := routerDevice(p4test.Router, target.NewReference())
-				ctl := core.Connect(core.NewAgent(dev))
-				defer ctl.Close()
-				dev.SendExternal(0, goodFrame(), 0)
-				st, err := ctl.Status()
-				if err != nil {
-					return missed("status read: %v", err)
-				}
-				if st["target.parser.accept"] == 1 && st["port1.tx.frames"] == 1 {
-					return detected("per-stage counters and queue state readable over the control channel")
-				}
-				return missed("status registers incomplete: %v", st)
-			},
-			ToolFormal: func() Outcome {
-				return unsupported("no runtime status in a static analysis")
-			},
-			ToolExternal: func() Outcome {
-				return unsupported("internal registers are not observable at the interfaces")
-			},
+		Name: "periodic internal status registers", UseCase: Status,
+		NetDebug: func() Outcome {
+			dev := router.on(target.NewReference())
+			ctl := core.Connect(core.NewAgent(dev))
+			defer ctl.Close()
+			dev.SendExternal(0, goodFrame(), 0)
+			st, err := ctl.Status()
+			if err != nil {
+				return missed("status read: %v", err)
+			}
+			if st["target.parser.accept"] == 1 && st["port1.tx.frames"] == 1 {
+				return detected("per-stage counters and queue state readable over the control channel")
+			}
+			return missed("status registers incomplete: %v", st)
 		},
+		Formal:   cannot("no runtime status in a static analysis"),
+		External: cannot("internal registers are not observable at the interfaces"),
 	}}
 }
 
 func comparisonScenarios() []Scenario {
-	probes := func() [][]byte {
-		var out [][]byte
-		for i := 0; i < 20; i++ {
-			out = append(out, packet.BuildUDPv4(macA, macB, ipA,
-				packet.IPv4Addr{10, 0, byte(i), 9}, uint16(4000+i), 53, []byte{byte(i)}))
-		}
-		return out
+	var probes [][]byte
+	for i := 0; i < 20; i++ {
+		probes = append(probes, packet.BuildUDPv4(macA, macB, ipA,
+			packet.IPv4Addr{10, 0, byte(i), 9}, uint16(4000+i), 53, []byte{byte(i)}))
 	}
-	splitEntries := []dataplane.Entry{
+	splitRouter := fixture{p4test.RouterSplit, []dataplane.Entry{
 		{
 			Table:  "lpm_nexthop",
 			Keys:   []dataplane.KeyValue{{Value: bitfield.New(0x0a000000, 32), PrefixLen: 8}},
@@ -801,151 +711,108 @@ func comparisonScenarios() []Scenario {
 			Action: "set_egress",
 			Args:   []bitfield.Value{bitfield.FromBytes(gw[:]), bitfield.New(1, 9)},
 		},
-	}
+	}}
+	acceptThenDrop := fixture{src: acceptThenDropProgram}
 	cells := []Scenario{
 		{
-			Name:    "two specifications compute the same function",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					devA := routerDevice(p4test.Router, target.NewReference())
-					devB := routerDevice(p4test.RouterSplit, target.NewReference(), splitEntries...)
-					diff := 0
-					for _, p := range probes() {
-						ra := devA.InjectInternal(p, 0, devA.Now(), false)
-						rb := devB.InjectInternal(p, 0, devB.Now(), false)
-						if !target.SameOutputs(ra, rb) {
-							diff++
-						}
+			Name: "two specifications compute the same function", UseCase: Comparison,
+			NetDebug: func() Outcome {
+				devA, devB := router.on(target.NewReference()), splitRouter.on(target.NewReference())
+				diff := 0
+				for _, p := range probes {
+					ra := devA.InjectInternal(p, 0, devA.Now(), false)
+					rb := devB.InjectInternal(p, 0, devB.Now(), false)
+					if !target.SameOutputs(ra, rb) {
+						diff++
 					}
-					if diff == 0 {
-						return detected("differential injection: specifications agree on all %d probes", len(probes()))
+				}
+				if diff == 0 {
+					return detected("differential injection: specifications agree on all %d probes", len(probes))
+				}
+				return missed("%d probes diverged", diff)
+			},
+			Formal: func() Outcome {
+				// Compare verification verdicts property-by-property.
+				pa, pb := mustProg(router.src), mustProg(splitRouter.src)
+				props := []verify.Property{verify.PropRejectedDropped, ttlZeroForwardProp()}
+				for _, prop := range props {
+					ra, err := verify.Check(pa, prop, verify.Options{})
+					if err != nil {
+						return missed("verify error: %v", err)
 					}
-					return missed("%d probes diverged", diff)
-				},
-				ToolFormal: func() Outcome {
-					// Compare verification verdicts property-by-property.
-					pa := mustProg(p4test.Router)
-					pb := mustProg(p4test.RouterSplit)
-					props := []verify.Property{verify.PropRejectedDropped, ttlZeroForwardProp()}
-					for _, prop := range props {
-						ra, err := verify.Check(pa, prop, verify.Options{})
-						if err != nil {
-							return missed("verify error: %v", err)
-						}
-						rb, err := verify.Check(pb, prop, verify.Options{})
-						if err != nil {
-							return missed("verify error: %v", err)
-						}
-						if ra.Holds != rb.Holds {
-							return missed("specifications differ on %s", prop.Name)
-						}
+					rb, err := verify.Check(pb, prop, verify.Options{})
+					if err != nil {
+						return missed("verify error: %v", err)
 					}
-					return detected("both specifications verify the same %d properties", len(props))
-				},
-				ToolExternal: func() Outcome {
-					devA := routerDevice(p4test.Router, target.NewReference())
-					devB := routerDevice(p4test.RouterSplit, target.NewReference(), splitEntries...)
-					mismatch := 0
-					for i, p := range probes() {
-						devA.SendExternal(0, p, time.Duration(i)*10*time.Microsecond)
-						devB.SendExternal(0, p, time.Duration(i)*10*time.Microsecond)
+					if ra.Holds != rb.Holds {
+						return missed("specifications differ on %s", prop.Name)
 					}
-					ca, cb := len(devA.Captures(1)), len(devB.Captures(1))
-					devA.ReleaseCaptures(1)
-					devB.ReleaseCaptures(1)
-					if ca != cb {
-						mismatch++
-					}
-					if mismatch == 0 {
-						return detected("external differential run: %d captures on both devices", ca)
-					}
-					return missed("capture counts diverge")
-				},
+				}
+				return detected("both specifications verify the same %d properties", len(props))
+			},
+			External: func() Outcome {
+				ca, cb := sentBoth(router.on(target.NewReference()), splitRouter.on(target.NewReference()), 1, probes...)
+				if ca == cb {
+					return detected("external differential run: %d captures on both devices", ca)
+				}
+				return missed("capture counts diverge")
 			},
 		},
 		{
-			Name:    "one specification across three hardware models",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					// With every erratum repaired, the three backends must
-					// compute the same function; the shipped SDNet flow must
-					// diverge exactly on malformed input.
-					devs := []*device.Device{
-						routerDevice(p4test.Router, target.NewReference()),
-						routerDevice(p4test.Router, target.NewSDNet(target.FixedErrata())),
-						routerDevice(p4test.Router, target.NewTofino(target.FixedTofinoErrata())),
-					}
-					for _, p := range probes() {
-						ra := devs[0].InjectInternal(p, 0, devs[0].Now(), false)
-						for _, dev := range devs[1:] {
-							if rb := dev.InjectInternal(p, 0, dev.Now(), false); !target.SameOutputs(ra, rb) {
-								return missed("erratum-free backends diverge")
-							}
+			Name: "one specification across three hardware models", UseCase: Comparison,
+			NetDebug: func() Outcome {
+				// With every erratum repaired, the three backends must
+				// compute the same function; the shipped SDNet flow must
+				// diverge exactly on malformed input.
+				devs := []*device.Device{
+					router.on(target.NewReference()),
+					router.on(backend(target.KindSDNetFixed)),
+					router.on(backend(target.KindTofinoFixed)),
+				}
+				for _, p := range probes {
+					ra := devs[0].InjectInternal(p, 0, devs[0].Now(), false)
+					for _, dev := range devs[1:] {
+						if rb := dev.InjectInternal(p, 0, dev.Now(), false); !target.SameOutputs(ra, rb) {
+							return missed("erratum-free backends diverge")
 						}
 					}
-					shipped := routerDevice(p4test.Router, target.NewSDNet(target.DefaultErrata()))
-					ra := devs[0].InjectInternal(badVersionFrame(), 0, devs[0].Now(), false)
-					rb := shipped.InjectInternal(badVersionFrame(), 0, shipped.Now(), false)
-					if target.SameOutputs(ra, rb) {
-						return missed("shipped sdnet flow did not diverge on malformed input")
-					}
-					return detected("3 fixed backends agree on %d probes; shipped sdnet diverges on malformed input", len(probes()))
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("all deployments share one program; backend table state is invisible to verification")
-				},
-				ToolExternal: func() Outcome {
-					devA := routerDevice(p4test.Router, target.NewReference())
-					devB := routerDevice(p4test.Router, target.NewTofino(target.DefaultTofinoErrata()))
-					for i, p := range probes() {
-						devA.SendExternal(0, p, time.Duration(i)*10*time.Microsecond)
-						devB.SendExternal(0, p, time.Duration(i)*10*time.Microsecond)
-					}
-					ca, cb := len(devA.Captures(1)), len(devB.Captures(1))
-					devA.ReleaseCaptures(1)
-					devB.ReleaseCaptures(1)
-					if ca == cb {
-						return detected("external differential run across hardware models: outputs agree")
-					}
-					return missed("capture counts diverge")
-				},
+				}
+				shipped := router.on(backend(target.KindSDNet))
+				ra := devs[0].InjectInternal(badVersionFrame(), 0, devs[0].Now(), false)
+				rb := shipped.InjectInternal(badVersionFrame(), 0, shipped.Now(), false)
+				if target.SameOutputs(ra, rb) {
+					return missed("shipped sdnet flow did not diverge on malformed input")
+				}
+				return detected("3 fixed backends agree on %d probes; shipped sdnet diverges on malformed input", len(probes))
+			},
+			Formal: cannot("all deployments share one program; backend table state is invisible to verification"),
+			External: func() Outcome {
+				ca, cb := sentBoth(router.on(target.NewReference()), router.on(backend(target.KindTofino)), 1, probes...)
+				if ca == cb {
+					return detected("external differential run across hardware models: outputs agree")
+				}
+				return missed("capture counts diverge")
 			},
 		},
 		{
-			Name:    "ternary priority tie resolved differently on tofino",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					devA := aclTieDevice(target.NewReference())
-					devB := aclTieDevice(target.NewTofino(target.DefaultTofinoErrata()))
-					probe := aclTieProbe()
-					ra := devA.InjectInternal(probe, 0, 0, true)
-					rb := devB.InjectInternal(probe, 0, 0, true)
-					if !ra.Dropped() && rb.Dropped() {
-						return detected("tofino driver resolves the equal-priority tie newest-first: drop vs forward")
-					}
-					return missed("tie resolution identical: a=%v b=%v", ra.Dropped(), rb.Dropped())
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("tie-break order is table-driver state; both deployments verify identically")
-				},
-				ToolExternal: func() Outcome {
-					devA := aclTieDevice(target.NewReference())
-					devB := aclTieDevice(target.NewTofino(target.DefaultTofinoErrata()))
-					devA.SendExternal(0, aclTieProbe(), 0)
-					devB.SendExternal(0, aclTieProbe(), 0)
-					// The divergence is externally visible as loss, though the
-					// tester cannot attribute it to the tie-break order.
-					ca, cb := len(devA.Captures(2)), len(devB.Captures(2))
-					devA.ReleaseCaptures(2)
-					devB.ReleaseCaptures(2)
-					if ca == 1 && cb == 0 {
-						return detected("frame emerges from one device and not the other")
-					}
-					return missed("no external divergence observed")
-				},
+			Name: "ternary priority tie resolved differently on tofino", UseCase: Comparison,
+			NetDebug: func() Outcome {
+				ra := aclTie.on(target.NewReference()).InjectInternal(aclTieProbe(), 0, 0, true)
+				rb := aclTie.on(backend(target.KindTofino)).InjectInternal(aclTieProbe(), 0, 0, true)
+				if !ra.Dropped() && rb.Dropped() {
+					return detected("tofino driver resolves the equal-priority tie newest-first: drop vs forward")
+				}
+				return missed("tie resolution identical: a=%v b=%v", ra.Dropped(), rb.Dropped())
+			},
+			Formal: cannot("tie-break order is table-driver state; both deployments verify identically"),
+			External: func() Outcome {
+				// The divergence is externally visible as loss, though the
+				// tester cannot attribute it to the tie-break order.
+				ca, cb := sentBoth(aclTie.on(target.NewReference()), aclTie.on(backend(target.KindTofino)), 2, aclTieProbe())
+				if ca == 1 && cb == 0 {
+					return detected("frame emerges from one device and not the other")
+				}
+				return missed("no external divergence observed")
 			},
 		},
 	}
@@ -954,39 +821,26 @@ func comparisonScenarios() []Scenario {
 	}
 	return append(cells,
 		Scenario{
-			Name:    "specifications differ only in internal drop stage",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					// Router drops bad-version packets in the parser;
-					// RouterNoTTLCheck also rejects them in the parser, but a
-					// variant that accepts-then-drops differs internally.
-					devA := routerDevice(p4test.Router, target.NewReference())
-					devB := plainDevice(acceptThenDropProgram, target.NewReference())
-					ra := devA.InjectInternal(badVersionFrame(), 0, 0, true)
-					rb := devB.InjectInternal(badVersionFrame(), 0, 0, true)
-					if ra.Dropped() && rb.Dropped() && ra.Trace.DropStage() != rb.Trace.DropStage() {
-						return detected("both drop, but at %q vs %q — distinguishable only internally",
-							ra.Trace.DropStage(), rb.Trace.DropStage())
-					}
-					return missed("drop stages identical: %q vs %q", ra.Trace.DropStage(), rb.Trace.DropStage())
-				},
-				ToolFormal: func() Outcome {
-					return unsupported("both programs satisfy identical I/O properties; stage is not expressible")
-				},
-				ToolExternal: func() Outcome {
-					devA := routerDevice(p4test.Router, target.NewReference())
-					devB := plainDevice(acceptThenDropProgram, target.NewReference())
-					devA.SendExternal(0, badVersionFrame(), 0)
-					devB.SendExternal(0, badVersionFrame(), 0)
-					ca, cb := len(devA.Captures(1)), len(devB.Captures(1))
-					devA.ReleaseCaptures(1)
-					devB.ReleaseCaptures(1)
-					if ca == 0 && cb == 0 {
-						return missed("externally identical: both devices emit nothing")
-					}
-					return detected("external outputs differ")
-				},
+			Name: "specifications differ only in internal drop stage", UseCase: Comparison,
+			NetDebug: func() Outcome {
+				// Router drops bad-version packets in the parser;
+				// RouterNoTTLCheck also rejects them in the parser, but a
+				// variant that accepts-then-drops differs internally.
+				ra := router.on(target.NewReference()).InjectInternal(badVersionFrame(), 0, 0, true)
+				rb := acceptThenDrop.on(target.NewReference()).InjectInternal(badVersionFrame(), 0, 0, true)
+				if ra.Dropped() && rb.Dropped() && ra.Trace.DropStage() != rb.Trace.DropStage() {
+					return detected("both drop, but at %q vs %q — distinguishable only internally",
+						ra.Trace.DropStage(), rb.Trace.DropStage())
+				}
+				return missed("drop stages identical: %q vs %q", ra.Trace.DropStage(), rb.Trace.DropStage())
+			},
+			Formal: cannot("both programs satisfy identical I/O properties; stage is not expressible"),
+			External: func() Outcome {
+				ca, cb := sentBoth(router.on(target.NewReference()), acceptThenDrop.on(target.NewReference()), 1, badVersionFrame())
+				if ca == 0 && cb == 0 {
+					return missed("externally identical: both devices emit nothing")
+				}
+				return detected("external outputs differ")
 			},
 		},
 		Scenario{
@@ -995,110 +849,74 @@ func comparisonScenarios() []Scenario {
 			// identical results — parallel path exploration vs sequential
 			// for the verifier, batched probe injection vs per-packet for
 			// NetDebug.
-			Name:    "fast paths reproduce the reference results",
-			UseCase: Comparison,
-			Run: map[string]func() Outcome{
-				ToolNetDebug: func() Outcome {
-					spec := &core.TestSpec{
-						Name: "batched-vs-sequential",
-						Gen: core.GenSpec{Streams: []core.StreamSpec{{
-							Name: "probe", Template: goodFrame(), Count: 2000, RatePPS: 1e6,
-						}}},
-						Check: core.CheckSpec{Rules: []core.Rule{{Name: "fwd", Stream: "probe", ExpectPort: 1}}},
-					}
-					// Batched agent run (Engine.ProcessBatch under the hood).
-					agent := core.NewAgent(routerDevice(p4test.Router, target.NewReference()))
-					if err := agent.Configure(spec); err != nil {
-						return missed("configure: %v", err)
-					}
-					batched, err := agent.Run()
-					if err != nil {
-						return missed("batched run: %v", err)
-					}
-					// Reference: the same stream injected one packet at a
-					// time, each scored as a block of one.
-					dev := routerDevice(p4test.Router, target.NewReference())
-					gen, err := core.NewGenerator(spec.Gen)
-					if err != nil {
-						return missed("generator: %v", err)
-					}
-					checker, err := core.NewChecker(spec.Check)
-					if err != nil {
-						return missed("checker: %v", err)
-					}
-					pkts := gen.Packets(dev.Now())
-					for i, tp := range pkts {
-						res := dev.InjectInternal(tp.Data, tp.IngressPort, tp.At, true)
-						checker.OnResults(pkts[i:i+1], []target.Result{res}, []time.Duration{tp.At})
-					}
-					seq := checker.Finish()
-					if !batched.Pass || !seq.Pass ||
-						batched.Forwarded != seq.Forwarded || batched.LatP99Ns != seq.LatP99Ns {
-						return missed("batched path diverged: %v vs %v", batched, seq)
-					}
-					return detected("batched generator path matches per-packet injection on %d probes at %.0f pps",
-						batched.Injected, batched.OutPPS)
-				},
-				ToolFormal: func() Outcome {
-					prog := mustProg(p4test.Firewall)
-					digest := func(exp *verify.Exploration) string {
-						var b strings.Builder
-						fmt.Fprintf(&b, "%d/%d|", len(exp.Paths), exp.Pruned)
-						for _, p := range exp.Paths {
-							fmt.Fprintf(&b, "%s:%d;", p.Format(), len(p.Model))
-						}
-						return b.String()
-					}
-					seq, err := verify.ExploreWithStats(prog, verify.Options{Workers: 1, SolvePaths: true})
-					if err != nil {
-						return missed("sequential explore: %v", err)
-					}
-					par, err := verify.ExploreWithStats(prog, verify.Options{Workers: 8, SolvePaths: true})
-					if err != nil {
-						return missed("parallel explore: %v", err)
-					}
-					if digest(par) != digest(seq) {
-						return missed("parallel exploration diverged from sequential")
-					}
-					return detected("8-worker exploration matches sequential: %d feasible paths (%d pruned), %d propagations",
-						len(par.Paths), par.Pruned, par.Solver.Propagations)
-				},
-				ToolExternal: func() Outcome {
-					return unsupported("the tester observes wire traffic; program paths and the in-device generator are out of reach")
-				},
+			Name: "fast paths reproduce the reference results", UseCase: Comparison,
+			NetDebug: func() Outcome {
+				spec := stream{frame: goodFrame(), count: 2000, ratePPS: 1e6}.spec()
+				// Batched agent run (Engine.ProcessBatch under the hood).
+				agent := core.NewAgent(router.on(target.NewReference()))
+				if err := agent.Configure(spec); err != nil {
+					return missed("configure: %v", err)
+				}
+				batched, err := agent.Run()
+				if err != nil {
+					return missed("batched run: %v", err)
+				}
+				// Reference: the same stream injected one packet at a
+				// time, each scored as a block of one.
+				dev := router.on(target.NewReference())
+				gen, err := core.NewGenerator(spec.Gen)
+				if err != nil {
+					return missed("generator: %v", err)
+				}
+				checker, err := core.NewChecker(spec.Check)
+				if err != nil {
+					return missed("checker: %v", err)
+				}
+				pkts := gen.Packets(dev.Now())
+				for i, tp := range pkts {
+					res := dev.InjectInternal(tp.Data, tp.IngressPort, tp.At, true)
+					checker.OnResults(pkts[i:i+1], []target.Result{res}, []time.Duration{tp.At})
+				}
+				seq := checker.Finish()
+				if !batched.Pass || !seq.Pass ||
+					batched.Forwarded != seq.Forwarded || batched.LatP99Ns != seq.LatP99Ns {
+					return missed("batched path diverged: %v vs %v", batched, seq)
+				}
+				return detected("batched generator path matches per-packet injection on %d probes at %.0f pps",
+					batched.Injected, batched.OutPPS)
 			},
+			Formal: func() Outcome {
+				prog := mustProg(p4test.Firewall)
+				digest := func(exp *verify.Exploration) string {
+					var b strings.Builder
+					fmt.Fprintf(&b, "%d/%d|", len(exp.Paths), exp.Pruned)
+					for _, p := range exp.Paths {
+						fmt.Fprintf(&b, "%s:%d;", p.Format(), len(p.Model))
+					}
+					return b.String()
+				}
+				seq, err := verify.ExploreWithStats(prog, verify.Options{Workers: 1, SolvePaths: true})
+				if err != nil {
+					return missed("sequential explore: %v", err)
+				}
+				par, err := verify.ExploreWithStats(prog, verify.Options{Workers: 8, SolvePaths: true})
+				if err != nil {
+					return missed("parallel explore: %v", err)
+				}
+				if digest(par) != digest(seq) {
+					return missed("parallel exploration diverged from sequential")
+				}
+				return detected("8-worker exploration matches sequential: %d feasible paths (%d pruned), %d propagations",
+					len(par.Paths), par.Pruned, par.Solver.Propagations)
+			},
+			External: cannot("the tester observes wire traffic; program paths and the in-device generator are out of reach"),
 		},
 	)
-}
-
-// defaultRouteEntry is the /0 fallback route every destination misses
-// down to.
-func defaultRouteEntry(port uint64) dataplane.Entry {
-	return dataplane.Entry{
-		Table:  "ipv4_lpm",
-		Keys:   []dataplane.KeyValue{{Value: bitfield.New(0, 32), PrefixLen: 0}},
-		Action: "ipv4_forward",
-		Args:   []bitfield.Value{bitfield.FromBytes(gw[:]), bitfield.New(port, 9)},
-	}
 }
 
 // offSubnetFrame is covered only by the /0 default route.
 func offSubnetFrame() []byte {
 	return packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{172, 16, 5, 9}, 40100, 53, make([]byte, 26))
-}
-
-// fleetDevices builds one device per backend kind (default errata), each
-// by build on a fresh target — the fixture every vote runs over.
-func fleetDevices(kinds []string, build func(target.Target) *device.Device) map[string]*device.Device {
-	devs := make(map[string]*device.Device, len(kinds))
-	for _, kind := range kinds {
-		tg, err := target.ForKind(kind)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: %v", err))
-		}
-		devs[kind] = build(tg)
-	}
-	return devs
 }
 
 // The voter sets of the comparison cells besides the full shipped
@@ -1110,16 +928,8 @@ var (
 	tieKinds     = []string{target.KindReference, target.KindTofino, target.KindSDNet, target.KindSmartNIC}
 )
 
-// defaultRouteRouter loads the router with the 10/8 route (port 1) and a
-// /0 default route (port 2).
-func defaultRouteRouter(tg target.Target) *device.Device {
-	return routerDevice(p4test.Router, tg, routeEntry(1), defaultRouteEntry(2))
-}
-
 // fourWayRouters is the fixture both router errata are localized on.
-func fourWayRouters() map[string]*device.Device {
-	return fleetDevices(fourWayKinds, defaultRouteRouter)
-}
+func fourWayRouters() map[string]*device.Device { return defaultRouteRouter.fleet(fourWayKinds) }
 
 // voteCell is one vote-localization cell of the comparison row: the
 // same probe goes through every device of a fixture; NetDebug votes on
@@ -1139,24 +949,22 @@ type voteCell struct {
 }
 
 func (c voteCell) scenario() Scenario {
-	return Scenario{Name: c.name, UseCase: Comparison, Run: map[string]func() Outcome{
-		ToolNetDebug: func() Outcome {
-			if odd := OddOneOut(c.devices(), c.frame()); !slices.Equal(odd, c.want) {
-				return missed("diverging backends %v, want exactly %v", odd, c.want)
-			}
-			return detected("%s", c.netdebug)
-		},
-		ToolFormal: func() Outcome { return unsupported(c.formal) },
-		ToolExternal: func() Outcome {
-			if c.observe == nil {
-				return unsupported(c.external)
-			}
+	sc := Scenario{Name: c.name, UseCase: Comparison, Formal: cannot(c.formal), External: cannot(c.external)}
+	sc.NetDebug = func() Outcome {
+		if odd := OddOneOut(c.devices(), c.frame()); !slices.Equal(odd, c.want) {
+			return missed("diverging backends %v, want exactly %v", odd, c.want)
+		}
+		return detected("%s", c.netdebug)
+	}
+	if c.observe != nil {
+		sc.External = func() Outcome {
 			if odd := OddOneOutExternal(c.devices(), c.frame(), c.rxPort, c.observe); !slices.Equal(odd, c.want) {
 				return missed("external vote names %v, want %v", odd, c.want)
 			}
 			return detected("%s", c.external)
-		},
-	}}
+		}
+	}
+	return sc
 }
 
 func comparisonVotes() []voteCell {
@@ -1179,7 +987,7 @@ func comparisonVotes() []voteCell {
 		},
 		{
 			name:    "three-way split: acl priority tie isolates the tofino driver",
-			devices: func() map[string]*device.Device { return fleetDevices(fourWayKinds, aclTieDevice) },
+			devices: func() map[string]*device.Device { return aclTie.fleet(fourWayKinds) },
 			frame:   aclTieProbe, rxPort: 2, observe: captureCount,
 			want:     []string{"tofino"},
 			netdebug: "3 backends resolve the tie first-installed-wins, tofino drops: the LIFO quirk is localized",
@@ -1194,7 +1002,7 @@ func comparisonVotes() []voteCell {
 			// not a missing capture — the truncated frame still emerges —
 			// so the tester votes on the captured length.
 			name:    "four-way split: punt truncation isolates the smartnic driver",
-			devices: func() map[string]*device.Device { return fleetDevices(target.ShippedKinds, aclTieDevice) },
+			devices: func() map[string]*device.Device { return aclTie.fleet(target.ShippedKinds) },
 			frame:   largeAllowedFrame, rxPort: 2, observe: captureLength,
 			want:     []string{"smartnic"},
 			netdebug: fmt.Sprintf("4 backends forward the %dB frame intact, smartnic truncates it at the punt MTU", len(largeAllowedFrame())),
@@ -1208,7 +1016,7 @@ func comparisonVotes() []voteCell {
 			// frames. Strict majority cannot localize; the reference
 			// anchor — corroborated by tofino — names the failing pair.
 			name:    "2-2 tie re-scored against the reference anchor",
-			devices: func() map[string]*device.Device { return fleetDevices(tieKinds, defaultRouteRouter) },
+			devices: func() map[string]*device.Device { return defaultRouteRouter.fleet(tieKinds) },
 			frame:   badVersionFrame, rxPort: 1, observe: captureCount,
 			want:     []string{"sdnet", "smartnic"},
 			netdebug: "2-2 split resolved: the corroborated reference anchor names the fail-open pair [sdnet smartnic]",
@@ -1222,10 +1030,11 @@ func comparisonVotes() []voteCell {
 			// blame the two-backend plurality's opposition.
 			name: "tie with a divergent reference stays unresolved",
 			devices: func() map[string]*device.Device {
-				egress := map[string]uint64{"reference": 9, "sdnet": 1, "smartnic": 1, "tofino": 2}
-				return fleetDevices(tieKinds, func(tg target.Target) *device.Device {
-					return routerDevice(p4test.Router, tg, routeEntry(egress[tg.Name()]))
-				})
+				devs := map[string]*device.Device{}
+				for kind, port := range map[string]uint64{"reference": 9, "sdnet": 1, "smartnic": 1, "tofino": 2} {
+					devs[kind] = fixture{p4test.Router, []dataplane.Entry{routeEntry(port)}}.on(backend(kind))
+				}
+				return devs
 			},
 			frame:    goodFrame,
 			want:     []string{"reference", "sdnet", "smartnic", "tofino"},
@@ -1241,11 +1050,7 @@ func comparisonVotes() []voteCell {
 // vote's anchor. An unresolved vote returns every name, so callers
 // expecting a specific dissenter set correctly report no localization.
 func dissenters[O comparable](got map[string]O) []string {
-	names := make([]string, 0, len(got))
-	for name := range got {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(got))
 	outs := make([]O, len(names))
 	ref := -1
 	for i, name := range names {
@@ -1311,16 +1116,6 @@ func largeAllowedFrame() []byte {
 	return packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{10, 0, 1, 7}, 40000, 53, make([]byte, 300))
 }
 
-// aclTieDevice loads the firewall with two overlapping equal-priority
-// ACL entries — a match-any allow installed first, an exact-dst drop
-// installed second — plus a route for the drop entry's destination. A
-// conforming target resolves the tie first-installed-wins and forwards
-// the probe; the shipped Tofino driver resolves newest-first and drops
-// it.
-func aclTieDevice(tg target.Target) *device.Device {
-	return routerDeviceProg(p4test.Firewall, tg, aclTieEntries()...)
-}
-
 // aclTieEntries is the overlapping-equal-priority ACL table state: an
 // allow-any entry installed first, an exact-dst drop at the same
 // priority, and a /24 route for the tied destination.
@@ -1357,24 +1152,6 @@ func aclTieEntries() []dataplane.Entry {
 // aclTieProbe is a frame both overlapping ACL entries match.
 func aclTieProbe() []byte {
 	return packet.BuildUDPv4(macA, macB, ipA, ipB, 40000, 53, make([]byte, 6))
-}
-
-// routerDeviceProg builds a device running src on tg with the given
-// entries installed (no defaults).
-func routerDeviceProg(src string, tg target.Target, entries ...dataplane.Entry) *device.Device {
-	if err := tg.Load(mustProg(src)); err != nil {
-		panic(fmt.Sprintf("scenario: load: %v", err))
-	}
-	for _, e := range entries {
-		if err := tg.InstallEntry(e); err != nil {
-			panic(fmt.Sprintf("scenario: install: %v", err))
-		}
-	}
-	dev, err := device.New(device.Config{Target: tg})
-	if err != nil {
-		panic(err)
-	}
-	return dev
 }
 
 // acceptThenDropProgram drops malformed IPv4 in the ingress control rather
@@ -1448,60 +1225,36 @@ type Matrix struct {
 	Details []string // per-scenario outcome lines
 }
 
-// BuildMatrix runs every scenario under every tool sequentially and
-// scores the cells.
-func BuildMatrix(scenarios []Scenario) *Matrix {
-	return matrixFromCells(RunCells(scenarios, 1))
-}
-
-// BuildMatrixParallel runs the suite across a worker pool (workers <= 0
-// selects one worker per CPU) and scores the cells. Every cell builds
-// its own devices, so the result — including the order of the detail
-// lines — is identical to BuildMatrix.
-func BuildMatrixParallel(scenarios []Scenario, workers int) *Matrix {
-	return matrixFromCells(RunCells(scenarios, workers))
-}
-
-// matrixFromCells tallies executed cells into the Figure 2 matrix.
-func matrixFromCells(cells []CellOutcome) *Matrix {
+// BuildMatrix runs every scenario under every tool across workers (as
+// RunCells takes them: 1 is sequential, <= 0 one per CPU) and scores the
+// cells. Every cell builds its own devices, so the result — including
+// the order of the detail lines — does not depend on workers.
+func BuildMatrix(scenarios []Scenario, workers int) *Matrix {
 	m := &Matrix{Cells: make(map[UseCase]map[string]Cell)}
-	type tally struct{ attempted, detected, total int }
-	counts := map[UseCase]map[string]*tally{}
-	for _, uc := range UseCases {
-		counts[uc] = map[string]*tally{}
-		for _, tool := range Tools {
-			counts[uc][tool] = &tally{}
-		}
+	type column struct {
+		uc   UseCase
+		tool string
 	}
-	for _, cell := range cells {
-		t := counts[cell.UseCase][cell.Tool]
-		t.total++
-		if !cell.Implemented {
-			m.Details = append(m.Details, fmt.Sprintf("[%s] %s / %s: not implemented", cell.UseCase, cell.Scenario, cell.Tool))
-			continue
-		}
-		out := cell.Outcome
-		if out.Supported {
-			t.attempted++
-		}
-		if out.Detected {
-			t.detected++
-		}
+	var total, found = map[column]int{}, map[column]int{}
+	for _, cell := range RunCells(scenarios, workers) {
+		col := column{cell.UseCase, cell.Tool}
+		total[col]++
 		mark := "✗"
-		if out.Detected {
+		if cell.Outcome.Detected {
+			found[col]++
 			mark = "✓"
 		}
 		m.Details = append(m.Details,
-			fmt.Sprintf("[%s] %s / %s: %s %s", cell.UseCase, cell.Scenario, cell.Tool, mark, out.Detail))
+			fmt.Sprintf("[%s] %s / %s: %s %s", cell.UseCase, cell.Scenario, cell.Tool, mark, cell.Outcome.Detail))
 	}
 	for _, uc := range UseCases {
 		m.Cells[uc] = map[string]Cell{}
 		for _, tool := range Tools {
-			t := counts[uc][tool]
+			col := column{uc, tool}
 			switch {
-			case t.detected == t.total && t.total > 0:
+			case found[col] == total[col] && total[col] > 0:
 				m.Cells[uc][tool] = Full
-			case t.detected > 0:
+			case found[col] > 0:
 				m.Cells[uc][tool] = Partial
 			default:
 				m.Cells[uc][tool] = None
@@ -1533,7 +1286,5 @@ func (m *Matrix) Render() string {
 
 // SortedDetails returns detail lines sorted for stable output.
 func (m *Matrix) SortedDetails() []string {
-	out := append([]string(nil), m.Details...)
-	sort.Strings(out)
-	return out
+	return slices.Sorted(slices.Values(m.Details))
 }

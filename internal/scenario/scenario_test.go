@@ -4,6 +4,12 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"netdebug/internal/core"
+	"netdebug/internal/dataplane"
+	"netdebug/internal/p4/p4test"
+	"netdebug/internal/target"
+	"netdebug/internal/tester"
 )
 
 // TestFigure2Matrix regenerates the paper's Figure 2 and asserts its
@@ -12,7 +18,7 @@ import (
 // tester is partial where it lacks internal visibility and blind to
 // resources and status.
 func TestFigure2Matrix(t *testing.T) {
-	m := BuildMatrix(All())
+	m := BuildMatrix(All(), 1)
 
 	for _, uc := range UseCases {
 		if got := m.Cells[uc][ToolNetDebug]; got != Full {
@@ -54,9 +60,17 @@ func TestFigure2Matrix(t *testing.T) {
 		}
 	}
 
+	// No cell may conclude by accident: a line that says "unexpected" or
+	// carries an error is a cell whose intended conclusion never printed.
+	for _, d := range m.Details {
+		if strings.Contains(d, "unexpected") || strings.Contains(d, "error:") {
+			t.Errorf("detail line reports an accident: %s", d)
+		}
+	}
+
 	// Byte identity: the rendered matrix and every detail line, as
-	// cmd/figures prints them, against the checked-in capture (its header
-	// names the command that regenerates it).
+	// cmd/figures prints them, against the checked-in capture
+	// (`make figure2-golden` regenerates it).
 	golden, err := os.ReadFile("testdata/figure2.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +95,13 @@ func TestFigure2Matrix(t *testing.T) {
 			w = want[i]
 		}
 		if g != w {
-			t.Errorf("figure2.golden line %d:\n  got  %q\n  want %q", header+i+1, g, w)
+			t.Errorf("figure2.golden line %d (regenerate with `make figure2-golden` after a deliberate change):\n  got  %q\n  want %q", header+i+1, g, w)
 		}
 	}
 }
 
 func TestMatrixRendering(t *testing.T) {
-	m := BuildMatrix(All())
+	m := BuildMatrix(All(), 1)
 	out := m.Render()
 	for _, want := range []string{"use case", "NetDebug", "functional testing", "comparison"} {
 		if !strings.Contains(out, want) {
@@ -108,19 +122,68 @@ func TestMatrixRendering(t *testing.T) {
 func TestScenarioSuiteShape(t *testing.T) {
 	scenarios := All()
 	perUC := map[UseCase]int{}
+	names := map[string]bool{}
 	for _, sc := range scenarios {
 		perUC[sc.UseCase]++
-		if len(sc.Run) == 0 {
-			t.Errorf("scenario %q has no tool runners", sc.Name)
+		if sc.UseCase == "" {
+			t.Errorf("scenario %q has no use case", sc.Name)
 		}
-		if _, ok := sc.Run[ToolNetDebug]; !ok {
-			t.Errorf("scenario %q lacks a NetDebug runner", sc.Name)
+		if sc.Name == "" || names[sc.Name] {
+			t.Errorf("scenario name %q is empty or repeated", sc.Name)
+		}
+		names[sc.Name] = true
+		for i, attempt := range sc.attempts() {
+			if attempt == nil {
+				t.Errorf("scenario %q has no %s attempt", sc.Name, Tools[i])
+			}
 		}
 	}
 	for _, uc := range UseCases {
 		if perUC[uc] == 0 {
 			t.Errorf("use case %q has no scenarios", uc)
 		}
+	}
+}
+
+// TestStreamRowDrivesBothTools is why a stream is one row: the agent's
+// TestSpec and the tester's tagged stream are renderings of the same
+// frame, count, rate and expectation, so on any device both tools send
+// the same number of frames and reach the same verdict.
+func TestStreamRowDrivesBothTools(t *testing.T) {
+	wrongPort := fixture{p4test.Router, []dataplane.Entry{routeEntry(3)}}
+	for _, tc := range []struct {
+		name    string
+		stream  stream
+		fixture fixture
+		pass    bool
+	}{
+		{"forwarded/correct", stream{frame: goodFrame(), count: 12, ratePPS: 1e6}, router, true},
+		{"forwarded/wrong-port", stream{frame: goodFrame(), count: 12, ratePPS: 1e6}, wrongPort, false},
+		{"dropped/correct", stream{frame: badVersionFrame(), count: 7, wantDrop: true}, router, true},
+		{"dropped/wrong-port", stream{frame: badVersionFrame(), count: 7, wantDrop: true}, wrongPort, true},
+		{"dropped/forwarding", stream{frame: goodFrame(), count: 7, wantDrop: true}, router, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var agent *core.Report
+			var ext *tester.Report
+			tc.stream.validated(tc.fixture.on(target.NewReference()), func(rep *core.Report) Outcome {
+				agent = rep
+				return Outcome{}
+			})
+			tc.stream.transmitted(tc.fixture.on(target.NewReference()), func(rep *tester.Report) Outcome {
+				ext = rep
+				return Outcome{}
+			})
+			if agent == nil || ext == nil {
+				t.Fatalf("a tool returned an error instead of a report: agent %v, tester %v", agent, ext)
+			}
+			if n := uint64(tc.stream.count); agent.Injected != n || ext.Sent != n {
+				t.Errorf("injected %d, sent %d, want both %d", agent.Injected, ext.Sent, n)
+			}
+			if agent.Pass != tc.pass || ext.Pass != tc.pass {
+				t.Errorf("verdicts: agent pass=%v, tester pass=%v, want both %v", agent.Pass, ext.Pass, tc.pass)
+			}
+		})
 	}
 }
 
@@ -133,6 +196,6 @@ func TestCellString(t *testing.T) {
 func BenchmarkFigure2Suite(b *testing.B) {
 	scenarios := All()
 	for i := 0; i < b.N; i++ {
-		BuildMatrix(scenarios)
+		BuildMatrix(scenarios, 1)
 	}
 }

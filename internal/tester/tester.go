@@ -330,17 +330,3 @@ func finishReport(rep *Report, streams []Stream, lat *stats.Histogram, meter *st
 	rep.RxPPS = snap.PPS
 	rep.RxBPS = snap.BPS
 }
-
-// MeasureThroughput floods the device at line rate from txPort and
-// reports the received rate on rxPort — the performance test an external
-// tester can run.
-func (t *Tester) MeasureThroughput(frame []byte, count, txPort, rxPort int) (pps, bps float64, err error) {
-	rep, err := t.Run([]Stream{{
-		Name:  "throughput",
-		Frame: frame, Count: count, TxPort: txPort, RxPort: rxPort,
-	}})
-	if err != nil {
-		return 0, 0, err
-	}
-	return rep.RxPPS, rep.RxBPS, nil
-}

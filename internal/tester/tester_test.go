@@ -154,10 +154,12 @@ func TestExpectLossStreams(t *testing.T) {
 func TestThroughputMeasurement(t *testing.T) {
 	tst := New(newDevice(t))
 	f := frame(1024 - 42)
-	pps, bps, err := tst.MeasureThroughput(f, 1000, 0, 1)
+	// An untagged line-rate flood: the received rate is the throughput.
+	rep, err := tst.Run([]Stream{{Name: "throughput", Frame: f, Count: 1000, TxPort: 0, RxPort: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pps, bps := rep.RxPPS, rep.RxBPS
 	line := 10e9 / float64((len(f)+20)*8)
 	if pps < 0.9*line || pps > 1.1*line {
 		t.Fatalf("pps = %.0f, line rate %.0f", pps, line)
