@@ -6,7 +6,7 @@ GO ?= go
 # job runs `make cover`.
 COVER_MIN ?= 78
 
-.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc figure2-golden bench bench-smoke bench-compare
+.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc prodcover figure2-golden bench bench-smoke bench-compare
 
 all: vet build test
 
@@ -55,6 +55,42 @@ docgate:
 # module (the figure CHANGES.md records each PR).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
+# What no shipped entry point runs: every cmd/* and examples/* program
+# and the benchmark are built with coverage of the whole module, run
+# through their CI smoke invocations (p4c and dpsim, which CI does not
+# run, through their usage lines; the benchmark for a second at -trace 0
+# and -trace 1), and the functions left at 0.0% go to prodcover.txt. A
+# binary that never runs writes no coverage at all, so each runs once.
+# The evidence behind a "no production caller" claim.
+prodcover:
+	@set -e; \
+	tmp="$$(mktemp -d)"; \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	b="$$tmp/bin"; mkdir "$$b" "$$tmp/cov"; \
+	for d in cmd/*/ examples/*/; do \
+		$(GO) build -cover -coverpkg=netdebug/... -o "$$b/$$(basename $$d)" ./$$d; \
+	done; \
+	$(GO) build -C benchmark -cover -coverpkg=netdebug/... -o "$$b/benchmark" .; \
+	export GOCOVERDIR="$$tmp/cov"; \
+	for e in quickstart rejectbug comparison perftest; do "$$b/$$e" > /dev/null; done; \
+	"$$b/figures" -figure 2 -details > /dev/null; \
+	"$$b/figures" -exp T5 -csv -sweep-max 100 > /dev/null; \
+	"$$b/figures" -exp V1 > /dev/null; \
+	"$$b/netdebug" -program examples/router.p4 -resident -batches 1 -record "$$tmp/run.jsonl" > /dev/null || test $$? -eq 1; \
+	"$$b/netdebug" -replay "$$tmp/run.jsonl" > /dev/null; \
+	"$$b/netdebug" -program examples/router.p4 -fuzz -fuzz-budget 768 -fuzz-shards 4 > /dev/null; \
+	"$$b/docgate" > /dev/null; \
+	"$$b/p4c" -target sdnet -resources examples/router.p4 > /dev/null; \
+	"$$b/dpsim" -program examples/router.p4 -probes 100 > /dev/null; \
+	for t in 0 1; do "$$b/benchmark" -seconds 1 -trace $$t -out "$$tmp/bench.json" > /dev/null; done; \
+	$(GO) tool covdata textfmt -i "$$tmp/cov" -o "$$tmp/prof.txt"; \
+	"$$b/covgate" -profile "$$tmp/prof.txt" 2> /dev/null; \
+	$(GO) tool covdata textfmt -i "$$tmp/cov" -o "$$tmp/prof.txt"; \
+	grep -v '^netdebug/benchmark/' "$$tmp/prof.txt" > "$$tmp/root.txt"; \
+	$(GO) tool cover -func "$$tmp/root.txt" | grep '[[:space:]]0\.0%$$' > prodcover.txt || true; \
+	cat prodcover.txt; \
+	echo "prodcover: $$(wc -l < prodcover.txt) functions no shipped entry point runs (prodcover.txt)"
 
 # Regenerate the Figure 2 golden after a deliberate change: the file's
 # three header lines, then what the CLI prints below its own heading.

@@ -44,18 +44,18 @@ func payload[T any](kind control.ReqKind, p any) (T, error) {
 type Agent struct {
 	dev *device.Device
 
-	// mu serialises Configure, UseArena and Run: the device beneath takes
-	// one run at a time, and a run reads the spec and works in the
-	// storage the other two change.
+	// mu serialises Configure and Run: the device beneath takes one run
+	// at a time, and a run reads the spec and works in the storage
+	// Configure changes.
 	mu     sync.Mutex
 	spec   *TestSpec
 	report *Report
 
-	// The plan is the spec's, the storage the agent's: gen — frame arena
-	// (see UseArena), packet slices, fuzz sources — takes each spec
-	// Configure has validated, each checker is built in the histogram and
-	// scratch of the one before, and Run resets it instead of building
-	// another, so a validation allocates per run and not per frame.
+	// The plan is the spec's, the storage the agent's: gen — frame arena,
+	// packet slices, fuzz sources — takes each spec Configure has
+	// validated, each checker is built in the histogram and scratch of the
+	// one before, and Run resets it instead of building another, so a
+	// validation allocates per run and not per frame.
 	gen     Generator
 	checker *Checker
 
@@ -74,31 +74,21 @@ func NewAgent(dev *device.Device) *Agent {
 // Device returns the underlying device (for in-process harnesses).
 func (a *Agent) Device() *device.Device { return a.dev }
 
-// Configure installs a test specification.
+// Configure installs a test specification. A spec either half refuses
+// leaves the agent as it was: the checker is built aside first, and the
+// generator takes the spec only after that.
 func (a *Agent) Configure(spec *TestSpec) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, err := NewGenerator(spec.Gen); err != nil {
-		return err
-	}
 	checker, err := newChecker(spec.Check, a.checker)
 	if err != nil {
 		return err
 	}
-	a.spec, a.gen.spec, a.checker, a.report = spec, spec.Gen, checker, nil
+	if err := a.gen.Configure(spec.Gen); err != nil {
+		return err
+	}
+	a.spec, a.checker, a.report = spec, checker, nil
 	return nil
-}
-
-// UseArena reserves a maxBytes extent off the fleet-shared arena for
-// this agent's generated frames: every spec whose generation fits the
-// extent stamps its packets into the shared slab, larger specs fall back
-// to the agent's private arena. Call once, before the first Run; a pool
-// manager sizes one SharedArena for all of its hosts and reserves one
-// extent per agent.
-func (a *Agent) UseArena(sa *SharedArena, maxBytes int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.gen.UseArena(sa, maxBytes)
 }
 
 // maxInjectBatch bounds one InjectInternalBatch run so the target's
@@ -108,7 +98,7 @@ const maxInjectBatch = 512
 // Run executes the configured test: the generator materializes every
 // test packet into its arena, consecutive same-ingress-port packets are
 // injected as one batch through the target's batched data-plane path
-// (Engine.ProcessBatch under the hood), and the checker validates every
+// (Target.ProcessBatch under the hood), and the checker validates every
 // result in real time. The report is retained for collection.
 func (a *Agent) Run() (*Report, error) {
 	a.mu.Lock()

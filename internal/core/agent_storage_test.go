@@ -41,36 +41,46 @@ func configureRun(t *testing.T, a *Agent, spec *TestSpec) *Report {
 // TestConfigureReusesStorage: an agent hands its generator's storage from
 // each spec to the next, and none of it shows. Whatever was configured
 // before — fewer frames, more, longer ones, fuzzed ones — every report
-// equals that of an agent that has run nothing else, with the frames in
-// the agent's own arena and in an extent of a shared one (which holds
-// the small spec and sends the big one back to the private slab).
+// equals that of an agent that has run nothing else.
 func TestConfigureReusesStorage(t *testing.T) {
 	small, big := threeStreamSpec(512), biggerSpec(900)
 	for _, kind := range []string{target.KindReference, target.KindSDNet} {
-		for _, shared := range []bool{false, true} {
-			var sa SharedArena
-			sa.Reset(1 << 16)
-			agent := func() *Agent {
-				a := kindAgent(t, kind)
-				if shared {
-					a.UseArena(&sa, 512*64)
-				}
-				return a
+		reused := kindAgent(t, kind)
+		for i, spec := range []*TestSpec{small, big, small} {
+			got, want := configureRun(t, reused, spec), configureRun(t, kindAgent(t, kind), spec)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: run %d (%s) on a reused agent:\n got %+v\nwant %+v", kind, i, spec.Name, got, want)
 			}
-			reused := agent()
-			for i, spec := range []*TestSpec{small, big, small} {
-				got, want := configureRun(t, reused, spec), configureRun(t, agent(), spec)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s shared=%v: run %d (%s) on a reused agent:\n got %+v\nwant %+v", kind, shared, i, spec.Name, got, want)
-				}
-				if got.Injected == 0 || (kind == target.KindSDNet && spec == small) == got.Pass {
-					t.Fatalf("%s: fixture: %s reported %v", kind, spec.Name, got)
-				}
-			}
-			if shared != (sa.Used() > 0) {
-				t.Fatalf("shared=%v: %d bytes of the shared arena reserved", shared, sa.Used())
+			if got.Injected == 0 || (kind == target.KindSDNet && spec == small) == got.Pass {
+				t.Fatalf("%s: fixture: %s reported %v", kind, spec.Name, got)
 			}
 		}
+	}
+}
+
+// TestRefusedConfigureKeepsPreviousSpec: a spec the generator refuses (a
+// field outside its template) and one the checker refuses (a rule with
+// no name) each leave the agent as it was, so the next run is the
+// previous spec's, report for report.
+func TestRefusedConfigureKeepsPreviousSpec(t *testing.T) {
+	agent := kindAgent(t, target.KindReference)
+	want := configureRun(t, agent, threeStreamSpec(256))
+
+	hostileGen := biggerSpec(64)
+	hostileGen.Gen.Streams[0].Fuzz[0].Loc = FieldLoc{BitOff: 1 << 20, Bits: 16}
+	noRuleName := biggerSpec(64)
+	noRuleName.Check.Rules[0].Name = ""
+	for _, spec := range []*TestSpec{hostileGen, noRuleName} {
+		if err := agent.Configure(spec); err == nil {
+			t.Fatalf("Configure accepted %+v", spec)
+		}
+	}
+	got, err := agent.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the run after two refused specs is not the accepted one's:\n got %+v\nwant %+v", got, want)
 	}
 }
 

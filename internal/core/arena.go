@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // FrameArena carves per-frame buffers out of one reusable slab — the
 // generator's frame allocation strategy, extracted so every producer on
 // the zero-copy frame path (generator, external tester) can stamp frames
@@ -9,38 +7,20 @@ import "sync/atomic"
 // budget up front; Frame then carves full-capacity subslices, so no carve
 // can ever move the slab and dangle earlier frames. Frames and the slice
 // windows returned by Since stay valid until the next Reset.
-//
-// An arena normally owns its slab. It can instead be bound to an extent
-// reserved off a SharedArena (see SharedArena.Reserve), in which case
-// generations that fit the extent carve shared memory and only
-// over-budget generations fall back to the private slab.
 type FrameArena struct {
-	slab []byte // active carving region: the bound extent or the private slab
-	ext  []byte // shared extent bound by SharedArena.Reserve; nil = private
-	priv []byte // owned slab, retained across extent-bound generations
+	slab []byte
 	off  int
 	out  [][]byte
 }
 
-// bindExtent points the arena at shared backing (nil returns it to
-// private mode). The binding takes effect at the next Reset.
-func (a *FrameArena) bindExtent(ext []byte) { a.ext = ext }
-
 // Reset invalidates all previously carved frames and prepares the arena
-// for a generation of up to totalFrames frames spanning totalBytes.
-// When the arena is bound to a shared extent that can hold totalBytes,
-// the generation carves the extent; otherwise it carves (growing if
-// needed) the private slab.
+// for a generation of up to totalFrames frames spanning totalBytes,
+// growing the slab if it is smaller.
 func (a *FrameArena) Reset(totalBytes, totalFrames int) {
-	if a.ext != nil && totalBytes <= len(a.ext) {
-		a.slab = a.ext
-	} else {
-		if cap(a.priv) < totalBytes {
-			a.priv = make([]byte, totalBytes)
-		}
-		a.priv = a.priv[:cap(a.priv)]
-		a.slab = a.priv
+	if cap(a.slab) < totalBytes {
+		a.slab = make([]byte, totalBytes)
 	}
+	a.slab = a.slab[:cap(a.slab)]
 	a.off = 0
 	if cap(a.out) < totalFrames {
 		a.out = make([][]byte, 0, totalFrames)
@@ -73,68 +53,3 @@ func (a *FrameArena) Mark() int { return len(a.out) }
 func (a *FrameArena) Since(mark int) [][]byte {
 	return a.out[mark:len(a.out):len(a.out)]
 }
-
-// SharedArena is the fleet-scale form of FrameArena: one slab that many
-// producers carve concurrently. Reset declares the whole fleet's byte
-// budget; Reserve then bumps an atomic cursor to carve a contiguous
-// extent per producer and binds it to that producer's FrameArena, which
-// keeps its usual Frame/Mark/Since semantics within the extent. Every
-// shard of a fleet therefore stamps frames into one memory region, with
-// no lock on the reservation path and no sharing of the carved bytes.
-//
-// Reservations that no longer fit return the caller's FrameArena to its
-// private slab — an over-budget fleet degrades to per-producer arenas
-// instead of failing. Extents stay valid until the next Reset, which
-// must not race any Reserve or any use of previously carved frames.
-type SharedArena struct {
-	slab []byte
-	off  atomic.Int64
-}
-
-// Reset invalidates all outstanding extents and prepares the arena to
-// hand out totalBytes of shared backing.
-func (a *SharedArena) Reset(totalBytes int) {
-	if cap(a.slab) < totalBytes {
-		a.slab = make([]byte, totalBytes)
-	}
-	a.slab = a.slab[:cap(a.slab)]
-	a.off.Store(0)
-}
-
-// ReserveBytes carves the next n-byte extent off the slab, or returns
-// nil when n bytes no longer fit. Safe for concurrent use.
-func (a *SharedArena) ReserveBytes(n int) []byte {
-	if n <= 0 {
-		return nil
-	}
-	for {
-		cur := a.off.Load()
-		next := cur + int64(n)
-		if next > int64(len(a.slab)) {
-			return nil
-		}
-		if a.off.CompareAndSwap(cur, next) {
-			return a.slab[cur:next:next]
-		}
-	}
-}
-
-// Reserve carves a totalBytes extent and resets fa onto it for a
-// generation of up to totalFrames frames. When the extent does not fit
-// — or the receiver is nil, the idiom for "no shared arena configured"
-// — fa is returned to its private slab instead. Safe for concurrent use
-// by one goroutine per FrameArena.
-func (a *SharedArena) Reserve(fa *FrameArena, totalBytes, totalFrames int) {
-	if a == nil {
-		fa.bindExtent(nil)
-	} else {
-		fa.bindExtent(a.ReserveBytes(totalBytes))
-	}
-	fa.Reset(totalBytes, totalFrames)
-}
-
-// Used reports the bytes reserved since the last Reset.
-func (a *SharedArena) Used() int { return int(a.off.Load()) }
-
-// Size reports the slab capacity declared by the last Reset.
-func (a *SharedArena) Size() int { return len(a.slab) }

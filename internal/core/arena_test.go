@@ -1,126 +1,41 @@
 package core
 
-import (
-	"math/rand"
-	"sync"
-	"testing"
-)
+import "testing"
 
-// TestSharedArenaConcurrentCarve hammers SharedArena.Reserve from many
-// goroutines reserving random extents (the CI differential-fuzz job runs
-// this under -race): every in-budget extent must be disjoint from every
-// other, and a byte pattern written through one reservation's frames
-// must survive all other reservations untouched.
-func TestSharedArenaConcurrentCarve(t *testing.T) {
-	const (
-		goroutines = 16
-		rounds     = 64
-		slabBytes  = 1 << 20
-	)
-	var sa SharedArena
-	sa.Reset(slabBytes)
-
-	type carve struct {
-		frames [][]byte
-		tag    byte
+// TestFrameArenaSpillsOverBudget: a frame past the Reset budget spills to
+// its own allocation instead of growing the slab, so it aliases neither
+// the slab nor any frame carved before it, and Mark/Since windows count
+// spilled frames like carved ones.
+func TestFrameArenaSpillsOverBudget(t *testing.T) {
+	var a FrameArena
+	a.Reset(64, 2)
+	in := a.Frame(48)
+	m := a.Mark()
+	spilled := a.Frame(48) // only 16 bytes left: must spill
+	tail := a.Frame(16)    // still fits after the spill
+	for i := range in {
+		in[i], spilled[i] = 0xaa, 0xbb
 	}
-	carves := make([][]carve, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g + 1)))
-			var fa FrameArena
-			for r := 0; r < rounds; r++ {
-				nFrames := 1 + rng.Intn(8)
-				size := 16 + rng.Intn(256)
-				sa.Reserve(&fa, nFrames*size, nFrames)
-				tag := byte(g*rounds+r) | 1
-				c := carve{tag: tag}
-				for i := 0; i < nFrames; i++ {
-					f := fa.Frame(size)
-					for j := range f {
-						f[j] = tag
-					}
-					c.frames = append(c.frames, f)
-				}
-				carves[g] = append(carves[g], c)
-			}
-		}()
+	for i := range tail {
+		tail[i] = 0xcc
 	}
-	wg.Wait()
-
-	// Every frame still holds its writer's pattern: if any two extents
-	// overlapped, the later writer would have clobbered the earlier one.
-	for g, cs := range carves {
-		for _, c := range cs {
-			for _, f := range c.frames {
-				for _, b := range f {
-					if b != c.tag {
-						t.Fatalf("goroutine %d: frame byte %#x, want %#x — extents overlapped", g, b, c.tag)
-					}
-				}
-			}
+	for i := range in {
+		if in[i] != 0xaa || spilled[i] != 0xbb {
+			t.Fatal("spilled frame aliases the slab")
 		}
 	}
-	if sa.Used() > sa.Size() {
-		t.Fatalf("arena reserved %d bytes of a %d-byte slab", sa.Used(), sa.Size())
+	if &tail[0] != &a.slab[48] {
+		t.Fatal("the spill consumed slab budget")
 	}
-}
-
-// TestSharedArenaExhaustionFallsBack: a reservation that no longer fits
-// returns the FrameArena to its private slab, and the frames carved
-// there live outside the shared slab.
-func TestSharedArenaExhaustionFallsBack(t *testing.T) {
-	var sa SharedArena
-	sa.Reset(64)
-	var a, b FrameArena
-	sa.Reserve(&a, 48, 1)
-	fa := a.Frame(48)
-	sa.Reserve(&b, 48, 1) // only 16 bytes left: must fall back
-	fb := b.Frame(48)
-	if len(fa) != 48 || len(fb) != 48 {
-		t.Fatalf("frame lengths %d, %d, want 48", len(fa), len(fb))
+	if got := a.Since(m); len(got) != 2 || &got[0][0] != &spilled[0] || &got[1][0] != &tail[0] {
+		t.Fatalf("Since window holds %d frames, want the spilled one and the one after it", len(got))
 	}
-	for i := range fa {
-		fa[i], fb[i] = 0xaa, 0xbb
+	if got := len(a.Since(0)); got != 3 {
+		t.Fatalf("arena holds %d frames, want 3", got)
 	}
-	for i := range fa {
-		if fa[i] != 0xaa || fb[i] != 0xbb {
-			t.Fatal("fallback frame aliases a shared extent")
-		}
-	}
-	if sa.Used() != 48 {
-		t.Fatalf("used = %d, want 48 (failed reservation must not consume budget)", sa.Used())
-	}
-	// A later Reset makes the full slab reservable again, and the
-	// previously fallen-back arena rebinds on its next Reserve.
-	sa.Reset(64)
-	sa.Reserve(&b, 64, 1)
-	if got := sa.Used(); got != 64 {
-		t.Fatalf("used after rebind = %d, want 64", got)
-	}
-}
-
-// TestSharedArenaMarkSincePerReservation: Mark/Since windows are scoped
-// to the owning FrameArena, not the shared slab.
-func TestSharedArenaMarkSincePerReservation(t *testing.T) {
-	var sa SharedArena
-	sa.Reset(1 << 12)
-	var a, b FrameArena
-	sa.Reserve(&a, 64, 4)
-	sa.Reserve(&b, 64, 4)
-	a.Frame(16)
-	m := b.Mark()
-	b.Frame(16)
-	a.Frame(16)
-	b.Frame(16)
-	if got := len(b.Since(m)); got != 2 {
-		t.Fatalf("Since window has %d frames, want 2", got)
-	}
-	if got := len(a.Since(0)); got != 2 {
-		t.Fatalf("arena a holds %d frames, want 2", got)
+	// The next generation starts over on the same slab.
+	a.Reset(64, 1)
+	if f := a.Frame(64); &f[0] != &in[0] || a.Mark() != 1 {
+		t.Fatal("Reset did not reuse the slab")
 	}
 }

@@ -74,13 +74,13 @@ type TestPacket struct {
 }
 
 // Generator produces the timed packet sequence described by a GenSpec.
-// Packet data and the returned packet slice live in arenas owned by the
-// generator and are reused by the next Packets call, so steady-state
-// generation allocates nothing per packet.
+// Packet data and the returned packet slice live in storage owned by the
+// generator and reused by the next Packets call — across Configure too —
+// so steady-state generation allocates nothing per packet.
 type Generator struct {
 	spec GenSpec
 
-	// arenas reused across Packets calls.
+	// storage reused across Packets calls.
 	arena   FrameArena   // packet bytes, carved per packet
 	gen     []TestPacket // per-stream generation order
 	out     []TestPacket // time-merged output order
@@ -88,52 +88,50 @@ type Generator struct {
 	heads   []int        // per-stream merge cursors
 }
 
-// UseArena binds the generator's frame storage to a maxBytes extent
-// reserved off the shared arena: generations that fit the extent stamp
-// their packets into the fleet-shared slab, larger ones fall back to the
-// generator's private arena. The extent stays bound until the arena's
-// next Reset, so one reservation serves every later Packets call.
-func (g *Generator) UseArena(sa *SharedArena, maxBytes int) {
-	if sa == nil {
-		g.arena.bindExtent(nil)
-		return
-	}
-	g.arena.bindExtent(sa.ReserveBytes(maxBytes))
-}
-
 // NewGenerator validates the spec and returns a generator.
 func NewGenerator(spec GenSpec) (*Generator, error) {
+	g := &Generator{}
+	if err := g.Configure(spec); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Configure validates spec and makes it the one the next Packets call
+// generates, keeping the generator's storage. A refused spec leaves the
+// previous one in place.
+func (g *Generator) Configure(spec GenSpec) error {
 	if len(spec.Streams) == 0 {
-		return nil, fmt.Errorf("core: generator spec has no streams")
+		return fmt.Errorf("core: generator spec has no streams")
 	}
 	seen := map[string]bool{}
 	for i, s := range spec.Streams {
 		if s.Name == "" {
-			return nil, fmt.Errorf("core: stream %d has no name", i)
+			return fmt.Errorf("core: stream %d has no name", i)
 		}
 		if seen[s.Name] {
-			return nil, fmt.Errorf("core: duplicate stream %q", s.Name)
+			return fmt.Errorf("core: duplicate stream %q", s.Name)
 		}
 		seen[s.Name] = true
 		if len(s.Template) == 0 {
-			return nil, fmt.Errorf("core: stream %q has an empty template", s.Name)
+			return fmt.Errorf("core: stream %q has an empty template", s.Name)
 		}
 		if s.Count <= 0 {
-			return nil, fmt.Errorf("core: stream %q has count %d", s.Name, s.Count)
+			return fmt.Errorf("core: stream %q has count %d", s.Name, s.Count)
 		}
 		limit := len(s.Template) * 8
 		for _, sw := range s.Sweeps {
 			if !sw.Loc.within(limit) {
-				return nil, fmt.Errorf("core: stream %q sweep outside template", s.Name)
+				return fmt.Errorf("core: stream %q sweep outside template", s.Name)
 			}
 		}
 		for _, fz := range s.Fuzz {
 			if !fz.Loc.within(limit) {
-				return nil, fmt.Errorf("core: stream %q fuzz outside template", s.Name)
+				return fmt.Errorf("core: stream %q fuzz outside template", s.Name)
 			}
 		}
 		if s.SeqLoc.Valid() && !s.SeqLoc.within(limit) {
-			return nil, fmt.Errorf("core: stream %q sequence tag outside template", s.Name)
+			return fmt.Errorf("core: stream %q sequence tag outside template", s.Name)
 		}
 	}
 	// Sequence tags are global across streams; every tagged stream must be
@@ -144,11 +142,12 @@ func NewGenerator(spec GenSpec) (*Generator, error) {
 	}
 	for _, s := range spec.Streams {
 		if s.SeqLoc.Valid() && s.SeqLoc.Bits < 63 && total > 1<<uint(s.SeqLoc.Bits) {
-			return nil, fmt.Errorf("core: stream %q: %d-bit sequence tag cannot number %d packets",
+			return fmt.Errorf("core: stream %q: %d-bit sequence tag cannot number %d packets",
 				s.Name, s.SeqLoc.Bits, total)
 		}
 	}
-	return &Generator{spec: spec}, nil
+	g.spec = spec
+	return nil
 }
 
 // lineRatePPS is the back-to-back packet rate for an n-byte frame at
@@ -163,7 +162,7 @@ func lineRatePPS(n int) float64 {
 // output packet to its injected original.
 //
 // The returned slice and the packet Data buffers are owned by the
-// generator's arena: they are valid until the next Packets call.
+// generator: they are valid until the next Packets call.
 func (g *Generator) Packets(start time.Duration) []TestPacket {
 	total, bytes, nFuzz := 0, 0, 0
 	for _, s := range g.spec.Streams {

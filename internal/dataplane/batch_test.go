@@ -1,8 +1,9 @@
 package dataplane
 
-// Tests for the batched packet API: ProcessBatch must preserve Process
-// semantics exactly, keep every context's output alive for the whole
-// batch, and stay allocation-free in steady state.
+// Tests for a burst run one context per frame, the way the target's
+// frame loop drives the engine: every context's Process must match
+// single-context Process exactly, keep its output alive while the other
+// contexts run, and stay allocation-free in steady state.
 
 import (
 	"bytes"
@@ -18,7 +19,7 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 		packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{10, 9, 9, 9}, 1, 2, []byte("two")),
 		packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{192, 168, 0, 1}, 1, 2, nil), // miss -> drop
 	}
-	// Reference results from the single-packet path, copied out.
+	// Reference results from one context, copied out.
 	var wantOut [][]byte
 	var wantEgress []uint64
 	ref := e.NewContext()
@@ -28,42 +29,42 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 		wantEgress = append(wantEgress, eg)
 	}
 
-	var pkts []*Context
-	for _, f := range frames {
-		ctx := e.NewContext()
-		ctx.In = f
-		pkts = append(pkts, ctx)
+	ctxs := make([]*Context, len(frames))
+	for i := range ctxs {
+		ctxs[i] = e.NewContext()
 	}
-	e.ProcessBatch(pkts)
-	for i, ctx := range pkts {
-		if (ctx.Out == nil) != (wantOut[i] == nil) || !bytes.Equal(ctx.Out, wantOut[i]) {
-			t.Errorf("packet %d: batch out %x, want %x", i, ctx.Out, wantOut[i])
-		}
-		if ctx.Out != nil && ctx.Egress != wantEgress[i] {
-			t.Errorf("packet %d: batch egress %d, want %d", i, ctx.Egress, wantEgress[i])
-		}
+	outs := make([][]byte, len(frames))
+	egress := make([]uint64, len(frames))
+	for i, f := range frames {
+		outs[i], egress[i] = e.Process(ctxs[i], f, 0)
 	}
-	// Every output must still be intact now that the whole batch ran —
-	// the simultaneous-validity contract single-context Process lacks.
-	if !bytes.Equal(pkts[0].Out, wantOut[0]) {
-		t.Error("first batch output clobbered by later packets")
+	// Every output is checked only now that the whole burst ran — the
+	// simultaneous validity one context cannot offer.
+	for i := range frames {
+		if (outs[i] == nil) != (wantOut[i] == nil) || !bytes.Equal(outs[i], wantOut[i]) {
+			t.Errorf("packet %d: burst out %x, want %x", i, outs[i], wantOut[i])
+		}
+		if outs[i] != nil && egress[i] != wantEgress[i] {
+			t.Errorf("packet %d: burst egress %d, want %d", i, egress[i], wantEgress[i])
+		}
 	}
 }
 
 func TestProcessBatchAllocFree(t *testing.T) {
 	e := routerEngine(t)
 	frame := packet.BuildUDPv4(macA, macB, ipA, ipB, 100, 200, []byte("data"))
-	pkts := make([]*Context, 8)
-	for i := range pkts {
-		pkts[i] = e.NewContext()
-		pkts[i].In = frame
+	ctxs := make([]*Context, 8)
+	for i := range ctxs {
+		ctxs[i] = e.NewContext()
 	}
-	e.ProcessBatch(pkts) // warm up per-context buffers
-	allocs := testing.AllocsPerRun(200, func() {
-		e.ProcessBatch(pkts)
-	})
-	perPacket := allocs / float64(len(pkts))
+	burst := func() {
+		for _, ctx := range ctxs {
+			e.Process(ctx, frame, 0)
+		}
+	}
+	burst() // warm up per-context buffers
+	perPacket := testing.AllocsPerRun(200, burst) / float64(len(ctxs))
 	if perPacket > maxProcessAllocs {
-		t.Errorf("batch: %v allocs/packet, want <= %d", perPacket, maxProcessAllocs)
+		t.Errorf("burst: %v allocs/packet, want <= %d", perPacket, maxProcessAllocs)
 	}
 }

@@ -6,7 +6,7 @@ package dataplane
 // unlink and the index's backward shift are the code under test), and
 // the engine-level delete path must honor each table kind's match
 // identity. The concurrent variant runs install/delete churn against
-// live ProcessBatch traffic serialized by a lock — the resident session
+// live burst traffic serialized by a lock — the resident session
 // layer's access pattern — under -race.
 
 import (
@@ -268,7 +268,7 @@ func TestEngineDeleteEntryLPMAndExact(t *testing.T) {
 }
 
 // TestChurnUnderTrafficSerialized drives install/delete churn and
-// ProcessBatch traffic from separate goroutines serialized by a mutex —
+// burst traffic from separate goroutines serialized by a mutex —
 // the resident session layer's locking discipline — and asserts every
 // batch's outcome is one of the two legal table states for the probed
 // key. Run under -race this doubles as the proof that table writes
@@ -332,13 +332,10 @@ func TestChurnUnderTrafficSerialized(t *testing.T) {
 			pkts[i] = eng.NewContext()
 		}
 		for i := 0; i < rounds; i++ {
-			for _, ctx := range pkts {
-				ctx.In = frame
-				ctx.InPort = 0
-				ctx.CollectTrace = false
-			}
 			mu.Lock()
-			eng.ProcessBatch(pkts)
+			for _, ctx := range pkts {
+				eng.Process(ctx, frame, 0)
+			}
 			for _, ctx := range pkts {
 				if ctx.Dropped() {
 					t.Errorf("traffic round %d: dropped", i)

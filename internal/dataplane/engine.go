@@ -88,16 +88,6 @@ type Context struct {
 	payload      []byte
 	out          []byte
 	Trace        Trace
-
-	// Batch I/O, consumed and produced by Engine.ProcessBatch: In/InPort
-	// are the input frame and ingress port, Out/Egress the result. Out is
-	// backed by this context's reusable output buffer, so unlike
-	// back-to-back Process calls on one context, every context of a batch
-	// holds its output simultaneously.
-	In     []byte
-	InPort uint64
-	Out    []byte
-	Egress uint64
 }
 
 // Engine executes one compiled program.
@@ -552,7 +542,9 @@ func (e *Engine) TableCount(name string) int {
 
 // Process runs the full reference pipeline: parse (reject drops), controls,
 // deparse. It returns the output packet (nil if dropped) and the egress
-// port from standard_metadata.egress_spec.
+// port from standard_metadata.egress_spec. The output lives in ctx's own
+// buffer until the next Process on ctx, so a burst run one context per
+// frame holds every frame's output at once.
 func (e *Engine) Process(ctx *Context, pkt []byte, ingressPort uint64) (out []byte, egress uint64) {
 	e.Reset(ctx, pkt, ingressPort)
 	if e.Parse(ctx) == VerdictReject {
@@ -564,21 +556,4 @@ func (e *Engine) Process(ctx *Context, pkt []byte, ingressPort uint64) (out []by
 		return nil, 0
 	}
 	return e.Deparse(ctx), e.EgressSpec(ctx)
-}
-
-// ProcessBatch runs a burst of packets through the pipeline: for every
-// context it processes (ctx.In, ctx.InPort) and stores the result in
-// ctx.Out (nil if dropped) and ctx.Egress. Each context keeps its own
-// output buffer, so all results of the batch are alive at once — the
-// contract per-packet Process cannot offer, since its return value is
-// invalidated by the next call on the same context. The caller owns the
-// contexts and reuses them burst after burst, so the hot path stays
-// allocation-free in steady state.
-//
-// Contexts must be distinct; a context may carry trace collection
-// (CollectTrace) exactly as with Process.
-func (e *Engine) ProcessBatch(pkts []*Context) {
-	for _, ctx := range pkts {
-		ctx.Out, ctx.Egress = e.Process(ctx, ctx.In, ctx.InPort)
-	}
 }

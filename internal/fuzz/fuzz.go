@@ -250,12 +250,11 @@ type Fleet struct {
 	refIdx int // backend whose path signatures steer solver targeting
 	anchor int // index of the reference-class backend (the vote's anchor), or -1
 	shards []*shard
-	// arena backs every mutation round's generated probe frames: each
-	// round's fresh generator binds an extent off it instead of growing
-	// a private slab, so the slab is allocated once for the whole run.
-	// Safe because a round's frames are dead (coverage-novel ones
-	// copied) before the next round's generator resets the arena.
-	arena core.SharedArena
+	// gen generates every mutation round's probe frames: each round
+	// configures its streams into the same generator, so frame storage
+	// grows once for the whole run. Safe because a round's frames are
+	// dead (coverage-novel ones copied) before the next round's Packets.
+	gen core.Generator
 
 	// run state, mutated only by the sequential merge
 	corpus     [][]byte
@@ -575,20 +574,10 @@ func (f *Fleet) mutationBatch(r, count int) ([][]byte, func(int) []int, error) {
 	if len(streams) == 0 {
 		return nil, nil, fmt.Errorf("fuzz: no corpus frame admits any layout field")
 	}
-	gen, err := core.NewGenerator(core.GenSpec{Streams: streams})
-	if err != nil {
+	if err := f.gen.Configure(core.GenSpec{Streams: streams}); err != nil {
 		return nil, nil, err
 	}
-	// The arena owns the frames; they stay valid for this round because
-	// the next round's generator rebinds the slab only after this
-	// round's merge. Coverage-novel frames are copied on retention.
-	totalBytes := 0
-	for _, s := range streams {
-		totalBytes += s.Count * len(s.Template)
-	}
-	f.arena.Reset(totalBytes)
-	gen.UseArena(&f.arena, totalBytes)
-	pkts := gen.Packets(0)
+	pkts := f.gen.Packets(0) // valid until the next round (see Fleet.gen)
 	frames := make([][]byte, len(pkts))
 	streamsOf := make([]string, len(pkts))
 	for i, tp := range pkts {

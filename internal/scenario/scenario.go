@@ -852,7 +852,7 @@ func comparisonScenarios() []Scenario {
 			Name: "fast paths reproduce the reference results", UseCase: Comparison,
 			NetDebug: func() Outcome {
 				spec := stream{frame: goodFrame(), count: 2000, ratePPS: 1e6}.spec()
-				// Batched agent run (Engine.ProcessBatch under the hood).
+				// Batched agent run (Target.ProcessBatch under the hood).
 				agent := core.NewAgent(router.on(target.NewReference()))
 				if err := agent.Configure(spec); err != nil {
 					return missed("configure: %v", err)

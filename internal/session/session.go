@@ -74,13 +74,6 @@ type HostConfig struct {
 	CallTimeout time.Duration
 	// Retry re-issues control calls the agent reports as transient.
 	Retry RetrySpec
-	// ArenaBytes is the per-host generator frame budget reserved off the
-	// manager's shared arena: every host agent whose workload generation
-	// fits the budget stamps its frames into one pool-wide memory region
-	// (core.SharedArena); larger workloads fall back to the agent's
-	// private arena. Zero selects a 256 KiB default; negative disables
-	// the shared arena entirely.
-	ArenaBytes int
 }
 
 // ChurnSpec drives per-round control-plane churn: Installs fresh
@@ -152,13 +145,7 @@ type host struct {
 	onOut func(ev device.TapEvent)
 }
 
-// defaultArenaBytes is the per-host shared-arena budget when
-// HostConfig.ArenaBytes is zero: comfortably above the repo's session
-// workloads (a few KB of frames per round) while keeping an 8-host pool
-// inside one 2 MiB slab.
-const defaultArenaBytes = 256 << 10
-
-func bootHost(cfg *HostConfig, arena *core.SharedArena) (*host, error) {
+func bootHost(cfg *HostConfig) (*host, error) {
 	prog, err := compile.Compile(cfg.Source)
 	if err != nil {
 		return nil, fmt.Errorf("session: compiling program: %w", err)
@@ -185,15 +172,7 @@ func bootHost(cfg *HostConfig, arena *core.SharedArena) (*host, error) {
 			h.onOut(ev)
 		}
 	})
-	ag := core.NewAgent(dev)
-	if arena != nil && cfg.ArenaBytes >= 0 {
-		budget := cfg.ArenaBytes
-		if budget == 0 {
-			budget = defaultArenaBytes
-		}
-		ag.UseArena(arena, budget)
-	}
-	h.ctl = core.Connect(ag)
+	h.ctl = core.Connect(core.NewAgent(dev))
 	h.ctl.SetCallTimeout(cfg.CallTimeout)
 	h.ctl.SetRetryPolicy(control.RetryPolicy{
 		MaxAttempts: cfg.Retry.MaxAttempts,
@@ -233,12 +212,8 @@ func (h *host) restore(cfg *HostConfig) error {
 
 // Manager runs sessions over a pool of hosts.
 type Manager struct {
-	cfg HostConfig
-	rec *Recorder
-	// arena is the pool-wide frame slab: every host agent reserves its
-	// ArenaBytes extent off it at boot, so concurrent sessions stamp
-	// their generated frames into one memory region.
-	arena    core.SharedArena
+	cfg      HostConfig
+	rec      *Recorder
 	hosts    chan *host
 	all      []*host
 	mu       sync.Mutex
@@ -256,18 +231,8 @@ func NewManager(cfg HostConfig, numHosts int, rec *Recorder) (*Manager, error) {
 		numHosts = 1
 	}
 	m := &Manager{cfg: cfg, rec: rec, hosts: make(chan *host, numHosts)}
-	if cfg.ArenaBytes >= 0 {
-		perHost := cfg.ArenaBytes
-		if perHost == 0 {
-			perHost = defaultArenaBytes
-		}
-		// Double-size the slab so hosts replaced after a failed restore
-		// can still reserve fresh extents before falling back to private
-		// arenas.
-		m.arena.Reset(2 * numHosts * perHost)
-	}
 	for i := 0; i < numHosts; i++ {
-		h, err := bootHost(&m.cfg, &m.arena)
+		h, err := bootHost(&m.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +305,7 @@ func (m *Manager) runAt(idx int, spec *SessionSpec) (*Result, error) {
 		if err := h.restore(&m.cfg); err != nil {
 			// A host that cannot be restored is replaced, not returned:
 			// the pool must never hand a tainted system to a session.
-			if nh, bErr := bootHost(&m.cfg, &m.arena); bErr == nil {
+			if nh, bErr := bootHost(&m.cfg); bErr == nil {
 				h.ctl.Close()
 				h = nh
 			}

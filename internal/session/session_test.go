@@ -3,6 +3,8 @@ package session
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +141,37 @@ func TestStreamDeterministicAcrossConcurrency(t *testing.T) {
 func TestReplayByteIdentical(t *testing.T) {
 	stream := recordBatch(t, 2, batchSpecs())
 	if err := ReplayCheck(stream); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var updateStream = flag.Bool("update", false, "rewrite testdata/batch.jsonl from this tree")
+
+// committedStream is a recording of batchSpecs on one host, kept in the
+// repository so a change to anything a stream records — a record field,
+// or a field of a struct the session header carries as gob, such as
+// HostConfig — has to regenerate it on purpose (go test -run
+// TestCommittedStreamReplays ./internal/session/ -update).
+const committedStream = "testdata/batch.jsonl"
+
+// TestCommittedStreamReplays: today's recording of the batch is the
+// committed one byte for byte, and the committed stream replays from its
+// own bytes.
+func TestCommittedStreamReplays(t *testing.T) {
+	stream := recordBatch(t, 1, batchSpecs())
+	if *updateStream {
+		if err := os.WriteFile(committedStream, stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed, err := os.ReadFile(committedStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stream, committed) {
+		t.Fatalf("the recording differs from %s; regenerate it with -update if the change is deliberate", committedStream)
+	}
+	if err := ReplayCheck(committed); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -145,7 +145,6 @@ type Histogram struct {
 	total  atomic.Uint64
 	sum    atomic.Uint64 // nanoseconds, saturating in practice irrelevant
 	max    atomic.Int64
-	min    atomic.Int64
 }
 
 const (
@@ -155,9 +154,7 @@ const (
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	h := &Histogram{counts: make([]atomic.Uint64, histMagnitudes*histSubBuckets)}
-	h.min.Store(math.MaxInt64)
-	return h
+	return &Histogram{counts: make([]atomic.Uint64, histMagnitudes*histSubBuckets)}
 }
 
 func bucketIndex(v int64) int {
@@ -202,24 +199,18 @@ func (h *Histogram) Observe(d time.Duration) {
 			break
 		}
 	}
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
 }
 
 // ObserveBatch records a block of durations with one atomic update each
-// of the aggregate total, sum, max and min instead of five read-modify-
-// writes per value; per-bucket counts stay exact. Equivalent to calling
-// Observe per value.
+// of the aggregate total, sum and max instead of four read-modify-writes
+// per value; per-bucket counts stay exact. Equivalent to calling Observe
+// per value.
 func (h *Histogram) ObserveBatch(ds []time.Duration) {
 	if len(ds) == 0 {
 		return
 	}
 	var sum uint64
-	maxV, minV := int64(-1), int64(math.MaxInt64)
+	maxV := int64(-1)
 	for _, d := range ds {
 		v := d.Nanoseconds()
 		if v < 0 {
@@ -230,21 +221,12 @@ func (h *Histogram) ObserveBatch(ds []time.Duration) {
 		if v > maxV {
 			maxV = v
 		}
-		if v < minV {
-			minV = v
-		}
 	}
 	h.total.Add(uint64(len(ds)))
 	h.sum.Add(sum)
 	for {
 		cur := h.max.Load()
 		if maxV <= cur || h.max.CompareAndSwap(cur, maxV) {
-			break
-		}
-	}
-	for {
-		cur := h.min.Load()
-		if minV >= cur || h.min.CompareAndSwap(cur, minV) {
 			break
 		}
 	}
@@ -266,15 +248,6 @@ func (h *Histogram) Mean() time.Duration {
 func (h *Histogram) Max() time.Duration {
 	v := h.max.Load()
 	if v < 0 {
-		return 0
-	}
-	return time.Duration(v)
-}
-
-// Min returns the smallest observed duration, or 0 if empty.
-func (h *Histogram) Min() time.Duration {
-	v := h.min.Load()
-	if v == math.MaxInt64 {
 		return 0
 	}
 	return time.Duration(v)
@@ -307,40 +280,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.Max()
 }
 
-// Merge adds every observation recorded in o into h. Because the
-// buckets are identical, quantiles of the merged histogram are true
-// quantiles of the combined sample set (to bucket resolution) — the
-// property shard-merging aggregators rely on, which no combination of
-// the shards' own quantiles can provide.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := range h.counts {
-		if c := o.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.total.Add(o.total.Load())
-	h.sum.Add(o.sum.Load())
-	if v := o.max.Load(); v > 0 {
-		for {
-			cur := h.max.Load()
-			if v <= cur || h.max.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-	}
-	if v := o.min.Load(); v != math.MaxInt64 {
-		for {
-			cur := h.min.Load()
-			if v >= cur || h.min.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-	}
-}
-
 // Reset clears all recorded values.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
@@ -349,7 +288,6 @@ func (h *Histogram) Reset() {
 	h.total.Store(0)
 	h.sum.Store(0)
 	h.max.Store(0)
-	h.min.Store(math.MaxInt64)
 }
 
 // Set is a named collection of counters, for device status registers and

@@ -82,8 +82,8 @@ func TestHistogramExactSmall(t *testing.T) {
 	if h.Count() != 10 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Min() != 1 || h.Max() != 10 {
-		t.Fatalf("min=%v max=%v", h.Min(), h.Max())
+	if h.Max() != 10 {
+		t.Fatalf("max=%v", h.Max())
 	}
 	if got := h.Quantile(0.5); got != 5 {
 		t.Errorf("p50 = %v, want 5ns", got)
@@ -121,118 +121,11 @@ func TestHistogramMean(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 100; i++ {
-		a.Observe(time.Duration(i))
-		b.Observe(time.Duration(10000 + i))
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if got := a.Min(); got != 1 {
-		t.Fatalf("merged min = %v", got)
-	}
-	if got := a.Max(); got != 10100 {
-		t.Fatalf("merged max = %v", got)
-	}
-	// The true combined median sits at the boundary of the two modes.
-	if got := a.Quantile(0.5).Nanoseconds(); got < 90 || got > 110 {
-		t.Fatalf("merged p50 = %d, want ~100", got)
-	}
-	if got := a.Quantile(0.99).Nanoseconds(); got < 9500 {
-		t.Fatalf("merged p99 = %d, want in the upper mode", got)
-	}
-	// Merging an empty or nil histogram is a no-op.
-	before := a.Count()
-	a.Merge(NewHistogram())
-	a.Merge(nil)
-	if a.Count() != before || a.Min() != 1 {
-		t.Fatalf("empty merge changed state: count=%d min=%v", a.Count(), a.Min())
-	}
-}
-
-// TestHistogramMergeIntoEmpty: merging into a fresh histogram adopts
-// the source's extrema — the empty side's sentinel min (MaxInt64) and
-// zero max must not survive the merge.
-func TestHistogramMergeIntoEmpty(t *testing.T) {
-	h, o := NewHistogram(), NewHistogram()
-	for i := 1; i <= 50; i++ {
-		o.Observe(time.Duration(100 * i))
-	}
-	h.Merge(o)
-	if h.Count() != 50 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Min() != 100 || h.Max() != 5000 {
-		t.Fatalf("extrema = [%v, %v], want [100ns, 5µs]", h.Min(), h.Max())
-	}
-	if got := h.Quantile(0.5).Nanoseconds(); got < 2300 || got > 2700 {
-		t.Fatalf("p50 = %d, want ~2500", got)
-	}
-	if h.Mean() != o.Mean() {
-		t.Fatalf("mean %v, want the source's %v", h.Mean(), o.Mean())
-	}
-}
-
-// TestHistogramMergeZeroOnlyObservations: a shard whose every
-// observation is 0ns has max==0, which the max-merge fast path skips —
-// its count, sum, and zero min must still carry over.
-func TestHistogramMergeZeroOnlyObservations(t *testing.T) {
-	h, o := NewHistogram(), NewHistogram()
-	o.Observe(0)
-	o.Observe(0)
-	h.Observe(10 * time.Nanosecond)
-	h.Merge(o)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Min() != 0 {
-		t.Fatalf("min = %v, want 0 (the zero shard's observations)", h.Min())
-	}
-	if h.Max() != 10 {
-		t.Fatalf("max = %v", h.Max())
-	}
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("p50 = %v, want 0 (two of three samples are zero)", got)
-	}
-}
-
-// TestHistogramMergeMismatchedCounts: a 10-sample shard merged with a
-// 10000-sample shard must weight quantiles by sample count — the
-// property that makes merged fleet percentiles true percentiles, which
-// averaging the two shards' own p50s (≈5005) cannot provide.
-func TestHistogramMergeMismatchedCounts(t *testing.T) {
-	small, big := NewHistogram(), NewHistogram()
-	for i := 1; i <= 10; i++ {
-		small.Observe(time.Duration(1_000_000 * i)) // 1..10ms: slow outlier shard
-	}
-	for i := 1; i <= 10000; i++ {
-		big.Observe(time.Duration(10 + i%100)) // tight 10..109ns mode
-	}
-	big.Merge(small)
-	if big.Count() != 10010 {
-		t.Fatalf("count = %d", big.Count())
-	}
-	// The fast mode dominates the median…
-	if got := big.Quantile(0.5).Nanoseconds(); got > 200 {
-		t.Fatalf("p50 = %dns, want inside the 10010-sample fast mode", got)
-	}
-	// …while the tail quantiles see the outlier shard.
-	if got := big.Quantile(0.9995).Nanoseconds(); got < 1_000_000 {
-		t.Fatalf("p99.95 = %dns, want in the slow shard", got)
-	}
-	if big.Max() != 10*time.Millisecond {
-		t.Fatalf("max = %v", big.Max())
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(time.Second)
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Min() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("reset did not clear state")
 	}
 }
@@ -325,14 +218,14 @@ func BenchmarkCounterInc(b *testing.B) {
 }
 
 // sameHistogram compares every piece of histogram state: count, sum,
-// min, max, and each bucket.
+// max, and each bucket.
 func sameHistogram(t *testing.T, name string, got, want *Histogram) {
 	t.Helper()
 	if got.total.Load() != want.total.Load() || got.sum.Load() != want.sum.Load() ||
-		got.min.Load() != want.min.Load() || got.max.Load() != want.max.Load() {
-		t.Errorf("%s: batch (n=%d sum=%d min=%d max=%d), loop (n=%d sum=%d min=%d max=%d)", name,
-			got.total.Load(), got.sum.Load(), got.min.Load(), got.max.Load(),
-			want.total.Load(), want.sum.Load(), want.min.Load(), want.max.Load())
+		got.max.Load() != want.max.Load() {
+		t.Errorf("%s: batch (n=%d sum=%d max=%d), loop (n=%d sum=%d max=%d)", name,
+			got.total.Load(), got.sum.Load(), got.max.Load(),
+			want.total.Load(), want.sum.Load(), want.max.Load())
 	}
 	for i := range want.counts {
 		if g, w := got.counts[i].Load(), want.counts[i].Load(); g != w {
@@ -378,9 +271,9 @@ func TestObserveBatchMatchesObserveLoop(t *testing.T) {
 			}
 		}
 		sameHistogram(t, c.name, batch, loop)
-		if batch.Min() != loop.Min() || batch.Quantile(0.99) != loop.Quantile(0.99) {
-			t.Errorf("%s: derived stats diverge: min %v/%v p99 %v/%v", c.name,
-				batch.Min(), loop.Min(), batch.Quantile(0.99), loop.Quantile(0.99))
+		if batch.Max() != loop.Max() || batch.Quantile(0.99) != loop.Quantile(0.99) {
+			t.Errorf("%s: derived stats diverge: max %v/%v p99 %v/%v", c.name,
+				batch.Max(), loop.Max(), batch.Quantile(0.99), loop.Quantile(0.99))
 		}
 	}
 }

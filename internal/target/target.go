@@ -31,7 +31,7 @@
 // calls — so single-packet calls leave a live burst's results alone.
 //
 // A Target is NOT safe for concurrent use. Parallel harnesses (package
-// scenario's worker pool, package tester's Fleet, netdebug.RunSuite)
+// scenario's worker pool, package fuzz's shards, netdebug.RunSuite)
 // shard work by building one target/device per worker, never by sharing
 // one behind a lock.
 //

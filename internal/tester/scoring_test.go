@@ -2,7 +2,6 @@ package tester
 
 import (
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,12 +13,12 @@ import (
 	"netdebug/internal/stats"
 )
 
-// newFleetDevice is newDevice plus a second route, so the differential
+// newTwoRouteDevice is newDevice plus a second route, so the differential
 // workload's untagged stream egresses on its own port: streams sharing
 // one egress line are serialized burst-after-burst in virtual time, and
 // a later burst starting at the shared start time would tail-drop
 // against the queue model instead of scoring as unexpected captures.
-func newFleetDevice(t testing.TB) *device.Device {
+func newTwoRouteDevice(t testing.TB) *device.Device {
 	dev := newDevice(t)
 	if err := dev.Target().InstallEntry(dataplane.Entry{
 		Table:  "ipv4_lpm",
@@ -157,9 +156,9 @@ func runPerFrame(dev *device.Device, streams []Stream) *Report {
 func TestTesterBatchedScoringMatchesPerFrame(t *testing.T) {
 	streams := mixedStreams(600) // > one 512-frame scoring block
 
-	want := runPerFrame(newFleetDevice(t), streams)
+	want := runPerFrame(newTwoRouteDevice(t), streams)
 
-	batched := New(newFleetDevice(t))
+	batched := New(newTwoRouteDevice(t))
 	got, err := batched.Run(streams)
 	if err != nil {
 		t.Fatal(err)
@@ -173,156 +172,32 @@ func TestTesterBatchedScoringMatchesPerFrame(t *testing.T) {
 	}
 }
 
-// runPrivateFleet is the pre-shared-slab fleet as a model: its own even
-// split of every stream's Count, one Tester per shard on its private
-// arena (a Tester never handed a SharedArena), run one after another and
-// merged by mergeReports.
-func runPrivateFleet(t *testing.T, streams []Stream, shards int) *Report {
-	t.Helper()
-	reports := make([]*Report, shards)
-	for w := range reports {
-		var shard []Stream
-		for _, s := range streams {
-			n := s.Count / shards
-			if w < s.Count%shards {
-				n++
-			}
-			if n > 0 {
-				s.Count = n
-				shard = append(shard, s)
-			}
-		}
-		rep, err := New(newFleetDevice(t)).Run(shard)
-		if err != nil {
-			t.Fatalf("%d shards (private), shard %d: %v", shards, w, err)
-		}
-		reports[w] = rep
-	}
-	return mergeReports(reports)
-}
-
-// TestFleetSharedArenaMatchesPrivate is the shared-arena differential:
-// a fleet whose shards carve extents off one shared slab reports
-// byte-identically to the private-arena model at 1, 2, and 8 shards
-// (run under -race this also exercises the concurrent extent
-// reservations).
-func TestFleetSharedArenaMatchesPrivate(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		streams := mixedStreams(240)
-
-		want := runPrivateFleet(t, streams, shards)
-
-		shared := &Fleet{
-			New:     func() (*device.Device, error) { return newFleetDevice(t), nil },
-			Workers: shards,
-		}
-		got, err := shared.Run(streams)
-		if err != nil {
-			t.Fatalf("%d shards (shared): %v", shards, err)
-		}
-
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d shards: shared-arena report diverges from private-arena oracle:\n got %+v\nwant %+v",
-				shards, got, want)
-		}
-		if shared.arena.Used() == 0 {
-			t.Fatalf("%d shards: shared arena unused — shards fell back to private slabs", shards)
-		}
-		if want.Received == 0 || want.Lost == 0 {
-			t.Fatalf("%d shards: workload did not exercise loss: %+v", shards, want)
-		}
-	}
-}
-
-// TestFleetWarmRunBookkeepingAllocs: a warm Fleet.Run reuses its shard
-// plan, testers, scoring scratch, and the shared slab, so per-run
-// bookkeeping allocations must not scale with the frame count (frame
-// data itself lives in the warm slab).
-func TestFleetWarmRunBookkeepingAllocs(t *testing.T) {
+// TestWarmRunBookkeepingAllocs: a warm Run reuses its tester's frame
+// arena, sent-frame table and scoring scratch, so per-run bookkeeping
+// allocations must not scale with the frame count — the guarantee the
+// benchmark's fwd64 allocs_per_op rests on.
+func TestWarmRunBookkeepingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation floor not meaningful under the race detector")
 	}
-	const workers = 2
-	devs := make([]*device.Device, workers)
-	for i := range devs {
-		devs[i] = newDevice(t)
-	}
-	var next atomic.Int64
-	fleet := &Fleet{
-		New: func() (*device.Device, error) {
-			return devs[next.Add(1)%workers], nil
-		},
-		Workers: workers,
-	}
+	tst := New(newDevice(t))
 	run := func(count int) {
-		if _, err := fleet.Run([]Stream{{
+		if _, err := tst.Run([]Stream{{
 			Name: "s", Frame: frame(16), Count: count,
 			TxPort: 0, RxPort: 1, RatePPS: 1e6, SeqLoc: seqLoc(),
 		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run(1024) // warm the slab, sent table, and capture rings at max size
+	run(1024) // warm the arena, sent table, and capture ring at max size
 	small := testing.AllocsPerRun(10, func() { run(128) })
 	big := testing.AllocsPerRun(10, func() { run(1024) })
-	// Constant per-run cost (report, merge histogram, goroutines) is
-	// fine; anything per-frame would add ~896 allocs between the sizes.
+	// Constant per-run cost (report, histogram) is fine; anything
+	// per-frame would add ~896 allocs between the sizes.
 	if big-small > 64 {
-		t.Fatalf("warm Fleet.Run bookkeeping scales with frames: %.1f allocs at 128, %.1f at 1024",
-			small, big)
+		t.Fatalf("warm Run bookkeeping scales with frames: %.1f allocs at 128, %.1f at 1024", small, big)
 	}
 	if big > 256 {
-		t.Fatalf("warm Fleet.Run allocates %.1f per run, want small constant bookkeeping", big)
+		t.Fatalf("warm Run allocates %.1f per run, want small constant bookkeeping", big)
 	}
-}
-
-// BenchmarkFleetAggregateMpps drives N simulated devices from one
-// generator slab and reports the fleet's aggregate packet rate: 8192
-// frames per run, split across the shards. The 1-shard : 8-shard scaling
-// ratio has never run on a machine with 8 procs (ROADMAP item 1).
-func BenchmarkFleetAggregateMpps(b *testing.B) {
-	for _, nDev := range []int{1, 2, 4, 8} {
-		b.Run(deviceLabel(nDev), func(b *testing.B) {
-			devs := make([]*device.Device, nDev)
-			for i := range devs {
-				devs[i] = newDevice(b)
-			}
-			var next atomic.Int64
-			fleet := &Fleet{
-				New: func() (*device.Device, error) {
-					return devs[next.Add(1)%int64(nDev)], nil
-				},
-				Workers: nDev,
-			}
-			const frames = 8192
-			streams := []Stream{{
-				Name: "s", Frame: frame(16), Count: frames,
-				TxPort: 0, RxPort: 1, RatePPS: 1e6, SeqLoc: seqLoc(),
-			}}
-			// One warm run so the steady state is measured: slab, shard
-			// plan, capture rings, and scoring scratch all at full size.
-			if _, err := fleet.Run(streams); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := fleet.Run(streams)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Received != frames {
-					b.Fatalf("received %d of %d", rep.Received, frames)
-				}
-			}
-			secs := b.Elapsed().Seconds()
-			if secs > 0 {
-				b.ReportMetric(float64(b.N)*frames/secs/1e6, "Mpps")
-			}
-		})
-	}
-}
-
-func deviceLabel(n int) string {
-	return "devices" + string(rune('0'+n))
 }

@@ -55,10 +55,6 @@ type Report struct {
 	// PerStream holds per-stream verdicts.
 	PerStream map[string]StreamResult
 	Pass      bool
-	// rtt retains the full RTT sample histogram so Fleet.Run can merge
-	// per-shard samples and compute true aggregate percentiles rather
-	// than a worst-shard approximation.
-	rtt *stats.Histogram
 }
 
 // StreamResult is one stream's outcome.
@@ -82,9 +78,7 @@ type Tester struct {
 	dev *device.Device
 	// arena stamps stream frames without a per-frame allocation; the
 	// frames of a run are valid until the next Run on this tester.
-	// UseArena rebinds it to extents of a fleet-shared slab.
-	arena  core.FrameArena
-	shared *core.SharedArena
+	arena core.FrameArena
 
 	// Batched-scoring scratch reused across runs, so warm runs add no
 	// per-frame bookkeeping allocations: the dense sent-frame table
@@ -99,12 +93,6 @@ type Tester struct {
 
 // New attaches a tester to the device's external ports.
 func New(dev *device.Device) *Tester { return &Tester{dev: dev} }
-
-// UseArena makes the tester reserve each run's frame storage as one
-// contiguous extent off the fleet-shared arena instead of its private
-// slab (nil returns it to private mode). Fleet.Run wires this for every
-// shard so the whole fleet stamps frames into one memory region.
-func (t *Tester) UseArena(sa *core.SharedArena) { t.shared = sa }
 
 type sentFrame struct {
 	stream  int32 // index into the run's streams; -1 = untagged slot
@@ -148,7 +136,7 @@ func (t *Tester) Run(streams []Stream) (*Report, error) {
 				s.Name, s.SeqLoc.Bits, totalFrames)
 		}
 	}
-	t.shared.Reserve(&t.arena, totalBytes, totalFrames)
+	t.arena.Reset(totalBytes, totalFrames)
 
 	// The dense sent-frame table: sequence tags are 0..totalFrames-1 by
 	// construction, so registration and lookup are a bounds-checked
@@ -325,7 +313,6 @@ func finishReport(rep *Report, streams []Stream, lat *stats.Histogram, meter *st
 	rep.RTTP50Ns = lat.Quantile(0.5).Nanoseconds()
 	rep.RTTP99Ns = lat.Quantile(0.99).Nanoseconds()
 	rep.RTTMaxNs = lat.Max().Nanoseconds()
-	rep.rtt = lat
 	snap := meter.Snapshot()
 	rep.RxPPS = snap.PPS
 	rep.RxBPS = snap.BPS
