@@ -31,6 +31,7 @@ import (
 
 	"netdebug"
 	"netdebug/internal/p4/compile"
+	"netdebug/internal/p4/ir"
 	"netdebug/internal/p4/p4test"
 	"netdebug/internal/packet"
 	"netdebug/internal/scenario"
@@ -459,7 +460,7 @@ func v1() {
 	constraints := []solver.BV{
 		solver.Eq(solver.Var("ethernet.etherType", 16), solver.ConstUint(0x0800, 16)),
 		solver.Neq(solver.Var("ipv4.version", 4), solver.ConstUint(4, 4)),
-		solver.Bin(solver.OpUge, solver.Var("ipv4.ihl", 4), solver.ConstUint(5, 4)),
+		solver.Bin(ir.OpGe, solver.Var("ipv4.ihl", 4), solver.ConstUint(5, 4)),
 		solver.Neq(solver.Var("ipv4.ttl", 8), solver.ConstUint(0, 8)),
 	}
 	const reps = 200

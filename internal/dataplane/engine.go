@@ -389,7 +389,7 @@ func (e *Engine) exec(ctx *Context, code []op) bool {
 		case opWide:
 			a := operand{o.a, int32(o.imm >> 8 & 0xff)}.load(s)
 			b := operand{o.b, int32(o.imm >> 16 & 0xff)}.load(s)
-			operand{o.dst, int32(o.imm >> 24)}.store(s, wideValue(ir.BinOp(o.imm&0xff), a, b))
+			operand{o.dst, int32(o.imm >> 24)}.store(s, ir.BinOp(o.imm&0xff).Eval(a, b))
 		case opJmp:
 			pc = int(o.dst) - 1
 		case opJz:

@@ -34,10 +34,11 @@ const (
 	opCall    // run the body of action a; its parameters are already in place
 	opExtract // extract instance a at the cursor
 	opEmit    // emit instance a if valid
-	// opWide is a binary operator with an operand wider than 64 bits: imm
-	// packs the ir.BinOp and the widths of a, b and dst, a byte each from
-	// the low end. On narrower values opBinary+opcode(o) is the ir.BinOp o,
-	// up to ir.OpGe: dst = a o b, masked by imm.
+	// opWide is a binary operator with an operand wider than 64 bits, run
+	// by its ir.BinOp.Eval: the one place 128-bit arithmetic runs on the
+	// packet path. imm packs the ir.BinOp and the widths of a, b and dst, a
+	// byte each from the low end. On narrower values opBinary+opcode(o) is
+	// the ir.BinOp o, up to ir.OpGe: dst = a o b, masked by imm.
 	opWide
 	opBinary
 )
@@ -262,7 +263,7 @@ func (c *lowering) stmts(list []ir.Stmt) {
 		case *ir.AssignLocal:
 			c.into(s.RHS, c.local(s.Idx))
 		case *ir.SetValid:
-			c.into(ir.Const{Val: boolValue(s.Valid)}, c.p.headers[s.Inst].valid)
+			c.into(ir.Const{Val: ir.Bool(s.Valid)}, c.p.headers[s.Inst].valid)
 		case *ir.MarkToDrop:
 			c.emit(op{code: opDrop, a: c.control})
 		case *ir.If:
@@ -305,8 +306,6 @@ func (c *lowering) into(x ir.Expr, dst int32) {
 		}
 	}
 }
-
-func boolValue(b bool) bitfield.Value { return bitfield.Value{Lo: b2u(b), W: 1} }
 
 // zero is the constant 0 at x's width.
 func zero(x ir.Expr) ir.Expr { return ir.Const{Val: bitfield.Value{W: x.Width()}} }
@@ -366,34 +365,4 @@ func (c *lowering) value(x ir.Expr, dst int32) int32 {
 		c.emit(o)
 	}
 	return dst
-}
-
-// wideValue computes an opWide: the one place 128-bit arithmetic runs on
-// the packet path. A shift count saturates: P4 shifts by the width or more
-// to 0, whatever the count's own width.
-func wideValue(operator ir.BinOp, a, b bitfield.Value) bitfield.Value {
-	count := bitfield.MaxWidth
-	if b.Hi == 0 && b.Lo < bitfield.MaxWidth {
-		count = int(b.Lo)
-	}
-	switch operator {
-	case ir.OpAdd:
-		return a.Add(b)
-	case ir.OpSub:
-		return a.Sub(b)
-	case ir.OpMul:
-		return a.Mul(b)
-	case ir.OpAnd:
-		return a.And(b)
-	case ir.OpOr:
-		return a.Or(b)
-	case ir.OpXor:
-		return a.Xor(b)
-	case ir.OpShl:
-		return a.Shl(count)
-	case ir.OpShr:
-		return a.Shr(count)
-	}
-	c := a.Cmp(b)
-	return boolValue([...]bool{c == 0, c != 0, c < 0, c <= 0, c > 0, c >= 0}[operator-ir.OpEq])
 }

@@ -492,10 +492,18 @@ func (c *compiler) evalConst(e ast.Expr) (*big.Int, int) {
 			out.Or(x, y)
 		case token.XOR:
 			out.Xor(x, y)
-		case token.SHL:
-			out.Lsh(x, uint(y.Uint64()))
-		case token.SHR:
-			out.Rsh(x, uint(y.Uint64()))
+		case token.SHL, token.SHR:
+			switch {
+			case w > 0 && y.Cmp(big.NewInt(int64(w))) >= 0:
+				// Shifted by its width or more a sized value is 0 (ir.ShiftCount).
+			case y.Sign() < 0 || y.Cmp(big.NewInt(bitfield.MaxWidth)) > 0:
+				c.errorf(e.P, "shift count %s outside [0,%d]", y, bitfield.MaxWidth)
+				return nil, 0
+			case e.Op == token.SHL:
+				out.Lsh(x, uint(y.Uint64()))
+			default:
+				out.Rsh(x, uint(y.Uint64()))
+			}
 		default:
 			c.errorf(e.P, "operator %s not allowed in constant expression", e.Op)
 			return nil, 0

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -297,6 +298,34 @@ func TestConstFolding(t *testing.T) {
 	// C = ((0x801) << 4) & 0xff00 = 0x8010 & 0xff00 = 0x8000
 	if got := cs[0].Values[0].Uint64(); got != 0x8000 {
 		t.Fatalf("folded const = %#x, want 0x8000", got)
+	}
+}
+
+// TestConstShiftCountBounded: folding a shift never allocates by its
+// count. A sized fold shifted by its width or more is 0; an unsized count
+// past bitfield.MaxWidth is refused where it is written.
+func TestConstShiftCountBounded(t *testing.T) {
+	prog := compileOK(t, `
+	const bit<8> ZERO = 8w0xff >> 0x7FFFFFFFF;
+	header h_t { bit<8> x; } struct hs { h_t h; }
+	parser P(packet_in p, out hs hdr) {
+	  state start { p.extract(hdr.h); transition select(hdr.h.x) { ZERO: accept; default: reject; } }
+	}
+	control D(packet_out p, in hs hdr) { apply {} }
+	S(P(), D()) main;`)
+	if v := prog.Parser.States[0].Trans.Cases[0].Values[0]; !v.IsZero() {
+		t.Errorf("8w0xff >> 0x7FFFFFFFF folds to %s, want 0", v)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Compile(`const bit<8> HUGE = 1 << 0x7FFFFFFFF;`)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "1:23: shift count") {
+		t.Errorf("err = %v, want the shift refused at 1:23", err)
+	}
+	if mib := (after.TotalAlloc - before.TotalAlloc) >> 20; mib > 4 {
+		t.Errorf("compiling the declaration allocated %d MiB", mib)
 	}
 }
 

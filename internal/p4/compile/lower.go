@@ -292,9 +292,14 @@ func (s *scope) compileBinary(e *ast.BinaryExpr, want int) ir.Expr {
 		if x == nil {
 			return nil
 		}
+		// An unsized count is 8 bits wide, and one that does not fit shifts
+		// every bit out (ir.ShiftCount) as bitfield.MaxWidth does.
 		y := s.compileExpr(e.Y, 8)
 		if y == nil {
 			return nil
+		}
+		if lit, ok := e.Y.(*ast.IntLit); ok && lit.Width < 0 && lit.Value.BitLen() > 8 {
+			y = ir.Const{Val: bitfield.New(bitfield.MaxWidth, 8)}
 		}
 		return ir.Binary{Op: op, X: x, Y: y, W: x.Width()}
 	default:

@@ -422,6 +422,21 @@ const (
 	OpNeg
 )
 
+// String renders the operator.
+func (op UnOp) String() string { return [...]string{"!", "~", "-"}[op] }
+
+// Eval is the operator's meaning on a concrete value: ! is 1 bit wide, ~
+// and - keep x's width.
+func (op UnOp) Eval(x bitfield.Value) bitfield.Value {
+	switch op {
+	case OpNot:
+		return Bool(x.IsZero())
+	case OpBitNot:
+		return x.Not()
+	}
+	return bitfield.Value{W: x.W}.Sub(x)
+}
+
 // Unary applies a unary operator.
 type Unary struct {
 	Op UnOp
@@ -429,11 +444,8 @@ type Unary struct {
 	W  int
 }
 
-func (e Unary) Width() int { return e.W }
-func (e Unary) String() string {
-	ops := [...]string{"!", "~", "-"}
-	return ops[e.Op] + e.X.String()
-}
+func (e Unary) Width() int     { return e.W }
+func (e Unary) String() string { return e.Op.String() + e.X.String() }
 
 // BinOp is a binary operator.
 type BinOp int
@@ -465,6 +477,56 @@ var binOpNames = [...]string{
 
 // String renders the operator.
 func (op BinOp) String() string { return binOpNames[op] }
+
+// Eval is the operator's meaning on concrete values, the one every
+// evaluator — the engine, the solver's model check, the SAT encoding —
+// agrees with. Arithmetic and bitwise results wrap at a's width;
+// comparisons, && and || are 1 bit wide, the last two reading each operand
+// as true when it is not 0; a shift counts by ShiftCount.
+func (op BinOp) Eval(a, b bitfield.Value) bitfield.Value {
+	switch op {
+	case OpAdd:
+		return a.Add(b)
+	case OpSub:
+		return a.Sub(b)
+	case OpMul:
+		return a.Mul(b)
+	case OpAnd:
+		return a.And(b)
+	case OpOr:
+		return a.Or(b)
+	case OpXor:
+		return a.Xor(b)
+	case OpShl:
+		return a.Shl(ShiftCount(b))
+	case OpShr:
+		return a.Shr(ShiftCount(b))
+	case OpLAnd:
+		return Bool(!a.IsZero() && !b.IsZero())
+	case OpLOr:
+		return Bool(!a.IsZero() || !b.IsZero())
+	}
+	c := a.Cmp(b)
+	return Bool([...]bool{c == 0, c != 0, c < 0, c <= 0, c > 0, c >= 0}[op-OpEq])
+}
+
+// ShiftCount is how far a shift by count moves its operand: P4 shifts by
+// the operand's width or more to 0, whatever the count's own width, so any
+// count of bitfield.MaxWidth or more is bitfield.MaxWidth.
+func ShiftCount(count bitfield.Value) int {
+	if count.Hi == 0 && count.Lo < bitfield.MaxWidth {
+		return int(count.Lo)
+	}
+	return bitfield.MaxWidth
+}
+
+// Bool is a truth value as the 1-bit value comparisons yield.
+func Bool(b bool) bitfield.Value {
+	if b {
+		return bitfield.Value{Lo: 1, W: 1}
+	}
+	return bitfield.Value{W: 1}
+}
 
 // Binary applies a binary operator. Comparison and logical results have
 // width 1.

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"netdebug/internal/p4/ir"
 	"netdebug/internal/verify/solver"
 )
 
@@ -37,12 +38,12 @@ func (p *Path) ExtractVars() map[string]solver.VarBV {
 		switch t := t.(type) {
 		case solver.VarBV:
 			visit(t)
-		case solver.BinBV:
-			walk(t.A)
-			walk(t.B)
-		case solver.UnBV:
+		case ir.Binary:
 			walk(t.X)
-		case solver.IteBV:
+			walk(t.Y)
+		case ir.Unary:
+			walk(t.X)
+		case ir.Ternary:
 			walk(t.Cond)
 			walk(t.A)
 			walk(t.B)

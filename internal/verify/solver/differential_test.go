@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netdebug/internal/bitfield"
+	"netdebug/internal/p4/ir"
 )
 
 // checkAgainstReference solves constraints with both pipelines and fails
@@ -40,7 +41,7 @@ func checkAgainstReference(t *testing.T, label string, constraints []BV) {
 // transition so both verdicts are exercised.
 func TestDifferentialRandomCNF(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	or := func(a, b BV) BV { return Bin(OpOr, a, b) }
+	or := func(a, b BV) BV { return Bin(ir.OpOr, a, b) }
 	for round := 0; round < 300; round++ {
 		nVars := 3 + rng.Intn(12)
 		nClauses := 1 + rng.Intn(6*nVars)
@@ -79,8 +80,8 @@ func TestDifferentialRandomCNF(t *testing.T) {
 func TestDifferentialRandomTerms(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	widths := []int{1, 2, 3, 4, 6, 8}
-	binOps := []Op{OpAdd, OpSub, OpAnd, OpOr, OpXor}
-	cmpOps := []Op{OpEq, OpNeq, OpUlt, OpUle, OpUgt, OpUge}
+	arith := []ir.BinOp{ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpOr, ir.OpXor}
+	cmpOps := []ir.BinOp{ir.OpEq, ir.OpNeq, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe}
 
 	var term func(w, depth int) BV
 	term = func(w, depth int) BV {
@@ -92,20 +93,20 @@ func TestDifferentialRandomTerms(t *testing.T) {
 		}
 		switch rng.Intn(8) {
 		case 0:
-			return Un(OpBitNot, term(w, depth-1))
+			return Un(ir.OpBitNot, term(w, depth-1))
 		case 1:
-			return Un(OpNeg, term(w, depth-1))
+			return Un(ir.OpNeg, term(w, depth-1))
 		case 2:
-			return Bin(OpShl, term(w, depth-1), ConstUint(uint64(rng.Intn(w+1)), w))
+			return Bin(ir.OpShl, term(w, depth-1), ConstUint(uint64(rng.Intn(w+1)), w))
 		case 3:
-			return Bin(OpShr, term(w, depth-1), ConstUint(uint64(rng.Intn(w+1)), w))
+			return Bin(ir.OpShr, term(w, depth-1), ConstUint(uint64(rng.Intn(w+1)), w))
 		case 4:
-			return Bin(OpMul, term(w, depth-1), ConstUint(uint64(rng.Intn(8)), w))
+			return Bin(ir.OpMul, term(w, depth-1), ConstUint(uint64(rng.Intn(8)), w))
 		case 5:
 			cond := Bin(cmpOps[rng.Intn(len(cmpOps))], term(w, depth-1), term(w, depth-1))
 			return Ite(cond, term(w, depth-1), term(w, depth-1))
 		default:
-			return Bin(binOps[rng.Intn(len(binOps))], term(w, depth-1), term(w, depth-1))
+			return Bin(arith[rng.Intn(len(arith))], term(w, depth-1), term(w, depth-1))
 		}
 	}
 
@@ -136,14 +137,14 @@ func TestDifferentialRandomTerms(t *testing.T) {
 func TestDifferentialStructuralSharing(t *testing.T) {
 	x := Var("x", 16)
 	y := Var("y", 16)
-	sum := Bin(OpAdd, x, y)
+	sum := Bin(ir.OpAdd, x, y)
 	for i := 0; i < 8; i++ {
 		k := uint64(i * 1000)
 		constraints := []BV{
-			Bin(OpUge, sum, ConstUint(k, 16)),
-			Bin(OpUle, sum, ConstUint(k+500, 16)),
-			Neq(Bin(OpAdd, x, y), ConstUint(k+1, 16)), // same subterm, fresh node
-			Bin(OpUlt, x, ConstUint(300, 16)),
+			Bin(ir.OpGe, sum, ConstUint(k, 16)),
+			Bin(ir.OpLe, sum, ConstUint(k+500, 16)),
+			Neq(Bin(ir.OpAdd, x, y), ConstUint(k+1, 16)), // same subterm, fresh node
+			Bin(ir.OpLt, x, ConstUint(300, 16)),
 		}
 		checkAgainstReference(t, fmt.Sprintf("sharing k=%d", k), constraints)
 	}
@@ -154,7 +155,7 @@ func TestDifferentialStructuralSharing(t *testing.T) {
 // and performs a non-chronological backjump deeper than one level.
 func TestUnsatBackjumpDepth(t *testing.T) {
 	c := NewCtx()
-	or := func(a, b BV) BV { return Bin(OpOr, a, b) }
+	or := func(a, b BV) BV { return Bin(ir.OpOr, a, b) }
 	p := func(i, j int) BV { return Var(fmt.Sprintf("p%d_%d", i, j), 1) }
 	var constraints []BV
 	for i := 0; i < 4; i++ { // each pigeon in some hole
@@ -191,7 +192,7 @@ func TestUnsatBackjumpDepth(t *testing.T) {
 func TestCtxScopes(t *testing.T) {
 	x := Var("x", 8)
 	c := NewCtx()
-	if err := c.Assert(Bin(OpUge, x, ConstUint(10, 8))); err != nil {
+	if err := c.Assert(Bin(ir.OpGe, x, ConstUint(10, 8))); err != nil {
 		t.Fatal(err)
 	}
 	c.Push()
@@ -220,7 +221,7 @@ func TestCtxScopes(t *testing.T) {
 	}
 	mScoped, _ := c.Check()
 	fresh := NewCtx()
-	if err := fresh.Assert(Bin(OpUge, x, ConstUint(10, 8)), Eq(x, ConstUint(200, 8))); err != nil {
+	if err := fresh.Assert(Bin(ir.OpGe, x, ConstUint(10, 8)), Eq(x, ConstUint(200, 8))); err != nil {
 		t.Fatal(err)
 	}
 	mFresh, _ := fresh.Check()
@@ -244,7 +245,7 @@ func TestCtxErrorScoped(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Push()
-	if err := c.Assert(Eq(Bin(OpMul, x, y), ConstUint(4, 8))); err == nil {
+	if err := c.Assert(Eq(Bin(ir.OpMul, x, y), ConstUint(4, 8))); err == nil {
 		t.Fatal("symbolic multiplication should error")
 	}
 	if _, st := c.Check(); st != Unknown {

@@ -1,6 +1,10 @@
 package solver
 
-import "fmt"
+import (
+	"fmt"
+
+	"netdebug/internal/p4/ir"
+)
 
 // The rebuilt encoder bit-blasts BV terms to CNF like the reference one,
 // but is built for reuse and sharing:
@@ -319,10 +323,10 @@ func (e *encoder) close(off int32) span {
 
 func (e *encoder) encode(t BV) span {
 	switch t := t.(type) {
-	case ConstBV:
+	case ir.Const:
 		off := e.begin()
 		for i := 0; i < t.Width(); i++ {
-			if t.V.Bit(i) == 1 {
+			if t.Val.Bit(i) == 1 {
 				e.slab = append(e.slab, constTrue)
 			} else {
 				e.slab = append(e.slab, constFalse)
@@ -345,29 +349,26 @@ func (e *encoder) encode(t BV) span {
 		e.vars[t.Name] = sp
 		e.varLog = append(e.varLog, t.Name)
 		return sp
-	case UnBV:
+	case ir.Unary:
 		x := e.bits(t.X)
 		if e.err != nil {
 			return span{}
 		}
 		switch t.Op {
-		case OpNot:
+		case ir.OpNot:
 			// width-1 logical not of a possibly wide operand: !x == (x == 0)
-			nz := e.orReduce(x)
-			off := e.begin()
-			e.slab = append(e.slab, -nz)
-			return e.close(off)
-		case OpBitNot:
+			return e.bit(-e.orReduce(x))
+		case ir.OpBitNot:
 			off := e.begin()
 			for i := 0; i < int(x.n); i++ {
 				e.slab = append(e.slab, -e.at(x, i))
 			}
 			return e.close(off)
-		case OpNeg:
+		case ir.OpNeg:
 			// 0 - x, with the zero folded into the subtractor inputs.
 			return e.subFromZero(x)
 		}
-	case IteBV:
+	case ir.Ternary:
 		c := e.bits(t.Cond)
 		a := e.bits(t.A)
 		b := e.bits(t.B)
@@ -384,31 +385,38 @@ func (e *encoder) encode(t BV) span {
 			e.slab = append(e.slab, e.gateMux(cond, e.at(a, i), e.at(b, i)))
 		}
 		return e.close(off)
-	case BinBV:
+	case ir.Binary:
 		return e.encodeBin(t)
 	}
 	e.err = fmt.Errorf("solver: cannot encode %T", t)
 	return span{}
 }
 
-func (e *encoder) encodeBin(t BinBV) span {
+// bit appends a width-1 result.
+func (e *encoder) bit(o int32) span {
+	off := e.begin()
+	e.slab = append(e.slab, o)
+	return e.close(off)
+}
+
+func (e *encoder) encodeBin(t ir.Binary) span {
 	// Shifts and multiplication require a constant operand.
 	switch t.Op {
-	case OpShl, OpShr:
-		k, ok := t.B.(ConstBV)
+	case ir.OpShl, ir.OpShr:
+		k, ok := t.Y.(ir.Const)
 		if !ok {
 			e.err = fmt.Errorf("symbolic shift amount in %s", t)
 			return span{}
 		}
-		x := e.bits(t.A)
+		x := e.bits(t.X)
 		if e.err != nil {
 			return span{}
 		}
-		n := int(k.V.Uint64())
+		n := ir.ShiftCount(k.Val)
 		off := e.begin()
 		for i := 0; i < int(x.n); i++ {
 			src := i - n
-			if t.Op == OpShr {
+			if t.Op == ir.OpShr {
 				src = i + n
 			}
 			if src >= 0 && src < int(x.n) {
@@ -418,17 +426,17 @@ func (e *encoder) encodeBin(t BinBV) span {
 			}
 		}
 		return e.close(off)
-	case OpMul:
+	case ir.OpMul:
 		return e.encodeMul(t)
 	}
 
-	a := e.bits(t.A)
-	b := e.bits(t.B)
+	a := e.bits(t.X)
+	b := e.bits(t.Y)
 	if e.err != nil {
 		return span{}
 	}
 	switch t.Op {
-	case OpAnd, OpOr, OpXor:
+	case ir.OpAnd, ir.OpOr, ir.OpXor:
 		if a.n != b.n {
 			e.err = fmt.Errorf("width mismatch %d vs %d", a.n, b.n)
 			return span{}
@@ -437,9 +445,9 @@ func (e *encoder) encodeBin(t BinBV) span {
 		for i := 0; i < int(a.n); i++ {
 			var o int32
 			switch t.Op {
-			case OpAnd:
+			case ir.OpAnd:
 				o = e.gateAnd(e.at(a, i), e.at(b, i))
-			case OpOr:
+			case ir.OpOr:
 				o = e.gateOr(e.at(a, i), e.at(b, i))
 			default:
 				o = e.gateXor(e.at(a, i), e.at(b, i))
@@ -447,40 +455,26 @@ func (e *encoder) encodeBin(t BinBV) span {
 			e.slab = append(e.slab, o)
 		}
 		return e.close(off)
-	case OpAdd:
+	case ir.OpAdd:
 		return e.adder(a, b, 0, false)
-	case OpSub:
+	case ir.OpSub:
 		return e.adder(a, b, 0, true)
-	case OpEq:
-		o := e.equalBit(a, b)
-		off := e.begin()
-		e.slab = append(e.slab, o)
-		return e.close(off)
-	case OpNeq:
-		o := e.equalBit(a, b)
-		off := e.begin()
-		e.slab = append(e.slab, -o)
-		return e.close(off)
-	case OpUlt:
-		o := e.lessBit(a, b)
-		off := e.begin()
-		e.slab = append(e.slab, o)
-		return e.close(off)
-	case OpUge:
-		o := e.lessBit(a, b)
-		off := e.begin()
-		e.slab = append(e.slab, -o)
-		return e.close(off)
-	case OpUgt:
-		o := e.lessBit(b, a)
-		off := e.begin()
-		e.slab = append(e.slab, o)
-		return e.close(off)
-	case OpUle:
-		o := e.lessBit(b, a)
-		off := e.begin()
-		e.slab = append(e.slab, -o)
-		return e.close(off)
+	case ir.OpEq:
+		return e.bit(e.equalBit(a, b))
+	case ir.OpNeq:
+		return e.bit(-e.equalBit(a, b))
+	case ir.OpLt:
+		return e.bit(e.lessBit(a, b))
+	case ir.OpGe:
+		return e.bit(-e.lessBit(a, b))
+	case ir.OpGt:
+		return e.bit(e.lessBit(b, a))
+	case ir.OpLe:
+		return e.bit(-e.lessBit(b, a))
+	case ir.OpLAnd: // each operand is true when it is not 0
+		return e.bit(e.gateAnd(e.orReduce(a), e.orReduce(b)))
+	case ir.OpLOr:
+		return e.bit(e.gateOr(e.orReduce(a), e.orReduce(b)))
 	}
 	e.err = fmt.Errorf("solver: cannot encode op %v", t.Op)
 	return span{}
@@ -530,16 +524,16 @@ func (e *encoder) subFromZero(x span) span {
 
 // encodeMul encodes multiplication by a constant as shift-and-add over
 // the set bits of the constant.
-func (e *encoder) encodeMul(t BinBV) span {
-	kb, okB := t.B.(ConstBV)
-	ka, okA := t.A.(ConstBV)
+func (e *encoder) encodeMul(t ir.Binary) span {
+	kb, okB := t.Y.(ir.Const)
+	ka, okA := t.X.(ir.Const)
 	var x span
-	var k ConstBV
+	var k ir.Const
 	switch {
 	case okB:
-		x, k = e.bits(t.A), kb
+		x, k = e.bits(t.X), kb
 	case okA:
-		x, k = e.bits(t.B), ka
+		x, k = e.bits(t.Y), ka
 	default:
 		e.err = fmt.Errorf("symbolic multiplication in %s", t)
 		return span{}
@@ -553,8 +547,8 @@ func (e *encoder) encodeMul(t BinBV) span {
 		e.slab = append(e.slab, constFalse)
 	}
 	accSp := e.close(acc)
-	for i := 0; i < k.V.Width() && i < int(x.n); i++ {
-		if k.V.Bit(i) == 0 {
+	for i := 0; i < k.Val.Width() && i < int(x.n); i++ {
+		if k.Val.Bit(i) == 0 {
 			continue
 		}
 		accSp = e.adder(accSp, x, i, false)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netdebug/internal/bitfield"
+	"netdebug/internal/p4/ir"
 )
 
 // SolveReference decides the conjunction of width-1 constraints with the
@@ -135,10 +136,10 @@ func (e *refEncoder) bits(t BV) []int {
 
 func (e *refEncoder) encode(t BV) []int {
 	switch t := t.(type) {
-	case ConstBV:
+	case ir.Const:
 		out := make([]int, t.Width())
 		for i := range out {
-			if t.V.Bit(i) == 1 {
+			if t.Val.Bit(i) == 1 {
 				out[i] = e.constTrue()
 			} else {
 				out[i] = e.constFalse()
@@ -159,23 +160,23 @@ func (e *refEncoder) encode(t BV) []int {
 		}
 		e.vars[t.Name] = lits
 		return lits
-	case UnBV:
+	case ir.Unary:
 		x := e.bits(t.X)
 		if e.err != nil {
 			return nil
 		}
 		switch t.Op {
-		case OpNot:
+		case ir.OpNot:
 			// width-1 logical not of a possibly wide operand: !x == (x == 0)
 			nz := e.orReduce(x)
 			return []int{-nz}
-		case OpBitNot:
+		case ir.OpBitNot:
 			out := make([]int, len(x))
 			for i := range x {
 				out[i] = -x[i]
 			}
 			return out
-		case OpNeg:
+		case ir.OpNeg:
 			zero := make([]int, len(x))
 			for i := range zero {
 				zero[i] = e.constFalse()
@@ -183,7 +184,7 @@ func (e *refEncoder) encode(t BV) []int {
 			diff, _ := e.subtract(zero, x)
 			return diff
 		}
-	case IteBV:
+	case ir.Ternary:
 		c := e.bits(t.Cond)
 		a := e.bits(t.A)
 		b := e.bits(t.B)
@@ -199,31 +200,31 @@ func (e *refEncoder) encode(t BV) []int {
 			out[i] = e.gateMux(c[0], a[i], b[i])
 		}
 		return out
-	case BinBV:
+	case ir.Binary:
 		return e.encodeBin(t)
 	}
 	e.err = fmt.Errorf("solver: cannot encode %T", t)
 	return nil
 }
 
-func (e *refEncoder) encodeBin(t BinBV) []int {
+func (e *refEncoder) encodeBin(t ir.Binary) []int {
 	// Shifts and multiplication require a constant operand.
 	switch t.Op {
-	case OpShl, OpShr:
-		k, ok := t.B.(ConstBV)
+	case ir.OpShl, ir.OpShr:
+		k, ok := t.Y.(ir.Const)
 		if !ok {
 			e.err = fmt.Errorf("symbolic shift amount in %s", t)
 			return nil
 		}
-		x := e.bits(t.A)
+		x := e.bits(t.X)
 		if e.err != nil {
 			return nil
 		}
-		n := int(k.V.Uint64())
+		n := int(k.Val.Uint64())
 		out := make([]int, len(x))
 		for i := range out {
 			src := -1
-			if t.Op == OpShl {
+			if t.Op == ir.OpShl {
 				src = i - n
 			} else {
 				src = i + n
@@ -235,16 +236,16 @@ func (e *refEncoder) encodeBin(t BinBV) []int {
 			}
 		}
 		return out
-	case OpMul:
-		kb, okB := t.B.(ConstBV)
-		ka, okA := t.A.(ConstBV)
+	case ir.OpMul:
+		kb, okB := t.Y.(ir.Const)
+		ka, okA := t.X.(ir.Const)
 		var x []int
 		var k bitfield.Value
 		switch {
 		case okB:
-			x, k = e.bits(t.A), kb.V
+			x, k = e.bits(t.X), kb.Val
 		case okA:
-			x, k = e.bits(t.B), ka.V
+			x, k = e.bits(t.Y), ka.Val
 		default:
 			e.err = fmt.Errorf("symbolic multiplication in %s", t)
 			return nil
@@ -274,35 +275,35 @@ func (e *refEncoder) encodeBin(t BinBV) []int {
 		return acc
 	}
 
-	a := e.bits(t.A)
-	b := e.bits(t.B)
+	a := e.bits(t.X)
+	b := e.bits(t.Y)
 	if e.err != nil {
 		return nil
 	}
 	switch t.Op {
-	case OpAnd:
+	case ir.OpAnd:
 		return e.mapBits(a, b, e.gateAnd)
-	case OpOr:
+	case ir.OpOr:
 		return e.mapBits(a, b, e.gateOr)
-	case OpXor:
+	case ir.OpXor:
 		return e.mapBits(a, b, e.gateXor)
-	case OpAdd:
+	case ir.OpAdd:
 		out, _ := e.add(a, b)
 		return out
-	case OpSub:
+	case ir.OpSub:
 		out, _ := e.subtract(a, b)
 		return out
-	case OpEq:
+	case ir.OpEq:
 		return []int{e.equalBit(a, b)}
-	case OpNeq:
+	case ir.OpNeq:
 		return []int{-e.equalBit(a, b)}
-	case OpUlt:
+	case ir.OpLt:
 		return []int{e.lessBit(a, b)}
-	case OpUge:
+	case ir.OpGe:
 		return []int{-e.lessBit(a, b)}
-	case OpUgt:
+	case ir.OpGt:
 		return []int{e.lessBit(b, a)}
-	case OpUle:
+	case ir.OpLe:
 		return []int{-e.lessBit(b, a)}
 	}
 	e.err = fmt.Errorf("solver: cannot encode op %v", t.Op)

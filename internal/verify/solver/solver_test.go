@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netdebug/internal/bitfield"
+	"netdebug/internal/p4/ir"
 )
 
 func mustSat(t *testing.T, constraints ...BV) Model {
@@ -54,9 +55,9 @@ func TestAddSub(t *testing.T) {
 	// x + y == 10, x - y == 4, x < 16 -> x=7, y=3 (without the bound,
 	// modular arithmetic also admits x=135, y=131).
 	m := mustSat(t,
-		Eq(Bin(OpAdd, x, y), ConstUint(10, 8)),
-		Eq(Bin(OpSub, x, y), ConstUint(4, 8)),
-		Bin(OpUlt, x, ConstUint(16, 8)))
+		Eq(Bin(ir.OpAdd, x, y), ConstUint(10, 8)),
+		Eq(Bin(ir.OpSub, x, y), ConstUint(4, 8)),
+		Bin(ir.OpLt, x, ConstUint(16, 8)))
 	if m["x"].Uint64() != 7 || m["y"].Uint64() != 3 {
 		t.Fatalf("x=%v y=%v", m["x"], m["y"])
 	}
@@ -65,7 +66,7 @@ func TestAddSub(t *testing.T) {
 func TestAddOverflowWraps(t *testing.T) {
 	x := Var("x", 8)
 	// x + 1 == 0 -> x == 255
-	m := mustSat(t, Eq(Bin(OpAdd, x, ConstUint(1, 8)), ConstUint(0, 8)))
+	m := mustSat(t, Eq(Bin(ir.OpAdd, x, ConstUint(1, 8)), ConstUint(0, 8)))
 	if m["x"].Uint64() != 255 {
 		t.Fatalf("x = %v", m["x"])
 	}
@@ -74,68 +75,68 @@ func TestAddOverflowWraps(t *testing.T) {
 func TestComparisons(t *testing.T) {
 	x := Var("x", 4)
 	m := mustSat(t,
-		Bin(OpUgt, x, ConstUint(5, 4)),
-		Bin(OpUlt, x, ConstUint(7, 4)))
+		Bin(ir.OpGt, x, ConstUint(5, 4)),
+		Bin(ir.OpLt, x, ConstUint(7, 4)))
 	if m["x"].Uint64() != 6 {
 		t.Fatalf("x = %v", m["x"])
 	}
 	mustUnsat(t,
-		Bin(OpUlt, x, ConstUint(3, 4)),
-		Bin(OpUge, x, ConstUint(3, 4)))
-	mustSat(t, Bin(OpUle, x, ConstUint(0, 4)))
+		Bin(ir.OpLt, x, ConstUint(3, 4)),
+		Bin(ir.OpGe, x, ConstUint(3, 4)))
+	mustSat(t, Bin(ir.OpLe, x, ConstUint(0, 4)))
 }
 
 func TestBitwise(t *testing.T) {
 	x := Var("x", 8)
 	m := mustSat(t,
 		Eq(And(x, ConstUint(0xf0, 8)), ConstUint(0x60, 8)),
-		Eq(Bin(OpOr, x, ConstUint(0xf0, 8)), ConstUint(0xf5, 8)))
+		Eq(Bin(ir.OpOr, x, ConstUint(0xf0, 8)), ConstUint(0xf5, 8)))
 	if m["x"].Uint64()&0xf0 != 0x60 || m["x"].Uint64()|0xf0 != 0xf5 {
 		t.Fatalf("x = %v", m["x"])
 	}
-	mustSat(t, Eq(Bin(OpXor, x, x), ConstUint(0, 8)))
-	mustUnsat(t, Neq(Bin(OpXor, x, x), ConstUint(0, 8)))
+	mustSat(t, Eq(Bin(ir.OpXor, x, x), ConstUint(0, 8)))
+	mustUnsat(t, Neq(Bin(ir.OpXor, x, x), ConstUint(0, 8)))
 }
 
 func TestShiftsByConstant(t *testing.T) {
 	x := Var("x", 8)
-	m := mustSat(t, Eq(Bin(OpShl, x, ConstUint(4, 8)), ConstUint(0x50, 8)),
-		Bin(OpUlt, x, ConstUint(16, 8)))
+	m := mustSat(t, Eq(Bin(ir.OpShl, x, ConstUint(4, 8)), ConstUint(0x50, 8)),
+		Bin(ir.OpLt, x, ConstUint(16, 8)))
 	if m["x"].Uint64() != 5 {
 		t.Fatalf("x = %v", m["x"])
 	}
-	mustUnsat(t, Neq(Bin(OpShr, Bin(OpShl, x, ConstUint(8, 8)), ConstUint(8, 8)), ConstUint(0, 8)))
+	mustUnsat(t, Neq(Bin(ir.OpShr, Bin(ir.OpShl, x, ConstUint(8, 8)), ConstUint(8, 8)), ConstUint(0, 8)))
 }
 
 func TestSymbolicShiftUnknown(t *testing.T) {
 	x := Var("x", 8)
 	y := Var("y", 8)
-	if _, st := Solve([]BV{Eq(Bin(OpShl, x, y), ConstUint(4, 8))}); st != Unknown {
+	if _, st := Solve([]BV{Eq(Bin(ir.OpShl, x, y), ConstUint(4, 8))}); st != Unknown {
 		t.Fatalf("status = %v, want unknown", st)
 	}
 }
 
 func TestMulByConstant(t *testing.T) {
 	x := Var("x", 8)
-	m := mustSat(t, Eq(Bin(OpMul, x, ConstUint(3, 8)), ConstUint(21, 8)),
-		Bin(OpUlt, x, ConstUint(10, 8)))
+	m := mustSat(t, Eq(Bin(ir.OpMul, x, ConstUint(3, 8)), ConstUint(21, 8)),
+		Bin(ir.OpLt, x, ConstUint(10, 8)))
 	if m["x"].Uint64() != 7 {
 		t.Fatalf("x = %v", m["x"])
 	}
 	// Symbolic * symbolic -> unknown
 	y := Var("y", 8)
-	if _, st := Solve([]BV{Eq(Bin(OpMul, x, y), ConstUint(4, 8))}); st != Unknown {
+	if _, st := Solve([]BV{Eq(Bin(ir.OpMul, x, y), ConstUint(4, 8))}); st != Unknown {
 		t.Fatal("symbolic mul should be unknown")
 	}
 }
 
 func TestBitNotNeg(t *testing.T) {
 	x := Var("x", 8)
-	m := mustSat(t, Eq(Un(OpBitNot, x), ConstUint(0x0f, 8)))
+	m := mustSat(t, Eq(Un(ir.OpBitNot, x), ConstUint(0x0f, 8)))
 	if m["x"].Uint64() != 0xf0 {
 		t.Fatalf("x = %v", m["x"])
 	}
-	m = mustSat(t, Eq(Un(OpNeg, x), ConstUint(1, 8)))
+	m = mustSat(t, Eq(Un(ir.OpNeg, x), ConstUint(1, 8)))
 	if m["x"].Uint64() != 255 {
 		t.Fatalf("x = %v", m["x"])
 	}
@@ -173,7 +174,7 @@ func TestWide128(t *testing.T) {
 	}
 	// carry across the 64-bit boundary
 	lo64max := bitfield.New128(0, ^uint64(0), 128)
-	m = mustSat(t, Eq(Bin(OpAdd, x, ConstUint(1, 128)), Const(bitfield.New128(1, 0, 128))))
+	m = mustSat(t, Eq(Bin(ir.OpAdd, x, ConstUint(1, 128)), Const(bitfield.New128(1, 0, 128))))
 	if !m["x"].Equal(lo64max) {
 		t.Fatalf("x = %v", m["x"])
 	}
@@ -201,7 +202,7 @@ func TestNonWidth1Constraint(t *testing.T) {
 // expr(x,y) == eval(expr)) is Sat — the encoder agrees with the evaluator.
 func TestEncoderAgreesWithEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ops := []Op{OpAdd, OpSub, OpAnd, OpOr, OpXor, OpEq, OpNeq, OpUlt, OpUle, OpUgt, OpUge}
+	ops := []ir.BinOp{ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpEq, ir.OpNeq, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe}
 	for i := 0; i < 150; i++ {
 		w := []int{1, 4, 8, 13, 16, 32, 48}[rng.Intn(7)]
 		a := bitfield.New(rng.Uint64(), w)
@@ -229,7 +230,7 @@ func TestEncoderAgreesWithEvaluator(t *testing.T) {
 
 func TestStringRendering(t *testing.T) {
 	x := Var("x", 8)
-	e := Ite(Eq(x, ConstUint(1, 8)), ConstUint(2, 8), Un(OpBitNot, x))
+	e := Ite(Eq(x, ConstUint(1, 8)), ConstUint(2, 8), Un(ir.OpBitNot, x))
 	if e.String() == "" {
 		t.Fatal("empty rendering")
 	}
@@ -246,7 +247,7 @@ func routerLikeConstraints() []BV {
 	return []BV{
 		Eq(etherType, ConstUint(0x0800, 16)),
 		Neq(version, ConstUint(4, 4)),
-		Bin(OpUge, ihl, ConstUint(5, 4)),
+		Bin(ir.OpGe, ihl, ConstUint(5, 4)),
 		Neq(ttl, ConstUint(0, 8)),
 	}
 }

@@ -625,23 +625,12 @@ func (ex *explorer) finish(w *worker, st *state) {
 	ex.mu.Unlock()
 }
 
-// binOps is the solver's operator for each IR binary operator but the two
-// logical ones, which eval lowers itself.
-var binOps = map[ir.BinOp]solver.Op{
-	ir.OpAdd: solver.OpAdd, ir.OpSub: solver.OpSub, ir.OpMul: solver.OpMul,
-	ir.OpAnd: solver.OpAnd, ir.OpOr: solver.OpOr, ir.OpXor: solver.OpXor,
-	ir.OpShl: solver.OpShl, ir.OpShr: solver.OpShr,
-	ir.OpEq: solver.OpEq, ir.OpNeq: solver.OpNeq,
-	ir.OpLt: solver.OpUlt, ir.OpLe: solver.OpUle,
-	ir.OpGt: solver.OpUgt, ir.OpGe: solver.OpUge,
-}
-
-// eval translates an IR expression to a solver term under the current
-// symbolic state.
+// eval is an IR expression under the current symbolic state: a solver term
+// is an IR expression whose references are replaced by what they hold.
 func (ex *explorer) eval(st *state, e ir.Expr) (solver.BV, error) {
 	switch e := e.(type) {
 	case ir.Const:
-		return solver.Const(e.Val), nil
+		return e, nil
 	case ir.FieldRef:
 		return st.fields[e.Inst][e.Field], nil
 	case ir.LocalRef:
@@ -661,15 +650,7 @@ func (ex *explorer) eval(st *state, e ir.Expr) (solver.BV, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch e.Op {
-		case ir.OpNot:
-			return solver.Un(solver.OpNot, x), nil
-		case ir.OpBitNot:
-			return solver.Un(solver.OpBitNot, x), nil
-		case ir.OpNeg:
-			return solver.Un(solver.OpNeg, x), nil
-		}
-		return nil, fmt.Errorf("verify: bad unary op")
+		return ir.Unary{Op: e.Op, X: x, W: e.W}, nil
 	case ir.Binary:
 		a, err := ex.eval(st, e.X)
 		if err != nil {
@@ -679,17 +660,7 @@ func (ex *explorer) eval(st *state, e ir.Expr) (solver.BV, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.Op == ir.OpLAnd {
-			return solver.And(a, b), nil
-		}
-		if e.Op == ir.OpLOr {
-			return solver.Bin(solver.OpOr, a, b), nil
-		}
-		op, ok := binOps[e.Op]
-		if !ok {
-			return nil, fmt.Errorf("verify: bad binary op %v", e.Op)
-		}
-		return solver.Bin(op, a, b), nil
+		return ir.Binary{Op: e.Op, X: a, Y: b, W: e.W}, nil
 	case ir.Ternary:
 		c, err := ex.eval(st, e.Cond)
 		if err != nil {
@@ -703,7 +674,7 @@ func (ex *explorer) eval(st *state, e ir.Expr) (solver.BV, error) {
 		if err != nil {
 			return nil, err
 		}
-		return solver.Ite(c, a, b), nil
+		return ir.Ternary{Cond: c, A: a, B: b, W: e.W}, nil
 	}
 	return nil, fmt.Errorf("verify: unsupported expression %T", e)
 }

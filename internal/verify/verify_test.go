@@ -360,12 +360,12 @@ func walkVars(t solver.BV, f func(solver.VarBV)) {
 	switch t := t.(type) {
 	case solver.VarBV:
 		f(t)
-	case solver.BinBV:
-		walkVars(t.A, f)
-		walkVars(t.B, f)
-	case solver.UnBV:
+	case ir.Binary:
 		walkVars(t.X, f)
-	case solver.IteBV:
+		walkVars(t.Y, f)
+	case ir.Unary:
+		walkVars(t.X, f)
+	case ir.Ternary:
 		walkVars(t.Cond, f)
 		walkVars(t.A, f)
 		walkVars(t.B, f)
