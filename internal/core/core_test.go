@@ -668,20 +668,34 @@ func TestLiveTrafficInParallel(t *testing.T) {
 	}
 }
 
+// BenchmarkGeneratorPackets generates one 1 000-frame stream per op:
+// a swept field, two fuzzed fields (one boundary-biased), and one 128-bit
+// fuzzed field.
 func BenchmarkGeneratorPackets(b *testing.B) {
-	spec := GenSpec{Streams: []StreamSpec{{
-		Name: "s", Template: goodFrame(64), Count: 1000, RatePPS: 1e6,
-		Sweeps: []FieldSweep{{Loc: FieldLoc{240, 32}, Start: 1, Step: 1}},
-	}}}
-	gen, err := NewGenerator(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pkts := gen.Packets(0); len(pkts) != 1000 {
-			b.Fatal("bad count")
-		}
+	for _, bc := range []struct {
+		name   string
+		sweeps []FieldSweep
+		fuzz   []FieldFuzz
+	}{
+		{name: "sweep", sweeps: []FieldSweep{{Loc: FieldLoc{240, 32}, Start: 1, Step: 1}}},
+		{name: "fuzz", fuzz: []FieldFuzz{{Loc: FieldLoc{208, 32}, Seed: 1, Boundaries: true}, {Loc: FieldLoc{176, 8}, Seed: 2}}},
+		{name: "fuzz128", fuzz: []FieldFuzz{{Loc: FieldLoc{0, 128}, Seed: 1, Boundaries: true}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			gen, err := NewGenerator(GenSpec{Streams: []StreamSpec{{
+				Name: "s", Template: goodFrame(64), Count: 1000, RatePPS: 1e6,
+				Sweeps: bc.sweeps, Fuzz: bc.fuzz,
+			}}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if pkts := gen.Packets(0); len(pkts) != 1000 {
+					b.Fatal("bad count")
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"netdebug/internal/bitfield"
@@ -17,13 +16,15 @@ type FieldSweep struct {
 	Step  uint64
 }
 
-// FieldFuzz randomizes a field from a seeded source, so fuzz runs are
-// reproducible.
+// FieldFuzz sets a field in frame i of its stream to splitmix64(Seed ^
+// i·φ); a field wider than 64 bits takes its upper bits from
+// splitmix64(Seed ^ i·φ ^ 1). The value depends on nothing else, so fuzz
+// runs are reproducible and any frame can be rebuilt alone (Generator.Frame).
 type FieldFuzz struct {
 	Loc  FieldLoc
 	Seed int64
 	// Boundaries biases one draw in four to a boundary value of the
-	// field's width (0, 1, max, max-1) instead of uniform random bits —
+	// field's own width (0, 1, max, max-1) instead of uniform random bits —
 	// the greybox heuristic that crosses exact-match and off-by-one
 	// branch conditions far sooner than uniform sampling over wide
 	// fields.
@@ -81,11 +82,10 @@ type Generator struct {
 	spec GenSpec
 
 	// storage reused across Packets calls.
-	arena   FrameArena   // packet bytes, carved per packet
-	gen     []TestPacket // per-stream generation order
-	out     []TestPacket // time-merged output order
-	fuzzers []*rand.Rand // one per (stream, fuzz field), reseeded per call
-	heads   []int        // per-stream merge cursors
+	arena FrameArena   // packet bytes, carved per packet
+	gen   []TestPacket // per-stream generation order
+	out   []TestPacket // time-merged output order
+	heads []int        // per-stream merge cursors
 }
 
 // NewGenerator validates the spec and returns a generator.
@@ -104,7 +104,7 @@ func (g *Generator) Configure(spec GenSpec) error {
 	if len(spec.Streams) == 0 {
 		return fmt.Errorf("core: generator spec has no streams")
 	}
-	seen := map[string]bool{}
+	seen, total := map[string]bool{}, 0
 	for i, s := range spec.Streams {
 		if s.Name == "" {
 			return fmt.Errorf("core: stream %d has no name", i)
@@ -119,6 +119,7 @@ func (g *Generator) Configure(spec GenSpec) error {
 		if s.Count <= 0 {
 			return fmt.Errorf("core: stream %q has count %d", s.Name, s.Count)
 		}
+		total += s.Count
 		limit := len(s.Template) * 8
 		for _, sw := range s.Sweeps {
 			if !sw.Loc.within(limit) {
@@ -136,10 +137,6 @@ func (g *Generator) Configure(spec GenSpec) error {
 	}
 	// Sequence tags are global across streams; every tagged stream must be
 	// able to hold the largest tag.
-	total := 0
-	for _, s := range spec.Streams {
-		total += s.Count
-	}
 	for _, s := range spec.Streams {
 		if s.SeqLoc.Valid() && s.SeqLoc.Bits < 63 && total > 1<<uint(s.SeqLoc.Bits) {
 			return fmt.Errorf("core: stream %q: %d-bit sequence tag cannot number %d packets",
@@ -164,82 +161,97 @@ func lineRatePPS(n int) float64 {
 // The returned slice and the packet Data buffers are owned by the
 // generator: they are valid until the next Packets call.
 func (g *Generator) Packets(start time.Duration) []TestPacket {
-	total, bytes, nFuzz := 0, 0, 0
+	total, bytes := 0, 0
 	for _, s := range g.spec.Streams {
 		total += s.Count
 		bytes += s.Count * len(s.Template)
-		nFuzz += len(s.Fuzz)
 	}
 	g.arena.Reset(bytes, total)
 	if cap(g.gen) < total {
 		g.gen = make([]TestPacket, total)
 		g.out = make([]TestPacket, total)
 	}
-	for len(g.fuzzers) < nFuzz {
-		g.fuzzers = append(g.fuzzers, rand.New(rand.NewSource(0)))
-	}
 	gen := g.gen[:0]
-	fzIdx := 0
 
 	gid := uint64(0)
-	for _, s := range g.spec.Streams {
+	for k := range g.spec.Streams {
+		s := &g.spec.Streams[k]
 		rate := s.RatePPS
 		if rate <= 0 {
 			rate = lineRatePPS(len(s.Template))
 		}
 		interval := time.Duration(1e9 / rate)
-		fuzzers := g.fuzzers[fzIdx : fzIdx+len(s.Fuzz)]
-		fzIdx += len(s.Fuzz)
-		for i, fz := range s.Fuzz {
-			fuzzers[i].Seed(fz.Seed)
-		}
 		for i := 0; i < s.Count; i++ {
 			data := g.arena.Frame(len(s.Template))
-			copy(data, s.Template)
-			for _, sw := range s.Sweeps {
-				v := sw.Start + uint64(i)*sw.Step
-				bitfield.MustInject(data, sw.Loc.BitOff, sw.Loc.Bits, bitfield.New(v, sw.Loc.Bits))
-			}
-			for fi, fz := range s.Fuzz {
-				v := fuzzers[fi].Uint64()
-				if fz.Boundaries && v&3 == 0 {
-					max := ^uint64(0)
-					if fz.Loc.Bits < 64 {
-						max = 1<<uint(fz.Loc.Bits) - 1
-					}
-					switch (v >> 2) & 3 {
-					case 0:
-						v = 0
-					case 1:
-						v = max
-					case 2:
-						v = 1
-					case 3:
-						v = max - 1
-					}
-				}
-				bitfield.MustInject(data, fz.Loc.BitOff, fz.Loc.Bits, bitfield.New(v, fz.Loc.Bits))
-			}
-			tp := TestPacket{
-				At:          start + time.Duration(i)*interval,
-				Stream:      s.Name,
-				IngressPort: s.IngressPort,
-				Seq:         gid,
-			}
+			stamp(data, s, i, gid)
+			gen = append(gen, TestPacket{Data: data, At: start + time.Duration(i)*interval, Seq: gid,
+				Stream: s.Name, IngressPort: s.IngressPort, ExpectSeq: s.SeqLoc.Valid()})
 			gid++
-			if s.SeqLoc.Valid() {
-				bitfield.MustInject(data, s.SeqLoc.BitOff, s.SeqLoc.Bits, bitfield.New(tp.Seq, s.SeqLoc.Bits))
-				tp.ExpectSeq = true
-			}
-			if s.FixIPv4 {
-				packet.FixIPv4Checksum(data)
-			}
-			tp.Data = data
-			gen = append(gen, tp)
 		}
 	}
 	g.gen = gen
 	return g.mergeByTime(gen, total)
+}
+
+// Frame rebuilds, in a fresh buffer, the bytes Packets gives the packet
+// whose Seq is seq, without generating any other frame.
+func (g *Generator) Frame(seq uint64) ([]byte, error) {
+	first := uint64(0)
+	for k := range g.spec.Streams {
+		s := &g.spec.Streams[k]
+		if i := seq - first; i < uint64(s.Count) {
+			data := make([]byte, len(s.Template))
+			stamp(data, s, int(i), seq)
+			return data, nil
+		}
+		first += uint64(s.Count)
+	}
+	return nil, fmt.Errorf("core: seq %d past the spec's %d frames", seq, first)
+}
+
+// stamp writes frame i of stream s, tagged seq, into data: every edit
+// is a function of i and seq alone.
+func stamp(data []byte, s *StreamSpec, i int, seq uint64) {
+	copy(data, s.Template)
+	for _, sw := range s.Sweeps {
+		v := sw.Start + uint64(i)*sw.Step
+		bitfield.MustInject(data, sw.Loc.BitOff, sw.Loc.Bits, bitfield.New(v, sw.Loc.Bits))
+	}
+	for _, fz := range s.Fuzz {
+		bitfield.MustInject(data, fz.Loc.BitOff, fz.Loc.Bits, fz.draw(uint64(i)))
+	}
+	if s.SeqLoc.Valid() {
+		bitfield.MustInject(data, s.SeqLoc.BitOff, s.SeqLoc.Bits, bitfield.New(seq, s.SeqLoc.Bits))
+	}
+	if s.FixIPv4 {
+		packet.FixIPv4Checksum(data)
+	}
+}
+
+// golden is φ·2^64, SplitMix64's increment.
+const golden = 0x9e3779b97f4a7c15
+
+// splitmix64 is SplitMix64's output for state x: increment, then finalise.
+func splitmix64(x uint64) uint64 {
+	z := x + golden
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// draw is the field's value in frame i of its stream.
+func (fz FieldFuzz) draw(i uint64) bitfield.Value {
+	w := fz.Loc.Bits
+	x := uint64(fz.Seed) ^ i*golden
+	hi, lo := uint64(0), splitmix64(x)
+	if w > 64 {
+		hi = splitmix64(x ^ 1)
+	}
+	if fz.Boundaries && lo&3 == 0 { // 0, max, 1, max-1 of the field's width
+		max, b := bitfield.Mask(w), lo>>2&3
+		hi, lo = [4]uint64{0, max.Hi, 0, max.Hi}[b], [4]uint64{0, max.Lo, 1, max.Lo - 1}[b]
+	}
+	return bitfield.New128(hi, lo, w)
 }
 
 // mergeByTime k-way merges the per-stream runs of gen (each run is

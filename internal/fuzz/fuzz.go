@@ -30,9 +30,11 @@
 //
 // Determinism contract: for a fixed Options.Seed, the corpus, the
 // coverage curve, and the divergence ledger are byte-identical at any
-// Shards count. Every probe batch is generated centrally from the seeded
-// rng, probe outcomes are history-independent (tables are static during
-// a run and device.InjectInternal does not queue), shards claim probes
+// Shards count. Every probe batch is generated centrally from the fleet's
+// one seeded rng (a frame's fuzzed bytes are then a function of its
+// field seed and index, see core.FieldFuzz), probe outcomes are
+// history-independent (tables are static during a run and
+// device.InjectInternal does not queue), shards claim probes
 // by global index and write into an index-addressed result slice, and
 // the merge replays results in global probe order. Only the wall-clock
 // figures (Elapsed, ProbesPerSec) vary between runs.
@@ -255,6 +257,7 @@ type Fleet struct {
 	// grows once for the whole run. Safe because a round's frames are
 	// dead (coverage-novel ones copied) before the next round's Packets.
 	gen core.Generator
+	rng *rand.Rand // every round's field picks and fuzz seeds, seeded once
 
 	// run state, mutated only by the sequential merge
 	corpus     [][]byte
@@ -310,6 +313,7 @@ func New(p4src string, opts Options) (*Fleet, error) {
 		prog:       prog,
 		layout:     layout,
 		anchor:     -1,
+		rng:        rand.New(rand.NewSource(opts.Seed)),
 		covered:    make(map[uint64]string),
 		refCovered: make(map[uint64]bool),
 		divCounts:  make(map[string]int),
@@ -471,7 +475,7 @@ func (f *Fleet) Run() (*Report, error) {
 		if left := f.opts.Budget - r*f.opts.RoundSize; count > left {
 			count = left
 		}
-		frames, fieldsOf, err := f.mutationBatch(r, count)
+		frames, fieldsOf, err := f.mutationBatch(count)
 		if err != nil {
 			return nil, err
 		}
@@ -515,27 +519,17 @@ func (f *Fleet) Run() (*Report, error) {
 	return rep, nil
 }
 
-// mutationBatch builds round r's probe frames by mutating corpus picks
-// with coverage-weighted field fuzzers. The returned fieldsOf maps a
+// mutationBatch builds the next round's probe frames by mutating corpus
+// picks with coverage-weighted field fuzzers. The returned fieldsOf maps a
 // probe index to the field indices its stream mutated.
-func (f *Fleet) mutationBatch(r, count int) ([][]byte, func(int) []int, error) {
-	rng := rand.New(rand.NewSource(f.opts.Seed + int64(r+1)*0x9e3779b9))
+func (f *Fleet) mutationBatch(count int) ([][]byte, func(int) []int, error) {
 	if len(f.corpus) == 0 {
 		return nil, nil, fmt.Errorf("fuzz: empty corpus — no seed survived probing")
 	}
 	// ~8 probes per stream: each stream is one (corpus pick, field
 	// choice) pair, so a round explores many fields even off a tiny
 	// corpus; corpus entries are reused round-robin across streams.
-	nStreams := count / 8
-	if nStreams < 1 {
-		nStreams = 1
-	}
-	if nStreams > 16 {
-		nStreams = 16
-	}
-	if nStreams > count {
-		nStreams = count
-	}
+	nStreams := min(max(count/8, 1), 16) // count >= 1, so never above it
 	var streams []core.StreamSpec
 	fieldsByStream := make(map[string][]int, nStreams)
 	base, rem := count/nStreams, count%nStreams
@@ -556,19 +550,14 @@ func (f *Fleet) mutationBatch(r, count int) ([][]byte, func(int) []int, error) {
 		if len(eligible) == 0 {
 			continue
 		}
-		picked := f.pickFields(rng, eligible, 1+rng.Intn(2))
+		picked := f.pickFields(eligible, 1+f.rng.Intn(2))
 		var fz []core.FieldFuzz
 		for _, fi := range picked {
-			fz = append(fz, core.FieldFuzz{Loc: f.fields[fi].loc, Seed: rng.Int63(), Boundaries: true})
+			fz = append(fz, core.FieldFuzz{Loc: f.fields[fi].loc, Seed: f.rng.Int63(), Boundaries: true})
 		}
 		name := "m" + strconv.Itoa(i)
-		streams = append(streams, core.StreamSpec{
-			Name:        name,
-			Template:    tmpl,
-			Count:       c,
-			IngressPort: f.opts.IngressPort,
-			Fuzz:        fz,
-		})
+		streams = append(streams, core.StreamSpec{Name: name, Template: tmpl, Count: c,
+			IngressPort: f.opts.IngressPort, Fuzz: fz})
 		fieldsByStream[name] = picked
 	}
 	if len(streams) == 0 {
@@ -589,7 +578,7 @@ func (f *Fleet) mutationBatch(r, count int) ([][]byte, func(int) []int, error) {
 
 // pickFields draws n distinct field indices, weighted by accumulated
 // coverage credit (weight+1 tickets each).
-func (f *Fleet) pickFields(rng *rand.Rand, eligible []int, n int) []int {
+func (f *Fleet) pickFields(eligible []int, n int) []int {
 	var picked []int
 	taken := make(map[int]bool, n)
 	for len(picked) < n && len(picked) < len(eligible) {
@@ -599,7 +588,7 @@ func (f *Fleet) pickFields(rng *rand.Rand, eligible []int, n int) []int {
 				total += 1 + f.weights[fi]
 			}
 		}
-		t := rng.Intn(total)
+		t := f.rng.Intn(total)
 		for _, fi := range eligible {
 			if taken[fi] {
 				continue

@@ -347,7 +347,7 @@ func BenchmarkFuzzFleetThroughput(b *testing.B) {
 	}
 	seeds := f.defaultSeeds()
 	f.mergeBatch(seeds, OriginSeed, nil, f.runBatch(seeds))
-	frames, _, err := f.mutationBatch(0, 256)
+	frames, _, err := f.mutationBatch(256)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -57,7 +57,7 @@ type (
 	StreamSpec = core.StreamSpec
 	// FieldSweep varies a packet field deterministically.
 	FieldSweep = core.FieldSweep
-	// FieldFuzz randomizes a packet field reproducibly.
+	// FieldFuzz sets a packet field from its seed and the frame index.
 	FieldFuzz = core.FieldFuzz
 	// CheckSpec programs the output packet checker.
 	CheckSpec = core.CheckSpec
