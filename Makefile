@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFixIPv4Checksum -fuzztime 20s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzOperatorConformance -fuzztime 20s ./internal/verify/
 	$(GO) test -run '^$$' -fuzz FuzzGeneratorFrame -fuzztime 20s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzServe -fuzztime 20s ./internal/control/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -14,13 +14,19 @@
 // they ride the connection's one encoder and decoder, so a type's
 // description crosses once per connection, and this package stays free of
 // dependencies on the core engine and the target models.
+//
+// A table write is a batch: up to maxBatch entries to a request, applied
+// in order up to the first failure, with Done counting those applied. A
+// single-entry call is a batch of one.
 package control
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,14 +66,31 @@ func (k ReqKind) String() string {
 	return fmt.Sprintf("req(%d)", uint8(k))
 }
 
+// maxBatch is the most entries one request carries, which bounds what a
+// peer can make the agent decode at once: Serve drops one that asks more.
+const maxBatch = 4096
+
 // Request is one host-to-device message.
 type Request struct {
-	ID    uint64
-	Kind  ReqKind
-	Entry *dataplane.Entry
-	Table string
+	ID   uint64
+	Kind ReqKind
+	// Entries are a write's (ReqInstallEntry, ReqDeleteEntry), in order.
+	Entries []dataplane.Entry
+	Table   string
 	// Payload carries the generator+checker test specification
 	// (*core.TestSpec) for ReqConfigureGen.
+	Payload any
+}
+
+// head is what crosses the wire of a Request; its N entries follow as gob
+// values of their own. A slice field would be a new gob type, and gob
+// numbers types process-wide in first-sent order: it would renumber the
+// session header that recorded streams hold byte for byte.
+type head struct {
+	ID      uint64
+	Kind    ReqKind
+	N       int
+	Table   string
 	Payload any
 }
 
@@ -82,10 +105,12 @@ type HelloInfo struct {
 type Response struct {
 	ID  uint64
 	Err string
+	// Done counts the entries a write applied before the one Err is about.
+	Done int
 	// Retryable marks an error response as transient: the operation
 	// failed for a reason the agent expects to clear (a flapping install
 	// path, a momentarily exhausted resource), so the host may re-issue
-	// the identical request. The client's retry policy acts on this flag.
+	// it, a write from entry Done on, as the client's retry policy does.
 	Retryable bool
 	Hello     *HelloInfo
 	Status    map[string]uint64
@@ -156,8 +181,8 @@ func (e *TimeoutError) Timeout() bool { return true }
 // RetryPolicy bounds the client's automatic re-issue of requests the
 // agent answered with a retryable error. The zero value disables retry.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per call, including the
-	// first; values below 1 mean one attempt (no retry).
+	// MaxAttempts is the total number of tries per call (per entry of a
+	// write), including the first; values below 1 mean one attempt.
 	MaxAttempts int
 	// BaseBackoff is the wait before the first retry; each further retry
 	// doubles it, capped at MaxBackoff (if positive).
@@ -168,17 +193,17 @@ type RetryPolicy struct {
 }
 
 func (p *RetryPolicy) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if p.Sleep != nil {
+	switch {
+	case d <= 0:
+	case p.Sleep != nil:
 		p.Sleep(d)
-		return
+	default:
+		time.Sleep(d)
 	}
-	time.Sleep(d)
 }
 
-// Handler serves requests on the device side.
+// Handler serves requests on the device side. It may keep an entry's Keys
+// and Args, not req or req.Entries, which Serve decodes the next one into.
 type Handler interface {
 	Handle(req *Request) *Response
 }
@@ -188,17 +213,21 @@ type Handler interface {
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
+	w       *bufio.Writer
 	enc     *gob.Encoder
 	dec     *gob.Decoder
 	nextID  uint64
 	timeout time.Duration
 	retry   RetryPolicy
 	broken  error
+	head    head
+	one     [1]dataplane.Entry // a single-entry write's batch
 }
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	w := bufio.NewWriter(conn)
+	return &Client{conn: conn, w: w, enc: gob.NewEncoder(w), dec: gob.NewDecoder(conn)}
 }
 
 // Close shuts the channel down.
@@ -226,21 +255,31 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 }
 
 // Call sends one request and waits for its response, re-issuing it under
-// the retry policy while the agent reports the failure as transient.
+// the retry policy while the agent reports the failure as transient. A
+// write resumes at the entry that failed, and attempts and backoff start
+// over whenever that entry moves on: the budget is per entry.
 func (c *Client) Call(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	attempts := c.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
+	return c.callRetrying(req)
+}
+
+// callRetrying is Call under c.mu.
+func (c *Client) callRetrying(req *Request) (*Response, error) {
+	r, done := *req, 0
 	backoff := c.retry.BaseBackoff
 	for attempt := 1; ; attempt++ {
-		resp, err := c.callLocked(req)
+		r.Entries = req.Entries[done:]
+		resp, err := c.callLocked(&r)
 		if err != nil {
 			return nil, err
 		}
-		if resp.OK() || !resp.Retryable || attempt >= attempts {
+		if resp.Done > 0 {
+			attempt, backoff = 1, c.retry.BaseBackoff
+		}
+		resp.Done += done
+		done = resp.Done
+		if resp.OK() || !resp.Retryable || attempt >= c.retry.MaxAttempts {
 			return resp, nil
 		}
 		c.retry.sleep(backoff)
@@ -265,15 +304,23 @@ func (c *Client) callLocked(req *Request) (*Response, error) {
 		}
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(req); err != nil {
+	c.head = head{req.ID, req.Kind, len(req.Entries), req.Table, req.Payload}
+	err := c.enc.Encode(&c.head)
+	for i := 0; err == nil && i < len(req.Entries); i++ {
+		err = c.enc.Encode(&req.Entries[i])
+	}
+	if err == nil {
+		err = c.w.Flush()
+	}
+	if err != nil {
 		return nil, c.breakWith(req.Kind, "send", err)
 	}
 	var resp Response
 	if err := c.dec.Decode(&resp); err != nil {
 		return nil, c.breakWith(req.Kind, "receive", err)
 	}
-	if resp.ID != req.ID {
-		return nil, c.breakWith(req.Kind, "match", fmt.Errorf("response id %d for request %d", resp.ID, req.ID))
+	if resp.ID != req.ID || resp.Done < 0 || resp.Done > len(req.Entries) {
+		return nil, c.breakWith(req.Kind, "match", fmt.Errorf("response id %d done %d for request %d", resp.ID, resp.Done, req.ID))
 	}
 	return &resp, nil
 }
@@ -313,16 +360,46 @@ func (c *Client) Hello() (*HelloInfo, error) {
 	return resp.Hello, nil
 }
 
-// InstallEntry installs a table entry on the device.
-func (c *Client) InstallEntry(e dataplane.Entry) error {
-	_, err := c.do(&Request{Kind: ReqInstallEntry, Entry: &e})
+// InstallEntry installs a table entry on the device: a batch of one.
+func (c *Client) InstallEntry(e dataplane.Entry) error { return c.writeOne(ReqInstallEntry, e) }
+
+// DeleteEntry removes a table entry from the device by match identity: a
+// batch of one.
+func (c *Client) DeleteEntry(e dataplane.Entry) error { return c.writeOne(ReqDeleteEntry, e) }
+
+func (c *Client) writeOne(kind ReqKind, e dataplane.Entry) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.one[0] = e
+	_, err := c.writeLocked(kind, c.one[:])
 	return err
 }
 
-// DeleteEntry removes a table entry from the device by match identity.
-func (c *Client) DeleteEntry(e dataplane.Entry) error {
-	_, err := c.do(&Request{Kind: ReqDeleteEntry, Entry: &e})
-	return err
+// Write sends entries as kind writes (ReqInstallEntry, ReqDeleteEntry) in
+// order, maxBatch to a request, and stops at the first that fails: done
+// counts the entries applied before it, and the error names it.
+func (c *Client) Write(kind ReqKind, entries []dataplane.Entry) (done int, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if done, err = c.writeLocked(kind, entries); err != nil {
+		err = fmt.Errorf("entry %d (%s): %w", done, entries[done].Table, err)
+	}
+	return done, err
+}
+
+func (c *Client) writeLocked(kind ReqKind, entries []dataplane.Entry) (int, error) {
+	req := Request{Kind: kind}
+	for done := 0; done < len(entries); done += len(req.Entries) {
+		req.Entries = entries[done:min(done+maxBatch, len(entries))]
+		resp, err := c.callRetrying(&req)
+		if err != nil {
+			return done, err
+		}
+		if err := resp.Error(); err != nil {
+			return done + resp.Done, err
+		}
+	}
+	return len(entries), nil
 }
 
 // ClearTable empties a table.
@@ -367,16 +444,29 @@ func (c *Client) fetch(kind ReqKind) (any, error) {
 	return resp.Payload, nil
 }
 
-// Serve answers requests on conn with h until the connection closes. It
-// returns the first decode error (net.ErrClosed / io.EOF on clean
-// shutdown).
+// Serve answers requests on conn with h until the connection fails or a
+// request declares more than maxBatch entries, then closes it and returns
+// the error (net.ErrClosed / io.EOF on clean shutdown).
 func Serve(conn net.Conn, h Handler) error {
+	defer conn.Close()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
+	var hd head
+	var req Request
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		hd = head{} // gob leaves a zero field unsent: reused storage keeps what it is not sent
+		if err := dec.Decode(&hd); err != nil {
 			return err
+		}
+		if hd.N < 0 || hd.N > maxBatch {
+			return fmt.Errorf("control: %s of %d entries, over the limit of %d", hd.Kind, hd.N, maxBatch)
+		}
+		clear(req.Entries)
+		req = Request{hd.ID, hd.Kind, slices.Grow(req.Entries[:0], hd.N)[:hd.N], hd.Table, hd.Payload}
+		for i := range req.Entries {
+			if err := dec.Decode(&req.Entries[i]); err != nil {
+				return err
+			}
 		}
 		resp := h.Handle(&req)
 		if resp == nil {
@@ -406,10 +496,7 @@ func ListenTCP(ln net.Listener, h Handler) {
 		if err != nil {
 			return
 		}
-		go func() {
-			defer conn.Close()
-			Serve(conn, h) //nolint: client hangup is the normal exit
-		}()
+		go Serve(conn, h) //nolint: client hangup is the normal exit
 	}
 }
 

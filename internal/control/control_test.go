@@ -26,8 +26,8 @@ func (f *fakeHandler) Handle(req *Request) *Response {
 	case ReqHello:
 		return &Response{Hello: &HelloInfo{TargetName: "sdnet", ProgramName: "router", NumPorts: 4}}
 	case ReqInstallEntry:
-		f.installs = append(f.installs, *req.Entry)
-		return &Response{}
+		f.installs = append(f.installs, req.Entries...)
+		return &Response{Done: len(req.Entries)}
 	case ReqClearTable:
 		if req.Table == "ghost" {
 			return &Response{Err: "no table ghost"}
@@ -259,7 +259,7 @@ func TestRetryableErrorsRetryWithBackoff(t *testing.T) {
 		MaxBackoff:  15 * time.Millisecond,
 		Sleep:       func(d time.Duration) { waits = append(waits, d) },
 	})
-	resp, err := cli.Call(&Request{Kind: ReqInstallEntry, Entry: &dataplane.Entry{Table: "t"}})
+	resp, err := cli.Call(&Request{Kind: ReqInstallEntry, Entries: []dataplane.Entry{{Table: "t"}}})
 	if err != nil || !resp.OK() {
 		t.Fatalf("call = %+v, %v", resp, err)
 	}
@@ -317,13 +317,13 @@ func TestNonRetryableErrorNotRetried(t *testing.T) {
 
 // TestDeleteEntryRoundTrip covers the new request kind end to end.
 func TestDeleteEntryRoundTrip(t *testing.T) {
-	var got *dataplane.Entry
+	var got []dataplane.Entry
 	cli := Pipe(handlerFunc(func(req *Request) *Response {
 		if req.Kind != ReqDeleteEntry {
 			return &Response{Err: "wrong kind " + req.Kind.String()}
 		}
-		got = req.Entry
-		return &Response{}
+		got = append(got, req.Entries...)
+		return &Response{Done: len(req.Entries)}
 	}))
 	defer cli.Close()
 	e := dataplane.Entry{
@@ -334,7 +334,7 @@ func TestDeleteEntryRoundTrip(t *testing.T) {
 	if err := cli.DeleteEntry(e); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.Table != "ipv4_lpm" || got.Keys[0].PrefixLen != 8 {
+	if len(got) != 1 || got[0].Table != "ipv4_lpm" || got[0].Keys[0].PrefixLen != 8 {
 		t.Fatalf("delete entry arrived as %+v", got)
 	}
 }

@@ -155,22 +155,20 @@ func (a *Agent) Handle(req *control.Request) *control.Response {
 			ProgramName: name,
 			NumPorts:    a.dev.Config().NumPorts,
 		}}
-	case control.ReqInstallEntry:
-		if req.Entry == nil {
-			return fail(fmt.Errorf("install-entry without entry"))
+	case control.ReqInstallEntry, control.ReqDeleteEntry:
+		if len(req.Entries) == 0 {
+			return fail(fmt.Errorf("%s without entries", req.Kind))
 		}
-		if err := a.dev.Target().InstallEntry(*req.Entry); err != nil {
-			return fail(err)
+		write := a.dev.Target().InstallEntry
+		if req.Kind == control.ReqDeleteEntry {
+			write = a.dev.Target().DeleteEntry
 		}
-		return &control.Response{}
-	case control.ReqDeleteEntry:
-		if req.Entry == nil {
-			return fail(fmt.Errorf("delete-entry without entry"))
+		for i, e := range req.Entries {
+			if err := write(e); err != nil {
+				return &control.Response{Err: err.Error(), Done: i, Retryable: control.IsTransient(err)}
+			}
 		}
-		if err := a.dev.Target().DeleteEntry(*req.Entry); err != nil {
-			return fail(err)
-		}
-		return &control.Response{}
+		return &control.Response{Done: len(req.Entries)}
 	case control.ReqClearTable:
 		if err := a.dev.Target().ClearTable(req.Table); err != nil {
 			return fail(err)

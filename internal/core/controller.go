@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"netdebug/internal/control"
 	"netdebug/internal/dataplane"
@@ -11,14 +10,15 @@ import (
 
 // Controller is the host-side software tool. It speaks to the in-device
 // agent over the dedicated control interface: installing entries,
-// configuring test packet generation, and collecting test results.
+// configuring test packet generation, and collecting test results. Table
+// writes, timeouts and retry are the embedded client's.
 type Controller struct {
-	cli *control.Client
+	*control.Client
 }
 
 // NewController wraps an established control channel.
 func NewController(cli *control.Client) *Controller {
-	return &Controller{cli: cli}
+	return &Controller{cli}
 }
 
 // Connect attaches a controller to an in-process agent.
@@ -26,47 +26,21 @@ func Connect(agent *Agent) *Controller {
 	return NewController(control.Pipe(agent))
 }
 
-// Close shuts the channel down.
-func (c *Controller) Close() error { return c.cli.Close() }
-
-// SetCallTimeout bounds every control-channel call; see
-// control.Client.SetCallTimeout.
-func (c *Controller) SetCallTimeout(d time.Duration) { c.cli.SetCallTimeout(d) }
-
-// SetRetryPolicy enables bounded retry of transient agent errors; see
-// control.Client.SetRetryPolicy.
-func (c *Controller) SetRetryPolicy(p control.RetryPolicy) { c.cli.SetRetryPolicy(p) }
-
-// Hello fetches device identity.
-func (c *Controller) Hello() (*control.HelloInfo, error) { return c.cli.Hello() }
-
-// InstallEntry installs one table entry on the device.
-func (c *Controller) InstallEntry(e dataplane.Entry) error { return c.cli.InstallEntry(e) }
-
-// InstallEntries installs entries, stopping at the first error.
+// InstallEntries installs entries in order, many to a control message,
+// stopping at the first error.
 func (c *Controller) InstallEntries(entries []dataplane.Entry) error {
-	for i, e := range entries {
-		if err := c.InstallEntry(e); err != nil {
-			return fmt.Errorf("entry %d (%s): %w", i, e.Table, err)
-		}
-	}
-	return nil
+	_, err := c.Write(control.ReqInstallEntry, entries)
+	return err
 }
-
-// DeleteEntry removes one table entry from the device by match identity.
-func (c *Controller) DeleteEntry(e dataplane.Entry) error { return c.cli.DeleteEntry(e) }
-
-// ClearTable empties a device table.
-func (c *Controller) ClearTable(name string) error { return c.cli.ClearTable(name) }
 
 // Status reads the device's internal status registers — the status
 // monitoring use case.
-func (c *Controller) Status() (map[string]uint64, error) { return c.cli.ReadStatus() }
+func (c *Controller) Status() (map[string]uint64, error) { return c.ReadStatus() }
 
 // Resources reads the target's hardware resource report — the resources
 // quantification use case.
 func (c *Controller) Resources() (*target.ResourceReport, error) {
-	p, err := c.cli.ReadResources()
+	p, err := c.ReadResources()
 	if err != nil {
 		return nil, err
 	}
@@ -82,13 +56,13 @@ func (c *Controller) RunTest(spec *TestSpec) (*Report, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("core: nil test spec")
 	}
-	if err := c.cli.ConfigureGen(spec); err != nil {
+	if err := c.ConfigureGen(spec); err != nil {
 		return nil, fmt.Errorf("configuring test %q: %w", spec.Name, err)
 	}
-	if err := c.cli.RunTest(); err != nil {
+	if err := c.Client.RunTest(); err != nil {
 		return nil, fmt.Errorf("running test %q: %w", spec.Name, err)
 	}
-	p, err := c.cli.FetchReport()
+	p, err := c.FetchReport()
 	if err != nil {
 		return nil, fmt.Errorf("fetching report for %q: %w", spec.Name, err)
 	}

@@ -624,13 +624,13 @@ func TestSpecRoundTrip(t *testing.T) {
 	agent := newAgent(t, target.NewReference())
 	ctl := Connect(agent)
 	defer ctl.Close()
-	if err := ctl.cli.ConfigureGen(spec); err != nil {
+	if err := ctl.ConfigureGen(spec); err != nil {
 		t.Fatal(err)
 	}
 	if got := agent.spec; got == spec || !reflect.DeepEqual(got, spec) {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if err := ctl.cli.ConfigureGen([]byte("garbage")); err == nil {
+	if err := ctl.ConfigureGen([]byte("garbage")); err == nil {
 		t.Error("garbage spec should be refused")
 	}
 }

@@ -158,7 +158,7 @@ func TestConfigureRejectsHostileFieldLocs(t *testing.T) {
 			s.Name, s.Template, s.Count = "hostile", tmpl, 2
 			a := newAgent(t, target.NewReference())
 			ctl := Connect(a)
-			err := ctl.cli.ConfigureGen(&TestSpec{Name: kind, Gen: GenSpec{Streams: []StreamSpec{s}}})
+			err := ctl.ConfigureGen(&TestSpec{Name: kind, Gen: GenSpec{Streams: []StreamSpec{s}}})
 			ctl.Close()
 			switch {
 			case wantErr && err == nil:

@@ -1,0 +1,166 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"netdebug/internal/bitfield"
+	"netdebug/internal/control"
+	"netdebug/internal/dataplane"
+	"netdebug/internal/device"
+	"netdebug/internal/p4/compile"
+	"netdebug/internal/p4/p4test"
+	"netdebug/internal/target"
+)
+
+// writeRoute is route k of the sixteen /24s the write tests draw from:
+// twice what the cut-down route table below holds.
+func writeRoute(k int) dataplane.Entry {
+	e := routeEntry()
+	e.Keys = []dataplane.KeyValue{{Value: bitfield.New(0x0a000000|uint64(k)<<8, 32), PrefixLen: 24}}
+	return e
+}
+
+// writeBatch is one write of a seeded sequence.
+type writeBatch struct {
+	del     bool
+	entries []dataplane.Entry
+}
+
+// writeSequence draws install and delete batches of one to eight entries.
+// Besides routes it draws the failures a write can meet: an unknown table,
+// an action with the wrong number of arguments, and — from the routes
+// themselves — duplicates, deletes of absent keys and a full table.
+func writeSequence(rng *rand.Rand, n int) []writeBatch {
+	out := make([]writeBatch, n)
+	for i := range out {
+		b := &out[i]
+		b.del = rng.Intn(3) == 0
+		for j := 1 + rng.Intn(8); j > 0; j-- {
+			e := writeRoute(rng.Intn(16))
+			switch rng.Intn(10) {
+			case 0:
+				e.Table = "ghost"
+			case 1:
+				e.Args = e.Args[:1]
+			}
+			b.entries = append(b.entries, e)
+		}
+	}
+	return out
+}
+
+// writeSystem is a controller on an agent whose router holds eight routes.
+func writeSystem(t *testing.T, kind string) (*Controller, target.Target) {
+	t.Helper()
+	prog, err := compile.Compile(strings.Replace(p4test.Router, "size = 1024;", "size = 8;", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := target.ForKind(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tgt.Load(prog); err != nil {
+		t.Fatal(err)
+	}
+	dev, err := device.New(device.Config{Target: tgt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Connect(NewAgent(dev)), tgt
+}
+
+// TestBatchWritesEqualSingles: a batch is the single calls it replaces.
+// On every shipped backend, a seeded sequence of install and delete
+// batches, sent once as batches and once as one call per entry, stops at
+// the same entry with the same error, and leaves the same resource report
+// after every write and the same routes installed at the end.
+func TestBatchWritesEqualSingles(t *testing.T) {
+	for ki, kind := range target.ShippedKinds {
+		batched, bt := writeSystem(t, kind)
+		single, st := writeSystem(t, kind)
+		full := 0
+		for i, b := range writeSequence(rand.New(rand.NewSource(int64(ki+1))), 60) {
+			op, one := control.ReqInstallEntry, single.InstallEntry
+			if b.del {
+				op, one = control.ReqDeleteEntry, single.DeleteEntry
+			}
+			done, err := batched.Write(op, b.entries)
+			var want error
+			wantDone := 0
+			for ; wantDone < len(b.entries); wantDone++ {
+				if want = one(b.entries[wantDone]); want != nil {
+					want = fmt.Errorf("entry %d (%s): %w", wantDone, b.entries[wantDone].Table, want)
+					break
+				}
+			}
+			if done != wantDone || fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Fatalf("%s: write %d: batch stopped at %d (%v), singles at %d (%v)", kind, i, done, err, wantDone, want)
+			}
+			if err != nil && strings.Contains(err.Error(), "is full") {
+				full++
+			}
+			if got, want := bt.Resources(), st.Resources(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: write %d: resources %+v, singles %+v", kind, i, got, want)
+			}
+		}
+		var installed [2][]int
+		for side, tgt := range []target.Target{bt, st} {
+			for k := 0; k < 16; k++ {
+				if tgt.DeleteEntry(writeRoute(k)) == nil {
+					installed[side] = append(installed[side], k)
+				}
+			}
+		}
+		if !reflect.DeepEqual(installed[0], installed[1]) {
+			t.Errorf("%s: routes installed: batch %v, singles %v", kind, installed[0], installed[1])
+		}
+		if full == 0 || len(installed[0]) == 0 {
+			t.Errorf("%s: fixture: %d full-table refusals, routes %v at the end", kind, full, installed[0])
+		}
+		batched.Close()
+		single.Close()
+	}
+}
+
+// TestSingleWriteAllocsPerRun pins what one install and one delete cost
+// over the control channel, agent included: 33 allocations when each was
+// its own message kind with a *Entry, and a batch of one may not cost
+// more.
+func TestSingleWriteAllocsPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	ctl := Connect(kindAgent(t, target.KindReference))
+	defer ctl.Close()
+	e := writeRoute(1)
+	run := func() {
+		if err := ctl.InstallEntry(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.DeleteEntry(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the connection's type descriptions
+	if got := testing.AllocsPerRun(200, run); got > 33 {
+		t.Errorf("%v allocs per install and delete, want at most 33", got)
+	}
+}
+
+// TestAgentRefusesEmptyWrite: a write of no entries is refused, not
+// answered as a write that did nothing.
+func TestAgentRefusesEmptyWrite(t *testing.T) {
+	ctl := Connect(kindAgent(t, target.KindReference))
+	defer ctl.Close()
+	for _, kind := range []control.ReqKind{control.ReqInstallEntry, control.ReqDeleteEntry} {
+		resp, err := ctl.Call(&control.Request{Kind: kind})
+		if want := kind.String() + " without entries"; err != nil || resp.Err != want {
+			t.Errorf("empty %s: %+v, %v; want the error %q", kind, resp, err, want)
+		}
+	}
+}

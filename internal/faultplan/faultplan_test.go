@@ -2,6 +2,8 @@ package faultplan
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -179,7 +181,7 @@ func TestInjectorInstallFlapIsTransient(t *testing.T) {
 func TestFlapRetriesThroughControlChannel(t *testing.T) {
 	inj := Wrap(loadedFirewall(t))
 	inj.ArmInstallFlap(2)
-	cli := control.Pipe(controlHandler{inj})
+	cli := control.Pipe(&controlHandler{inj: inj})
 	defer cli.Close()
 	cli.SetRetryPolicy(control.RetryPolicy{MaxAttempts: 4, Sleep: func(time.Duration) {}})
 	if err := cli.InstallEntry(aclEntry(7, 1)); err != nil {
@@ -190,19 +192,87 @@ func TestFlapRetriesThroughControlChannel(t *testing.T) {
 	}
 }
 
-// controlHandler adapts an Injector-wrapped target to the control
-// protocol for the retry round-trip test (the full agent lives in
-// package core; this isolates the Retryable classification).
-type controlHandler struct{ inj *Injector }
+// TestBatchRetryResumesLikeSingles: a write is a batch, and a flap in
+// the middle of one must cost what it costs a loop of single calls. A
+// retry resumes after the entries already applied (re-sending them would
+// fail them as duplicates), and each entry has the whole retry budget (a
+// second flap later in the batch is ridden out again). Installed table,
+// denials, sleeps and the index the write stops at all match.
+func TestBatchRetryResumesLikeSingles(t *testing.T) {
+	entries := make([]dataplane.Entry, 64)
+	for i := range entries {
+		entries[i] = aclEntry(uint64(i+1), i+1)
+	}
+	type outcome struct {
+		Done      int
+		Err       string
+		Denials   map[string]uint64
+		Sleeps    int
+		Installed []int
+	}
+	run := func(flap int, batch bool) outcome {
+		h := &controlHandler{inj: Wrap(loadedFirewall(t)), flapAt: map[int]int{16: flap, 48: flap}}
+		cli := control.Pipe(h)
+		defer cli.Close()
+		var o outcome
+		cli.SetRetryPolicy(control.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Sleep: func(time.Duration) { o.Sleeps++ }})
+		var err error
+		if batch {
+			o.Done, err = cli.Write(control.ReqInstallEntry, entries)
+		} else {
+			for ; o.Done < len(entries); o.Done++ {
+				if err = cli.InstallEntry(entries[o.Done]); err != nil {
+					err = fmt.Errorf("entry %d (%s): %w", o.Done, entries[o.Done].Table, err)
+					break
+				}
+			}
+		}
+		if err != nil {
+			o.Err = err.Error()
+		}
+		o.Denials = h.inj.Denials()
+		for i, e := range entries {
+			if h.inj.Target.DeleteEntry(e) == nil {
+				o.Installed = append(o.Installed, i)
+			}
+		}
+		return o
+	}
+	for _, flap := range []int{1, 2, 5} {
+		single, batch := run(flap, false), run(flap, true)
+		if !reflect.DeepEqual(batch, single) {
+			t.Errorf("flap %d: batch %+v\nsingles %+v", flap, batch, single)
+		}
+		if stopped := flap >= 3; stopped != (single.Err != "") || single.Denials["install-flap"] == 0 || single.Sleeps == 0 {
+			t.Errorf("flap %d: fixture: singles %+v", flap, single)
+		}
+	}
+}
 
-func (h controlHandler) Handle(req *control.Request) *control.Response {
+// controlHandler adapts an Injector-wrapped target to the control
+// protocol for the retry round-trip tests (the full agent lives in
+// package core; this isolates the Retryable classification). Before its
+// install call number k it arms a flap of flapAt[k] writes.
+type controlHandler struct {
+	inj    *Injector
+	flapAt map[int]int
+	writes int
+}
+
+func (h *controlHandler) Handle(req *control.Request) *control.Response {
 	if req.Kind != control.ReqInstallEntry {
 		return &control.Response{Err: "unexpected " + req.Kind.String()}
 	}
-	if err := h.inj.InstallEntry(*req.Entry); err != nil {
-		return &control.Response{Err: err.Error(), Retryable: control.IsTransient(err)}
+	for i, e := range req.Entries {
+		if n := h.flapAt[h.writes]; n > 0 {
+			h.inj.ArmInstallFlap(n)
+		}
+		h.writes++
+		if err := h.inj.InstallEntry(e); err != nil {
+			return &control.Response{Err: err.Error(), Done: i, Retryable: control.IsTransient(err)}
+		}
 	}
-	return &control.Response{}
+	return &control.Response{Done: len(req.Entries)}
 }
 
 func TestApplyInterfaceFaults(t *testing.T) {

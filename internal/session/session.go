@@ -603,43 +603,44 @@ func (d *churnDriver) nextEntry() dataplane.Entry {
 	return e
 }
 
-// step runs one round of churn through the host's control channel.
-// Denied writes (injected map-full, mask-budget, unretried flaps) are
-// counted, never fatal; entries whose delete is denied stay live and
-// are retried next round.
+// step runs one round of churn through the host's control channel, its
+// installs as one batch and its deletes as another, each resumed after
+// an entry the device denies. Denied writes (injected map-full,
+// mask-budget, unretried flaps) are counted, never fatal; entries whose
+// delete is denied stay live and are retried next round.
 func (d *churnDriver) step(h *host) *ChurnRecord {
 	before := make(map[string]uint64, len(h.inj.Denials()))
 	for k, v := range h.inj.Denials() {
 		before[k] = v
 	}
 	cr := &ChurnRecord{}
-	for i := 0; i < d.spec.Installs; i++ {
-		e := d.nextEntry()
-		if err := h.ctl.InstallEntry(e); err != nil {
-			cr.DeniedInstalls++
-		} else {
-			cr.Installed++
-			d.live = append(d.live, e)
-		}
+	fresh := make([]dataplane.Entry, d.spec.Installs)
+	for i := range fresh {
+		fresh[i] = d.nextEntry()
 	}
-	deletes := d.spec.Deletes
-	if deletes > len(d.live) {
-		deletes = len(d.live)
-	}
-	kept := d.live[:0]
-	for i, e := range d.live {
-		if i >= deletes {
-			kept = append(kept, e)
-			continue
+	for len(fresh) > 0 {
+		n, err := h.ctl.Write(control.ReqInstallEntry, fresh)
+		cr.Installed += n
+		d.live = append(d.live, fresh[:n]...)
+		if err == nil {
+			break
 		}
-		if err := h.ctl.DeleteEntry(e); err != nil {
-			cr.DeniedDeletes++
-			kept = append(kept, e)
-		} else {
-			cr.Deleted++
-		}
+		cr.DeniedInstalls++
+		fresh = fresh[n+1:]
 	}
-	d.live = kept
+	deletes := max(0, min(d.spec.Deletes, len(d.live)))
+	kept := d.live[:0] // denied deletes, compacted behind the batch
+	for doomed := d.live[:deletes]; len(doomed) > 0; {
+		n, err := h.ctl.Write(control.ReqDeleteEntry, doomed)
+		cr.Deleted += n
+		if err == nil {
+			break
+		}
+		cr.DeniedDeletes++
+		kept = append(kept, doomed[n])
+		doomed = doomed[n+1:]
+	}
+	d.live = append(kept, d.live[deletes:]...)
 	cr.Live = len(d.live)
 	for k, v := range h.inj.Denials() {
 		if dlt := v - before[k]; dlt > 0 {
