@@ -31,8 +31,9 @@ test-race:
 # the seed corpus committed under its package's testdata/fuzz (the CI
 # differential-fuzz job runs this). -fuzz takes one package at a time.
 # FuzzTernaryStore runs hundreds of checked table operations per input,
-# so shrinking each new interesting input for the default minute would
-# leave no time to mutate: its minimizer gets a second.
+# and FuzzParseStream starts from multi-kilobyte recorded streams, so
+# shrinking each new interesting input for the default minute would
+# leave no time to mutate: their minimizers get a second.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExtractInject -fuzztime 20s ./internal/bitfield/
 	$(GO) test -run '^$$' -fuzz FuzzTernaryStore -fuzztime 20s -fuzzminimizetime 1s ./internal/dataplane/
@@ -41,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOperatorConformance -fuzztime 20s ./internal/verify/
 	$(GO) test -run '^$$' -fuzz FuzzGeneratorFrame -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzServe -fuzztime 20s ./internal/control/
+	$(GO) test -run '^$$' -fuzz FuzzParseStream -fuzztime 20s -fuzzminimizetime 1s ./internal/session/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -61,9 +63,9 @@ loc:
 
 # What no shipped entry point runs: every cmd/* and examples/* program
 # and the benchmark are built with coverage of the whole module, run
-# through their CI smoke invocations (p4c and dpsim, which CI does not
-# run, through their usage lines; the benchmark for a second at -trace 0
-# and -trace 1), and the functions left at 0.0% go to prodcover.txt. A
+# through their CI smoke invocations (p4c, which CI does not run,
+# through its usage line; the benchmark for a second at -trace 0 and
+# -trace 1), and the functions left at 0.0% go to prodcover.txt. A
 # binary that never runs writes no coverage at all, so each runs once.
 # The evidence behind a "no production caller" claim.
 prodcover:
@@ -85,7 +87,6 @@ prodcover:
 	"$$b/netdebug" -program examples/router.p4 -fuzz -fuzz-budget 768 -fuzz-shards 4 > /dev/null; \
 	"$$b/docgate" > /dev/null; \
 	"$$b/p4c" -target sdnet -resources examples/router.p4 > /dev/null; \
-	"$$b/dpsim" -program examples/router.p4 -probes 100 > /dev/null; \
 	for t in 0 1; do "$$b/benchmark" -seconds 1 -trace $$t -out "$$tmp/bench.json" > /dev/null; done; \
 	$(GO) tool covdata textfmt -i "$$tmp/cov" -o "$$tmp/prof.txt"; \
 	"$$b/covgate" -profile "$$tmp/prof.txt" 2> /dev/null; \

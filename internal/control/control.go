@@ -83,9 +83,8 @@ type Request struct {
 }
 
 // head is what crosses the wire of a Request; its N entries follow as gob
-// values of their own. A slice field would be a new gob type, and gob
-// numbers types process-wide in first-sent order: it would renumber the
-// session header that recorded streams hold byte for byte.
+// values of their own, so Serve reads N and enforces maxBatch before it
+// decodes any entry.
 type head struct {
 	ID      uint64
 	Kind    ReqKind

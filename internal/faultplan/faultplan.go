@@ -61,27 +61,41 @@ const (
 	InstallFlap
 )
 
-// String names the kind; these names appear in session event streams.
+// kindNames is the one table of fault kind names. They appear in session
+// event streams, and a recorded plan carries its kinds by them.
+var kindNames = [...]string{
+	PortDown: "port-down", BitFlip: "bit-flip", QueueStuck: "queue-stuck",
+	ClearFaults: "clear-faults", MapFull: "map-full",
+	MapFullClear: "map-full-clear", MaskBudget: "mask-budget",
+	InstallFlap: "install-flap",
+}
+
+// String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case PortDown:
-		return "port-down"
-	case BitFlip:
-		return "bit-flip"
-	case QueueStuck:
-		return "queue-stuck"
-	case ClearFaults:
-		return "clear-faults"
-	case MapFull:
-		return "map-full"
-	case MapFullClear:
-		return "map-full-clear"
-	case MaskBudget:
-		return "mask-budget"
-	case InstallFlap:
-		return "install-flap"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("fault(%d)", int(k))
+}
+
+// MarshalText encodes the kind as its name.
+func (k Kind) MarshalText() ([]byte, error) {
+	if k < 0 || int(k) >= len(kindNames) {
+		return nil, fmt.Errorf("faultplan: unknown kind %d", int(k))
+	}
+	return []byte(kindNames[k]), nil
+}
+
+// UnmarshalText decodes a kind from its name, refusing one it does not
+// know.
+func (k *Kind) UnmarshalText(text []byte) error {
+	for i, name := range kindNames {
+		if name == string(text) {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("faultplan: unknown kind %q", text)
 }
 
 // Event is one scheduled fault, due when the device's virtual clock

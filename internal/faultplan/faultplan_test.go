@@ -1,9 +1,11 @@
 package faultplan
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,6 +101,31 @@ func TestPlanValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("plan %d validated: %+v", i, p.Events)
 		}
+	}
+}
+
+// TestKindRoundTripsByName: a plan encodes each kind as its String name
+// and decodes it back, and a name no kind has is refused.
+func TestKindRoundTripsByName(t *testing.T) {
+	for k := range Kind(len(kindNames)) {
+		raw, err := json.Marshal(Event{Kind: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`"Kind":%q`, k); !strings.Contains(string(raw), want) {
+			t.Errorf("%s encodes as %s, want %s", k, raw, want)
+		}
+		var back Event
+		if err := json.Unmarshal(raw, &back); err != nil || back.Kind != k {
+			t.Errorf("%s decodes as %v (%v)", k, back.Kind, err)
+		}
+	}
+	var ev Event
+	if err := json.Unmarshal([]byte(`{"Kind":"no-such-fault"}`), &ev); err == nil {
+		t.Errorf("unknown kind name decoded as %v", ev.Kind)
+	}
+	if _, err := json.Marshal(Event{Kind: Kind(99)}); err == nil {
+		t.Error("unknown kind encoded")
 	}
 }
 

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,8 +11,10 @@ import (
 )
 
 // SchemaVersion is the version stamped on every emitted record. Readers
-// must reject records with a version they do not understand.
-const SchemaVersion = 1
+// must reject records with a version they do not understand. Version 1
+// carried the session header's spec and host as base64 gob blobs; 2
+// carries them as JSON objects.
+const SchemaVersion = 2
 
 // Record is one line of a session's versioned JSONL event stream. Field
 // order is fixed by this struct, map-valued fields are marshalled with
@@ -19,8 +22,8 @@ const SchemaVersion = 1
 // record — together these make the byte stream of a session a pure
 // function of its spec, which is what the replay harness asserts.
 //
-// Record types: "session" (block header, carries the gob-encoded spec
-// and host config for replay), "fault" (a fault-plan event applied),
+// Record types: "session" (block header, carries the spec and host
+// config for replay), "fault" (a fault-plan event applied),
 // "churn" (one round's control-plane churn), "report" (one round's
 // validation report), "probe" (one round's external probe leg), "slo"
 // (end-of-session latency percentiles vs bound), "end" (block footer).
@@ -36,17 +39,17 @@ type Record struct {
 	AtNs    int64  `json:"at_ns,omitempty"`
 	Target  string `json:"target,omitempty"`
 	Program string `json:"program,omitempty"`
-	// SpecB64/HostB64 carry base64(gob(SessionSpec)) and
-	// base64(gob(HostConfig)) on "session" records — everything Replay
-	// needs to re-execute the block on a fresh system.
-	SpecB64 string       `json:"spec,omitempty"`
-	HostB64 string       `json:"host,omitempty"`
-	Fault   *FaultRecord `json:"fault,omitempty"`
-	Churn   *ChurnRecord `json:"churn,omitempty"`
-	Report  *core.Report `json:"report,omitempty"`
-	Probe   *ProbeRecord `json:"probe,omitempty"`
-	SLO     *SLORecord   `json:"slo,omitempty"`
-	Err     string       `json:"err,omitempty"`
+	// Spec/Host carry the SessionSpec and HostConfig as JSON on "session"
+	// records — everything Replay needs to re-execute the block on a
+	// fresh system.
+	Spec   json.RawMessage `json:"spec,omitempty"`
+	Host   json.RawMessage `json:"host,omitempty"`
+	Fault  *FaultRecord    `json:"fault,omitempty"`
+	Churn  *ChurnRecord    `json:"churn,omitempty"`
+	Report *core.Report    `json:"report,omitempty"`
+	Probe  *ProbeRecord    `json:"probe,omitempty"`
+	SLO    *SLORecord      `json:"slo,omitempty"`
+	Err    string          `json:"err,omitempty"`
 }
 
 // FaultRecord is one applied fault-plan event.
@@ -169,30 +172,23 @@ func (r *Recorder) Err() error {
 	return r.err
 }
 
-// ParseStream decodes a recorded JSONL stream, rejecting records with
-// an unknown schema version.
+// ParseStream decodes a recorded JSONL stream, skipping empty lines and
+// rejecting records with an unknown schema version. An error names the
+// stream's physical line, blank lines counted.
 func ParseStream(stream []byte) ([]Record, error) {
 	var out []Record
-	start := 0
-	line := 1
-	for i := 0; i <= len(stream); i++ {
-		if i != len(stream) && stream[i] != '\n' {
-			continue
-		}
-		raw := stream[start:i]
-		start = i + 1
+	for i, raw := range bytes.Split(stream, []byte("\n")) {
 		if len(raw) == 0 {
 			continue
 		}
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("session: stream line %d: %w", line, err)
+			return nil, fmt.Errorf("session: stream line %d: %w", i+1, err)
 		}
 		if rec.Schema != SchemaVersion {
-			return nil, fmt.Errorf("session: stream line %d: schema %d, want %d", line, rec.Schema, SchemaVersion)
+			return nil, fmt.Errorf("session: stream line %d: schema %d, want %d", i+1, rec.Schema, SchemaVersion)
 		}
 		out = append(out, rec)
-		line++
 	}
 	return out, nil
 }

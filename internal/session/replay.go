@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 )
 
@@ -34,20 +35,20 @@ func Replay(stream []byte) ([]byte, error) {
 		}
 		blocks++
 		var spec SessionSpec
-		if err := decodeB64(r.SpecB64, &spec); err != nil {
+		if err := json.Unmarshal(r.Spec, &spec); err != nil {
 			return nil, fmt.Errorf("session: replay block %d (%s): decoding spec: %w", blocks, r.Session, err)
 		}
 		var cfg HostConfig
-		if err := decodeB64(r.HostB64, &cfg); err != nil {
+		if err := json.Unmarshal(r.Host, &cfg); err != nil {
 			return nil, fmt.Errorf("session: replay block %d (%s): decoding host config: %w", blocks, r.Session, err)
 		}
-		m, ok := managers[r.HostB64]
+		m, ok := managers[string(r.Host)]
 		if !ok {
 			m, err = NewManager(cfg, 1, rec)
 			if err != nil {
 				return nil, fmt.Errorf("session: replay block %d (%s): %w", blocks, r.Session, err)
 			}
-			managers[r.HostB64] = m
+			managers[string(r.Host)] = m
 		}
 		if _, err := m.Run(spec); err != nil {
 			return nil, fmt.Errorf("session: replay block %d (%s): %w", blocks, r.Session, err)

@@ -28,9 +28,7 @@
 package session
 
 import (
-	"bytes"
-	"encoding/base64"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -49,7 +47,7 @@ import (
 	"netdebug/internal/target"
 )
 
-// RetrySpec is the gob-encodable mirror of control.RetryPolicy (which
+// RetrySpec is the recordable mirror of control.RetryPolicy (which
 // carries a test-seam func and so cannot travel in a recorded stream).
 type RetrySpec struct {
 	MaxAttempts int
@@ -344,24 +342,6 @@ func (m *Manager) Close() error {
 	return first
 }
 
-// encodeB64 gob-encodes v to base64 for embedding in a stream record.
-func encodeB64(v any) (string, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
-}
-
-// decodeB64 reverses encodeB64.
-func decodeB64(s string, v any) error {
-	raw, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
-}
-
 // runSession executes one session on a host, returning the event block
 // and the summary. Spec-level errors (bad plan, unknown churn table)
 // are returned before any record is emitted; runtime degradation
@@ -387,11 +367,11 @@ func runSession(h *host, cfg *HostConfig, spec *SessionSpec) ([]Record, *Result,
 			return nil, nil, fmt.Errorf("session: probe needs a frame and a positive count")
 		}
 	}
-	specB64, err := encodeB64(spec)
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("session: encoding spec: %w", err)
 	}
-	hostB64, err := encodeB64(cfg)
+	hostJSON, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("session: encoding host config: %w", err)
 	}
@@ -416,7 +396,7 @@ func runSession(h *host, cfg *HostConfig, spec *SessionSpec) ([]Record, *Result,
 	}
 	emit(Record{
 		Type: "session", Target: cfg.Target, Program: h.prog.Name,
-		SpecB64: specB64, HostB64: hostB64,
+		Spec: specJSON, Host: hostJSON,
 	})
 
 	pass := true

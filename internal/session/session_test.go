@@ -2,9 +2,12 @@ package session
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -149,8 +152,8 @@ var updateStream = flag.Bool("update", false, "rewrite testdata/batch.jsonl from
 
 // committedStream is a recording of batchSpecs on one host, kept in the
 // repository so a change to anything a stream records — a record field,
-// or a field of a struct the session header carries as gob, such as
-// HostConfig — has to regenerate it on purpose (go test -run
+// or a field of a struct the session header carries, such as HostConfig
+// — has to regenerate it on purpose (go test -run
 // TestCommittedStreamReplays ./internal/session/ -update).
 const committedStream = "testdata/batch.jsonl"
 
@@ -176,13 +179,113 @@ func TestCommittedStreamReplays(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsUnknownSchema guards the versioning contract.
+// TestReplayRejectsUnknownSchema guards the versioning contract: a
+// version from the future is refused, and so is a schema-1 stream, whose
+// session header carried gob blobs where this one carries JSON.
 func TestReplayRejectsUnknownSchema(t *testing.T) {
 	stream := recordBatch(t, 1, []SessionSpec{quietSpec("solo")})
-	mangled := bytes.Replace(stream, []byte(`{"schema":1,`), []byte(`{"schema":9,`), 1)
+	current := fmt.Sprintf(`{"schema":%d,`, SchemaVersion)
+	mangled := bytes.Replace(stream, []byte(current), []byte(`{"schema":9,`), 1)
 	if _, err := Replay(mangled); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("mangled schema replayed: %v", err)
 	}
+	old := []byte(`{"schema":1,"type":"session","session":"solo","seq":0,"spec":"ZP+RAwEBC1Nlc3Npb25TcGVj"}` + "\n")
+	want := fmt.Sprintf("schema 1, want %d", SchemaVersion)
+	if _, err := Replay(old); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("schema-1 stream: %v, want %q", err, want)
+	}
+}
+
+// TestSessionHeaderIsPlainJSON: a recorded header decodes with nothing
+// but encoding/json, carrying the program text verbatim, the session's
+// name and its fault plan's kinds by name.
+func TestSessionHeaderIsPlainJSON(t *testing.T) {
+	stream := recordBatch(t, 1, []SessionSpec{churnySpec("alpha")})
+	line, _, _ := bytes.Cut(stream, []byte("\n"))
+	var header map[string]any
+	if err := json.Unmarshal(line, &header); err != nil {
+		t.Fatal(err)
+	}
+	if header["type"] != "session" {
+		t.Fatalf("first record is %v, want the session header", header["type"])
+	}
+	host, _ := header["host"].(map[string]any)
+	spec, _ := header["spec"].(map[string]any)
+	plan, _ := spec["Plan"].(map[string]any)
+	events, _ := plan["Events"].([]any)
+	if host["Source"] != p4test.Router {
+		t.Errorf("host.Source is not the program text: %.80v", host["Source"])
+	}
+	if spec["Name"] != "alpha" {
+		t.Errorf("spec.Name = %v, want alpha", spec["Name"])
+	}
+	if len(events) == 0 {
+		t.Fatalf("spec.Plan has no events: %v", spec["Plan"])
+	}
+	if first, _ := events[0].(map[string]any); first["Kind"] != "install-flap" {
+		t.Errorf("spec.Plan.Events = %v, want install-flap first, by name", events)
+	}
+}
+
+// TestParseStreamNamesPhysicalLine: a parse error counts blank lines, so
+// it names the line an editor shows.
+func TestParseStreamNamesPhysicalLine(t *testing.T) {
+	stream := fmt.Sprintf(`{"schema":%d,"type":"end"}`, SchemaVersion) + "\n\n{bad\n"
+	if _, err := ParseStream([]byte(stream)); err == nil || !strings.Contains(err.Error(), "stream line 3:") {
+		t.Fatalf("ParseStream(%q) = %v, want an error on stream line 3", stream, err)
+	}
+}
+
+// FuzzParseStream feeds arbitrary bytes to ParseStream, the one decoder
+// of a recorded stream. It must not panic, and a stream it accepts must
+// re-record through the Recorder into one that parses back to the same
+// records — up to what the encoder canonicalises (see canonical).
+func FuzzParseStream(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		first, err := ParseStream(stream)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		rec := NewRecorder(&again)
+		if err := rec.commit(rec.reserveN(1), first); err != nil {
+			t.Fatalf("parsed records do not re-record: %v", err)
+		}
+		second, err := ParseStream(again.Bytes())
+		if err != nil {
+			t.Fatalf("re-recorded stream refused: %v\n%s", err, again.Bytes())
+		}
+		if want := canonical(first); !reflect.DeepEqual(want, second) {
+			t.Fatalf("re-recorded stream parses differently:\n first: %+v\nsecond: %+v", want, second)
+		}
+	})
+}
+
+// canonical is a parsed record as the recorder writes it: json.Marshal
+// writes a RawMessage compact and HTML-escaped, and omits an empty map
+// whose field says omitempty.
+func canonical(recs []Record) []Record {
+	for i := range recs {
+		r := &recs[i]
+		for _, raw := range []*json.RawMessage{&r.Spec, &r.Host} {
+			if *raw != nil {
+				var compact, escaped bytes.Buffer
+				_ = json.Compact(&compact, *raw) // parsed, so valid JSON
+				json.HTMLEscape(&escaped, compact.Bytes())
+				*raw = escaped.Bytes()
+			}
+		}
+		if r.Churn != nil && len(r.Churn.Denials) == 0 {
+			r.Churn.Denials = nil
+		}
+		if r.Probe != nil && len(r.Probe.Captured) == 0 {
+			r.Probe.Captured = nil
+		}
+		if r.Probe != nil && len(r.Probe.QueueOccupancy) == 0 {
+			r.Probe.QueueOccupancy = nil
+		}
+	}
+	return recs
 }
 
 // TestSessionDegradation: a session whose plan downs the probe ingress
