@@ -128,6 +128,9 @@ func (v Value) shiftRightRaw(n int) Value {
 // Width returns the field width in bits.
 func (v Value) Width() int { return v.W }
 
+// Valid reports whether W is in [0, MaxWidth] with no bit set at or above W.
+func (v Value) Valid() bool { return uint(v.W) <= MaxWidth && v == v.truncate() }
+
 // Uint64 returns the low 64 bits of the value. For values at most 64 bits
 // wide this is the full value.
 func (v Value) Uint64() uint64 { return v.Lo }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,6 +51,23 @@ func TestWriteChunks(t *testing.T) {
 	}
 	if want := []int{maxBatch, maxBatch}; !reflect.DeepEqual(sizes, want) {
 		t.Fatalf("requests of %v entries, want %v", sizes, want)
+	}
+}
+
+// TestWriteRefusesFailureAfterEveryEntry: an error answer whose Done
+// counts every entry sent names no entry, so the client treats it as a
+// protocol mismatch and breaks, rather than indexing past the write.
+func TestWriteRefusesFailureAfterEveryEntry(t *testing.T) {
+	cli := Pipe(handlerFunc(func(req *Request) *Response {
+		return &Response{Err: "late failure", Done: len(req.Entries)}
+	}))
+	defer cli.Close()
+	done, err := cli.Write(ReqInstallEntry, []dataplane.Entry{{Table: "t"}})
+	if done != 0 || err == nil || !strings.Contains(err.Error(), "match") {
+		t.Fatalf("write = %d, %v; want 0 and a match error", done, err)
+	}
+	if _, err := cli.ReadStatus(); !errors.Is(err, ErrChannelBroken) {
+		t.Fatalf("call after the mismatch = %v, want ErrChannelBroken", err)
 	}
 }
 
@@ -148,22 +166,18 @@ func FuzzServe(f *testing.F) {
 	})
 }
 
-// wireRequests is what a client sends for reqs, in order: each head, then
-// its entries, on one gob stream.
+// wireRequests is what a client sends for reqs, in order: each head on
+// one gob stream, then its entries block.
 func wireRequests(t testing.TB, reqs ...Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
 	for i, r := range reqs {
-		h := head{uint64(i + 1), r.Kind, len(r.Entries), r.Table, r.Payload}
-		if err := enc.Encode(&h); err != nil {
+		block := appendEntries(nil, r.Entries)
+		if err := enc.Encode(&head{uint64(i + 1), r.Kind, len(r.Entries), len(block), r.Table, r.Payload}); err != nil {
 			t.Fatal(err)
 		}
-		for j := range r.Entries {
-			if err := enc.Encode(&r.Entries[j]); err != nil {
-				t.Fatal(err)
-			}
-		}
+		buf.Write(block)
 	}
 	return buf.Bytes()
 }

@@ -1,0 +1,191 @@
+package control
+
+import (
+	"bytes"
+	"encoding/gob"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"netdebug/internal/bitfield"
+	"netdebug/internal/dataplane"
+)
+
+// randEntry draws an entry over what the wire must carry: widths 0 to
+// 128, negative prefix lengths and priorities, nil, empty and full key
+// and arg lists, empty and non-ASCII names.
+func randEntry(rng *rand.Rand) dataplane.Entry {
+	names := []string{"", "acl", "ipv4_lpm", "allow", "τάβλα", "\xff\x00"}
+	value := func() bitfield.Value {
+		w := rng.Intn(bitfield.MaxWidth + 1)
+		if rng.Intn(4) == 0 {
+			w = bitfield.MaxWidth
+		}
+		return bitfield.New128(rng.Uint64(), rng.Uint64(), w)
+	}
+	count := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return -1 // nil
+		case 1:
+			return 0 // empty
+		}
+		return 1 + rng.Intn(4)
+	}
+	e := dataplane.Entry{
+		Table:    names[rng.Intn(len(names))],
+		Action:   names[rng.Intn(len(names))],
+		Priority: []int{0, 7, -3, math.MaxInt, math.MinInt}[rng.Intn(5)],
+	}
+	if n := count(); n >= 0 {
+		e.Keys = make([]dataplane.KeyValue, n)
+		for i := range e.Keys {
+			e.Keys[i] = dataplane.KeyValue{Value: value(), PrefixLen: rng.Intn(300) - 100}
+			if rng.Intn(2) == 0 {
+				e.Keys[i].Mask = value()
+			}
+		}
+	}
+	if n := count(); n >= 0 {
+		e.Args = make([]bitfield.Value, n)
+		for i := range e.Args {
+			e.Args[i] = value()
+		}
+	}
+	return e
+}
+
+// decodeBlock decodes block into es on d, as Serve does after reading it.
+func decodeBlock(d *entryDecoder, es []dataplane.Entry, block []byte) bool {
+	d.block = block
+	return d.decode(es)
+}
+
+// TestEntryCodecMatchesGob: what an entry decodes to after the entries
+// block is what it decoded to as a gob value, one entry to a block or
+// the whole batch in one.
+func TestEntryCodecMatchesGob(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sent := make([]dataplane.Entry, 500)
+	viaGob := make([]dataplane.Entry, len(sent))
+	var d entryDecoder
+	for i := range sent {
+		sent[i] = randEntry(rng)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&sent[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(&buf).Decode(&viaGob[i]); err != nil {
+			t.Fatal(err)
+		}
+		one := make([]dataplane.Entry, 1)
+		if !decodeBlock(&d, one, appendEntries(nil, sent[i:i+1])) {
+			t.Fatalf("entry %d refused", i)
+		}
+		if !reflect.DeepEqual(one[0], viaGob[i]) {
+			t.Fatalf("entry %d: codec %+v, gob %+v", i, one[0], viaGob[i])
+		}
+	}
+	all := make([]dataplane.Entry, len(sent))
+	if !decodeBlock(&d, all, appendEntries(nil, sent)) {
+		t.Fatal("the batch was refused")
+	}
+	if !reflect.DeepEqual(all, viaGob) {
+		t.Fatal("a batch decodes unlike its entries one by one")
+	}
+}
+
+// TestEntryDecoderSharesNames: a name decoded again on one connection is
+// the string decoded the first time, while every entry, in one block or
+// the next, keeps keys of its own.
+func TestEntryDecoderSharesNames(t *testing.T) {
+	e := dataplane.Entry{Table: "acl", Action: "allow",
+		Keys: []dataplane.KeyValue{{Value: bitfield.New(1, 8)}}, Args: []bitfield.Value{bitfield.New(2, 9)}}
+	block := appendEntries(nil, []dataplane.Entry{e, e})
+	var d entryDecoder
+	first, again := make([]dataplane.Entry, 2), make([]dataplane.Entry, 2)
+	if !decodeBlock(&d, first, block) || !decodeBlock(&d, again, block) {
+		t.Fatal("a valid block was refused")
+	}
+	for _, got := range []dataplane.Entry{first[1], again[0], again[1]} {
+		if unsafe.StringData(got.Table) != unsafe.StringData(first[0].Table) ||
+			unsafe.StringData(got.Action) != unsafe.StringData(first[0].Action) {
+			t.Fatal("an equal name decoded to a string of its own")
+		}
+	}
+	if k := &first[0].Keys[0]; k == &first[1].Keys[0] || k == &again[0].Keys[0] || &first[0].Args[0] == &again[0].Args[0] {
+		t.Fatal("two entries share key or arg storage")
+	}
+}
+
+// wireHead is a head on a fresh gob stream, then block.
+func wireHead(t *testing.T, h head, block []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return append(buf.Bytes(), block...)
+}
+
+// TestServeDropsMalformedBlocks: a block that claims more items than its
+// bytes could hold, a Size over maxBlock and a block cut short each end
+// the connection before the handler sees the request.
+func TestServeDropsMalformedBlocks(t *testing.T) {
+	e := dataplane.Entry{Table: "acl", Keys: []dataplane.KeyValue{{Value: bitfield.New(1, 8)}}}
+	good := appendEntries(nil, []dataplane.Entry{e})
+	claims := append(appendName(nil, "acl"), 100, 1, 2, 3, 4, 5, 6, 7, 8) // 100 keys in 8 bytes
+	for name, data := range map[string][]byte{
+		"count over bytes":   wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: len(claims)}, claims),
+		"size over cap":      wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: maxBlock + 1}, good),
+		"cut short":          wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: len(good)}, good[:len(good)-1]),
+		"entries over bytes": wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 2, Size: len(good)}, good),
+		"trailing bytes":     wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: len(good) + 1}, append(good, 0)),
+	} {
+		seen := 0
+		err := serveBytes(data, handlerFunc(func(*Request) *Response { seen++; return &Response{} }))
+		if err == nil || seen != 0 {
+			t.Errorf("%s: Serve ended with %v, handler saw %d requests", name, err, seen)
+		}
+	}
+	seen := 0
+	serveBytes(wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: len(good)}, good),
+		handlerFunc(func(*Request) *Response { seen++; return &Response{Done: 1} }))
+	if seen != 1 {
+		t.Fatalf("the well-formed write reached the handler %d times", seen)
+	}
+}
+
+// FuzzEntryCodec feeds arbitrary bytes to the block decoder, byte 0
+// choosing the entry count. It must not panic, and what it accepts must
+// encode to a block that decodes the same: the codec is a fixpoint on
+// what it accepts.
+func FuzzEntryCodec(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for n := range 4 {
+		es := make([]dataplane.Entry, n)
+		for i := range es {
+			es[i] = randEntry(rng)
+		}
+		f.Add(appendEntries([]byte{byte(n)}, es))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var d entryDecoder
+		got := make([]dataplane.Entry, data[0]%8)
+		if !decodeBlock(&d, got, data[1:]) {
+			return
+		}
+		again := make([]dataplane.Entry, len(got))
+		if !decodeBlock(&d, again, appendEntries(nil, got)) {
+			t.Fatal("re-encoded entries refused")
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("decoded %+v, re-encoded and decoded %+v", got, again)
+		}
+	})
+}

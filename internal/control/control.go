@@ -17,19 +17,23 @@
 //
 // A table write is a batch: up to maxBatch entries to a request, applied
 // in order up to the first failure, with Done counting those applied. A
-// single-entry call is a batch of one.
+// single-entry call is a batch of one. Its entries are not gob values but
+// one compact block (appendEntries) after the request's gob head.
 package control
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
 	"time"
 
+	"netdebug/internal/bitfield"
 	"netdebug/internal/dataplane"
 )
 
@@ -66,9 +70,10 @@ func (k ReqKind) String() string {
 	return fmt.Sprintf("req(%d)", uint8(k))
 }
 
-// maxBatch is the most entries one request carries, which bounds what a
-// peer can make the agent decode at once: Serve drops one that asks more.
-const maxBatch = 4096
+// maxBatch is the most entries one request carries and maxBlock the
+// longest entries block, 1 KiB an entry at a full batch: Serve drops a
+// request that asks more, which bounds what a peer makes it decode.
+const maxBatch, maxBlock = 4096, 1 << 22
 
 // Request is one host-to-device message.
 type Request struct {
@@ -82,13 +87,13 @@ type Request struct {
 	Payload any
 }
 
-// head is what crosses the wire of a Request; its N entries follow as gob
-// values of their own, so Serve reads N and enforces maxBatch before it
-// decodes any entry.
+// head is a Request's gob value on the wire. Its N entries follow in a
+// block Size bytes long: Serve checks maxBatch and maxBlock before it.
 type head struct {
 	ID      uint64
 	Kind    ReqKind
 	N       int
+	Size    int
 	Table   string
 	Payload any
 }
@@ -220,6 +225,7 @@ type Client struct {
 	retry   RetryPolicy
 	broken  error
 	head    head
+	block   []byte             // the request's entries block
 	one     [1]dataplane.Entry // a single-entry write's batch
 }
 
@@ -303,10 +309,11 @@ func (c *Client) callLocked(req *Request) (*Response, error) {
 		}
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	c.head = head{req.ID, req.Kind, len(req.Entries), req.Table, req.Payload}
+	c.block = appendEntries(c.block[:0], req.Entries)
+	c.head = head{req.ID, req.Kind, len(req.Entries), len(c.block), req.Table, req.Payload}
 	err := c.enc.Encode(&c.head)
-	for i := 0; err == nil && i < len(req.Entries); i++ {
-		err = c.enc.Encode(&req.Entries[i])
+	if err == nil {
+		_, err = c.w.Write(c.block)
 	}
 	if err == nil {
 		err = c.w.Flush()
@@ -318,7 +325,8 @@ func (c *Client) callLocked(req *Request) (*Response, error) {
 	if err := c.dec.Decode(&resp); err != nil {
 		return nil, c.breakWith(req.Kind, "receive", err)
 	}
-	if resp.ID != req.ID || resp.Done < 0 || resp.Done > len(req.Entries) {
+	// A failed write's Done is the index of the entry that failed.
+	if n := len(req.Entries); resp.ID != req.ID || resp.Done < 0 || resp.Done > n || n > 0 && !resp.OK() && resp.Done == n {
 		return nil, c.breakWith(req.Kind, "match", fmt.Errorf("response id %d done %d for request %d", resp.ID, resp.Done, req.ID))
 	}
 	return &resp, nil
@@ -444,28 +452,32 @@ func (c *Client) fetch(kind ReqKind) (any, error) {
 }
 
 // Serve answers requests on conn with h until the connection fails or a
-// request declares more than maxBatch entries, then closes it and returns
-// the error (net.ErrClosed / io.EOF on clean shutdown).
+// request is malformed or over maxBatch or maxBlock, then closes it and
+// returns the error (net.ErrClosed / io.EOF on clean shutdown).
 func Serve(conn net.Conn, h Handler) error {
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
+	r := bufio.NewReader(conn) // gob reads an io.ByteReader a message at a time: r keeps each block
+	dec := gob.NewDecoder(r)
 	enc := gob.NewEncoder(conn)
 	var hd head
 	var req Request
+	var entries entryDecoder
 	for {
 		hd = head{} // gob leaves a zero field unsent: reused storage keeps what it is not sent
 		if err := dec.Decode(&hd); err != nil {
 			return err
 		}
-		if hd.N < 0 || hd.N > maxBatch {
-			return fmt.Errorf("control: %s of %d entries, over the limit of %d", hd.Kind, hd.N, maxBatch)
+		if hd.N < 0 || hd.N > maxBatch || hd.Size < 0 || hd.Size > maxBlock {
+			return fmt.Errorf("control: %s of %d entries in %d bytes, over the limit of %d or %d", hd.Kind, hd.N, hd.Size, maxBatch, maxBlock)
+		}
+		entries.block = slices.Grow(entries.block[:0], hd.Size)[:hd.Size]
+		if _, err := io.ReadFull(r, entries.block); err != nil {
+			return err
 		}
 		clear(req.Entries)
 		req = Request{hd.ID, hd.Kind, slices.Grow(req.Entries[:0], hd.N)[:hd.N], hd.Table, hd.Payload}
-		for i := range req.Entries {
-			if err := dec.Decode(&req.Entries[i]); err != nil {
-				return err
-			}
+		if !entries.decode(req.Entries) {
+			return fmt.Errorf("control: %s with a malformed entries block", hd.Kind)
 		}
 		resp := h.Handle(&req)
 		if resp == nil {
@@ -506,4 +518,110 @@ func DialTCP(addr string) (*Client, error) {
 		return nil, fmt.Errorf("control: dial %s: %w", addr, err)
 	}
 	return NewClient(conn), nil
+}
+
+// appendEntries appends the entries block of es to b: per entry the table
+// name, key count, each key's value, prefix length and mask, action name,
+// arg count, args and priority. A name is its length and bytes; a count
+// and a Value's W, Hi and Lo are uvarints, a signed int a varint.
+func appendEntries(b []byte, es []dataplane.Entry) []byte {
+	for i := range es {
+		e := &es[i]
+		b = binary.AppendUvarint(appendName(b, e.Table), uint64(len(e.Keys)))
+		for _, k := range e.Keys {
+			b = appendValue(binary.AppendVarint(appendValue(b, k.Value), int64(k.PrefixLen)), k.Mask)
+		}
+		b = binary.AppendUvarint(appendName(b, e.Action), uint64(len(e.Args)))
+		for _, a := range e.Args {
+			b = appendValue(b, a)
+		}
+		b = binary.AppendVarint(b, int64(e.Priority))
+	}
+	return b
+}
+
+func appendName(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendValue(b []byte, v bitfield.Value) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, uint64(v.W)), v.Hi), v.Lo)
+}
+
+// entryDecoder decodes the entries blocks of one connection. A name equal
+// to one of the first 64 it decoded is that same string: entries share it.
+type entryDecoder struct {
+	block, rest []byte // the block, and what is left of it
+	failed      bool
+	names       []string
+}
+
+// decode fills es from the block, exactly, or reports false. Each entry's
+// keys and args are its own, for a handler to keep. A count the bytes left
+// cannot hold (7 a key, 3 a value at least) is refused: allocs are O(block).
+func (d *entryDecoder) decode(es []dataplane.Entry) bool {
+	d.rest, d.failed = d.block, false
+	for i := range es {
+		e := &es[i]
+		e.Table, e.Keys, e.Args = d.name(), nil, nil
+		if n := d.count(7); n > 0 {
+			e.Keys = make([]dataplane.KeyValue, n)
+			for j := range e.Keys {
+				e.Keys[j] = dataplane.KeyValue{Value: d.value(), PrefixLen: d.varint(), Mask: d.value()}
+			}
+		}
+		e.Action = d.name()
+		if n := d.count(3); n > 0 {
+			e.Args = make([]bitfield.Value, n)
+			for j := range e.Args {
+				e.Args[j] = d.value()
+			}
+		}
+		e.Priority = d.varint()
+	}
+	return !d.failed && len(d.rest) == 0
+}
+
+// uvarint reads a uvarint: zero, once the block is found malformed.
+func (d *entryDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.rest)
+	if n <= 0 {
+		d.rest, d.failed = nil, true
+		return 0
+	}
+	d.rest = d.rest[n:]
+	return v
+}
+
+// varint undoes binary.AppendVarint's zigzag.
+func (d *entryDecoder) varint() int { u := d.uvarint(); return int(int64(u>>1) ^ -int64(u&1)) }
+
+// count reads a count of items at least size bytes each.
+func (d *entryDecoder) count(size int) int {
+	if n := d.uvarint(); n <= uint64(len(d.rest)/size) {
+		return int(n)
+	}
+	d.rest, d.failed = nil, true
+	return 0
+}
+
+func (d *entryDecoder) value() bitfield.Value {
+	return bitfield.Value{W: int(d.uvarint()), Hi: d.uvarint(), Lo: d.uvarint()}
+}
+
+// name reads a name; comparing string(b) with a kept one allocates nothing.
+func (d *entryDecoder) name() string {
+	n := d.count(1)
+	b := d.rest[:n]
+	d.rest = d.rest[n:]
+	for _, s := range d.names {
+		if string(b) == s {
+			return s
+		}
+	}
+	s := string(b)
+	if len(d.names) < 64 {
+		d.names = append(d.names, s)
+	}
+	return s
 }

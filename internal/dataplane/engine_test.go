@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"netdebug/internal/bitfield"
@@ -468,6 +469,46 @@ func TestInstallValidation(t *testing.T) {
 		if err := e.InstallEntry(en); err == nil {
 			t.Errorf("case %d: install succeeded, want error", i)
 		}
+	}
+}
+
+// TestInstallRefusesOverwideArg: an argument with bits above its width is
+// no bit<9> port; installed, it would send a frame out of port 1048322.
+func TestInstallRefusesOverwideArg(t *testing.T) {
+	e := routerEngine(t)
+	en := routerEntries()[0]
+	en.Keys = []KeyValue{{Value: bitfield.New(0x0a000200, 32), PrefixLen: 24}}
+	en.Args = []bitfield.Value{en.Args[0], {W: 9, Lo: 0xfff02}}
+	for _, write := range []func(Entry) error{e.ValidateEntry, e.InstallEntry} {
+		if err := write(en); err == nil || !strings.Contains(err.Error(), "table ipv4_lpm: action ipv4_forward arg 1") {
+			t.Fatalf("overwide port arg: %v, want an error naming the table and arg 1", err)
+		}
+	}
+}
+
+// TestInstallRefusesOverwideMask: a ternary mask must be as wide as its
+// key, or zero-width, with no bit above its width. A 64-bit all-ones mask
+// on a 32-bit key matches what the 32-bit one does, but would otherwise
+// open a second mask group.
+func TestInstallRefusesOverwideMask(t *testing.T) {
+	e := mustEngine(t, p4test.Firewall)
+	entry := func(mask bitfield.Value) Entry {
+		return Entry{Table: "acl", Action: "allow", Keys: []KeyValue{
+			{Value: bitfield.New(0, 32), Mask: bitfield.New(0, 32)},
+			{Value: bitfield.New(0x0a000001, 32), Mask: mask},
+			{Value: bitfield.New(0, 16), Mask: bitfield.New(0, 16)},
+		}}
+	}
+	installed(t, e, entry(bitfield.Mask(32)))
+	for _, mask := range []bitfield.Value{bitfield.Mask(64), {W: 32, Lo: 1<<40 | 0xffffffff}} {
+		for _, write := range []func(Entry) error{e.ValidateEntry, e.InstallEntry} {
+			if err := write(entry(mask)); err == nil || !strings.Contains(err.Error(), "table acl key 1") {
+				t.Fatalf("mask %s: %v, want an error naming the table and key 1", mask, err)
+			}
+		}
+	}
+	if got := e.TernaryGroupCount("acl"); got != 1 {
+		t.Fatalf("%d mask groups, want 1", got)
 	}
 }
 

@@ -203,8 +203,8 @@ func (ts *tableState) keyMask(i int, k *KeyValue) bitfield.Value {
 }
 
 // bind is the step every table write starts with. It checks the entry's
-// shape — key count, key widths, prefix ranges, action argument count
-// and widths — and resolves its match key into what the table's
+// shape — key count, prefix ranges, arg count, each value, mask and arg
+// fitting its bit<W> — and resolves its match key into what the table's
 // structure is indexed by, left in scratch: the entry's values packed
 // into keyWords the way a lookup packs the packet's (an lpm table's lpm
 // key last and aligned), and any other table's mask tuple in maskWords.
@@ -222,9 +222,8 @@ func (ts *tableState) bind(e Entry, act *actionPlan) error {
 		k := &e.Keys[i]
 		kind := ts.def.Keys[i].Kind
 		w := ts.def.Keys[i].Expr.Width()
-		if k.Value.Width() != w {
-			return fmt.Errorf("table %s key %d: width %d, want %d",
-				ts.def.Name, i, k.Value.Width(), w)
+		if k.Value.W != w || !k.Value.Valid() || !k.Mask.Valid() || kind == ir.MatchTernary && k.Mask.W != 0 && k.Mask.W != w {
+			return fmt.Errorf("table %s key %d: value %s or mask %s does not fit bit<%d>", ts.def.Name, i, k.Value, k.Mask, w)
 		}
 		if kind == ir.MatchLPM && (k.PrefixLen < 0 || k.PrefixLen > w) {
 			return fmt.Errorf("table %s key %d: prefix length %d outside [0,%d]",
@@ -246,9 +245,9 @@ func (ts *tableState) bind(e Entry, act *actionPlan) error {
 			ts.def.Name, action.Name, len(action.Params), len(e.Args))
 	}
 	for i, a := range e.Args {
-		if a.Width() != action.Params[i].Width {
-			return fmt.Errorf("table %s: action %s arg %d width %d, want %d",
-				ts.def.Name, action.Name, i, a.Width(), action.Params[i].Width)
+		if a.Width() != action.Params[i].Width || !a.Valid() {
+			return fmt.Errorf("table %s: action %s arg %d: value %s, want %d bits",
+				ts.def.Name, action.Name, i, a, action.Params[i].Width)
 		}
 	}
 	return nil
