@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -467,30 +468,44 @@ func TestCheckerLatencyBound(t *testing.T) {
 	}
 }
 
+// TestCheckerThroughputMeter is the paper's performance test as known
+// answers: 2000 frames of each size injected at line rate through the
+// router on sdnet. Throughput approaches the 10G line as frames grow
+// (per-frame wire overhead amortises) and the pipeline latency stays at
+// sdnet's fixed 440 ns, at the precision examples/perftest prints.
 func TestCheckerThroughputMeter(t *testing.T) {
-	spec := &TestSpec{
-		Name: "rate",
-		Gen: GenSpec{Streams: []StreamSpec{{
-			Name: "probe", Template: goodFrame(1186), Count: 1000, // 1250B on wire with headers
-		}}},
-		Check: CheckSpec{Rules: []Rule{{Name: "fwd", Stream: "probe", ExpectPort: -1}}},
-	}
-	ctl := Connect(newAgent(t, target.NewReference()))
-	defer ctl.Close()
-	rep, err := ctl.RunTest(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("rate test failed: %v", rep)
-	}
-	// Line-rate injection of 1228-byte frames at 10G: ~9.84 Gbps of L2
-	// throughput (payload bits over wire time including overhead).
-	if rep.OutBPS < 9.0e9 || rep.OutBPS > 10.5e9 {
-		t.Fatalf("throughput = %.3g bps", rep.OutBPS)
-	}
-	if rep.OutPPS < 0.9e6/1.0 && rep.OutPPS > 0 { // ~1.0 Mpps for 1248B frames
-		t.Fatalf("pps = %f", rep.OutPPS)
+	for _, tc := range []struct {
+		bytes      int
+		gbps, mpps string
+	}{
+		{64, "7.646", "14.925"},
+		{128, "8.682", "8.475"},
+		{256, "9.314", "4.545"},
+		{512, "9.642", "2.353"},
+		{1024, "9.816", "1.198"},
+		{1518, "9.878", "0.813"},
+	} {
+		spec := &TestSpec{
+			Name: "rate",
+			Gen: GenSpec{Streams: []StreamSpec{{
+				Name: "flood", Template: goodFrame(tc.bytes - 42), Count: 2000,
+			}}},
+			Check: CheckSpec{Rules: []Rule{{Name: "fwd", Stream: "flood", ExpectPort: 1}}},
+		}
+		ctl := Connect(newAgent(t, target.NewSDNet(target.DefaultErrata())))
+		rep, err := ctl.RunTest(spec)
+		ctl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Pass {
+			t.Fatalf("%d B: rate test failed: %v", tc.bytes, rep)
+		}
+		gbps, mpps := fmt.Sprintf("%.3f", rep.OutBPS/1e9), fmt.Sprintf("%.3f", rep.OutPPS/1e6)
+		if gbps != tc.gbps || mpps != tc.mpps || rep.LatP50Ns != 440 || rep.LatP99Ns != 440 {
+			t.Errorf("%d B: %s Gbps %s Mpps p50 %dns p99 %dns, want %s Gbps %s Mpps p50 = p99 = 440ns",
+				tc.bytes, gbps, mpps, rep.LatP50Ns, rep.LatP99Ns, tc.gbps, tc.mpps)
+		}
 	}
 }
 

@@ -196,8 +196,7 @@ func (e *Engine) SetTernaryMaskLimit(name string, limit int) error {
 }
 
 // TernaryGroupCount returns the number of distinct mask tuples in a
-// ternary table's tuple-space index — the per-lookup probe count, and
-// the quantity the occupancy sweep's mask-diversity axis measures. It
+// ternary table's tuple-space index — the per-lookup probe count. It
 // returns 0 for non-ternary or unknown tables.
 func (e *Engine) TernaryGroupCount(name string) int {
 	if ts, ok := e.tables[name]; ok && ts.kind == ir.MatchTernary {
@@ -208,8 +207,8 @@ func (e *Engine) TernaryGroupCount(name string) int {
 
 // LPMStats reports the installed-prefix count, trie node count, and
 // modeled resident bytes of an lpm table's multibit trie. It returns
-// zeros for non-lpm or unknown tables. The occupancy sweep's bytes/entry
-// column and the trie geometry tests read it.
+// zeros for non-lpm or unknown tables. The benchmark's traced pass and
+// the trie geometry tests read it.
 func (e *Engine) LPMStats(name string) (entries, nodes, bytes int) {
 	ts, ok := e.tables[name]
 	if !ok || ts.kind != ir.MatchLPM {

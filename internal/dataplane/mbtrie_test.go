@@ -231,8 +231,7 @@ func TestLPMTrieEdgeCases(t *testing.T) {
 }
 
 // trieChurnEntry generates the i-th prefix of the churn/memory
-// workloads: mostly /32 host routes with every 16th entry a /24, the
-// same mix the million-flow sweep installs.
+// workloads: mostly /32 host routes with every 16th entry a /24.
 func trieChurnEntry(i int) (bitfield.Value, int) {
 	if i%16 == 0 {
 		return bitfield.New(uint64(0x40000000+(i<<8))&0xffffffff, 32), 24
@@ -395,13 +394,12 @@ func TestLPMTrieMemoryRatio(t *testing.T) {
 }
 
 // benchTrieLookupBase sizes the resident trie the lookup benchmarks
-// probe: the sweep's 10^6-entry tier, where the binary trie's ~2.3
-// nodes/entry working set has fallen out of cache while the multibit
-// trie's node set still fits.
+// probe: 10^6 entries, where the binary trie's ~2.3 nodes/entry
+// working set has fallen out of cache while the multibit trie's node set
+// still fits.
 const benchTrieLookupBase = 1_000_000
 
-// The install benchmarks measure cold fill of a 10^4-entry table per
-// op — the cost the million-flow sweep pays at every occupancy point.
+// The install benchmarks measure cold fill of a 10^4-entry table per op.
 func BenchmarkLPMTrieInstallMultibit(b *testing.B) {
 	b.Run("entries10000", func(b *testing.B) {
 		be := &boundEntry{}

@@ -188,6 +188,22 @@ type fixture struct {
 var (
 	// router forwards 10/8 to port 1.
 	router = fixture{p4test.Router, []dataplane.Entry{routeEntry(1)}}
+	// splitRouter is router's other specification: 10/8 to a next-hop id,
+	// then the id to the gateway on port 1.
+	splitRouter = fixture{p4test.RouterSplit, []dataplane.Entry{
+		{
+			Table:  "lpm_nexthop",
+			Keys:   []dataplane.KeyValue{{Value: bitfield.New(0x0a000000, 32), PrefixLen: 8}},
+			Action: "set_nexthop",
+			Args:   []bitfield.Value{bitfield.New(7, 16)},
+		},
+		{
+			Table:  "nexthop_egress",
+			Keys:   []dataplane.KeyValue{{Value: bitfield.New(7, 16)}},
+			Action: "set_egress",
+			Args:   []bitfield.Value{bitfield.FromBytes(gw[:]), bitfield.New(1, 9)},
+		},
+	}}
 	// defaultRouteRouter adds the /0 fallback route every other
 	// destination misses down to (port 2), so both shipped router errata
 	// have a probe surface: the fixture they are localized and fuzzed on.
@@ -698,20 +714,6 @@ func comparisonScenarios() []Scenario {
 		probes = append(probes, packet.BuildUDPv4(macA, macB, ipA,
 			packet.IPv4Addr{10, 0, byte(i), 9}, uint16(4000+i), 53, []byte{byte(i)}))
 	}
-	splitRouter := fixture{p4test.RouterSplit, []dataplane.Entry{
-		{
-			Table:  "lpm_nexthop",
-			Keys:   []dataplane.KeyValue{{Value: bitfield.New(0x0a000000, 32), PrefixLen: 8}},
-			Action: "set_nexthop",
-			Args:   []bitfield.Value{bitfield.New(7, 16)},
-		},
-		{
-			Table:  "nexthop_egress",
-			Keys:   []dataplane.KeyValue{{Value: bitfield.New(7, 16)}},
-			Action: "set_egress",
-			Args:   []bitfield.Value{bitfield.FromBytes(gw[:]), bitfield.New(1, 9)},
-		},
-	}}
 	acceptThenDrop := fixture{src: acceptThenDropProgram}
 	cells := []Scenario{
 		{

@@ -8,6 +8,7 @@ import (
 	"netdebug/internal/core"
 	"netdebug/internal/dataplane"
 	"netdebug/internal/p4/p4test"
+	"netdebug/internal/packet"
 	"netdebug/internal/target"
 	"netdebug/internal/tester"
 )
@@ -184,6 +185,38 @@ func TestStreamRowDrivesBothTools(t *testing.T) {
 				t.Errorf("verdicts: agent pass=%v, tester pass=%v, want both %v", agent.Pass, ext.Pass, tc.pass)
 			}
 		})
+	}
+}
+
+// TestSplitRouterAgreesOnMixedProbes compares router's two
+// specifications on 500 probes that, unlike the Figure-2 comparison
+// cell's, leave the happy path: every 7th is addressed off the routed
+// 10/8 (172.16/16) and every 13th carries IPv4 version 6. Both must give
+// the same outputs on every probe, drops included.
+func TestSplitRouterAgreesOnMixedProbes(t *testing.T) {
+	mono, split := router.on(target.NewReference()), splitRouter.on(target.NewReference())
+	dropped := 0
+	for i := 0; i < 500; i++ {
+		dst := packet.IPv4Addr{10, byte(i / 256), byte(i % 256), 9}
+		if i%7 == 6 {
+			dst = packet.IPv4Addr{172, 16, 0, byte(i)}
+		}
+		frame := packet.BuildUDPv4(macA, gw, ipA, dst, uint16(i), 53, nil)
+		if i%13 == 12 {
+			frame[14] = 0x65
+		}
+		ra := mono.InjectInternal(frame, 0, mono.Now(), false)
+		rb := split.InjectInternal(frame, 0, split.Now(), false)
+		if !target.SameOutputs(ra, rb) {
+			t.Errorf("probe %d diverges: router %v, router-split %v", i, ra.Outputs, rb.Outputs)
+		}
+		if ra.Dropped() {
+			dropped++
+		}
+	}
+	// 71 off-subnet, 38 malformed, 5 both.
+	if dropped != 104 {
+		t.Errorf("%d of 500 probes dropped, want 104", dropped)
 	}
 }
 

@@ -237,30 +237,33 @@ func TestEBPFMaskSetLimit(t *testing.T) {
 // TestEBPFLatencyFollowsProgramLength: unlike the fixed-delay hardware
 // pipelines, the software offload costs what it executes — a bigger
 // program is slower, and every distinct installed ACL mask adds one
-// scan section.
+// scan section. The Tofino TCAM compares every mask in parallel, so the
+// same eight masks leave its latency at the fixed pipeline delay.
 func TestEBPFLatencyFollowsProgramLength(t *testing.T) {
-	load := func(src string) Target {
-		eb := NewEBPF(DefaultEBPFErrata())
-		if err := eb.Load(mustProg(t, src)); err != nil {
+	load := func(tgt Target, src string) Target {
+		if err := tgt.Load(mustProg(t, src)); err != nil {
 			t.Fatal(err)
 		}
-		return eb
+		return tgt
 	}
 	lat := func(tgt Target, frame []byte) int64 {
 		return tgt.Process(frame, 0, false).Latency.Nanoseconds()
 	}
-	small := load(p4test.Reflector)
-	big := load(p4test.Firewall)
+	small := load(NewEBPF(DefaultEBPFErrata()), p4test.Reflector)
+	big := load(NewEBPF(DefaultEBPFErrata()), p4test.Firewall)
 	frame := goodFrame()
 	if ls, lb := lat(small, frame), lat(big, frame); ls >= lb {
 		t.Fatalf("reflector latency %dns !< firewall latency %dns", ls, lb)
 	}
 
-	fw := load(p4test.Firewall)
+	fw := load(NewEBPF(DefaultEBPFErrata()), p4test.Firewall)
+	tf := load(NewTofino(DefaultTofinoErrata()), p4test.Firewall)
 	before := lat(fw, frame)
 	for i := 1; i <= 8; i++ {
-		if err := fw.InstallEntry(aclEntry(i, i)); err != nil {
-			t.Fatal(err)
+		for _, tgt := range []Target{fw, tf} {
+			if err := tgt.InstallEntry(aclEntry(i, i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	after := lat(fw, frame)
@@ -268,13 +271,18 @@ func TestEBPFLatencyFollowsProgramLength(t *testing.T) {
 	if after-before != wantDelta {
 		t.Fatalf("8 new masks grew latency by %dns, want %dns", after-before, wantDelta)
 	}
+	if got := tf.TernaryGroups("acl"); got != 8 {
+		t.Fatalf("tofino holds %d mask groups, want 8", got)
+	}
+	if got := lat(tf, frame); got != tofinoLatency.Nanoseconds() {
+		t.Fatalf("tofino latency after 8 masks = %dns, want the fixed %v", got, tofinoLatency)
+	}
 }
 
-// millionFlowStyleProgram mirrors the occupancy sweep's table shapes
-// (exact/LPM/ternary over the same key widths, declared at 2^20), so
-// the grant capacities documented in docs/targets.md and asserted by
-// the full-scale sweep are pinned without installing two million
-// entries.
+// millionFlowStyleProgram declares one table per match kind over a
+// compact key header, each at 2^20 entries, so the grant capacities
+// documented in docs/targets.md are pinned without installing three
+// million entries.
 const millionFlowStyleProgram = `
 header key_t { bit<48> dmac; bit<48> smac; bit<32> dst; bit<32> src; bit<16> sport; }
 struct hs { key_t k; }
@@ -304,13 +312,12 @@ control MFDeparser(packet_out p, in hs hdr) { apply { p.emit(hdr.k); } }
 S(MFParser(), MFIngress(), MFDeparser()) main;`
 
 // TestEBPFSweepGrantCapacities pins the memlock water-fill against the
-// occupancy sweep's table shapes: the three map types are priced at
+// million-flow table shapes: the three map types are priced at
 // 72/112/48 bytes per entry — lpm-trie at kernel node economics, a
 // 64-byte value-carrying leaf (40+4+4+16) plus a 48-byte amortized
 // intermediate node (40+4+4) for the 4-byte key — so the default
 // 128 MiB budget grants 621378 hash, 399457 lpm-trie, and 932067 scan
-// entries of the 2^20 declared — the clip points the full-scale sweep
-// and docs quote.
+// entries of the 2^20 declared — the clip points the docs quote.
 func TestEBPFSweepGrantCapacities(t *testing.T) {
 	prog := mustProg(t, millionFlowStyleProgram)
 	placed, err := NewEBPF(DefaultEBPFErrata()).(*backend).m.place(prog.Tables())

@@ -106,8 +106,8 @@ type Target interface {
 	// Resources estimates the hardware footprint of the loaded program.
 	Resources() ResourceReport
 	// TernaryGroups reports the number of distinct mask tuples installed
-	// in a ternary table — the tuple-space probe count the occupancy
-	// sweep's mask-diversity axis measures. 0 for non-ternary tables.
+	// in a ternary table — the tuple-space probe count, and on ebpf the
+	// number of mask-set scan sections. 0 for non-ternary tables.
 	TernaryGroups(table string) int
 }
 
@@ -181,12 +181,12 @@ func (r ResourceReport) String() string {
 }
 
 // ModelBytes converts the report's form-specific footprint into bytes
-// of modelled table memory, so the occupancy sweep can print one
-// memory-per-entry column across backend classes. Each form charges
+// of modelled table memory, one figure comparable across backend
+// classes (resources.golden's model-bytes lines). Each form charges
 // what the architecture actually reserves: the eBPF offload its
 // memlock map grants, the ASIC its placed SRAM/TCAM blocks, the FPGA
 // its BRAM blocks. The reference target has no resource model and
-// returns 0 — callers fall back to measured heap there.
+// returns 0.
 func (r ResourceReport) ModelBytes() uint64 {
 	switch r.Form {
 	case FormFPGA:

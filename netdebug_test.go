@@ -225,35 +225,62 @@ func TestVerifyProgramFacade(t *testing.T) {
 	}
 }
 
-// TestPaperHeadline is the one-test summary of the reproduction: formal
-// verification passes the program, NetDebug on the sdnet target finds the
-// deployed bug.
+// TestPaperHeadline is the §4 case study as a table: formal verification
+// passes the router program, and NetDebug, validating 100 malformed
+// frames at 1 Mpps on every kind, finds the deployed reject bug on sdnet
+// (at its 440 ns pipeline delay) and on the smartnic's fail-open
+// exception path (at punt latency), while every other kind drops them.
 func TestPaperHeadline(t *testing.T) {
 	results, err := netdebug.VerifyProgram(p4test.Router)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if r.Property == "rejected-implies-dropped" && !r.Holds {
-			t.Fatal("verification should pass the program")
+	wantVerdicts := []string{
+		"VERIFIED rejected-implies-dropped (13 paths)",
+		"VIOLATED forwarded-implies-egress-assigned: ",
+		"VERIFIED malformed-ipv4-dropped (13 paths)",
+	}
+	if len(results) != len(wantVerdicts) {
+		t.Fatalf("%d verdicts, want %d: %+v", len(results), len(wantVerdicts), results)
+	}
+	for i, r := range results {
+		if !strings.HasPrefix(r.Detail, wantVerdicts[i]) || r.Holds != strings.HasPrefix(r.Detail, "VERIFIED") {
+			t.Errorf("verdict %d: holds=%v %q, want %q", i, r.Holds, r.Detail, wantVerdicts[i])
 		}
 	}
-	sys := openRouterT(t, netdebug.TargetSDNet)
+
 	bad := packet.BuildUDPv4(srcMAC, gwMAC, srcIP, dstIP, 4000, 53, nil)
 	bad[14] = 0x65
-	rep, err := sys.Validate(&netdebug.TestSpec{
-		Name: "headline",
+	spec := &netdebug.TestSpec{
+		Name: "reject-validation",
 		Gen: netdebug.GenSpec{Streams: []netdebug.StreamSpec{{
-			Name: "malformed", Template: bad, Count: 10, RatePPS: 1e6,
+			Name: "malformed", Template: bad, Count: 100, RatePPS: 1e6,
 		}}},
 		Check: netdebug.CheckSpec{Rules: []netdebug.Rule{{
-			Name: "dropped", Stream: "malformed", ExpectDrop: true,
+			Name: "malformed-dropped", Stream: "malformed", ExpectDrop: true,
 		}}},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if rep.Pass {
-		t.Fatal("NetDebug must detect the reject erratum on sdnet")
+	for _, tc := range []struct {
+		kind  netdebug.TargetKind
+		pass  bool
+		p99Ns int64
+	}{
+		{netdebug.TargetReference, true, 0},
+		{netdebug.TargetSDNet, false, 440},
+		{netdebug.TargetSDNetFixed, true, 0},
+		{netdebug.TargetTofino, true, 0},
+		{netdebug.TargetTofinoFixed, true, 0},
+		{netdebug.TargetEBPF, true, 0},
+		{netdebug.TargetEBPFFixed, true, 0},
+		{netdebug.TargetSmartNIC, false, 2496},
+		{netdebug.TargetSmartNICFixed, true, 0},
+	} {
+		rep, err := openRouterT(t, tc.kind).Validate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pass != tc.pass || rep.LatP99Ns != tc.p99Ns {
+			t.Errorf("%s: %v, want pass=%v p99=%dns", tc.kind, rep, tc.pass, tc.p99Ns)
+		}
 	}
 }
