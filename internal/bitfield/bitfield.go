@@ -330,6 +330,17 @@ func window(n, off, w int) (pos int, shift uint) {
 	return pos, uint((pos+8)*8 - off - w)
 }
 
+// Lane returns window's word for a w-bit field at bit offset off of an
+// n-byte buffer when the field is a lane there, in a buffer at least a
+// word long, and pos < 0 otherwise: a caller storing the field many times
+// lowers it once.
+func Lane(n, off, w int) (pos int, shift uint) {
+	if w <= 0 || off&7+w > 64 || n < 8 {
+		return -1, 0
+	}
+	return window(n, off, w)
+}
+
 // loadBits returns the w bits (w ≤ 64) at bit offset off; the caller has
 // checked the range.
 func loadBits(buf []byte, off, w int) uint64 {

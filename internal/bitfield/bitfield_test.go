@@ -2,6 +2,7 @@ package bitfield
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -336,5 +337,39 @@ func BenchmarkInject(b *testing.B) {
 	v := New(0xdead, 16)
 	for i := 0; i < b.N; i++ {
 		MustInject(buf, 37, 16, v)
+	}
+}
+
+// TestLane: every field of at most 64 bits that does not straddle nine
+// bytes, in a buffer at least a word long, is a lane, and a store into
+// Lane's word under the field's mask writes what Inject writes; every
+// other field has no lane.
+func TestLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 20; n++ {
+		for off := 0; off < n*8; off++ {
+			for w := 1; w <= 66 && off+w <= n*8; w++ {
+				pos, shift := Lane(n, off, w)
+				if lane := n >= 8 && off&7+w <= 64; lane != (pos >= 0) {
+					t.Fatalf("Lane(%d, %d, %d) = %d, want a lane: %v", n, off, w, pos, lane)
+				}
+				if pos < 0 {
+					continue
+				}
+				buf := make([]byte, n)
+				rng.Read(buf)
+				want := append([]byte(nil), buf...)
+				v := rng.Uint64()
+				if err := Inject(want, off, w, New(v, w)); err != nil {
+					t.Fatal(err)
+				}
+				mask := ^uint64(0) >> uint(64-w) << shift
+				word := binary.BigEndian.Uint64(buf[pos:])
+				binary.BigEndian.PutUint64(buf[pos:], word&^mask|v<<shift&mask)
+				if !bytes.Equal(buf, want) {
+					t.Fatalf("n %d off %d w %d: word store %x, Inject %x", n, off, w, buf, want)
+				}
+			}
+		}
 	}
 }

@@ -3,8 +3,8 @@ package core
 import (
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"netdebug/internal/control"
 	"netdebug/internal/device"
@@ -51,43 +51,44 @@ type Agent struct {
 	spec   *TestSpec
 	report *Report
 
-	// The plan is the spec's, the storage the agent's: gen — frame arena,
-	// packet slices, fuzz sources — takes each spec Configure has
-	// validated, each checker is built in the histogram and scratch of the
-	// one before, and Run resets it instead of building another, so a
+	// The plan is the spec's, the storage the agent's: Configure lowers
+	// each spec it accepts into gen — frame arena, packet and time slices,
+	// edits — and into checker — histogram, rule lists, scratch — in place,
+	// and Run resets the checker instead of building another, so a
 	// validation allocates per run and not per frame.
 	gen     Generator
-	checker *Checker
-
-	// batch staging reused across runs: frames/ats carve each
-	// same-ingress-port run of the generated stream into one
-	// InjectInternalBatch call.
-	batchFrames [][]byte
-	batchAts    []time.Duration
+	checker Checker
 }
 
 // NewAgent attaches NetDebug to a device.
 func NewAgent(dev *device.Device) *Agent {
-	return &Agent{dev: dev, checker: &Checker{lat: stats.NewHistogram()}}
+	return &Agent{dev: dev, checker: Checker{lat: stats.NewHistogram()}}
 }
 
 // Device returns the underlying device (for in-process harnesses).
 func (a *Agent) Device() *device.Device { return a.dev }
 
-// Configure installs a test specification. A spec either half refuses
-// leaves the agent as it was: the checker is built aside first, and the
-// generator takes the spec only after that.
+// Configure installs a test specification: the generator's half is
+// checked, every rule's stream must be one it generates, and both halves
+// are lowered. A spec either half refuses leaves the agent as it was — the
+// checker refuses before it changes anything, and by then the generator's
+// half has passed.
 func (a *Agent) Configure(spec *TestSpec) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	checker, err := newChecker(spec.Check, a.checker)
-	if err != nil {
+	if err := spec.Gen.check(); err != nil {
 		return err
 	}
-	if err := a.gen.Configure(spec.Gen); err != nil {
+	for _, r := range spec.Check.Rules {
+		if r.Stream != "" && !slices.ContainsFunc(spec.Gen.Streams, func(s StreamSpec) bool { return s.Name == r.Stream }) {
+			return fmt.Errorf("core: rule %q: no stream %q", r.Name, r.Stream)
+		}
+	}
+	if err := a.checker.configure(spec.Check); err != nil {
 		return err
 	}
-	a.spec, a.checker, a.report = spec, checker, nil
+	a.gen.lower(spec.Gen)
+	a.spec, a.report = spec, nil
 	return nil
 }
 
@@ -95,9 +96,10 @@ func (a *Agent) Configure(spec *TestSpec) error {
 // batch scratch (one context per slot) stays modest on huge streams.
 const maxInjectBatch = 512
 
-// Run executes the configured test: the generator materializes every
-// test packet into its arena, consecutive same-ingress-port packets are
-// injected as one batch through the target's batched data-plane path
+// Run executes the configured test: the generator stamps every test
+// packet into its arena in schedule order, with the frames and times
+// beside them, consecutive same-ingress-port packets are injected as one
+// batch through the target's batched data-plane path
 // (Target.ProcessBatch under the hood), and the checker validates every
 // result in real time. The report is retained for collection.
 func (a *Agent) Run() (*Report, error) {
@@ -108,21 +110,15 @@ func (a *Agent) Run() (*Report, error) {
 	}
 	a.checker.reset()
 	pkts := a.gen.Packets(a.dev.Now())
+	frames, ats := a.gen.arena.Since(0), a.gen.ats
 	for start := 0; start < len(pkts); {
 		port := pkts[start].IngressPort
 		end := start + 1
 		for end < len(pkts) && end-start < maxInjectBatch && pkts[end].IngressPort == port {
 			end++
 		}
-		frames := a.batchFrames[:0]
-		ats := a.batchAts[:0]
-		for _, tp := range pkts[start:end] {
-			frames = append(frames, tp.Data)
-			ats = append(ats, tp.At)
-		}
-		a.batchFrames, a.batchAts = frames, ats
-		results := a.dev.InjectInternalBatch(frames, port, ats, true)
-		a.checker.OnResults(pkts[start:end], results, ats)
+		results := a.dev.InjectInternalBatch(frames[start:end], port, ats[start:end], true)
+		a.checker.OnResults(pkts[start:end], results, ats[start:end])
 		start = end
 	}
 	a.report = a.checker.Finish()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,15 +139,17 @@ func TestReportSurvivesNextRun(t *testing.T) {
 }
 
 // TestValidateAllocsPerRun pins what a validation allocates: a spec
-// decoded, a generator and a checker planned, a report built and sent —
-// per run, nothing per frame. 256 a run is 0.125 a frame; a generator
-// and a checker built twice over, two slices a traced frame and a codec
-// per payload made it some 4 800.
+// decoded, a generator and a checker lowered in the agent's storage, a
+// report built and sent — per run, nothing per frame. The bound is the
+// measured count rounded up to a multiple of 16: 72 on reference, 97 on
+// smartnic (some 90 and 114 before the lowering; a generator and a
+// checker built twice over, two slices a traced frame and a codec per
+// payload made it some 4 800).
 func TestValidateAllocsPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	const frames = 2048
+	const frames, bound = 2048, 112
 	spec := threeStreamSpec(frames)
 	for _, kind := range []string{target.KindReference, target.KindSmartNIC} {
 		ctl := Connect(kindAgent(t, kind))
@@ -155,8 +159,8 @@ func TestValidateAllocsPerRun(t *testing.T) {
 			}
 		}
 		run() // the connection's type descriptions, the burst contexts, the arena
-		if got := testing.AllocsPerRun(10, run); got > 256 {
-			t.Errorf("%s: %v allocs per %d-frame validation, want at most 256", kind, got, frames)
+		if got := testing.AllocsPerRun(10, run); got > bound {
+			t.Errorf("%s: %v allocs per %d-frame validation, want at most %d", kind, got, frames, bound)
 		}
 		ctl.Close()
 	}
@@ -190,4 +194,71 @@ func TestConfigureRacesRun(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestConfigureRefusesRuleOnMissingStream: a rule naming a stream the
+// generator does not have would score nothing and pass; Configure
+// refuses it, naming the rule and the stream, over the control wire too.
+// A match-all rule names no stream and is still accepted.
+func TestConfigureRefusesRuleOnMissingStream(t *testing.T) {
+	spec := &TestSpec{
+		Name: "typo",
+		Gen: GenSpec{Streams: []StreamSpec{
+			{Name: "good", Template: goodFrame(22), Count: 8},
+			{Name: "bad", Template: badVersionFrame(), Count: 8},
+		}},
+		Check: CheckSpec{Rules: []Rule{
+			{Name: "good-forwarded", Stream: "good", ExpectPort: 1},
+			{Name: "typo-port", Stream: "goood", ExpectPort: 7},
+		}},
+	}
+	agent := kindAgent(t, target.KindReference)
+	ctl := Connect(agent)
+	defer ctl.Close()
+	if err := agent.Configure(spec); err == nil || !strings.Contains(err.Error(), `rule "typo-port": no stream "goood"`) {
+		t.Fatalf("Configure: %v, want the rule and the stream named", err)
+	}
+	if rep, err := ctl.RunTest(spec); err == nil {
+		t.Fatalf("RunTest of a rule on a missing stream reported %v", rep)
+	}
+	spec.Check.Rules[1].Stream = ""
+	if rep, err := ctl.RunTest(spec); err != nil || rep.Pass || len(rep.Rules) != 2 {
+		t.Fatalf("a match-all rule: %v %v, want a run that fails it", rep, err)
+	}
+}
+
+// TestSameNameRulesKeepSpecOrder: two rules sharing a name, on two
+// streams, come back in spec order on every run — the report's bytes
+// depend on nothing but the spec and the device.
+func TestSameNameRulesKeepSpecOrder(t *testing.T) {
+	spec := &TestSpec{
+		Name: "twins",
+		Gen: GenSpec{Streams: []StreamSpec{
+			{Name: "good", Template: goodFrame(22), Count: 10},
+			{Name: "bad", Template: badVersionFrame(), Count: 10},
+		}},
+		Check: CheckSpec{Rules: []Rule{
+			{Name: "d", Stream: "good", ExpectPort: 1},
+			{Name: "d", Stream: "bad", ExpectPort: 1},
+			{Name: "c", ExpectPort: -1},
+		}},
+	}
+	ctl := Connect(kindAgent(t, target.KindReference))
+	defer ctl.Close()
+	orders := map[string]int{}
+	for i := 0; i < 100; i++ {
+		rep, err := ctl.RunTest(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := ""
+		for _, rr := range rep.Rules {
+			order += fmt.Sprintf("%s:%d/%d ", rr.Rule, rr.Pass, rr.Fail)
+		}
+		orders[order]++
+	}
+	const want = "c:10/10 d:10/0 d:0/10 "
+	if len(orders) != 1 || orders[want] != 100 {
+		t.Fatalf("100 runs gave %d orders, want 100 of\n%s\ngot %v", len(orders), want, orders)
+	}
 }

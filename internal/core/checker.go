@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"netdebug/internal/dataplane"
@@ -103,18 +103,24 @@ const maxSamples = 5
 // blocks via OnResults and live-traffic outputs via OnLiveOutput, then
 // call Finish.
 type Checker struct {
-	spec   CheckSpec
-	rules  map[string][]*ruleState // stream -> rules ("" = all)
-	lat    *stats.Histogram
-	meter  stats.Meter
-	report Report // the counts; Finish fills in the rest of its copy
-	drops  []dropSite
-	p4     *dataplane.Engine
-	p4ctx  *dataplane.Context
-	// OnResults scratch: the combined rule list per stream, computed once
-	// instead of per frame, and the block's forwarded latencies staged
-	// for one histogram batch-observe.
-	ruleCache  map[string][]*ruleState
+	spec CheckSpec
+	// The rules lowered at configure, in storage the next configure
+	// reuses: every rule in spec order, the streams they name, in order of
+	// first mention, and per stream the rules that score its packets — its
+	// own and the match-all ones, in spec order — with one more list past
+	// the last stream, the match-all rules alone, for a stream none of them
+	// names.
+	rules    []ruleState
+	streams  []string
+	byStream [][]*ruleState
+	lat      *stats.Histogram
+	meter    stats.Meter
+	report   Report // the counts; Finish fills in the rest of its copy
+	drops    []dropSite
+	p4       *dataplane.Engine
+	p4ctx    *dataplane.Context
+	// OnResults scratch: the block's forwarded latencies, staged for one
+	// histogram batch-observe.
 	latScratch []time.Duration
 }
 
@@ -143,44 +149,69 @@ func (c *Checker) countDrop(t *dataplane.Trace) {
 }
 
 // NewChecker compiles the spec (including the optional P4 classifier).
+// Packets of a stream no rule names are scored by the match-all rules.
 func NewChecker(spec CheckSpec) (*Checker, error) {
-	return newChecker(spec, &Checker{lat: stats.NewHistogram()})
-}
-
-// newChecker is NewChecker in the storage of old — its histogram and its
-// block scratch, reset before use — for a caller that retires old with it.
-func newChecker(spec CheckSpec, old *Checker) (*Checker, error) {
-	c := &Checker{spec: spec, rules: make(map[string][]*ruleState), lat: old.lat, latScratch: old.latScratch}
-	for _, r := range spec.Rules {
-		if r.Name == "" {
-			return nil, fmt.Errorf("core: checker rule with empty name")
-		}
-		c.rules[r.Stream] = append(c.rules[r.Stream], &ruleState{def: r, result: RuleResult{Rule: r.Name}})
-	}
-	if spec.P4Check != "" {
-		prog, err := compile.Compile(spec.P4Check)
-		if err != nil {
-			return nil, fmt.Errorf("core: compiling P4 check program: %w", err)
-		}
-		c.p4 = dataplane.New(prog)
-		c.p4ctx = c.p4.NewContext()
-		for _, e := range spec.P4CheckEntries {
-			if err := c.p4.InstallEntry(e); err != nil {
-				return nil, fmt.Errorf("core: loading P4 check entries: %w", err)
-			}
-		}
+	c := &Checker{lat: stats.NewHistogram()}
+	if err := c.configure(spec); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// reset returns the checker to what NewChecker built, in the storage it
+// configure lowers spec into c's storage, binding its rules to the
+// streams they name. A rule without a name, or a classifier that does not
+// compile or load, is refused, and leaves c as it was.
+func (c *Checker) configure(spec CheckSpec) error {
+	for _, r := range spec.Rules {
+		if r.Name == "" {
+			return fmt.Errorf("core: checker rule with empty name")
+		}
+	}
+	var p4 *dataplane.Engine
+	var p4ctx *dataplane.Context
+	if spec.P4Check != "" {
+		prog, err := compile.Compile(spec.P4Check)
+		if err != nil {
+			return fmt.Errorf("core: compiling P4 check program: %w", err)
+		}
+		p4 = dataplane.New(prog)
+		p4ctx = p4.NewContext()
+		for _, e := range spec.P4CheckEntries {
+			if err := p4.InstallEntry(e); err != nil {
+				return fmt.Errorf("core: loading P4 check entries: %w", err)
+			}
+		}
+	}
+	c.spec, c.p4, c.p4ctx = spec, p4, p4ctx
+	c.rules = slices.Grow(c.rules[:0], len(spec.Rules))
+	c.streams = c.streams[:0]
+	for _, r := range spec.Rules {
+		c.rules = append(c.rules, ruleState{def: r, result: RuleResult{Rule: r.Name}})
+		if r.Stream != "" && !slices.Contains(c.streams, r.Stream) {
+			c.streams = append(c.streams, r.Stream)
+		}
+	}
+	// Resliced within capacity, byStream's lists are the last configure's,
+	// and are refilled in place.
+	c.byStream = slices.Grow(c.byStream[:0], len(c.streams)+1)[:len(c.streams)+1]
+	for k, list := range c.byStream {
+		list = list[:0]
+		for i := range c.rules {
+			if s := c.rules[i].def.Stream; s == "" || k < len(c.streams) && s == c.streams[k] {
+				list = append(list, &c.rules[i])
+			}
+		}
+		c.byStream[k] = list
+	}
+	return nil
+}
+
+// reset returns the checker to what configure built, in the storage it
 // has: the histogram, the meter, the drop tally. A rule's samples are
 // left to the report Finish gave them to.
 func (c *Checker) reset() {
-	for _, rules := range c.rules {
-		for _, rs := range rules {
-			rs.result = RuleResult{Rule: rs.def.Name}
-		}
+	for i := range c.rules {
+		c.rules[i].result = RuleResult{Rule: c.rules[i].def.Name}
 	}
 	c.lat.Reset()
 	c.meter.Reset()
@@ -270,42 +301,19 @@ func (c *Checker) applyRule(rs *ruleState, tp *TestPacket, res *target.Result) {
 	rs.pass()
 }
 
-// rulesFor returns the rules applying to a stream — stream-specific
-// plus match-all — building the combined list once per stream.
-func (c *Checker) rulesFor(stream string) []*ruleState {
-	if rs, ok := c.ruleCache[stream]; ok {
-		return rs
-	}
-	if c.ruleCache == nil {
-		c.ruleCache = make(map[string][]*ruleState)
-	}
-	rs := c.rules[stream]
-	if stream != "" {
-		rs = append(slices.Clip(rs), c.rules[""]...) // clipped: never grow into c.rules[stream]
-	}
-	c.ruleCache[stream] = rs
-	return rs
-}
-
 // OnResults scores one block of injected test packets against their
 // data-plane results, mirroring the injection side's batching on the
 // verify side. Verdicts are those of scoring each packet on its own (the
 // frame-at-a-time model in checker_batch_test.go is the equality
-// oracle); the block form amortizes the per-frame overheads: rule-list
-// construction is cached per stream, forwarded latencies are staged and
+// oracle); the block form amortizes the per-frame overheads: rule lists
+// are built once, at configure, forwarded latencies are staged and
 // batch-observed with one atomic aggregate update, and the rate meter
 // takes its lock once per block instead of once per output.
 func (c *Checker) OnResults(tps []TestPacket, results []target.Result, ats []time.Duration) {
-	lats := c.latScratch[:0]
+	lats := slices.Grow(c.latScratch[:0], len(tps))
 	var dropped, forwarded uint64
 	var events, bytes uint64
 	var first, last time.Duration
-	// Stream runs are the common case (the tester drains captures in
-	// per-stream bursts), so memoize the last rule-list lookup: a run of
-	// k same-stream frames costs one map probe, not k.
-	var lastStream string
-	var lastRules []*ruleState
-	haveRules := false
 	for i := range tps {
 		res := &results[i]
 		tp := &tps[i]
@@ -327,12 +335,11 @@ func (c *Checker) OnResults(tps []TestPacket, results []target.Result, ats []tim
 				bytes += uint64(len(out.Data))
 			}
 		}
-		if !haveRules || tp.Stream != lastStream {
-			lastRules = c.rulesFor(tp.Stream)
-			lastStream = tp.Stream
-			haveRules = true
+		k := slices.Index(c.streams, tp.Stream)
+		if k < 0 {
+			k = len(c.streams) // the match-all rules alone
 		}
-		for _, rs := range lastRules {
+		for _, rs := range c.byStream[k] {
 			c.applyRule(rs, tp, res)
 		}
 	}
@@ -364,14 +371,14 @@ func (c *Checker) Finish() *Report {
 	r.OutPPS = snap.PPS
 	r.OutBPS = snap.BPS
 	r.Pass = true
-	for _, rules := range c.rules {
-		for _, rs := range rules {
-			r.Rules = append(r.Rules, rs.result)
-			if rs.result.Fail > 0 {
-				r.Pass = false
-			}
+	r.Rules = slices.Grow(r.Rules, len(c.rules)) // still nil with no rules
+	for i := range c.rules {
+		r.Rules = append(r.Rules, c.rules[i].result)
+		if c.rules[i].result.Fail > 0 {
+			r.Pass = false
 		}
 	}
-	sort.Slice(r.Rules, func(i, j int) bool { return r.Rules[i].Rule < r.Rules[j].Rule })
+	// Stable, so rules sharing a name keep their spec order.
+	slices.SortStableFunc(r.Rules, func(a, b RuleResult) int { return strings.Compare(a.Rule, b.Rule) })
 	return &r
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,8 +60,8 @@ var dropSites = func() []dataplane.Trace {
 
 // checkerSpecForWorkload pairs stream-specific rules with a match-all
 // rule: the combination forces the per-frame path to build a fresh
-// combined rule list per packet, the allocation the batched path's rule
-// cache amortizes away.
+// combined rule list per packet, the work the batched path's bound rule
+// lists do once, at configure.
 func checkerSpecForWorkload() CheckSpec {
 	return CheckSpec{Rules: []Rule{
 		{Name: "s-port", Stream: "s", ExpectPort: 1},
@@ -69,8 +71,8 @@ func checkerSpecForWorkload() CheckSpec {
 }
 
 // OnResult is the retired frame-at-a-time scorer, the model OnResults is
-// held to: one packet per call, a fresh combined rule list per packet
-// (the allocation the block path's cache removes), one histogram and one
+// held to: one packet per call, its rules found by name in a fresh list
+// per packet (the work configure's binding removes), one histogram and one
 // meter update per output. It shares only applyRule with the block path:
 // drops are tallied by stage name into stages (nil: not at all), the
 // oracle for the indexed tally Finish renders.
@@ -88,10 +90,11 @@ func (c *Checker) OnResult(tp TestPacket, res target.Result, at time.Duration, s
 			c.meter.Record(at+res.Latency, len(out.Data))
 		}
 	}
-	rules := c.rules[tp.Stream]
-	if global := c.rules[""]; tp.Stream != "" && len(global) > 0 {
-		rules = append(make([]*ruleState, 0, len(rules)+len(global)), rules...)
-		rules = append(rules, global...)
+	var rules []*ruleState
+	for i := range c.rules {
+		if s := c.rules[i].def.Stream; s == "" || s == tp.Stream {
+			rules = append(rules, &c.rules[i])
+		}
 	}
 	for _, rs := range rules {
 		c.applyRule(rs, &tp, &res)
@@ -138,8 +141,8 @@ func TestCheckerBatchMatchesPerFrame(t *testing.T) {
 }
 
 // TestCheckerBatchAllocFree: warm OnResults blocks run without per-frame
-// allocations (the rule cache and latency scratch absorb the per-frame
-// churn of the frame-at-a-time path).
+// allocations (the bound rule lists and the latency scratch absorb the
+// per-frame churn of the frame-at-a-time path).
 func TestCheckerBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation floor not meaningful under the race detector")
@@ -149,7 +152,7 @@ func TestCheckerBatchAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.OnResults(tps, results, ats) // warm scratch + rule cache
+	c.OnResults(tps, results, ats) // warm the latency scratch
 	avg := testing.AllocsPerRun(20, func() {
 		c.OnResults(tps, results, ats)
 	})
@@ -189,5 +192,47 @@ func BenchmarkCheckerBatch(b *testing.B) {
 		for start := 0; start < len(tps); start += 512 {
 			c.OnResults(tps[start:start+512], results[start:start+512], ats[start:start+512])
 		}
+	}
+}
+
+// TestCheckerScoresForeignPackets: the agent's checker, fed packets from a
+// second generator whose streams are in reverse order, scores them by
+// stream name, rule for rule as the agent's own run did.
+func TestCheckerScoresForeignPackets(t *testing.T) {
+	spec := threeStreamSpec(600)
+	agent := kindAgent(t, target.KindSDNet) // fails malformed-dropped
+	own := configureRun(t, agent, spec)
+
+	reversed := GenSpec{Streams: slices.Clone(spec.Gen.Streams)}
+	slices.Reverse(reversed.Streams)
+	gen, err := NewGenerator(reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, dev := &agent.checker, agent.Device()
+	c.reset()
+	pkts := gen.Packets(dev.Now())
+	if pkts[0].Stream != "ttl0" {
+		t.Fatalf("fixture: the reversed generator's first packet is %q", pkts[0].Stream)
+	}
+	for lo := 0; lo < len(pkts); lo += maxInjectBatch {
+		hi := min(lo+maxInjectBatch, len(pkts))
+		results := dev.InjectInternalBatch(gen.arena.Since(0)[lo:hi], 0, gen.ats[lo:hi], true)
+		c.OnResults(pkts[lo:hi], results, gen.ats[lo:hi])
+	}
+	foreign := c.Finish()
+
+	counts := func(r *Report) string {
+		s := fmt.Sprintf("pass=%v injected=%d fwd=%d drop=%d", r.Pass, r.Injected, r.Forwarded, r.Dropped)
+		for _, rr := range r.Rules {
+			s += fmt.Sprintf(" %s:%d/%d", rr.Rule, rr.Pass, rr.Fail)
+		}
+		return s
+	}
+	if got, want := counts(foreign), counts(own); got != want {
+		t.Fatalf("foreign packets scored\n %s\nthe agent's own\n %s", got, want)
+	}
+	if own.Pass || own.Failures() != 150 {
+		t.Fatalf("fixture: sdnet should fail the 150 malformed frames: %v", own)
 	}
 }

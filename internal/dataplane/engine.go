@@ -234,8 +234,11 @@ func (e *Engine) Reset(ctx *Context, pkt []byte, ingressPort uint64) {
 	// The context owns its trace's slices and truncates them here, so a
 	// Trace read from it lives as long as the packet's output bytes do:
 	// until the next packet on this context. With CollectTrace off both
-	// are nil and stay nil.
-	ctx.Trace = Trace{Prog: e.prog, States: ctx.Trace.States[:0], Tables: ctx.Trace.Tables[:0]}
+	// are nil and stay nil. Field by field, not a Trace literal copied
+	// over (TestResetClearsTrace catches a field left out).
+	t := &ctx.Trace
+	t.Prog, t.States, t.Tables = e.prog, t.States[:0], t.Tables[:0]
+	t.ParserError, t.Verdict, t.Dropped, t.Drop, t.DropControl = 0, 0, false, DropNone, 0
 	if std := e.plan.std; std != nil {
 		ctx.slots[std[ir.StdMetaIngressPort]] = ingressPort & 0x1ff
 		ctx.slots[std[ir.StdMetaPacketLength]] = uint64(len(pkt)) & 0xffffffff

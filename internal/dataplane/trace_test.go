@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"reflect"
 	"testing"
 
 	"netdebug/internal/bitfield"
@@ -133,5 +134,62 @@ func TestTraceFormat(t *testing.T) {
 		if got := ctx.Trace.Format(); got != c.want {
 			t.Errorf("frame %x: Format = %q, want %q", c.frame, got, c.want)
 		}
+	}
+}
+
+// TestResetClearsTrace: Reset leaves no field of the last packet's Trace
+// behind. Every field is dirtied — by a frame the second control drops
+// with CollectTrace on, then, through reflect, whatever that frame left at
+// zero — and after Reset each must be zero, but for Prog, which is the
+// engine's program, and the two slices, which are empty on the backing
+// arrays the context keeps. The walk covers every field, so one added to
+// Trace later and not cleared by Reset fails here.
+func TestResetClearsTrace(t *testing.T) {
+	e := installed(t, mustEngine(t, twoControls), Entry{Table: "ta", Action: "fwd",
+		Keys: []KeyValue{{Value: bitfield.New(7, 8)}}, Args: []bitfield.Value{bitfield.New(3, 9)}})
+	ctx := e.NewContext()
+	ctx.CollectTrace = true
+	e.Process(ctx, []byte{7, 9}, 0)
+	if ctx.Trace.Drop != DropControl || ctx.Trace.DropControl != 1 || len(ctx.Trace.States) == 0 || len(ctx.Trace.Tables) == 0 {
+		t.Fatalf("fixture: the frame is not dropped by the second control: %+v", ctx.Trace)
+	}
+	v := reflect.ValueOf(&ctx.Trace).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !f.IsZero() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(1)
+		default:
+			t.Fatalf("field %s (%s) is zero after the frame and the test cannot dirty it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	states, tables := ctx.Trace.States, ctx.Trace.Tables
+	e.Reset(ctx, []byte{1, 2}, 0)
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Pointer:
+			if f.Interface() != any(e.prog) {
+				t.Errorf("%s is not the engine's program after Reset", name)
+			}
+		case reflect.Slice:
+			if f.Len() != 0 {
+				t.Errorf("%s has %d elements after Reset", name, f.Len())
+			}
+		default:
+			if !f.IsZero() {
+				t.Errorf("%s = %v after Reset, want zero", name, f.Interface())
+			}
+		}
+	}
+	if &ctx.Trace.States[:1][0] != &states[0] || &ctx.Trace.Tables[:1][0] != &tables[0] {
+		t.Error("Reset dropped the trace slices' backing arrays")
 	}
 }

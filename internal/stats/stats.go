@@ -8,11 +8,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,23 +28,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.v.Store(0) }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the current value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Meter measures event and byte rates over a simulated-time window. Unlike
 // wall-clock meters, all timestamps are supplied by the caller (the device
@@ -280,9 +260,11 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.Max()
 }
 
-// Reset clears all recorded values.
+// Reset clears all recorded values. No count lies above the bucket of the
+// largest value observed, so the clear stops there instead of walking all
+// 1 536 buckets.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
+	for i := range h.counts[:bucketIndex(h.max.Load())+1] {
 		h.counts[i].Store(0)
 	}
 	h.total.Store(0)
@@ -327,28 +309,4 @@ func (s *Set) Values() map[string]uint64 {
 		out[k] = c.Value()
 	}
 	return out
-}
-
-// Reset zeroes every counter in the set.
-func (s *Set) Reset() {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, c := range s.counters {
-		c.Reset()
-	}
-}
-
-// String renders the set sorted by name, one "name=value" per line.
-func (s *Set) String() string {
-	vals := s.Values()
-	names := make([]string, 0, len(vals))
-	for k := range vals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s=%d\n", n, vals[n])
-	}
-	return b.String()
 }

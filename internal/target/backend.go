@@ -285,10 +285,11 @@ func (b *backend) run(s *scratch, frames [][]byte, ingressPort uint64, trace boo
 		ctx := s.ctx[i]
 		ctx.CollectTrace = trace
 		data, egress := b.eng.Process(ctx, frame, ingressPort)
-		res[i] = Result{Latency: b.latency, Trace: ctx.Trace}
+		r := &res[i] // field by field: a Result literal is built aside, then copied
+		r.Outputs, r.Latency, r.Trace = nil, b.latency, ctx.Trace
 		if data != nil {
 			s.out[i] = Output{Port: egress, Data: data}
-			res[i].Outputs = s.out[i : i+1]
+			r.Outputs = s.out[i : i+1]
 		}
 		if b.punt != nil {
 			b.punt.classify(ctx, &res[i], s.out[i:i+1], frame, ingressPort, trace)

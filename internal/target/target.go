@@ -73,7 +73,7 @@ type Result struct {
 }
 
 // Dropped reports whether the packet produced no output.
-func (r Result) Dropped() bool { return len(r.Outputs) == 0 }
+func (r *Result) Dropped() bool { return len(r.Outputs) == 0 }
 
 // Target is a loadable data-plane backend. See the package comment for
 // the full interface contract.
