@@ -65,10 +65,10 @@ loc:
 
 # What no shipped entry point runs: every cmd/* and examples/* program
 # and the benchmark are built with coverage of the whole module, run
-# through their CI smoke invocations (p4c, which CI does not run,
-# through its usage line; the benchmark for a second at -trace 0 and
-# -trace 1), and the functions left at 0.0% go to prodcover.txt. A
-# binary that never runs writes no coverage at all, so each runs once.
+# through their CI smoke invocations (p4c also with -resources; the
+# benchmark for a second at -trace 0 and -trace 1), and the functions
+# left at 0.0% go to prodcover.txt. A binary that never runs writes no
+# coverage at all, so each runs once.
 # The evidence behind a "no production caller" claim.
 prodcover:
 	@set -e; \
@@ -87,6 +87,7 @@ prodcover:
 	"$$b/netdebug" -program examples/router.p4 -fuzz -fuzz-budget 768 -fuzz-shards 4 > /dev/null; \
 	"$$b/docgate" > /dev/null; \
 	"$$b/p4c" -target sdnet -resources examples/router.p4 > /dev/null; \
+	"$$b/p4c" -verify examples/router.p4 > /dev/null; \
 	for t in 0 1; do "$$b/benchmark" -seconds 1 -trace $$t -out "$$tmp/bench.json" > /dev/null; done; \
 	$(GO) tool covdata textfmt -i "$$tmp/cov" -o "$$tmp/prof.txt"; \
 	"$$b/covgate" -profile "$$tmp/prof.txt" 2> /dev/null; \

@@ -80,6 +80,25 @@ func TestVerifyProgramOptionForms(t *testing.T) {
 	}
 }
 
+// TestVerifyProgramAllocs pins what one verification of the router
+// costs: compile, one exploration with every path solved, and three
+// properties walked over the same paths (1 312 allocations measured;
+// exploring once per property costs some 2 800).
+func TestVerifyProgramAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under race instrumentation")
+	}
+	const maxAllocs = 1328
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := netdebug.VerifyProgram(p4test.Router, netdebug.WithWorkers(1), netdebug.WithSolvePaths()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("VerifyProgram(router) = %.0f allocations, want <= %d", allocs, maxAllocs)
+	}
+}
+
 // TestFuzzFleetFacade drives the fuzzing fleet through the public
 // option-style entry point: deterministic across repeat runs, shard
 // count invisible in the report, and the known sdnet/ebpf errata

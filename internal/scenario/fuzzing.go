@@ -47,14 +47,14 @@ func fuzzingScenarios() []Scenario {
 				// The program the backends share verifies clean — the two
 				// properties the sdnet erratum breaks on hardware hold on
 				// the source; the divergences live below the program model.
-				prog := mustProg(defaultRouteRouter.src)
-				for _, prop := range []verify.Property{verify.PropRejectedDropped, verify.PropMalformedIPv4Dropped("ipv4")} {
-					res, err := verify.Check(prog, prop, verify.Options{})
-					if err != nil {
-						return missed("verify error: %v", err)
-					}
+				props := []verify.Property{verify.PropRejectedDropped, verify.PropMalformedIPv4Dropped("ipv4")}
+				results, err := verify.CheckAll(mustProg(defaultRouteRouter.src), props, verify.Options{})
+				if err != nil {
+					return missed("verify error: %v", err)
+				}
+				for _, res := range results {
 					if !res.Holds {
-						return missed("shared program fails %s", prop.Name)
+						return missed("shared program fails %s", res.Property)
 					}
 				}
 				return missed("shared program verifies clean; backend errata are invisible to program analysis")

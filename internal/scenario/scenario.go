@@ -735,19 +735,18 @@ func comparisonScenarios() []Scenario {
 			},
 			Formal: func() Outcome {
 				// Compare verification verdicts property-by-property.
-				pa, pb := mustProg(router.src), mustProg(splitRouter.src)
 				props := []verify.Property{verify.PropRejectedDropped, ttlZeroForwardProp()}
-				for _, prop := range props {
-					ra, err := verify.Check(pa, prop, verify.Options{})
-					if err != nil {
-						return missed("verify error: %v", err)
-					}
-					rb, err := verify.Check(pb, prop, verify.Options{})
-					if err != nil {
-						return missed("verify error: %v", err)
-					}
-					if ra.Holds != rb.Holds {
-						return missed("specifications differ on %s", prop.Name)
+				ra, err := verify.CheckAll(mustProg(router.src), props, verify.Options{})
+				if err != nil {
+					return missed("verify error: %v", err)
+				}
+				rb, err := verify.CheckAll(mustProg(splitRouter.src), props, verify.Options{})
+				if err != nil {
+					return missed("verify error: %v", err)
+				}
+				for i := range props {
+					if ra[i].Holds != rb[i].Holds {
+						return missed("specifications differ on %s", props[i].Name)
 					}
 				}
 				return detected("both specifications verify the same %d properties", len(props))

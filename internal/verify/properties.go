@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,6 +44,8 @@ type Result struct {
 // String renders a verdict line.
 func (r Result) String() string {
 	switch {
+	case r.Holds && r.Truncated > 0: // a bounded proof
+		return fmt.Sprintf("VERIFIED %s (%d paths, %d cut at the parser-state visit bound)", r.Property, r.PathsChecked, r.Truncated)
 	case r.Holds:
 		return fmt.Sprintf("VERIFIED %s (%d paths)", r.Property, r.PathsChecked)
 	case r.Inconclusive:
@@ -73,71 +76,96 @@ func (r Result) counterexampleString() string {
 	return strings.Join(parts, " ")
 }
 
-// Check verifies one property over every explored path. Exploration and
-// candidate-counterexample solving both run on Options.Workers lanes;
-// the result is the same at any worker count (the lowest-ID feasible
-// violation wins).
+// Check verifies one property over every explored path: CheckAll with
+// one property.
 func Check(prog *ir.Program, prop Property, opts Options) (Result, error) {
-	opts.fill()
-	paths, truncated, err := Explore(prog, opts)
+	res, err := CheckAll(prog, []Property{prop}, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Property: prop.Name, Holds: true, PathsChecked: len(paths), Truncated: truncated}
+	return res[0], nil
+}
 
-	// Walk paths in order, gathering violation candidates lazily into
-	// blocks of Workers and solving each block concurrently: the
-	// earliest feasible violation short-circuits both the remaining
-	// Violation sweeps and the remaining solves.
-	type candidate struct {
-		path *Path
-		cons []solver.BV
+// CheckAll verifies every property over one exploration: the paths are
+// enumerated (and, under SolvePaths, solved) once, and each property
+// walks the same set. Candidate solving runs on Options.Workers lanes;
+// each result is the same at any worker count (the lowest-ID feasible
+// violation wins) and is what Check returns for that property alone.
+func CheckAll(prog *ir.Program, props []Property, opts Options) ([]Result, error) {
+	opts.fill()
+	paths, truncated, err := Explore(prog, opts)
+	if err != nil {
+		return nil, err
 	}
-	cands := make([]candidate, 0, opts.Workers)
-	models := make([]solver.Model, opts.Workers)
-	statuses := make([]solver.Status, opts.Workers)
+	out := make([]Result, len(props))
+	for i, prop := range props {
+		out[i] = check(prog, prop, paths, truncated, opts.Workers)
+	}
+	return out, nil
+}
+
+// check walks paths in order, gathering violation candidates lazily into
+// blocks of workers and solving each block concurrently; the earliest
+// feasible violation ends the walk. A violation that adds no constraints
+// to a solved path is decided Sat with the path's Model: the scoped
+// context encodes a path exactly as a fresh one would, so that is the
+// model solver.Solve would return.
+func check(prog *ir.Program, prop Property, paths []*Path, truncated, workers int) Result {
+	res := Result{Property: prop.Name, Holds: true, PathsChecked: len(paths), Truncated: truncated}
+	type candidate struct {
+		path   *Path
+		cons   []solver.BV
+		model  solver.Model // set up front when the path's own model decides it
+		status solver.Status
+	}
+	solve := func(c *candidate) {
+		if c.model == nil {
+			c.model, c.status = solver.Solve(c.cons)
+		}
+	}
+	cands := make([]candidate, 0, workers)
 	for pi := 0; pi < len(paths); {
 		cands = cands[:0]
-		for pi < len(paths) && len(cands) < opts.Workers {
+		for pi < len(paths) && len(cands) < workers {
 			p := paths[pi]
 			pi++
 			violated, extra := prop.Violation(prog, p)
 			if !violated {
 				continue
 			}
-			cons := append(append([]solver.BV(nil), p.Constraints...), extra...)
-			cands = append(cands, candidate{path: p, cons: cons})
+			if len(extra) == 0 && p.Model != nil {
+				// No later candidate can win over this one.
+				cands = append(cands, candidate{path: p, model: p.Model, status: solver.Sat})
+				break
+			}
+			cands = append(cands, candidate{path: p, cons: append(slices.Clip(p.Constraints), extra...)})
 		}
 		if len(cands) == 1 {
-			models[0], statuses[0] = solver.Solve(cands[0].cons)
-		} else if len(cands) > 1 {
+			solve(&cands[0])
+		} else {
 			var wg sync.WaitGroup
 			for i := range cands {
 				wg.Add(1)
-				go func(i int) {
+				go func() {
 					defer wg.Done()
-					models[i], statuses[i] = solver.Solve(cands[i].cons)
-				}(i)
+					solve(&cands[i])
+				}()
 			}
 			wg.Wait()
 		}
-		for i := range cands {
-			switch statuses[i] {
+		for _, c := range cands {
+			switch c.status {
 			case solver.Sat:
-				res.Holds = false
-				res.Counterexample = models[i]
-				res.Path = cands[i].path
-				return res, nil
+				res.Holds, res.Counterexample, res.Path = false, c.model, c.path
+				return res
 			case solver.Unknown:
-				res.Holds = false
-				res.Inconclusive = true
-				res.Path = cands[i].path
-				return res, nil
+				res.Holds, res.Inconclusive, res.Path = false, true, c.path
+				return res
 			}
 			// Unsat: the violating path is infeasible; keep looking.
 		}
 	}
-	return res, nil
+	return res
 }
 
 // PropRejectedDropped asserts every parser-rejected packet is dropped.

@@ -119,7 +119,7 @@ type state struct {
 	trace     dataplane.Trace
 	control   int // the control running, for a drop and a table's actions
 	egressSet bool
-	visits    map[int]int
+	visits    []int // per parser state, indexed by state
 	// fresh numbers this path's symbolic variables. It is path-local so
 	// variable names depend only on the path's own history, never on
 	// exploration order across paths.
@@ -135,9 +135,11 @@ func (s *state) clone() *state {
 	ns := &state{trace: s.trace, control: s.control, egressSet: s.egressSet, fresh: s.fresh}
 	ns.trace.States = slices.Clone(s.trace.States)
 	ns.trace.Tables = slices.Clone(s.trace.Tables)
+	// One backing array for every instance's fields; no field slice grows.
+	all := slices.Concat(s.fields...)
 	ns.fields = make([][]solver.BV, len(s.fields))
-	for i := range s.fields {
-		ns.fields[i] = append([]solver.BV(nil), s.fields[i]...)
+	for i, f := range s.fields {
+		ns.fields[i], all = all[:len(f):len(f)], all[len(f):]
 	}
 	ns.valid = append([]bool(nil), s.valid...)
 	ns.locals = append([]solver.BV(nil), s.locals...)
@@ -146,10 +148,7 @@ func (s *state) clone() *state {
 		ns.args[i] = append([]solver.BV(nil), s.args[i]...)
 	}
 	ns.cons = append([]solver.BV(nil), s.cons...)
-	ns.visits = make(map[int]int, len(s.visits))
-	for k, v := range s.visits {
-		ns.visits[k] = v
-	}
+	ns.visits = slices.Clone(s.visits)
 	ns.decisions = append([]byte(nil), s.decisions...)
 	return ns
 }
@@ -216,7 +215,7 @@ func ExploreWithStats(prog *ir.Program, opts Options) (*Exploration, error) {
 	}
 	w := ex.newWorker()
 
-	st := &state{visits: map[int]int{}, trace: dataplane.Trace{Prog: prog}}
+	st := &state{visits: make([]int, len(prog.Parser.States)), trace: dataplane.Trace{Prog: prog}}
 	st.fields = make([][]solver.BV, len(prog.Instances))
 	st.valid = make([]bool, len(prog.Instances))
 	for i, inst := range prog.Instances {

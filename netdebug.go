@@ -502,13 +502,13 @@ func VerifyProgram(p4src string, opts ...VerifyOption) ([]VerifyResult, error) {
 	if prog.Instance("ipv4") != nil {
 		props = append(props, verify.PropMalformedIPv4Dropped("ipv4"))
 	}
-	var out []VerifyResult
-	for _, p := range props {
-		res, err := verify.Check(prog, p, verify.Options{Workers: cfg.workers, SolvePaths: cfg.solvePaths})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, VerifyResult{Property: p.Name, Holds: res.Holds, Detail: res.String()})
+	results, err := verify.CheckAll(prog, props, verify.Options{Workers: cfg.workers, SolvePaths: cfg.solvePaths})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]VerifyResult, len(results))
+	for i, res := range results {
+		out[i] = VerifyResult{Property: res.Property, Holds: res.Holds, Detail: res.String()}
 	}
 	return out, nil
 }
