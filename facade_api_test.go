@@ -82,7 +82,7 @@ func TestVerifyProgramOptionForms(t *testing.T) {
 
 // TestVerifyProgramAllocs pins what one verification of the router
 // costs: compile, one exploration with every path solved, and three
-// properties walked over the same paths (1 312 allocations measured;
+// properties walked over the same paths (1 314 allocations measured;
 // exploring once per property costs some 2 800).
 func TestVerifyProgramAllocs(t *testing.T) {
 	if raceEnabled {

@@ -106,23 +106,16 @@ func CheckAll(prog *ir.Program, props []Property, opts Options) ([]Result, error
 
 // check walks paths in order, gathering violation candidates lazily into
 // blocks of workers and solving each block concurrently; the earliest
-// feasible violation ends the walk. A violation that adds no constraints
-// to a solved path is decided Sat with the path's Model: the scoped
-// context encodes a path exactly as a fresh one would, so that is the
-// model solver.Solve would return.
+// feasible violation ends the walk.
 func check(prog *ir.Program, prop Property, paths []*Path, truncated, workers int) Result {
 	res := Result{Property: prop.Name, Holds: true, PathsChecked: len(paths), Truncated: truncated}
 	type candidate struct {
 		path   *Path
 		cons   []solver.BV
-		model  solver.Model // set up front when the path's own model decides it
+		model  solver.Model
 		status solver.Status
 	}
-	solve := func(c *candidate) {
-		if c.model == nil {
-			c.model, c.status = solver.Solve(c.cons)
-		}
-	}
+	solve := func(c *candidate) { c.model, c.status = solver.Solve(c.cons) }
 	cands := make([]candidate, 0, workers)
 	for pi := 0; pi < len(paths); {
 		cands = cands[:0]
@@ -132,11 +125,6 @@ func check(prog *ir.Program, prop Property, paths []*Path, truncated, workers in
 			violated, extra := prop.Violation(prog, p)
 			if !violated {
 				continue
-			}
-			if len(extra) == 0 && p.Model != nil {
-				// No later candidate can win over this one.
-				cands = append(cands, candidate{path: p, model: p.Model, status: solver.Sat})
-				break
 			}
 			cands = append(cands, candidate{path: p, cons: append(slices.Clip(p.Constraints), extra...)})
 		}
