@@ -152,8 +152,8 @@ func TestTernaryChurnDifferential(t *testing.T) {
 					t.Fatalf("double delete: got %v, want NoSuchEntryError", err)
 				}
 			}
-			if ts.count != 0 || len(ts.groups) != 0 || len(ts.groupIdx) != 0 || ts.used != 0 {
-				t.Fatalf("after drain: count=%d groups=%d idx=%d slots=%d", ts.count, len(ts.groups), len(ts.groupIdx), ts.used)
+			if ts.count != 0 || len(ts.groups) != 0 || len(ts.tuples) != 0 || ts.used != 0 {
+				t.Fatalf("after drain: count=%d groups=%d tuples=%d slots=%d", ts.count, len(ts.groups), len(ts.tuples), ts.used)
 			}
 		}
 	}

@@ -171,10 +171,11 @@ func (e *Engine) SetTernaryTieBreak(name string, lifo bool) error {
 }
 
 // SetTernaryMaskLimit bounds the number of distinct mask tuples a
-// ternary table accepts; installs that would create group limit+1 fail
-// with a MaskSetError. Targets whose ternary emulation compiles to a
-// bounded mask-set scan (one match section per distinct mask, eBPF
-// style) use this to model the generated program's verifier budget.
+// ternary table accepts; an install that would make it limit+1 distinct
+// mask tuples fails with a MaskSetError. Targets whose ternary emulation
+// compiles to a bounded mask-set scan (one match section per distinct
+// mask, eBPF style) use this to model the generated program's verifier
+// budget.
 // Like SetTernaryTieBreak it must be called before entries are
 // installed, so the limit cannot invalidate install-time decisions.
 func (e *Engine) SetTernaryMaskLimit(name string, limit int) error {
@@ -196,11 +197,11 @@ func (e *Engine) SetTernaryMaskLimit(name string, limit int) error {
 }
 
 // TernaryGroupCount returns the number of distinct mask tuples in a
-// ternary table's tuple-space index — the per-lookup probe count. It
-// returns 0 for non-ternary or unknown tables.
+// ternary table — what a mask-set scan unrolls, not the probes a lookup
+// makes (merged tuples share one). It returns 0 for other tables.
 func (e *Engine) TernaryGroupCount(name string) int {
 	if ts, ok := e.tables[name]; ok && ts.kind == ir.MatchTernary {
-		return len(ts.groups)
+		return len(ts.tuples)
 	}
 	return 0
 }

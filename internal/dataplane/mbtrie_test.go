@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -470,4 +471,68 @@ func BenchmarkLPMTrieLookupBinary(b *testing.B) {
 			b.Fatal("lookup missed a resident prefix")
 		}
 	}
+}
+
+// FuzzLPMStore decodes the fuzz bytes into a key width (byte 0, which
+// also seeds a pool of eight base values) and a sequence of inserts,
+// removes and probes (three bytes each: operation and base value, prefix
+// length, probe suffix), and drives the multibit trie and the binary
+// model through a triePair: every verdict must be the one the set of
+// installed prefixes calls for, the two tries must agree on lookups of
+// the prefix, of a value under it and of a base value, and the trie's
+// node count must be a walk's. Removing what is left must leave no root.
+func FuzzLPMStore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		w := trieWidths[int(data[0])%len(trieWidths)]
+		rng := rand.New(rand.NewSource(int64(data[0])))
+		pool := make([]bitfield.Value, 8)
+		for i := range pool {
+			pool[i] = randVal(rng, w)
+		}
+		type prefix struct {
+			val  bitfield.Value
+			plen int
+		}
+		p := &triePair{t: t}
+		var live []prefix
+		const maxOps = 400
+		for op := 0; op < maxOps && 1+3*op+3 <= len(data); op++ {
+			b := data[1+3*op : 4+3*op]
+			plen := int(b[1]) % (w + 1)
+			pfx := prefix{pool[b[0]>>2&7].And(prefixMask(w, plen)), plen}
+			installed := slices.Contains(live, pfx)
+			switch b[0] & 3 {
+			case 0, 1:
+				if p.insert(pfx.val, plen) == installed {
+					t.Fatalf("op %d: insert %s/%d with installed=%v", op, pfx.val, plen, installed)
+				}
+				if !installed {
+					live = append(live, pfx)
+				}
+			case 2:
+				if p.remove(pfx.val, plen) != installed {
+					t.Fatalf("op %d: remove %s/%d with installed=%v", op, pfx.val, plen, installed)
+				}
+				live = slices.DeleteFunc(live, func(q prefix) bool { return q == pfx })
+			}
+			suffix := bitfield.New128(uint64(b[2])*0x9e3779b97f4a7c15, uint64(b[2])*0xbf58476d1ce4e5b9, w)
+			p.probe(pfx.val)
+			p.probe(pfx.val.Or(suffix.And(prefixMask(w, plen).Not())))
+			p.probe(pool[b[2]&7])
+			if nodes, _ := p.mb.stats(); nodes != p.mb.nodes {
+				t.Fatalf("op %d: the trie counts %d nodes, a walk finds %d", op, p.mb.nodes, nodes)
+			}
+		}
+		for _, pfx := range live {
+			if !p.remove(pfx.val, pfx.plen) {
+				t.Fatalf("installed prefix %s/%d not removable", pfx.val, pfx.plen)
+			}
+		}
+		if p.mb.root != nil {
+			t.Fatal("the emptied trie kept its root")
+		}
+	})
 }

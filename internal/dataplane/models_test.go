@@ -133,7 +133,7 @@ func (me *modelEntry) tupleKey() string {
 }
 
 // maskTuples is the set of distinct mask tuples installed — as many as
-// the tuple-space index must have groups.
+// the tuple-space index must have.
 func (m *linearModel) maskTuples() map[string]bool {
 	seen := make(map[string]bool)
 	for _, me := range m.entries {
@@ -222,16 +222,16 @@ func (p *ternaryPair) mustInstall(tb testing.TB, e Entry) (newTuple, rejected bo
 
 // mustDelete deletes e on both sides and fails the test unless the table
 // removed exactly the entries the model did — a NoSuchEntryError that
-// leaves count and groups alone when that is none. It returns how many.
+// leaves count and tuples alone when that is none. It returns how many.
 func (p *ternaryPair) mustDelete(tb testing.TB, e Entry) int {
 	tb.Helper()
-	count, groups := p.ts.count, len(p.ts.groups)
+	count, tuples := p.ts.count, len(p.ts.tuples)
 	removed, err := p.delete(e)
 	var miss *NoSuchEntryError
 	switch {
 	case removed == 0 && !errors.As(err, &miss):
 		tb.Fatalf("absent delete: err = %v, want NoSuchEntryError", err)
-	case removed == 0 && (p.ts.count != count || len(p.ts.groups) != groups):
+	case removed == 0 && (p.ts.count != count || len(p.ts.tuples) != tuples):
 		tb.Fatalf("absent delete changed the table")
 	case removed != 0 && err != nil:
 		tb.Fatalf("delete: %v", err)

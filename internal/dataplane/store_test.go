@@ -8,28 +8,43 @@ package dataplane
 // index to its own invariants.
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"netdebug/internal/bitfield"
 	"netdebug/internal/p4/ir"
 )
 
 // checkTernaryIndex asserts what the ternary store promises about itself:
-// groups in descending maxPrio order, one directory entry each, none
-// without a slot; the index at most half full with used counting its
-// occupied cells; every slot reachable from its home cell through
-// occupied cells only, owned by exactly one group, carrying that group's
-// hash of its entries' values, and chained in beats order with no
-// priority above the group's bound; the chains adding up to count.
+// groups in descending maxPrio order, none without a cell; every mask
+// tuple in a listed group whose masks it covers within maxLoose bits, own
+// exactly when they are its masks, and counting its entries; the index
+// at most half full with used counting its occupied cells; every cell
+// reachable from its home cell through occupied cells only, the one cell
+// of its group for its head's values, carrying that group's hash of them,
+// and chained in beats order with no priority above the group's bound,
+// every entry of a tuple of the group that agrees with the head under
+// its masks; no chain longer than maxChain unless each of its entries is
+// of the group's own tuple; the chains adding up to count.
 func checkTernaryIndex(tb testing.TB, ts *tableState) {
 	tb.Helper()
-	if len(ts.groupIdx) != len(ts.groups) {
-		tb.Fatalf("%d groups, %d in the directory", len(ts.groups), len(ts.groupIdx))
-	}
 	for i := 1; i < len(ts.groups); i++ {
 		if ts.groups[i-1].maxPrio < ts.groups[i].maxPrio {
 			tb.Fatalf("groups out of order at %d: maxPrio %d before %d", i, ts.groups[i-1].maxPrio, ts.groups[i].maxPrio)
+		}
+	}
+	for _, tu := range ts.tuples {
+		if !slices.Contains(ts.groups, tu.g) {
+			tb.Fatalf("tuple %x lives in an unlisted group", tu.masks)
+		}
+		if n := loose(tu.g.masks, tu.masks); n > maxLoose {
+			tb.Fatalf("tuple %x: group masks %x ignore %d of its bits", tu.masks, tu.g.masks, n)
+		}
+		if tu.own != slices.Equal(tu.g.masks, tu.masks) {
+			tb.Fatalf("tuple %x: own=%v under group masks %x", tu.masks, tu.own, tu.g.masks)
 		}
 	}
 	if 2*ts.used > len(ts.slots) {
@@ -37,6 +52,7 @@ func checkTernaryIndex(tb testing.TB, ts *tableState) {
 	}
 	occupied, entries := 0, 0
 	slotsOf := make(map[*ternaryGroup]int)
+	entriesOf := make(map[*maskTuple]int)
 	for at, s := range ts.slots {
 		if s.head == nil {
 			continue
@@ -47,34 +63,36 @@ func checkTernaryIndex(tb testing.TB, ts *tableState) {
 				tb.Fatalf("slot %d: empty cell %d between it and its home", at, p)
 			}
 		}
-		var key []uint64
-		for i, k := range s.head.Keys {
-			key = ts.plan.appendWords(key, i, k.Value)
+		key := ts.entryKey(nil, s.head)
+		g := s.head.tuple.g
+		if g.hash(key) != s.hash {
+			tb.Fatalf("slot %d: stored hash %#x, its group hashes the entry to %#x", at, s.hash, g.hash(key))
 		}
-		var owner *ternaryGroup
-		for _, g := range ts.groups {
-			if ts.holds(s.head, g, key) {
-				if owner != nil {
-					tb.Fatalf("slot %d belongs to two groups", at)
-				}
-				owner = g
-			}
+		if first, found := ts.find(g, s.hash, key); !found || first != at {
+			tb.Fatalf("slot %d: its group's cell for the head's values is %d (found %v)", at, first, found)
 		}
-		if owner == nil {
-			tb.Fatalf("slot %d belongs to no group", at)
-		}
-		if owner.hash(key) != s.hash {
-			tb.Fatalf("slot %d: stored hash %#x, its group hashes the entry to %#x", at, s.hash, owner.hash(key))
-		}
-		slotsOf[owner]++
+		slotsOf[g]++
+		chain, foreign := 0, false
 		for be := s.head; be != nil; be = be.next {
 			entries++
-			if be.Priority > owner.maxPrio {
-				tb.Fatalf("slot %d: priority %d above the group's maxPrio %d", at, be.Priority, owner.maxPrio)
+			chain++
+			entriesOf[be.tuple]++
+			foreign = foreign || !be.tuple.own
+			if ts.tuples[string(tupleKeyOf(be.tuple))] != be.tuple {
+				tb.Fatalf("slot %d: entry of a tuple not in the table", at)
+			}
+			if be.tuple.g != g || !ts.agrees(be, g.masks, key) {
+				tb.Fatalf("slot %d: chain entry of another group or cell", at)
+			}
+			if be.Priority > g.maxPrio {
+				tb.Fatalf("slot %d: priority %d above the group's maxPrio %d", at, be.Priority, g.maxPrio)
 			}
 			if be.next != nil && !ts.beats(be, be.next) {
 				tb.Fatalf("slot %d: chain out of beats order", at)
 			}
+		}
+		if chain > maxChain && foreign {
+			tb.Fatalf("slot %d: chain of %d holds a tuple not its group's own", at, chain)
 		}
 	}
 	if occupied != ts.used || entries != ts.count {
@@ -85,6 +103,20 @@ func checkTernaryIndex(tb testing.TB, ts *tableState) {
 			tb.Fatalf("group says %d slots, index has %d", g.slots, slotsOf[g])
 		}
 	}
+	for _, tu := range ts.tuples {
+		if tu.entries == 0 || tu.entries != entriesOf[tu] {
+			tb.Fatalf("tuple %x says %d entries, index has %d", tu.masks, tu.entries, entriesOf[tu])
+		}
+	}
+}
+
+// tupleKeyOf is a mask tuple's key in the table's tuples map.
+func tupleKeyOf(tu *maskTuple) []byte {
+	var b []byte
+	for _, m := range tu.masks {
+		b = binary.BigEndian.AppendUint64(b, m)
+	}
+	return b
 }
 
 func TestTernaryStoreModel(t *testing.T) {
@@ -104,7 +136,7 @@ func TestTernaryStoreModel(t *testing.T) {
 		multiRemoved int // one delete removed equal-priority duplicates
 		absent       int // delete of a key/priority that is not installed
 		maskRejects  int // install refused: new tuple at the mask limit
-		slotReused   int // new tuple accepted after an emptied group freed its slot
+		slotReused   int // new tuple accepted after an emptied tuple freed its slot
 	}
 	for _, lifo := range []bool{false, true} {
 		var sum seen
@@ -142,14 +174,14 @@ func TestTernaryStoreModel(t *testing.T) {
 					victim := p.m.resolve(e)
 					probe := valsOf(e)
 					pre := p.m.lookup(probe)
-					groupsBefore := len(p.ts.groups)
+					tuplesBefore := len(p.ts.tuples)
 					switch removed := p.mustDelete(t, e); {
 					case removed == 0:
 						sum.absent++
 					case removed > 1:
 						sum.multiRemoved++
 					}
-					if len(p.ts.groups) < groupsBefore {
+					if len(p.ts.tuples) < tuplesBefore {
 						freed = true
 					}
 					post := p.m.lookup(probe)
@@ -161,8 +193,8 @@ func TestTernaryStoreModel(t *testing.T) {
 				if p.ts.count != len(p.m.entries) {
 					t.Fatalf("lifo=%v seed %d op %d: count %d, model %d", lifo, seed, op, p.ts.count, len(p.m.entries))
 				}
-				if got, want := len(p.ts.groups), len(p.m.maskTuples()); got != want {
-					t.Fatalf("lifo=%v seed %d op %d: %d groups, model has %d mask tuples", lifo, seed, op, got, want)
+				if got, want := len(p.ts.tuples), len(p.m.maskTuples()); got != want {
+					t.Fatalf("lifo=%v seed %d op %d: %d tuples, model has %d", lifo, seed, op, got, want)
 				}
 				checkTernaryIndex(t, p.ts)
 				for i := 0; i < 4; i++ {
@@ -173,6 +205,92 @@ func TestTernaryStoreModel(t *testing.T) {
 		if sum.resurfaced == 0 || sum.multiRemoved == 0 || sum.absent == 0 || sum.maskRejects == 0 || sum.slotReused == 0 {
 			t.Fatalf("lifo=%v: sequence missed a case it exists to cover: %+v", lifo, sum)
 		}
+	}
+}
+
+// TestTernaryJoinRelaxSplit drives each placement of a new mask tuple —
+// open a group, join one whose masks it covers, relax one to it — and a
+// split of a tuple whose chain outgrew maxChain, holding the table to the
+// linear model and to checkTernaryIndex after each step, then drains it.
+func TestTernaryJoinRelaxSplit(t *testing.T) {
+	p := newTernaryPair([]synthKey{{32, ir.MatchTernary}}, 1<<10)
+	var live []Entry
+	mask := func(m uint64) bitfield.Value { return bitfield.New(m, 32) }
+	tuple := func(m uint64) *maskTuple {
+		t.Helper()
+		tu := p.ts.tuples[string(binary.BigEndian.AppendUint64(nil, m))]
+		if tu == nil {
+			t.Fatalf("no tuple %#x", m)
+		}
+		return tu
+	}
+	step := func(m uint64, prio int, vals ...uint64) {
+		t.Helper()
+		for _, v := range vals {
+			e := oneKeyEntry(bitfield.New(v, 32), mask(m), prio)
+			p.mustInstall(t, e)
+			live = append(live, e)
+		}
+		checkTernaryIndex(t, p.ts)
+		for _, e := range live {
+			for _, flip := range []uint64{0, 1, 0x10, 0x100, 0x1000, 0x10000, 0x1000000} {
+				p.lookup(t, []bitfield.Value{e.Keys[0].Value.Xor(bitfield.New(flip, 32))})
+			}
+		}
+	}
+	const m8, m20, m24, m28 = 0xff000000, 0xfffff000, 0xffffff00, 0xfffffff0
+	// /24 opens a group, and /28, 4 bits from its masks, joins it.
+	step(m24, 24, 0x0a000100, 0x0a000200)
+	step(m28, 28, 0x0a000110, 0x0a000300)
+	if g := tuple(m24).g; tuple(m28).g != g || len(p.ts.groups) != 1 || tuple(m28).own {
+		t.Fatalf("/28 did not join the /24 group")
+	}
+	// /20 is not covered by /24, but the group relaxes to it: /24 and /28
+	// are then 4 and 8 bits from its masks, and the four entries that now
+	// agree under /20 chain in one cell.
+	step(m20, 20, 0x0a010000)
+	if g := tuple(m20).g; !slices.Equal(g.masks, []uint64{m20}) || tuple(m24).g != g || tuple(m24).own || !tuple(m20).own || len(p.ts.groups) != 1 {
+		t.Fatalf("the group did not relax to /20")
+	}
+	if p.ts.used != 2 {
+		t.Fatalf("%d cells after the relax, want 2", p.ts.used)
+	}
+	// /8 is 20 bits from /28: no group can take it.
+	step(m8, 8, 0x0b000000)
+	if len(p.ts.groups) != 2 || tuple(m8).g == tuple(m20).g {
+		t.Fatalf("/8 did not open a group of its own")
+	}
+	// Nine /28 entries that agree under /20 make a chain of nine, longer
+	// than maxChain: /28 moves to a fixed group of its own masks, its two
+	// earlier entries with it.
+	var nine []uint64
+	for i := uint64(0); i < 9; i++ {
+		nine = append(nine, 0x0a0a0000|i<<4)
+	}
+	step(m28, 28, nine...)
+	if g := tuple(m28).g; g == tuple(m20).g || !g.fixed || !tuple(m28).own || len(p.ts.groups) != 3 {
+		t.Fatalf("/28 was not split off into a fixed group")
+	}
+	// 0x00fffff0 is 8 bits from the fixed /28 group and would relax it;
+	// every other group is too far, so it opens a fourth.
+	step(0x00fffff0, 16, 0x000a0000)
+	if g := tuple(0x00fffff0).g; g == tuple(m28).g || !slices.Equal(tuple(m28).g.masks, []uint64{m28}) || len(p.ts.groups) != 4 {
+		t.Fatalf("a tuple relaxed the fixed group")
+	}
+	for _, e := range live {
+		p.mustDelete(t, e)
+		checkTernaryIndex(t, p.ts)
+	}
+	if p.ts.count != 0 || p.ts.used != 0 || len(p.ts.groups) != 0 || len(p.ts.tuples) != 0 {
+		t.Fatalf("drained table keeps %d entries, %d cells, %d groups, %d tuples", p.ts.count, p.ts.used, len(p.ts.groups), len(p.ts.tuples))
+	}
+}
+
+// TestBoundEntrySize: an installed entry keeps only what a lookup or a
+// delete reads, and stays in the 96-byte size class.
+func TestBoundEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(boundEntry{}); got > 96 {
+		t.Fatalf("boundEntry is %d bytes, want at most 96", got)
 	}
 }
 
@@ -218,7 +336,7 @@ func TestTernaryGrowthBoundaries(t *testing.T) {
 		t.Helper()
 		checkTernaryIndex(t, p.ts)
 		for i := 0; i < 200; i++ {
-			v := bitfield.New(uint64(rng.Intn(n+1))*0x01010101, 32)
+			v := bitfield.New(growthValue(rng.Intn(n+1)), 32)
 			if got, want := p.ts.lookupVals([]bitfield.Value{v}), p.m.lookup([]bitfield.Value{v}); !sameEntry(got, want) {
 				t.Fatalf("%s at %d entries: tuple-space %+v, linear %+v", tag, n, got, want)
 			}
@@ -227,7 +345,7 @@ func TestTernaryGrowthBoundaries(t *testing.T) {
 	var live []Entry
 	sizes := 0
 	for n := 0; len(p.ts.slots) < 1<<11; n++ {
-		e := oneKeyEntry(bitfield.New(uint64(n)*0x01010101, 32), masks[n%len(masks)], n%3)
+		e := oneKeyEntry(bitfield.New(growthValue(n), 32), masks[n%len(masks)], n%3)
 		before := len(p.ts.slots)
 		if err := p.install(e); err != nil {
 			t.Fatal(err)
@@ -253,10 +371,16 @@ func TestTernaryGrowthBoundaries(t *testing.T) {
 			probe("shrinking", len(live))
 		}
 	}
-	if p.ts.used != 0 || len(p.ts.groups) != 0 {
-		t.Fatalf("drained table keeps %d slots and %d groups", p.ts.used, len(p.ts.groups))
+	if p.ts.used != 0 || len(p.ts.groups) != 0 || len(p.ts.tuples) != 0 {
+		t.Fatalf("drained table keeps %d slots, %d groups and %d tuples", p.ts.used, len(p.ts.groups), len(p.ts.tuples))
 	}
 }
+
+// growthValue is TestTernaryGrowthBoundaries' n-th value: n in the top
+// half and, byte-swapped, in the middle two bytes, so that n < 2^16 has a
+// value of its own under each of the test's masks however many entries
+// the index takes to reach its size (merged groups share cells).
+func growthValue(n int) uint64 { return uint64(n)<<16 | uint64(n) }
 
 // TestTernaryProbeRunWrapsAndShiftsBack fills a 16-cell index with one
 // run that starts in its last two cells and wraps to the first, then
@@ -319,7 +443,9 @@ func TestTernaryProbeRunWrapsAndShiftsBack(t *testing.T) {
 
 // TestTernaryWideKeyHiWordGroups: a 128-bit key packs into two words,
 // and mask tuples that differ only in the hi word's mask are different
-// groups holding different slots, even for entries whose lo words agree.
+// tuples, even for entries whose lo words agree. Two of them, 8 bits
+// apart in the hi word, share a group whose cells hash the hi word under
+// the wider mask.
 func TestTernaryWideKeyHiWordGroups(t *testing.T) {
 	keys := []synthKey{{128, ir.MatchTernary}}
 	p := newTernaryPair(keys, 1<<10)
@@ -333,33 +459,38 @@ func TestTernaryWideKeyHiWordGroups(t *testing.T) {
 			}
 		}
 	}
-	if got := len(p.ts.groups); got != len(hiMasks) {
-		t.Fatalf("%d groups, want one per hi-word mask (%d)", got, len(hiMasks))
+	if got := len(p.ts.tuples); got != len(hiMasks) {
+		t.Fatalf("%d tuples, want one per hi-word mask (%d)", got, len(hiMasks))
+	}
+	if got := len(p.ts.groups); got != 3 {
+		t.Fatalf("%d groups, want 3: the last two hi-word masks merged", got)
 	}
 	checkTernaryIndex(t, p.ts)
-	// The four groups hold 3, 2, 2 and 1 slots: under a shorter hi mask
-	// the first two (then all three) values fall together.
-	if p.ts.used != 3+2+2+1 {
-		t.Fatalf("%d slots, want 8", p.ts.used)
+	// The first two groups hold 3 and 2 cells: under a shorter hi mask the
+	// first two values fall together. The merged group hashes all three
+	// under the empty hi mask into one cell.
+	if p.ts.used != 3+2+1 {
+		t.Fatalf("%d cells, want 6", p.ts.used)
 	}
 	for _, hi := range []uint64{0x0102030405060708, 0x0102030499999999, 0xaa02030405060708, 0x0102030400000000, 0x01ffffffffffffff, 0} {
 		for _, l := range []uint64{lo, lo ^ 1} {
 			p.lookup(t, []bitfield.Value{bitfield.New128(hi, l, 128)})
 		}
 	}
-	// The widest-mask group outranks nothing (priority 0): the probe that
-	// matches all four groups resolves to the narrowest mask, priority 3.
+	// The widest-mask tuple outranks nothing (priority 0): the probe that
+	// matches all four tuples resolves to the narrowest mask, priority 3.
 	if got := p.lookup(t, []bitfield.Value{bitfield.New128(0x0102030405060708, lo, 128)}); got == nil || got.Priority != 3 {
-		t.Fatalf("four-group probe resolved to %+v, want the priority-3 entry", got)
+		t.Fatalf("four-tuple probe resolved to %+v, want the priority-3 entry", got)
 	}
 }
 
 // TestTernaryLookupAllocFree64Groups: a lookup over 64 mask tuples packs
 // the key into table-owned scratch and allocates nothing.
+// The 64 differ in six bits, so they merge into the one group it probes.
 func TestTernaryLookupAllocFree64Groups(t *testing.T) {
 	ts := aclTable(t, acl64Entry, 4096)
-	if len(ts.groups) != 64 {
-		t.Fatalf("fixture has %d groups, want 64", len(ts.groups))
+	if len(ts.tuples) != 64 || len(ts.groups) != 1 {
+		t.Fatalf("fixture has %d tuples in %d groups, want 64 in 1", len(ts.tuples), len(ts.groups))
 	}
 	probes := aclProbes(acl64Entry, 4096, 64)
 	hits, i := 0, 0
@@ -370,13 +501,13 @@ func TestTernaryLookupAllocFree64Groups(t *testing.T) {
 		i++
 	})
 	if allocs != 0 || hits == 0 {
-		t.Fatalf("%v allocs per lookup at 64 groups (%d hits), want 0 and some hits", allocs, hits)
+		t.Fatalf("%v allocs per lookup at 64 tuples (%d hits), want 0 and some hits", allocs, hits)
 	}
 }
 
 // storeShape is one table layout FuzzTernaryStore drives: its keys, a
 // small pool of mask tuples, and the few values each key takes, so that
-// random operations keep landing on the same groups and slots.
+// random operations keep landing on the same tuples and cells.
 type storeShape struct {
 	keys  []synthKey
 	masks [][2]bitfield.Value
@@ -428,7 +559,7 @@ var storeShapes = []storeShape{
 // selector, mask tuple), and drives it through a ternaryPair: after
 // every operation the table and the linear model must agree on the
 // verdict (including NoSuchEntryError and MaskSetError), the entry
-// count, the group count and a round of lookups, and the index must
+// count, the mask-tuple count and a round of lookups, and the index must
 // pass checkTernaryIndex.
 func FuzzTernaryStore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -463,8 +594,8 @@ func FuzzTernaryStore(f *testing.F) {
 			if p.ts.count != len(p.m.entries) {
 				t.Fatalf("op %d: count %d, model %d", op, p.ts.count, len(p.m.entries))
 			}
-			if got, want := len(p.ts.groups), len(p.m.maskTuples()); got != want {
-				t.Fatalf("op %d: %d groups, model has %d mask tuples", op, got, want)
+			if got, want := len(p.ts.tuples), len(p.m.maskTuples()); got != want {
+				t.Fatalf("op %d: %d tuples, model has %d", op, got, want)
 			}
 			checkTernaryIndex(t, p.ts)
 			for probe := byte(0); probe < 4; probe++ {

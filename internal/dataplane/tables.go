@@ -1,8 +1,10 @@
 package dataplane
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -30,40 +32,54 @@ type Entry struct {
 	Priority int // ternary only; higher wins
 }
 
-// boundEntry is an installed entry: the control plane's Entry resolved
-// against the program.
+// boundEntry is an installed entry: what a lookup or a delete reads of
+// the control plane's Entry, resolved against the program. What a ternary
+// probe reads comes first, to share a cache line.
 type boundEntry struct {
-	Entry
+	Keys     []KeyValue
+	tuple    *maskTuple // a ternary or exact table entry's; nil in an lpm table
+	Priority int        // ternary only; higher wins
+	// next links the entries of one ternary cell in beats order, so a
+	// delete of the head resurfaces the next.
+	next   *boundEntry
+	order  int // install sequence number, which breaks priority ties
 	action *actionPlan
-	// order is the install sequence number, used to break priority ties
-	// deterministically (first installed wins).
-	order int
-	// next links the entries of one ternary slot — same mask tuple, same
-	// masked values, so they match exactly the same packets — in beats
-	// order: the slot's head is the entry lookups return, and the entries
-	// it shadows hang off it so a delete of the head resurfaces the next.
-	next *boundEntry
+	Args   []bitfield.Value
 }
 
-// ternaryGroup is one tuple of the tuple-space search structure: every
-// entry whose per-key mask tuple is identical belongs to the same group,
-// and within a group a packet key is matched by at most one probe run of
-// the table's index. A group exists while it has a slot there.
+// maskTuple is one distinct mask tuple of a ternary table: what entry
+// identity, the mask limit and TernaryGroupCount count. Its entries live
+// in the cells of group g, whose masks are a subset of its own.
+type maskTuple struct {
+	masks   []uint64 // the tuple as packed key words
+	g       *ternaryGroup
+	entries int  // installed entries with this tuple
+	own     bool // masks are g's, so agreeing with a cell is a match
+}
+
+// ternaryGroup is one probe of the tuple-space index (TupleMerge): its
+// member tuples' entries hash under its relaxed masks, a subset of each
+// member's. A group exists while it has a cell.
 type ternaryGroup struct {
-	masks []uint64 // the mask tuple as packed key words
-	seed  uint64   // starts the hash: one key lands apart under each tuple
-	slots int      // slots of the index that are this group's
+	masks []uint64 // the relaxed masks as packed key words
+	seed  uint64   // starts the hash: one key lands apart under each group
+	slots int      // cells of the index that are this group's
 	// maxPrio is an upper bound on the priorities present in the group
 	// (deletes leave it alone); lookups visit groups in descending
 	// maxPrio order and stop as soon as the current best strictly beats
 	// every remaining group.
 	maxPrio int
+	fixed   bool // split off for a long chain: never relaxed, so no ping-pong
 }
+
+// A group's masks ignore at most maxLoose bits of a member's, and only a
+// chain of its own tuple's entries grows past maxChain (see place, split).
+const maxLoose, maxChain = 8, 8
 
 // hashMul is 2^64/phi, odd: the index's multiplicative hash.
 const hashMul = 0x9e3779b97f4a7c15
 
-// hash folds key's words, masked by the group's tuple, into the group's
+// hash folds key's words, masked by the group's masks, into the group's
 // seed; the top bits of the result choose the home cell.
 func (g *ternaryGroup) hash(key []uint64) uint64 {
 	h := g.seed
@@ -74,10 +90,23 @@ func (g *ternaryGroup) hash(key []uint64) uint64 {
 	return h
 }
 
+// loose is how many bits of mask tuple m relaxed masks r ignore, or more
+// than maxLoose when r is not a subset of m.
+func loose(r, m []uint64) int {
+	n := 0
+	for w := range r {
+		if r[w]&^m[w] != 0 {
+			return maxLoose + 1
+		}
+		n += bits.OnesCount64(m[w] &^ r[w])
+	}
+	return n
+}
+
 // ternarySlot is one cell of a ternary table's index: the entries of one
-// group that agree under its masks, as a chain headed by the one lookups
-// return, nil in an empty cell. Nothing of the key is stored but its
-// hash, which is what growth and deletes move a slot by.
+// group that agree under its masks, chained in beats order and headed by
+// one of a member tuple, nil in an empty cell. Nothing of the key is
+// stored but its hash, which is what growth and deletes move a cell by.
 type ternarySlot struct {
 	hash uint64
 	head *boundEntry
@@ -100,16 +129,16 @@ type tableState struct {
 	// A ternary table's store, and an exact table's — to it a ternary table
 	// whose entries all have the all-ones mask tuple, priority 0 and a key
 	// each: groups in descending maxPrio order, kept so by every install;
-	// groupIdx to find a group by its mask tuple (the words as bytes) on a
-	// write; and slots, one index over all groups, open-addressed with
-	// linear probing and at most half full — used cells occupied, a slot's
-	// home cell hash >> shift.
-	groups   []*ternaryGroup
-	groupIdx map[string]*ternaryGroup
-	slots    []ternarySlot
-	used     int
-	shift    uint
-	count    int
+	// tuples to find a mask tuple by its words (as bytes) on a write; and
+	// slots, one index over all groups, open-addressed with linear probing
+	// and at most half full — used cells occupied, a cell's home hash >>
+	// shift.
+	groups []*ternaryGroup
+	tuples map[string]*maskTuple
+	slots  []ternarySlot
+	used   int
+	shift  uint
+	count  int
 	// capacity is the usable entry count; defaults to def.Size, targets
 	// may lower it to model architectural limits.
 	capacity int
@@ -120,7 +149,7 @@ type tableState struct {
 	plan      keyPlan
 	keyWords  []uint64
 	maskWords []uint64
-	tupleBuf  []byte // maskWords as groupIdx's key
+	tupleBuf  []byte // maskWords as tuples' key
 	// What New compiles for the packet path: the code that evaluates the
 	// keys that are not plain fields, the slots the key words are gathered
 	// from in packing order, and the actions, actions[i] being
@@ -134,8 +163,8 @@ type tableState struct {
 	// newest-installed-wins — the resolution quirk some hardware table
 	// drivers exhibit. Targets set it through Engine.SetTernaryTieBreak.
 	tieLIFO bool
-	// maskLimit bounds the number of distinct mask tuples (tuple-space
-	// groups) a ternary table may hold; 0 means unbounded. Targets whose
+	// maskLimit bounds the number of distinct mask tuples a ternary table
+	// may hold; 0 means unbounded. Targets whose
 	// ternary emulation unrolls one match section per mask (the eBPF
 	// mask-set scan) set it through Engine.SetTernaryMaskLimit.
 	maskLimit int
@@ -264,7 +293,7 @@ func (ts *tableState) install(e Entry, action *actionPlan) error {
 	if ts.kind != ir.MatchTernary {
 		e.Priority = 0 // it is a ternary table's to give
 	}
-	be := &boundEntry{Entry: e, action: action, order: ts.nextOrd}
+	be := &boundEntry{Keys: e.Keys, Args: e.Args, Priority: e.Priority, action: action, order: ts.nextOrd}
 	ts.nextOrd++
 	switch {
 	case ts.kind == ir.MatchLPM:
@@ -313,40 +342,33 @@ func (ts *tableState) delete(e Entry, action *actionPlan) error {
 	return nil
 }
 
-// group returns the group of the mask tuple in maskWords, if installed.
-func (ts *tableState) group() *ternaryGroup {
+// tuple returns the mask tuple in maskWords, if any (its key in tupleBuf).
+func (ts *tableState) tuple() *maskTuple {
 	ts.tupleBuf = ts.tupleBuf[:0]
 	for _, m := range ts.maskWords {
 		ts.tupleBuf = binary.BigEndian.AppendUint64(ts.tupleBuf, m)
 	}
-	return ts.groupIdx[string(ts.tupleBuf)]
+	return ts.tuples[string(ts.tupleBuf)]
 }
 
-// settle moves groups[at], whose maxPrio was just set, up to its place in
-// the descending order (equal bounds may stand in any order: beats is
-// total and lookups stop only at a strictly lower bound).
-func (ts *tableState) settle(at int) {
-	g := ts.groups[at]
-	for ; at > 0 && ts.groups[at-1].maxPrio < g.maxPrio; at-- {
-		ts.groups[at] = ts.groups[at-1]
-	}
-	ts.groups[at] = g
+// sortGroups restores the descending maxPrio order (equal bounds may
+// stand in any order: lookups stop only at a strictly lower bound).
+func (ts *tableState) sortGroups() {
+	slices.SortStableFunc(ts.groups, func(a, b *ternaryGroup) int { return cmp.Compare(b.maxPrio, a.maxPrio) })
 }
 
-// holds reports whether the slot headed by be is group g's slot for key:
-// be's own mask tuple is g's and be's values agree with key under it.
-func (ts *tableState) holds(be *boundEntry, g *ternaryGroup, key []uint64) bool {
+// agrees reports whether be's values agree with key under masks.
+func (ts *tableState) agrees(be *boundEntry, masks, key []uint64) bool {
 	w := 0
 	for i := range be.Keys {
-		k := &be.Keys[i]
-		mask := ts.keyMask(i, k)
+		v := &be.Keys[i].Value
 		if ts.plan[i] {
-			if mask.Hi != g.masks[w] || (k.Value.Hi^key[w])&mask.Hi != 0 {
+			if (v.Hi^key[w])&masks[w] != 0 {
 				return false
 			}
 			w++
 		}
-		if mask.Lo != g.masks[w] || (k.Value.Lo^key[w])&mask.Lo != 0 {
+		if (v.Lo^key[w])&masks[w] != 0 {
 			return false
 		}
 		w++
@@ -354,38 +376,54 @@ func (ts *tableState) holds(be *boundEntry, g *ternaryGroup, key []uint64) bool 
 	return true
 }
 
-// find walks the probe run of hash h to g's slot for key, or to the empty
-// cell that ends the run (the index is never full).
+// entryKey appends be's values to dst packed the way bind packs them.
+func (ts *tableState) entryKey(dst []uint64, be *boundEntry) []uint64 {
+	for i, k := range be.Keys {
+		dst = ts.plan.appendWords(dst, i, k.Value)
+	}
+	return dst
+}
+
+// find walks the probe run of hash h to g's cell for key, or to the
+// empty cell that ends the run (the index is never full).
 func (ts *tableState) find(g *ternaryGroup, h uint64, key []uint64) (at int, found bool) {
 	for at = int(h >> ts.shift); ; at = (at + 1) & (len(ts.slots) - 1) {
 		s := &ts.slots[at]
 		if s.head == nil {
 			return at, false
 		}
-		if s.hash == h && ts.holds(s.head, g, key) {
+		if s.hash == h && s.head.tuple.g == g && ts.agrees(s.head, g.masks, key) {
 			return at, true
 		}
 	}
 }
 
-// grow doubles the index, re-placing every slot from its stored hash.
-func (ts *tableState) grow() {
+// rebuild moves every cell into a fresh index of n cells by its stored
+// hash, except the cells of group g (nil for none), which it takes out of
+// g and returns the chains of, for relink.
+func (ts *tableState) rebuild(n int, g *ternaryGroup) (chains []*boundEntry) {
 	old := ts.slots
-	ts.slots = make([]ternarySlot, max(2*len(old), 8))
-	ts.shift = uint(64 - bits.TrailingZeros(uint(len(ts.slots))))
+	ts.slots, ts.used = make([]ternarySlot, n), 0
+	ts.shift = uint(64 - bits.TrailingZeros(uint(n)))
 	for _, s := range old {
-		if s.head == nil {
-			continue
+		switch {
+		case s.head == nil:
+		case g != nil && s.head.tuple.g == g:
+			chains = append(chains, s.head)
+			g.slots--
+		default:
+			at := int(s.hash >> ts.shift)
+			for ts.slots[at].head != nil {
+				at = (at + 1) & (n - 1)
+			}
+			ts.slots[at] = s
+			ts.used++
 		}
-		at := int(s.hash >> ts.shift)
-		for ts.slots[at].head != nil {
-			at = (at + 1) & (len(ts.slots) - 1)
-		}
-		ts.slots[at] = s
 	}
+	return chains
 }
 
-// vacate empties the cell at hole by backward shift: each later slot of
+// vacate empties the cell at hole by backward shift: each later cell of
 // the run whose home is not past the hole moves into it, so runs stay
 // unbroken without tombstones.
 func (ts *tableState) vacate(hole int) {
@@ -401,76 +439,190 @@ func (ts *tableState) vacate(hole int) {
 	ts.used--
 }
 
-// linkTernary inserts be into the slot bind resolved (mask tuple in
-// maskWords, values in keyWords), creating the group on its first entry.
-func (ts *tableState) linkTernary(be *boundEntry) error {
-	g := ts.group()
-	if g == nil {
-		if ts.maskLimit > 0 && len(ts.groups) >= ts.maskLimit {
-			return &MaskSetError{Table: ts.def.Name, Limit: ts.maskLimit}
-		}
-		g = &ternaryGroup{
-			masks:   slices.Clone(ts.maskWords),
-			seed:    uint64(be.order+1) * hashMul,
-			maxPrio: be.Priority,
-		}
-		ts.groupIdx[string(ts.tupleBuf)] = g
-		ts.groups = append(ts.groups, g)
-		ts.settle(len(ts.groups) - 1)
-	} else if be.Priority > g.maxPrio {
-		g.maxPrio = be.Priority
-		ts.settle(slices.Index(ts.groups, g))
-	}
-	if 2*(ts.used+1) > len(ts.slots) {
-		ts.grow()
-	}
-	h := g.hash(ts.keyWords)
-	at, found := ts.find(g, h, ts.keyWords)
+// link inserts be, whose values are key, into the cell of its tuple's
+// group for key, in beats order, raising the group's maxPrio if need be,
+// and returns the cell. The index has room for a new cell.
+func (ts *tableState) link(be *boundEntry, key []uint64) int {
+	g := be.tuple.g
+	h := g.hash(key)
+	at, found := ts.find(g, h, key)
 	if !found {
 		ts.slots[at].hash = h
 		ts.used++
 		g.slots++
+	}
+	if be.Priority > g.maxPrio {
+		g.maxPrio = be.Priority
+		ts.sortGroups()
 	}
 	link := &ts.slots[at].head
 	for *link != nil && ts.beats(*link, be) {
 		link = &(*link).next
 	}
 	be.next, *link = *link, be
+	return at
+}
+
+// relink links every entry of chains afresh, each into its tuple's group.
+func (ts *tableState) relink(chains []*boundEntry) {
+	var key []uint64
+	for _, next := range chains {
+		for be := next; be != nil; be = next {
+			next, key = be.next, ts.entryKey(key[:0], be)
+			ts.link(be, key)
+		}
+	}
+}
+
+// open appends a group of masks m, ordered last until its first link.
+func (ts *tableState) open(m []uint64) *ternaryGroup {
+	g := &ternaryGroup{masks: m, seed: uint64(ts.nextOrd) * hashMul, maxPrio: math.MinInt}
+	ts.groups = append(ts.groups, g)
+	return g
+}
+
+// place picks the group of a new mask tuple m: the first whose masks m
+// covers within maxLoose bits; else the first not split off that relax
+// can widen to m; else a new group of m's own.
+func (ts *tableState) place(m []uint64) *ternaryGroup {
+	for _, g := range ts.groups {
+		if loose(g.masks, m) <= maxLoose {
+			return g
+		}
+	}
+	for _, g := range ts.groups {
+		if !g.fixed && ts.relax(g, m) {
+			return g
+		}
+	}
+	return ts.open(m)
+}
+
+// relax narrows g's masks to their intersection with m and re-files g's
+// entries under them, unless that leaves m or a member tuple more than
+// maxLoose bits from the group's masks or a chain longer than maxChain.
+func (ts *tableState) relax(g *ternaryGroup, m []uint64) bool {
+	r := make([]uint64, len(m))
+	for w := range r {
+		r[w] = g.masks[w] & m[w]
+	}
+	if loose(r, m) > maxLoose {
+		return false
+	}
+	for _, t := range ts.tuples {
+		if t.g == g && loose(r, t.masks) > maxLoose {
+			return false
+		}
+	}
+	// Chains under r, counted by hash: a collision only overcounts.
+	trial, chains := &ternaryGroup{masks: r, seed: g.seed}, make(map[uint64]int)
+	var key []uint64
+	for _, s := range ts.slots {
+		for be := s.head; be != nil && s.head.tuple.g == g; be = be.next {
+			key = ts.entryKey(key[:0], be)
+			h := trial.hash(key)
+			if chains[h]++; chains[h] > maxChain {
+				return false
+			}
+		}
+	}
+	// r is narrower than g's masks, so no member's masks are r.
+	for _, t := range ts.tuples {
+		t.own = t.own && t.g != g
+	}
+	g.masks = r
+	ts.relink(ts.rebuild(len(ts.slots), g))
+	return true
+}
+
+// split moves tuple t into a new fixed group of its own masks and
+// re-files its old group, making both groups' maxPrio exact.
+func (ts *tableState) split(t *maskTuple) {
+	from := t.g
+	n := len(ts.slots)
+	for 2*(ts.used+t.entries) > n {
+		n *= 2
+	}
+	chains := ts.rebuild(n, from)
+	t.g, t.own = ts.open(t.masks), true
+	t.g.fixed, from.maxPrio = true, math.MinInt
+	ts.relink(chains)
+	if from.slots == 0 {
+		ts.groups = slices.DeleteFunc(ts.groups, func(g *ternaryGroup) bool { return g == from })
+	}
+}
+
+// linkTernary inserts be into the cell bind resolved (mask tuple in
+// maskWords, values in keyWords), placing a new tuple first. A chain that
+// grows past maxChain with a tuple in it not its group's own moves that
+// tuple out: be's, or else the first such.
+func (ts *tableState) linkTernary(be *boundEntry) error {
+	t := ts.tuple()
+	if t == nil {
+		if ts.maskLimit > 0 && len(ts.tuples) >= ts.maskLimit {
+			return &MaskSetError{Table: ts.def.Name, Limit: ts.maskLimit}
+		}
+		t = &maskTuple{masks: slices.Clone(ts.maskWords)}
+		t.g = ts.place(t.masks)
+		t.own = slices.Equal(t.g.masks, t.masks)
+		ts.tuples[string(ts.tupleBuf)] = t
+	}
+	be.tuple = t
+	t.entries++
+	if 2*(ts.used+1) > len(ts.slots) {
+		ts.rebuild(max(2*len(ts.slots), 8), nil)
+	}
+	at := ts.link(be, ts.keyWords)
+	n, victim := 0, t
+	for c := ts.slots[at].head; c != nil; c = c.next {
+		if n++; victim.own && !c.tuple.own {
+			victim = c.tuple
+		}
+	}
+	if n > maxChain && !victim.own {
+		ts.split(victim)
+	}
 	return nil
 }
 
-// unlinkTernary removes every entry of priority prio from the slot bind
-// resolved and returns how many there were. An emptied slot leaves the
-// index, and a group that loses its last slot leaves the table (freeing
-// its mask-set slot under a mask limit). Neither changes a surviving
-// group's maxPrio bound, so the group order stays valid.
+// unlinkTernary removes every entry of the mask tuple and values bind
+// resolved with priority prio and returns how many there were. A tuple
+// left without entries leaves the table (freeing its mask-set slot), an
+// emptied cell the index, a group without cells the table.
 func (ts *tableState) unlinkTernary(prio int) int {
-	g := ts.group()
-	if g == nil {
+	t := ts.tuple()
+	if t == nil {
 		return 0
 	}
+	g := t.g
 	at, found := ts.find(g, g.hash(ts.keyWords), ts.keyWords)
 	if !found {
 		return 0
 	}
-	// The chain is in beats order, so one priority's entries are adjacent.
+	// The chain is in beats order, so one priority's entries are adjacent;
+	// among them, other tuples' and t's under other values stay.
 	link := &ts.slots[at].head
 	for *link != nil && (*link).Priority > prio {
 		link = &(*link).next
 	}
 	removed := 0
-	for *link != nil && (*link).Priority == prio {
-		*link = (*link).next
-		removed++
+	for be := *link; be != nil && be.Priority == prio; be = *link {
+		if be.tuple == t && (t.own || ts.agrees(be, t.masks, ts.keyWords)) {
+			*link = be.next
+			removed++
+		} else {
+			link = &be.next
+		}
+	}
+	if t.entries -= removed; t.entries == 0 {
+		delete(ts.tuples, string(ts.tupleBuf))
 	}
 	if ts.slots[at].head != nil {
 		return removed
 	}
 	ts.vacate(at)
 	if g.slots--; g.slots == 0 {
-		delete(ts.groupIdx, string(ts.tupleBuf))
-		i := slices.Index(ts.groups, g)
-		ts.groups = slices.Delete(ts.groups, i, i+1)
+		ts.groups = slices.DeleteFunc(ts.groups, func(x *ternaryGroup) bool { return x == g })
 	}
 	return removed
 }
@@ -483,18 +635,24 @@ func (ts *tableState) lookup(key []uint64) *boundEntry {
 		ts.alignLPM(key)
 		return ts.trie.lookup(key, ts.keyBits)
 	}
-	// The tuple-space search: each distinct mask tuple costs one hash and
-	// one probe run, cut short once the current best strictly outranks
-	// every remaining group. Complexity is O(distinct masks), not
-	// O(entries).
+	// The tuple-space search: each group costs one hash and one probe run,
+	// cut short once the current best strictly outranks every remaining
+	// group. In the cell found, the first entry that also agrees with the
+	// key under its own tuple's masks is the group's answer.
 	var best *boundEntry
 	for _, g := range ts.groups {
 		if best != nil && best.Priority > g.maxPrio {
 			break
 		}
 		at, found := ts.find(g, g.hash(key), key)
-		if found && (best == nil || ts.beats(ts.slots[at].head, best)) {
-			best = ts.slots[at].head
+		if !found {
+			continue
+		}
+		for be := ts.slots[at].head; be != nil && (best == nil || ts.beats(be, best)); be = be.next {
+			if be.tuple.own || ts.agrees(be, be.tuple.masks, key) {
+				best = be
+				break
+			}
 		}
 	}
 	return best
@@ -505,7 +663,7 @@ func (ts *tableState) clear() {
 	ts.trie = mbTrie{}
 	ts.groups, ts.slots, ts.used, ts.shift, ts.count = nil, nil, 0, 0, 0
 	if ts.kind != ir.MatchLPM {
-		ts.groupIdx = make(map[string]*ternaryGroup)
+		ts.tuples = make(map[string]*maskTuple)
 	}
 }
 

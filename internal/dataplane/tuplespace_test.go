@@ -169,8 +169,8 @@ func TestTernaryMaskLimit(t *testing.T) {
 	if maskErr.Table != "synth" || maskErr.Limit != 3 {
 		t.Fatalf("error detail: %+v", maskErr)
 	}
-	if len(ts.groups) != 3 || ts.count != 5 {
-		t.Fatalf("groups=%d count=%d, want 3 groups over 5 entries", len(ts.groups), ts.count)
+	if len(ts.tuples) != 3 || ts.count != 5 {
+		t.Fatalf("tuples=%d count=%d, want 3 tuples over 5 entries", len(ts.tuples), ts.count)
 	}
 	// The rejected entry left no trace: lookups still resolve as the
 	// linear model, which never saw it, does.
@@ -263,6 +263,24 @@ func acl64Entry(i int) Entry {
 	}
 }
 
+// prefixEntry builds the i-th entry of a rule set that merges badly:
+// destination prefixes /17 to /32 in turn on consecutive addresses, each
+// at the priority of its length. Tuples 1 to 8 bits apart would share a
+// group, but under the shorter prefix nearby addresses fall into one
+// cell, so the chain cap splits them all off again: 16 groups.
+func prefixEntry(i int) Entry {
+	plen := 17 + i%16
+	return Entry{
+		Table: "synth", Action: "act",
+		Priority: plen,
+		Keys: []KeyValue{
+			{Value: bitfield.New(uint64(0x0a000000+i), 32), Mask: prefixMask(32, plen)},
+			{Value: bitfield.New(0xc0a80001, 32), Mask: bitfield.Mask(32)},
+			{Value: bitfield.New(53, 16), Mask: bitfield.Mask(16)},
+		},
+	}
+}
+
 // aclTable installs entryOf(0..entries-1) on a fresh table over aclKeys.
 func aclTable(tb testing.TB, entryOf func(int) Entry, entries int) *tableState {
 	tb.Helper()
@@ -316,7 +334,8 @@ var occupancies = []int{100, 1000, 10000, 100000, 1000000}
 
 // BenchmarkTernaryLookupTupleSpace sweeps occupancy at 8 mask tuples
 // (what a lookup costs must not depend on it), then measures 64 tuples
-// at 10^5 entries, the regime of the end-to-end benchmark.
+// at 10^5 entries, the regime of the end-to-end benchmark, and 16 that
+// merge badly (prefixEntry).
 func BenchmarkTernaryLookupTupleSpace(b *testing.B) {
 	run := func(name string, entryOf func(int) Entry, n int) {
 		b.Run(name, func(b *testing.B) {
@@ -333,6 +352,7 @@ func BenchmarkTernaryLookupTupleSpace(b *testing.B) {
 		run(fmt.Sprintf("entries%d", n), aclEntry, n)
 	}
 	run("masks64_entries100000", acl64Entry, 100000)
+	run("prefixes17to32_entries100000", prefixEntry, 100000)
 }
 
 func BenchmarkTernaryLookupLinear(b *testing.B) {

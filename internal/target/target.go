@@ -106,8 +106,8 @@ type Target interface {
 	// Resources estimates the hardware footprint of the loaded program.
 	Resources() ResourceReport
 	// TernaryGroups reports the number of distinct mask tuples installed
-	// in a ternary table — the tuple-space probe count, and on ebpf the
-	// number of mask-set scan sections. 0 for non-ternary tables.
+	// in a ternary table — on ebpf the number of mask-set scan sections.
+	// 0 for non-ternary tables.
 	TernaryGroups(table string) int
 }
 
