@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOperatorConformance -fuzztime 20s ./internal/verify/
 	$(GO) test -run '^$$' -fuzz FuzzGeneratorFrame -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzServe -fuzztime 20s ./internal/control/
+	$(GO) test -run '^$$' -fuzz FuzzClient -fuzztime 20s ./internal/control/
 	$(GO) test -run '^$$' -fuzz FuzzEntryCodec -fuzztime 20s -fuzzminimizetime 1s ./internal/control/
 	$(GO) test -run '^$$' -fuzz FuzzParseStream -fuzztime 20s -fuzzminimizetime 1s ./internal/session/
 

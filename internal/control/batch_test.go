@@ -2,11 +2,14 @@ package control
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -150,7 +153,7 @@ func serveBytes(data []byte, h Handler) error {
 // connection. Serve must not panic, must end with an error, and must never
 // hand its handler a request of more than maxBatch entries. The seed
 // corpus under testdata/fuzz/FuzzServe is a valid write, the same write
-// cut short, a request declaring maxBatch+1 entries, and several kinds of
+// cut short, a frame whose length is over maxFrame, and several kinds of
 // request back to back.
 func FuzzServe(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -166,18 +169,20 @@ func FuzzServe(f *testing.F) {
 	})
 }
 
-// wireRequests is what a client sends for reqs, in order: each head on
-// one gob stream, then its entries block.
+// wireRequests is what a client sends for reqs, in order: each request's
+// frame after its length, the payloads on one gob stream.
 func wireRequests(t testing.TB, reqs ...Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i, r := range reqs {
-		block := appendEntries(nil, r.Entries)
-		if err := enc.Encode(&head{uint64(i + 1), r.Kind, len(r.Entries), len(block), r.Table, r.Payload}); err != nil {
+	var c Client
+	for i := range reqs {
+		r := reqs[i]
+		r.ID = uint64(i + 1)
+		b, err := c.appendRequest(nil, &r)
+		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(block)
+		writeFrame(&buf, b)
 	}
 	return buf.Bytes()
 }
@@ -200,7 +205,7 @@ func serveSeeds(t testing.TB) map[string]struct {
 	}{
 		"write":     {write, []ReqKind{ReqInstallEntry}},
 		"truncated": {write[:len(write)-20], nil},
-		"oversized": {wireRequests(t, Request{Kind: ReqInstallEntry, Entries: make([]dataplane.Entry, maxBatch+1)})[:160], nil},
+		"oversized": {append(binary.AppendUvarint(nil, maxFrame+1), write...), nil},
 		"interleaved": {wireRequests(t, Request{Kind: ReqHello}, Request{Kind: ReqInstallEntry, Entries: []dataplane.Entry{route}},
 			Request{Kind: ReqClearTable, Table: "ipv4_lpm"}, Request{Kind: ReqDeleteEntry, Entries: []dataplane.Entry{route}},
 			Request{Kind: ReqConfigureGen, Payload: []byte{1, 2}}),
@@ -208,10 +213,27 @@ func serveSeeds(t testing.TB) map[string]struct {
 	}
 }
 
-// TestFuzzServeSeeds: each seed reaches the handler as the requests it
-// was built from, so the corpus starts the fuzzer on the paths it names.
+// committed checks that testdata/fuzz/<target> holds the seed name with
+// the bytes data.
+func committed(t *testing.T, target, name string, data []byte) {
+	t.Helper()
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(file)), "go test fuzz v1\n[]byte(")
+	got, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if !ok || err != nil || got != string(data) {
+		t.Errorf("%s/%s is not the seed %s builds: regenerate it", target, name, name)
+	}
+}
+
+// TestFuzzServeSeeds: each seed is committed as built and reaches the
+// handler as the requests it was built from, so the corpus starts the
+// fuzzer on the paths it names.
 func TestFuzzServeSeeds(t *testing.T) {
 	for name, c := range serveSeeds(t) {
+		committed(t, "FuzzServe", name, c.data)
 		var got []ReqKind
 		serveBytes(c.data, handlerFunc(func(req *Request) *Response {
 			got = append(got, req.Kind)

@@ -2,6 +2,7 @@ package control
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"math/rand"
@@ -57,9 +58,10 @@ func randEntry(rng *rand.Rand) dataplane.Entry {
 	return e
 }
 
-// decodeBlock decodes block into es on d, as Serve does after reading it.
-func decodeBlock(d *entryDecoder, es []dataplane.Entry, block []byte) bool {
-	d.block = block
+// decodeBlock decodes block into es on d, as a server does after a
+// frame's head.
+func decodeBlock(d *reader, es []dataplane.Entry, block []byte) bool {
+	d.reset(block)
 	return d.decode(es)
 }
 
@@ -70,7 +72,7 @@ func TestEntryCodecMatchesGob(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sent := make([]dataplane.Entry, 500)
 	viaGob := make([]dataplane.Entry, len(sent))
-	var d entryDecoder
+	var d reader
 	for i := range sent {
 		sent[i] = randEntry(rng)
 		var buf bytes.Buffer
@@ -104,7 +106,7 @@ func TestEntryDecoderSharesNames(t *testing.T) {
 	e := dataplane.Entry{Table: "acl", Action: "allow",
 		Keys: []dataplane.KeyValue{{Value: bitfield.New(1, 8)}}, Args: []bitfield.Value{bitfield.New(2, 9)}}
 	block := appendEntries(nil, []dataplane.Entry{e, e})
-	var d entryDecoder
+	var d reader
 	first, again := make([]dataplane.Entry, 2), make([]dataplane.Entry, 2)
 	if !decodeBlock(&d, first, block) || !decodeBlock(&d, again, block) {
 		t.Fatal("a valid block was refused")
@@ -120,29 +122,39 @@ func TestEntryDecoderSharesNames(t *testing.T) {
 	}
 }
 
-// wireHead is a head on a fresh gob stream, then block.
-func wireHead(t *testing.T, h head, block []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&h); err != nil {
-		t.Fatal(err)
-	}
-	return append(buf.Bytes(), block...)
+// wireFrame is a request frame's length, then its head — ID 1, kind, n
+// entries, no table — and rest.
+func wireFrame(kind ReqKind, n int, rest []byte) []byte {
+	f := appendName(binary.AppendUvarint(append(binary.AppendUvarint(nil, 1), byte(kind)), uint64(n)), "")
+	f = append(f, rest...)
+	return append(binary.AppendUvarint(nil, uint64(len(f))), f...)
 }
 
 // TestServeDropsMalformedBlocks: a block that claims more items than its
-// bytes could hold, a Size over maxBlock and a block cut short each end
-// the connection before the handler sees the request.
+// bytes could hold, a frame length over maxFrame, a frame cut short, a
+// block that does not fill its frame exactly, and a payload that is not
+// one gob value and nothing more, or whose stream marker is neither 0 nor
+// 1, each end the connection before the
+// handler sees the request.
 func TestServeDropsMalformedBlocks(t *testing.T) {
 	e := dataplane.Entry{Table: "acl", Keys: []dataplane.KeyValue{{Value: bitfield.New(1, 8)}}}
 	good := appendEntries(nil, []dataplane.Entry{e})
 	claims := append(appendName(nil, "acl"), 100, 1, 2, 3, 4, 5, 6, 7, 8) // 100 keys in 8 bytes
+	payload, err := new(payloads).append(nil, 0, body{Payload: []byte{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodFrame := wireFrame(ReqInstallEntry, 1, good)
 	for name, data := range map[string][]byte{
-		"count over bytes":   wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: len(claims)}, claims),
-		"size over cap":      wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: maxBlock + 1}, good),
-		"cut short":          wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: len(good)}, good[:len(good)-1]),
-		"entries over bytes": wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 2, Size: len(good)}, good),
-		"trailing bytes":     wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: len(good) + 1}, append(good, 0)),
+		"count over bytes":             wireFrame(ReqInstallEntry, 1, claims),
+		"frame length over the cap":    append(binary.AppendUvarint(nil, maxFrame+1), goodFrame...),
+		"cut short":                    goodFrame[:len(goodFrame)-1],
+		"entries over bytes":           wireFrame(ReqInstallEntry, 2, good),
+		"trailing bytes":               wireFrame(ReqInstallEntry, 1, append(good, 0)),
+		"payload with trailing bytes":  wireFrame(ReqConfigureGen, 0, append(payload, 0)),
+		"payload cut short":            wireFrame(ReqConfigureGen, 0, payload[:len(payload)-1]),
+		"payload that is no gob value": wireFrame(ReqConfigureGen, 0, good),
+		"payload stream marker of 2":   wireFrame(ReqConfigureGen, 0, append([]byte{2}, payload[1:]...)),
 	} {
 		seen := 0
 		err := serveBytes(data, handlerFunc(func(*Request) *Response { seen++; return &Response{} }))
@@ -151,10 +163,10 @@ func TestServeDropsMalformedBlocks(t *testing.T) {
 		}
 	}
 	seen := 0
-	serveBytes(wireHead(t, head{ID: 1, Kind: ReqInstallEntry, N: 1, Size: len(good)}, good),
+	serveBytes(append(goodFrame, wireFrame(ReqConfigureGen, 0, payload)...),
 		handlerFunc(func(*Request) *Response { seen++; return &Response{Done: 1} }))
-	if seen != 1 {
-		t.Fatalf("the well-formed write reached the handler %d times", seen)
+	if seen != 2 {
+		t.Fatalf("the well-formed write and payload reached the handler %d times", seen)
 	}
 }
 
@@ -175,7 +187,7 @@ func FuzzEntryCodec(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		var d entryDecoder
+		var d reader
 		got := make([]dataplane.Entry, data[0]%8)
 		if !decodeBlock(&d, got, data[1:]) {
 			return

@@ -3,7 +3,11 @@ package control
 import (
 	"errors"
 	"net"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,8 +217,8 @@ type handlerFunc func(*Request) *Response
 func (f handlerFunc) Handle(req *Request) *Response { return f(req) }
 
 // TestCallTimeoutBreaksClient: a stalled agent trips the call deadline
-// with a typed *TimeoutError, and because the gob stream is now
-// mid-message, every later call fails fast wrapping ErrChannelBroken.
+// with a typed *TimeoutError, and because its answer is still owed, every
+// later call fails fast wrapping ErrChannelBroken.
 func TestCallTimeoutBreaksClient(t *testing.T) {
 	release := make(chan struct{})
 	cli := Pipe(handlerFunc(func(req *Request) *Response {
@@ -235,6 +239,111 @@ func TestCallTimeoutBreaksClient(t *testing.T) {
 	}
 	if _, err := cli.Call(&Request{Kind: ReqHello}); !errors.Is(err, ErrChannelBroken) {
 		t.Fatalf("call after timeout = %v, want ErrChannelBroken", err)
+	}
+}
+
+// TestTimedOutPipeLeavesNoGoroutine: once a call has timed out on a
+// stalled agent and the client is closed, the agent's goroutine returns
+// as soon as the handler does.
+func TestTimedOutPipeLeavesNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	release := make(chan struct{})
+	cli := Pipe(handlerFunc(func(req *Request) *Response {
+		<-release
+		return &Response{}
+	}))
+	cli.SetCallTimeout(10 * time.Millisecond)
+	var te *TimeoutError
+	if _, err := cli.ReadStatus(); !errors.As(err, &te) {
+		t.Fatalf("err = %v, want *TimeoutError", err)
+	}
+	close(release)
+	cli.Close()
+	awaitGoroutines(t, baseline)
+}
+
+// awaitGoroutines waits for the goroutines to fall back to baseline, and
+// fails the test if they have not within ten seconds.
+func awaitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the client", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipeCallAfterCloseFails: a call on a closed Pipe client fails, and
+// its request never reaches the handler, whose goroutine has ended.
+func TestPipeCallAfterCloseFails(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var seen atomic.Int32
+	cli := Pipe(handlerFunc(func(*Request) *Response { seen.Add(1); return &Response{} }))
+	cli.Close()
+	if _, err := cli.Call(&Request{Kind: ReqHello}); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("call after Close = %v, want net.ErrClosed", err)
+	}
+	awaitGoroutines(t, baseline)
+	if n := seen.Load(); n != 0 {
+		t.Fatalf("the handler saw %d requests sent after Close", n)
+	}
+}
+
+// unregistered is a payload type gob was never told of.
+type unregistered struct{ N int }
+
+// TestOverLimitFramesFailAlone: on either transport, a request whose
+// payload would take its frame over maxFrame, or cannot be encoded, fails
+// before it is sent; an answer that would do either arrives as an error
+// answer; and the channel goes on: the next payloads each way cross on
+// gob streams that started over.
+func TestOverLimitFramesFailAlone(t *testing.T) {
+	refused := map[string]any{"over the limit": make([]byte, maxFrame), "not registered": unregistered{7}}
+	var spec atomic.Int64 // the length of the last spec the handler got
+	h := handlerFunc(func(req *Request) *Response {
+		switch req.Kind {
+		case ReqConfigureGen:
+			b, _ := req.Payload.([]byte)
+			spec.Store(int64(len(b)))
+		case ReqReadResources:
+			return &Response{Payload: refused[req.Table]}
+		case ReqFetchReport:
+			return &Response{Payload: &testReport{Injected: 64}}
+		}
+		return &Response{}
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go ListenTCP(ln, h)
+	tcp, err := DialTCP(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cli := range map[string]*Client{"pipe": Pipe(h), "tcp": tcp} {
+		small := func(when string) {
+			if err := cli.ConfigureGen([]byte{1, 2, 3}); err != nil || spec.Load() != 3 {
+				t.Errorf("%s: the request %s: %v, handler got %d bytes", name, when, err, spec.Load())
+			}
+			if rep, err := cli.FetchReport(); err != nil || !reflect.DeepEqual(rep, &testReport{Injected: 64}) {
+				t.Errorf("%s: the answer %s: %v %v", name, when, rep, err)
+			}
+		}
+		small("before")
+		for why, payload := range refused {
+			spec.Store(-1)
+			if err := cli.ConfigureGen(payload); err == nil || !strings.Contains(err.Error(), why) || errors.Is(err, ErrChannelBroken) || spec.Load() != -1 {
+				t.Errorf("%s: a request %s: %v, handler got %d bytes", name, why, err, spec.Load())
+			}
+			if resp, err := cli.Call(&Request{Kind: ReqReadResources, Table: why}); err != nil || !strings.Contains(resp.Err, why) {
+				t.Errorf("%s: an answer %s: %+v, %v", name, why, resp, err)
+			}
+			small("after one " + why)
+		}
+		cli.Close()
 	}
 }
 

@@ -22,7 +22,7 @@ type TestSpec struct {
 
 // The payloads of the control channel: each crosses inside a
 // control.Request or Response as its registered concrete type, on the
-// connection's own gob stream.
+// connection's gob stream of payloads.
 func init() {
 	gob.Register(&TestSpec{})
 	gob.Register(&Report{})
@@ -44,9 +44,10 @@ func payload[T any](kind control.ReqKind, p any) (T, error) {
 type Agent struct {
 	dev *device.Device
 
-	// mu serialises Configure and Run: the device beneath takes one run
-	// at a time, and a run reads the spec and works in the storage
-	// Configure changes.
+	// mu serialises Configure, Run and every request Handle serves, on
+	// whichever connection it came: the device beneath takes one run at a
+	// time, a run reads the spec and works in the storage Configure
+	// changes, and a table write must not land under a running test.
 	mu     sync.Mutex
 	spec   *TestSpec
 	report *Report
@@ -76,6 +77,11 @@ func (a *Agent) Device() *device.Device { return a.dev }
 func (a *Agent) Configure(spec *TestSpec) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.configure(spec)
+}
+
+// configure is Configure under a.mu.
+func (a *Agent) configure(spec *TestSpec) error {
 	if err := spec.Gen.check(); err != nil {
 		return err
 	}
@@ -105,6 +111,11 @@ const maxInjectBatch = 512
 func (a *Agent) Run() (*Report, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.run()
+}
+
+// run is Run under a.mu.
+func (a *Agent) run() (*Report, error) {
 	if a.spec == nil {
 		return nil, fmt.Errorf("core: no test configured")
 	}
@@ -132,10 +143,13 @@ func (a *Agent) LastReport() *Report {
 	return a.report
 }
 
-// Handle implements control.Handler, serving the host tool. Errors that
-// mark themselves transient (control.IsTransient) come back with the
+// Handle implements control.Handler, serving the host tool one request
+// at a time, whatever connection each came on. Errors that mark
+// themselves transient (control.IsTransient) come back with the
 // Retryable flag so the host's retry policy can re-issue the request.
 func (a *Agent) Handle(req *control.Request) *control.Response {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	fail := func(err error) *control.Response {
 		return &control.Response{Err: err.Error(), Retryable: control.IsTransient(err)}
 	}
@@ -179,21 +193,20 @@ func (a *Agent) Handle(req *control.Request) *control.Response {
 		if err != nil {
 			return fail(err)
 		}
-		if err := a.Configure(spec); err != nil {
+		if err := a.configure(spec); err != nil {
 			return fail(err)
 		}
 		return &control.Response{}
 	case control.ReqRunTest:
-		if _, err := a.Run(); err != nil {
+		if _, err := a.run(); err != nil {
 			return fail(err)
 		}
 		return &control.Response{}
 	case control.ReqFetchReport:
-		rep := a.LastReport()
-		if rep == nil {
+		if a.report == nil {
 			return fail(fmt.Errorf("no report available; run a test first"))
 		}
-		return &control.Response{Payload: rep}
+		return &control.Response{Payload: a.report}
 	}
 	return nil
 }

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"net"
-	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -94,37 +95,47 @@ func TestHostilePayloads(t *testing.T) {
 // sent under another that nothing registered.
 type stranger struct{ N int }
 
-// TestUnregisteredPayloadEndsConnection: a stream naming a gob type the
-// agent's process never registered cannot be decoded past that point, so
-// it ends its connection — and only that: the listener and the agent
-// serve the next one.
+// renaming is a connection that sends every old in what it writes as new.
+type renaming struct {
+	net.Conn
+	old, new []byte
+	renamed  int
+}
+
+func (c *renaming) Write(b []byte) (int, error) {
+	c.renamed += bytes.Count(b, c.old)
+	return c.Conn.Write(bytes.ReplaceAll(b, c.old, c.new))
+}
+
+// TestUnregisteredPayloadEndsConnection: a payload naming a gob type the
+// agent's process never registered cannot be decoded, and leaves the
+// connection's gob stream unreadable past it, so it ends its connection —
+// the client reads the end of the stream, not an error answer — and only
+// that: the listener and the agent serve the next one.
 func TestUnregisteredPayloadEndsConnection(t *testing.T) {
 	gob.RegisterName("netdebug/internal/core.known-stranger", stranger{})
-	var stream bytes.Buffer
-	if err := gob.NewEncoder(&stream).Encode(&control.Request{ID: 1, Kind: control.ReqConfigureGen, Payload: stranger{N: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	hostile := bytes.Replace(stream.Bytes(), []byte("known-stranger"), []byte("other-stranger"), 1)
-	if bytes.Equal(hostile, stream.Bytes()) {
-		t.Fatal("fixture: the registered name is not in the stream")
-	}
-
 	agent := kindAgent(t, target.KindReference)
 	addr := listen(t, agent)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := conn.Write(hostile); err != nil {
-		t.Fatal(err)
+	hostile := &renaming{Conn: conn, old: []byte("known-stranger"), new: []byte("other-stranger")}
+	cli := control.NewClient(hostile)
+	defer cli.Close()
+	cli.SetCallTimeout(10 * time.Second)
+	err = cli.ConfigureGen(stranger{N: 7})
+	if hostile.renamed != 1 {
+		t.Fatalf("fixture: the registered name crossed %d times", hostile.renamed)
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("the agent kept an undecodable stream open: read %d bytes, %v", n, err)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("the agent kept an undecodable stream open: %v", err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("the connection is still open: read %d bytes, %v", n, err)
 	}
 
-	cli, err := control.DialTCP(addr)
+	cli, err = control.DialTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,4 +144,53 @@ func TestUnregisteredPayloadEndsConnection(t *testing.T) {
 	if rep, err := ctl.RunTest(threeStreamSpec(64)); err != nil || !rep.Pass {
 		t.Fatalf("the next connection: %v %v", rep, err)
 	}
+}
+
+// TestConnectionsShareOneAgent: a listener serves each connection on a
+// goroutine of its own, so table writes on one connection meet test runs
+// on another at the same agent, which must serve them one at a time: the
+// race detector sees a write land in the tables a run is reading
+// otherwise.
+func TestConnectionsShareOneAgent(t *testing.T) {
+	addr := listen(t, kindAgent(t, target.KindReference))
+	dial := func() *Controller {
+		cli, err := control.DialTCP(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		return NewController(cli)
+	}
+	runner, writer := dial(), dial()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e := writeRoute(1) // the route the spec's frames take
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := writer.InstallEntry(e); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := writer.DeleteEntry(e); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	spec := threeStreamSpec(256)
+	for range 20 {
+		if rep, err := runner.RunTest(spec); err != nil || !rep.Pass {
+			t.Errorf("run beside the writes: %v %v", rep, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

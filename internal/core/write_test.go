@@ -129,9 +129,10 @@ func TestBatchWritesEqualSingles(t *testing.T) {
 
 // TestSingleWriteAllocsPerRun pins what one install and one delete cost
 // over the control channel, agent included: 30 allocations while an entry
-// crossed as a gob value, 16 since it crosses in the entries block, whose
+// crossed as a gob value, 16 once it crossed in the entries block, whose
 // names decode to the strings already seen and whose keys and args take
-// one allocation each.
+// one allocation each, and 12 since a call is one hand-written frame each
+// way: the request head and the answer are no gob values either.
 func TestSingleWriteAllocsPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -147,9 +148,9 @@ func TestSingleWriteAllocsPerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // the connection's type descriptions
-	if got := testing.AllocsPerRun(200, run); got > 18 {
-		t.Errorf("%v allocs per install and delete, want at most 18", got)
+	run() // the names the connection keeps, the frames' and tables' storage
+	if got := testing.AllocsPerRun(200, run); got > 12 {
+		t.Errorf("%v allocs per install and delete, want at most 12", got)
 	}
 }
 
