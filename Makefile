@@ -6,7 +6,7 @@ GO ?= go
 # job runs `make cover`.
 COVER_MIN ?= 78
 
-.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc prodcover figure2-golden bench bench-smoke bench-compare
+.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc prodcover figure2-golden bench bench-smoke bench-compare scale-trial
 
 all: vet build test
 
@@ -86,7 +86,8 @@ prodcover:
 	"$$b/figures" -details > /dev/null; \
 	"$$b/netdebug" -program examples/router.p4 -resident -batches 1 -record "$$tmp/run.jsonl" > /dev/null || test $$? -eq 1; \
 	"$$b/netdebug" -replay "$$tmp/run.jsonl" > /dev/null; \
-	"$$b/netdebug" -program examples/router.p4 -fuzz -fuzz-budget 768 -fuzz-shards 4 > /dev/null; \
+	"$$b/netdebug" -program examples/router.p4 -fuzz -fuzz-budget 768 > /dev/null; \
+	"$$b/netdebug" -program examples/router.p4 -suite reject > /dev/null; \
 	"$$b/docgate" > /dev/null; \
 	"$$b/p4c" -target sdnet -resources examples/router.p4 > /dev/null; \
 	"$$b/p4c" -verify examples/router.p4 > /dev/null; \
@@ -109,6 +110,14 @@ figure2-golden:
 	$(GO) run ./cmd/figures -details > figure2.out && \
 	(head -n 3 $(FIGURE2_GOLDEN); cat figure2.out) > figure2.new && \
 	mv figure2.new $(FIGURE2_GOLDEN); s=$$?; rm -f figure2.out figure2.new; exit $$s
+
+# The parallel paths' scaling trial (docs/scaling.md "Parallel paths on
+# trial"): each surviving host worker pool's benchmarks ten times at 1
+# and 2 P. A pool earns its code while its 2-worker run at -cpu 2 is at
+# least 1.5x its 1-worker run. -p 1 keeps the two packages' benchmarks
+# from running at once. About three minutes.
+scale-trial:
+	$(GO) test -p 1 -run '^$$' -bench 'Figure2CapabilityMatrix|ExploreParallel' -cpu 1,2 -count 10 . ./internal/verify/
 
 # Full benchmark sweep, human-readable.
 bench:

@@ -20,7 +20,7 @@
 // same generated stream through every shipped backend in lockstep,
 // majority-voting disagreements to name the divergent backend:
 //
-//	netdebug -program router.p4 -fuzz -fuzz-budget 2048 -fuzz-shards 4
+//	netdebug -program router.p4 -fuzz -fuzz-budget 2048
 package main
 
 import (
@@ -67,7 +67,6 @@ var (
 	fuzzMode = flag.Bool("fuzz", false,
 		"differential fuzzing mode: drive the generated stream through every shipped backend in lockstep")
 	fuzzBudget = flag.Int("fuzz-budget", 1024, "fuzz mode: total probe budget")
-	fuzzShards = flag.Int("fuzz-shards", 1, "fuzz mode: worker shards (report is shard-count independent)")
 	fuzzSeed   = flag.Int64("fuzz-seed", 1, "fuzz mode: random seed (fixed seed = identical report)")
 	fuzzOccup  = flag.Int("fuzz-occupancy", 0,
 		"fuzz mode: preload every table with up to this many synthetic entries (tables clip at capacity; 0 = bare baseline)")
@@ -335,7 +334,6 @@ func runFuzz(src string) {
 	rep, err := netdebug.FuzzFleet(src,
 		netdebug.WithFuzzBaseline(defaultRouteEntry(), fallbackRouteEntry()),
 		netdebug.WithFuzzBudget(*fuzzBudget),
-		netdebug.WithFuzzShards(*fuzzShards),
 		netdebug.WithFuzzSeed(*fuzzSeed),
 		netdebug.WithFuzzOccupancy(*fuzzOccup),
 	)

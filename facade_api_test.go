@@ -100,30 +100,26 @@ func TestVerifyProgramAllocs(t *testing.T) {
 }
 
 // TestFuzzFleetFacade drives the fuzzing fleet through the public
-// option-style entry point: deterministic across repeat runs, shard
-// count invisible in the report, and the known sdnet/ebpf errata
-// localized by majority vote.
+// option-style entry point: deterministic across repeat runs, and the
+// known sdnet/ebpf errata localized by majority vote.
 func TestFuzzFleetFacade(t *testing.T) {
-	opts := func(shards int) []netdebug.FuzzOption {
-		return []netdebug.FuzzOption{
-			netdebug.WithFuzzBaseline(routerSuiteOptions().Baseline[0], fallbackRoute()),
-			netdebug.WithFuzzBudget(512),
-			netdebug.WithFuzzSeed(11),
-			netdebug.WithFuzzShards(shards),
-		}
+	opts := []netdebug.FuzzOption{
+		netdebug.WithFuzzBaseline(routerSuiteOptions().Baseline[0], fallbackRoute()),
+		netdebug.WithFuzzBudget(512),
+		netdebug.WithFuzzSeed(11),
 	}
-	one, err := netdebug.FuzzFleet(p4test.Router, opts(1)...)
+	one, err := netdebug.FuzzFleet(p4test.Router, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := netdebug.FuzzFleet(p4test.Router, opts(4)...)
+	two, err := netdebug.FuzzFleet(p4test.Router, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one.Elapsed, four.Elapsed = 0, 0
-	one.ProbesPerSec, four.ProbesPerSec = 0, 0
-	if !reflect.DeepEqual(one, four) {
-		t.Fatalf("report depends on shard count:\n1: %+v\n4: %+v", one, four)
+	one.Elapsed, two.Elapsed = 0, 0
+	one.ProbesPerSec, two.ProbesPerSec = 0, 0
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("report differs between two runs:\n1: %+v\n2: %+v", one, two)
 	}
 	if one.Divergences["sdnet"] == 0 || one.Divergences["ebpf"] == 0 {
 		t.Fatalf("router errata not localized: %v", one.Divergences)
@@ -133,7 +129,7 @@ func TestFuzzFleetFacade(t *testing.T) {
 	}
 
 	quiet, err := netdebug.FuzzFleet(p4test.Router,
-		append(opts(1), netdebug.WithoutSolverProbes())...)
+		append(opts, netdebug.WithoutSolverProbes())...)
 	if err != nil {
 		t.Fatal(err)
 	}

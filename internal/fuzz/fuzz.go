@@ -29,22 +29,20 @@
 // random mutation can't (see synthesize.go).
 //
 // Determinism contract: for a fixed Options.Seed, the corpus, the
-// coverage curve, and the divergence ledger are byte-identical at any
-// Shards count. Every probe batch is generated centrally from the fleet's
-// one seeded rng (a frame's fuzzed bytes are then a function of its
-// field seed and index, see core.FieldFuzz), probe outcomes are
-// history-independent (tables are static during a run and
-// device.InjectInternal does not queue), shards claim probes
-// by global index and write into an index-addressed result slice, and
-// the merge replays results in global probe order. Only the wall-clock
+// coverage curve, and the divergence ledger are byte-identical from run
+// to run. Every probe batch is generated from the fleet's one seeded rng
+// (a frame's fuzzed bytes are then a function of its field seed and
+// index, see core.FieldFuzz), probe outcomes are history-independent
+// (tables are static during a run and device.InjectInternal does not
+// queue), and results are merged in probe order. Only the wall-clock
 // figures (Elapsed, ProbesPerSec) vary between runs.
 package fuzz
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"netdebug/internal/bitfield"
@@ -74,8 +72,7 @@ type Options struct {
 	// matrix. Kinds must be unique; majority vote needs at least three.
 	Targets []string
 	// Baseline is installed into every backend before fuzzing starts
-	// (same entries on every shard's devices — tables stay static for
-	// the whole run).
+	// (tables stay static for the whole run).
 	Baseline []dataplane.Entry
 	// Seeds are the initial corpus frames. When empty, two defaults are
 	// derived from the program's header layout: an all-zero frame and a
@@ -87,8 +84,7 @@ type Options struct {
 	// RoundSize is the number of probes per mutation round; coverage
 	// feedback is folded in between rounds (default 128).
 	RoundSize int
-	// Shards is the number of parallel lockstep device sets (default 1).
-	// The report is identical at any value; see the package comment.
+	// Deprecated: Shards is ignored; the fleet runs one device set.
 	Shards int
 	// Seed seeds every random choice of the run (default 1).
 	Seed int64
@@ -108,8 +104,8 @@ type Options struct {
 	// table fills to its capacity. Synthetic keys carry the top bit of
 	// every key field so they stay clear of typical baseline entries and
 	// probe traffic; the fill stops per table at the first rejected
-	// entry (capacity, duplicate key), so it is deterministic and
-	// identical on every shard. 0 fuzzes against the bare baseline.
+	// entry (capacity, duplicate key), so it is deterministic. 0 fuzzes
+	// against the bare baseline.
 	Occupancy int
 }
 
@@ -125,9 +121,6 @@ func (o *Options) fill() {
 	}
 	if o.RoundSize > o.Budget {
 		o.RoundSize = o.Budget
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -168,8 +161,7 @@ type CoveragePoint struct {
 }
 
 // Report is the outcome of a fleet run. All fields except Elapsed and
-// ProbesPerSec are deterministic for a fixed Options.Seed, at any shard
-// count.
+// ProbesPerSec are deterministic for a fixed Options.Seed.
 type Report struct {
 	// Probes is the total probe count (seed + mutation + solver).
 	Probes         int
@@ -220,7 +212,7 @@ type mutField struct {
 	loc  core.FieldLoc
 }
 
-// probeResult is one probe's verdict across all backends of a shard.
+// probeResult is one probe's verdict across all backends.
 type probeResult struct {
 	cover uint64           // behaviour signature: every backend's trace key and egress, chained
 	ref   uint64           // reference-backend trace key (solver targeting)
@@ -232,18 +224,8 @@ type probeResult struct {
 // one context per slot.
 const maxProbeBatch = 512
 
-// shard is one lockstep device set: the same program on every backend.
-type shard struct {
-	devs []*device.Device
-	// scratch reused across probe batches: the frames, global indices,
-	// and timestamps of the chunk in flight.
-	batch [][]byte
-	idx   []int
-	ats   []time.Duration
-}
-
-// Fleet is a configured differential fuzzing run over sharded lockstep
-// backends. Build with New, run once with Run.
+// Fleet is a configured differential fuzzing run over one lockstep
+// device set. Build with New, run once with Run.
 type Fleet struct {
 	opts   Options
 	prog   *ir.Program // reference compile: layout + path exploration
@@ -251,7 +233,9 @@ type Fleet struct {
 	fields []mutField
 	refIdx int // backend whose path signatures steer solver targeting
 	anchor int // index of the reference-class backend (the vote's anchor), or -1
-	shards []*shard
+	// devs runs the program on every backend, in Options.Targets order.
+	devs []*device.Device
+	ats  []time.Duration // timestamps of the chunk in flight, reused
 	// gen generates every mutation round's probe frames: each round
 	// configures its streams into the same generator, so frame storage
 	// grows once for the whole run. Safe because a round's frames are
@@ -259,7 +243,7 @@ type Fleet struct {
 	gen core.Generator
 	rng *rand.Rand // every round's field picks and fuzz seeds, seeded once
 
-	// run state, mutated only by the sequential merge
+	// run state, mutated only by the merge
 	corpus     [][]byte
 	cursor     int
 	weights    []int
@@ -335,20 +319,8 @@ func New(p4src string, opts Options) (*Fleet, error) {
 		}
 	}
 	f.weights = make([]int, len(f.fields))
-	for s := 0; s < opts.Shards; s++ {
-		sh, err := newShard(p4src, opts)
-		if err != nil {
-			return nil, err
-		}
-		f.shards = append(f.shards, sh)
-	}
-	return f, nil
-}
-
-// newShard builds one lockstep device set. Each backend gets a fresh
-// compile: Load may transform the IR (the errata transforms do).
-func newShard(p4src string, opts Options) (*shard, error) {
-	sh := &shard{}
+	// Each backend gets a fresh compile: Load may transform the IR (the
+	// errata transforms do).
 	for _, kind := range opts.Targets {
 		tg, err := target.ForKind(kind)
 		if err != nil {
@@ -373,9 +345,9 @@ func newShard(p4src string, opts Options) (*shard, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh.devs = append(sh.devs, dev)
+		f.devs = append(f.devs, dev)
 	}
-	return sh, nil
+	return f, nil
 }
 
 // occupancyKey builds the i-th synthetic key value for a w-bit key
@@ -604,67 +576,49 @@ func (f *Fleet) pickFields(eligible []int, n int) []int {
 	return picked
 }
 
-// runBatch drives one probe batch through every shard: probe i is owned
-// by shard i mod Shards, and each shard drives its stride through every
-// backend's batched data-plane path. Results land in an index-addressed
-// slice, so the outcome order is the global probe order regardless of
-// scheduling.
-func (f *Fleet) runBatch(frames [][]byte) []probeResult {
-	results := make([]probeResult, len(frames))
-	var wg sync.WaitGroup
-	for s := range f.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			f.shards[s].probeStride(f, frames, s, len(f.shards), results)
-		}(s)
-	}
-	wg.Wait()
-	return results
-}
-
-// probeStride runs the shard-owned probes (indices first, first+stride,
-// ...) through every backend as InjectInternalBatch chunks and writes
-// each probe's result at its global index. A probe's behaviour
-// signature is folded backend by backend — from each batch's traces
-// before the next batch on the same device clobbers the target's scratch
-// — so the results are identical to per-frame injection (the sequential
-// model in fuzz_test.go) at any shard count.
+// runBatch drives one probe batch through every backend's batched
+// data-plane path, maxProbeBatch probes at a time, and returns one result
+// per frame, in frame order. A probe's behaviour signature is folded
+// backend by backend — from each batch's traces before the next batch on
+// the same device clobbers the target's scratch — so the results are
+// identical to per-frame injection (the model in fuzz_test.go).
 //
 // The signature is the trace/tap view — parser path, verdict, table
 // hits, drop reason and egress port — deliberately excluding frame bytes
 // and key values so the signature space stays behavioural: each backend's
 // Trace.Key is seeded with the key so far and that backend's egress (0 for
 // a drop, else the port plus one).
-func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, results []probeResult) {
-	for start := first; start < len(frames); start += stride * maxProbeBatch {
-		sh.batch = sh.batch[:0]
-		idx := sh.idx[:0]
-		for i := start; i < len(frames) && len(idx) < maxProbeBatch; i += stride {
-			sh.batch = append(sh.batch, frames[i])
-			idx = append(idx, i)
-		}
-		sh.idx = idx
-		for len(sh.ats) < len(idx) {
-			sh.ats = append(sh.ats, 0)
+func (f *Fleet) runBatch(frames [][]byte) []probeResult {
+	// Yield once a batch. At GOMAXPROCS 1 the GC's fractional mark worker
+	// runs only when the running goroutine yields or is preempted; without
+	// this point a mark phase stretches over whole batches, paid in write
+	// barriers and assists (New+Run measured 19 % slower at 1 P on a
+	// 2-vCPU Xeon).
+	runtime.Gosched()
+	results := make([]probeResult, len(frames))
+	n := len(f.devs)
+	for start := 0; start < len(frames); start += maxProbeBatch {
+		chunk := frames[start:min(start+maxProbeBatch, len(frames))]
+		for len(f.ats) < len(chunk) {
+			f.ats = append(f.ats, 0)
 		}
 		// One outcome buffer for the whole chunk, subsliced per probe:
 		// the buffer is retained by the results (the vote reads it after
 		// the merge), so it is fresh per chunk, but it is one allocation
 		// instead of one per probe.
-		outsBuf := make([]target.Outcome, len(idx)*len(sh.devs))
-		for j, i := range idx {
-			results[i].outs = outsBuf[j*len(sh.devs) : (j+1)*len(sh.devs) : (j+1)*len(sh.devs)]
+		outsBuf := make([]target.Outcome, len(chunk)*n)
+		for j := range chunk {
+			results[start+j].outs = outsBuf[j*n : (j+1)*n : (j+1)*n]
 		}
-		for b, dev := range sh.devs {
-			ats := sh.ats[:len(idx)]
+		for b, dev := range f.devs {
+			ats := f.ats[:len(chunk)]
 			for j := range ats {
 				ats[j] = dev.Now()
 			}
-			rs := dev.InjectInternalBatch(sh.batch, f.opts.IngressPort, ats, true)
+			rs := dev.InjectInternalBatch(chunk, f.opts.IngressPort, ats, true)
 			for j := range rs {
 				res := &rs[j]
-				pr := &results[idx[j]]
+				pr := &results[start+j]
 				o := target.OutcomeOf(*res)
 				pr.outs[b] = o
 				egress := uint64(0)
@@ -678,12 +632,12 @@ func (sh *shard) probeStride(f *Fleet, frames [][]byte, first, stride int, resul
 			}
 		}
 	}
+	return results
 }
 
 // mergeBatch folds a batch's results into the run state in global probe
 // order: coverage bookkeeping, corpus retention, field credit, and the
-// majority vote. This is the only mutation point of the run state, and
-// it is sequential — shard scheduling cannot reorder it.
+// majority vote. This is the only mutation point of the run state.
 func (f *Fleet) mergeBatch(frames [][]byte, origin string, fieldsOf func(int) []int, results []probeResult) {
 	for i := range results {
 		pr := &results[i]

@@ -85,35 +85,10 @@ func stripTiming(r *Report) *Report {
 	return r
 }
 
-func TestFleetDeterministicAtAnyShardCount(t *testing.T) {
-	opts := Options{
-		Baseline:  routerBaseline(),
-		Budget:    384,
-		RoundSize: 128,
-		Seed:      42,
-	}
-	var reports []*Report
-	for _, shards := range []int{1, 2, 8} {
-		o := opts
-		o.Shards = shards
-		reports = append(reports, stripTiming(mustRun(t, p4test.Router, o)))
-	}
-	for i, rep := range reports[1:] {
-		if !reflect.DeepEqual(reports[0], rep) {
-			t.Errorf("report differs between 1 shard and %d shards:\n1: %+v\n%d: %+v",
-				[]int{2, 8}[i], reports[0], []int{2, 8}[i], rep)
-		}
-	}
-	if reports[0].Probes == 0 || reports[0].Coverage == 0 {
-		t.Fatalf("degenerate run: %+v", reports[0])
-	}
-}
-
 func TestFleetLocalizesRouterErrata(t *testing.T) {
 	rep := mustRun(t, p4test.Router, Options{
 		Baseline: routerBaseline(),
 		Budget:   768,
-		Shards:   2,
 		Seed:     1,
 	})
 	// The sdnet reject-as-accept erratum (malformed-but-routable frames
@@ -286,12 +261,12 @@ func TestSolvedPathsTakeTheirParserPath(t *testing.T) {
 	}
 }
 
-// probe is the per-frame injection model probeStride's batching is held
-// to: one frame through every backend of the shard by InjectInternal,
-// with its own outcome slice per probe.
-func (sh *shard) probe(f *Fleet, frame []byte) probeResult {
-	pr := probeResult{outs: make([]target.Outcome, len(sh.devs))}
-	for b, dev := range sh.devs {
+// probe is the per-frame injection model runBatch's batching is held
+// to: one frame through every backend by InjectInternal, with its own
+// outcome slice per probe.
+func (f *Fleet) probe(frame []byte) probeResult {
+	pr := probeResult{outs: make([]target.Outcome, len(f.devs))}
+	for b, dev := range f.devs {
 		res := dev.InjectInternal(frame, f.opts.IngressPort, dev.Now(), true)
 		pr.outs[b] = target.OutcomeOf(res)
 		seed := pr.cover
@@ -306,7 +281,7 @@ func (sh *shard) probe(f *Fleet, frame []byte) probeResult {
 	return pr
 }
 
-// TestDifferentialBatchedProbeInjection cross-checks probeStride (the
+// TestDifferentialBatchedProbeInjection cross-checks runBatch (the
 // batched probe path) against the per-frame model above: identical
 // outcomes, behaviour signatures, and reference path signatures for
 // every probe, across the maxProbeBatch chunk boundary. Fleets are
@@ -327,10 +302,9 @@ func TestDifferentialBatchedProbeInjection(t *testing.T) {
 		fr[rng.Intn(len(fr))] ^= 1 << rng.Intn(8)
 		frames = append(frames, fr)
 	}
-	got := make([]probeResult, len(frames))
-	fBatch.shards[0].probeStride(fBatch, frames, 0, 1, got)
+	got := fBatch.runBatch(frames)
 	for i, fr := range frames {
-		want := fSeq.shards[0].probe(fSeq, fr)
+		want := fSeq.probe(fr)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("probe %d: batched %+v\nvs sequential %+v", i, got[i], want)
 		}
@@ -338,8 +312,8 @@ func TestDifferentialBatchedProbeInjection(t *testing.T) {
 }
 
 // BenchmarkFuzzFleetThroughput measures the lockstep probe path: one
-// 256-probe batch through all five backends on a single shard (1280
-// backend executions per op). The gated figure is the benchmark's fuzz5.
+// 256-probe batch through all five backends (1280 backend executions
+// per op). The gated figure is the benchmark's fuzz5.
 func BenchmarkFuzzFleetThroughput(b *testing.B) {
 	f, err := New(p4test.Router, Options{Baseline: routerBaseline(), Seed: 7})
 	if err != nil {

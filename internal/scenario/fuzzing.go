@@ -23,7 +23,7 @@ func fuzzingScenarios() []Scenario {
 		{
 			Name: "coverage-guided fleet rediscovers the backend errata", UseCase: Fuzzing,
 			NetDebug: func() Outcome {
-				rtr, err := fuzzReport(defaultRouteRouter, fuzz.Options{Budget: 768, Shards: 2, Seed: 1})
+				rtr, err := fuzzReport(defaultRouteRouter, fuzz.Options{Budget: 768, Seed: 1})
 				if err != nil {
 					return missed("router fleet: %v", err)
 				}

@@ -31,9 +31,8 @@
 // calls — so single-packet calls leave a live burst's results alone.
 //
 // A Target is NOT safe for concurrent use. Parallel harnesses (package
-// scenario's worker pool, package fuzz's shards, netdebug.RunSuite)
-// shard work by building one target/device per worker, never by sharing
-// one behind a lock.
+// scenario's worker pool, package session's host pool) build one
+// target/device per worker, never share one behind a lock.
 //
 // Status exposes the target's internal counters (per parser state, per
 // table hit/miss, per deparser emit) — the registers NetDebug reads over

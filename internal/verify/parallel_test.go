@@ -269,8 +269,9 @@ func TestSolvePathsPrunesInfeasible(t *testing.T) {
 }
 
 // BenchmarkExploreParallel measures feasibility-solved exploration of a
-// many-path synthetic program across worker counts. Whether 8 workers
-// beat 1 has never run on a machine with 8 CPUs (ROADMAP item 1).
+// many-path synthetic program across worker counts; workers2 against
+// workers1 at -cpu 2 is the explorer's scaling ratio (`make
+// scale-trial`).
 func BenchmarkExploreParallel(b *testing.B) {
 	prog := mustCompile(b, synthProgram(42, 5))
 	for _, workers := range []int{1, 2, 8} {

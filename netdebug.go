@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"netdebug/internal/bitfield"
@@ -201,9 +200,8 @@ type Options struct {
 	// fail with transient (retryable) errors, with exponential backoff.
 	Retry RetryPolicy
 	// Baseline is installed through the control channel right after
-	// boot, so workloads that shard by System (RunSuite, the fuzz
-	// fleet) can describe their table state declaratively instead of
-	// passing a factory callback.
+	// boot, so a caller describes its table state declaratively instead
+	// of installing it entry by entry.
 	Baseline []Entry
 }
 
@@ -343,60 +341,6 @@ type ExternalTester struct {
 // Run transmits streams through the external ports and scores captures.
 func (e *ExternalTester) Run(streams []ExternalStream) (*ExternalReport, error) {
 	return e.t.Run(streams)
-}
-
-// RunSuite executes a validation suite — one Validate call per spec —
-// across a pool of workers, each with its own freshly opened System.
-// A System (its device, target, and engine) is not safe for concurrent
-// use, so the suite shards by System: every worker independently opens
-// p4src under opts (including installing opts.Baseline), exactly as
-// Open would. workers <= 0 selects one worker per CPU.
-//
-// Reports are returned indexed like specs regardless of scheduling. The
-// first error (by spec order) aborts the suite result; every worker's
-// System is closed before RunSuite returns.
-func RunSuite(p4src string, opts Options, specs []*TestSpec, workers int) ([]*Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	reports := make([]*Report, len(specs))
-	errs := make([]error, len(specs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sys, err := Open(p4src, opts)
-			if err != nil {
-				for idx := range jobs {
-					errs[idx] = fmt.Errorf("netdebug: opening suite system: %w", err)
-				}
-				return
-			}
-			defer sys.Close()
-			for idx := range jobs {
-				reports[idx], errs[idx] = sys.Validate(specs[idx])
-			}
-		}()
-	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return reports, err
-		}
-	}
-	return reports, nil
 }
 
 // SessionManager runs concurrent resident validation sessions over a
@@ -543,11 +487,9 @@ func WithFuzzBudget(n int) FuzzOption {
 	return func(o *fuzz.Options) { o.Budget = n }
 }
 
-// WithFuzzShards shards the fleet across n worker shards, each with a
-// private set of backend devices. The report is identical at any shard
-// count for a fixed seed.
-func WithFuzzShards(n int) FuzzOption {
-	return func(o *fuzz.Options) { o.Shards = n }
+// Deprecated: WithFuzzShards is ignored; the fleet runs one device set.
+func WithFuzzShards(int) FuzzOption {
+	return func(*fuzz.Options) {}
 }
 
 // WithFuzzSeed fixes the fuzzer's random seed (default 1). Two runs
@@ -565,8 +507,7 @@ func WithoutSolverProbes() FuzzOption {
 // WithFuzzOccupancy preloads every table of every backend with up to n
 // synthetic entries before fuzzing, approximating production table
 // state — ask for a million flows and each table fills to capacity.
-// The fill is deterministic, so the report stays shard-count
-// independent.
+// The fill is deterministic, so the report stays seed-determined.
 func WithFuzzOccupancy(n int) FuzzOption {
 	return func(o *fuzz.Options) { o.Occupancy = n }
 }
@@ -577,7 +518,7 @@ func WithFuzzOccupancy(n int) FuzzOption {
 // verdicts) guide mutation, solver-synthesized probes target unreached
 // paths, and cross-backend disagreements are majority-voted to name
 // the divergent backend. The report is deterministic for a fixed seed
-// at any shard count (wall-clock fields aside). See docs/fuzzing.md.
+// (wall-clock fields aside). See docs/fuzzing.md.
 func FuzzFleet(p4src string, opts ...FuzzOption) (*FuzzReport, error) {
 	var o fuzz.Options
 	for _, fn := range opts {
