@@ -6,7 +6,7 @@ GO ?= go
 # job runs `make cover`.
 COVER_MIN ?= 78
 
-.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc prodcover figure2-golden bench bench-smoke bench-compare scale-trial
+.PHONY: all build examples vet test test-race fuzz-smoke fmt-check cover docgate loc prodcover figure2-golden examples-golden bench bench-smoke bench-compare scale-trial
 
 all: vet build test
 
@@ -110,6 +110,17 @@ figure2-golden:
 	$(GO) run ./cmd/figures -details > figure2.out && \
 	(head -n 3 $(FIGURE2_GOLDEN); cat figure2.out) > figure2.new && \
 	mv figure2.new $(FIGURE2_GOLDEN); s=$$?; rm -f figure2.out figure2.new; exit $$s
+
+# Regenerate the four examples' output goldens after a deliberate
+# change. Each example's output lands in a file first, so a failing run
+# leaves its golden untouched. The CI vet job reruns this target and
+# diffs, which holds the examples' output to these bytes.
+EXAMPLES_GOLDEN := quickstart perftest comparison rejectbug
+examples-golden:
+	@for e in $(EXAMPLES_GOLDEN); do \
+		f=examples/testdata/$$e; \
+		$(GO) run ./examples/$$e > $$f.out && mv $$f.out $$f.golden || { rm -f $$f.out; exit 1; }; \
+	done
 
 # The parallel paths' scaling trial (docs/scaling.md "Parallel paths on
 # trial"): each surviving host worker pool's benchmarks ten times at 1

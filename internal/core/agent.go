@@ -98,14 +98,10 @@ func (a *Agent) configure(spec *TestSpec) error {
 	return nil
 }
 
-// maxInjectBatch bounds one InjectInternalBatch run so the target's
-// batch scratch (one context per slot) stays modest on huge streams.
-const maxInjectBatch = 512
-
 // Run executes the configured test: the generator stamps every test
 // packet into its arena in schedule order, with the frames and times
-// beside them, consecutive same-ingress-port packets are injected as one
-// batch through the target's batched data-plane path
+// beside them, consecutive same-ingress-port packets are injected in
+// batches of up to target.MaxBurst through the target's batched data-plane path
 // (Target.ProcessBatch under the hood), and the checker validates every
 // result in real time. The report is retained for collection.
 func (a *Agent) Run() (*Report, error) {
@@ -125,7 +121,7 @@ func (a *Agent) run() (*Report, error) {
 	for start := 0; start < len(pkts); {
 		port := pkts[start].IngressPort
 		end := start + 1
-		for end < len(pkts) && end-start < maxInjectBatch && pkts[end].IngressPort == port {
+		for end < len(pkts) && end-start < target.MaxBurst && pkts[end].IngressPort == port {
 			end++
 		}
 		results := a.dev.InjectInternalBatch(frames[start:end], port, ats[start:end], true)

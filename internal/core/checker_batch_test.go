@@ -215,8 +215,8 @@ func TestCheckerScoresForeignPackets(t *testing.T) {
 	if pkts[0].Stream != "ttl0" {
 		t.Fatalf("fixture: the reversed generator's first packet is %q", pkts[0].Stream)
 	}
-	for lo := 0; lo < len(pkts); lo += maxInjectBatch {
-		hi := min(lo+maxInjectBatch, len(pkts))
+	for lo := 0; lo < len(pkts); lo += target.MaxBurst {
+		hi := min(lo+target.MaxBurst, len(pkts))
 		results := dev.InjectInternalBatch(gen.arena.Since(0)[lo:hi], 0, gen.ats[lo:hi], true)
 		c.OnResults(pkts[lo:hi], results, gen.ats[lo:hi])
 	}

@@ -23,7 +23,7 @@ func (d Diagnosis) String() string {
 
 // LocalizeFault determines where a probe packet is lost, exploiting
 // NetDebug's position inside the device: it can inject below the MACs and
-// observe at every internal tap, so it can tell apart interface faults,
+// read the internal port counters, so it can tell apart interface faults,
 // data-plane drops (per stage), and egress faults — even when the device
 // emits nothing at all. probe must be a packet the (healthy) program
 // forwards; expectPort is its expected egress.
@@ -49,23 +49,27 @@ func LocalizeFault(dev *device.Device, probe []byte, ingress int, expectPort int
 		res.Outputs[0].Port)
 
 	// Step 2: the data plane works. Send the same probe externally and
-	// watch the internal taps to see how far it gets.
-	dpInSeen := false
-	macOutSeen := false
-	unTapIn := tapOnce(dev, device.TapDataplaneIn, &dpInSeen)
-	unTapOut := tapOnce(dev, device.TapMACOut, &macOutSeen)
-	defer unTapIn()
-	defer unTapOut()
-
+	// read the device's port counters around it to see how far it got:
+	// an ingress frame not lost to a down link reached the data plane,
+	// and a transmitted frame on any port left through a MAC. Capture is
+	// off for the probe, so it leaves nothing in the capture ring.
+	before := dev.Counters.Values()
+	capturing := dev.CaptureEnabled()
+	dev.SetCaptureEnabled(false)
 	dev.SendExternal(ingress, probe, dev.Now()+time.Microsecond)
-	egressed := len(dev.Captures(expectPort))
-	dev.ReleaseCaptures(expectPort)
+	dev.SetCaptureEnabled(capturing)
+	after := dev.Counters.Values()
+	delta := func(name string) uint64 { return after[name] - before[name] }
+	var tx uint64
+	for i := range dev.Config().NumPorts {
+		tx += delta(fmt.Sprintf("port%d.tx.frames", i))
+	}
 
 	switch {
-	case !dpInSeen:
+	case delta(fmt.Sprintf("port%d.rx.frames", ingress)) == delta(fmt.Sprintf("port%d.rx.link_down", ingress)):
 		note("external frame on port %d never reached the data plane: interface fault", ingress)
 		diag.Stage = fmt.Sprintf("mac-in port %d", ingress)
-	case !macOutSeen && egressed == 0:
+	case tx == 0:
 		note("data plane emitted the frame but port %d never transmitted it", expectPort)
 		diag.Stage = fmt.Sprintf("egress port %d", expectPort)
 	default:
@@ -73,17 +77,4 @@ func LocalizeFault(dev *device.Device, probe []byte, ingress int, expectPort int
 		diag.Stage = "none"
 	}
 	return diag
-}
-
-// tapOnce registers a tap that records whether any event fired. Device
-// taps cannot be unregistered (as in hardware); the returned cancel simply
-// stops recording.
-func tapOnce(dev *device.Device, p device.TapPoint, flag *bool) func() {
-	active := true
-	dev.Tap(p, func(device.TapEvent) {
-		if active {
-			*flag = true
-		}
-	})
-	return func() { active = false }
 }

@@ -219,11 +219,6 @@ type probeResult struct {
 	outs  []target.Outcome // per backend, Options.Targets order
 }
 
-// maxProbeBatch bounds one InjectInternalBatch run per backend, for the
-// same reason as core's maxInjectBatch: the target's batch scratch holds
-// one context per slot.
-const maxProbeBatch = 512
-
 // Fleet is a configured differential fuzzing run over one lockstep
 // device set. Build with New, run once with Run.
 type Fleet struct {
@@ -577,7 +572,7 @@ func (f *Fleet) pickFields(eligible []int, n int) []int {
 }
 
 // runBatch drives one probe batch through every backend's batched
-// data-plane path, maxProbeBatch probes at a time, and returns one result
+// data-plane path, target.MaxBurst probes at a time, and returns one result
 // per frame, in frame order. A probe's behaviour signature is folded
 // backend by backend — from each batch's traces before the next batch on
 // the same device clobbers the target's scratch — so the results are
@@ -597,8 +592,8 @@ func (f *Fleet) runBatch(frames [][]byte) []probeResult {
 	runtime.Gosched()
 	results := make([]probeResult, len(frames))
 	n := len(f.devs)
-	for start := 0; start < len(frames); start += maxProbeBatch {
-		chunk := frames[start:min(start+maxProbeBatch, len(frames))]
+	for start := 0; start < len(frames); start += target.MaxBurst {
+		chunk := frames[start:min(start+target.MaxBurst, len(frames))]
 		for len(f.ats) < len(chunk) {
 			f.ats = append(f.ats, 0)
 		}

@@ -284,7 +284,7 @@ func (f *Fleet) probe(frame []byte) probeResult {
 // TestDifferentialBatchedProbeInjection cross-checks runBatch (the
 // batched probe path) against the per-frame model above: identical
 // outcomes, behaviour signatures, and reference path signatures for
-// every probe, across the maxProbeBatch chunk boundary. Fleets are
+// every probe, across the target.MaxBurst chunk boundary. Fleets are
 // separate so neither path sees the other's device state.
 func TestDifferentialBatchedProbeInjection(t *testing.T) {
 	mk := func() *Fleet {
@@ -297,7 +297,7 @@ func TestDifferentialBatchedProbeInjection(t *testing.T) {
 	fBatch, fSeq := mk(), mk()
 	frames := fBatch.defaultSeeds()
 	rng := rand.New(rand.NewSource(9))
-	for len(frames) < maxProbeBatch+40 {
+	for len(frames) < target.MaxBurst+40 {
 		fr := append([]byte(nil), frames[rng.Intn(2)]...)
 		fr[rng.Intn(len(fr))] ^= 1 << rng.Intn(8)
 		frames = append(frames, fr)

@@ -74,6 +74,11 @@ type Result struct {
 // Dropped reports whether the packet produced no output.
 func (r *Result) Dropped() bool { return len(r.Outputs) == 0 }
 
+// MaxBurst is the most frames a caller hands ProcessBatch at once: the
+// in-device generator, the fuzz fleet and the external tester all chunk
+// their streams to it, so no target's batch scratch outgrows it.
+const MaxBurst = 512
+
 // Target is a loadable data-plane backend. See the package comment for
 // the full interface contract.
 type Target interface {
@@ -90,6 +95,8 @@ type Target interface {
 	// ProcessBatch runs a burst of frames, all from the same ingress
 	// port, and returns one Result per frame — the amortized path burst
 	// harnesses (device.SendExternalBurst, the external tester) drive.
+	// The batch scratch holds one context per slot and keeps the largest
+	// burst it has seen, so callers send at most MaxBurst frames a call.
 	ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result
 	// InstallEntry installs a match-action table entry.
 	InstallEntry(e dataplane.Entry) error

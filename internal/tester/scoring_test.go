@@ -2,6 +2,7 @@ package tester
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"netdebug/internal/device"
 	"netdebug/internal/packet"
 	"netdebug/internal/stats"
+	"netdebug/internal/target"
 )
 
 // newTwoRouteDevice is newDevice plus a second route, so the differential
@@ -18,8 +20,8 @@ import (
 // one egress line are serialized burst-after-burst in virtual time, and
 // a later burst starting at the shared start time would tail-drop
 // against the queue model instead of scoring as unexpected captures.
-func newTwoRouteDevice(t testing.TB) *device.Device {
-	dev := newDevice(t)
+func newTwoRouteDevice(t testing.TB, tg target.Target) *device.Device {
+	dev := newDeviceOn(t, tg)
 	if err := dev.Target().InstallEntry(dataplane.Entry{
 		Table:  "ipv4_lpm",
 		Keys:   []dataplane.KeyValue{{Value: bitfield.New(0x0a000200, 32), PrefixLen: 24}},
@@ -50,10 +52,11 @@ func mixedStreams(count int) []Stream {
 	}
 }
 
-// runPerFrame is the retired frame-at-a-time tester as a model that owns
-// its state: a private frame arena, a map-keyed outstanding set, and one
-// histogram/meter update per capture — what Run's dense sent-frame table
-// and 512-frame block scoring are held to.
+// runPerFrame is the retired whole-stream, frame-at-a-time tester as a
+// model that owns its state: a private frame arena, each stream sent as
+// one burst, a map-keyed outstanding set scored after the last stream,
+// and one histogram/meter update per capture — what Run's bursts, dense
+// sent-frame table and per-drain scoring are held to.
 func runPerFrame(dev *device.Device, streams []Stream) *Report {
 	rep := &Report{PerStream: make(map[string]StreamResult)}
 	lat := stats.NewHistogram()
@@ -149,16 +152,16 @@ func runPerFrame(dev *device.Device, streams []Stream) *Report {
 	return rep
 }
 
-// TestTesterBatchedScoringMatchesPerFrame: the block scorer (dense
+// TestTesterBatchedScoringMatchesPerFrame: the batched scorer (dense
 // sent-frame table, batched histogram/meter updates) produces a report
 // byte-identical to the frame-at-a-time model on the same workload —
 // counters, per-stream tallies, RTT percentiles, and rates.
 func TestTesterBatchedScoringMatchesPerFrame(t *testing.T) {
-	streams := mixedStreams(600) // > one 512-frame scoring block
+	streams := mixedStreams(600) // > one 512-frame burst
 
-	want := runPerFrame(newTwoRouteDevice(t), streams)
+	want := runPerFrame(newTwoRouteDevice(t, target.NewReference()), streams)
 
-	batched := New(newTwoRouteDevice(t))
+	batched := New(newTwoRouteDevice(t, target.NewReference()))
 	got, err := batched.Run(streams)
 	if err != nil {
 		t.Fatal(err)
@@ -199,5 +202,106 @@ func TestWarmRunBookkeepingAllocs(t *testing.T) {
 	}
 	if big > 256 {
 		t.Fatalf("warm Run allocates %.1f per run, want small constant bookkeeping", big)
+	}
+}
+
+// TestStreamedRunMatchesWholeStream: Run's streams cross burst
+// boundaries (1 300 frames at 64 B is 512+512+276, 700 at 1 518 B is four
+// 172-frame bursts and 12) and each burst is scored before the next, yet
+// the report is the one-burst-per-stream model's, rates included. The
+// stray frame sent to port 2 before the run is a capture whose tag
+// matches nothing. The first-declared RX port is port 1, so the meter's
+// window must open at port 1's first capture, although the bursts bring
+// port 2's captures in first.
+func TestStreamedRunMatchesWholeStream(t *testing.T) {
+	bad := frame(22)
+	bad[14] = 0x65 // not IPv4: the reference parser rejects it
+	toPort2 := func(payload int) []byte {
+		return packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{10, 0, 2, 9},
+			40000, 53, make([]byte, payload))
+	}
+	streams := []Stream{
+		{Name: "rejected", Frame: bad, Count: 300,
+			TxPort: 0, RxPort: 1, RatePPS: 1e6, SeqLoc: seqLoc(), ExpectLoss: true},
+		{Name: "big", Frame: toPort2(1518 - 42), Count: 700,
+			TxPort: 3, RxPort: 2, RatePPS: 5e5, SeqLoc: seqLoc()},
+		{Name: "small", Frame: frame(22), Count: 1300,
+			TxPort: 0, RxPort: 1, RatePPS: 1e6, SeqLoc: seqLoc()},
+	}
+	stray := toPort2(22)
+	if err := seqLoc().Inject(stray, 1<<31); err != nil {
+		t.Fatal(err)
+	}
+	boot := func(kind string) *device.Device {
+		tg, err := target.ForKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := newTwoRouteDevice(t, tg)
+		if err := dev.SendExternal(3, stray, 0); err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	for _, kind := range []string{target.KindReference, target.KindTofino, target.KindSDNet, target.KindEBPF} {
+		t.Run(kind, func(t *testing.T) {
+			want := runPerFrame(boot(kind), streams)
+			got, err := New(boot(kind)).Run(streams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("streamed run diverges from the whole-stream model:\n got %+v\nwant %+v", got, want)
+			}
+			if want.Received < 2000 || want.Unexpected == 0 || want.RxPPS == 0 {
+				t.Fatalf("workload did not exercise both ports and the stray capture: %+v", want)
+			}
+			if kind == target.KindReference && want.Lost != 300 {
+				t.Fatalf("reference lost %d frames, want the 300 rejected ones: %+v", want.Lost, want)
+			}
+		})
+	}
+}
+
+// TestSmartNICPuntsMatchAgent: a tester stream of more frames than the
+// punt ring's depth, every one of which punts, sees the same exception
+// path as the in-device agent sending the same frames: both chunk at
+// target.MaxBurst, so the ring refills before it overflows.
+func TestSmartNICPuntsMatchAgent(t *testing.T) {
+	const count = 1300 // > smartnic PuntQueueDepth (1 024)
+	miss := packet.BuildUDPv4(macA, macB, ipA, packet.IPv4Addr{192, 168, 1, 2},
+		40000, 53, make([]byte, 22)) // misses the populated route table
+	punts := func(dev *device.Device) map[string]uint64 {
+		out := map[string]uint64{}
+		for k, v := range dev.Target().Status() {
+			if strings.HasPrefix(k, "smartnic.punt.") {
+				out[k] = v
+			}
+		}
+		return out
+	}
+
+	ext := newDeviceOn(t, target.NewSmartNIC(target.DefaultSmartNICErrata()))
+	if _, err := New(ext).Run([]Stream{{Name: "miss", Frame: miss, Count: count,
+		TxPort: 0, RxPort: 1, RatePPS: 1e6, SeqLoc: seqLoc(), ExpectLoss: true}}); err != nil {
+		t.Fatal(err)
+	}
+	in := newDeviceOn(t, target.NewSmartNIC(target.DefaultSmartNICErrata()))
+	agent := core.NewAgent(in)
+	if err := agent.Configure(&core.TestSpec{Name: "miss", Gen: core.GenSpec{Streams: []core.StreamSpec{{
+		Name: "miss", Template: miss, Count: count, RatePPS: 1e6, SeqLoc: seqLoc(),
+	}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agent.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, want := punts(ext), punts(in)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tester punt counters %v, agent %v", got, want)
+	}
+	if got["smartnic.punt.total"] != count || got["smartnic.punt.queue_drop"] != 0 {
+		t.Fatalf("want all %d frames punted and none dropped at the ring: %v", count, got)
 	}
 }

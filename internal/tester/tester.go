@@ -12,12 +12,13 @@ package tester
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"netdebug/internal/bitfield"
 	"netdebug/internal/core"
 	"netdebug/internal/device"
 	"netdebug/internal/stats"
+	"netdebug/internal/target"
 )
 
 // Stream describes one external traffic stream.
@@ -76,19 +77,20 @@ func (r *Report) String() string {
 // Tester drives streams against a device from outside.
 type Tester struct {
 	dev *device.Device
-	// arena stamps stream frames without a per-frame allocation; the
-	// frames of a run are valid until the next Run on this tester.
+	// arena stamps one burst's frames without a per-frame allocation;
+	// they are valid until the next burst.
 	arena core.FrameArena
 
-	// Batched-scoring scratch reused across runs, so warm runs add no
-	// per-frame bookkeeping allocations: the dense sent-frame table
-	// (indexed by sequence tag), the per-block RTT staging, per-stream
-	// tallies, and the deduped RX port list.
+	// Scoring scratch reused across runs, so warm runs add no per-frame
+	// bookkeeping allocations: the dense sent-frame table (indexed by
+	// sequence tag), one drain's RTT staging, per-stream tallies, the
+	// deduped RX port list and each RX port's meter tally.
 	sent    []sentFrame
 	rtts    []time.Duration
 	recv    []uint64
 	lostCnt []uint64
 	rxPorts []int
+	tally   []portTally
 }
 
 // New attaches a tester to the device's external ports.
@@ -100,15 +102,43 @@ type sentFrame struct {
 	at      time.Duration
 }
 
-// scoreBlock is the capture-scoring block size, mirroring the injection
-// side's batching (device burst path, core's maxInjectBatch): captures
-// are matched and their RTTs staged per block, then folded into the
-// histogram and rate meter with one batched update each.
-const scoreBlock = 512
+// portTally is one RX port's captures as the rate meter sees them: the
+// first timestamp in capture order, the latest, and the totals.
+type portTally struct {
+	first, last   time.Duration
+	events, bytes uint64
+}
 
-// Run transmits every stream and scores the captures. Frames are sent in
-// virtual time; captures are drained from each stream's RxPort afterwards
-// (ports in first-declared order) and scored in 512-frame blocks.
+// reuse returns s resized to n zeroed elements, allocating only when
+// its capacity is short.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// burstBytes caps the stamped bytes of one burst, so that a burst's
+// stamped frames, the target's outputs and the capture ring's copy stay
+// cache-resident together.
+const burstBytes = 256 << 10
+
+// interval is the stream's inter-frame gap; zero RatePPS is line rate.
+func (s *Stream) interval() time.Duration {
+	rate := s.RatePPS
+	if rate <= 0 {
+		rate = 10e9 / (float64(len(s.Frame)+20) * 8)
+	}
+	return time.Duration(1e9 / rate)
+}
+
+// Run transmits every stream and scores the captures. Each stream goes
+// out in bursts of at most target.MaxBurst frames and burstBytes bytes
+// (always at least one frame), on the virtual-time schedule one burst
+// per stream would have; after each burst the captures on every RX port
+// (ports in first-declared order) are drained, scored and released.
 func (t *Tester) Run(streams []Stream) (*Report, error) {
 	// The tester matches RX frames exclusively through the device's
 	// capture ports; with capture disabled every stream would score as
@@ -118,14 +148,13 @@ func (t *Tester) Run(streams []Stream) (*Report, error) {
 	}
 	rep := &Report{PerStream: make(map[string]StreamResult, len(streams))}
 	lat := stats.NewHistogram()
-	var meter stats.Meter
 
-	totalBytes, totalFrames := 0, 0
+	totalFrames := 0
+	rxPorts := t.rxPorts[:0]
 	for _, s := range streams {
 		if len(s.Frame) == 0 || s.Count <= 0 {
 			return nil, fmt.Errorf("tester: stream %q is empty", s.Name)
 		}
-		totalBytes += s.Count * len(s.Frame)
 		totalFrames += s.Count
 		// Tags number the run's frames 0..totalFrames-1 across streams, so
 		// a stream's last tag must fit its tag field: a truncated tag would
@@ -135,162 +164,147 @@ func (t *Tester) Run(streams []Stream) (*Report, error) {
 			return nil, fmt.Errorf("tester: stream %q: %d-bit sequence tag cannot number %d frames",
 				s.Name, s.SeqLoc.Bits, totalFrames)
 		}
-	}
-	t.arena.Reset(totalBytes, totalFrames)
-
-	// The dense sent-frame table: sequence tags are 0..totalFrames-1 by
-	// construction, so registration and lookup are a bounds-checked
-	// index, and the table is scratch reused across runs.
-	if cap(t.sent) < totalFrames {
-		t.sent = make([]sentFrame, totalFrames)
-	}
-	sent := t.sent[:totalFrames]
-	for i := range sent {
-		sent[i] = sentFrame{stream: -1}
-	}
-	if cap(t.recv) < len(streams) {
-		t.recv = make([]uint64, len(streams))
-		t.lostCnt = make([]uint64, len(streams))
-	}
-	recv := t.recv[:len(streams)]
-	lostCnt := t.lostCnt[:len(streams)]
-	for i := range recv {
-		recv[i], lostCnt[i] = 0, 0
-	}
-
-	rxPorts := t.rxPorts[:0]
-	start := t.dev.Now()
-	gid := uint64(0)
-	for si := range streams {
-		s := &streams[si]
-		rate := s.RatePPS
-		if rate <= 0 {
-			rate = 10e9 / (float64(len(s.Frame)+20) * 8)
-		}
-		interval := time.Duration(1e9 / rate)
-		seenPort := false
-		for _, p := range rxPorts {
-			if p == s.RxPort {
-				seenPort = true
-				break
-			}
-		}
-		if !seenPort {
+		if !slices.Contains(rxPorts, s.RxPort) {
 			rxPorts = append(rxPorts, s.RxPort)
 		}
-		// Stamp the whole stream up front in the arena, then hand it to
-		// the device as one burst: the batched data-plane path amortizes
-		// per-packet overhead while producing the same virtual-time
-		// schedule as one SendExternal call per frame, and the arena
-		// kills the per-frame template copy — frames flow stamped slab →
-		// burst → capture ring without an allocation per packet.
-		streamStart := t.arena.Mark()
+	}
+	t.rxPorts = rxPorts
+	t.tally = reuse(t.tally, len(rxPorts))
+	t.recv = reuse(t.recv, len(streams))
+	t.lostCnt = reuse(t.lostCnt, len(streams))
+
+	// The dense sent-frame table, filled for the whole run before the
+	// first burst, so a capture scores against the same table whichever
+	// burst it arrives in. Sequence tags are 0..totalFrames-1 by
+	// construction, so registration and lookup are a bounds-checked
+	// index, and the table is scratch reused across runs.
+	t.sent = slices.Grow(t.sent[:0], totalFrames)[:totalFrames]
+	start := t.dev.Now()
+	gid := 0
+	for si := range streams {
+		s := &streams[si]
+		interval := s.interval()
 		for i := 0; i < s.Count; i++ {
-			frame := t.arena.Frame(len(s.Frame))
-			copy(frame, s.Frame)
+			t.sent[gid] = sentFrame{stream: -1}
 			if s.SeqLoc.Valid() {
-				if err := bitfield.Inject(frame, s.SeqLoc.BitOff, s.SeqLoc.Bits,
-					bitfield.New(gid, s.SeqLoc.Bits)); err != nil {
-					return nil, fmt.Errorf("tester: stream %q seq tag: %w", s.Name, err)
-				}
-				sent[gid] = sentFrame{stream: int32(si), at: start + time.Duration(i)*interval}
+				t.sent[gid] = sentFrame{stream: int32(si), at: start + time.Duration(i)*interval}
 			}
 			gid++
 		}
-		if err := t.dev.SendExternalBurst(s.TxPort, t.arena.Since(streamStart), start, interval); err != nil {
-			return nil, err
+	}
+
+	// Stamp, send and score burst by burst: the frames flow stamped slab
+	// → target → capture ring → verdict without an allocation per packet,
+	// and a burst's three copies are gone before the next is stamped.
+	// SendExternalBurst keeps each port's queue state across calls, so
+	// the schedule is the one a single burst per stream would run.
+	gid = 0
+	for si := range streams {
+		s := &streams[si]
+		interval := s.interval()
+		per := min(target.MaxBurst, max(1, burstBytes/len(s.Frame)))
+		for b0 := 0; b0 < s.Count; b0 += per {
+			n := min(per, s.Count-b0)
+			t.arena.Reset(n*len(s.Frame), n)
+			for range n {
+				frame := t.arena.Frame(len(s.Frame))
+				copy(frame, s.Frame)
+				if s.SeqLoc.Valid() {
+					if err := s.SeqLoc.Inject(frame, uint64(gid)); err != nil {
+						return nil, fmt.Errorf("tester: stream %q seq tag: %w", s.Name, err)
+					}
+				}
+				gid++
+			}
+			if err := t.dev.SendExternalBurst(s.TxPort, t.arena.Since(0), start+time.Duration(b0)*interval, interval); err != nil {
+				return nil, err
+			}
+			t.score(rep, streams, lat)
 		}
 		rep.Sent += uint64(s.Count)
 		sr := rep.PerStream[s.Name]
 		sr.Sent += uint64(s.Count)
 		rep.PerStream[s.Name] = sr
 	}
-	t.rxPorts = rxPorts
 
-	// Drain captures on every RX port and match sequence tags, scoring
-	// in blocks: RTTs are staged per block and batch-observed, stream
-	// tallies accumulate in dense scratch (folded into the report map
-	// once, after the drain), and the rate meter is updated once per
-	// block. Captured frames are borrowed from the device's capture
-	// ring, so each port's segments go back via ReleaseCaptures as soon
-	// as its drain completes.
-	rtts := t.rtts[:0]
-	for _, port := range rxPorts {
-		caps := t.dev.Captures(port)
-		for blockStart := 0; blockStart < len(caps); blockStart += scoreBlock {
-			block := caps[blockStart:]
-			if len(block) > scoreBlock {
-				block = block[:scoreBlock]
-			}
-			rtts = rtts[:0]
-			var events, bytes uint64
-			var first, last time.Duration
-			for ci := range block {
-				cf := &block[ci]
-				rep.Received++
-				if events == 0 {
-					first = cf.At
-				}
-				if cf.At > last {
-					last = cf.At
-				}
-				events++
-				bytes += uint64(len(cf.Data))
-				matched := false
-				for si := range streams {
-					s := &streams[si]
-					if s.RxPort != port || !s.SeqLoc.Valid() {
-						continue
-					}
-					v, err := bitfield.Extract(cf.Data, s.SeqLoc.BitOff, s.SeqLoc.Bits)
-					if err != nil {
-						continue
-					}
-					seq := v.Uint64()
-					if seq >= uint64(len(sent)) {
-						continue
-					}
-					sf := &sent[seq]
-					if sf.stream < 0 || sf.matched || streams[sf.stream].Name != s.Name {
-						continue
-					}
-					sf.matched = true
-					rtts = append(rtts, cf.At-sf.at)
-					recv[si]++
-					matched = true
-					break
-				}
-				if !matched {
-					rep.Unexpected++
-				}
-			}
-			lat.ObserveBatch(rtts)
-			meter.RecordBlock(first, last, events, bytes)
-		}
-		t.dev.ReleaseCaptures(port)
-	}
-	t.rtts = rtts[:0]
-
-	for i := range sent {
-		sf := &sent[i]
+	for i := range t.sent {
+		sf := &t.sent[i]
 		if sf.stream < 0 || sf.matched {
 			continue
 		}
 		rep.Lost++
-		lostCnt[sf.stream]++
+		t.lostCnt[sf.stream]++
 	}
 	for si := range streams {
-		if recv[si] == 0 && lostCnt[si] == 0 {
+		if t.recv[si] == 0 && t.lostCnt[si] == 0 {
 			continue
 		}
 		sr := rep.PerStream[streams[si].Name]
-		sr.Received += recv[si]
-		sr.Lost += lostCnt[si]
+		sr.Received += t.recv[si]
+		sr.Lost += t.lostCnt[si]
 		rep.PerStream[streams[si].Name] = sr
 	}
 
+	// The meter's window starts at its first event in record order,
+	// which is port-major: fold the ports' tallies in rxPorts order.
+	var meter stats.Meter
+	for _, pt := range t.tally {
+		meter.RecordBlock(pt.first, pt.last, pt.events, pt.bytes)
+	}
 	finishReport(rep, streams, lat, &meter)
 	return rep, nil
+}
+
+// score drains the captures on every RX port and matches their sequence
+// tags against the sent-frame table: RTTs are staged per drain and
+// batch-observed, stream tallies accumulate in dense scratch (folded into
+// the report map after the last burst), and each port's meter tally
+// grows. Captured frames are borrowed from the device's capture ring, so
+// each port's segments go back via ReleaseCaptures once it is scored.
+func (t *Tester) score(rep *Report, streams []Stream, lat *stats.Histogram) {
+	for pi, port := range t.rxPorts {
+		pt := &t.tally[pi]
+		rtts := t.rtts[:0]
+		for _, cf := range t.dev.Captures(port) {
+			rep.Received++
+			if pt.events == 0 {
+				pt.first = cf.At
+			}
+			pt.last = max(pt.last, cf.At)
+			pt.events++
+			pt.bytes += uint64(len(cf.Data))
+			matched := false
+			for si := range streams {
+				s := &streams[si]
+				if s.RxPort != port || !s.SeqLoc.Valid() {
+					continue
+				}
+				v, err := s.SeqLoc.Extract(cf.Data)
+				if err != nil {
+					continue
+				}
+				seq := v.Uint64()
+				if seq >= uint64(len(t.sent)) {
+					continue
+				}
+				sf := &t.sent[seq]
+				if sf.stream < 0 || sf.matched || streams[sf.stream].Name != s.Name {
+					continue
+				}
+				sf.matched = true
+				rtts = append(rtts, cf.At-sf.at)
+				t.recv[si]++
+				matched = true
+				break
+			}
+			if !matched {
+				rep.Unexpected++
+			}
+		}
+		lat.ObserveBatch(rtts)
+		t.rtts = rtts[:0]
+		t.dev.ReleaseCaptures(port)
+	}
 }
 
 // finishReport computes per-stream verdicts and the RTT/rate summary.

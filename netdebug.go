@@ -299,7 +299,7 @@ func (s *System) InjectFault(f Fault) error { return s.dev.InjectFault(f) }
 func (s *System) ClearFaults() { s.dev.ClearFaults() }
 
 // Localize determines which pipeline element loses the probe packet,
-// using NetDebug's internal injection and tap visibility.
+// using NetDebug's internal injection and port counters.
 func (s *System) Localize(probe []byte, ingressPort, expectPort int) Diagnosis {
 	return core.LocalizeFault(s.dev, probe, ingressPort, expectPort)
 }
