@@ -185,10 +185,9 @@ type portState struct {
 	borrowed []*capSegment
 	segFree  []*capSegment
 	// Per-port counters, resolved once at boot so the packet path never
-	// formats counter names, and the port's Status register names.
+	// formats counter names.
 	cRxFrames, cRxLinkDown, cRxBitFlips   *stats.Counter
 	cTxFrames, cTxLinkDown, cTxQueueDrops *stats.Counter
-	kQueueOccupancy, kLinkUp              string
 }
 
 // Device is one simulated network platform.
@@ -252,8 +251,6 @@ func New(cfg Config) (*Device, error) {
 		p.cTxFrames = d.Counters.Counter(fmt.Sprintf("port%d.tx.frames", i))
 		p.cTxLinkDown = d.Counters.Counter(fmt.Sprintf("port%d.tx.link_down", i))
 		p.cTxQueueDrops = d.Counters.Counter(fmt.Sprintf("port%d.tx.queue_drops", i))
-		p.kQueueOccupancy = fmt.Sprintf("port%d.queue_occupancy", i)
-		p.kLinkUp = fmt.Sprintf("port%d.link_up", i)
 		d.ports = append(d.ports, p)
 	}
 	return d, nil
@@ -594,11 +591,12 @@ func (d *Device) Status() map[string]uint64 {
 	for k, v := range d.cfg.Target.Status() {
 		out["target."+k] = v
 	}
-	for _, p := range d.ports {
-		out[p.kQueueOccupancy] = uint64(len(p.stuck))
-		out[p.kLinkUp] = 0
+	for i, p := range d.ports {
+		out[fmt.Sprintf("port%d.queue_occupancy", i)] = uint64(len(p.stuck))
 		if p.up {
-			out[p.kLinkUp] = 1
+			out[fmt.Sprintf("port%d.link_up", i)] = 1
+		} else {
+			out[fmt.Sprintf("port%d.link_up", i)] = 0
 		}
 	}
 	return out
