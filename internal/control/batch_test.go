@@ -97,13 +97,13 @@ func TestServeDropsOversizedWrite(t *testing.T) {
 // TestServeClearsReusedEntries: Serve decodes every request into the same
 // storage, and gob sends no zero field, so each entry must start from
 // zero — a Priority, a key or a table left by the request before must not
-// leak into the next — while an entry the handler kept from an earlier
-// request keeps its own keys.
+// leak into the next — while a copy the handler kept of an earlier
+// request's entries is what that request sent.
 func TestServeClearsReusedEntries(t *testing.T) {
 	var kept []dataplane.Entry
 	var tables []string
 	cli := Pipe(handlerFunc(func(req *Request) *Response {
-		kept = append(kept, req.Entries...)
+		kept = append(kept, keep(req.Entries)...)
 		tables = append(tables, req.Table)
 		return &Response{Done: len(req.Entries)}
 	}))

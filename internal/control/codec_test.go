@@ -100,15 +100,17 @@ func TestEntryCodecMatchesGob(t *testing.T) {
 }
 
 // TestEntryDecoderSharesNames: a name decoded again on one connection is
-// the string decoded the first time, while every entry, in one block or
-// the next, keeps keys of its own.
+// the string decoded the first time. No two entries of one block share
+// key or arg storage, not even past their length, where an append would
+// write; a reader decodes the next block into the storage of the last, so
+// a handler may keep nothing of a request.
 func TestEntryDecoderSharesNames(t *testing.T) {
 	e := dataplane.Entry{Table: "acl", Action: "allow",
 		Keys: []dataplane.KeyValue{{Value: bitfield.New(1, 8)}}, Args: []bitfield.Value{bitfield.New(2, 9)}}
 	block := appendEntries(nil, []dataplane.Entry{e, e})
 	var d reader
-	first, again := make([]dataplane.Entry, 2), make([]dataplane.Entry, 2)
-	if !decodeBlock(&d, first, block) || !decodeBlock(&d, again, block) {
+	first, again, third := make([]dataplane.Entry, 2), make([]dataplane.Entry, 2), make([]dataplane.Entry, 2)
+	if !decodeBlock(&d, first, block) || !decodeBlock(&d, again, block) || !decodeBlock(&d, third, block) {
 		t.Fatal("a valid block was refused")
 	}
 	for _, got := range []dataplane.Entry{first[1], again[0], again[1]} {
@@ -117,8 +119,16 @@ func TestEntryDecoderSharesNames(t *testing.T) {
 			t.Fatal("an equal name decoded to a string of its own")
 		}
 	}
-	if k := &first[0].Keys[0]; k == &first[1].Keys[0] || k == &again[0].Keys[0] || &first[0].Args[0] == &again[0].Args[0] {
-		t.Fatal("two entries share key or arg storage")
+	for _, es := range [][]dataplane.Entry{first, again} {
+		a, b := es[0], es[1]
+		if &a.Keys[0] == &b.Keys[0] || &a.Args[0] == &b.Args[0] || cap(a.Keys) != 1 || cap(a.Args) != 1 {
+			t.Fatal("two entries of one block share key or arg storage")
+		}
+	}
+	for i := range third {
+		if &third[i].Keys[0] != &again[i].Keys[0] || &third[i].Args[0] != &again[i].Args[0] {
+			t.Fatalf("entry %d of a block decoded into fresh storage", i)
+		}
 	}
 }
 
@@ -173,7 +183,9 @@ func TestServeDropsMalformedBlocks(t *testing.T) {
 // FuzzEntryCodec feeds arbitrary bytes to the block decoder, byte 0
 // choosing the entry count. It must not panic, and what it accepts must
 // encode to a block that decodes the same: the codec is a fixpoint on
-// what it accepts.
+// what it accepts. A reader that has just decoded another block must
+// decode it as a fresh reader does: reused storage leaks nothing of the
+// last frame.
 func FuzzEntryCodec(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for n := range 4 {
@@ -183,17 +195,36 @@ func FuzzEntryCodec(f *testing.F) {
 		}
 		f.Add(appendEntries([]byte{byte(n)}, es))
 	}
+	// The block decoded before: eight entries of four keys and four args,
+	// every field set, so a block after it reuses storage full of them.
+	full := dataplane.KeyValue{Value: bitfield.Mask(bitfield.MaxWidth), PrefixLen: -1, Mask: bitfield.Mask(bitfield.MaxWidth)}
+	before := make([]dataplane.Entry, 8)
+	for i := range before {
+		before[i] = dataplane.Entry{Table: "acl", Action: "allow", Priority: -1,
+			Keys: []dataplane.KeyValue{full, full, full, full}, Args: []bitfield.Value{full.Value, full.Value, full.Value, full.Value}}
+	}
+	beforeBlock := appendEntries(nil, before)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		var d reader
+		var fresh, reused reader
 		got := make([]dataplane.Entry, data[0]%8)
-		if !decodeBlock(&d, got, data[1:]) {
+		if !decodeBlock(&fresh, got, data[1:]) {
 			return
 		}
+		if !decodeBlock(&reused, make([]dataplane.Entry, len(before)), beforeBlock) {
+			t.Fatal("the block before was refused")
+		}
+		after := make([]dataplane.Entry, len(got))
+		if !decodeBlock(&reused, after, data[1:]) {
+			t.Fatal("a block was refused after another")
+		}
+		if !reflect.DeepEqual(got, after) {
+			t.Fatalf("decoded %+v, after another block %+v", got, after)
+		}
 		again := make([]dataplane.Entry, len(got))
-		if !decodeBlock(&d, again, appendEntries(nil, got)) {
+		if !decodeBlock(&reused, again, appendEntries(nil, got)) {
 			t.Fatal("re-encoded entries refused")
 		}
 		if !reflect.DeepEqual(got, again) {

@@ -217,8 +217,9 @@ func (p *RetryPolicy) sleep(d time.Duration) {
 	}
 }
 
-// Handler serves requests on the device side. It may keep an entry's Keys
-// and Args, not req or req.Entries, which the next request is decoded into.
+// Handler serves requests on the device side. It may keep nothing of req:
+// the next request is decoded into req, req.Entries and their keys and
+// args.
 type Handler interface {
 	Handle(req *Request) *Response
 }
@@ -523,7 +524,6 @@ func (s *server) serve(h Handler, in, out []byte) ([]byte, error) {
 	if r.failed || k > 255 || n > maxBatch {
 		return out, fmt.Errorf("control: %s of %d entries: malformed or over the limit of %d", kind, n, maxBatch)
 	}
-	clear(s.req.Entries)
 	s.req = Request{id, kind, slices.Grow(s.req.Entries[:0], n)[:n], table, nil}
 	if n > 0 && !r.decode(s.req.Entries) {
 		return out, fmt.Errorf("control: %s with a malformed entries block", kind)
@@ -826,33 +826,40 @@ func appendValue(b []byte, v bitfield.Value) []byte {
 
 // reader reads the frames of one side of a connection: a head's fields
 // and a write's entries block. A name equal to one of the first 64 it
-// decoded is that same string: entries share it.
+// decoded is that same string: entries share it. The entries of a block
+// take their keys and args off the ends of two slabs the next block
+// reuses, each capped at its length: an append cannot reach the next's.
 type reader struct {
 	rest   []byte // what is left of the frame
 	failed bool
 	names  []string
+	keys   []dataplane.KeyValue
+	args   []bitfield.Value
 }
 
 // reset starts reading frame b.
 func (d *reader) reset(b []byte) { d.rest, d.failed = b, false }
 
 // decode fills es from what is left of the frame, all of it, or reports
-// false. Each entry's keys and args are its own, for a handler to keep. A
-// count the bytes left cannot hold (7 a key, 3 a value at least) is
-// refused: allocs are O(block).
+// false. No two entries share key or arg storage, but the next block's
+// entries reuse it. A count the bytes left cannot hold (7 a key, 3 a value
+// at least) is refused: allocs are O(block).
 func (d *reader) decode(es []dataplane.Entry) bool {
+	d.keys, d.args = d.keys[:0], d.args[:0]
 	for i := range es {
 		e := &es[i]
 		e.Table, e.Keys, e.Args = d.name(), nil, nil
 		if n := d.count(7); n > 0 {
-			e.Keys = make([]dataplane.KeyValue, n)
+			d.keys = append(d.keys, make([]dataplane.KeyValue, n)...)
+			e.Keys = d.keys[len(d.keys)-n : len(d.keys) : len(d.keys)]
 			for j := range e.Keys {
 				e.Keys[j] = dataplane.KeyValue{Value: d.value(), PrefixLen: d.varint(), Mask: d.value()}
 			}
 		}
 		e.Action = d.name()
 		if n := d.count(3); n > 0 {
-			e.Args = make([]bitfield.Value, n)
+			d.args = append(d.args, make([]bitfield.Value, n)...)
+			e.Args = d.args[len(d.args)-n : len(d.args) : len(d.args)]
 			for j := range e.Args {
 				e.Args[j] = d.value()
 			}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,16 @@ import (
 	"netdebug/internal/bitfield"
 	"netdebug/internal/dataplane"
 )
+
+// keep deep-copies entries a handler keeps: it may keep nothing of a
+// request, whose keys and args the next request is decoded into.
+func keep(es []dataplane.Entry) []dataplane.Entry {
+	es = slices.Clone(es)
+	for i := range es {
+		es[i].Keys, es[i].Args = slices.Clone(es[i].Keys), slices.Clone(es[i].Args)
+	}
+	return es
+}
 
 // fakeHandler records requests and answers canned responses.
 type fakeHandler struct {
@@ -30,7 +41,7 @@ func (f *fakeHandler) Handle(req *Request) *Response {
 	case ReqHello:
 		return &Response{Hello: &HelloInfo{TargetName: "sdnet", ProgramName: "router", NumPorts: 4}}
 	case ReqInstallEntry:
-		f.installs = append(f.installs, req.Entries...)
+		f.installs = append(f.installs, keep(req.Entries)...)
 		return &Response{Done: len(req.Entries)}
 	case ReqClearTable:
 		if req.Table == "ghost" {
@@ -431,7 +442,7 @@ func TestDeleteEntryRoundTrip(t *testing.T) {
 		if req.Kind != ReqDeleteEntry {
 			return &Response{Err: "wrong kind " + req.Kind.String()}
 		}
-		got = append(got, req.Entries...)
+		got = append(got, keep(req.Entries)...)
 		return &Response{Done: len(req.Entries)}
 	}))
 	defer cli.Close()

@@ -488,10 +488,8 @@ func (e *Engine) resolveEntry(entry Entry) (*tableState, *actionPlan, error) {
 }
 
 // InstallEntry validates and installs a table entry. The engine keeps
-// entry.Keys and entry.Args, not copies: an exact or ternary lookup
-// confirms a candidate against its own keys, an action runs on its own
-// arguments, so the caller must leave both alone while the entry is
-// installed.
+// copies of what it needs of entry.Keys and entry.Args, so the caller may
+// reuse both once it returns.
 func (e *Engine) InstallEntry(entry Entry) error {
 	ts, action, err := e.resolveEntry(entry)
 	if err != nil {

@@ -361,6 +361,35 @@ func TestFirewallTernaryPriority(t *testing.T) {
 	}
 }
 
+// TestInstallCopiesEntry: the engine keeps copies of an entry's keys and
+// args, so a caller that scribbles over its own after the install changes
+// no lookup, no delete and no action's arguments.
+func TestInstallCopiesEntry(t *testing.T) {
+	entries := firewallEntries()
+	e := installed(t, mustEngine(t, p4test.Firewall), entries...)
+	for _, en := range entries {
+		for i := range en.Keys {
+			w := en.Keys[i].Value.W
+			en.Keys[i] = KeyValue{Value: bitfield.Mask(w), PrefixLen: w, Mask: bitfield.New(1, w)}
+		}
+		for i := range en.Args {
+			en.Args[i] = bitfield.New(5, en.Args[i].W)
+		}
+	}
+	ctx := e.NewContext()
+	if out, egress := e.Process(ctx, packet.BuildTCPv4(macA, macB, ipA, ipB, 1234, 443, packet.TCPSyn, nil), 0); out == nil || egress != 2 {
+		t.Fatalf("allowed flow after the scribble: out=%v egress=%d, want port 2", out != nil, egress)
+	}
+	if out, _ := e.Process(ctx, packet.BuildTCPv4(macA, macB, ipA, ipB, 1234, 80, packet.TCPSyn, nil), 0); out != nil {
+		t.Fatal("denied flow forwarded after the scribble")
+	}
+	for i, en := range firewallEntries() {
+		if err := e.DeleteEntry(en); err != nil {
+			t.Fatalf("delete %d by the keys it was installed with: %v", i, err)
+		}
+	}
+}
+
 func TestTernaryPriorityOrderIndependent(t *testing.T) {
 	// Installing deny before allow must give the same result.
 	e := mustEngine(t, p4test.Firewall)

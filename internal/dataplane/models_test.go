@@ -22,6 +22,7 @@ import (
 type modelEntry struct {
 	Entry
 	seq         int // install sequence, the priority tie-break
+	order       int // the production install's boundEntry.order: identity
 	masks, want []bitfield.Value
 }
 
@@ -53,12 +54,13 @@ func (m *linearModel) resolve(e Entry) *modelEntry {
 	return me
 }
 
-func (m *linearModel) install(e Entry) {
+func (m *linearModel) install(e Entry) *modelEntry {
 	me := m.resolve(e)
 	me.seq = m.seq
 	m.seq++
 	m.entries = append(m.entries, me)
 	m.sorted = len(m.entries) == 1
+	return me
 }
 
 // sameSlot reports whether two entries match exactly the same packets:
@@ -142,21 +144,16 @@ func (m *linearModel) maskTuples() map[string]bool {
 	return seen
 }
 
-// isEntry reports whether a production lookup result is the install of
-// e. Production and model share no entry objects; what identifies an
-// install on both sides is the Keys slice the caller handed in, whose
-// backing array every copy of the Entry still points at.
-func isEntry(got *boundEntry, e Entry) bool {
-	return got != nil && &got.Keys[0] == &e.Keys[0]
-}
-
 // sameEntry reports whether the production lookup and the model resolved
-// a probe to the same installed entry (or both to none).
+// a probe to the same installed entry (or both to none). Production and
+// model share no entry objects, and shadowed duplicates share values, so
+// what identifies an install on both sides is its production order, which
+// ternaryPair.install records on the model's entry.
 func sameEntry(got *boundEntry, want *modelEntry) bool {
 	if want == nil {
 		return got == nil
 	}
-	return isEntry(got, want.Entry)
+	return got != nil && got.order == want.order
 }
 
 // ternaryPair drives a ternary tableState and the linear model in
@@ -177,11 +174,12 @@ func newTernaryPair(keys []synthKey, size int) *ternaryPair {
 func (p *ternaryPair) setLIFO(lifo bool) { p.ts.tieLIFO, p.m.lifo = lifo, lifo }
 
 // install installs e on the table and, when the table accepts it, on the
-// model.
+// model, recording the install's production order there. The model's own
+// seq is no copy of it: a table counts installs it then refuses.
 func (p *ternaryPair) install(e Entry) error {
 	err := p.ts.install(e, p.act)
 	if err == nil {
-		p.m.install(e)
+		p.m.install(e).order = p.ts.nextOrd - 1
 	}
 	return err
 }

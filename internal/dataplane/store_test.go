@@ -63,7 +63,7 @@ func checkTernaryIndex(tb testing.TB, ts *tableState) {
 				tb.Fatalf("slot %d: empty cell %d between it and its home", at, p)
 			}
 		}
-		key := ts.entryKey(nil, s.head)
+		key := s.head.key
 		g := s.head.tuple.g
 		if g.hash(key) != s.hash {
 			tb.Fatalf("slot %d: stored hash %#x, its group hashes the entry to %#x", at, s.hash, g.hash(key))
@@ -81,7 +81,7 @@ func checkTernaryIndex(tb testing.TB, ts *tableState) {
 			if ts.tuples[string(tupleKeyOf(be.tuple))] != be.tuple {
 				tb.Fatalf("slot %d: entry of a tuple not in the table", at)
 			}
-			if be.tuple.g != g || !ts.agrees(be, g.masks, key) {
+			if be.tuple.g != g || !be.agrees(g.masks, key) {
 				tb.Fatalf("slot %d: chain entry of another group or cell", at)
 			}
 			if be.Priority > g.maxPrio {
@@ -314,6 +314,29 @@ func TestTernaryDeleteReinstallAllocsFlat(t *testing.T) {
 	small, large := measure(1000), measure(100000)
 	if small != large {
 		t.Fatalf("delete+reinstall allocates %.0f at 10^3 resident entries, %.0f at 10^5", small, large)
+	}
+}
+
+// TestTernaryInstallAllocs: an install of a known mask tuple into an
+// index with room allocates exactly the entry and its own key words.
+func TestTernaryInstallAllocs(t *testing.T) {
+	const resident = 1000
+	ts := aclTable(t, aclEntry, resident)
+	ts.rebuild(4*len(ts.slots), nil) // room for every install below
+	act := &actionPlan{def: ts.def.Actions[0]}
+	entries := make([]Entry, 101) // AllocsPerRun runs once more than asked
+	for i := range entries {
+		entries[i] = aclEntry(resident + i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ts.install(entries[i], act); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 2 {
+		t.Fatalf("an install allocates %v times, want 2: the entry and its key words", allocs)
 	}
 }
 

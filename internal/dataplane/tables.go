@@ -33,10 +33,11 @@ type Entry struct {
 }
 
 // boundEntry is an installed entry: what a lookup or a delete reads of
-// the control plane's Entry, resolved against the program. What a ternary
-// probe reads comes first, to share a cache line.
+// the control plane's Entry, resolved against the program and copied, so
+// the engine owns all of it. What a ternary probe reads comes first, to
+// share a cache line.
 type boundEntry struct {
-	Keys     []KeyValue
+	key      []uint64   // its values as bind packs them; nil in an lpm table
 	tuple    *maskTuple // a ternary or exact table entry's; nil in an lpm table
 	Priority int        // ternary only; higher wins
 	// next links the entries of one ternary cell in beats order, so a
@@ -293,7 +294,7 @@ func (ts *tableState) install(e Entry, action *actionPlan) error {
 	if ts.kind != ir.MatchTernary {
 		e.Priority = 0 // it is a ternary table's to give
 	}
-	be := &boundEntry{Keys: e.Keys, Args: e.Args, Priority: e.Priority, action: action, order: ts.nextOrd}
+	be := &boundEntry{Args: slices.Clone(e.Args), Priority: e.Priority, action: action, order: ts.nextOrd}
 	ts.nextOrd++
 	switch {
 	case ts.kind == ir.MatchLPM:
@@ -304,6 +305,7 @@ func (ts *tableState) install(e Entry, action *actionPlan) error {
 	case ts.kind == ir.MatchExact && ts.lookup(ts.keyWords) != nil:
 		return fmt.Errorf("table %s: duplicate entry", ts.def.Name)
 	default:
+		be.key = slices.Clone(ts.keyWords)
 		if err := ts.linkTernary(be); err != nil {
 			return err
 		}
@@ -358,30 +360,14 @@ func (ts *tableState) sortGroups() {
 }
 
 // agrees reports whether be's values agree with key under masks.
-func (ts *tableState) agrees(be *boundEntry, masks, key []uint64) bool {
-	w := 0
-	for i := range be.Keys {
-		v := &be.Keys[i].Value
-		if ts.plan[i] {
-			if (v.Hi^key[w])&masks[w] != 0 {
-				return false
-			}
-			w++
-		}
-		if (v.Lo^key[w])&masks[w] != 0 {
+func (be *boundEntry) agrees(masks, key []uint64) bool {
+	v, key := be.key[:len(masks)], key[:len(masks)]
+	for w, m := range masks {
+		if (v[w]^key[w])&m != 0 {
 			return false
 		}
-		w++
 	}
 	return true
-}
-
-// entryKey appends be's values to dst packed the way bind packs them.
-func (ts *tableState) entryKey(dst []uint64, be *boundEntry) []uint64 {
-	for i, k := range be.Keys {
-		dst = ts.plan.appendWords(dst, i, k.Value)
-	}
-	return dst
 }
 
 // find walks the probe run of hash h to g's cell for key, or to the
@@ -392,7 +378,7 @@ func (ts *tableState) find(g *ternaryGroup, h uint64, key []uint64) (at int, fou
 		if s.head == nil {
 			return at, false
 		}
-		if s.hash == h && s.head.tuple.g == g && ts.agrees(s.head, g.masks, key) {
+		if s.hash == h && s.head.tuple.g == g && s.head.agrees(g.masks, key) {
 			return at, true
 		}
 	}
@@ -439,13 +425,13 @@ func (ts *tableState) vacate(hole int) {
 	ts.used--
 }
 
-// link inserts be, whose values are key, into the cell of its tuple's
-// group for key, in beats order, raising the group's maxPrio if need be,
-// and returns the cell. The index has room for a new cell.
-func (ts *tableState) link(be *boundEntry, key []uint64) int {
+// link inserts be into the cell of its tuple's group for its values, in
+// beats order, raising the group's maxPrio if need be, and returns the
+// cell. The index has room for a new cell.
+func (ts *tableState) link(be *boundEntry) int {
 	g := be.tuple.g
-	h := g.hash(key)
-	at, found := ts.find(g, h, key)
+	h := g.hash(be.key)
+	at, found := ts.find(g, h, be.key)
 	if !found {
 		ts.slots[at].hash = h
 		ts.used++
@@ -465,11 +451,10 @@ func (ts *tableState) link(be *boundEntry, key []uint64) int {
 
 // relink links every entry of chains afresh, each into its tuple's group.
 func (ts *tableState) relink(chains []*boundEntry) {
-	var key []uint64
 	for _, next := range chains {
 		for be := next; be != nil; be = next {
-			next, key = be.next, ts.entryKey(key[:0], be)
-			ts.link(be, key)
+			next = be.next
+			ts.link(be)
 		}
 	}
 }
@@ -516,11 +501,9 @@ func (ts *tableState) relax(g *ternaryGroup, m []uint64) bool {
 	}
 	// Chains under r, counted by hash: a collision only overcounts.
 	trial, chains := &ternaryGroup{masks: r, seed: g.seed}, make(map[uint64]int)
-	var key []uint64
 	for _, s := range ts.slots {
 		for be := s.head; be != nil && s.head.tuple.g == g; be = be.next {
-			key = ts.entryKey(key[:0], be)
-			h := trial.hash(key)
+			h := trial.hash(be.key)
 			if chains[h]++; chains[h] > maxChain {
 				return false
 			}
@@ -572,7 +555,7 @@ func (ts *tableState) linkTernary(be *boundEntry) error {
 	if 2*(ts.used+1) > len(ts.slots) {
 		ts.rebuild(max(2*len(ts.slots), 8), nil)
 	}
-	at := ts.link(be, ts.keyWords)
+	at := ts.link(be)
 	n, victim := 0, t
 	for c := ts.slots[at].head; c != nil; c = c.next {
 		if n++; victim.own && !c.tuple.own {
@@ -607,7 +590,7 @@ func (ts *tableState) unlinkTernary(prio int) int {
 	}
 	removed := 0
 	for be := *link; be != nil && be.Priority == prio; be = *link {
-		if be.tuple == t && (t.own || ts.agrees(be, t.masks, ts.keyWords)) {
+		if be.tuple == t && (t.own || be.agrees(t.masks, ts.keyWords)) {
 			*link = be.next
 			removed++
 		} else {
@@ -649,7 +632,7 @@ func (ts *tableState) lookup(key []uint64) *boundEntry {
 			continue
 		}
 		for be := ts.slots[at].head; be != nil && (best == nil || ts.beats(be, best)); be = be.next {
-			if be.tuple.own || ts.agrees(be, be.tuple.masks, key) {
+			if be.tuple.own || be.agrees(be.tuple.masks, key) {
 				best = be
 				break
 			}

@@ -17,8 +17,8 @@ import (
 
 // twoOverlapping installs two entries with equal priority that both
 // match the all-zero key: a match-any entry first, then an exact-zero
-// entry in a different mask group.
-func twoOverlapping(t *testing.T, p *ternaryPair) (first, second Entry) {
+// entry in a different mask group. It returns the model's records of them.
+func twoOverlapping(t *testing.T, p *ternaryPair) (first, second *modelEntry) {
 	t.Helper()
 	entries := []Entry{
 		{Table: "synth", Action: "act", Priority: 2,
@@ -31,7 +31,7 @@ func twoOverlapping(t *testing.T, p *ternaryPair) (first, second Entry) {
 			t.Fatal(err)
 		}
 	}
-	return entries[0], entries[1]
+	return p.m.entries[0], p.m.entries[1]
 }
 
 func TestTernaryTieBreakLIFO(t *testing.T) {
@@ -39,14 +39,14 @@ func TestTernaryTieBreakLIFO(t *testing.T) {
 
 	fifo := newTernaryPair([]synthKey{{32, ir.MatchTernary}}, 64)
 	first, _ := twoOverlapping(t, fifo)
-	if got := fifo.lookup(t, probe); !isEntry(got, first) {
+	if got := fifo.lookup(t, probe); !sameEntry(got, first) {
 		t.Fatalf("FIFO: want the first-installed entry, got order %d", got.order)
 	}
 
 	lifo := newTernaryPair([]synthKey{{32, ir.MatchTernary}}, 64)
 	lifo.setLIFO(true)
 	_, second := twoOverlapping(t, lifo)
-	if got := lifo.lookup(t, probe); !isEntry(got, second) {
+	if got := lifo.lookup(t, probe); !sameEntry(got, second) {
 		t.Fatalf("LIFO: want the newest entry, got order %d", got.order)
 	}
 

@@ -32,6 +32,7 @@ package device
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"netdebug/internal/stats"
@@ -190,6 +191,11 @@ type portState struct {
 	cTxFrames, cTxLinkDown, cTxQueueDrops *stats.Counter
 }
 
+// portNames are the ports' counter names, six a port in New's order,
+// formatted once and shared by every device: a fuzz round boots five.
+var portNames []string
+var portNamesMu sync.Mutex
+
 // Device is one simulated network platform.
 type Device struct {
 	cfg      Config
@@ -243,14 +249,18 @@ func New(cfg Config) (*Device, error) {
 	d.cFaults = d.Counters.Counter("faults.injected")
 	d.cBadPort = d.Counters.Counter("tx.bad_port")
 	d.cSegHomeMismatch = d.Counters.Counter("capture.segment_home_mismatch")
-	for i := 0; i < cfg.NumPorts; i++ {
+	portNamesMu.Lock()
+	for i := len(portNames) / 6; i < cfg.NumPorts; i++ {
+		for _, s := range [...]string{"rx.frames", "rx.link_down", "rx.bit_flips", "tx.frames", "tx.link_down", "tx.queue_drops"} {
+			portNames = append(portNames, fmt.Sprintf("port%d.%s", i, s))
+		}
+	}
+	n, c := portNames, d.Counters.Counter
+	portNamesMu.Unlock()
+	for i := 0; i < cfg.NumPorts; i, n = i+1, n[6:] {
 		p := &portState{idx: i, up: true}
-		p.cRxFrames = d.Counters.Counter(fmt.Sprintf("port%d.rx.frames", i))
-		p.cRxLinkDown = d.Counters.Counter(fmt.Sprintf("port%d.rx.link_down", i))
-		p.cRxBitFlips = d.Counters.Counter(fmt.Sprintf("port%d.rx.bit_flips", i))
-		p.cTxFrames = d.Counters.Counter(fmt.Sprintf("port%d.tx.frames", i))
-		p.cTxLinkDown = d.Counters.Counter(fmt.Sprintf("port%d.tx.link_down", i))
-		p.cTxQueueDrops = d.Counters.Counter(fmt.Sprintf("port%d.tx.queue_drops", i))
+		p.cRxFrames, p.cRxLinkDown, p.cRxBitFlips = c(n[0]), c(n[1]), c(n[2])
+		p.cTxFrames, p.cTxLinkDown, p.cTxQueueDrops = c(n[3]), c(n[4]), c(n[5])
 		d.ports = append(d.ports, p)
 	}
 	return d, nil

@@ -2,6 +2,8 @@ package device
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,6 +51,54 @@ func newRouterDevice(t testing.TB, tg target.Target) *Device {
 
 func testFrame(payload int) []byte {
 	return packet.BuildUDPv4(macA, macB, ipA, ipB, 40000, 53, make([]byte, payload))
+}
+
+// TestBootAllocs pins what booting a four-port device allocates once its
+// per-port counter names exist: 72 allocations while every boot formatted
+// its 24 names, 48 since devices share them. A fuzz round boots five.
+func TestBootAllocs(t *testing.T) {
+	tg := target.NewReference()
+	newRouterDevice(t, tg)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := New(Config{Target: tg}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 48 {
+		t.Fatalf("booting a four-port device allocates %v times, want at most 48", allocs)
+	}
+}
+
+// TestBootSharesPortNames: devices booted at once, each with more ports
+// than any before it, grow the shared name table together, and each port
+// counts under its own names.
+func TestBootSharesPortNames(t *testing.T) {
+	tg := target.NewReference()
+	newRouterDevice(t, tg)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ports := 1; ports <= 24; ports += 1 + g {
+				d, err := New(Config{Target: tg, NumPorts: ports})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, p := range d.ports {
+					p.cTxQueueDrops.Add(uint64(i + 1))
+				}
+				status := d.Counters.Values()
+				for i := range ports {
+					if got := status[fmt.Sprintf("port%d.tx.queue_drops", i)]; got != uint64(i+1) {
+						t.Errorf("%d ports: port %d counted %d queue drops, want %d", ports, i, got, i+1)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestForwardExternalToExternal(t *testing.T) {
