@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netdebug/internal/bitfield"
+	"netdebug/internal/device"
 	"netdebug/internal/packet"
 )
 
@@ -228,9 +229,9 @@ func (g *Generator) lower(spec GenSpec) {
 }
 
 // lineRatePPS is the back-to-back packet rate for an n-byte frame at
-// 10 Gbps including preamble+IFG.
+// the device's line rate, including preamble+IFG.
 func lineRatePPS(n int) float64 {
-	return 10e9 / (float64(n+20) * 8)
+	return device.LineRateBps / (float64(n+device.WireOverhead) * 8)
 }
 
 // Packets materializes every stream, merged and sorted by injection time:

@@ -1,8 +1,9 @@
 package device
 
-// SendExternalBurst must be behaviourally equivalent to one SendExternal
-// call per frame: same captures (data and timestamps), same counters,
-// same tap event sequence, same fault handling.
+// SendExternalBurst must be behaviourally equivalent to sending its
+// frames one at a time through sendPerFrame, the per-frame model: same
+// captures (data and timestamps), same counters, same tap event
+// sequence, same fault handling.
 
 import (
 	"bytes"
@@ -26,8 +27,45 @@ func burstFrames(n int) [][]byte {
 	return out
 }
 
-// runPair drives the same schedule through a sequential and a burst
-// device and returns both.
+// sendPerFrame is the test-scope model of the per-frame external path:
+// MAC-in, the ingress taps before the data plane runs, Target.Process,
+// then the data-plane taps and the output queues. The burst path is held
+// to it frame for frame.
+func sendPerFrame(d *Device, port int, frame []byte, at time.Duration) {
+	d.AdvanceTo(at)
+	p := d.ports[port]
+	p.cRxFrames.Inc()
+	if !p.up {
+		p.cRxLinkDown.Inc()
+		return
+	}
+	data := frame
+	if p.bitFlip != nil && len(frame) > 0 {
+		data = append([]byte(nil), frame...)
+		bit := p.bitFlip.Intn(len(data) * 8)
+		data[bit/8] ^= 1 << uint(7-bit%8)
+		p.cRxBitFlips.Inc()
+	}
+	rxDone := at + d.wireTime(len(frame))
+	d.fire(TapEvent{Point: TapMACIn, Port: port, Data: data, At: rxDone})
+	d.fire(TapEvent{Point: TapDataplaneIn, Port: port, Data: data, At: rxDone})
+	res := d.cfg.Target.Process(data, uint64(port), d.wantExternalTrace())
+	done := rxDone + res.Latency
+	if res.Dropped() {
+		d.cDropped.Inc()
+		d.fire(TapEvent{Point: TapDataplaneOut, Port: -1, At: done, Result: &res})
+		return
+	}
+	for _, out := range res.Outputs {
+		d.fire(TapEvent{Point: TapDataplaneOut, Port: int(out.Port), Data: out.Data, At: done, Result: &res})
+	}
+	for _, out := range res.Outputs {
+		d.enqueue(int(out.Port), out.Data, done)
+	}
+}
+
+// runPair drives the same schedule through the per-frame model on one
+// device and a burst on another, and returns both.
 func runPair(t *testing.T, n int, prep func(d *Device)) (seq, burst *Device) {
 	t.Helper()
 	return runPairOn(t, n, prep, target.NewReference, target.NewReference)
@@ -40,9 +78,7 @@ func runPairOn(t *testing.T, n int, prep func(d *Device), mkSeq, mkBurst func() 
 	seq = newRouterDevice(t, mkSeq())
 	prep(seq)
 	for i, f := range frames {
-		if err := seq.SendExternal(0, f, time.Duration(i)*interval); err != nil {
-			t.Fatal(err)
-		}
+		sendPerFrame(seq, 0, f, time.Duration(i)*interval)
 	}
 	burst = newRouterDevice(t, mkBurst())
 	prep(burst)
@@ -125,9 +161,7 @@ func TestBurstTapOrderMatchesSequential(t *testing.T) {
 	seq := newRouterDevice(t, target.NewReference())
 	seqEvents := record(seq)
 	for i, f := range frames {
-		if err := seq.SendExternal(0, f, time.Duration(i)*interval); err != nil {
-			t.Fatal(err)
-		}
+		sendPerFrame(seq, 0, f, time.Duration(i)*interval)
 	}
 	burst := newRouterDevice(t, target.NewReference())
 	burstEvents := record(burst)

@@ -19,14 +19,16 @@
 //     data plane, observation before the MACs, and internal status
 //     registers.
 //
-// Both levels have batched forms (SendExternalBurst,
-// InjectInternalBatch) that amortize context traffic over a burst and,
-// together with the borrow-semantics capture ring (ring.go: Captures
-// returns zero-copy views, ReleaseCaptures recycles segments), keep the
+// Every entry point is a burst: SendExternal and InjectInternal are
+// bursts of one of SendExternalBurst and InjectInternalBatch, which do
+// only their own step (MAC-in; the clock and the injection count) and
+// hand the burst to one dispatch loop. The data plane runs the whole
+// burst, then the taps fire frame by frame in packet order. Together
+// with the borrow-semantics capture ring (ring.go: Captures returns
+// zero-copy views, ReleaseCaptures recycles segments) this keeps the
 // steady-state frame path at 0 allocs/frame with capture on — the
-// economics docs/scaling.md quantifies. Burst and per-frame paths are
-// behaviourally equivalent; the differential tests in burst_test.go and
-// ring_test.go hold them to that.
+// economics docs/scaling.md quantifies. The differential tests in
+// burst_test.go and ring_test.go hold a burst to a per-frame model.
 package device
 
 import (
@@ -43,8 +45,6 @@ import (
 type Config struct {
 	// NumPorts is the number of external ports (default 4, like SUME).
 	NumPorts int
-	// PortSpeedBps is the line rate per port (default 10e9).
-	PortSpeedBps float64
 	// QueueDepth is the per-port output queue capacity in frames
 	// (default 128).
 	QueueDepth int
@@ -64,9 +64,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.NumPorts == 0 {
 		c.NumPorts = 4
-	}
-	if c.PortSpeedBps == 0 {
-		c.PortSpeedBps = 10e9
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 128
@@ -112,7 +109,9 @@ type TapEvent struct {
 }
 
 // TapFunc observes packets at a tap point. Callbacks run synchronously on
-// the simulation path and must not retain Data.
+// the simulation path, after the data plane has run the frame's burst,
+// and must not retain Data. A callback must not inject a frame into the
+// device it observes: the device panics if one does.
 type TapFunc func(TapEvent)
 
 // CapturedFrame is a frame seen leaving an external port.
@@ -203,20 +202,15 @@ type Device struct {
 	ports    []*portState
 	taps     map[TapPoint][]TapFunc
 	Counters *stats.Set
-	// resScratch stages per-packet results so taking their address for
-	// tap events does not heap-allocate per packet. It is indexed by
-	// packet-path reentrancy depth (a tap callback that injects a
-	// follow-up packet gets its own slot), so an outer call's returned
-	// Result struct is never clobbered by a nested one. Note the target
-	// layer still reuses its output buffers per Process call, so nested
-	// injection into the same device invalidates the outer result's
-	// Outputs data — see the target.Result contract.
-	resScratch []target.Result
-	procDepth  int
 	// Burst-path scratch (SendExternalBurst): post-MAC frame data and
-	// per-frame RX-complete timestamps, reused across bursts.
+	// per-frame RX-complete timestamps, reused across bursts. one and
+	// oneAt carry SendExternal's and InjectInternal's burst of one.
 	batchData [][]byte
 	batchAt   []time.Duration
+	one       [1][]byte
+	oneAt     [1]time.Duration
+	// dispatching is set while a burst is in dispatch; see errTapInjects.
+	dispatching bool
 	// captureOn gates frame retention on the TX path; see
 	// Config.DisableCapture.
 	captureOn bool
@@ -342,38 +336,29 @@ func (d *Device) ClearFaults() {
 	}
 }
 
+// Every port runs at 10 GbE, and each frame on the wire carries
+// WireOverhead bytes of preamble and inter-frame gap beyond its own.
+const (
+	LineRateBps  = 10e9
+	WireOverhead = 20
+)
+
 // wireTime is the serialization delay of an n-byte frame at line rate,
-// including the 20-byte preamble+IFG overhead.
+// including the preamble+IFG overhead.
 func (d *Device) wireTime(n int) time.Duration {
-	bits := float64(n+20) * 8
-	return time.Duration(bits / d.cfg.PortSpeedBps * 1e9)
+	bits := float64(n+WireOverhead) * 8
+	return time.Duration(bits / LineRateBps * 1e9)
 }
 
 // SendExternal delivers a frame to an external port at virtual time at,
 // exactly as a connected cable would. The frame traverses the MAC (where
-// interface faults apply), the data plane, and the output queues.
+// interface faults apply), the data plane, and the output queues. It is
+// a burst of one.
 func (d *Device) SendExternal(port int, frame []byte, at time.Duration) error {
-	if port < 0 || port >= len(d.ports) {
-		return fmt.Errorf("device: no port %d", port)
-	}
-	d.AdvanceTo(at)
-	p := d.ports[port]
-	p.cRxFrames.Inc()
-	if !p.up {
-		p.cRxLinkDown.Inc()
-		return nil // silently lost, as on real hardware
-	}
-	data := frame
-	if p.bitFlip != nil && len(frame) > 0 {
-		data = append([]byte(nil), frame...)
-		bit := p.bitFlip.Intn(len(data) * 8)
-		data[bit/8] ^= 1 << uint(7-bit%8)
-		p.cRxBitFlips.Inc()
-	}
-	rxDone := at + d.wireTime(len(frame))
-	d.fire(TapEvent{Point: TapMACIn, Port: port, Data: data, At: rxDone})
-	d.processAndQueue(data, uint64(port), rxDone, d.wantExternalTrace())
-	return nil
+	d.one[0] = frame
+	err := d.SendExternalBurst(port, d.one[:], at, 0)
+	d.one[0] = nil
+	return err
 }
 
 // wantExternalTrace reports whether any consumer can observe a
@@ -388,14 +373,9 @@ func (d *Device) wantExternalTrace() bool {
 }
 
 // SendExternalBurst delivers a burst of frames to one external port,
-// frame i at virtual time start+i*interval, through the batched
-// data-plane path (target.ProcessBatch). It is behaviourally equivalent
-// to one SendExternal call per frame — the same MAC faults, taps in the
-// same per-frame order, the same queueing — but amortizes the per-packet
-// result staging over the burst. The one observable difference is that
-// the data plane executes the whole burst before the first tap fires, so
-// tap callbacks cannot influence the processing of later frames in the
-// same burst.
+// frame i at virtual time start+i*interval. Each frame passes the MAC
+// (counters, link-down loss, bit flips), then the whole burst runs
+// through the data plane and the output queues in frame order.
 func (d *Device) SendExternalBurst(port int, frames [][]byte, start, interval time.Duration) error {
 	if port < 0 || port >= len(d.ports) {
 		return fmt.Errorf("device: no port %d", port)
@@ -421,56 +401,58 @@ func (d *Device) SendExternalBurst(port int, frames [][]byte, start, interval ti
 		d.batchData = append(d.batchData, data)
 		d.batchAt = append(d.batchAt, at+d.wireTime(len(frame)))
 	}
-	if len(d.batchData) == 0 {
-		return nil
-	}
-	results := d.cfg.Target.ProcessBatch(d.batchData, uint64(port), d.wantExternalTrace())
-	for i := range results {
-		res := &results[i]
-		rxDone := d.batchAt[i]
-		d.fire(TapEvent{Point: TapMACIn, Port: port, Data: d.batchData[i], At: rxDone})
-		d.fire(TapEvent{Point: TapDataplaneIn, Port: port, Data: d.batchData[i], At: rxDone})
-		done := rxDone + res.Latency
-		if res.Dropped() {
-			d.cDropped.Inc()
-			d.fire(TapEvent{Point: TapDataplaneOut, Port: -1, Data: nil, At: done, Result: res})
-			continue
-		}
-		for _, out := range res.Outputs {
-			d.fire(TapEvent{Point: TapDataplaneOut, Port: int(out.Port), Data: out.Data, At: done, Result: res})
-			d.enqueue(int(out.Port), out.Data, done)
-		}
+	if len(d.batchData) > 0 {
+		d.dispatch(uint64(port), d.batchData, d.batchAt, d.wantExternalTrace(), true)
 	}
 	return nil
 }
 
 // InjectInternal pushes a frame directly into the data plane under test,
-// bypassing the MACs — the NetDebug generator's attachment point. The
-// returned result carries the full internal trace.
+// bypassing the MACs — the NetDebug generator's attachment point. It is
+// a burst of one: the returned result carries the full internal trace
+// and is valid until the next burst on this device.
 func (d *Device) InjectInternal(frame []byte, ingressPort uint64, at time.Duration, trace bool) target.Result {
-	d.AdvanceTo(at)
-	d.cInjected.Inc()
-	return d.process(frame, ingressPort, at, trace)
+	d.one[0], d.oneAt[0] = frame, at
+	res := d.InjectInternalBatch(d.one[:], ingressPort, d.oneAt[:], trace)[0]
+	d.one[0] = nil
+	return res
 }
 
 // InjectInternalBatch pushes a run of frames from one ingress port
-// through the batched data-plane path (target.ProcessBatch) — how the
-// in-device generator drives its probe streams. Frame i is injected at
-// at[i]. It is behaviourally equivalent to one InjectInternal call per
-// frame — the same counters, the same per-frame dataplane taps in order
-// — but amortizes per-packet dispatch over the run; as with
-// SendExternalBurst, the whole run executes before the first tap fires.
-// The returned results (and the output bytes they reference) are valid
-// until the next batch on this device's target.
+// through the data plane — how the in-device generator drives its probe
+// streams. Frame i is injected at at[i]. The returned results (and the
+// output bytes they reference) are valid until the next burst on this
+// device.
 func (d *Device) InjectInternalBatch(frames [][]byte, ingressPort uint64, at []time.Duration, trace bool) []target.Result {
 	for _, t := range at {
 		d.AdvanceTo(t)
 	}
 	d.cInjected.Add(uint64(len(frames)))
-	results := d.cfg.Target.ProcessBatch(frames, ingressPort, trace)
+	return d.dispatch(ingressPort, frames, at, trace, false)
+}
+
+// errTapInjects is the panic of a tap that injects: the burst it fires
+// from still reads the device's scratch and the target's results.
+const errTapInjects = "device: a tap must not inject frames (SendExternal, InjectInternal or their bursts)"
+
+// dispatch is the data-plane step of every entry point: it runs the
+// burst through the target once, then per frame, in order, fires
+// TapMACIn (external frames only) and TapDataplaneIn, counts a drop or
+// fires TapDataplaneOut for each output, and queues the outputs of an
+// external frame for transmission. Frame i arrived at at[i].
+func (d *Device) dispatch(port uint64, frames [][]byte, at []time.Duration, trace, external bool) []target.Result {
+	if d.dispatching {
+		panic(errTapInjects)
+	}
+	d.dispatching = true
+	defer func() { d.dispatching = false }()
+	results := d.cfg.Target.ProcessBatch(frames, port, trace)
 	for i := range results {
 		res := &results[i]
-		d.fire(TapEvent{Point: TapDataplaneIn, Port: int(ingressPort), Data: frames[i], At: at[i]})
+		if external {
+			d.fire(TapEvent{Point: TapMACIn, Port: int(port), Data: frames[i], At: at[i]})
+		}
+		d.fire(TapEvent{Point: TapDataplaneIn, Port: int(port), Data: frames[i], At: at[i]})
 		done := at[i] + res.Latency
 		if res.Dropped() {
 			d.cDropped.Inc()
@@ -479,46 +461,12 @@ func (d *Device) InjectInternalBatch(frames [][]byte, ingressPort uint64, at []t
 		}
 		for _, out := range res.Outputs {
 			d.fire(TapEvent{Point: TapDataplaneOut, Port: int(out.Port), Data: out.Data, At: done, Result: res})
+			if external {
+				d.enqueue(int(out.Port), out.Data, done)
+			}
 		}
 	}
 	return results
-}
-
-// process runs the data plane and fires dataplane taps; it returns the
-// result without queueing outputs. The result is staged in a
-// depth-indexed scratch slot so tap events can carry a pointer without
-// a per-packet heap allocation; like target results, it is valid until
-// the next packet at the same depth.
-func (d *Device) process(frame []byte, ingressPort uint64, at time.Duration, trace bool) target.Result {
-	depth := d.procDepth
-	d.procDepth++
-	defer func() { d.procDepth-- }()
-	if depth >= len(d.resScratch) {
-		d.resScratch = append(d.resScratch, target.Result{})
-	}
-	d.fire(TapEvent{Point: TapDataplaneIn, Port: int(ingressPort), Data: frame, At: at})
-	d.resScratch[depth] = d.cfg.Target.Process(frame, ingressPort, trace)
-	res := &d.resScratch[depth]
-	done := at + res.Latency
-	if res.Dropped() {
-		d.cDropped.Inc()
-		d.fire(TapEvent{Point: TapDataplaneOut, Port: -1, Data: nil, At: done, Result: res})
-		return *res
-	}
-	for _, out := range res.Outputs {
-		d.fire(TapEvent{Point: TapDataplaneOut, Port: int(out.Port), Data: out.Data, At: done, Result: res})
-	}
-	return *res
-}
-
-// processAndQueue runs the data plane and forwards outputs through the
-// output queues to the external ports.
-func (d *Device) processAndQueue(frame []byte, ingressPort uint64, at time.Duration, trace bool) {
-	res := d.process(frame, ingressPort, at, trace)
-	done := at + res.Latency
-	for _, out := range res.Outputs {
-		d.enqueue(int(out.Port), out.Data, done)
-	}
 }
 
 // enqueue models the output queue and TX serialization of one port.

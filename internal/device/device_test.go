@@ -175,6 +175,14 @@ func TestCaptureDisabledSkipsRetention(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("SendExternal with capture off: %v allocs/frame, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(200, func() {
+		if res := d.InjectInternal(frame, 0, d.Now(), true); res.Dropped() {
+			t.Fatal("InjectInternal dropped a routed frame")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("InjectInternal with trace on: %v allocs/frame, want 0", allocs)
+	}
 
 	// Re-enabling restores retention.
 	d.SetCaptureEnabled(true)
@@ -524,32 +532,117 @@ func BenchmarkDeviceForward(b *testing.B) {
 	}
 }
 
-// TestTapReentrantInjection guards the result-staging path: a tap
-// callback that synchronously injects a follow-up packet must not
-// clobber the Result struct the outer injection returns. (The nested
-// packet here is parser-rejected, so without depth-indexed staging the
-// outer result would flip to Dropped.)
-func TestTapReentrantInjection(t *testing.T) {
-	d := newRouterDevice(t, target.NewReference())
-	bad := testFrame(64)
-	bad[14] = 0x65 // parser reject
-	reentered := false
-	d.Tap(TapDataplaneOut, func(ev TapEvent) {
-		if !reentered {
-			reentered = true
-			if nested := d.InjectInternal(bad, 0, 0, false); !nested.Dropped() {
-				t.Error("nested bad frame should drop")
+// TestTapMustNotInject: a tap that injects into the device it observes
+// panics with the rule, whether it fires from an external burst or an
+// internal one, and the device takes bursts again once the tap stops.
+func TestTapMustNotInject(t *testing.T) {
+	for _, external := range []bool{true, false} {
+		d := newRouterDevice(t, target.NewReference())
+		frame := testFrame(64)
+		inject := true
+		d.Tap(TapDataplaneOut, func(TapEvent) {
+			if inject {
+				inject = false
+				d.InjectInternal(frame, 0, d.Now(), false)
 			}
+		})
+		func() {
+			defer func() {
+				if r := recover(); r != errTapInjects {
+					t.Errorf("external=%v: recovered %v, want %q", external, r, errTapInjects)
+				}
+			}()
+			if external {
+				d.SendExternal(0, frame, 0)
+			} else {
+				d.InjectInternal(frame, 0, 0, false)
+			}
+		}()
+		if res := d.InjectInternal(frame, 0, d.Now(), false); res.Dropped() || res.Outputs[0].Port != 1 {
+			t.Errorf("external=%v: after the refused tap, a frame is dropped=%v", external, res.Dropped())
 		}
-	})
-	res := d.InjectInternal(testFrame(64), 0, 0, false)
-	if !reentered {
-		t.Fatal("tap never fired")
 	}
-	if res.Dropped() {
-		t.Fatal("outer result clobbered by nested injection")
+}
+
+// TestDeviceConservesFrames: every frame that reaches the data plane —
+// past a MAC that did not lose it, or injected — is accounted for exactly
+// once: a data-plane drop, an internal forward handed back to the caller,
+// a transmitted frame, a frame lost to a down egress link, a tail drop, a
+// bad egress port, or a frame held in a frozen queue. The law holds under
+// each fault, through all four entry points, after ClearFaults releases
+// what the faults held, and for the traffic after it.
+func TestDeviceConservesFrames(t *testing.T) {
+	cases := []struct {
+		name  string
+		fault *Fault
+		depth int
+		moved string // a status key the case must move
+	}{
+		{"healthy", nil, 0, "port1.tx.frames"},
+		{"ingress port down", &Fault{Kind: FaultPortDown, Port: 0}, 0, "port0.rx.link_down"},
+		{"egress port down", &Fault{Kind: FaultPortDown, Port: 1}, 0, "port1.tx.link_down"},
+		{"bit flip", &Fault{Kind: FaultBitFlip, Port: 0, Seed: 3}, 0, "port0.rx.bit_flips"},
+		{"queue stuck", &Fault{Kind: FaultQueueStuck, Port: 1}, 0, "port1.queue_occupancy"},
+		{"queue overflow", nil, 4, "port1.tx.queue_drops"},
 	}
-	if res.Outputs[0].Port != 1 {
-		t.Fatalf("outer egress = %d, want 1", res.Outputs[0].Port)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := New(Config{Target: newRouterDevice(t, target.NewReference()).Target(), QueueDepth: tc.depth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.fault != nil {
+				if err := d.InjectFault(*tc.fault); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frames := burstFrames(40) // every fifth is parser-rejected
+			forwards := uint64(0)
+			returned := func(rs ...target.Result) {
+				for _, r := range rs {
+					forwards += uint64(len(r.Outputs))
+				}
+			}
+			drive := func() {
+				for _, f := range frames[:10] {
+					if err := d.SendExternal(0, f, d.Now()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := d.SendExternalBurst(0, frames, d.Now(), 0); err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range frames[:10] {
+					returned(d.InjectInternal(f, 0, d.Now(), false))
+				}
+				at := make([]time.Duration, len(frames))
+				for i := range at {
+					at[i] = d.Now()
+				}
+				returned(d.InjectInternalBatch(frames, 0, at, false)...)
+			}
+			conserved := func(when string) map[string]uint64 {
+				st := d.Status()
+				in, out := st["netdebug.injected"], st["dataplane.dropped"]+forwards+st["tx.bad_port"]
+				for i := range d.Config().NumPorts {
+					port := func(k string) uint64 { return st[fmt.Sprintf("port%d.%s", i, k)] }
+					in += port("rx.frames") - port("rx.link_down")
+					out += port("tx.frames") + port("tx.link_down") + port("tx.queue_drops") + uint64(d.QueueOccupancy(i))
+				}
+				if in != out || in == 0 {
+					t.Errorf("%s: %d frames reached the data plane, %d accounted for (%v)", when, in, out, st)
+				}
+				return st
+			}
+			drive()
+			if st := conserved("under the fault"); st[tc.moved] == 0 || st["dataplane.dropped"] == 0 {
+				t.Errorf("under the fault: %s = %d, dataplane.dropped = %d, want both moved",
+					tc.moved, st[tc.moved], st["dataplane.dropped"])
+			}
+			d.ClearFaults()
+			conserved("after ClearFaults")
+			drive()
+			conserved("after ClearFaults and more traffic")
+		})
 	}
 }

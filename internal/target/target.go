@@ -24,11 +24,11 @@
 // loaded pipeline and returns one Result per frame, all valid at once.
 // Results and the buffers they reference (output frame bytes, trace
 // slices) live in per-target scratch, so that a steady-state frame costs
-// no heap allocation: they are valid until the next ProcessBatch call,
-// and callers that need to retain output bytes must copy them (the
-// device model does this when it captures frames). Process is a burst of
-// one on a scratch set of its own — the same contract, between Process
-// calls — so single-packet calls leave a live burst's results alone.
+// no heap allocation: they are valid until the next ProcessBatch or
+// Process call, and callers that need to retain output bytes must copy
+// them (the device model does this when it captures frames). Process is
+// a burst of one on the same scratch, so it ends the previous burst's
+// results too.
 //
 // A Target is NOT safe for concurrent use. Parallel harnesses (package
 // scenario's worker pool, package session's host pool) build one
@@ -90,7 +90,8 @@ type Target interface {
 	// Program returns the IR the target actually executes (after any
 	// errata transforms), or nil before Load.
 	Program() *ir.Program
-	// Process runs one frame through the pipeline: a burst of one.
+	// Process runs one frame through the pipeline: a burst of one, which
+	// ends the previous burst's results.
 	Process(frame []byte, ingressPort uint64, trace bool) Result
 	// ProcessBatch runs a burst of frames, all from the same ingress
 	// port, and returns one Result per frame — the amortized path burst

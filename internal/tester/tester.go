@@ -129,7 +129,7 @@ const burstBytes = 256 << 10
 func (s *Stream) interval() time.Duration {
 	rate := s.RatePPS
 	if rate <= 0 {
-		rate = 10e9 / (float64(len(s.Frame)+20) * 8)
+		rate = device.LineRateBps / (float64(len(s.Frame)+device.WireOverhead) * 8)
 	}
 	return time.Duration(1e9 / rate)
 }
