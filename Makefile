@@ -33,8 +33,9 @@ test-race:
 # FuzzTernaryStore runs hundreds of checked table operations per input,
 # and FuzzParseStream starts from multi-kilobyte recorded streams, so
 # shrinking each new interesting input for the default minute would
-# leave no time to mutate: their minimizers get a second, and so does
-# FuzzEntryCodec's, so that its twenty seconds go to mutation as well.
+# leave no time to mutate: their minimizers get a second, and so do
+# FuzzEntryCodec's and FuzzCtxScopes' (whose every Check also runs the
+# reference DPLL), so that their twenty seconds go to mutation as well.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExtractInject -fuzztime 20s ./internal/bitfield/
 	$(GO) test -run '^$$' -fuzz FuzzTernaryStore -fuzztime 20s -fuzzminimizetime 1s ./internal/dataplane/
@@ -42,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPlanVsInterpreter -fuzztime 20s ./internal/dataplane/
 	$(GO) test -run '^$$' -fuzz FuzzFixIPv4Checksum -fuzztime 20s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzOperatorConformance -fuzztime 20s ./internal/verify/
+	$(GO) test -run '^$$' -fuzz FuzzCtxScopes -fuzztime 20s -fuzzminimizetime 1s ./internal/verify/solver/
 	$(GO) test -run '^$$' -fuzz FuzzGeneratorFrame -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzServe -fuzztime 20s ./internal/control/
 	$(GO) test -run '^$$' -fuzz FuzzClient -fuzztime 20s ./internal/control/

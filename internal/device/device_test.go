@@ -314,11 +314,23 @@ func TestBitFlipFault(t *testing.T) {
 	if flipsSeen != 50 {
 		t.Fatalf("bit flips = %d, want 50", flipsSeen)
 	}
-	// Some corrupted frames will fail parse/table lookup and be dropped;
-	// with seed 42 at least one frame must differ from the clean output.
-	if st["target.parser.reject"]+st["dataplane.dropped"] == 0 {
-		t.Log("all corrupted frames still forwarded (possible but unlikely); checking bytes")
+	// The flips must show: a corrupted frame is rejected or dropped, or
+	// it leaves port 1 with bytes the clean routed frame does not have.
+	if st["target.parser.reject"]+st["dataplane.dropped"] > 0 {
+		return
 	}
+	clean := newRouterDevice(t, target.NewReference())
+	clean.SendExternal(0, testFrame(64), 0)
+	want := clean.Captures(1)
+	if len(want) != 1 {
+		t.Fatalf("clean device captured %d frames on port 1, want 1", len(want))
+	}
+	for _, c := range d.Captures(1) {
+		if !bytes.Equal(c.Data, want[0].Data) {
+			return
+		}
+	}
+	t.Fatal("50 bit-flipped frames were all forwarded unchanged: the flips had no effect")
 }
 
 func TestQueueStuckFault(t *testing.T) {

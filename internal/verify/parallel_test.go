@@ -120,6 +120,43 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSolverStatsAcrossWorkers: Exploration.Solver counts only work
+// that depends on each path's own formula (fresh solves, and the checks
+// unit propagation refutes), so it is the same at any worker count on
+// every shipped program.
+func TestSolverStatsAcrossWorkers(t *testing.T) {
+	sources := map[string]string{
+		"router":           p4test.Router,
+		"routernottlcheck": p4test.RouterNoTTLCheck,
+		"l2switch":         p4test.L2Switch,
+		"firewall":         p4test.Firewall,
+		"routersplit":      p4test.RouterSplit,
+		"reflector":        p4test.Reflector,
+		"bigexacttable":    p4test.BigExactTable,
+		"routermagicdrop":  p4test.RouterMagicDrop,
+	}
+	for name, src := range sources {
+		prog := mustCompile(t, src)
+		var base solver.Stats
+		for _, workers := range []int{1, 8} {
+			exp, err := ExploreWithStats(prog, Options{Workers: workers, SolvePaths: true})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if workers == 1 {
+				base = exp.Solver
+				continue
+			}
+			if exp.Solver != base {
+				t.Fatalf("%s: workers=%d solver stats %+v, sequential %+v", name, workers, exp.Solver, base)
+			}
+		}
+		if base.Solves+base.Refuted == 0 {
+			t.Fatalf("%s: no path was checked", name)
+		}
+	}
+}
+
 // TestCheckDeterministicAcrossWorkers: property verdicts and
 // counterexample models must not depend on the worker count either.
 func TestCheckDeterministicAcrossWorkers(t *testing.T) {

@@ -42,8 +42,11 @@ type cdcl struct {
 
 // Stats accumulates solver effort counters across the lifetime of a Ctx.
 type Stats struct {
-	// Solves counts Check/Solve calls that reached the SAT core.
+	// Solves counts Check/Solve calls that reached the fresh SAT core.
 	Solves int64
+	// Refuted counts Checks that the scoped level-0 propagation refuted
+	// without a fresh solve (see scoped).
+	Refuted int64
 	// Conflicts and Learned count conflicts analyzed and clauses learned.
 	Conflicts int64
 	Learned   int64
@@ -60,6 +63,7 @@ type Stats struct {
 // add merges two stat sets (used to aggregate per-worker solvers).
 func (s *Stats) Add(o Stats) {
 	s.Solves += o.Solves
+	s.Refuted += o.Refuted
 	s.Conflicts += o.Conflicts
 	s.Learned += o.Learned
 	s.Propagations += o.Propagations
@@ -318,6 +322,16 @@ func (s *cdcl) propagate(st *Stats) int32 {
 	return -1
 }
 
+// --- conflict learning --------------------------------------------------
+//
+// analyze, learn, cancelUntil, bump, heapInsert and heapUp are the search
+// half of the core. No shipped program reaches them: every refutation a
+// verify round meets is unit propagation alone (solver.learned reads 0),
+// so `make prodcover` lists them (ROADMAP item 7). They stay for formulas
+// that need search, such as a symbolic multiply or shift once ROADMAP
+// item 10(b) encodes them. If 10(b) instead refuses such programs at
+// Load, this half goes too.
+
 // analyze derives the first-UIP learned clause from the conflict and
 // returns the backjump level. The clause is left in s.learnt with the
 // asserting literal first and a watch partner at index 1.
@@ -503,4 +517,143 @@ func (s *cdcl) heapDown(i int) {
 	}
 	s.heap[i] = v
 	s.heapPos[v] = int32(i)
+}
+
+// --- scoped level-0 propagation -----------------------------------------
+
+// scoped is a cdcl that never decides. It holds the level-0 unit
+// propagation of the clauses asserted so far and follows the Ctx's scope
+// stack, so a Check whose formula unit propagation alone refutes pays
+// only for the clauses asserted since the last catch-up.
+//
+// The trail is ordered by scope. catchUp always propagates to a fixpoint
+// or a conflict, so every mark is a fixpoint of the clauses ingested
+// before it, and whatever later clauses implied sits past it. A clause
+// only ever watches literals that were open when it arrived, or ones
+// assigned before it that outlive it. So popTo can unassign a trail
+// suffix and unwatch the clauses ingested since the mark, and every
+// surviving clause's watches are valid for the assignment that is left.
+//
+// Whether unit propagation reaches a conflict does not depend on the
+// order clauses arrive in, so a refutation here is exactly a formula the
+// fresh solve would refute at level 0.
+type scoped struct {
+	cdcl
+	// refuted is set once a conflict is found; it stays set until a
+	// popTo returns to a mark taken before it.
+	refuted bool
+	// scratch absorbs propagate's counters: Stats count only the fresh
+	// solves, whose work does not depend on what was checked before.
+	scratch Stats
+}
+
+// scopeMark is the scoped state at a Push.
+type scopeMark struct {
+	clauses int // clauses ingested
+	trail   int
+	refuted bool
+}
+
+func (s *scoped) mark() scopeMark {
+	return scopeMark{clauses: len(s.cOff), trail: len(s.trail), refuted: s.refuted}
+}
+
+// catchUp ingests the encoder's clauses past the ones already held and
+// propagates them. It reports false when the formula is refuted.
+func (s *scoped) catchUp(nVars int, clauseLits, clauseEnd []int32) bool {
+	if s.refuted {
+		return false
+	}
+	if need := nVars + 1 - len(s.assign); need > 0 {
+		s.assign = append(s.assign, make([]int8, need)...)
+		s.level = append(s.level, make([]int32, need)...)
+		s.reason = append(s.reason, make([]int32, need)...)
+		// One slab gives each new literal a watch list of capacity 4; a
+		// list that outgrows it moves out on its own.
+		slab := make([]watchRec, 8*need)
+		for i := 0; i < len(slab); i += 4 {
+			s.watches = append(s.watches, slab[i:i:i+4])
+		}
+	}
+	for ci := len(s.cOff); ci < len(clauseEnd); ci++ {
+		start := int32(0)
+		if ci > 0 {
+			start = clauseEnd[ci-1]
+		}
+		s.cOff = append(s.cOff, int32(len(s.lits)))
+		s.cLen = append(s.cLen, clauseEnd[ci]-start)
+		s.lits = append(s.lits, clauseLits[start:clauseEnd[ci]]...)
+		if !s.attach(int32(ci)) {
+			s.refuted = true
+			return false
+		}
+	}
+	if s.propagate(&s.scratch) >= 0 {
+		s.refuted = true
+		return false
+	}
+	return true
+}
+
+// attach watches clause ci under the current assignment, enqueueing its
+// last open literal when every other one is false. It reports false when
+// the clause is already falsified.
+func (s *scoped) attach(ci int32) bool {
+	off, n := s.cOff[ci], s.cLen[ci]
+	cl := s.lits[off : off+n]
+	open := 0 // move up to two non-false literals to the front
+	for i := 0; i < len(cl) && open < 2; i++ {
+		if s.value(cl[i]) != -1 {
+			cl[open], cl[i] = cl[i], cl[open]
+			open++
+		}
+	}
+	switch {
+	case open == 0:
+		return false
+	case n == 1:
+		return s.enqueue(cl[0], -1)
+	case open == 1:
+		s.enqueue(cl[0], ci)
+	}
+	s.watch(cl[0], cl[1], ci)
+	s.watch(cl[1], cl[0], ci)
+	return true
+}
+
+// popTo rewinds to m: the clauses ingested since are unwatched and
+// dropped, and the literals assigned since are unassigned.
+func (s *scoped) popTo(m scopeMark) {
+	for ci := m.clauses; ci < len(s.cOff); ci++ {
+		if s.cLen[ci] >= 2 {
+			off := s.cOff[ci]
+			s.unwatch(s.lits[off], m.clauses)
+			s.unwatch(s.lits[off+1], m.clauses)
+		}
+	}
+	if m.clauses < len(s.cOff) {
+		s.lits = s.lits[:s.cOff[m.clauses]]
+		s.cOff = s.cOff[:m.clauses]
+		s.cLen = s.cLen[:m.clauses]
+	}
+	for _, l := range s.trail[m.trail:] {
+		s.assign[litVar(l)] = 0
+	}
+	s.trail = s.trail[:m.trail]
+	s.qhead = min(s.qhead, m.trail)
+	s.refuted = m.refuted
+}
+
+// unwatch drops l's watches by clauses at index from or later.
+func (s *scoped) unwatch(l int32, from int) {
+	code := litCode(l)
+	ws := s.watches[code]
+	j := 0
+	for _, w := range ws {
+		if int(w.c) < from {
+			ws[j] = w
+			j++
+		}
+	}
+	s.watches[code] = ws[:j]
 }

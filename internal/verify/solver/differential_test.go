@@ -233,6 +233,56 @@ func TestCtxScopes(t *testing.T) {
 			t.Fatalf("scoped model diverges from fresh solve at %s: %v vs %v", name, mScoped[name], v)
 		}
 	}
+	c.Pop()
+
+	// An Unsat scope popped before a Sat sibling: the refutation, found
+	// by propagation in the outer scope, holds for the scope nested in it
+	// and ends with it.
+	y := Var("y", 8)
+	c.Push()
+	c.Assert(Eq(x, ConstUint(3, 8)))
+	c.Push()
+	c.Assert(Eq(y, ConstUint(1, 8)))
+	refuted := c.Stats().Refuted
+	for depth := 2; depth > 0; depth-- {
+		if _, st := c.Check(); st != Unsat {
+			t.Fatalf("depth %d under x==3: %v, want unsat", depth, st)
+		}
+		c.Pop()
+	}
+	if got := c.Stats().Refuted - refuted; got != 2 {
+		t.Fatalf("%d checks refuted by propagation, want 2", got)
+	}
+	c.Push()
+	c.Assert(Eq(y, ConstUint(2, 8)))
+	mSib, st := c.Check()
+	mFresh, stFresh := Solve([]BV{Bin(ir.OpGe, x, ConstUint(10, 8)), Eq(y, ConstUint(2, 8))})
+	if st != Sat || stFresh != Sat || len(mSib) != len(mFresh) || !mSib["x"].Equal(mFresh["x"]) || !mSib["y"].Equal(mFresh["y"]) {
+		t.Fatalf("sibling after the refuted scope: %v %v, fresh %v %v", st, mSib, stFresh, mFresh)
+	}
+
+	// A Reset between two formulas: nothing of the refuted one, neither
+	// its scopes nor what propagation assigned, reaches the next.
+	c.Push()
+	c.Assert(Eq(x, ConstUint(3, 8)))
+	if _, st := c.Check(); st != Unsat {
+		t.Fatalf("x>=10 && x==3 under a sibling: %v, want unsat", st)
+	}
+	c.Reset()
+	if err := c.Assert(Eq(x, ConstUint(3, 8))); err != nil {
+		t.Fatal(err)
+	}
+	c.Push()
+	if err := c.Assert(Bin(ir.OpLe, x, ConstUint(5, 8))); err != nil {
+		t.Fatal(err)
+	}
+	m, st = c.Check()
+	if st != Sat || m["x"].Uint64() != 3 {
+		t.Fatalf("after reset: %v %v, want sat with x == 3", st, m)
+	}
+	if got := c.Stats(); got.Refuted != 0 || got.Solves != 1 {
+		t.Fatalf("after reset stats %+v, want only this formula's one solve", got)
+	}
 }
 
 // TestCtxErrorScoped: an unsupported construct poisons only the scope it

@@ -45,18 +45,32 @@ func (s Status) String() string {
 // shared constraint prefix encoded once while sibling branches are
 // asserted and retracted around it.
 //
+// The context also keeps the level-0 unit propagation of the asserted
+// clauses across Push and Pop (see scoped). Check first propagates only
+// the clauses asserted since the last catch-up; when that conflicts, the
+// formula is Unsat without a fresh solve. A scope that conflicts stays
+// refuted until it is popped.
+//
 // Determinism contract: the verdict and model returned by Check depend
 // only on the sequence of constraints currently asserted — never on what
-// was solved (or popped) before. Each Check re-seeds the SAT core's
-// activity, phases, and learned-clause store, so a Ctx reused across
-// many solves behaves exactly like a fresh one on each formula.
+// was solved (or popped) before. A propagation conflict does not depend
+// on the order clauses arrived in, and every other Check re-seeds the SAT
+// core's activity, phases, and learned-clause store, so a Ctx reused
+// across many solves behaves exactly like a fresh one on each formula.
 //
 // A Ctx is not safe for concurrent use; give each worker its own.
 type Ctx struct {
 	enc   encoder
 	sat   cdcl
-	marks []encMark
+	scope scoped
+	marks []ctxMark
 	stats Stats
+}
+
+// ctxMark is the context at a Push.
+type ctxMark struct {
+	enc   encMark
+	scope scopeMark
 }
 
 // NewCtx returns an empty solving context.
@@ -66,23 +80,29 @@ func NewCtx() *Ctx {
 	return c
 }
 
-// Reset discards every asserted constraint and scope, keeping capacity.
+// Reset discards every asserted constraint and scope and zeroes Stats,
+// keeping capacity.
 func (c *Ctx) Reset() {
 	c.enc.reset()
+	c.scope.popTo(scopeMark{})
 	c.marks = c.marks[:0]
+	c.stats = Stats{}
 }
 
 // Push opens a scope; the matching Pop retracts everything asserted
-// since.
+// since. The scoped propagation catches up first, so the clauses
+// asserted before the scope are propagated once for every Check inside.
 func (c *Ctx) Push() {
-	c.marks = append(c.marks, c.enc.push())
+	c.scope.catchUp(int(c.enc.nextVar), c.enc.clauseLits, c.enc.clauseEnd)
+	c.marks = append(c.marks, ctxMark{enc: c.enc.push(), scope: c.scope.mark()})
 }
 
 // Pop closes the innermost scope. Popping with no open scope panics.
 func (c *Ctx) Pop() {
 	m := c.marks[len(c.marks)-1]
 	c.marks = c.marks[:len(c.marks)-1]
-	c.enc.popTo(m)
+	c.enc.popTo(m.enc)
+	c.scope.popTo(m.scope)
 }
 
 // Assert adds width-1 constraints to the current scope. A non-nil error
@@ -100,6 +120,10 @@ func (c *Ctx) Assert(constraints ...BV) error {
 func (c *Ctx) Check() (Model, Status) {
 	if c.enc.err != nil {
 		return nil, Unknown
+	}
+	if !c.scope.catchUp(int(c.enc.nextVar), c.enc.clauseLits, c.enc.clauseEnd) {
+		c.stats.Refuted++
+		return nil, Unsat
 	}
 	if !c.sat.solve(int(c.enc.nextVar), c.enc.clauseLits, c.enc.clauseEnd, &c.stats) {
 		return nil, Unsat
@@ -121,23 +145,31 @@ func (c *Ctx) Check() (Model, Status) {
 	return model, Sat
 }
 
-// Stats returns the cumulative solver-effort counters for this context.
+// Stats returns the solver-effort counters since the last Reset.
 func (c *Ctx) Stats() Stats { return c.stats }
 
 var ctxPool = sync.Pool{New: func() any { return NewCtx() }}
+
+// GetCtx returns an empty context from the pool Solve draws from;
+// PutCtx hands it back.
+func GetCtx() *Ctx {
+	c := ctxPool.Get().(*Ctx)
+	c.Reset()
+	return c
+}
+
+// PutCtx returns c to the pool. The caller must not use c afterwards.
+func PutCtx(c *Ctx) { ctxPool.Put(c) }
 
 // Solve decides the conjunction of width-1 constraints. On Sat the model
 // binds every variable mentioned in the constraints. It draws a warm
 // context from a pool, so repeated solves amortize all encoder and
 // solver storage.
 func Solve(constraints []BV) (Model, Status) {
-	c := ctxPool.Get().(*Ctx)
-	c.Reset()
+	c := GetCtx()
+	defer PutCtx(c)
 	if err := c.Assert(constraints...); err != nil {
-		ctxPool.Put(c)
 		return nil, Unknown
 	}
-	model, status := c.Check()
-	ctxPool.Put(c)
-	return model, status
+	return c.Check()
 }

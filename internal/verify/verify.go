@@ -158,9 +158,12 @@ func (s *state) decide(i int) {
 }
 
 // worker is one exploration lane: a goroutine slot plus its private
-// solver context (nil unless Options.SolvePaths).
+// solver context (nil unless Options.SolvePaths), drawn from the pool
+// solver.Solve uses. stats holds the context's counters from the
+// subtrees it ran before its last Reset, which zeroes them.
 type worker struct {
-	ctx *solver.Ctx
+	ctx   *solver.Ctx
+	stats solver.Stats
 }
 
 // explorer drives symbolic execution.
@@ -238,7 +241,9 @@ func ExploreWithStats(prog *ir.Program, opts Options) (*Exploration, error) {
 	}
 	for _, wk := range ex.workers {
 		if wk.ctx != nil {
+			exp.Solver.Add(wk.stats)
 			exp.Solver.Add(wk.ctx.Stats())
+			solver.PutCtx(wk.ctx)
 		}
 	}
 	if err := ex.err(); err != nil {
@@ -256,7 +261,7 @@ func ExploreWithStats(prog *ir.Program, opts Options) (*Exploration, error) {
 func (ex *explorer) newWorker() *worker {
 	w := &worker{}
 	if ex.opts.SolvePaths {
-		w.ctx = solver.NewCtx()
+		w.ctx = solver.GetCtx()
 	}
 	ex.workers = append(ex.workers, w)
 	return w
@@ -303,6 +308,7 @@ func (ex *explorer) fork(w *worker, branch *state, newCons int, fn func(*worker,
 			go func() {
 				defer ex.wg.Done()
 				if w2.ctx != nil {
+					w2.stats.Add(w2.ctx.Stats())
 					w2.ctx.Reset()
 					w2.ctx.Assert(branch.cons...)
 				}
