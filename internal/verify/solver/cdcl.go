@@ -42,7 +42,10 @@ type cdcl struct {
 
 // Stats accumulates solver effort counters across the lifetime of a Ctx.
 type Stats struct {
-	// Solves counts Check/Solve calls that reached the fresh SAT core.
+	// Solves counts Check/Solve calls the scoped propagation did not
+	// refute: those decided on the scoped trail and those that reached
+	// the fresh SAT core. Refuted + Solves is every Check that returned
+	// Sat or Unsat.
 	Solves int64
 	// Refuted counts Checks that the scoped level-0 propagation refuted
 	// without a fresh solve (see scoped).
@@ -50,7 +53,9 @@ type Stats struct {
 	// Conflicts and Learned count conflicts analyzed and clauses learned.
 	Conflicts int64
 	Learned   int64
-	// Propagations counts literals assigned by unit propagation.
+	// Propagations counts literals assigned by the fresh solve's unit
+	// propagation. A Check decided on the scoped trail counts what the
+	// fresh solve would have: every variable, each dequeued once.
 	Propagations int64
 	// MaxBackjump is the deepest non-chronological backjump observed
 	// (levels skipped in one conflict; >1 means real backjumping).
@@ -183,8 +188,8 @@ func (s *cdcl) solve(nVars int, clauseLits, clauseEnd []int32, st *Stats) bool {
 	}
 }
 
-// litTrue reports whether l is true under the current assignment (valid
-// after solve returned true).
+// litTrue reports whether l is true under the current assignment (a
+// model once every variable is assigned: solve returned true, or decide).
 func (s *cdcl) litTrue(l int32) bool { return s.value(l) == 1 }
 
 func (s *cdcl) reinit(nVars int) {
@@ -331,6 +336,11 @@ func (s *cdcl) propagate(st *Stats) int32 {
 // that need search, such as a symbolic multiply or shift once ROADMAP
 // item 10(b) encodes them. If 10(b) instead refuses such programs at
 // Load, this half goes too.
+//
+// The whole fresh core (solve, reinit, pickBranch and the heap with
+// this half) runs only when a decision on the scoped trail conflicts
+// (see scoped.decide), which no shipped program's path does; only tests
+// reach it. ROADMAP items 7 and 10(b) decide whether it stays.
 
 // analyze derives the first-UIP learned clause from the conflict and
 // returns the backjump level. The clause is left in s.learnt with the
@@ -521,10 +531,12 @@ func (s *cdcl) heapDown(i int) {
 
 // --- scoped level-0 propagation -----------------------------------------
 
-// scoped is a cdcl that never decides. It holds the level-0 unit
-// propagation of the clauses asserted so far and follows the Ctx's scope
-// stack, so a Check whose formula unit propagation alone refutes pays
-// only for the clauses asserted since the last catch-up.
+// scoped is a cdcl whose trail holds the level-0 unit propagation of the
+// clauses asserted so far and follows the Ctx's scope stack, so a Check
+// whose formula unit propagation alone refutes pays only for the clauses
+// asserted since the last catch-up. Check then decides the rest on the
+// same trail (decide) and rewinds the decisions once it has the model;
+// between Checks the trail is level 0 only.
 //
 // The trail is ordered by scope. catchUp always propagates to a fixpoint
 // or a conflict, so every mark is a fixpoint of the clauses ingested
@@ -536,14 +548,17 @@ func (s *cdcl) heapDown(i int) {
 //
 // Whether unit propagation reaches a conflict does not depend on the
 // order clauses arrive in, so a refutation here is exactly a formula the
-// fresh solve would refute at level 0.
+// fresh solve would refute at level 0. Neither does the closure it
+// reaches, so a decision run here assigns what the fresh solve assigns.
+// Decisions add no clause, so rewinding them is a trail suffix like a
+// pop's, and leaves every watch valid.
 type scoped struct {
 	cdcl
 	// refuted is set once a conflict is found; it stays set until a
 	// popTo returns to a mark taken before it.
 	refuted bool
-	// scratch absorbs propagate's counters: Stats count only the fresh
-	// solves, whose work does not depend on what was checked before.
+	// scratch absorbs propagate's counters: Stats count only work that
+	// depends on the formula alone, not on what was checked before.
 	scratch Stats
 }
 
@@ -636,12 +651,38 @@ func (s *scoped) popTo(m scopeMark) {
 		s.cOff = s.cOff[:m.clauses]
 		s.cLen = s.cLen[:m.clauses]
 	}
-	for _, l := range s.trail[m.trail:] {
+	s.unassign(m.trail)
+	s.refuted = m.refuted
+}
+
+// unassign rewinds the trail to its first n literals.
+func (s *scoped) unassign(n int) {
+	for _, l := range s.trail[n:] {
 		s.assign[litVar(l)] = 0
 	}
-	s.trail = s.trail[:m.trail]
-	s.qhead = min(s.qhead, m.trail)
-	s.refuted = m.refuted
+	s.trail = s.trail[:n]
+	s.qhead = min(s.qhead, n)
+}
+
+// decide extends the trail of an unrefuted fixpoint with a false
+// decision on each open variable 1..nVars in index order, propagating
+// after each: the run a fresh solve makes when no decision conflicts.
+// It reports whether every variable got a value that way; on a conflict
+// it rewinds the decisions. The caller reads the model off the complete
+// assignment and then unassigns back to the trail it had before.
+func (s *scoped) decide(nVars int) bool {
+	mark := len(s.trail)
+	for v := int32(1); v <= int32(nVars); v++ {
+		if s.assign[v] != 0 {
+			continue
+		}
+		s.enqueue(-v, -1)
+		if s.propagate(&s.scratch) >= 0 {
+			s.unassign(mark)
+			return false
+		}
+	}
+	return true
 }
 
 // unwatch drops l's watches by clauses at index from or later.

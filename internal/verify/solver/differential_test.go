@@ -19,6 +19,9 @@ func checkAgainstReference(t *testing.T, label string, constraints []BV) {
 	if stC != stR {
 		t.Fatalf("%s: CDCL=%v reference=%v", label, stC, stR)
 	}
+	if mF, stF := SolveFresh(constraints); stF != stC || !sameModel(mC, mF) {
+		t.Fatalf("%s: %v %v, fresh core %v %v", label, stC, mC, stF, mF)
+	}
 	if stC != Sat {
 		return
 	}
@@ -283,6 +286,35 @@ func TestCtxScopes(t *testing.T) {
 	if got := c.Stats(); got.Refuted != 0 || got.Solves != 1 {
 		t.Fatalf("after reset stats %+v, want only this formula's one solve", got)
 	}
+
+	// Index-order false decisions that conflict: a and b false leave c
+	// and ¬c both forced. The fresh core runs, and its model is returned.
+	or := func(a, b BV) BV { return Bin(ir.OpOr, a, b) }
+	a, b, cv := Var("a", 1), Var("b", 1), Var("c", 1)
+	c = NewCtx()
+	c.Assert(or(or(a, b), cv), or(or(a, b), Not(cv)))
+	m, st = c.Check()
+	if len(c.sat.assign) == 0 {
+		t.Fatal("the decisions did not conflict: the fresh core never ran")
+	}
+	mFresh, stFresh, stats := FreshCheck(c)
+	if st != Sat || stFresh != Sat || !sameModel(m, mFresh) || c.Stats() != stats {
+		t.Fatalf("fallback: %v %v %+v, fresh core %v %v %+v", st, m, c.Stats(), stFresh, mFresh, stats)
+	}
+}
+
+// sameModel reports whether two models bind the same variables to the
+// same values.
+func sameModel(a, b Model) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, v := range a {
+		if w, ok := b[name]; !ok || !w.Equal(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestCtxErrorScoped: an unsupported construct poisons only the scope it

@@ -49,14 +49,19 @@ func (s Status) String() string {
 // clauses across Push and Pop (see scoped). Check first propagates only
 // the clauses asserted since the last catch-up; when that conflicts, the
 // formula is Unsat without a fresh solve. A scope that conflicts stays
-// refuted until it is popped.
+// refuted until it is popped. Otherwise Check decides each open variable
+// false in index order on that same trail, and with no conflict the
+// model is read off it and the decisions are rewound. Only a conflicting
+// decision sends the formula to the fresh SAT core.
 //
 // Determinism contract: the verdict and model returned by Check depend
 // only on the sequence of constraints currently asserted — never on what
-// was solved (or popped) before. A propagation conflict does not depend
-// on the order clauses arrived in, and every other Check re-seeds the SAT
-// core's activity, phases, and learned-clause store, so a Ctx reused
-// across many solves behaves exactly like a fresh one on each formula.
+// was solved (or popped) before. Unit propagation's closure and its
+// conflicts do not depend on the order clauses arrived in, so the
+// decided trail is exactly the run the fresh core makes when no decision
+// conflicts; and the fresh core re-seeds its activity, phases, and
+// learned-clause store on every call, so a Ctx reused across many solves
+// behaves exactly like a fresh one on each formula.
 //
 // A Ctx is not safe for concurrent use; give each worker its own.
 type Ctx struct {
@@ -125,14 +130,30 @@ func (c *Ctx) Check() (Model, Status) {
 		c.stats.Refuted++
 		return nil, Unsat
 	}
+	mark := len(c.scope.trail)
+	if c.scope.decide(int(c.enc.nextVar)) {
+		// The fresh solve's numbers: it would have dequeued every literal
+		// of this assignment once, over every clause.
+		c.stats.Solves++
+		c.stats.Propagations += int64(len(c.scope.trail))
+		c.stats.PeakClauses = max(c.stats.PeakClauses, len(c.scope.cOff))
+		model := c.model(&c.scope.cdcl)
+		c.scope.unassign(mark)
+		return model, Sat
+	}
 	if !c.sat.solve(int(c.enc.nextVar), c.enc.clauseLits, c.enc.clauseEnd, &c.stats) {
 		return nil, Unsat
 	}
+	return c.model(&c.sat), Sat
+}
+
+// model reads every variable's bits off s's complete assignment.
+func (c *Ctx) model(s *cdcl) Model {
 	model := make(Model, len(c.enc.vars))
 	for name, sp := range c.enc.vars {
 		var hi, lo uint64
 		for i := 0; i < int(sp.n); i++ {
-			if c.sat.litTrue(c.enc.slab[int(sp.off)+i]) {
+			if s.litTrue(c.enc.slab[int(sp.off)+i]) {
 				if i >= 64 {
 					hi |= 1 << uint(i-64)
 				} else {
@@ -142,7 +163,7 @@ func (c *Ctx) Check() (Model, Status) {
 		}
 		model[name] = bitfield.New128(hi, lo, int(sp.n))
 	}
-	return model, Sat
+	return model
 }
 
 // Stats returns the solver-effort counters since the last Reset.

@@ -130,8 +130,11 @@ func scopeInvariants(c *Ctx) error {
 // operations over two 4-bit and one 3-bit variable and runs them on one
 // context. Each Check must agree in status with SolveReference and with
 // a fresh context on the constraints asserted at that point, and a Sat
-// model must be the fresh context's bit for bit; the scoped propagation
-// must keep scopeInvariants after every operation.
+// model must be the fresh context's bit for bit. A fresh context decides
+// on its own scoped trail too, so each Check is also held to FreshCheck,
+// the fresh CDCL core alone: the same status, and unless propagation
+// refuted it, the same model and the same Stats added. The scoped
+// propagation must keep scopeInvariants after every operation.
 func scopeProgram(t *testing.T, data []byte) {
 	x, y, z := Var("x", 4), Var("y", 4), Var("z", 3)
 	// The symbolic product is unsupported: its Assert errors and every
@@ -172,7 +175,14 @@ func scopeProgram(t *testing.T, data []byte) {
 			frames[len(frames)-1] = append(frames[len(frames)-1], cons)
 		case op >= 6:
 			asserted := slices.Concat(frames...)
+			before := c.Stats()
 			m, st := c.Check()
+			mo, so, delta := FreshCheck(c)
+			want := before
+			want.Add(delta)
+			if after := c.Stats(); so != st || st != Unknown && after.Refuted == before.Refuted && (after != want || !sameModel(m, mo)) {
+				t.Fatalf("op %d: %v: %v %v, stats %+v → %+v; fresh core %v %v, stats +%+v", i, asserted, st, m, before, after, so, mo, delta)
+			}
 			fresh := NewCtx()
 			fresh.Assert(asserted...)
 			mf, sf := fresh.Check()
@@ -202,7 +212,9 @@ func FuzzCtxScopes(f *testing.F) {
 }
 
 // TestCtxScopedWarmAllocs: once warm, a scope the propagation refutes
-// costs no allocation at all.
+// costs no allocation at all, and a Sat scope decided on the scoped
+// trail allocates only the Model it returns. A context that only ever
+// decides never sizes its fresh core.
 func TestCtxScopedWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -222,5 +234,24 @@ func TestCtxScopedWarmAllocs(t *testing.T) {
 	run()
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("warm refuted scope allocates %.0f objects/op, want 0", allocs)
+	}
+
+	y := Var("y", 8)
+	lt := Bin(ir.OpLt, Bin(ir.OpAdd, x, y), ConstUint(40, 8))
+	decided := func() {
+		c.Push()
+		c.Assert(lt)
+		if _, st := c.Check(); st != Sat {
+			t.Fatal("unexpected unsat")
+		}
+		c.Pop()
+	}
+	decided()
+	model := testing.AllocsPerRun(50, func() { c.model(&c.scope.cdcl) })
+	if allocs := testing.AllocsPerRun(50, decided); allocs != model {
+		t.Fatalf("warm decided scope allocates %.0f objects/op, want %.0f (the Model)", allocs, model)
+	}
+	if cap(c.sat.assign) != 0 || cap(c.sat.lits) != 0 {
+		t.Fatalf("a context that only decides sized its fresh core: %d vars, %d literals", cap(c.sat.assign), cap(c.sat.lits))
 	}
 }
