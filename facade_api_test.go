@@ -82,13 +82,14 @@ func TestVerifyProgramOptionForms(t *testing.T) {
 
 // TestVerifyProgramAllocs pins what one verification of the router
 // costs: compile, one exploration with every path solved, and three
-// properties walked over the same paths (1 314 allocations measured;
-// exploring once per property costs some 2 800).
+// properties walked over the same paths (920 allocations measured, 1 314
+// when every fork copied the explorer's state; exploring once per
+// property costs some 2 800).
 func TestVerifyProgramAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under race instrumentation")
 	}
-	const maxAllocs = 1328
+	const maxAllocs = 950
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := netdebug.VerifyProgram(p4test.Router, netdebug.WithWorkers(1), netdebug.WithSolvePaths()); err != nil {
 			t.Fatal(err)

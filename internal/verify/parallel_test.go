@@ -61,23 +61,30 @@ func dumpExploration(exp *Exploration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "paths=%d truncated=%d pruned=%d\n", len(exp.Paths), exp.Truncated, exp.Pruned)
 	for _, p := range exp.Paths {
-		fmt.Fprintf(&b, "#%d %s egress=%v valid=%v\n", p.ID, p.Format(), p.EgressAssigned, p.Valid)
-		for _, c := range p.Constraints {
-			fmt.Fprintf(&b, "  cons %s\n", c)
+		b.WriteString(dumpPath(p))
+	}
+	return b.String()
+}
+
+// dumpPath is one path's lines of dumpExploration.
+func dumpPath(p *Path) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "#%d %s egress=%v valid=%v\n", p.ID, p.Format(), p.EgressAssigned, p.Valid)
+	for _, c := range p.Constraints {
+		fmt.Fprintf(&b, "  cons %s\n", c)
+	}
+	for _, inst := range p.Fields {
+		for _, f := range inst {
+			fmt.Fprintf(&b, "  field %s\n", f)
 		}
-		for _, inst := range p.Fields {
-			for _, f := range inst {
-				fmt.Fprintf(&b, "  field %s\n", f)
-			}
-		}
-		names := make([]string, 0, len(p.Model))
-		for name := range p.Model {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&b, "  model %s=%s\n", name, p.Model[name])
-		}
+	}
+	names := make([]string, 0, len(p.Model))
+	for name := range p.Model {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&b, "  model %s=%s\n", name, p.Model[name])
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math/bits"
 
 	"netdebug/internal/p4/ir"
 )
@@ -9,15 +10,17 @@ import (
 // The rebuilt encoder bit-blasts BV terms to CNF like the reference one,
 // but is built for reuse and sharing:
 //
-//   - all bit vectors live in one int32 slab (memo values are spans into
-//     it), so encoding a term allocates nothing once the slab has grown;
+//   - all bit vectors live in one int32 slab (table values are spans
+//     into it), so encoding a term allocates nothing once the slab and
+//     the table have grown;
 //   - Tseitin gates are structurally hashed: gateAnd/gateOr/gateXor/
 //     gateMux return the existing output literal for a (op, inputs) pair
 //     instead of minting a fresh variable and re-emitting its defining
 //     clauses, so repeated table/match encodings share circuitry;
+//   - encoded terms and gates share one table keyed by integers (key);
 //   - constant inputs fold away before a gate is ever created;
 //   - the whole encoder state is scoped: push() snapshots it and popTo()
-//     rewinds vars, gates, memo entries, and clauses, which is what lets
+//     rewinds vars, table entries, and clauses, which is what lets
 //     a path explorer keep a shared constraint prefix encoded while
 //     swapping sibling branches in and out.
 //
@@ -29,18 +32,87 @@ type span struct {
 	off, n int32
 }
 
-// gateKey identifies a Tseitin gate up to structural equality.
-type gateKey struct {
-	op      uint8
+// key identifies a table entry by fixed-size integers. A Tseitin gate is
+// its op (gAnd…gMux) over its input literals. A term is its kind
+// (tConst…tTernary) with the ir operator in bits 8–15 and the width above,
+// over its operands' slab offsets: a live span's offset is unique, so it
+// names the operand. A constant of 64 bits or fewer is keyed by its value.
+type key struct {
+	op      uint32
 	a, b, c int32
 }
 
 const (
-	gAnd uint8 = iota
+	gAnd uint32 = iota + 1 // 0 marks an empty slot
 	gOr
 	gXor
 	gMux
+	tConst
+	tUnary
+	tBinary
+	tTernary
 )
+
+// entry is one slot: a term's span, or a gate's output literal in val.off.
+type entry struct {
+	key
+	val span
+}
+
+// table is the encoder's one memo, for terms and gates alike: open
+// addressing with linear probing, scoped like the rest of the encoder.
+// log lists the occupied slots in insertion order, and popTo empties those
+// past a mark. An entry's probe run crosses only entries older than it,
+// so what is left is exactly the table at the mark and no tombstones are
+// needed; grow re-inserts in log order to keep that true.
+type table struct {
+	slots []entry
+	shift uint8 // 64 - log2(len(slots)): the hash's top bits pick the slot
+	log   []int32
+}
+
+func (t *table) find(k key) int {
+	h := (uint64(k.op)<<32|uint64(uint32(k.a)))*0x9e3779b97f4a7c15 ^
+		(uint64(uint32(k.b))<<32|uint64(uint32(k.c)))*0xbf58476d1ce4e5b9
+	i, mask := int((h^h>>32)*0x94d049bb133111eb>>t.shift), len(t.slots)-1
+	for t.slots[i].op != 0 && t.slots[i].key != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (t *table) get(k key) (span, bool) {
+	s := &t.slots[t.find(k)]
+	return s.val, s.op != 0
+}
+
+// put stores k, which must be absent.
+func (t *table) put(k key, v span) {
+	if 2*(len(t.log)+1) > len(t.slots) {
+		t.grow()
+	}
+	i := t.find(k)
+	t.slots[i] = entry{k, v}
+	t.log = append(t.log, int32(i))
+}
+
+func (t *table) grow() {
+	old := t.slots
+	t.slots = make([]entry, max(2*len(old), 1024))
+	t.shift = uint8(65 - bits.Len(uint(len(t.slots))))
+	for j, i := range t.log {
+		s := t.find(old[i].key)
+		t.slots[s] = old[i]
+		t.log[j] = int32(s)
+	}
+}
+
+func (t *table) popTo(n int) {
+	for _, i := range t.log[n:] {
+		t.slots[i] = entry{}
+	}
+	t.log = t.log[:n]
+}
 
 // encMark snapshots the encoder for scoped rewind.
 type encMark struct {
@@ -48,8 +120,7 @@ type encMark struct {
 	slabLen    int
 	clauseLits int
 	clauses    int
-	memoLog    int
-	gateLog    int
+	tabLog     int
 	varLog     int
 	err        error
 }
@@ -57,14 +128,11 @@ type encMark struct {
 type encoder struct {
 	nextVar int32
 
-	slab []int32 // bit-vector storage; memo/vars values point into it
+	slab []int32 // bit-vector storage; tab/vars values point into it
 
-	memo    map[BV]span
-	memoLog []BV
-	gates   map[gateKey]int32
-	gateLog []gateKey
-	vars    map[string]span
-	varLog  []string
+	tab    table
+	vars   map[string]span
+	varLog []string
 
 	// CNF clause arena: clause i is clauseLits[start_i:clauseEnd[i]]
 	// with start_i = clauseEnd[i-1] (0 for the first clause).
@@ -75,11 +143,8 @@ type encoder struct {
 }
 
 func (e *encoder) init() {
-	if e.memo == nil {
-		e.memo = map[BV]span{}
-		e.gates = map[gateKey]int32{}
-		e.vars = map[string]span{}
-	}
+	e.tab.grow()
+	e.vars = map[string]span{}
 	e.reset()
 }
 
@@ -87,11 +152,8 @@ func (e *encoder) init() {
 func (e *encoder) reset() {
 	e.nextVar = 1
 	e.slab = e.slab[:0]
-	clear(e.memo)
-	clear(e.gates)
+	e.tab.popTo(0)
 	clear(e.vars)
-	e.memoLog = e.memoLog[:0]
-	e.gateLog = e.gateLog[:0]
 	e.varLog = e.varLog[:0]
 	e.clauseLits = e.clauseLits[:0]
 	e.clauseEnd = e.clauseEnd[:0]
@@ -110,25 +172,17 @@ func (e *encoder) push() encMark {
 		slabLen:    len(e.slab),
 		clauseLits: len(e.clauseLits),
 		clauses:    len(e.clauseEnd),
-		memoLog:    len(e.memoLog),
-		gateLog:    len(e.gateLog),
+		tabLog:     len(e.tab.log),
 		varLog:     len(e.varLog),
 		err:        e.err,
 	}
 }
 
 func (e *encoder) popTo(m encMark) {
-	for i := m.memoLog; i < len(e.memoLog); i++ {
-		delete(e.memo, e.memoLog[i])
-	}
-	for i := m.gateLog; i < len(e.gateLog); i++ {
-		delete(e.gates, e.gateLog[i])
-	}
+	e.tab.popTo(m.tabLog)
 	for i := m.varLog; i < len(e.varLog); i++ {
 		delete(e.vars, e.varLog[i])
 	}
-	e.memoLog = e.memoLog[:m.memoLog]
-	e.gateLog = e.gateLog[:m.gateLog]
 	e.varLog = e.varLog[:m.varLog]
 	e.nextVar = m.nextVar
 	e.slab = e.slab[:m.slabLen]
@@ -175,15 +229,16 @@ func (e *encoder) assert(c BV) {
 
 // --- structurally hashed gates ------------------------------------------
 
-// gate returns the memoized output literal for key, or 0 when absent.
-func (e *encoder) gateLookup(key gateKey) (int32, bool) {
-	o, ok := e.gates[key]
-	return o, ok
-}
-
-func (e *encoder) gateStore(key gateKey, o int32) {
-	e.gates[key] = o
-	e.gateLog = append(e.gateLog, key)
+// gate returns k's output literal and true when the gate exists, or else
+// a fresh output literal, stored under k, and false: the caller then adds
+// the gate's defining clauses.
+func (e *encoder) gate(k key) (int32, bool) {
+	if v, ok := e.tab.get(k); ok {
+		return v.off, true
+	}
+	o := e.fresh()
+	e.tab.put(k, span{off: o})
+	return o, false
 }
 
 func (e *encoder) gateAnd(a, b int32) int32 {
@@ -198,15 +253,13 @@ func (e *encoder) gateAnd(a, b int32) int32 {
 	if a > b {
 		a, b = b, a
 	}
-	key := gateKey{op: gAnd, a: a, b: b}
-	if o, ok := e.gateLookup(key); ok {
+	o, ok := e.gate(key{op: gAnd, a: a, b: b})
+	if ok {
 		return o
 	}
-	o := e.fresh()
 	e.addClause2(-o, a)
 	e.addClause2(-o, b)
 	e.addClause3(o, -a, -b)
-	e.gateStore(key, o)
 	return o
 }
 
@@ -222,15 +275,13 @@ func (e *encoder) gateOr(a, b int32) int32 {
 	if a > b {
 		a, b = b, a
 	}
-	key := gateKey{op: gOr, a: a, b: b}
-	if o, ok := e.gateLookup(key); ok {
+	o, ok := e.gate(key{op: gOr, a: a, b: b})
+	if ok {
 		return o
 	}
-	o := e.fresh()
 	e.addClause2(o, -a)
 	e.addClause2(o, -b)
 	e.addClause3(-o, a, b)
-	e.gateStore(key, o)
 	return o
 }
 
@@ -252,16 +303,14 @@ func (e *encoder) gateXor(a, b int32) int32 {
 	if a > b {
 		a, b = b, a
 	}
-	key := gateKey{op: gXor, a: a, b: b}
-	if o, ok := e.gateLookup(key); ok {
+	o, ok := e.gate(key{op: gXor, a: a, b: b})
+	if ok {
 		return o
 	}
-	o := e.fresh()
 	e.addClause3(-o, a, b)
 	e.addClause3(-o, -a, -b)
 	e.addClause3(o, -a, b)
 	e.addClause3(o, a, -b)
-	e.gateStore(key, o)
 	return o
 }
 
@@ -277,16 +326,14 @@ func (e *encoder) gateMux(c, a, b int32) int32 {
 	case a == constFalse && b == constTrue:
 		return -c
 	}
-	key := gateKey{op: gMux, a: a, b: b, c: c}
-	if o, ok := e.gateLookup(key); ok {
+	o, ok := e.gate(key{op: gMux, a: a, b: b, c: c})
+	if ok {
 		return o
 	}
-	o := e.fresh()
 	e.addClause3(-o, -c, a)
 	e.addClause3(-o, c, b)
 	e.addClause3(o, -c, -a)
 	e.addClause3(o, c, -b)
-	e.gateStore(key, o)
 	return o
 }
 
@@ -296,43 +343,18 @@ func (e *encoder) gateMux(c, a, b int32) int32 {
 // a popTo truncates past them, at which point no live span refers there).
 func (e *encoder) at(sp span, i int) int32 { return e.slab[int(sp.off)+i] }
 
-// bits encodes t (memoized), returning the span of its literals, least
-// significant bit first.
+// bits encodes t, returning the span of its literals, least significant
+// bit first. It encodes t's operands first, so t's table key is integers
+// only and a node costs one hash. The table is only a cache: a term that
+// misses it is re-encoded onto gates that are all found, so a miss mints
+// no variable and adds no clause.
 func (e *encoder) bits(t BV) span {
 	if e.err != nil {
 		return span{}
 	}
-	if sp, ok := e.memo[t]; ok {
-		return sp
-	}
-	sp := e.encode(t)
-	if e.err == nil {
-		e.memo[t] = sp
-		e.memoLog = append(e.memoLog, t)
-	}
-	return sp
-}
-
-// begin marks the start of a result span; the encode helpers append
-// result literals to the slab and close the span with e.close(off).
-func (e *encoder) begin() int32 { return int32(len(e.slab)) }
-
-func (e *encoder) close(off int32) span {
-	return span{off: off, n: int32(len(e.slab)) - off}
-}
-
-func (e *encoder) encode(t BV) span {
+	var k key
+	var x, y, z span
 	switch t := t.(type) {
-	case ir.Const:
-		off := e.begin()
-		for i := 0; i < t.Width(); i++ {
-			if t.Val.Bit(i) == 1 {
-				e.slab = append(e.slab, constTrue)
-			} else {
-				e.slab = append(e.slab, constFalse)
-			}
-		}
-		return e.close(off)
 	case VarBV:
 		if sp, ok := e.vars[t.Name]; ok {
 			if int(sp.n) != t.W {
@@ -349,11 +371,65 @@ func (e *encoder) encode(t BV) span {
 		e.vars[t.Name] = sp
 		e.varLog = append(e.varLog, t.Name)
 		return sp
-	case ir.Unary:
-		x := e.bits(t.X)
-		if e.err != nil {
-			return span{}
+	case ir.Const:
+		if t.Width() > 64 {
+			return e.constant(t)
 		}
+		v := t.Val.Uint64()
+		k = key{op: tConst | uint32(t.Width())<<16, a: int32(v), b: int32(v >> 32)}
+	case ir.Unary:
+		x = e.bits(t.X)
+		k = key{op: tUnary | uint32(t.Op)<<8 | uint32(t.W)<<16, a: x.off}
+	case ir.Binary:
+		x, y = e.bits(t.X), e.bits(t.Y)
+		k = key{op: tBinary | uint32(t.Op)<<8 | uint32(t.W)<<16, a: x.off, b: y.off}
+	case ir.Ternary:
+		x, y, z = e.bits(t.Cond), e.bits(t.A), e.bits(t.B)
+		k = key{op: tTernary | uint32(t.W)<<16, a: x.off, b: y.off, c: z.off}
+	default:
+		e.err = fmt.Errorf("solver: cannot encode %T", t)
+		return span{}
+	}
+	if e.err != nil {
+		return span{}
+	}
+	if sp, ok := e.tab.get(k); ok {
+		return sp
+	}
+	sp := e.encode(t, x, y, z)
+	if e.err == nil {
+		e.tab.put(k, sp)
+	}
+	return sp
+}
+
+// begin marks the start of a result span; the encode helpers append
+// result literals to the slab and close the span with e.close(off).
+func (e *encoder) begin() int32 { return int32(len(e.slab)) }
+
+func (e *encoder) close(off int32) span {
+	return span{off: off, n: int32(len(e.slab)) - off}
+}
+
+func (e *encoder) constant(t ir.Const) span {
+	off := e.begin()
+	for i := 0; i < t.Width(); i++ {
+		if t.Val.Bit(i) == 1 {
+			e.slab = append(e.slab, constTrue)
+		} else {
+			e.slab = append(e.slab, constFalse)
+		}
+	}
+	return e.close(off)
+}
+
+// encode appends t's literals, given the spans bits encoded its operands
+// into: x, y, z in the order ir lists them.
+func (e *encoder) encode(t BV, x, y, z span) span {
+	switch t := t.(type) {
+	case ir.Const:
+		return e.constant(t)
+	case ir.Unary:
 		switch t.Op {
 		case ir.OpNot:
 			// width-1 logical not of a possibly wide operand: !x == (x == 0)
@@ -369,24 +445,18 @@ func (e *encoder) encode(t BV) span {
 			return e.subFromZero(x)
 		}
 	case ir.Ternary:
-		c := e.bits(t.Cond)
-		a := e.bits(t.A)
-		b := e.bits(t.B)
-		if e.err != nil {
+		if y.n != z.n {
+			e.err = fmt.Errorf("ite branch widths differ: %d vs %d", y.n, z.n)
 			return span{}
 		}
-		if a.n != b.n {
-			e.err = fmt.Errorf("ite branch widths differ: %d vs %d", a.n, b.n)
-			return span{}
-		}
-		cond := e.at(c, 0)
+		cond := e.at(x, 0)
 		off := e.begin()
-		for i := 0; i < int(a.n); i++ {
-			e.slab = append(e.slab, e.gateMux(cond, e.at(a, i), e.at(b, i)))
+		for i := 0; i < int(y.n); i++ {
+			e.slab = append(e.slab, e.gateMux(cond, e.at(y, i), e.at(z, i)))
 		}
 		return e.close(off)
 	case ir.Binary:
-		return e.encodeBin(t)
+		return e.encodeBin(t, x, y)
 	}
 	e.err = fmt.Errorf("solver: cannot encode %T", t)
 	return span{}
@@ -399,7 +469,7 @@ func (e *encoder) bit(o int32) span {
 	return e.close(off)
 }
 
-func (e *encoder) encodeBin(t ir.Binary) span {
+func (e *encoder) encodeBin(t ir.Binary, a, b span) span {
 	// Shifts and multiplication require a constant operand.
 	switch t.Op {
 	case ir.OpShl, ir.OpShr:
@@ -408,32 +478,22 @@ func (e *encoder) encodeBin(t ir.Binary) span {
 			e.err = fmt.Errorf("symbolic shift amount in %s", t)
 			return span{}
 		}
-		x := e.bits(t.X)
-		if e.err != nil {
-			return span{}
-		}
 		n := ir.ShiftCount(k.Val)
 		off := e.begin()
-		for i := 0; i < int(x.n); i++ {
+		for i := 0; i < int(a.n); i++ {
 			src := i - n
 			if t.Op == ir.OpShr {
 				src = i + n
 			}
-			if src >= 0 && src < int(x.n) {
-				e.slab = append(e.slab, e.at(x, src))
+			if src >= 0 && src < int(a.n) {
+				e.slab = append(e.slab, e.at(a, src))
 			} else {
 				e.slab = append(e.slab, constFalse)
 			}
 		}
 		return e.close(off)
 	case ir.OpMul:
-		return e.encodeMul(t)
-	}
-
-	a := e.bits(t.X)
-	b := e.bits(t.Y)
-	if e.err != nil {
-		return span{}
+		return e.encodeMul(t, a, b)
 	}
 	switch t.Op {
 	case ir.OpAnd, ir.OpOr, ir.OpXor:
@@ -524,21 +584,18 @@ func (e *encoder) subFromZero(x span) span {
 
 // encodeMul encodes multiplication by a constant as shift-and-add over
 // the set bits of the constant.
-func (e *encoder) encodeMul(t ir.Binary) span {
+func (e *encoder) encodeMul(t ir.Binary, a, b span) span {
 	kb, okB := t.Y.(ir.Const)
 	ka, okA := t.X.(ir.Const)
 	var x span
 	var k ir.Const
 	switch {
 	case okB:
-		x, k = e.bits(t.X), kb
+		x, k = a, kb
 	case okA:
-		x, k = e.bits(t.Y), ka
+		x, k = b, ka
 	default:
 		e.err = fmt.Errorf("symbolic multiplication in %s", t)
-		return span{}
-	}
-	if e.err != nil {
 		return span{}
 	}
 	// acc starts at zero.

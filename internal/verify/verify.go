@@ -24,10 +24,10 @@
 package verify
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -109,17 +109,21 @@ type Exploration struct {
 	Solver solver.Stats
 }
 
-// state is the mutable symbolic machine state during exploration.
+// state is the mutable symbolic machine state during exploration. A
+// fork runs its branches on the one state, each rewound to the mark (a
+// copy of the state struct) taken before the first: the slices below
+// only grow, so truncating them to the mark's lengths undoes their
+// appends, and trail undoes the writes to fields, locals and validity.
+// Only a branch handed to another worker gets its own copy (clone).
 type state struct {
 	fields    [][]solver.BV
 	valid     []bool
 	locals    []solver.BV
-	args      [][]solver.BV
+	args      []solver.BV // the running action's arguments, never written
 	cons      []solver.BV
 	trace     dataplane.Trace
 	control   int // the control running, for a drop and a table's actions
 	egressSet bool
-	visits    []int // per parser state, indexed by state
 	// fresh numbers this path's symbolic variables. It is path-local so
 	// variable names depend only on the path's own history, never on
 	// exploration order across paths.
@@ -129,10 +133,59 @@ type state struct {
 	// sequential depth-first path order, which is how parallel results
 	// are put back in deterministic order.
 	decisions []byte
+	trail     []undo
 }
 
+// undo is one overwritten slot: fields[inst][idx] for inst >= 0,
+// locals[idx] or valid[idx] otherwise.
+type undo struct {
+	inst, idx int32
+	old       solver.BV
+	oldValid  bool
+}
+
+const undoLocal, undoValid = -1, -2
+
+func (s *state) setField(inst, idx int, v solver.BV) {
+	s.trail = append(s.trail, undo{inst: int32(inst), idx: int32(idx), old: s.fields[inst][idx]})
+	s.fields[inst][idx] = v
+}
+
+func (s *state) setLocal(idx int, v solver.BV) {
+	for len(s.locals) <= idx {
+		s.locals = append(s.locals, nil)
+	}
+	s.trail = append(s.trail, undo{inst: undoLocal, idx: int32(idx), old: s.locals[idx]})
+	s.locals[idx] = v
+}
+
+func (s *state) setValid(inst int, v bool) {
+	s.trail = append(s.trail, undo{inst: undoValid, idx: int32(inst), oldValid: s.valid[inst]})
+	s.valid[inst] = v
+}
+
+// rewind returns s to mark m, a copy of *s taken earlier on this lane.
+func (s *state) rewind(m *state) {
+	for i := len(s.trail) - 1; i >= len(m.trail); i-- {
+		switch u := s.trail[i]; u.inst {
+		case undoLocal:
+			s.locals[u.idx] = u.old
+		case undoValid:
+			s.valid[u.idx] = u.oldValid
+		default:
+			s.fields[u.inst][u.idx] = u.old
+		}
+	}
+	locals, cons, states, tables, decisions, trail := s.locals[:len(m.locals)], s.cons[:len(m.cons)],
+		s.trace.States[:len(m.trace.States)], s.trace.Tables[:len(m.trace.Tables)],
+		s.decisions[:len(m.decisions)], s.trail[:len(m.trail)]
+	*s = *m
+	s.locals, s.cons, s.trace.States, s.trace.Tables, s.decisions, s.trail = locals, cons, states, tables, decisions, trail
+}
+
+// clone copies s for a branch that outlives this lane's next rewind.
 func (s *state) clone() *state {
-	ns := &state{trace: s.trace, control: s.control, egressSet: s.egressSet, fresh: s.fresh}
+	ns := &state{trace: s.trace, args: s.args, control: s.control, egressSet: s.egressSet, fresh: s.fresh}
 	ns.trace.States = slices.Clone(s.trace.States)
 	ns.trace.Tables = slices.Clone(s.trace.Tables)
 	// One backing array for every instance's fields; no field slice grows.
@@ -141,15 +194,10 @@ func (s *state) clone() *state {
 	for i, f := range s.fields {
 		ns.fields[i], all = all[:len(f):len(f)], all[len(f):]
 	}
-	ns.valid = append([]bool(nil), s.valid...)
-	ns.locals = append([]solver.BV(nil), s.locals...)
-	ns.args = make([][]solver.BV, len(s.args))
-	for i := range s.args {
-		ns.args[i] = append([]solver.BV(nil), s.args[i]...)
-	}
-	ns.cons = append([]solver.BV(nil), s.cons...)
-	ns.visits = slices.Clone(s.visits)
-	ns.decisions = append([]byte(nil), s.decisions...)
+	ns.valid = slices.Clone(s.valid)
+	ns.locals = slices.Clone(s.locals)
+	ns.cons = slices.Clone(s.cons)
+	ns.decisions = slices.Clone(s.decisions)
 	return ns
 }
 
@@ -188,7 +236,7 @@ type explorer struct {
 }
 
 type finishedPath struct {
-	key string
+	key []byte // the path's decisions
 	p   *Path
 }
 
@@ -218,7 +266,7 @@ func ExploreWithStats(prog *ir.Program, opts Options) (*Exploration, error) {
 	}
 	w := ex.newWorker()
 
-	st := &state{visits: make([]int, len(prog.Parser.States)), trace: dataplane.Trace{Prog: prog}}
+	st := &state{trace: dataplane.Trace{Prog: prog}}
 	st.fields = make([][]solver.BV, len(prog.Instances))
 	st.valid = make([]bool, len(prog.Instances))
 	for i, inst := range prog.Instances {
@@ -249,7 +297,7 @@ func ExploreWithStats(prog *ir.Program, opts Options) (*Exploration, error) {
 	if err := ex.err(); err != nil {
 		return exp, err
 	}
-	sort.Slice(ex.finished, func(i, j int) bool { return ex.finished[i].key < ex.finished[j].key })
+	slices.SortFunc(ex.finished, func(a, b finishedPath) int { return bytes.Compare(a.key, b.key) })
 	exp.Paths = make([]*Path, len(ex.finished))
 	for i, f := range ex.finished {
 		f.p.ID = i
@@ -294,16 +342,18 @@ func (ex *explorer) err() error {
 	return ex.firstErr
 }
 
-// fork dispatches one branch subtree. The branch state already carries
-// its decision bytes; newCons of its trailing constraints are new
-// relative to the parent. If a spare worker is idle the subtree runs on
-// it (replaying the full constraint prefix into its context once);
-// otherwise it runs inline on w inside a solver scope, sharing the
-// already-encoded prefix.
-func (ex *explorer) fork(w *worker, branch *state, newCons int, fn func(*worker, *state) error) error {
+// fork runs one branch subtree on st, which holds the branch: its
+// decision bytes and new constraints were appended since mark m. If a
+// spare worker is idle the subtree runs there on a copy of st (replaying
+// the full constraint prefix into its context once); otherwise it runs
+// inline on w inside a solver scope, sharing the already-encoded prefix.
+// Either way st is rewound to m before fork returns.
+func (ex *explorer) fork(w *worker, st, m *state, fn func(*worker, *state) error) error {
+	defer st.rewind(m)
 	if ex.spare != nil {
 		select {
 		case w2 := <-ex.spare:
+			branch := st.clone()
 			ex.wg.Add(1)
 			go func() {
 				defer ex.wg.Done()
@@ -321,13 +371,14 @@ func (ex *explorer) fork(w *worker, branch *state, newCons int, fn func(*worker,
 		default:
 		}
 	}
-	if w.ctx == nil || newCons == 0 {
-		return fn(w, branch)
+	newCons := st.cons[len(m.cons):]
+	if w.ctx == nil || len(newCons) == 0 {
+		return fn(w, st)
 	}
 	w.ctx.Push()
-	w.ctx.Assert(branch.cons[len(branch.cons)-newCons:]...)
+	w.ctx.Assert(newCons...)
 	defer w.ctx.Pop()
-	return fn(w, branch)
+	return fn(w, st)
 }
 
 func (ex *explorer) freshVar(st *state, name string, w int) solver.BV {
@@ -341,7 +392,7 @@ func (ex *explorer) runParser(w *worker, st *state, stateIdx int) error {
 	}
 	switch stateIdx {
 	case ir.StateAccept:
-		return ex.runPipeline(w, st)
+		return ex.runControls(w, st, 0)
 	case ir.StateReject:
 		// Specification semantics: reject drops the packet.
 		st.trace.Verdict, st.trace.ParserError = dataplane.VerdictReject, dataplane.ParseErrReject
@@ -350,26 +401,31 @@ func (ex *explorer) runParser(w *worker, st *state, stateIdx int) error {
 		return nil
 	}
 	ps := ex.prog.Parser.States[stateIdx]
-	if st.visits[stateIdx] >= ex.opts.MaxStateVisits {
+	visits := 0
+	for _, v := range st.trace.States {
+		if int(v) == stateIdx {
+			visits++
+		}
+	}
+	if visits >= ex.opts.MaxStateVisits {
 		ex.truncated.Add(1)
 		return nil
 	}
-	st.visits[stateIdx]++
 	st.trace.States = append(st.trace.States, uint16(stateIdx))
 	for _, op := range ps.Ops {
 		switch op := op.(type) {
 		case *ir.Extract:
 			inst := ex.prog.Instances[op.Inst]
 			for j, f := range inst.Type.Fields {
-				st.fields[op.Inst][j] = ex.freshVar(st, inst.Name+"."+f.Name, f.Width)
+				st.setField(op.Inst, j, ex.freshVar(st, inst.Name+"."+f.Name, f.Width))
 			}
-			st.valid[op.Inst] = true
+			st.setValid(op.Inst, true)
 		case *ir.AssignField:
 			v, err := ex.eval(st, op.RHS)
 			if err != nil {
 				return err
 			}
-			st.fields[op.Inst][op.Field] = v
+			st.setField(op.Inst, op.Field, v)
 		default:
 			return fmt.Errorf("verify: unsupported parser op %T", op)
 		}
@@ -391,17 +447,17 @@ func (ex *explorer) runTransition(w *worker, st *state, tr ir.Transition) error 
 	}
 	// Each case forks a path constrained to match it and to mismatch all
 	// earlier cases; the default path mismatches everything.
+	m := *st
 	negated := []solver.BV{}
 	for ci, c := range tr.Cases {
-		branch := st.clone()
-		branch.decide(ci)
-		n0 := len(branch.cons)
-		branch.cons = append(branch.cons, negated...)
+		st.decide(ci)
+		match := make([]solver.BV, len(keys))
 		for i := range keys {
-			branch.cons = append(branch.cons, maskEq(keys[i], c.Values[i], c.Masks[i]))
+			match[i] = maskEq(keys[i], c.Values[i], c.Masks[i])
 		}
+		st.cons = append(append(st.cons, negated...), match...)
 		next := c.Next
-		err := ex.fork(w, branch, len(branch.cons)-n0, func(w *worker, st *state) error {
+		err := ex.fork(w, st, &m, func(w *worker, st *state) error {
 			return ex.runParser(w, st, next)
 		})
 		if err != nil {
@@ -409,23 +465,13 @@ func (ex *explorer) runTransition(w *worker, st *state, tr ir.Transition) error 
 		}
 		// Build the negation of this case for subsequent branches: the
 		// conjunction of per-key matches must be false.
-		negated = append(negated, solver.Not(conj(matchTerms(keys, c))))
+		negated = append(negated, solver.Not(conj(match)))
 	}
-	def := st.clone()
-	def.decide(len(tr.Cases))
-	n0 := len(def.cons)
-	def.cons = append(def.cons, negated...)
-	return ex.fork(w, def, len(def.cons)-n0, func(w *worker, st *state) error {
+	st.decide(len(tr.Cases))
+	st.cons = append(st.cons, negated...)
+	return ex.fork(w, st, &m, func(w *worker, st *state) error {
 		return ex.runParser(w, st, tr.Default)
 	})
-}
-
-func matchTerms(keys []solver.BV, c ir.TransCase) []solver.BV {
-	out := make([]solver.BV, len(keys))
-	for i := range keys {
-		out[i] = maskEq(keys[i], c.Values[i], c.Masks[i])
-	}
-	return out
 }
 
 // conj ANDs width-1 terms.
@@ -444,10 +490,6 @@ func conj(terms []solver.BV) solver.BV {
 func maskEq(key solver.BV, value, mask bitfield.Value) solver.BV {
 	mk := solver.And(key, solver.Const(mask))
 	return solver.Eq(mk, solver.Const(value.And(mask)))
-}
-
-func (ex *explorer) runPipeline(w *worker, st *state) error {
-	return ex.runControls(w, st, 0)
 }
 
 // runControls executes controls[idx:]; forking statements recurse with a
@@ -480,7 +522,7 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, k func(*work
 		if err != nil {
 			return err
 		}
-		st.fields[s.Inst][s.Field] = v
+		st.setField(s.Inst, s.Field, v)
 		if s.Inst == ex.prog.StdMeta && s.Field == ir.StdMetaEgressSpec {
 			st.egressSet = true
 		}
@@ -490,13 +532,10 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, k func(*work
 		if err != nil {
 			return err
 		}
-		for len(st.locals) <= s.Idx {
-			st.locals = append(st.locals, nil)
-		}
-		st.locals[s.Idx] = v
+		st.setLocal(s.Idx, v)
 		return next(w, st)
 	case *ir.SetValid:
-		st.valid[s.Inst] = s.Valid
+		st.setValid(s.Inst, s.Valid)
 		return next(w, st)
 	case *ir.MarkToDrop:
 		if !st.trace.Dropped {
@@ -508,21 +547,20 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, k func(*work
 		if err != nil {
 			return err
 		}
-		thenSt := st.clone()
-		thenSt.decide(0)
-		thenSt.cons = append(thenSt.cons, cond)
+		m := *st
+		st.decide(0)
+		st.cons = append(st.cons, cond)
 		thenBody := s.Then
-		err = ex.fork(w, thenSt, 1, func(w *worker, st *state) error {
+		err = ex.fork(w, st, &m, func(w *worker, st *state) error {
 			return ex.runStmts(w, st, thenBody, next)
 		})
 		if err != nil {
 			return err
 		}
-		elseSt := st
-		elseSt.decide(1)
-		elseSt.cons = append(elseSt.cons, solver.Not(cond))
+		st.decide(1)
+		st.cons = append(st.cons, solver.Not(cond))
 		elseBody := s.Else
-		return ex.fork(w, elseSt, 1, func(w *worker, st *state) error {
+		return ex.fork(w, st, &m, func(w *worker, st *state) error {
 			return ex.runStmts(w, st, elseBody, next)
 		})
 	case *ir.ApplyTable:
@@ -536,9 +574,10 @@ func (ex *explorer) runStmts(w *worker, st *state, stmts []ir.Stmt, k func(*work
 			}
 			args[i] = v
 		}
-		st.args = append(st.args, args)
+		prev := st.args
+		st.args = args
 		return ex.runStmts(w, st, s.Action.Body, func(w *worker, st *state) error {
-			st.args = st.args[:len(st.args)-1]
+			st.args = prev
 			return next(w, st)
 		})
 	case *ir.Return:
@@ -556,21 +595,22 @@ func (ex *explorer) applyTable(w *worker, st *state, t *ir.Table, k func(*worker
 	run := func(w *worker, base *state, a *ir.Action, args []solver.BV, hit bool) error {
 		base.trace.Tables = append(base.trace.Tables, dataplane.TableEvent{
 			Table: uint16(t.Index), Action: uint16(slices.Index(actions, a)), Hit: hit})
-		base.args = append(base.args, args)
+		prev := base.args
+		base.args = args
 		return ex.runStmts(w, base, a.Body, func(w *worker, st *state) error {
-			st.args = st.args[:len(st.args)-1]
+			st.args = prev
 			return k(w, st)
 		})
 	}
+	m := *st
 	for ai, a := range t.Actions {
-		branch := st.clone()
-		branch.decide(ai)
+		st.decide(ai)
 		args := make([]solver.BV, len(a.Params))
 		for i, p := range a.Params {
-			args[i] = ex.freshVar(branch, t.Name+"."+a.Name+"."+p.Name, p.Width)
+			args[i] = ex.freshVar(st, t.Name+"."+a.Name+"."+p.Name, p.Width)
 		}
 		action := a
-		err := ex.fork(w, branch, 0, func(w *worker, st *state) error {
+		err := ex.fork(w, st, &m, func(w *worker, st *state) error {
 			return run(w, st, action, args, true)
 		})
 		if err != nil {
@@ -578,13 +618,12 @@ func (ex *explorer) applyTable(w *worker, st *state, t *ir.Table, k func(*worker
 		}
 	}
 	// Miss: default action with its bound constant arguments.
-	miss := st.clone()
-	miss.decide(len(t.Actions))
+	st.decide(len(t.Actions))
 	args := make([]solver.BV, len(t.Default.Args))
 	for i, v := range t.Default.Args {
 		args[i] = solver.Const(v)
 	}
-	return ex.fork(w, miss, 0, func(w *worker, st *state) error {
+	return ex.fork(w, st, &m, func(w *worker, st *state) error {
 		return run(w, st, t.Default.Action, args, false)
 	})
 }
@@ -592,7 +631,7 @@ func (ex *explorer) applyTable(w *worker, st *state, t *ir.Table, k func(*worker
 // finish completes one path: under SolvePaths it is checked on the
 // worker's context (whose asserted scope is exactly this path's
 // constraint set), infeasible paths are pruned, feasible ones keep their
-// model.
+// model. Only a kept path is copied out of the lane's state.
 //
 // The budget is charged here, before the feasibility check, so MaxPaths
 // bounds exploration *work* — including paths that would have been
@@ -617,16 +656,17 @@ func (ex *explorer) finish(w *worker, st *state) {
 		}
 		// Unknown: keep the path; Model stays nil.
 	}
+	c := st.clone()
 	p := &Path{
-		Constraints:    st.cons,
-		Trace:          st.trace,
-		EgressAssigned: st.egressSet,
-		Fields:         st.fields,
-		Valid:          st.valid,
+		Constraints:    c.cons,
+		Trace:          c.trace,
+		EgressAssigned: c.egressSet,
+		Fields:         c.fields,
+		Valid:          c.valid,
 		Model:          model,
 	}
 	ex.mu.Lock()
-	ex.finished = append(ex.finished, finishedPath{key: string(st.decisions), p: p})
+	ex.finished = append(ex.finished, finishedPath{key: c.decisions, p: p})
 	ex.mu.Unlock()
 }
 
@@ -644,7 +684,7 @@ func (ex *explorer) eval(st *state, e ir.Expr) (solver.BV, error) {
 		}
 		return solver.ConstUint(0, e.W), nil
 	case ir.ParamRef:
-		return st.args[len(st.args)-1][e.Idx], nil
+		return st.args[e.Idx], nil
 	case ir.IsValid:
 		if st.valid[e.Inst] {
 			return solver.True(), nil
